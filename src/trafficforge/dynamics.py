@@ -94,36 +94,89 @@ def sample_idm_params(rng_seed, v0, T_range=T_RANGE, s0_range=S0_RANGE,
     )
 
 
-def find_leader(agent_coords, subject_id, route,
+class Snapshot:
+    """Frozen agent positions, bucketed by the lane edge each agent is on.
+
+    ``coords`` maps agent_id -> (edge_id, arc_on_edge, v, length);
+    ``by_edge`` maps edge_id -> the ids of the agents on that edge.
+    """
+
+    def __init__(self, coords, by_edge=None):
+        self.coords = coords
+        if by_edge is None:
+            by_edge = {}
+            for aid, coord in coords.items():
+                by_edge.setdefault(coord[0], []).append(aid)
+        self.by_edge = by_edge
+
+    def replaced(self, agent_id, coord=None):
+        """This snapshot with one agent moved to ``coord``, or removed.
+
+        Buckets of edges the agent neither leaves nor enters are shared
+        with this snapshot, not copied.
+        """
+        coords = dict(self.coords)
+        by_edge = dict(self.by_edge)
+        old = coords.pop(agent_id, None)
+        if old is not None:
+            by_edge[old[0]] = [a for a in by_edge[old[0]] if a != agent_id]
+        if coord is not None:
+            coords[agent_id] = coord
+            by_edge[coord[0]] = by_edge.get(coord[0], []) + [agent_id]
+        return Snapshot(coords, by_edge)
+
+
+def find_leader(snapshot, subject_id, route,
                 sensing_range=SENSING_RANGE):
     """First agent ahead of the subject along its route.
 
-    ``agent_coords`` maps agent_id -> (edge_id, arc_on_edge, v, length).
+    Only agents on the route's edges (``snapshot.by_edge``) are examined.
     Distances are arc lengths along the route; the returned gap is
     bumper-to-bumper, floored at 0.01 m. Ties go to the lower agent id.
     """
-    subj_edge, subj_arc, subj_v, subj_len = agent_coords[subject_id]
+    coords = snapshot.coords
+    subj_edge, subj_arc, subj_v, subj_len = coords[subject_id]
     subj_s = route.route_s_of(subj_edge, subj_arc)
     if subj_s is None:
         subj_s = 0.0
     best = None
-    for aid in sorted(agent_coords):
-        if aid == subject_id:
-            continue
-        edge_id, arc, v, length = agent_coords[aid]
-        s = route.route_s_of(edge_id, arc)
-        if s is None:
-            continue
-        dist = s - subj_s
-        if dist <= 0.0 or dist > sensing_range:
-            continue
-        if best is None or dist < best[0]:
-            best = (dist, aid, v, length)
+    for route_edge in route.spans_by_edge:
+        for aid in snapshot.by_edge.get(route_edge, ()):
+            if aid == subject_id:
+                continue
+            edge_id, arc, v, length = coords[aid]
+            s = route.route_s_of(edge_id, arc)
+            if s is None:
+                continue
+            dist = s - subj_s
+            if dist <= 0.0 or dist > sensing_range:
+                continue
+            if best is None or dist < best[0] \
+                    or (dist == best[0] and aid < best[1]):
+                best = (dist, aid, v, length)
     if best is None:
         return None
     dist, aid, v, length = best
     gap = max(dist - (subj_len + length) / 2.0, 0.01)
     return LeaderInfo(aid, gap, subj_v - v)
+
+
+def nearest_behind(snapshot, edge_id, arc, subject_id):
+    """Id of the closest agent behind ``arc`` on ``edge_id``, or None.
+
+    The subject itself is skipped; ties go to the lower agent id.
+    """
+    best = None
+    for aid in snapshot.by_edge.get(edge_id, ()):
+        if aid == subject_id:
+            continue
+        a = snapshot.coords[aid][1]
+        if a >= arc:
+            continue
+        d = arc - a
+        if best is None or d < best[0] or (d == best[0] and aid < best[1]):
+            best = (d, aid)
+    return best[1] if best else None
 
 
 def mobil_decide(params, ac_old, ac_new, an_old, an_new, ao_old, ao_new):

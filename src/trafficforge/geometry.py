@@ -4,9 +4,11 @@ All polylines are (N, 2) float64 arrays in meters. Headings are radians in
 (-pi, pi], counterclockwise positive, 0 along +x.
 """
 
+import math
+
 import numpy as np
 
-from trafficforge.kernels import wrap_angle
+_TWO_PI = 2.0 * math.pi
 
 
 def as_polyline(points):
@@ -22,9 +24,13 @@ def segment_lengths(pts):
 
 def cumulative_lengths(pts):
     """Arc length at every vertex; cum[0] = 0, cum[-1] = total length."""
-    cum = np.empty(len(pts))
+    return _running_total(segment_lengths(pts))
+
+
+def _running_total(seg):
+    cum = np.empty(len(seg) + 1)
     cum[0] = 0.0
-    np.cumsum(segment_lengths(pts), out=cum[1:])
+    np.cumsum(seg, out=cum[1:])
     return cum
 
 
@@ -92,12 +98,44 @@ def resample_polyline(pts, step):
     return out
 
 
+def _wrap_angles(theta):
+    """Elementwise :func:`~trafficforge.kernels.wrap_angle`, bit for bit."""
+    t = np.fmod(theta + np.pi, _TWO_PI)
+    t[t <= 0.0] += _TWO_PI
+    return t - np.pi
+
+
 def cumulative_heading_change(pts):
     """Signed total heading change over the polyline, unwrapped per segment."""
-    h = segment_headings(pts)
-    if len(h) < 2:
+    return _total_turn(np.diff(pts, axis=0))
+
+
+def _total_turn(d):
+    """Sum of the wrapped turns between the segment vectors ``d``.
+
+    The turns are added left to right (``cumsum``, not the pairwise
+    ``np.sum``), so the result is the same float as a scalar loop's.
+    """
+    if len(d) < 2:
         return 0.0
-    return float(sum(wrap_angle(h[i + 1] - h[i]) for i in range(len(h) - 1)))
+    h = np.arctan2(d[:, 1], d[:, 0])
+    return float(_wrap_angles(h[1:] - h[:-1]).cumsum()[-1])
+
+
+def polyline_tables(pts, tol=1e-9):
+    """(deduped points, arc-length table, total heading change) of ``pts``.
+
+    Bit for bit what :func:`dedupe_points`, :func:`cumulative_lengths`
+    and :func:`cumulative_heading_change` return, from one difference
+    pass when no two consecutive points lie within ``2 * tol``.
+    """
+    d = pts[1:] - pts[:-1]
+    seg = np.linalg.norm(d, axis=1)
+    if not (seg > 2.0 * tol).all():
+        pts = dedupe_points(pts, tol)
+        d = pts[1:] - pts[:-1]
+        seg = np.linalg.norm(d, axis=1)
+    return pts, _running_total(seg), _total_turn(d)
 
 
 def offset_polyline(pts, offset):
@@ -125,7 +163,14 @@ def offset_polyline(pts, offset):
 
 
 def dedupe_points(pts, tol=1e-9):
-    """Drop consecutive duplicates (within tol) from a point sequence."""
+    """Drop consecutive duplicates (within tol) from a point sequence.
+
+    Returns ``pts`` itself when every consecutive gap clears ``2 * tol``,
+    the margin absorbing any rounding difference between the vectorized
+    and the scalar norm.
+    """
+    if (segment_lengths(pts) > 2.0 * tol).all():
+        return pts
     keep = [0]
     for i in range(1, len(pts)):
         if np.linalg.norm(pts[i] - pts[keep[-1]]) > tol:

@@ -116,22 +116,24 @@ class Route:
         self.start = start
         pieces = []
         self.edge_spans = []  # (edge_id, route_s_start, arc_on_edge_at_start)
+        # edge_id -> [(route_s_start, arc_on_edge_at_start)] in route order
+        self.spans_by_edge = {}
         s_acc = 0.0
         for k, eid in enumerate(self.edge_ids):
             edge = graph.edges[eid]
             arc0 = start.arc_s if (k == 0 and first_edge_partial) else 0.0
             pts = _slice_from(edge.polyline, edge.cum, arc0)
             self.edge_spans.append((eid, s_acc, arc0))
+            self.spans_by_edge.setdefault(eid, []).append((s_acc, arc0))
             s_acc += edge.length - arc0
             pieces.append(pts if not pieces else pts[1:])
-        poly = geometry.dedupe_points(np.vstack(pieces))
+        poly, self.cum, self.cumulative_heading_change = \
+            geometry.polyline_tables(np.vstack(pieces))
         if len(poly) < 2:
             raise ValueError("route has no drivable length")
         self.polyline = poly
-        self.cum = geometry.cumulative_lengths(poly)
         self.total_length = float(self.cum[-1])
-        self.cumulative_heading_change = geometry.cumulative_heading_change(poly)
-        self.maneuver = classify_maneuver(poly)
+        self.maneuver = _maneuver_of(self.cumulative_heading_change)
 
     @property
     def u_turn_like(self):
@@ -156,9 +158,13 @@ class Route:
                                       np.asarray(point, float), lo, hi)
 
     def route_s_of(self, edge_id, arc_on_edge):
-        """Arc position along the route of a point on one of its edges."""
-        for eid, s_start, arc0 in self.edge_spans:
-            if eid == edge_id and arc_on_edge >= arc0 - 1e-9:
+        """Arc position along the route of a point on one of its edges.
+
+        A route that visits the edge more than once answers with its
+        first visit that reaches ``arc_on_edge``.
+        """
+        for s_start, arc0 in self.spans_by_edge.get(edge_id, ()):
+            if arc_on_edge >= arc0 - 1e-9:
                 return s_start + (arc_on_edge - arc0)
         return None
 
@@ -181,7 +187,11 @@ def classify_maneuver(route_polyline, straight_threshold=STRAIGHT_THRESHOLD):
     pts = geometry.dedupe_points(geometry.as_polyline(route_polyline))
     if len(pts) < 2:
         return "straight"
-    dpsi = geometry.cumulative_heading_change(pts)
+    return _maneuver_of(geometry.cumulative_heading_change(pts),
+                        straight_threshold)
+
+
+def _maneuver_of(dpsi, straight_threshold=STRAIGHT_THRESHOLD):
     if dpsi >= straight_threshold:
         return "left"
     if dpsi <= -straight_threshold:

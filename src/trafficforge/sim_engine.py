@@ -19,7 +19,7 @@ import numpy as np
 from trafficforge import behavior as behavior_mod
 from trafficforge import dynamics, geometry, road_graph
 from trafficforge.controller import ControllerParams, step_kinematics
-from trafficforge.errors import ConfigError
+from trafficforge.errors import ConfigError, OffMapError
 from trafficforge.kernels import longitudinal_command, steer_to_lane
 from trafficforge.util import derive_seed, digest
 
@@ -252,14 +252,14 @@ def simulate_scene(scene, assignment, config, variant_index=0):
             elif run.replay:
                 run.x_lat = 0.0
                 try:
-                    lane = road_graph.project_to_lane(graph, run.state.position)
-                    run.lane = lane
-                except Exception:
+                    run.lane = road_graph.project_to_lane(graph,
+                                                          run.state.position)
+                except OffMapError:
                     run.exit_step = k
                     continue
             still.append(run)
         active = still
-        coords = {r.agent_id: r.coords() for r in active}
+        snapshot = dynamics.Snapshot({r.agent_id: r.coords() for r in active})
         by_id = {r.agent_id: r for r in active}
 
         # decisions from the frozen snapshot
@@ -274,12 +274,12 @@ def simulate_scene(scene, assignment, config, variant_index=0):
             v = run.state.v
             v_ref = run.profile.value_at(k) if run.profile is not None else 0.0
             run.idm.v0 = max(v_ref, V0_FLOOR)
-            leader = dynamics.find_leader(coords, run.agent_id, run.route,
+            leader = dynamics.find_leader(snapshot, run.agent_id, run.route,
                                           config.sensing_range)
             a_idm = dynamics.idm_accel(run.idm, leader, v,
                                        config.controller.a_max_decel)
             if config.lane_change_enabled and abs(run.x_lat) <= MOBIL_EVAL_MAX_OFFSET:
-                target = _consider_lane_change(graph, run, coords, by_id,
+                target = _consider_lane_change(graph, run, snapshot, by_id,
                                                a_idm, config, k)
                 if target is not None:
                     retargets[run.agent_id] = target
@@ -356,7 +356,7 @@ def _replay_step(run, rel_t, dt):
     run.state.v = max(float(v), 0.0)
 
 
-def _consider_lane_change(graph, run, coords, by_id, ac_old, config, step):
+def _consider_lane_change(graph, run, snapshot, by_id, ac_old, config, step):
     """Evaluate MOBIL toward the right then the left neighbor lane.
 
     Returns (new_route, s_on_new_route, old_edge, new_edge) or None. All
@@ -375,17 +375,20 @@ def _consider_lane_change(graph, run, coords, by_id, ac_old, config, step):
         nb_edge, nb_arc = _edge_at(new_route, s_new)
 
         # subject's acceleration if it were on the target lane
-        coords_moved = dict(coords)
-        coords_moved[run.agent_id] = (nb_edge, nb_arc, run.state.v, run.geom.L)
-        new_leader = dynamics.find_leader(coords_moved, run.agent_id,
+        moved = snapshot.replaced(run.agent_id, (nb_edge, nb_arc, run.state.v,
+                                                 run.geom.L))
+        new_leader = dynamics.find_leader(moved, run.agent_id,
                                           new_route, config.sensing_range)
         ac_new = dynamics.idm_accel(run.idm, new_leader, run.state.v,
                                     config.controller.a_max_decel)
 
-        an_old, an_new = _follower_effect(nb, nb_arc, coords, coords_moved,
-                                          by_id, run.agent_id, config)
-        ao_old, ao_new = _old_follower_effect(eid, arc, coords, by_id,
-                                              run.agent_id, config)
+        # the would-be new follower, then the follower left behind
+        an_old, an_new = _follower_accels(
+            dynamics.nearest_behind(snapshot, nb, nb_arc, run.agent_id),
+            snapshot, moved, by_id, config)
+        ao_old, ao_new = _follower_accels(
+            dynamics.nearest_behind(snapshot, eid, arc, run.agent_id),
+            snapshot, snapshot.replaced(run.agent_id), by_id, config)
 
         mobil = dataclasses.replace(
             config.mobil,
@@ -414,58 +417,20 @@ def _retarget_route(graph, run, neighbor_eid, config):
     return (same[0] if same else routes[0]), 0.0
 
 
-def _follower_effect(nb_edge, nb_arc, coords, coords_moved, by_id,
-                     subject_id, config):
-    """Accelerations of the would-be new follower before/after the change."""
-    follower = _nearest_behind(coords, nb_edge, nb_arc, subject_id)
+def _follower_accels(follower, before, after, by_id, config):
+    """IDM accelerations of ``follower`` in two snapshots, before and after."""
     if follower is None or follower not in by_id:
         return 0.0, 0.0
     f = by_id[follower]
     if f.route is None:
         return 0.0, 0.0
-    lead_old = dynamics.find_leader(coords, follower, f.route,
+    accels = []
+    for snapshot in (before, after):
+        lead = dynamics.find_leader(snapshot, follower, f.route,
                                     config.sensing_range)
-    a_old = dynamics.idm_accel(f.idm, lead_old, f.state.v,
-                               config.controller.a_max_decel)
-    lead_new = dynamics.find_leader(coords_moved, follower, f.route,
-                                    config.sensing_range)
-    a_new = dynamics.idm_accel(f.idm, lead_new, f.state.v,
-                               config.controller.a_max_decel)
-    return a_old, a_new
-
-
-def _old_follower_effect(eid, arc, coords, by_id, subject_id, config):
-    """Accelerations of the follower left behind on the current lane."""
-    follower = _nearest_behind(coords, eid, arc, subject_id)
-    if follower is None or follower not in by_id:
-        return 0.0, 0.0
-    f = by_id[follower]
-    if f.route is None:
-        return 0.0, 0.0
-    lead_old = dynamics.find_leader(coords, follower, f.route,
-                                    config.sensing_range)
-    a_old = dynamics.idm_accel(f.idm, lead_old, f.state.v,
-                               config.controller.a_max_decel)
-    coords_wo = {a: c for a, c in coords.items() if a != subject_id}
-    lead_new = dynamics.find_leader(coords_wo, follower, f.route,
-                                    config.sensing_range)
-    a_new = dynamics.idm_accel(f.idm, lead_new, f.state.v,
-                               config.controller.a_max_decel)
-    return a_old, a_new
-
-
-def _nearest_behind(coords, edge_id, arc, subject_id):
-    best = None
-    for aid in sorted(coords):
-        if aid == subject_id:
-            continue
-        eid, a, _, _ = coords[aid]
-        if eid != edge_id or a >= arc:
-            continue
-        d = arc - a
-        if best is None or d < best[0]:
-            best = (d, aid)
-    return best[1] if best else None
+        accels.append(dynamics.idm_accel(f.idm, lead, f.state.v,
+                                         config.controller.a_max_decel))
+    return tuple(accels)
 
 
 def read_simlog_csv(csv_path, sidecar=None):

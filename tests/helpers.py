@@ -12,6 +12,15 @@ def straight_map(length=300.0, lanes=1, oneway=True, lane_width=3.5):
                              "lane_width": lane_width}]}
 
 
+def ring_map(side=50.0):
+    """One-way square loop of four single-lane sides, edges 0..3 in order."""
+    corners = [[0.0, 0.0], [side, 0.0], [side, side], [0.0, side]]
+    return {"centerlines": [{"id": i, "points": [corners[i],
+                                                 corners[(i + 1) % 4]],
+                             "lanes": 1, "oneway": True}
+                            for i in range(4)]}
+
+
 def _rot(deg):
     a = math.radians(deg)
     return np.array([[math.cos(a), -math.sin(a)],

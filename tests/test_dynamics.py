@@ -7,12 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import straight_map
+from helpers import ring_map, straight_map
 
 from trafficforge import road_graph
 from trafficforge.dynamics import (IdmParams, LeaderInfo, MobilParams,
-                                   desired_gap, find_leader, idm_accel,
-                                   mobil_decide, sample_idm_params)
+                                   Snapshot, desired_gap, find_leader,
+                                   idm_accel, mobil_decide, nearest_behind,
+                                   sample_idm_params)
 
 
 def _gap_oracle(s0, T, a, b, v, dv):
@@ -118,13 +119,13 @@ def _two_agent_route(length=300.0):
 def test_find_leader_empty_road():
     route = _two_agent_route()
     coords = {1: (0, 10.0, 10.0, 4.0)}
-    assert find_leader(coords, 1, route) is None
+    assert find_leader(Snapshot(coords), 1, route) is None
 
 
 def test_find_leader_gap_minus_half_lengths():
     route = _two_agent_route()
     coords = {1: (0, 10.0, 10.0, 4.0), 2: (0, 40.0, 5.0, 4.0)}
-    info = find_leader(coords, 1, route)
+    info = find_leader(Snapshot(coords), 1, route)
     assert info.leader_id == 2
     assert info.gap_s == pytest.approx(26.0)
     assert info.dv == pytest.approx(5.0)
@@ -135,14 +136,122 @@ def test_find_leader_nearest_wins():
     coords = {1: (0, 0.0, 10.0, 4.0),
               2: (0, 50.0, 5.0, 4.0),
               3: (0, 20.0, 5.0, 4.0)}
-    assert find_leader(coords, 1, route).leader_id == 3
+    assert find_leader(Snapshot(coords), 1, route).leader_id == 3
 
 
 def test_find_leader_sensing_range():
     route = _two_agent_route()
     coords = {1: (0, 0.0, 10.0, 4.0), 2: (0, 150.0, 5.0, 4.0)}
-    assert find_leader(coords, 1, route, sensing_range=100.0) is None
-    assert find_leader(coords, 1, route, sensing_range=200.0).leader_id == 2
+    snap = Snapshot(coords)
+    assert find_leader(snap, 1, route, sensing_range=100.0) is None
+    assert find_leader(snap, 1, route, sensing_range=200.0).leader_id == 2
+    # the boundary is inside the range
+    assert find_leader(snap, 1, route, sensing_range=150.0).leader_id == 2
+
+
+def _route_s_ref(route, edge_id, arc):
+    for eid, s_start, arc0 in route.edge_spans:
+        if eid == edge_id and arc >= arc0 - 1e-9:
+            return s_start + (arc - arc0)
+    return None
+
+
+def _find_leader_ref(coords, subject_id, route, sensing_range):
+    """O(N) scan over every agent in id order: the unindexed search."""
+    subj_edge, subj_arc, subj_v, subj_len = coords[subject_id]
+    subj_s = _route_s_ref(route, subj_edge, subj_arc)
+    if subj_s is None:
+        subj_s = 0.0
+    best = None
+    for aid in sorted(coords):
+        if aid == subject_id:
+            continue
+        edge_id, arc, v, length = coords[aid]
+        s = _route_s_ref(route, edge_id, arc)
+        if s is None:
+            continue
+        dist = s - subj_s
+        if dist <= 0.0 or dist > sensing_range:
+            continue
+        if best is None or dist < best[0]:
+            best = (dist, aid, v, length)
+    if best is None:
+        return None
+    dist, aid, v, length = best
+    return LeaderInfo(aid, max(dist - (subj_len + length) / 2.0, 0.01),
+                      subj_v - v)
+
+
+def _nearest_behind_ref(coords, edge_id, arc, subject_id):
+    best = None
+    for aid in sorted(coords):
+        if aid == subject_id:
+            continue
+        eid, a, _, _ = coords[aid]
+        if eid != edge_id or a >= arc:
+            continue
+        if best is None or arc - a < best[0]:
+            best = (arc - a, aid)
+    return best[1] if best else None
+
+
+def test_equal_arc_ties_go_to_lower_id():
+    route = _two_agent_route()
+    coords = {1: (0, 0.0, 10.0, 4.0), 7: (0, 30.0, 5.0, 4.0),
+              3: (0, 30.0, 6.0, 4.0), 5: (0, 10.0, 0.0, 4.0)}
+    snap = Snapshot(coords)
+    assert find_leader(snap.replaced(5), 1, route).leader_id == 3
+    assert nearest_behind(snap, 0, 40.0, 1) == 3
+    assert nearest_behind(snap.replaced(3), 0, 40.0, 1) == 7
+
+
+# edges 0..3 form the loop the route revisits; 9 is on no route
+_RING_ROUTE = road_graph.enumerate_routes(
+    road_graph.build_graph(ring_map(50.0)),
+    road_graph.LaneCoordinate(0, 20.0, 0.0, 0.0), horizon_dist=230.0)[0]
+# a 5 m grid of arcs makes equal arcs and exact sensing-range hits common
+_COORDS = st.tuples(st.sampled_from([0, 1, 2, 3, 9]),
+                    st.one_of(st.sampled_from([5.0 * i for i in range(11)]),
+                              st.floats(0.0, 50.0)),
+                    st.floats(0.0, 30.0), st.sampled_from([4.0, 4.5, 12.0]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.dictionaries(st.integers(1, 40), _COORDS, min_size=1, max_size=14),
+       st.data(), st.sampled_from([25.0, 45.0, 100.0, 1000.0]))
+def test_indexed_search_matches_brute_force(coords, data, sensing_range):
+    route = _RING_ROUTE
+    ids = sorted(coords)
+    subject = data.draw(st.sampled_from(ids))
+    snap = Snapshot(coords)
+    assert find_leader(snap, subject, route, sensing_range) == \
+        _find_leader_ref(coords, subject, route, sensing_range)
+    edge, arc = data.draw(_COORDS)[:2]
+    assert nearest_behind(snap, edge, arc, subject) == \
+        _nearest_behind_ref(coords, edge, arc, subject)
+
+    # the subject moved onto another lane position (MOBIL's "after")
+    new_coord = data.draw(_COORDS)
+    moved = dict(coords)
+    moved[subject] = new_coord
+    snap_moved = snap.replaced(subject, new_coord)
+    for aid in ids:
+        assert find_leader(snap_moved, aid, route, sensing_range) == \
+            _find_leader_ref(moved, aid, route, sensing_range)
+    assert nearest_behind(snap_moved, edge, arc, -1) == \
+        _nearest_behind_ref(moved, edge, arc, -1)
+
+    # the subject removed (the old follower's "after")
+    without = {a: c for a, c in coords.items() if a != subject}
+    snap_wo = snap.replaced(subject)
+    for aid in without:
+        assert find_leader(snap_wo, aid, route, sensing_range) == \
+            _find_leader_ref(without, aid, route, sensing_range)
+    assert nearest_behind(snap_wo, edge, arc, -1) == \
+        _nearest_behind_ref(without, edge, arc, -1)
+    # overlays leave the base snapshot untouched
+    assert find_leader(snap, subject, route, sensing_range) == \
+        _find_leader_ref(coords, subject, route, sensing_range)
 
 
 def test_mobil_selfish_change():

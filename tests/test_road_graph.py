@@ -5,8 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from helpers import four_way_intersection, straight_map
+from helpers import (approach_point, four_way_intersection, ring_map,
+                     straight_map)
 
+from trafficforge import geometry, road_graph
 from trafficforge.errors import MapFormatError, OffMapError
 from trafficforge.road_graph import (build_graph, classify_maneuver,
                                      enumerate_routes, project_to_lane,
@@ -208,6 +210,32 @@ def test_enumerate_max_routes_cap():
     start = project_to_lane(g, (-50.0, -1.75), heading_hint=0.0)
     routes = enumerate_routes(g, start, horizon_dist=1000.0, max_routes=2)
     assert len(routes) == 2
+
+
+def test_route_s_of_revisited_edge():
+    # the loop route starts 20 m into edge 0 and comes back onto all of it
+    g = build_graph(ring_map(50.0))
+    start = road_graph.LaneCoordinate(0, 20.0, 0.0, 0.0)
+    route = enumerate_routes(g, start, horizon_dist=230.0)[0]
+    assert route.edge_ids == [0, 1, 2, 3, 0]
+    assert route.route_s_of(0, 30.0) == 10.0     # first visit
+    assert route.route_s_of(0, 10.0) == 190.0    # behind the start: second
+    assert route.route_s_of(2, 5.0) == 85.0
+    assert route.route_s_of(7, 5.0) is None
+    for arc in np.linspace(0.0, 50.0, 41):
+        ref = next((s0 + (arc - a0) for e, s0, a0 in route.edge_spans
+                    if e == 0 and arc >= a0 - 1e-9), None)
+        assert route.route_s_of(0, float(arc)) == ref
+
+
+def test_route_maneuver_matches_classify(intersection_graph):
+    for deg in (0, 90, 180, 270):
+        x, y, _ = approach_point(deg, 30.0)
+        start = project_to_lane(intersection_graph, (x, y))
+        for route in enumerate_routes(intersection_graph, start):
+            assert route.maneuver == classify_maneuver(route.polyline)
+            assert route.cumulative_heading_change == \
+                geometry.cumulative_heading_change(route.polyline)
 
 
 def test_classify_collinear():

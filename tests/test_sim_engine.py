@@ -1,5 +1,6 @@
 """Scene simulation: kinematics, interactions, determinism, lifecycle."""
 
+import hashlib
 import json
 import math
 
@@ -221,6 +222,20 @@ def test_replay_mode_follows_tracklet():
     np.testing.assert_allclose(ego.x, 5.0 + 6.0 * ego.t, atol=1e-9)
 
 
+def test_replay_non_finite_position_raises():
+    # a corrupt replay pose is a data error, not the ego leaving the map
+    g = road_graph.build_graph(straight_map(400.0))
+    doc = tracklets_doc("r2", [(1, 5.0, 0.0, 0.0, 6.0),
+                               (2, 100.0, 0.0, 0.0, 10.0)], n_poses=80)
+    doc["tracks"][0]["poses"][30]["x"] = float("nan")
+    sid, tracks = scene_ingest.load_tracklets(doc)
+    scene = scene_ingest.instantiate_agents(g, tracks, 0.0, sid)
+    asg = _assign_straight(g, scene, {1: 10.0, 2: 10.0})
+    del asg[1]
+    with pytest.raises(ValueError, match="finite"):
+        simulate_scene(scene, asg, SimConfig(master_seed=6, ego_mode="replay"))
+
+
 def test_config_validation():
     with pytest.raises(ConfigError):
         SimConfig(dt=0.0).validate()
@@ -229,3 +244,35 @@ def test_config_validation():
     with pytest.raises(ConfigError):
         SimConfig(ego_mode="other").validate()
     SimConfig().validate()
+
+
+def _three_lane_mobil_log():
+    # 4 agents per lane of a straight 3-lane one-way road; the head of the
+    # right lane wants 6 m/s, so its followers and the faster lanes give
+    # MOBIL both incentives to change and lanes worth keeping.
+    agents, speeds = [], {}
+    for lane, (y, v_now, v_want) in enumerate(((-3.5, 9.0, 14.0),
+                                               (0.0, 14.0, 16.0),
+                                               (3.5, 18.0, 20.0))):
+        for k in range(4):
+            aid = lane * 4 + k + 1
+            agents.append((aid, 10.0 + 25.0 * k + 7.0 * lane, y, 0.0, v_now))
+            speeds[aid] = 6.0 if (lane, k) == (0, 3) else v_want
+    g, scene = _scene_on_straight(agents, length=600.0, lanes=3)
+    asg = _assign_straight(g, scene, speeds)
+    return simulate_scene(scene, asg, SimConfig(master_seed=21,
+                                                max_variants=1))
+
+
+def test_mobil_lane_changes_pinned():
+    """MOBIL-path output is pinned, not only compared run against run."""
+    log = _three_lane_mobil_log()
+    changes = [c for ag in log.agents for c in ag.lane_changes]
+    assert len(changes) >= 1
+    csv_sha = hashlib.sha256(log.to_csv().encode()).hexdigest()
+    side_sha = hashlib.sha256(
+        json.dumps(log.sidecar(), sort_keys=True).encode()).hexdigest()
+    assert csv_sha == \
+        "9249ab3037210b055c3f81200085c470b985c10813100266de0896762b7625b2"
+    assert side_sha == \
+        "882028e60885075c06fb9899c5d00b6ef803a8243043e813b0b27a9a1466002e"
