@@ -8,5 +8,3 @@ metrics, and rasterizes bird's-eye-view training tensors.
 """
 
 __version__ = "0.1.0"
-
-from trafficforge.kernels import BACKEND as KERNEL_BACKEND  # noqa: F401

@@ -15,7 +15,7 @@ import numpy as np
 
 from trafficforge import geometry, road_graph
 from trafficforge.errors import MissingProfileError
-from trafficforge.kernels import wrap_angle
+from trafficforge.geometry import wrap_angle
 from trafficforge.util import derive_seed
 
 TURN_RATE_THRESHOLD = 0.1   # rad/s, onset of a turn in timestamped data
@@ -144,12 +144,15 @@ def _speeds_from_positions(t, pts):
 
 
 def build_profile_pool(real_trajs, dt,
-                       straight_threshold=road_graph.STRAIGHT_THRESHOLD):
+                       straight_threshold=road_graph.STRAIGHT_THRESHOLD,
+                       rate_threshold=TURN_RATE_THRESHOLD,
+                       sustain=TURN_RATE_SUSTAIN):
     """Mine a labeled profile pool from timestamped (t, x, y) trajectories.
 
     Speeds come from finite differences and are resampled to ``dt``.
-    Trajectories with fewer than 3 points or non-increasing times are
-    skipped and reported.
+    Turning profiles carry :func:`distance_before_turn` with the given
+    turn-onset ``rate_threshold`` and ``sustain``. Trajectories with fewer
+    than 3 points or non-increasing times are skipped and reported.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
@@ -173,7 +176,7 @@ def build_profile_pool(real_trajs, dt,
         if label == "straight":
             feature = float(samples.mean())
         else:
-            feature = distance_before_turn(traj)
+            feature = distance_before_turn(traj, rate_threshold, sustain)
         profiles.append(VelocityProfile(dt, samples, feature, label))
     pool = ProfilePool(profiles)
     pool.skipped = skipped

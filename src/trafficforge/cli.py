@@ -103,7 +103,9 @@ def cmd_profile_pool(args):
                                    for p in tr.poses]))
     pool = behavior.build_profile_pool(
         trajs, args.dt,
-        math.radians(cfg["road.straight_threshold_deg"]))
+        math.radians(cfg["road.straight_threshold_deg"]),
+        cfg["behavior.turn_rate_threshold"],
+        cfg["behavior.turn_rate_sustain"])
     if pool.skipped:
         log.warning("skipped %d trajectories: %s", len(pool.skipped),
                     pool.skipped)
@@ -227,12 +229,17 @@ def _prediction_sets(path):
             line = line.strip()
             if not line:
                 continue
-            doc = json.loads(line)
-            dt = float(doc["dt"])
-            gt = metrics.Trajectory2D(dt, doc["gt"])
-            samples = [metrics.Trajectory2D(dt, s) for s in doc["samples"]]
-            psets.append(metrics.PredictionSet(int(doc["agent_id"]),
-                                               gt, samples))
+            try:
+                doc = json.loads(line)
+                dt = float(doc["dt"])
+                gt = metrics.Trajectory2D(dt, doc["gt"])
+                samples = [metrics.Trajectory2D(dt, s)
+                           for s in doc["samples"]]
+                psets.append(metrics.PredictionSet(int(doc["agent_id"]),
+                                                   gt, samples))
+            except (ValueError, KeyError, TypeError) as exc:
+                raise ConfigError([f"predictions file {path} line {line_no}: "
+                                   f"{type(exc).__name__}: {exc}"]) from exc
     if not psets:
         raise ConfigError([f"no prediction records in {path}"])
     return psets

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from trafficforge import kernels
 from trafficforge.controller import A_MAX_DECEL
 
 # sampling ranges for per-agent parameter draws: (low, high)
@@ -62,8 +61,15 @@ class LeaderInfo:
 
 
 def desired_gap(params, v, dv):
-    """Desired minimum gap s* for the current speed and closing speed."""
-    return kernels.desired_gap(params.s0, params.T, params.a, params.b, v, dv)
+    """Desired minimum gap s* for the current speed and closing speed.
+
+    The dynamic term is floored at zero, so an opening gap never shrinks
+    the requirement below the standstill distance s0.
+    """
+    dyn = v * params.T + v * dv / (2.0 * math.sqrt(params.a * params.b))
+    if dyn < 0.0:
+        dyn = 0.0
+    return params.s0 + dyn
 
 
 def idm_accel(params, leader, v, a_max_decel=A_MAX_DECEL):
@@ -76,8 +82,15 @@ def idm_accel(params, leader, v, a_max_decel=A_MAX_DECEL):
         gap, dv = math.inf, 0.0
     else:
         gap, dv = leader.gap_s, leader.dv
-    return kernels.idm_accel(params.a, params.b, params.v0, params.delta,
-                             params.T, params.s0, v, gap, dv, a_max_decel)
+        if gap <= 0.0:
+            return -a_max_decel
+    ratio = desired_gap(params, v, dv) / gap
+    acc = params.a * (1.0 - (v / params.v0) ** params.delta - ratio * ratio)
+    if acc < -a_max_decel:
+        acc = -a_max_decel
+    elif acc > params.a:
+        acc = params.a
+    return acc
 
 
 def sample_idm_params(rng_seed, v0, T_range=T_RANGE, s0_range=S0_RANGE,

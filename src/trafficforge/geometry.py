@@ -98,8 +98,16 @@ def resample_polyline(pts, step):
     return out
 
 
+def wrap_angle(theta):
+    """Wrap an angle to the interval (-pi, pi]."""
+    t = math.fmod(theta + math.pi, _TWO_PI)
+    if t <= 0.0:
+        t += _TWO_PI
+    return t - math.pi
+
+
 def _wrap_angles(theta):
-    """Elementwise :func:`~trafficforge.kernels.wrap_angle`, bit for bit."""
+    """Elementwise :func:`wrap_angle`, bit for bit."""
     t = np.fmod(theta + np.pi, _TWO_PI)
     t[t <= 0.0] += _TWO_PI
     return t - np.pi

@@ -17,7 +17,7 @@ from scipy.spatial import cKDTree
 
 from trafficforge import geometry
 from trafficforge.errors import MapFormatError, OffMapError
-from trafficforge.kernels import wrap_angle
+from trafficforge.geometry import wrap_angle
 
 JOIN_TOLERANCE = 0.5
 MAX_SNAP_DISTANCE = 10.0

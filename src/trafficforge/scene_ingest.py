@@ -15,7 +15,7 @@ import numpy as np
 from trafficforge import road_graph
 from trafficforge.controller import VehicleGeometry, VehicleState
 from trafficforge.errors import EmptySceneError, OffMapError
-from trafficforge.kernels import wrap_angle
+from trafficforge.geometry import wrap_angle
 
 MIN_SPAWN_GAP = 2.0
 

@@ -18,9 +18,9 @@ import numpy as np
 
 from trafficforge import behavior as behavior_mod
 from trafficforge import dynamics, geometry, road_graph
-from trafficforge.controller import ControllerParams, step_kinematics
-from trafficforge.errors import ConfigError, OffMapError
-from trafficforge.kernels import longitudinal_command, steer_to_lane
+from trafficforge.controller import (ControllerParams, longitudinal_command,
+                                     steer_to_lane, step_kinematics)
+from trafficforge.errors import ConfigError, OffMapError, TrafficForgeError
 from trafficforge.util import derive_seed, digest
 
 V0_FLOOR = 0.1          # reference speed floor for the free-flow term
@@ -483,8 +483,9 @@ def run_dataset(scenes, pool, config, jobs=1):
     """Simulate every scene's behavior variants.
 
     Returns (logs, failures); failures are (scene_id, message) pairs for
-    scenes that raised, which are skipped without aborting the batch.
-    Results are byte-identical for any ``jobs`` value.
+    scenes that raised a TrafficForgeError or ValueError, which are
+    skipped without aborting the batch. Any other exception is a bug and
+    propagates. Results are byte-identical for any ``jobs`` value.
     """
     config.validate()
     if not scenes:
@@ -513,6 +514,6 @@ def _scene_worker(task):
             config.profile_noise_std)
         for vi, assignment in enumerate(variants):
             logs.append(simulate_scene(scene, assignment, config, vi))
-    except Exception as exc:
+    except (TrafficForgeError, ValueError) as exc:
         failures.append((scene.scene_id, f"{type(exc).__name__}: {exc}"))
     return logs, failures

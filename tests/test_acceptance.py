@@ -20,10 +20,9 @@ from trafficforge import scene_ingest
 from trafficforge.behavior import BehaviorAssignment, VelocityProfile
 from trafficforge.cli import dispatch
 from trafficforge.controller import ControllerParams, VehicleGeometry, \
-    VehicleState, step_kinematics
+    VehicleState, steer_to_lane, step_kinematics
 from trafficforge.dynamics import (IdmParams, LeaderInfo, desired_gap,
                                    idm_accel, sample_idm_params)
-from trafficforge.kernels import steer_to_lane
 from trafficforge.sim_engine import SimConfig, simulate_scene
 
 

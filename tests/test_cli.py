@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from helpers import (approach_point, four_way_intersection,
-                     synthetic_profile_sources, tracklets_doc)
+                     synthetic_profile_sources, tracklets_doc,
+                     turning_source_traj)
 
 from trafficforge.cli import dispatch
 from trafficforge.config import apply_overrides, validate_config
@@ -133,6 +134,32 @@ def test_profile_pool_and_simulate_deterministic(tmp_path):
     assert any(n.endswith(".csv") for n in names)
 
 
+def test_profile_pool_turn_onset_keys_reach_the_pool(tmp_path):
+    src = turning_source_traj(10.0, 5.0, 40.0, direction="left")
+    with open(tmp_path / "turn.json", "w") as fh:
+        json.dump({"scene_id": "pool", "tracks": [
+            {"agent_id": 1, "poses": [{"t": t, "x": x, "y": y}
+                                      for t, x, y in src.tolist()]}]}, fh)
+
+    def pool_bytes(*overrides):
+        out = tmp_path / "pool.json"
+        argv = ["profile-pool", "--tracklets", str(tmp_path / "turn.json"),
+                "--dt", "0.1", "--out", str(out)]
+        for kv in overrides:
+            argv += ["--set", kv]
+        assert dispatch(argv) == 0
+        return out.read_bytes()
+
+    default = pool_bytes()
+    assert json.loads(default)["profiles"][0]["label"] == "left"
+    assert pool_bytes("behavior.turn_rate_threshold=0.1",
+                      "behavior.turn_rate_sustain=0.5") == default
+    # the arc turns at 5/9 rad/s for about 2.8 s: a higher threshold or a
+    # longer sustain finds no onset, so the feature becomes the full arc
+    assert pool_bytes("behavior.turn_rate_threshold=1.0") != default
+    assert pool_bytes("behavior.turn_rate_sustain=5.0") != default
+
+
 def test_simulate_validation_failure_writes_nothing(tmp_path, capsys):
     _write_inputs(tmp_path)
     out = tmp_path / "never"
@@ -173,6 +200,26 @@ def test_metrics_prediction_report(tmp_path):
         assert block["nll"] is not None
     # errors grow with horizon on random-walk data
     assert rep["prediction"]["5.0"]["ade"] > rep["prediction"]["1.0"]["ade"]
+
+
+@pytest.mark.parametrize("bad_line, detail", [
+    ('{"agent_id": 2, "dt": 0.1, "gt": [[0, 0], [1, 1]]', "JSONDecodeError"),
+    ('{"agent_id": 2, "dt": 0.1, "samples": [[[0, 0], [1, 1]]]}',
+     "KeyError: 'gt'"),
+], ids=["bad-json", "missing-key"])
+def test_metrics_malformed_predictions_exit_1(tmp_path, capsys, bad_line,
+                                              detail):
+    preds = tmp_path / "preds.jsonl"
+    good = {"agent_id": 1, "dt": 0.1, "gt": [[0, 0], [1, 1]],
+            "samples": [[[0, 0], [1, 1]]]}
+    preds.write_text(json.dumps(good) + "\n\n" + bad_line + "\n")
+    rc = dispatch(["metrics", "--preds", str(preds),
+                   "--out", str(tmp_path / "report.json")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert f"predictions file {preds} line 3: " in err
+    assert detail in err
+    assert not (tmp_path / "report.json").exists()
 
 
 def test_metrics_requires_input(capsys):

@@ -8,8 +8,8 @@ import pytest
 from trafficforge.controller import (ControllerParams, VehicleGeometry,
                                      VehicleState, heading_rate,
                                      lateral_velocity, longitudinal_command,
-                                     required_heading, steering_from_rate,
-                                     step_kinematics)
+                                     required_heading, steer_to_lane,
+                                     steering_from_rate, step_kinematics)
 
 
 def test_lateral_velocity():
@@ -126,7 +126,6 @@ def test_constant_steering_traces_circle():
 def simulate_lane_keeping(x0=1.0, v=10.0, seconds=7.0, dt=0.1,
                           params=None, geom=None):
     """Closed loop on a straight lane; returns the lateral offset series."""
-    from trafficforge.kernels import steer_to_lane
     params = params or ControllerParams()
     geom = geom or VehicleGeometry()
     st = VehicleState(np.array([0.0, x0]), v=v, psi=0.0)
@@ -155,7 +154,6 @@ def test_lane_keeping_steering_bounded():
     params = ControllerParams()
     geom = VehicleGeometry()
     st = VehicleState(np.array([0.0, 3.0]), v=8.0, psi=0.0)
-    from trafficforge.kernels import steer_to_lane
     for _ in range(80):
         phi = steer_to_lane(float(st.position[1]), 0.0, 0.0, st.psi, st.v,
                             params.kp_lateral, params.kp_heading,

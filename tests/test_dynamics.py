@@ -62,8 +62,9 @@ def test_accel_matches_independent_oracle():
 
 def test_accel_emergency_clamp():
     p = IdmParams(v0=15.0)
-    leader = LeaderInfo(2, gap_s=0.5, dv=10.0)
-    assert idm_accel(p, leader, 20.0) == -8.0
+    for gap in (0.5, 0.0, -1.0):
+        leader = LeaderInfo(2, gap_s=gap, dv=10.0)
+        assert idm_accel(p, leader, 20.0) == -8.0
 
 
 @settings(max_examples=200)

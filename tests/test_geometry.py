@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from trafficforge import geometry
-from trafficforge.kernels import wrap_angle
+from trafficforge.geometry import wrap_angle
 
 TOL = 1e-9
 
@@ -88,7 +88,8 @@ def test_polyline_tables_match_separate_passes(pts):
 @given(st.lists(st.one_of(
     st.floats(-4 * math.pi, 4 * math.pi),
     st.sampled_from([math.pi, -math.pi, 2 * math.pi, -2 * math.pi,
-                     3 * math.pi, 0.0, -0.0])), min_size=1, max_size=20))
+                     3 * math.pi, 0.0, -0.0, 1e6, -1e6])),
+    min_size=1, max_size=20))
 def test_wrap_angles_matches_scalar(thetas):
     out = geometry._wrap_angles(np.array(thetas))
     assert out.tolist() == [wrap_angle(t) for t in thetas]

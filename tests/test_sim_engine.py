@@ -10,7 +10,7 @@ import pytest
 from helpers import (approach_point, four_way_intersection, straight_map,
                      tracklets_doc)
 
-from trafficforge import behavior, road_graph, scene_ingest
+from trafficforge import behavior, road_graph, scene_ingest, sim_engine
 from trafficforge.behavior import BehaviorAssignment, VelocityProfile
 from trafficforge.errors import ConfigError
 from trafficforge.sim_engine import (SimConfig, read_simlog_csv, run_dataset,
@@ -188,6 +188,25 @@ def test_run_dataset_records_failures_and_continues(profile_pool):
     # mixed pool: the straight-only pool works for straight scenes
     logs, failures = run_dataset([good], profile_pool, SimConfig(master_seed=1))
     assert len(logs) == 1 and not failures
+
+
+def test_scene_worker_records_only_typed_failures(profile_pool,
+                                                  monkeypatch):
+    g, scene = _scene_on_straight([(1, 5.0, 0.0, 0.0, 10.0)])
+    cfg = SimConfig(master_seed=1)
+
+    def fail_with(exc):
+        def simulate(*args, **kwargs):
+            raise exc
+        monkeypatch.setattr(sim_engine, "simulate_scene", simulate)
+
+    fail_with(ConfigError(["bad scene"]))
+    logs, failures = run_dataset([scene], profile_pool, cfg)
+    assert logs == [] and failures == [("t1", "ConfigError: bad scene")]
+    # a programmer error is not a scene failure: it propagates
+    fail_with(TypeError("bug"))
+    with pytest.raises(TypeError, match="bug"):
+        run_dataset([scene], profile_pool, cfg)
 
 
 def test_csv_roundtrip(tmp_path):
