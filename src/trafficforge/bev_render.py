@@ -15,6 +15,7 @@ state (2 x f32), mask (1 x f32), label (3 x f32) and id (1 x i32) planes.
 The id plane stores agent_id + 1 so 0 always means empty.
 """
 
+import math
 import struct
 from dataclasses import dataclass
 
@@ -119,42 +120,66 @@ def render_context(graph, spec):
     A cell is road when its center lies within half a lane width of any
     centerline, lane when within half a pixel of one (lane wins), else
     unknown. Pure cell-center point tests keep the result deterministic.
-    """
-    classes = np.full((spec.H, spec.W), UNKNOWN, dtype=np.uint8)
-    xs, ys = spec.cell_centers()
-    cx, cy = np.meshgrid(xs, ys)  # (H, W)
-    centers = np.stack([cx.ravel(), cy.ravel()], axis=1)
 
-    road_mask = np.zeros(spec.H * spec.W, dtype=bool)
-    lane_mask = np.zeros(spec.H * spec.W, dtype=bool)
+    Each segment is tested only against the block of cells whose centers
+    lie in its bounding box grown by ``max(lane_width, resolution) / 2``,
+    plus one cell of slack on every side. A cell outside that block is
+    farther from the segment than either threshold, so the segment cannot
+    set its road or lane bit; skipping it leaves the classes bit-identical
+    to testing every cell against every segment.
+    """
+    road = np.zeros((spec.H, spec.W), dtype=bool)
+    lane = np.zeros((spec.H, spec.W), dtype=bool)
+    xs, ys = spec.cell_centers()
+    centers = np.empty((spec.H, spec.W, 2))
+    centers[..., 0] = xs
+    centers[..., 1] = ys[:, None]
+    half_px = spec.resolution / 2.0
     for eid in sorted(graph.edges):
         edge = graph.edges[eid]
-        d2 = _min_dist2_to_polyline(centers, edge.polyline)
         half_w = edge.lane_width / 2.0
-        road_mask |= d2 <= half_w * half_w
-        half_px = spec.resolution / 2.0
-        lane_mask |= d2 <= half_px * half_px
-    classes.ravel()[road_mask] = ROAD
-    classes.ravel()[lane_mask] = LANE
+        reach = max(half_w, half_px)
+        poly = edge.polyline
+        for a, b in zip(poly[:-1], poly[1:]):
+            rows = _cell_span(min(a[1], b[1]) - reach, max(a[1], b[1]) + reach,
+                              spec.origin[1], spec.resolution, spec.H)
+            cols = _cell_span(min(a[0], b[0]) - reach, max(a[0], b[0]) + reach,
+                              spec.origin[0], spec.resolution, spec.W)
+            if rows.start >= rows.stop or cols.start >= cols.stop:
+                continue
+            block = centers[rows, cols]
+            d2 = _dist2_to_segment(block.reshape(-1, 2), a, b)
+            d2 = d2.reshape(block.shape[:2])
+            road[rows, cols] |= d2 <= half_w * half_w
+            lane[rows, cols] |= d2 <= half_px * half_px
+    classes = np.full((spec.H, spec.W), UNKNOWN, dtype=np.uint8)
+    classes[road] = ROAD
+    classes[lane] = LANE
     return ContextMap(spec, classes)
 
 
-def _min_dist2_to_polyline(points, poly):
-    """Squared distance from many points to one polyline (vectorized)."""
-    best = np.full(len(points), np.inf)
-    for i in range(len(poly) - 1):
-        a, b = poly[i], poly[i + 1]
-        d = b - a
-        seg2 = float(d @ d)
-        if seg2 <= 0.0:
-            diff = points - a
-            best = np.minimum(best, np.einsum("ij,ij->i", diff, diff))
-            continue
-        t = np.clip(((points - a) @ d) / seg2, 0.0, 1.0)
-        foot = a + t[:, None] * d[None, :]
-        diff = points - foot
-        best = np.minimum(best, np.einsum("ij,ij->i", diff, diff))
-    return best
+def _cell_span(lo, hi, origin, resolution, n):
+    """Cells along one axis whose centers may lie in [lo, hi].
+
+    Covers every such cell with at least one cell to spare on each side,
+    so rounding in the floor cannot drop one; clipped to the grid.
+    """
+    first = math.floor((lo - origin) / resolution) - 1
+    last = math.floor((hi - origin) / resolution) + 1
+    return slice(max(first, 0), min(last + 1, n))
+
+
+def _dist2_to_segment(points, a, b):
+    """Squared distance from many points to the segment ``a``-``b``."""
+    d = b - a
+    seg2 = float(d @ d)
+    if seg2 <= 0.0:
+        diff = points - a
+        return np.einsum("ij,ij->i", diff, diff)
+    t = np.clip(((points - a) @ d) / seg2, 0.0, 1.0)
+    foot = a + t[:, None] * d[None, :]
+    diff = points - foot
+    return np.einsum("ij,ij->i", diff, diff)
 
 
 def rasterize_states(log, t, spec):

@@ -53,12 +53,36 @@ def _tracklet_paths(path):
 
 def _resolve_config(args):
     raw = _load_json(args.config, "config") if args.config else {}
+    if raw and not isinstance(raw, dict):
+        raise ConfigError(["configuration must be a JSON object"])
     raw = apply_overrides(raw, getattr(args, "set", None))
     if getattr(args, "seed", None) is not None:
         raw.setdefault("sim", {})["master_seed"] = args.seed
     if getattr(args, "ego", None):
         raw.setdefault("sim", {})["ego"] = args.ego
+    grid = _grid_overrides(args)
+    if grid and isinstance(raw.setdefault("grid", {}), dict):
+        raw["grid"].update(grid)
     return validate_config(raw)
+
+
+def _grid_overrides(args):
+    """``render``'s --spec, --t-obs and --stride as ``grid.*`` fields."""
+    grid = {}
+    if getattr(args, "spec", None):
+        try:
+            user = json.loads(args.spec)
+        except json.JSONDecodeError as exc:
+            raise ConfigError([f"--spec: invalid JSON ({exc})"])
+        if not isinstance(user, dict):
+            raise ConfigError(
+                [f"--spec: expected a JSON object, got {user!r}"])
+        alias = {"res": "resolution"}
+        grid.update((alias.get(k, k), v) for k, v in user.items())
+    for key in ("t_obs", "stride"):
+        if getattr(args, key, None) is not None:
+            grid[key] = getattr(args, key)
+    return grid
 
 
 def _emit(doc, out, pretty):
@@ -176,40 +200,37 @@ def _load_logs(logs_dir):
 
 
 def _render_one(task):
-    simlog, map_doc, grid, t_obs, stride, out_dir, road_cfg = task
-    graph = road_graph.build_graph(map_doc, road_cfg["join_tolerance"],
-                                   road_cfg["default_lane_width"])
-    ego = min(ag.agent_id for ag in simlog.agents)
-    ego_log = next(ag for ag in simlog.agents if ag.agent_id == ego)
-    spec = bev_render.GridSpec.centered_on(
-        (ego_log.x[0], ego_log.y[0]), grid["H"], grid["W"],
+    return bev_render.export_sequence(*task)
+
+
+def _ego_grid(simlog, grid):
+    """The grid centered on the start of the log's lowest-id agent."""
+    ego = min(simlog.agents, key=lambda ag: ag.agent_id)
+    return bev_render.GridSpec.centered_on(
+        (ego.x[0], ego.y[0]), int(grid["H"]), int(grid["W"]),
         grid["resolution"])
-    context = bev_render.render_context(graph, spec)
-    return bev_render.export_sequence(simlog, context, spec, t_obs,
-                                      stride, out_dir)
 
 
 def cmd_render(args):
     cfg = _resolve_config(args)
-    grid = dict(cfg.raw["grid"])
-    if args.spec:
-        try:
-            user = json.loads(args.spec)
-        except json.JSONDecodeError as exc:
-            raise ConfigError([f"--spec: invalid JSON ({exc})"])
-        alias = {"res": "resolution"}
-        for k, v in user.items():
-            grid[alias.get(k, k)] = v
-    t_obs = args.t_obs if args.t_obs is not None else grid["t_obs"]
-    stride = args.stride if args.stride is not None else grid["stride"]
-    if t_obs < 1:
-        raise ConfigError(["--t-obs must be >= 1"])
+    grid = cfg.raw["grid"]
+    t_obs, stride = int(grid["t_obs"]), int(grid["stride"])
     map_doc = _load_json(args.map, "map")
     logs = _load_logs(args.logs)
+    graph = road_graph.build_graph(map_doc, cfg["road.join_tolerance"],
+                                   cfg["road.default_lane_width"])
+
+    # variants of a scene share an ego start, hence a grid and a context
+    contexts = {}
+    tasks = []
+    for simlog in logs:
+        spec = _ego_grid(simlog, grid)
+        key = (spec.H, spec.W, spec.resolution, spec.origin)
+        if key not in contexts:
+            contexts[key] = bev_render.render_context(graph, spec)
+        tasks.append((simlog, contexts[key], spec, t_obs, stride, args.out))
 
     os.makedirs(args.out, exist_ok=True)
-    tasks = [(simlog, map_doc, grid, t_obs, stride, args.out,
-              cfg.raw["road"]) for simlog in logs]
     if args.jobs > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as ex:
             results = list(ex.map(_render_one, tasks, chunksize=1))

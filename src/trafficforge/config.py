@@ -146,7 +146,8 @@ def _expect_number(resolved, dotted, problems, low=None, high=None,
     if not ok:
         bound = f" > {low}" if (low is not None and strict_low) else \
             (f" >= {low}" if low is not None else "")
-        problems.append(f"{dotted}: expected a number{bound}, got {value!r}")
+        kind = "an integer" if integer else "a number"
+        problems.append(f"{dotted}: expected {kind}{bound}, got {value!r}")
     return value if ok else None
 
 

@@ -1,8 +1,16 @@
 """Context/state rasterization and the binary grid-sample format."""
 
-import numpy as np
+import hashlib
+import math
+from types import SimpleNamespace
 
-from helpers import straight_map, four_way_intersection, tracklets_doc
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from helpers import (four_way_intersection, ring_map, straight_map,
+                     tracklets_doc)
 
 from trafficforge import bev_render, road_graph, scene_ingest
 from trafficforge.behavior import BehaviorAssignment, VelocityProfile
@@ -15,6 +23,115 @@ from trafficforge.sim_engine import SimConfig, simulate_scene
 
 class _EmptyGraph:
     edges = {}
+
+
+def _min_dist2_to_polyline(points, poly):
+    """Squared distance from many points to one polyline (vectorized)."""
+    best = np.full(len(points), np.inf)
+    for i in range(len(poly) - 1):
+        a, b = poly[i], poly[i + 1]
+        d = b - a
+        seg2 = float(d @ d)
+        if seg2 <= 0.0:
+            diff = points - a
+            best = np.minimum(best, np.einsum("ij,ij->i", diff, diff))
+            continue
+        t = np.clip(((points - a) @ d) / seg2, 0.0, 1.0)
+        foot = a + t[:, None] * d[None, :]
+        diff = points - foot
+        best = np.minimum(best, np.einsum("ij,ij->i", diff, diff))
+    return best
+
+
+def _reference_classes(graph, spec):
+    """Every cell against every segment of every edge: the full-grid pass."""
+    classes = np.full((spec.H, spec.W), bev_render.UNKNOWN, dtype=np.uint8)
+    xs, ys = spec.cell_centers()
+    cx, cy = np.meshgrid(xs, ys)
+    centers = np.stack([cx.ravel(), cy.ravel()], axis=1)
+    road_mask = np.zeros(spec.H * spec.W, dtype=bool)
+    lane_mask = np.zeros(spec.H * spec.W, dtype=bool)
+    for eid in sorted(graph.edges):
+        edge = graph.edges[eid]
+        d2 = _min_dist2_to_polyline(centers, edge.polyline)
+        half_w = edge.lane_width / 2.0
+        road_mask |= d2 <= half_w * half_w
+        half_px = spec.resolution / 2.0
+        lane_mask |= d2 <= half_px * half_px
+    classes.ravel()[road_mask] = bev_render.ROAD
+    classes.ravel()[lane_mask] = bev_render.LANE
+    return classes
+
+
+def _arc_points(cx, cy, radius, a0, sweep, n):
+    ang = a0 + sweep * np.linspace(0.0, 1.0, n)
+    return np.column_stack([cx + radius * np.cos(ang),
+                            cy + radius * np.sin(ang)])
+
+
+_coord = st.floats(-40.0, 40.0)
+_lane_width = st.sampled_from([0.2, 0.4, 1.0, 2.5, 3.5, 5.0])
+
+# a straight piece, a curved arc, or a raw polyline that may repeat a point
+_polyline = st.one_of(
+    st.tuples(_coord, _coord, _coord, _coord).filter(
+        lambda p: math.hypot(p[2] - p[0], p[3] - p[1]) > 0.5).map(
+        lambda p: np.array([[p[0], p[1]], [p[2], p[3]]])),
+    st.builds(_arc_points, _coord, _coord, st.floats(2.0, 30.0),
+              st.floats(-math.pi, math.pi),
+              st.floats(0.3, 2 * math.pi).flatmap(
+                  lambda s: st.sampled_from([s, -s])),
+              st.integers(3, 30)),
+    st.lists(st.tuples(_coord, _coord), min_size=2, max_size=6).map(
+        lambda pts: np.array(pts + pts[-1:], dtype=float)),
+)
+
+_raw_graph = st.lists(st.tuples(_polyline, _lane_width),
+                      min_size=1, max_size=4).map(
+    lambda edges: SimpleNamespace(edges={
+        i: SimpleNamespace(polyline=poly, lane_width=w)
+        for i, (poly, w) in enumerate(edges)}))
+
+_MAPS = [four_way_intersection(), ring_map(30.0),
+         straight_map(60.0, lanes=3, oneway=False, lane_width=3.5),
+         straight_map(60.0, lanes=2, oneway=False, lane_width=0.3),
+         {"centerlines": [{"id": 0, "lanes": 2, "oneway": True,
+                           "lane_width": 0.4,
+                           "points": _arc_points(0.0, 0.0, 12.0, 0.0,
+                                                 math.pi, 16).tolist()}]}]
+_map_graph = st.sampled_from(range(len(_MAPS))).map(
+    lambda i: road_graph.build_graph(_MAPS[i]))
+
+# dimensions down to one cell, centers from on the map to far off it
+_grid = st.builds(
+    GridSpec.centered_on,
+    st.tuples(st.one_of(_coord, st.floats(-400.0, 400.0)),
+              st.one_of(_coord, st.floats(-400.0, 400.0))),
+    st.integers(1, 48), st.integers(1, 48),
+    st.one_of(st.sampled_from([0.25, 0.5, 1.0, 2.0]),
+              st.floats(0.25, 2.0)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(_map_graph, _raw_graph), _grid)
+def test_context_matches_full_grid_reference(graph, spec):
+    ctx = render_context(graph, spec)
+    assert ctx.classes.dtype == np.uint8
+    assert np.array_equal(ctx.classes, _reference_classes(graph, spec))
+
+
+@pytest.mark.parametrize("size, res, digest", [
+    (256, 0.5,
+     "1f74f07c33739b16cec13b8ff965aaf5ec04102c39f1c454e96a8b4df5df8645"),
+    (128, 1.0,
+     "e94c6ab6887be2039ab1d04b800a411d126bf2e5858e2d4cbfddde445b4f2bf1"),
+])
+def test_four_way_context_digest_pinned(size, res, digest):
+    g = road_graph.build_graph(four_way_intersection())
+    spec = GridSpec.centered_on((0.0, 0.0), size, size, res)
+    classes = render_context(g, spec).classes
+    assert classes.dtype == np.uint8 and classes.shape == (size, size)
+    assert hashlib.sha256(classes.tobytes()).hexdigest() == digest
 
 
 def test_empty_graph_all_unknown():

@@ -3,6 +3,8 @@
 import hashlib
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -11,9 +13,12 @@ from helpers import (approach_point, four_way_intersection,
                      synthetic_profile_sources, tracklets_doc,
                      turning_source_traj)
 
+import trafficforge
+from trafficforge import bev_render, road_graph
 from trafficforge.cli import dispatch
 from trafficforge.config import apply_overrides, validate_config
 from trafficforge.errors import ConfigError
+from trafficforge.sim_engine import read_simlog_csv
 
 
 def test_validate_config_defaults():
@@ -245,3 +250,114 @@ def test_render_roundtrip_tree(tmp_path):
     sample = read_grid_sample(str(tmp_path / "grids" / files[0]))
     assert sample.spec.H == 48
     assert sample.t_obs == 20
+
+
+@pytest.fixture(scope="module")
+def sim_logs(tmp_path_factory):
+    """Map and logs of two scenes, three variants each."""
+    root = tmp_path_factory.mktemp("render")
+    _write_inputs(root, n_scenes=2)
+    assert dispatch(["profile-pool", "--tracklets",
+                     str(root / "pool_tracks.json"), "--dt", "0.1",
+                     "--out", str(root / "pool.json")]) == 0
+    assert dispatch(["simulate", "--map", str(root / "map.json"),
+                     "--tracklets", str(root / "tracklets"),
+                     "--pool", str(root / "pool.json"),
+                     "--out", str(root / "logs"), "--seed", "3"]) == 0
+    return root
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--spec", '{"H":0}'], "grid.H: expected an integer > 0, got 0"),
+    (["--spec", '{"H":16.5}'], "grid.H: expected an integer > 0, got 16.5"),
+    (["--spec", '{"res":-1}'], "grid.resolution: expected a number > 0"),
+    (["--spec", "[1]"], "--spec: expected a JSON object, got [1]"),
+    (["--spec", '{"Hh":16}'], "unknown key 'grid.Hh'"),
+    (["--t-obs", "0"], "grid.t_obs: expected an integer > 0, got 0"),
+], ids=["H-zero", "H-fractional", "res-negative", "not-an-object",
+        "unknown-key", "t-obs-zero"])
+def test_render_grid_validation_exit_1(sim_logs, tmp_path, capsys, flags,
+                                       message):
+    out = tmp_path / "grids"
+    rc = dispatch(["render", "--logs", str(sim_logs / "logs"),
+                   "--map", str(sim_logs / "map.json"), *flags,
+                   "--out", str(out)])
+    assert rc == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_render_stride_zero_exits_1(sim_logs, tmp_path):
+    # a zero stride never advances the window; run it out of process so a
+    # render that loops fails on the timeout instead of hanging the suite
+    out = tmp_path / "grids"
+    src = os.path.dirname(os.path.dirname(trafficforge.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-m", "trafficforge.cli", "render",
+         "--logs", str(sim_logs / "logs"), "--map", str(sim_logs / "map.json"),
+         "--stride", "0", "--out", str(out)],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 1
+    assert "grid.stride: expected an integer > 0, got 0" in proc.stderr
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_render_builds_graph_and_context_once(sim_logs, tmp_path,
+                                              monkeypatch, jobs):
+    calls = {"graph": 0, "context": 0}
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(road_graph, "build_graph",
+                        counted("graph", road_graph.build_graph))
+    monkeypatch.setattr(bev_render, "render_context",
+                        counted("context", bev_render.render_context))
+    starts = set()
+    for name in os.listdir(sim_logs / "logs"):
+        if name.endswith(".csv"):
+            simlog = read_simlog_csv(str(sim_logs / "logs" / name))
+            ego = min(simlog.agents, key=lambda ag: ag.agent_id)
+            starts.add((ego.x[0], ego.y[0]))
+    assert len(starts) == 2  # two scenes, three variants each
+    rc = dispatch(["render", "--logs", str(sim_logs / "logs"),
+                   "--map", str(sim_logs / "map.json"),
+                   "--spec", '{"H":32,"W":32,"res":1.0}',
+                   "--jobs", str(jobs), "--out", str(tmp_path / "grids")])
+    assert rc == 0
+    assert len(os.listdir(tmp_path / "grids")) == 6
+    assert calls == {"graph": 1, "context": len(starts)}
+
+
+@pytest.mark.parametrize("command", [
+    ["simulate", "--tracklets", "t", "--pool", "p", "--seed", "1"],
+    ["render", "--logs", "l", "--spec", '{"H":32}'],
+], ids=["simulate", "render"])
+def test_non_object_config_exits_1(tmp_path, capsys, command):
+    (tmp_path / "config.json").write_text("[1]\n")
+    out = tmp_path / "out"
+    rc = dispatch([command[0], "--map", "m", *command[1:],
+                   "--config", str(tmp_path / "config.json"),
+                   "--out", str(out)])
+    assert rc == 1
+    assert "configuration must be a JSON object" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_render_accepts_integer_valued_floats(sim_logs, tmp_path):
+    # validation lets 16.0 pass as an integer, so the header must get 16
+    out = tmp_path / "grids"
+    rc = dispatch(["render", "--logs", str(sim_logs / "logs"),
+                   "--map", str(sim_logs / "map.json"),
+                   "--spec", '{"H":16.0,"W":16,"res":1,"t_obs":20.0}',
+                   "--out", str(out)])
+    assert rc == 0
+    names = sorted(os.listdir(out))
+    assert len(names) == 6
+    sample = bev_render.read_grid_sample(str(out / names[0]))
+    assert (sample.spec.H, sample.spec.W, sample.t_obs) == (16, 16, 20)
