@@ -74,11 +74,18 @@ class ContextMap:
         out[rows, cols, self.classes] = 1
         return out
 
-    def is_road(self, point):
-        row, col = self.spec.cell_of(point)
-        if not self.spec.contains(row, col):
-            return False
-        return self.classes[row, col] != UNKNOWN
+    def on_road(self, points):
+        """Per point of ``points`` (P, 2): does it land on a road or lane
+        cell? Off-raster points do not. Cells are found as in
+        :meth:`GridSpec.cell_of`."""
+        spec = self.spec
+        cols = np.floor((points[:, 0] - spec.origin[0]) / spec.resolution)
+        rows = np.floor((points[:, 1] - spec.origin[1]) / spec.resolution)
+        inside = (rows >= 0) & (rows < spec.H) & (cols >= 0) & (cols < spec.W)
+        out = np.zeros(len(points), dtype=bool)
+        out[inside] = self.classes[rows[inside].astype(np.intp),
+                                   cols[inside].astype(np.intp)] != UNKNOWN
+        return out
 
 
 @dataclass

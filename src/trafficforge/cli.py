@@ -190,8 +190,7 @@ def _load_logs(logs_dir):
         side_path = os.path.join(logs_dir, name[:-4] + ".json")
         sidecar = None
         if os.path.exists(side_path):
-            with open(side_path) as fh:
-                sidecar = json.load(fh)
+            sidecar = _load_json(side_path, "sidecar")
         logs.append(sim_engine.read_simlog_csv(
             os.path.join(logs_dir, name), sidecar))
     if not logs:

@@ -86,6 +86,25 @@ def project_point(pts, cum, q, lo=0, hi=None):
     return s, dist, lateral
 
 
+def polyline_distances(q, a, d, seg2, starts):
+    """Distance from each of the (P, 2) points ``q`` to each of E polylines.
+
+    The polylines' segments are concatenated in the table ``a`` (starts),
+    ``d`` (directions) and ``seg2`` (squared lengths, zeros replaced by 1,
+    as in :func:`project_point`); polyline ``k`` begins at segment row
+    ``starts[k]``. Returns a (P, E) array whose every entry is, bit for
+    bit, the distance :func:`project_point` finds for that point and that
+    whole polyline: the same float operations in the same order, with
+    each two-term dot product written out as ``x0*y0 + x1*y1``.
+    """
+    qx, qy = q[:, 0, None], q[:, 1, None]
+    ax, ay, dx, dy = a[:, 0], a[:, 1], d[:, 0], d[:, 1]
+    t = np.clip(((qx - ax) * dx + (qy - ay) * dy) / seg2, 0.0, 1.0)
+    ex = qx - (ax + t * dx)
+    ey = qy - (ay + t * dy)
+    return np.sqrt(np.minimum.reduceat(ex * ex + ey * ey, starts, axis=1))
+
+
 def resample_polyline(pts, step):
     """Evenly spaced points every ``step`` meters (endpoints included)."""
     cum = cumulative_lengths(pts)

@@ -24,7 +24,7 @@ import numpy as np
 from scipy.special import logsumexp
 from scipy.stats import gaussian_kde
 
-from trafficforge.errors import InsufficientDataError, OffMapError
+from trafficforge.errors import InsufficientDataError
 from trafficforge import road_graph
 
 KDE_COV_REG = 1e-4          # m^2, added to per-step sample covariance
@@ -41,6 +41,8 @@ class Trajectory2D:
         if self.points.ndim != 2 or self.points.shape[1] != 2 \
                 or len(self.points) < 2:
             raise ValueError("trajectory needs >=2 2D points")
+        if not np.isfinite(self.points).all():
+            raise ValueError("trajectory points must be finite")
         if self.dt <= 0:
             raise ValueError("dt must be positive")
 
@@ -139,29 +141,20 @@ def nll(pset, horizon_steps, cov_reg=KDE_COV_REG):
 def validity_ratio(trajs, context, margin=0.5):
     """Fraction of trajectories whose every point lies on the road.
 
-    ``context`` is either a RoadGraph (distance test against centerlines,
-    allowing half a lane width plus ``margin``) or a ContextMap raster
-    (point must land on a road or lane cell; off-raster is invalid).
+    ``context`` is either a RoadGraph (each point must lie within half a
+    lane width plus ``margin`` of the lane it snaps to, see
+    :func:`road_graph.within_lanes`) or a ContextMap raster (each point
+    must land on a road or lane cell; off-raster is invalid). Either test
+    takes a whole trajectory at once.
     """
     if not trajs:
         raise ValueError("no trajectories")
-    valid = 0
-    for traj in trajs:
-        if isinstance(context, road_graph.RoadGraph):
-            ok = all(_on_graph(context, p, margin) for p in traj.points)
-        else:
-            ok = all(context.is_road(p) for p in traj.points)
-        valid += ok
-    return valid / len(trajs)
-
-
-def _on_graph(graph, point, margin):
-    try:
-        coord = road_graph.project_to_lane(graph, point)
-    except OffMapError:
-        return False
-    half = graph.edges[coord.edge_id].lane_width / 2.0
-    return abs(coord.lateral_offset) <= half + margin
+    if isinstance(context, road_graph.RoadGraph):
+        def on_road(points):
+            return road_graph.within_lanes(context, points, margin)
+    else:
+        on_road = context.on_road
+    return sum(bool(on_road(traj.points).all()) for traj in trajs) / len(trajs)
 
 
 def normalize_trajectory(traj):

@@ -11,6 +11,7 @@ merged into shared nodes.
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -74,6 +75,7 @@ class RoadGraph:
         self.adjacency = adjacency
         self._kd = None
         self._seed_edges = None
+        self._segments = None
 
     def outgoing(self, node_id):
         return self.adjacency.get(node_id, ())
@@ -89,11 +91,14 @@ class RoadGraph:
                 owners.extend([eid] * len(pts))
             self._kd = cKDTree(np.vstack(seeds))
             self._seed_edges = np.asarray(owners)
+            self._segments = _SegmentTable(
+                [self.edges[eid] for eid in sorted(self.edges)])
 
     def __getstate__(self):
         state = self.__dict__.copy()
         state["_kd"] = None
         state["_seed_edges"] = None
+        state["_segments"] = None
         return state
 
     def candidate_edges(self, point, radius):
@@ -106,6 +111,35 @@ class RoadGraph:
         self._ensure_index()
         d, _ = self._kd.query(np.asarray(point, float))
         return float(d)
+
+
+class _SegmentTable:
+    """Every segment of every edge in one flat table, edges in id order.
+
+    ``a``, ``d`` and ``seg2`` are the start points, directions and squared
+    lengths (zeros replaced by 1) that :func:`geometry.project_point`
+    computes for a whole edge; the segments of the ``k``-th edge, id
+    ``edge_ids[k]``, are rows ``offsets[k]:offsets[k + 1]``.
+    """
+
+    def __init__(self, edges):
+        self.edge_ids = np.asarray([e.id for e in edges])
+        self.a = np.vstack([e.polyline[:-1] for e in edges])
+        self.d = np.vstack([e.polyline[1:] - e.polyline[:-1] for e in edges])
+        self.seg2 = np.einsum("ij,ij->i", self.d, self.d)
+        self.seg2[self.seg2 == 0.0] = 1.0
+        self.offsets = np.zeros(len(edges) + 1, dtype=np.intp)
+        np.cumsum([len(e.polyline) - 1 for e in edges], out=self.offsets[1:])
+        self.half_width = np.asarray([e.lane_width for e in edges]) / 2.0
+
+    def distances(self, q, k):
+        """(P, len(k)) distances from the points ``q`` to the edges at
+        table positions ``k``."""
+        lo, n = self.offsets[k], np.diff(self.offsets)[k]
+        starts = np.cumsum(n) - n
+        rows = np.arange(n.sum()) + np.repeat(lo - starts, n)
+        return geometry.polyline_distances(q, self.a[rows], self.d[rows],
+                                           self.seg2[rows], starts)
 
 
 class Route:
@@ -322,6 +356,50 @@ def project_to_lane(graph, point, heading_hint=None,
         winner = min(ties, key=lambda h: h[1])
     _, eid, s, lateral = winner
     return LaneCoordinate(eid, s, lateral, heading_of(winner))
+
+
+def within_lanes(graph, points, margin):
+    """Which of the (P, 2) ``points`` lie on the lane they snap to.
+
+    A point is within its lane when :func:`project_to_lane` without a
+    heading hint snaps it, and the absolute lateral offset to the edge it
+    picks is at most half that edge's lane width plus ``margin``. Per
+    point, with ``d0`` its distance to the nearest seed, that is: off-map
+    if ``d0 - seed spacing > MAX_SNAP_DISTANCE``; otherwise the edges with
+    a seed within ``d0 + seed spacing`` are the candidates, ``dmin`` is
+    their smallest distance, off-map if ``dmin > MAX_SNAP_DISTANCE``, and
+    the winner is the lowest edge id within ``dmin + 1e-6``.
+
+    The candidates of all the points are merged into one union, so one
+    ball query and one distance array serve the whole batch. Any superset
+    of a point's candidates gives the same ``dmin``, ties and winner:
+    seeds lie at most one seed spacing apart along every edge, so every
+    point of an edge lies within half a spacing of one of its seeds, and
+    ``dmin <= d0`` (the nearest seed lies on a candidate). An edge within
+    ``dmin + 1e-6`` of the point therefore has a seed within
+    ``d0 + 0.5 spacing + 1e-6``, so it is already one of the point's own
+    candidates.
+    """
+    q = np.asarray(points, dtype=np.float64)
+    if not np.all(np.isfinite(q)):
+        raise ValueError("query points must be finite")
+    graph._ensure_index()
+    table = graph._segments
+    ok = np.zeros(len(q), dtype=bool)
+    d0, _ = graph._kd.query(q)
+    near = np.flatnonzero(d0 - _SEED_SPACING <= MAX_SNAP_DISTANCE)
+    if not len(near):
+        return ok
+    hits = graph._kd.query_ball_point(q[near], d0[near] + _SEED_SPACING)
+    seeds = np.fromiter(chain.from_iterable(hits), dtype=np.intp)
+    k = np.searchsorted(table.edge_ids, np.unique(graph._seed_edges[seeds]))
+    dist = table.distances(q[near], k)
+    dmin = dist.min(axis=1)
+    winner = np.argmax(dist <= (dmin + _TIE_EPS)[:, None], axis=1)
+    lateral = dist[np.arange(len(near)), winner]
+    ok[near] = (dmin <= MAX_SNAP_DISTANCE) \
+        & (lateral <= table.half_width[k[winner]] + margin)
+    return ok
 
 
 def enumerate_routes(graph, start, horizon_dist=HORIZON_DIST,

@@ -12,6 +12,7 @@ import io
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Optional
 
 import numpy as np
@@ -95,6 +96,10 @@ class AgentLog:
     lane_changes: list
 
 
+_CSV_VALUES = ("t", "x", "y", "v", "psi", "a", "phi")
+_CSV_HEADER = ("scene_id", "variant", "agent_id") + _CSV_VALUES + ("label",)
+
+
 @dataclass
 class SimLog:
     scene_id: str
@@ -105,7 +110,7 @@ class SimLog:
     agents: list
 
     def write_csv(self, fh):
-        fh.write("scene_id,variant,agent_id,t,x,y,v,psi,a,phi,label\n")
+        fh.write(",".join(_CSV_HEADER) + "\n")
         for ag in self.agents:
             for i in range(len(ag.t)):
                 vals = ",".join(repr(float(v)) for v in
@@ -434,21 +439,40 @@ def _follower_accels(follower, before, after, by_id, config):
 
 
 def read_simlog_csv(csv_path, sidecar=None):
-    """Reconstruct a SimLog from its CSV (and optional sidecar dict)."""
+    """Reconstruct a SimLog from its CSV (and optional sidecar dict).
+
+    Raises :class:`ConfigError` naming the file and the line when a
+    column is missing or a field is absent or not a finite number.
+    """
     per_agent = {}
     scene_id, variant = "", 0
     with open(csv_path) as fh:
         header = fh.readline().strip().split(",")
         idx = {name: i for i, name in enumerate(header)}
-        for line in fh:
+        missing = [c for c in _CSV_HEADER if c not in idx]
+        if missing:
+            raise ConfigError([f"simulation log {csv_path} line 1: "
+                               f"missing column(s) {', '.join(missing)}"])
+        i_scene, i_variant, i_agent, i_label = (
+            idx["scene_id"], idx["variant"], idx["agent_id"], idx["label"])
+        values = itemgetter(*(idx[c] for c in _CSV_VALUES))
+        for line_no, line in enumerate(fh, 2):
             f = line.rstrip("\n").split(",")
-            scene_id = f[idx["scene_id"]]
-            variant = int(f[idx["variant"]])
-            aid = int(f[idx["agent_id"]])
-            rec = per_agent.setdefault(aid, {"label": f[idx["label"]],
-                                             "rows": []})
-            rec["rows"].append([float(f[idx[c]]) for c in
-                                ("t", "x", "y", "v", "psi", "a", "phi")])
+            try:
+                scene_id = f[i_scene]
+                variant = int(f[i_variant])
+                aid = int(f[i_agent])
+                rec = per_agent.get(aid)
+                if rec is None:
+                    rec = per_agent[aid] = {"label": f[i_label], "rows": []}
+                row = list(map(float, values(f)))
+                if not all(map(math.isfinite, row)):
+                    raise ValueError(f"non-finite value in {row}")
+                rec["rows"].append(row)
+            except (IndexError, ValueError) as exc:
+                raise ConfigError([f"simulation log {csv_path} line "
+                                   f"{line_no}: {type(exc).__name__}: {exc}"]
+                                  ) from exc
     side_agents = {}
     dt = 0.1
     master_seed, cfg_digest = 0, ""

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import shutil
 import subprocess
 import sys
 
@@ -361,3 +362,53 @@ def test_render_accepts_integer_valued_floats(sim_logs, tmp_path):
     assert len(names) == 6
     sample = bev_render.read_grid_sample(str(out / names[0]))
     assert (sample.spec.H, sample.spec.W, sample.t_obs) == (16, 16, 20)
+
+
+@pytest.mark.parametrize("command", ["metrics", "render"])
+@pytest.mark.parametrize("suffix, corrupt, detail", [
+    (".csv", lambda text: text + "scene00,0,1,0.000,1.0\n",
+     "simulation log {path} line {last}: IndexError: list index out of "
+     "range"),
+    (".csv", lambda text: text + "scene00,0,1,0.000,1.0,x,2.0,0.1,0.0,0.0,"
+     "straight\n",
+     "simulation log {path} line {last}: ValueError: could not convert "
+     "string to float: 'x'"),
+    (".csv", lambda text: text + "scene00,0,1,0.000,1.0,nan,2.0,0.1,0.0,0.0,"
+     "straight\n",
+     "simulation log {path} line {last}: ValueError: non-finite value in "
+     "[0.0, 1.0, nan,"),
+    (".csv", lambda text: text.replace(",psi,", ",yaw,", 1),
+     "simulation log {path} line 1: missing column(s) psi"),
+    (".json", lambda text: text[:len(text) // 2],
+     "sidecar file {path}: invalid JSON"),
+], ids=["missing-field", "non-numeric", "non-finite", "missing-column",
+        "bad-sidecar"])
+def test_malformed_log_exits_1(sim_logs, tmp_path, capsys, command, suffix,
+                               corrupt, detail):
+    logs = tmp_path / "logs"
+    shutil.copytree(sim_logs / "logs", logs)
+    path = logs / ("scene00_v1" + suffix)
+    path.write_text(corrupt(path.read_text()))
+    last = len(path.read_text().splitlines())
+    out = tmp_path / "out"
+    rc = dispatch([command, "--logs", str(logs),
+                   "--map", str(sim_logs / "map.json"), "--out", str(out)])
+    assert rc == 1
+    assert "error: " + detail.format(path=path, last=last) \
+        in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_metrics_report_digest_pinned(sim_logs, tmp_path):
+    # a map with 40 m arms leaves the far ends of half the trajectories
+    # off the lanes, so the report covers valid and invalid verdicts
+    with open(tmp_path / "short_map.json", "w") as fh:
+        json.dump(four_way_intersection(arm=40.0), fh)
+    out = tmp_path / "report.json"
+    rc = dispatch(["metrics", "--logs", str(sim_logs / "logs"),
+                   "--map", str(tmp_path / "short_map.json"),
+                   "--out", str(out)])
+    assert rc == 0
+    assert json.loads(out.read_bytes())["validity_ratio"] == 0.5
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == \
+        "574fcc48bc2f66b0acea3e897e0631f4221c0c260cac6ea88c00301c84578a1b"

@@ -93,3 +93,25 @@ def test_polyline_tables_match_separate_passes(pts):
 def test_wrap_angles_matches_scalar(thetas):
     out = geometry._wrap_angles(np.array(thetas))
     assert out.tolist() == [wrap_angle(t) for t in thetas]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(polylines(), min_size=1, max_size=5),
+       st.lists(st.tuples(st.floats(-300.0, 300.0), st.floats(-300.0, 300.0)),
+                min_size=1, max_size=20),
+       st.data())
+def test_polyline_distances_match_project_point(polys, points, data):
+    # the table's points include polyline vertices and zero-length segments
+    q = np.array(points + [tuple(data.draw(st.sampled_from(list(p))))
+                           for p in polys])
+    d = np.vstack([p[1:] - p[:-1] for p in polys])
+    seg2 = np.einsum("ij,ij->i", d, d)
+    seg2[seg2 == 0.0] = 1.0
+    starts = np.cumsum([0] + [len(p) - 1 for p in polys[:-1]])
+    out = geometry.polyline_distances(
+        q, np.vstack([p[:-1] for p in polys]), d, seg2, starts)
+    assert out.shape == (len(q), len(polys))
+    for k, p in enumerate(polys):
+        cum = geometry.cumulative_lengths(p)
+        assert out[:, k].tolist() == [geometry.project_point(p, cum, x)[1]
+                                      for x in q]

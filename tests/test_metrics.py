@@ -6,10 +6,14 @@ import numpy as np
 import pytest
 from scipy.stats import wasserstein_distance
 
-from helpers import straight_map
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from helpers import four_way_intersection, ring_map, straight_map
 
 from trafficforge import metrics, road_graph
-from trafficforge.errors import InsufficientDataError
+from trafficforge.bev_render import UNKNOWN, ContextMap, GridSpec
+from trafficforge.errors import InsufficientDataError, OffMapError
 from trafficforge.metrics import (PredictionSet, Trajectory2D, ade,
                                   diversity_report, fde, min_over_samples,
                                   nll, normalize_trajectory, pca_kde_realism,
@@ -138,6 +142,154 @@ def test_validity_ratio_graph_mode():
     assert validity_ratio([on, on, on], g) == 1.0
     assert validity_ratio([off, off], g) == 0.0
     assert validity_ratio([on, on, on, off, off, off], g) == 0.5
+
+
+def _on_graph(graph, point, margin):
+    """Per-point reference for graph validity: one project_to_lane snap."""
+    try:
+        coord = road_graph.project_to_lane(graph, point)
+    except OffMapError:
+        return False
+    half = graph.edges[coord.edge_id].lane_width / 2.0
+    return abs(coord.lateral_offset) <= half + margin
+
+
+def _is_road(context, point):
+    """Per-point reference for raster validity."""
+    row, col = context.spec.cell_of(point)
+    if not context.spec.contains(row, col):
+        return False
+    return context.classes[row, col] != UNKNOWN
+
+
+def _mixed_width_four_way():
+    doc = four_way_intersection()
+    for i, cl in enumerate(doc["centerlines"]):
+        cl["lane_width"] = (2.5, 3.0, 3.5, 4.0, 4.5)[i % 5]
+    return doc
+
+
+# two lanes of widths 2 and 4 whose polylines meet 1e-9 m apart: a point
+# past both ends is 1e-9 m nearer the wider one, a tie within 1e-6 m that
+# goes to the lower id, the narrower lane
+_NEAR_TIE = {"centerlines": [
+    {"id": 0, "points": [[0.0, 0.0], [10.0, 0.0]], "lane_width": 2.0},
+    {"id": 1, "points": [[10.0 + 1e-9, 0.0], [20.0, 10.0]],
+     "lane_width": 4.0}]}
+# reversed twin edges that tie exactly; edges of five lane widths; a loop
+# whose trajectories revisit its edges; a near tie
+_GRAPHS = {
+    "bidirectional": road_graph.build_graph(
+        straight_map(128.0, oneway=False)),
+    "four-way": road_graph.build_graph(_mixed_width_four_way()),
+    "ring": road_graph.build_graph(ring_map()),
+    "near-tie": road_graph.build_graph(_NEAR_TIE),
+}
+# lateral offsets: on the lane, about the validity limit, past the snap
+# limit in either off-map test, and exactly at or next to the limit
+_OFFSETS = st.one_of(
+    st.floats(-3.0, 3.0),
+    st.tuples(st.floats(9.5, 11.5), st.sampled_from([-1.0, 1.0])).map(
+        lambda t: t[0] * t[1]),
+    st.sampled_from(["limit", "above", "below"]))
+
+
+@st.composite
+def graph_trajectories(draw):
+    """(graph, margin, points): a walk along successive edges, offset
+    sideways. A 9 m margin puts the validity limit past the snap limit."""
+    graph = _GRAPHS[draw(st.sampled_from(sorted(_GRAPHS)))]
+    margin = draw(st.sampled_from([0.5, 9.0]))
+    eid = draw(st.sampled_from(sorted(graph.edges)))
+    s = draw(st.floats(0.0, graph.edges[eid].length))
+    pts = []
+    for step, off in draw(st.lists(st.tuples(st.floats(0.0, 6.0), _OFFSETS),
+                                   min_size=2, max_size=120)):
+        edge = graph.edges[eid]
+        s += step
+        while s > edge.length:
+            nxt = graph.outgoing(edge.to_node)
+            if not nxt:
+                s = edge.length
+                break
+            s -= edge.length
+            eid = draw(st.sampled_from(nxt))
+            edge = graph.edges[eid]
+        p, heading = edge.point_at(s)
+        if isinstance(off, str):
+            limit = edge.lane_width / 2.0 + margin
+            off = {"limit": limit, "above": np.nextafter(limit, np.inf),
+                   "below": np.nextafter(limit, 0.0)}[off]
+        pts.append(p + off * np.array([-math.sin(heading), math.cos(heading)]))
+    return graph, margin, np.array(pts)
+
+
+@settings(max_examples=300, deadline=None)
+@given(graph_trajectories())
+def test_graph_validity_matches_per_point_reference(case):
+    graph, margin, pts = case
+    ref = [_on_graph(graph, p, margin) for p in pts]
+    assert road_graph.within_lanes(graph, pts, margin).tolist() == ref
+    assert validity_ratio([_traj(pts)], graph, margin) == float(all(ref))
+
+
+def test_graph_validity_limits():
+    graph = _GRAPHS["bidirectional"]
+    x = np.arange(1.0, 128.0)
+    for y, margin, want in [
+            (2.25, 0.5, True), (-2.25, 0.5, True),
+            (np.nextafter(2.25, 3.0), 0.5, False),
+            (9.5, 9.0, True),
+            (10.5, 9.0, False),    # a seed within 11 m, but 10.5 m away
+            (11.5, 9.0, False)]:   # no seed within 11 m
+        pts = np.column_stack([x, np.full_like(x, y)])
+        got = road_graph.within_lanes(graph, pts, margin).tolist()
+        assert got == [_on_graph(graph, p, margin) for p in pts]
+        assert got == [want] * len(x)
+    graph = _GRAPHS["near-tie"]
+    pts = np.array([[11.0, -1.5], [10.5, -1.5], [10.5, -1.4]])
+    got = road_graph.within_lanes(graph, pts, 0.5).tolist()
+    assert got == [_on_graph(graph, p, 0.5) for p in pts]
+    assert got == [False, False, True]
+
+
+@st.composite
+def raster_trajectories(draw):
+    """(context, points) with points on cell edges, inside and off-raster."""
+    res = draw(st.sampled_from([0.25, 0.3, 0.5, 1.0, 2.0]))
+    H, W = draw(st.integers(1, 24)), draw(st.integers(1, 24))
+    origin = (draw(st.floats(-50.0, 50.0)), draw(st.floats(-50.0, 50.0)))
+    seed = draw(st.integers(0, 2**32 - 1))
+    classes = np.random.default_rng(seed).integers(0, 3, size=(H, W))
+    edge_x = st.integers(-2, W + 2).map(lambda k: origin[0] + k * res)
+    edge_y = st.integers(-2, H + 2).map(lambda k: origin[1] + k * res)
+    any_x = st.floats(origin[0] - 3 * res, origin[0] + (W + 3) * res)
+    any_y = st.floats(origin[1] - 3 * res, origin[1] + (H + 3) * res)
+    pts = draw(st.lists(st.tuples(st.one_of(edge_x, any_x),
+                                  st.one_of(edge_y, any_y)),
+                        min_size=2, max_size=60))
+    return ContextMap(GridSpec(H, W, res, origin), classes.astype(np.uint8)), \
+        np.array(pts)
+
+
+@settings(max_examples=300, deadline=None)
+@given(raster_trajectories())
+def test_raster_validity_matches_per_point_reference(case):
+    context, pts = case
+    ref = [bool(_is_road(context, p)) for p in pts]
+    assert context.on_road(pts).tolist() == ref
+    assert validity_ratio([_traj(pts)], context) == float(all(ref))
+
+
+def test_trajectory_rejects_non_finite_points():
+    # every point is off the road, so no early exit hides the bad one
+    g = road_graph.build_graph(straight_map(100.0))
+    for bad in (np.nan, np.inf, -np.inf):
+        for i in (0, 5, 11):
+            pts = np.column_stack([np.linspace(5, 60, 12), np.full(12, 15.0)])
+            pts[i, i % 2] = bad
+            with pytest.raises(ValueError, match="finite"):
+                validity_ratio([_traj(pts)], g)
 
 
 def test_normalize_defining_properties(rng):

@@ -1,6 +1,7 @@
 """Graph construction, projection, routing and maneuver classification."""
 
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -304,3 +305,31 @@ def test_u_turn_flag(intersection_graph):
                             heading_hint=0.0)
     routes = enumerate_routes(intersection_graph, start)
     assert all(not r.u_turn_like for r in routes)
+
+
+def test_segment_table_distances_match_project_point(rng):
+    g = build_graph(four_way_intersection())
+    g._ensure_index()
+    table = g._segments
+    q = rng.uniform(-100.0, 100.0, size=(40, 2))
+    for _ in range(20):
+        size = int(rng.integers(1, 8))
+        k = np.sort(rng.choice(len(table.edge_ids), size=size, replace=False))
+        out = table.distances(q, k)
+        for col, eid in enumerate(table.edge_ids[k]):
+            edge = g.edges[eid]
+            assert out[:, col].tolist() == [
+                geometry.project_point(edge.polyline, edge.cum, p)[1]
+                for p in q]
+        assert (table.half_width[k] == [g.edges[e].lane_width / 2.0
+                                        for e in table.edge_ids[k]]).all()
+
+
+def test_graph_pickles_without_its_index():
+    g = build_graph(ring_map())
+    pts = np.array([[10.0, 1.0], [25.0, -3.0], [50.0, 30.0], [25.0, 25.0]])
+    want = road_graph.within_lanes(g, pts, 0.5)
+    back = pickle.loads(pickle.dumps(g))
+    assert (back._kd, back._seed_edges, back._segments) == (None, None, None)
+    assert road_graph.within_lanes(back, pts, 0.5).tolist() == want.tolist()
+    assert want.tolist() == [True, False, True, False]
