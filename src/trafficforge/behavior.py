@@ -14,15 +14,17 @@ from typing import Optional
 import numpy as np
 
 from trafficforge import geometry, road_graph
+from trafficforge.config import default
 from trafficforge.errors import MissingProfileError
 from trafficforge.geometry import wrap_angle
 from trafficforge.util import derive_seed
 
-TURN_RATE_THRESHOLD = 0.1   # rad/s, onset of a turn in timestamped data
-TURN_RATE_SUSTAIN = 0.5     # s the rate must stay above threshold
+# rad/s, onset of a turn in timestamped data, and the s it must last
+TURN_RATE_THRESHOLD = default("behavior.turn_rate_threshold")
+TURN_RATE_SUSTAIN = default("behavior.turn_rate_sustain")
 TURN_CURVATURE_THRESHOLD = 0.05  # rad/m, onset on pure route geometry
 TURN_CURVATURE_SUSTAIN = 1.0     # m of sustained curvature
-PROFILE_NOISE_STD = 1.0     # m/s, per-sample
+PROFILE_NOISE_STD = default("behavior.noise_std")  # m/s, per-sample
 MANEUVER_LABELS = ("left", "right", "straight")
 
 
@@ -53,7 +55,8 @@ class ProfilePool:
 
     def to_json(self):
         doc = {
-            "dt": self.profiles[0].dt if self.profiles else 0.1,
+            "dt": self.profiles[0].dt if self.profiles
+            else default("sim.dt"),
             "profiles": [
                 {"label": p.maneuver, "feature": p.feature,
                  "samples": [float(s) for s in p.samples]}

@@ -21,6 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from trafficforge.config import default
+
 ROAD, LANE, UNKNOWN = 0, 1, 2
 LABEL_CLASSES = ("straight", "left", "right")
 _MAGIC = b"BEVG"
@@ -30,9 +32,9 @@ _HEADER = struct.Struct("<4sIIIdIIddII")  # 56 bytes, padded to 64
 
 @dataclass
 class GridSpec:
-    H: int = 256
-    W: int = 256
-    resolution: float = 0.5
+    H: int = default("grid.H")
+    W: int = default("grid.W")
+    resolution: float = default("grid.resolution")
     origin: tuple = (0.0, 0.0)
 
     def __post_init__(self):
@@ -54,7 +56,7 @@ class GridSpec:
         return xs, ys
 
     @classmethod
-    def centered_on(cls, center, H=256, W=256, resolution=0.5):
+    def centered_on(cls, center, H, W, resolution):
         ox = float(center[0]) - W * resolution / 2.0
         oy = float(center[1]) - H * resolution / 2.0
         return cls(H, W, resolution, (ox, oy))

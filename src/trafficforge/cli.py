@@ -18,7 +18,7 @@ import numpy as np
 
 from trafficforge import behavior, bev_render, metrics, road_graph
 from trafficforge import scene_ingest, sim_engine
-from trafficforge.config import apply_overrides, validate_config
+from trafficforge.config import apply_overrides, set_key, validate_config
 from trafficforge.errors import ConfigError, TrafficForgeError
 
 log = logging.getLogger("trafficforge")
@@ -52,17 +52,19 @@ def _tracklet_paths(path):
 
 
 def _resolve_config(args):
-    raw = _load_json(args.config, "config") if args.config else {}
-    if raw and not isinstance(raw, dict):
-        raise ConfigError(["configuration must be a JSON object"])
+    raw = {}
+    if args.config:
+        raw = _load_json(args.config, "config")
+        if not isinstance(raw, dict):
+            raise ConfigError([f"config file {args.config}: configuration "
+                               f"must be a JSON object"])
     raw = apply_overrides(raw, getattr(args, "set", None))
     if getattr(args, "seed", None) is not None:
-        raw.setdefault("sim", {})["master_seed"] = args.seed
+        set_key(raw, "sim.master_seed", args.seed)
     if getattr(args, "ego", None):
-        raw.setdefault("sim", {})["ego"] = args.ego
-    grid = _grid_overrides(args)
-    if grid and isinstance(raw.setdefault("grid", {}), dict):
-        raw["grid"].update(grid)
+        set_key(raw, "sim.ego", args.ego)
+    for key, value in _grid_overrides(args).items():
+        set_key(raw, f"grid.{key}", value)
     return validate_config(raw)
 
 
@@ -126,7 +128,7 @@ def cmd_profile_pool(args):
             trajs.append(np.array([[p.t, p.position[0], p.position[1]]
                                    for p in tr.poses]))
     pool = behavior.build_profile_pool(
-        trajs, args.dt,
+        trajs, cfg["sim.dt"] if args.dt is None else args.dt,
         math.radians(cfg["road.straight_threshold_deg"]),
         cfg["behavior.turn_rate_threshold"],
         cfg["behavior.turn_rate_sustain"])
@@ -156,7 +158,7 @@ def _load_scenes(args, cfg):
 
 def cmd_simulate(args):
     cfg = _resolve_config(args)
-    sim_cfg = cfg.sim_config().validate()
+    sim_cfg = cfg.sim_config()
     pool = behavior.ProfilePool.from_json(_load_json(args.pool, "pool"))
     scenes = _load_scenes(args, cfg)
 
@@ -305,7 +307,9 @@ def cmd_metrics(args):
             graph = road_graph.build_graph(
                 map_doc, cfg["road.join_tolerance"],
                 cfg["road.default_lane_width"])
-            report["validity_ratio"] = metrics.validity_ratio(trajs, graph)
+            report["validity_ratio"] = metrics.validity_ratio(
+                trajs, graph,
+                max_snap_distance=cfg["road.max_snap_distance"])
     if not report:
         raise ConfigError(["metrics needs --preds and/or --logs"])
     _emit(report, args.out, args.pretty)
@@ -337,7 +341,8 @@ def build_parser():
     p = sub.add_parser("profile-pool",
                        help="mine a velocity-profile pool from tracklets")
     p.add_argument("--tracklets", nargs="+", required=True)
-    p.add_argument("--dt", type=float, default=0.1)
+    p.add_argument("--dt", type=float,
+                   help="profile time step (default: sim.dt)")
     common(p)
     p.set_defaults(fn=cmd_profile_pool)
     p.set_defaults(out_required=True)

@@ -1,78 +1,192 @@
-"""Run configuration: defaults, validation, dotted-key overrides.
+"""Run configuration: the key table, validation, dotted-key overrides.
 
 One JSON document configures every stage; CLI flags of the form
-``--set section.key=value`` override single fields. Validation checks all
-fields and reports every violation at once; unknown keys are rejected to
-catch typos.
+``--set section.key=value`` override single fields. :data:`SCHEMA` is the
+only place a key's default, bounds and target field are written: it drives
+:func:`validate_config`, :meth:`RunConfig.sim_config`, the defaults of
+:class:`SimConfig` and its parameter groups, and the module defaults that
+other modules read through :func:`default`. Validation checks all fields
+and reports every violation at once; unknown keys are rejected to catch
+typos.
 """
 
 import copy
+import dataclasses
 import json
 import math
+from dataclasses import dataclass, field
+from typing import Callable, Optional
 
-from trafficforge.controller import ControllerParams
-from trafficforge.dynamics import MobilParams
 from trafficforge.errors import ConfigError
-from trafficforge.sim_engine import SimConfig
 
-DEFAULTS = {
-    "sim": {
-        "dt": 0.1,
-        "horizon": 7.0,
-        "max_variants": 3,
-        "master_seed": 0,
-        "ego": "simulate",
-        "sensing_range": 100.0,
-        "max_lane_deviation": 3.0,
-        "lane_change_enabled": True,
-    },
-    "idm": {
-        "delta": 4.0,
-        "T_range": [0.5, 2.5],
-        "s0_range": [0.5, 4.0],
-        "a_range": [1.0, 2.0],
-        "b_range": [1.5, 2.5],
-    },
-    "mobil": {
-        "p": 0.3,
-        "da_th": 0.1,
-        "b_safe": 4.0,
-        "da_bias": 0.3,
-    },
-    "controller": {
-        "kp_lateral": 1.0,
-        "kp_heading": 2.0,
-        "kp_speed": 1.0,
-        "lookahead_time": 0.8,
-        "lookahead_min": 2.0,
-        "phi_max_deg": 35.0,
-        "psi_req_max_deg": 45.0,
-        "v_eps": 0.5,
-        "epsilon_std": 0.2,
-        "a_max_decel": 8.0,
-    },
-    "road": {
-        "join_tolerance": 0.5,
-        "max_snap_distance": 10.0,
-        "default_lane_width": 3.5,
-        "straight_threshold_deg": 30.0,
-        "horizon_dist": 120.0,
-        "max_routes": 16,
-    },
-    "behavior": {
-        "noise_std": 1.0,
-        "min_spawn_gap": 2.0,
-        "turn_rate_threshold": 0.1,
-        "turn_rate_sustain": 0.5,
-    },
-    "grid": {
-        "H": 256,
-        "W": 256,
-        "resolution": 0.5,
-        "t_obs": 20,
-        "stride": 100000,
-    },
+
+@dataclass(frozen=True)
+class Key:
+    """One config key: its default, its check and the field it feeds.
+
+    ``kind`` is "number" (``low`` exclusive unless ``strict`` is false,
+    ``high`` inclusive, ``integer`` for whole numbers), "choice" (one of
+    ``choices``), "bool" or "range" (``[low, high]`` with
+    ``0 <= low <= high``). ``field`` is the :class:`SimConfig` field the
+    key sets, dotted for a parameter group, after ``convert``; None when
+    callers read the key by name, or nothing reads it yet.
+    """
+
+    default: object
+    kind: str = "number"
+    low: Optional[float] = None
+    high: Optional[float] = None
+    strict: bool = True
+    integer: bool = False
+    choices: tuple = ()
+    field: Optional[str] = None
+    convert: Callable = lambda value: value
+
+
+# idm.delta and sim.max_lane_deviation are validated and stored but have
+# no effect on a simulation yet (see ROADMAP)
+SCHEMA = {
+    "sim.dt": Key(0.1, low=0, field="dt"),
+    "sim.horizon": Key(7.0, low=0, field="horizon"),
+    "sim.max_variants": Key(3, low=1, strict=False, integer=True,
+                            field="max_variants"),
+    "sim.master_seed": Key(0, integer=True, field="master_seed"),
+    "sim.ego": Key("simulate", kind="choice", choices=("simulate", "replay"),
+                   field="ego_mode"),
+    "sim.sensing_range": Key(100.0, low=0, field="sensing_range"),
+    "sim.max_lane_deviation": Key(3.0, low=0, field="max_lane_deviation"),
+    "sim.lane_change_enabled": Key(True, kind="bool",
+                                   field="lane_change_enabled"),
+    "idm.delta": Key(4.0, low=0),
+    "idm.T_range": Key((0.5, 2.5), kind="range", field="idm_ranges.T_range",
+                       convert=tuple),
+    "idm.s0_range": Key((0.5, 4.0), kind="range",
+                        field="idm_ranges.s0_range", convert=tuple),
+    "idm.a_range": Key((1.0, 2.0), kind="range", field="idm_ranges.a_range",
+                       convert=tuple),
+    "idm.b_range": Key((1.5, 2.5), kind="range", field="idm_ranges.b_range",
+                       convert=tuple),
+    "mobil.p": Key(0.3, low=0, strict=False, field="mobil.p"),
+    "mobil.da_th": Key(0.1, field="mobil.da_th"),
+    "mobil.b_safe": Key(4.0, low=0, field="mobil.b_safe"),
+    "mobil.da_bias": Key(0.3, field="mobil.da_bias"),
+    "controller.kp_lateral": Key(1.0, low=0, field="controller.kp_lateral"),
+    "controller.kp_heading": Key(2.0, low=0, field="controller.kp_heading"),
+    "controller.kp_speed": Key(1.0, low=0, field="controller.kp_speed"),
+    "controller.lookahead_time": Key(0.8, low=0, strict=False,
+                                     field="controller.lookahead_time"),
+    "controller.lookahead_min": Key(2.0, low=0, strict=False,
+                                    field="controller.lookahead_min"),
+    "controller.phi_max_deg": Key(35.0, low=0, high=90,
+                                  field="controller.phi_max",
+                                  convert=math.radians),
+    "controller.psi_req_max_deg": Key(45.0, low=0, high=90,
+                                      field="controller.psi_req_max",
+                                      convert=math.radians),
+    "controller.v_eps": Key(0.5, low=0, field="controller.v_eps"),
+    "controller.epsilon_std": Key(0.2, low=0, strict=False,
+                                  field="epsilon_std"),
+    "controller.a_max_decel": Key(8.0, low=0, field="controller.a_max_decel"),
+    "road.join_tolerance": Key(0.5, low=0, strict=False),
+    "road.max_snap_distance": Key(10.0, low=0),
+    "road.default_lane_width": Key(3.5, low=0),
+    "road.straight_threshold_deg": Key(30.0, low=0, high=180),
+    "road.horizon_dist": Key(120.0, low=0, field="horizon_dist"),
+    "road.max_routes": Key(16, low=1, strict=False, integer=True,
+                           field="max_routes"),
+    "behavior.noise_std": Key(1.0, low=0, strict=False,
+                              field="profile_noise_std"),
+    "behavior.min_spawn_gap": Key(2.0, low=0, strict=False),
+    "behavior.turn_rate_threshold": Key(0.1, low=0),
+    "behavior.turn_rate_sustain": Key(0.5, low=0, strict=False),
+    "grid.H": Key(256, low=0, integer=True),
+    "grid.W": Key(256, low=0, integer=True),
+    "grid.resolution": Key(0.5, low=0),
+    "grid.t_obs": Key(20, low=0, integer=True),
+    "grid.stride": Key(100000, low=0, integer=True),
 }
+
+
+def default(dotted):
+    """The default value of the config key ``dotted``."""
+    return SCHEMA[dotted].default
+
+
+def _fields(value_of):
+    """SimConfig field path -> value for every key that feeds a field,
+    where ``value_of(dotted)`` is the key's value.
+
+    This is the one mapping from keys to SimConfig fields: it gives both
+    the dataclass defaults and :meth:`RunConfig.sim_config`.
+    """
+    return {key.field: key.convert(value_of(dotted))
+            for dotted, key in SCHEMA.items() if key.field}
+
+
+def _group(fields, group):
+    """The fields of one parameter group, "" for SimConfig's own."""
+    out = {}
+    for path, value in fields.items():
+        prefix, _, name = path.rpartition(".")
+        if prefix == group:
+            out[name] = value
+    return out
+
+
+_FIELD_DEFAULTS = _fields(default)   # field path -> default value
+
+
+@dataclass
+class ControllerParams:
+    kp_lateral: float = _FIELD_DEFAULTS["controller.kp_lateral"]
+    kp_heading: float = _FIELD_DEFAULTS["controller.kp_heading"]
+    epsilon: float = 0.0            # per-agent lane-offset noise, meters
+    lookahead_time: float = _FIELD_DEFAULTS["controller.lookahead_time"]
+    lookahead_min: float = _FIELD_DEFAULTS["controller.lookahead_min"]
+    kp_speed: float = _FIELD_DEFAULTS["controller.kp_speed"]
+    phi_max: float = _FIELD_DEFAULTS["controller.phi_max"]
+    psi_req_max: float = _FIELD_DEFAULTS["controller.psi_req_max"]
+    v_eps: float = _FIELD_DEFAULTS["controller.v_eps"]
+    a_max_decel: float = _FIELD_DEFAULTS["controller.a_max_decel"]
+
+
+@dataclass
+class MobilParams:
+    """Politeness factor ``p``; acceleration-gain threshold ``da_th``, the
+    largest braking ``b_safe`` imposed on anyone and the bias ``da_bias``
+    toward the rightmost lane, all in m/s^2."""
+
+    p: float = _FIELD_DEFAULTS["mobil.p"]
+    da_th: float = _FIELD_DEFAULTS["mobil.da_th"]
+    b_safe: float = _FIELD_DEFAULTS["mobil.b_safe"]
+    da_bias: float = _FIELD_DEFAULTS["mobil.da_bias"]
+
+
+@dataclass
+class SimConfig:
+    dt: float = _FIELD_DEFAULTS["dt"]
+    horizon: float = _FIELD_DEFAULTS["horizon"]
+    max_variants: int = _FIELD_DEFAULTS["max_variants"]
+    master_seed: int = _FIELD_DEFAULTS["master_seed"]
+    ego_mode: str = _FIELD_DEFAULTS["ego_mode"]
+    sensing_range: float = _FIELD_DEFAULTS["sensing_range"]
+    max_lane_deviation: float = _FIELD_DEFAULTS["max_lane_deviation"]
+    horizon_dist: float = _FIELD_DEFAULTS["horizon_dist"]
+    max_routes: int = _FIELD_DEFAULTS["max_routes"]
+    profile_noise_std: float = _FIELD_DEFAULTS["profile_noise_std"]
+    epsilon_std: float = _FIELD_DEFAULTS["epsilon_std"]
+    lane_change_enabled: bool = _FIELD_DEFAULTS["lane_change_enabled"]
+    idm_ranges: dict = field(
+        default_factory=lambda: _group(_FIELD_DEFAULTS, "idm_ranges"))
+    mobil: MobilParams = field(default_factory=MobilParams)
+    controller: ControllerParams = field(default_factory=ControllerParams)
+
+    @property
+    def n_steps(self):
+        return int(round(self.horizon / self.dt))
+
+    def to_dict(self):
+        return dataclasses.asdict(self)
 
 
 class RunConfig:
@@ -86,170 +200,118 @@ class RunConfig:
         return self.raw[sec][key]
 
     def sim_config(self):
-        sim = self.raw["sim"]
-        ctrl = self.raw["controller"]
-        mob = self.raw["mobil"]
+        fields = _fields(self.__getitem__)
         return SimConfig(
-            dt=sim["dt"], horizon=sim["horizon"],
-            max_variants=sim["max_variants"],
-            master_seed=sim["master_seed"], ego_mode=sim["ego"],
-            sensing_range=sim["sensing_range"],
-            max_lane_deviation=sim["max_lane_deviation"],
-            lane_change_enabled=sim["lane_change_enabled"],
-            horizon_dist=self.raw["road"]["horizon_dist"],
-            max_routes=self.raw["road"]["max_routes"],
-            profile_noise_std=self.raw["behavior"]["noise_std"],
-            epsilon_std=ctrl["epsilon_std"],
-            idm_ranges={k: tuple(self.raw["idm"][k])
-                        for k in ("T_range", "s0_range", "a_range", "b_range")},
-            mobil=MobilParams(p=mob["p"], da_th=mob["da_th"],
-                              b_safe=mob["b_safe"], da_bias=mob["da_bias"]),
-            controller=ControllerParams(
-                kp_lateral=ctrl["kp_lateral"], kp_heading=ctrl["kp_heading"],
-                kp_speed=ctrl["kp_speed"],
-                lookahead_time=ctrl["lookahead_time"],
-                lookahead_min=ctrl["lookahead_min"],
-                phi_max=math.radians(ctrl["phi_max_deg"]),
-                psi_req_max=math.radians(ctrl["psi_req_max_deg"]),
-                v_eps=ctrl["v_eps"], a_max_decel=ctrl["a_max_decel"]),
-        )
+            **_group(fields, ""),
+            idm_ranges=_group(fields, "idm_ranges"),
+            mobil=MobilParams(**_group(fields, "mobil")),
+            controller=ControllerParams(**_group(fields, "controller")))
 
 
-def _merge(base, override, path, problems):
-    out = copy.deepcopy(base)
-    for key, value in override.items():
-        dotted = f"{path}{key}" if not path else f"{path}.{key}"
-        if key not in base:
-            problems.append(f"unknown key {dotted!r}")
-            continue
-        if isinstance(base[key], dict):
-            if not isinstance(value, dict):
-                problems.append(f"{dotted} must be an object")
-                continue
-            out[key] = _merge(base[key], value, dotted, problems)
-        else:
-            out[key] = value
-    return out
+def _is_number(value):
+    return (isinstance(value, int) and not isinstance(value, bool)) \
+        or (isinstance(value, float) and math.isfinite(value))
 
 
-def _expect_number(resolved, dotted, problems, low=None, high=None,
-                   strict_low=True, integer=False):
-    sec, key = dotted.split(".")
-    value = resolved[sec][key]
-    ok = isinstance(value, (int, float)) and not isinstance(value, bool)
-    if ok and integer:
-        ok = float(value) == int(value)
-    if ok and low is not None:
-        ok = value > low if strict_low else value >= low
-    if ok and high is not None:
-        ok = value <= high
-    if not ok:
-        bound = f" > {low}" if (low is not None and strict_low) else \
-            (f" >= {low}" if low is not None else "")
-        kind = "an integer" if integer else "a number"
-        problems.append(f"{dotted}: expected {kind}{bound}, got {value!r}")
-    return value if ok else None
+def _violation(dotted, key, value):
+    """The message for ``value`` breaking ``key``, or None."""
+    if key.kind == "choice":
+        if value not in key.choices:
+            return f"{dotted}: must be " + " or ".join(map(repr, key.choices))
+    elif key.kind == "bool":
+        if not isinstance(value, bool):
+            return f"{dotted}: must be a boolean"
+    elif key.kind == "range":
+        if not (isinstance(value, (list, tuple)) and len(value) == 2
+                and all(map(_is_number, value))
+                and 0 <= value[0] <= value[1]):
+            return f"{dotted}: must be [low, high] with 0 <= low <= high"
+    else:
+        ok = _is_number(value)
+        if ok and key.integer:
+            ok = isinstance(value, int) or value.is_integer()
+        if ok and key.low is not None:
+            ok = value > key.low if key.strict else value >= key.low
+        if ok and key.high is not None:
+            ok = value <= key.high
+        if not ok:
+            bound = "" if key.low is None else \
+                f" {'>' if key.strict else '>='} {key.low}"
+            kind = "an integer" if key.integer else "a number"
+            return f"{dotted}: expected {kind}{bound}, got {value!r}"
+    return None
 
 
 def validate_config(raw):
-    """Resolve ``raw`` against the defaults and type-check every field.
+    """Resolve ``raw`` against the defaults and check every field.
 
     Raises :class:`ConfigError` carrying the complete list of violations.
     """
-    problems = []
-    if raw is None:
-        raw = {}
     if not isinstance(raw, dict):
         raise ConfigError(["configuration must be a JSON object"])
-    resolved = _merge(DEFAULTS, raw, "", problems)
-
-    dt = _expect_number(resolved, "sim.dt", problems, low=0)
-    horizon = _expect_number(resolved, "sim.horizon", problems, low=0)
-    if dt and horizon:
-        steps = horizon / dt
+    problems = []
+    resolved = {}
+    for dotted in SCHEMA:
+        resolved.setdefault(dotted.split(".")[0], {})
+    for sec, body in raw.items():
+        if sec not in resolved:
+            problems.append(f"unknown key {sec!r}")
+        elif not isinstance(body, dict):
+            problems.append(f"{sec} must be an object")
+        else:
+            for dotted in (f"{sec}.{name}" for name in body):
+                if dotted not in SCHEMA:
+                    problems.append(f"unknown key {dotted!r}")
+    invalid = set()
+    for dotted, key in SCHEMA.items():
+        sec, name = dotted.split(".")
+        body = raw.get(sec)
+        value = body.get(name, key.default) if isinstance(body, dict) \
+            else key.default
+        resolved[sec][name] = value
+        problem = _violation(dotted, key, value)
+        if problem:
+            problems.append(problem)
+            invalid.add(dotted)
+    if not invalid & {"sim.dt", "sim.horizon"}:
+        steps = resolved["sim"]["horizon"] / resolved["sim"]["dt"]
         if abs(steps - round(steps)) > 1e-9:
             problems.append("sim.horizon: must be a multiple of sim.dt")
-    _expect_number(resolved, "sim.max_variants", problems, low=1,
-                   strict_low=False, integer=True)
-    _expect_number(resolved, "sim.master_seed", problems, integer=True)
-    _expect_number(resolved, "sim.sensing_range", problems, low=0)
-    _expect_number(resolved, "sim.max_lane_deviation", problems, low=0)
-    if resolved["sim"]["ego"] not in ("simulate", "replay"):
-        problems.append("sim.ego: must be 'simulate' or 'replay'")
-    if not isinstance(resolved["sim"]["lane_change_enabled"], bool):
-        problems.append("sim.lane_change_enabled: must be a boolean")
-
-    for key in ("T_range", "s0_range", "a_range", "b_range"):
-        rng = resolved["idm"][key]
-        if (not isinstance(rng, (list, tuple)) or len(rng) != 2
-                or rng[0] > rng[1] or rng[0] < 0):
-            problems.append(f"idm.{key}: must be [low, high] with 0 <= low <= high")
-    _expect_number(resolved, "idm.delta", problems, low=0)
-
-    _expect_number(resolved, "mobil.p", problems, low=0, strict_low=False)
-    _expect_number(resolved, "mobil.b_safe", problems, low=0)
-    _expect_number(resolved, "mobil.da_th", problems)
-    _expect_number(resolved, "mobil.da_bias", problems)
-
-    for key in ("kp_lateral", "kp_heading", "kp_speed"):
-        _expect_number(resolved, f"controller.{key}", problems, low=0)
-    _expect_number(resolved, "controller.phi_max_deg", problems, low=0, high=90)
-    _expect_number(resolved, "controller.psi_req_max_deg", problems,
-                   low=0, high=90)
-    _expect_number(resolved, "controller.v_eps", problems, low=0)
-    _expect_number(resolved, "controller.epsilon_std", problems, low=0,
-                   strict_low=False)
-    _expect_number(resolved, "controller.a_max_decel", problems, low=0)
-    _expect_number(resolved, "controller.lookahead_time", problems, low=0,
-                   strict_low=False)
-    _expect_number(resolved, "controller.lookahead_min", problems, low=0,
-                   strict_low=False)
-
-    _expect_number(resolved, "road.join_tolerance", problems, low=0,
-                   strict_low=False)
-    _expect_number(resolved, "road.max_snap_distance", problems, low=0)
-    _expect_number(resolved, "road.default_lane_width", problems, low=0)
-    _expect_number(resolved, "road.straight_threshold_deg", problems,
-                   low=0, high=180)
-    _expect_number(resolved, "road.horizon_dist", problems, low=0)
-    _expect_number(resolved, "road.max_routes", problems, low=1,
-                   strict_low=False, integer=True)
-
-    _expect_number(resolved, "behavior.noise_std", problems, low=0,
-                   strict_low=False)
-    _expect_number(resolved, "behavior.min_spawn_gap", problems, low=0,
-                   strict_low=False)
-    _expect_number(resolved, "behavior.turn_rate_threshold", problems, low=0)
-    _expect_number(resolved, "behavior.turn_rate_sustain", problems, low=0,
-                   strict_low=False)
-
-    for key in ("H", "W"):
-        _expect_number(resolved, f"grid.{key}", problems, low=0, integer=True)
-    _expect_number(resolved, "grid.resolution", problems, low=0)
-    _expect_number(resolved, "grid.t_obs", problems, low=0, integer=True)
-    _expect_number(resolved, "grid.stride", problems, low=0, integer=True)
-
     if problems:
         raise ConfigError(problems)
     return RunConfig(resolved)
 
 
+def set_key(raw, dotted, value):
+    """Set ``raw[a][b]...`` for the dotted key ``a.b...`` in place.
+
+    Raises :class:`ConfigError` naming the key when a prefix of it holds a
+    value that is not an object.
+    """
+    parts = dotted.split(".")
+    node = raw
+    for i, part in enumerate(parts[:-1]):
+        node = node.setdefault(part, {})
+        if not isinstance(node, dict):
+            prefix = ".".join(parts[:i + 1])
+            raise ConfigError([f"cannot set {dotted}: {prefix} is "
+                               f"{node!r}, not an object"])
+    node[parts[-1]] = value
+
+
 def apply_overrides(raw, overrides):
-    """Apply ``section.key=value`` strings onto a raw config dict."""
+    """Apply ``section.key=value`` strings onto a copy of a raw config."""
     out = copy.deepcopy(raw) if raw else {}
     for item in overrides or []:
         if "=" not in item:
             raise ConfigError([f"--set {item!r}: expected key=value"])
         dotted, text = item.split("=", 1)
-        parts = dotted.strip().split(".")
-        if len(parts) < 2:
+        dotted = dotted.strip()
+        if "." not in dotted:
             raise ConfigError([f"--set {item!r}: key must be dotted (a.b)"])
         try:
             value = json.loads(text)
         except json.JSONDecodeError:
             value = text
-        node = out
-        for p in parts[:-1]:
-            node = node.setdefault(p, {})
-        node[parts[-1]] = value
+        set_key(out, dotted, value)
     return out

@@ -8,13 +8,12 @@ acceleration.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
+from trafficforge.config import ControllerParams
 from trafficforge.geometry import wrap_angle
-
-A_MAX_DECEL = 8.0
 
 
 @dataclass
@@ -38,33 +37,13 @@ class VehicleGeometry:
     width: float = 1.8
 
 
-@dataclass
-class ControllerParams:
-    kp_lateral: float = 1.0
-    kp_heading: float = 2.0
-    epsilon: float = 0.0            # per-agent lane-offset noise, meters
-    lookahead_time: float = 0.8
-    lookahead_min: float = 2.0
-    kp_speed: float = 1.0
-    phi_max: float = field(default=math.radians(35.0))
-    psi_req_max: float = field(default=math.radians(45.0))
-    v_eps: float = 0.5
-    a_max_decel: float = A_MAX_DECEL
-
-    def validate(self):
-        if min(self.kp_lateral, self.kp_heading, self.kp_speed) <= 0:
-            raise ValueError("controller gains must be positive")
-        if not 0 < self.phi_max < math.pi / 2:
-            raise ValueError("phi_max must be in (0, pi/2)")
-
-
 def lateral_velocity(kp_lateral, x_lateral, epsilon):
     """v_lateral command; positive offsets (left of lane) steer right."""
     return -kp_lateral * (x_lateral + epsilon)
 
 
-def required_heading(v, v_lateral, v_eps=0.5,
-                     psi_req_max=math.radians(45.0)):
+def required_heading(v, v_lateral, v_eps=ControllerParams.v_eps,
+                     psi_req_max=ControllerParams.psi_req_max):
     """arcsin(v_lateral / v) with a low-speed floor and saturation."""
     vv = v if v > v_eps else v_eps
     ratio = v_lateral / vv
@@ -85,8 +64,8 @@ def heading_rate(kp_heading, psi_future, psi_req, psi_current):
     return kp_heading * wrap_angle(psi_future + psi_req - psi_current)
 
 
-def steering_from_rate(L, v, psi_dot, v_eps=0.5,
-                       phi_max=math.radians(35.0)):
+def steering_from_rate(L, v, psi_dot, v_eps=ControllerParams.v_eps,
+                       phi_max=ControllerParams.phi_max):
     """phi = arctan(L * psi_dot / v), floored at v_eps, clamped at phi_max."""
     vv = v if v > v_eps else v_eps
     phi = math.atan(L * psi_dot / vv)
@@ -107,7 +86,8 @@ def steer_to_lane(x_lateral, epsilon, psi_future, psi_current, v,
 
 
 def longitudinal_command(v, v_ref, kp_speed, a_idm,
-                         a_max_decel=A_MAX_DECEL, a_cap=math.inf):
+                         a_max_decel=ControllerParams.a_max_decel,
+                         a_cap=math.inf):
     """min(kp * (v_ref - v), a_idm); the safety ceiling is absolute.
 
     ``a_cap`` is the comfort limit (the caller usually passes the agent's

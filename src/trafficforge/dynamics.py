@@ -15,42 +15,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from trafficforge.controller import A_MAX_DECEL
-
-# sampling ranges for per-agent parameter draws: (low, high)
-T_RANGE = (0.5, 2.5)
-S0_RANGE = (0.5, 4.0)
-A_RANGE = (1.0, 2.0)
-B_RANGE = (1.5, 2.5)
-DELTA = 4.0
-
-SENSING_RANGE = 100.0
+from trafficforge.config import default
 
 
 @dataclass
 class IdmParams:
     v0: float           # desired speed; the engine sets this per step
-    delta: float = DELTA
+    delta: float = default("idm.delta")
     T: float = 1.5
     s0: float = 2.0
     a: float = 1.5
     b: float = 2.0
-
-    def validate(self):
-        if min(self.a, self.b, self.s0, self.delta, self.v0) <= 0 or self.T < 0:
-            raise ValueError("invalid IDM parameters")
-
-
-@dataclass
-class MobilParams:
-    p: float = 0.3          # politeness factor
-    da_th: float = 0.1      # acceleration-gain threshold, m/s^2
-    b_safe: float = 4.0     # max braking imposed on anyone, m/s^2
-    da_bias: float = 0.3    # bias toward the rightmost lane, m/s^2
-
-    def validate(self):
-        if self.b_safe <= 0 or self.p < 0:
-            raise ValueError("invalid MOBIL parameters")
 
 
 @dataclass
@@ -72,7 +47,8 @@ def desired_gap(params, v, dv):
     return params.s0 + dyn
 
 
-def idm_accel(params, leader, v, a_max_decel=A_MAX_DECEL):
+def idm_accel(params, leader, v,
+              a_max_decel=default("controller.a_max_decel")):
     """Safe longitudinal acceleration; free road when ``leader`` is None.
 
     Clamped to [-a_max_decel, params.a]. A non-positive gap (prevented
@@ -93,9 +69,13 @@ def idm_accel(params, leader, v, a_max_decel=A_MAX_DECEL):
     return acc
 
 
-def sample_idm_params(rng_seed, v0, T_range=T_RANGE, s0_range=S0_RANGE,
-                      a_range=A_RANGE, b_range=B_RANGE, delta=DELTA):
-    """Draw per-agent IDM parameters uniformly from the documented ranges."""
+def sample_idm_params(rng_seed, v0, T_range=default("idm.T_range"),
+                      s0_range=default("idm.s0_range"),
+                      a_range=default("idm.a_range"),
+                      b_range=default("idm.b_range"),
+                      delta=default("idm.delta")):
+    """Draw per-agent IDM parameters uniformly from (low, high) ranges;
+    the defaults are the ``idm.*_range`` config keys."""
     rng = np.random.default_rng(rng_seed)
     return IdmParams(
         v0=v0,
@@ -140,7 +120,7 @@ class Snapshot:
 
 
 def find_leader(snapshot, subject_id, route,
-                sensing_range=SENSING_RANGE):
+                sensing_range=default("sim.sensing_range")):
     """First agent ahead of the subject along its route.
 
     Only agents on the route's edges (``snapshot.by_edge``) are examined.

@@ -34,10 +34,6 @@ def _running_total(seg):
     return cum
 
 
-def polyline_length(pts):
-    return float(segment_lengths(pts).sum())
-
-
 def segment_headings(pts):
     d = np.diff(pts, axis=0)
     return np.arctan2(d[:, 1], d[:, 0])

@@ -138,20 +138,22 @@ def nll(pset, horizon_steps, cov_reg=KDE_COV_REG):
     return float(np.mean(vals))
 
 
-def validity_ratio(trajs, context, margin=0.5):
+def validity_ratio(trajs, context, margin=0.5,
+                   max_snap_distance=road_graph.MAX_SNAP_DISTANCE):
     """Fraction of trajectories whose every point lies on the road.
 
-    ``context`` is either a RoadGraph (each point must lie within half a
-    lane width plus ``margin`` of the lane it snaps to, see
-    :func:`road_graph.within_lanes`) or a ContextMap raster (each point
-    must land on a road or lane cell; off-raster is invalid). Either test
-    takes a whole trajectory at once.
+    ``context`` is either a RoadGraph (each point must snap to a lane
+    within ``max_snap_distance`` and lie within half its lane width plus
+    ``margin``, see :func:`road_graph.within_lanes`) or a ContextMap
+    raster (each point must land on a road or lane cell; off-raster is
+    invalid). Either test takes a whole trajectory at once.
     """
     if not trajs:
         raise ValueError("no trajectories")
     if isinstance(context, road_graph.RoadGraph):
         def on_road(points):
-            return road_graph.within_lanes(context, points, margin)
+            return road_graph.within_lanes(context, points, margin,
+                                           max_snap_distance)
     else:
         on_road = context.on_road
     return sum(bool(on_road(traj.points).all()) for traj in trajs) / len(trajs)

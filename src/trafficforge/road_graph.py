@@ -17,16 +17,14 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from trafficforge import geometry
+from trafficforge.config import default
 from trafficforge.errors import MapFormatError, OffMapError
 from trafficforge.geometry import wrap_angle
 
-JOIN_TOLERANCE = 0.5
-MAX_SNAP_DISTANCE = 10.0
-DEFAULT_LANE_WIDTH = 3.5
-STRAIGHT_THRESHOLD = math.radians(30.0)
-U_TURN_THRESHOLD = math.radians(150.0)
-HORIZON_DIST = 120.0
-MAX_ROUTES = 16
+MAX_SNAP_DISTANCE = default("road.max_snap_distance")
+STRAIGHT_THRESHOLD = math.radians(default("road.straight_threshold_deg"))
+HORIZON_DIST = default("road.horizon_dist")
+MAX_ROUTES = default("road.max_routes")
 _SEED_SPACING = 1.0
 _TIE_EPS = 1e-6
 
@@ -169,10 +167,6 @@ class Route:
         self.total_length = float(self.cum[-1])
         self.maneuver = _maneuver_of(self.cumulative_heading_change)
 
-    @property
-    def u_turn_like(self):
-        return abs(self.cumulative_heading_change) > U_TURN_THRESHOLD
-
     def point_at(self, s):
         return geometry.point_at(self.polyline, self.cum, s)
 
@@ -233,8 +227,8 @@ def _maneuver_of(dpsi, straight_threshold=STRAIGHT_THRESHOLD):
     return "straight"
 
 
-def build_graph(lane_spec, join_tolerance=JOIN_TOLERANCE,
-                default_lane_width=DEFAULT_LANE_WIDTH):
+def build_graph(lane_spec, join_tolerance=default("road.join_tolerance"),
+                default_lane_width=default("road.default_lane_width")):
     """Build the directed lane graph from a parsed map description.
 
     Every centerline contributes one directed edge per lane. One-way
@@ -358,16 +352,18 @@ def project_to_lane(graph, point, heading_hint=None,
     return LaneCoordinate(eid, s, lateral, heading_of(winner))
 
 
-def within_lanes(graph, points, margin):
+def within_lanes(graph, points, margin,
+                 max_snap_distance=MAX_SNAP_DISTANCE):
     """Which of the (P, 2) ``points`` lie on the lane they snap to.
 
     A point is within its lane when :func:`project_to_lane` without a
-    heading hint snaps it, and the absolute lateral offset to the edge it
-    picks is at most half that edge's lane width plus ``margin``. Per
-    point, with ``d0`` its distance to the nearest seed, that is: off-map
-    if ``d0 - seed spacing > MAX_SNAP_DISTANCE``; otherwise the edges with
+    heading hint snaps it within ``max_snap_distance``, and the absolute
+    lateral offset to the edge it picks is at most half that edge's lane
+    width plus ``margin``. Per point, with ``d0`` its distance to the
+    nearest seed, that is: off-map if
+    ``d0 - seed spacing > max_snap_distance``; otherwise the edges with
     a seed within ``d0 + seed spacing`` are the candidates, ``dmin`` is
-    their smallest distance, off-map if ``dmin > MAX_SNAP_DISTANCE``, and
+    their smallest distance, off-map if ``dmin > max_snap_distance``, and
     the winner is the lowest edge id within ``dmin + 1e-6``.
 
     The candidates of all the points are merged into one union, so one
@@ -387,7 +383,7 @@ def within_lanes(graph, points, margin):
     table = graph._segments
     ok = np.zeros(len(q), dtype=bool)
     d0, _ = graph._kd.query(q)
-    near = np.flatnonzero(d0 - _SEED_SPACING <= MAX_SNAP_DISTANCE)
+    near = np.flatnonzero(d0 - _SEED_SPACING <= max_snap_distance)
     if not len(near):
         return ok
     hits = graph._kd.query_ball_point(q[near], d0[near] + _SEED_SPACING)
@@ -397,7 +393,7 @@ def within_lanes(graph, points, margin):
     dmin = dist.min(axis=1)
     winner = np.argmax(dist <= (dmin + _TIE_EPS)[:, None], axis=1)
     lateral = dist[np.arange(len(near)), winner]
-    ok[near] = (dmin <= MAX_SNAP_DISTANCE) \
+    ok[near] = (dmin <= max_snap_distance) \
         & (lateral <= table.half_width[k[winner]] + margin)
     return ok
 

@@ -13,11 +13,10 @@ from typing import Optional
 import numpy as np
 
 from trafficforge import road_graph
+from trafficforge.config import default
 from trafficforge.controller import VehicleGeometry, VehicleState
 from trafficforge.errors import EmptySceneError, OffMapError
 from trafficforge.geometry import wrap_angle
-
-MIN_SPAWN_GAP = 2.0
 
 
 @dataclass
@@ -152,7 +151,7 @@ def _finite_difference_speed(tracklet, t):
 
 
 def instantiate_agents(graph, tracklets, t0, scene_id="scene",
-                       min_spawn_gap=MIN_SPAWN_GAP,
+                       min_spawn_gap=default("behavior.min_spawn_gap"),
                        max_snap_distance=road_graph.MAX_SNAP_DISTANCE):
     """Project tracklets at ``t0`` onto the graph and build a Scene.
 

@@ -11,7 +11,7 @@ import dataclasses
 import io
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from operator import itemgetter
 from typing import Optional
 
@@ -19,8 +19,9 @@ import numpy as np
 
 from trafficforge import behavior as behavior_mod
 from trafficforge import dynamics, geometry, road_graph
-from trafficforge.controller import (ControllerParams, longitudinal_command,
-                                     steer_to_lane, step_kinematics)
+from trafficforge.config import default
+from trafficforge.controller import (longitudinal_command, steer_to_lane,
+                                     step_kinematics)
 from trafficforge.errors import ConfigError, OffMapError, TrafficForgeError
 from trafficforge.util import derive_seed, digest
 
@@ -28,53 +29,6 @@ V0_FLOOR = 0.1          # reference speed floor for the free-flow term
 EXIT_EPS = 1e-6
 MOBIL_EVAL_MAX_OFFSET = 0.5   # only consider lane changes near the centerline
 LANE_CHANGE_SETTLED = 0.3     # offset below which a transition counts as done
-
-
-@dataclass
-class SimConfig:
-    dt: float = 0.1
-    horizon: float = 7.0
-    max_variants: int = 3
-    master_seed: int = 0
-    ego_mode: str = "simulate"          # or "replay"
-    sensing_range: float = dynamics.SENSING_RANGE
-    max_lane_deviation: float = 3.0
-    horizon_dist: float = road_graph.HORIZON_DIST
-    max_routes: int = road_graph.MAX_ROUTES
-    profile_noise_std: float = behavior_mod.PROFILE_NOISE_STD
-    epsilon_std: float = 0.2
-    lane_change_enabled: bool = True
-    idm_ranges: dict = field(default_factory=lambda: {
-        "T_range": dynamics.T_RANGE, "s0_range": dynamics.S0_RANGE,
-        "a_range": dynamics.A_RANGE, "b_range": dynamics.B_RANGE})
-    mobil: dynamics.MobilParams = field(default_factory=dynamics.MobilParams)
-    controller: ControllerParams = field(default_factory=ControllerParams)
-
-    def validate(self):
-        problems = []
-        if self.dt <= 0:
-            problems.append("sim.dt must be positive")
-        else:
-            steps = self.horizon / self.dt
-            if self.horizon <= 0 or abs(steps - round(steps)) > 1e-9:
-                problems.append("sim.horizon must be a positive multiple of sim.dt")
-        if self.max_variants < 1:
-            problems.append("sim.max_variants must be >= 1")
-        if self.ego_mode not in ("simulate", "replay"):
-            problems.append("sim.ego_mode must be 'simulate' or 'replay'")
-        if self.sensing_range <= 0:
-            problems.append("sim.sensing_range must be positive")
-        if problems:
-            raise ConfigError(problems)
-        return self
-
-    @property
-    def n_steps(self):
-        return int(round(self.horizon / self.dt))
-
-    def to_dict(self):
-        d = dataclasses.asdict(self)
-        return d
 
 
 @dataclass
@@ -204,7 +158,6 @@ def _edge_at(route, s):
 
 def simulate_scene(scene, assignment, config, variant_index=0):
     """Run one behavior variant of a scene and return its SimLog."""
-    config.validate()
     agent_ids = {a.agent_id for a in scene.agents}
     unknown = set(assignment) - agent_ids
     if unknown:
@@ -474,11 +427,11 @@ def read_simlog_csv(csv_path, sidecar=None):
                                    f"{line_no}: {type(exc).__name__}: {exc}"]
                                   ) from exc
     side_agents = {}
-    dt = 0.1
-    master_seed, cfg_digest = 0, ""
+    dt = default("sim.dt")
+    master_seed, cfg_digest = default("sim.master_seed"), ""
     if sidecar:
         dt = float(sidecar.get("dt", dt))
-        master_seed = sidecar.get("master_seed", 0)
+        master_seed = sidecar.get("master_seed", master_seed)
         cfg_digest = sidecar.get("config_digest", "")
         side_agents = {a["agent_id"]: a for a in sidecar.get("agents", [])}
     agents = []
@@ -510,8 +463,16 @@ def run_dataset(scenes, pool, config, jobs=1):
     scenes that raised a TrafficForgeError or ValueError, which are
     skipped without aborting the batch. Any other exception is a bug and
     propagates. Results are byte-identical for any ``jobs`` value.
+
+    Profiles are replayed one sample per simulation step, so a pool
+    recorded at another time step than ``config.dt`` raises
+    :class:`ConfigError` before any scene runs.
     """
-    config.validate()
+    for profile in pool.profiles:
+        if abs(profile.dt - config.dt) > 1e-9:
+            raise ConfigError([f"profile pool dt {profile.dt} differs from "
+                               f"sim.dt {config.dt}; rebuild the pool with "
+                               f"profile-pool --dt {config.dt}"])
     if not scenes:
         raise ValueError("no scenes to simulate")
     tasks = [(scene, pool, config) for scene in scenes]

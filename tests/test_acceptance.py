@@ -19,11 +19,12 @@ from trafficforge import behavior, bev_render, metrics, road_graph
 from trafficforge import scene_ingest
 from trafficforge.behavior import BehaviorAssignment, VelocityProfile
 from trafficforge.cli import dispatch
+from trafficforge.config import SimConfig
 from trafficforge.controller import ControllerParams, VehicleGeometry, \
     VehicleState, steer_to_lane, step_kinematics
 from trafficforge.dynamics import (IdmParams, LeaderInfo, desired_gap,
                                    idm_accel, sample_idm_params)
-from trafficforge.sim_engine import SimConfig, simulate_scene
+from trafficforge.sim_engine import simulate_scene
 
 
 def _line(num, ok, detail):

@@ -18,7 +18,8 @@ from trafficforge.bev_render import (GridSpec, build_grid_sample,
                                      export_sequence, rasterize_states,
                                      read_grid_sample, render_context,
                                      write_grid_sample)
-from trafficforge.sim_engine import SimConfig, simulate_scene
+from trafficforge.config import SimConfig
+from trafficforge.sim_engine import simulate_scene
 
 
 class _EmptyGraph:

@@ -350,6 +350,62 @@ def test_non_object_config_exits_1(tmp_path, capsys, command):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("config, flags, message", [
+    ("[]", [], "config file {config}: configuration must be a JSON object"),
+    ("0", [], "config file {config}: configuration must be a JSON object"),
+    ('""', [], "config file {config}: configuration must be a JSON object"),
+    ("null", [], "config file {config}: configuration must be a JSON object"),
+    ('{"sim": 5}', ["--set", "sim.dt=0.1"],
+     "cannot set sim.dt: sim is 5, not an object"),
+    (None, ["--set", "sim.dt=0.1", "--set", "sim.dt.x=1"],
+     "cannot set sim.dt.x: sim.dt is 0.1, not an object"),
+    (None, ["--set", "sim.max_variants=Infinity"],
+     "sim.max_variants: expected an integer >= 1, got inf"),
+    (None, ["--set", "sim.horizon=Infinity"],
+     "sim.horizon: expected a number > 0, got inf"),
+    (None, ["--set", 'idm.T_range=["a", 1]'],
+     "idm.T_range: must be [low, high] with 0 <= low <= high"),
+], ids=["empty-list", "zero", "empty-string", "null", "section-not-object",
+        "key-not-object", "infinite-integer", "infinite-horizon",
+        "range-not-numbers"])
+def test_malformed_config_input_exits_1(sim_logs, tmp_path, capsys, config,
+                                        flags, message):
+    path = tmp_path / "config.json"
+    if config is not None:
+        path.write_text(config + "\n")
+        flags = [*flags, "--config", str(path)]
+    out = tmp_path / "out"
+    rc = dispatch(["simulate", "--map", str(sim_logs / "map.json"),
+                   "--tracklets", str(sim_logs / "tracklets"),
+                   "--pool", str(sim_logs / "pool.json"), "--seed", "1",
+                   *flags, "--out", str(out)])
+    assert rc == 1
+    assert "error: " + message.format(config=path) in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_pool_dt_must_match_sim_dt(sim_logs, tmp_path, capsys):
+    def simulate(pool, *flags):
+        return dispatch(["simulate", "--map", str(sim_logs / "map.json"),
+                         "--tracklets", str(sim_logs / "tracklets"),
+                         "--pool", str(pool), "--seed", "1", *flags,
+                         "--out", str(tmp_path / "logs")])
+
+    pool = tmp_path / "pool.json"
+    assert dispatch(["profile-pool", "--tracklets",
+                     str(sim_logs / "pool_tracks.json"), "--dt", "0.2",
+                     "--out", str(pool)]) == 0
+    assert simulate(pool) == 1
+    assert "error: profile pool dt 0.2 differs from sim.dt 0.1" \
+        in capsys.readouterr().err
+    assert not (tmp_path / "logs").exists()
+    # without --dt the pool is built at sim.dt
+    assert dispatch(["profile-pool", "--tracklets",
+                     str(sim_logs / "pool_tracks.json"),
+                     "--set", "sim.dt=0.2", "--out", str(pool)]) == 0
+    assert simulate(pool, "--set", "sim.dt=0.2") == 0
+
+
 def test_render_accepts_integer_valued_floats(sim_logs, tmp_path):
     # validation lets 16.0 pass as an integer, so the header must get 16
     out = tmp_path / "grids"

@@ -163,11 +163,3 @@ def test_lane_keeping_steering_bounded():
         st = step_kinematics(st, 0.0, phi, geom, 0.1)
         assert -math.pi < st.psi <= math.pi
         assert st.v >= 0
-
-
-def test_controller_params_validation():
-    with pytest.raises(ValueError):
-        ControllerParams(kp_lateral=0.0).validate()
-    with pytest.raises(ValueError):
-        ControllerParams(phi_max=2.0).validate()
-    ControllerParams().validate()

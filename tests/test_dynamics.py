@@ -10,9 +10,10 @@ from hypothesis import strategies as st
 from helpers import ring_map, straight_map
 
 from trafficforge import road_graph
-from trafficforge.dynamics import (IdmParams, LeaderInfo, MobilParams,
-                                   Snapshot, desired_gap, find_leader,
-                                   idm_accel, mobil_decide, nearest_behind,
+from trafficforge.config import MobilParams
+from trafficforge.dynamics import (IdmParams, LeaderInfo, Snapshot,
+                                   desired_gap, find_leader, idm_accel,
+                                   mobil_decide, nearest_behind,
                                    sample_idm_params)
 
 

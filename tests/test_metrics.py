@@ -144,10 +144,11 @@ def test_validity_ratio_graph_mode():
     assert validity_ratio([on, on, on, off, off, off], g) == 0.5
 
 
-def _on_graph(graph, point, margin):
+def _on_graph(graph, point, margin, limit=road_graph.MAX_SNAP_DISTANCE):
     """Per-point reference for graph validity: one project_to_lane snap."""
     try:
-        coord = road_graph.project_to_lane(graph, point)
+        coord = road_graph.project_to_lane(graph, point,
+                                           max_snap_distance=limit)
     except OffMapError:
         return False
     half = graph.edges[coord.edge_id].lane_width / 2.0
@@ -185,25 +186,30 @@ _GRAPHS = {
     "ring": road_graph.build_graph(ring_map()),
     "near-tie": road_graph.build_graph(_NEAR_TIE),
 }
-# lateral offsets: on the lane, about the validity limit, past the snap
-# limit in either off-map test, and exactly at or next to the limit
-_OFFSETS = st.one_of(
-    st.floats(-3.0, 3.0),
-    st.tuples(st.floats(9.5, 11.5), st.sampled_from([-1.0, 1.0])).map(
-        lambda t: t[0] * t[1]),
-    st.sampled_from(["limit", "above", "below"]))
+def _offsets(snap):
+    """Lateral offsets: on the lane, about the validity limit, past the
+    snap limit ``snap`` in either off-map test, and exactly at or next to
+    the validity limit."""
+    return st.one_of(
+        st.floats(-3.0, 3.0),
+        st.tuples(st.floats(snap - 0.5, snap + 1.5),
+                  st.sampled_from([-1.0, 1.0])).map(lambda t: t[0] * t[1]),
+        st.sampled_from(["limit", "above", "below"]))
 
 
 @st.composite
 def graph_trajectories(draw):
-    """(graph, margin, points): a walk along successive edges, offset
-    sideways. A 9 m margin puts the validity limit past the snap limit."""
+    """(graph, margin, snap limit, points): a walk along successive edges,
+    offset sideways. A 9 m margin puts the validity limit past the default
+    snap limit, and so do the smaller snap limits."""
     graph = _GRAPHS[draw(st.sampled_from(sorted(_GRAPHS)))]
     margin = draw(st.sampled_from([0.5, 9.0]))
+    snap = draw(st.sampled_from([0.01, 1.0, 2.0, 10.0]))
     eid = draw(st.sampled_from(sorted(graph.edges)))
     s = draw(st.floats(0.0, graph.edges[eid].length))
     pts = []
-    for step, off in draw(st.lists(st.tuples(st.floats(0.0, 6.0), _OFFSETS),
+    for step, off in draw(st.lists(st.tuples(st.floats(0.0, 6.0),
+                                             _offsets(snap)),
                                    min_size=2, max_size=120)):
         edge = graph.edges[eid]
         s += step
@@ -221,16 +227,17 @@ def graph_trajectories(draw):
             off = {"limit": limit, "above": np.nextafter(limit, np.inf),
                    "below": np.nextafter(limit, 0.0)}[off]
         pts.append(p + off * np.array([-math.sin(heading), math.cos(heading)]))
-    return graph, margin, np.array(pts)
+    return graph, margin, snap, np.array(pts)
 
 
 @settings(max_examples=300, deadline=None)
 @given(graph_trajectories())
 def test_graph_validity_matches_per_point_reference(case):
-    graph, margin, pts = case
-    ref = [_on_graph(graph, p, margin) for p in pts]
-    assert road_graph.within_lanes(graph, pts, margin).tolist() == ref
-    assert validity_ratio([_traj(pts)], graph, margin) == float(all(ref))
+    graph, margin, snap, pts = case
+    ref = [_on_graph(graph, p, margin, snap) for p in pts]
+    assert road_graph.within_lanes(graph, pts, margin, snap).tolist() == ref
+    assert validity_ratio([_traj(pts)], graph, margin, snap) \
+        == float(all(ref))
 
 
 def test_graph_validity_limits():

@@ -304,7 +304,8 @@ def test_u_turn_flag(intersection_graph):
     start = project_to_lane(intersection_graph, (-50.0, -1.75),
                             heading_hint=0.0)
     routes = enumerate_routes(intersection_graph, start)
-    assert all(not r.u_turn_like for r in routes)
+    assert all(abs(r.cumulative_heading_change) <= math.radians(150)
+               for r in routes)
 
 
 def test_segment_table_distances_match_project_point(rng):

@@ -12,8 +12,9 @@ from helpers import (approach_point, four_way_intersection, straight_map,
 
 from trafficforge import behavior, road_graph, scene_ingest, sim_engine
 from trafficforge.behavior import BehaviorAssignment, VelocityProfile
+from trafficforge.config import SimConfig
 from trafficforge.errors import ConfigError
-from trafficforge.sim_engine import (SimConfig, read_simlog_csv, run_dataset,
+from trafficforge.sim_engine import (read_simlog_csv, run_dataset,
                                      simulate_scene)
 
 
@@ -253,16 +254,6 @@ def test_replay_non_finite_position_raises():
     del asg[1]
     with pytest.raises(ValueError, match="finite"):
         simulate_scene(scene, asg, SimConfig(master_seed=6, ego_mode="replay"))
-
-
-def test_config_validation():
-    with pytest.raises(ConfigError):
-        SimConfig(dt=0.0).validate()
-    with pytest.raises(ConfigError):
-        SimConfig(dt=0.1, horizon=7.05).validate()
-    with pytest.raises(ConfigError):
-        SimConfig(ego_mode="other").validate()
-    SimConfig().validate()
 
 
 def _three_lane_mobil_log():
