@@ -15,7 +15,7 @@ import numpy as np
 
 from trafficforge import geometry, road_graph
 from trafficforge.config import default
-from trafficforge.errors import MissingProfileError
+from trafficforge.errors import ConfigError, MissingProfileError
 from trafficforge.geometry import wrap_angle
 from trafficforge.util import derive_seed
 
@@ -66,13 +66,37 @@ class ProfilePool:
         return json.dumps(doc, sort_keys=True)
 
     @classmethod
-    def from_json(cls, doc):
+    def from_json(cls, doc, source="profile pool"):
+        """Pool from its JSON document, as text or parsed.
+
+        Raises :class:`ConfigError` naming ``source`` when a key is
+        missing or a value is not of its type.
+        """
         if isinstance(doc, str):
             doc = json.loads(doc)
-        dt = float(doc["dt"])
-        profiles = [VelocityProfile(dt, np.asarray(p["samples"], float),
-                                    float(p["feature"]), p["label"])
-                    for p in doc["profiles"]]
+        where = source
+        try:
+            if not isinstance(doc, dict):
+                raise TypeError(f"expected a JSON object, got "
+                                f"{type(doc).__name__}")
+            dt = float(doc["dt"])
+            entries = doc["profiles"]
+            if not isinstance(entries, list):
+                raise TypeError(f"'profiles' must be a list, got "
+                                f"{type(entries).__name__}")
+            profiles = []
+            for i, p in enumerate(entries):
+                where = f"{source}: profile {i}"
+                samples = np.asarray(p["samples"], float)
+                if samples.ndim != 1 or not len(samples):
+                    raise ValueError("'samples' must be a non-empty list "
+                                     "of numbers")
+                profiles.append(VelocityProfile(
+                    dt, samples, float(p["feature"]), p["label"]))
+        except KeyError as exc:
+            raise ConfigError([f"{where}: missing key {exc}"]) from exc
+        except (TypeError, ValueError) as exc:
+            raise ConfigError([f"{where}: {exc}"]) from exc
         return cls(profiles)
 
 

@@ -159,7 +159,8 @@ def _load_scenes(args, cfg):
 def cmd_simulate(args):
     cfg = _resolve_config(args)
     sim_cfg = cfg.sim_config()
-    pool = behavior.ProfilePool.from_json(_load_json(args.pool, "pool"))
+    pool = behavior.ProfilePool.from_json(_load_json(args.pool, "pool"),
+                                          f"pool file {args.pool}")
     scenes = _load_scenes(args, cfg)
 
     logs, failures = sim_engine.run_dataset(scenes, pool, sim_cfg,

@@ -5,6 +5,7 @@ All polylines are (N, 2) float64 arrays in meters. Headings are radians in
 """
 
 import math
+from bisect import bisect_right
 
 import numpy as np
 
@@ -57,29 +58,68 @@ def point_at(pts, cum, s):
     return p, float(np.arctan2(d[1], d[0]))
 
 
-def project_point(pts, cum, q, lo=0, hi=None):
-    """Project ``q`` onto the polyline (segments lo..hi-1).
+class SegmentTable:
+    """The segments of one polyline as Python float lists, built once.
+
+    ``cum`` is the arc length at every vertex; per segment, ``ax``/``ay``
+    are the start points, ``dx``/``dy`` the directions, ``seg2`` the
+    squared lengths (zeros replaced by 1) and ``heading`` the
+    ``np.arctan2`` headings, the values :func:`point_at` returns.
+    Per-step queries touch a handful of segments, where a scalar loop
+    beats numpy's per-call overhead.
+    """
+
+    __slots__ = ("cum", "ax", "ay", "dx", "dy", "seg2", "heading")
+
+    def __init__(self, pts, cum):
+        a = pts[:-1]
+        d = pts[1:] - a
+        dx, dy = d[:, 0], d[:, 1]
+        seg2 = dx * dx + dy * dy
+        seg2[seg2 == 0.0] = 1.0
+        self.cum = cum.tolist()
+        self.ax, self.ay = a[:, 0].tolist(), a[:, 1].tolist()
+        self.dx, self.dy = dx.tolist(), dy.tolist()
+        self.seg2 = seg2.tolist()
+        self.heading = np.arctan2(dy, dx).tolist()
+
+    def heading_at(self, s):
+        """:func:`point_at`'s heading at ``s``, clamped to the polyline."""
+        cum = self.cum
+        s = min(max(s, 0.0), cum[-1])
+        i = bisect_right(cum, s) - 1
+        return self.heading[min(max(i, 0), len(self.heading) - 1)]
+
+
+def project_point(table, q, lo=0, hi=None):
+    """Project ``q`` onto the polyline of ``table`` (segments lo..hi-1).
 
     Returns (s, distance, signed_lateral) where the lateral offset is
-    positive when ``q`` lies left of the local travel direction.
+    positive when ``q`` lies left of the local travel direction. The
+    foot on each segment is clamped to it; the first segment with the
+    strictly smallest squared distance wins.
     """
+    qx, qy = float(q[0]), float(q[1])
     if hi is None:
-        hi = len(pts) - 1
-    a = pts[lo:hi]
-    b = pts[lo + 1:hi + 1]
-    d = b - a
-    seg2 = np.einsum("ij,ij->i", d, d)
-    seg2[seg2 == 0.0] = 1.0
-    t = np.clip(np.einsum("ij,ij->i", q - a, d) / seg2, 0.0, 1.0)
-    foot = a + t[:, None] * d
-    diff = q - foot
-    dist2 = np.einsum("ij,ij->i", diff, diff)
-    k = int(np.argmin(dist2))
-    s = float(cum[lo + k] + t[k] * np.sqrt(seg2[k]))
-    cross = d[k, 0] * (q[1] - a[k, 1]) - d[k, 1] * (q[0] - a[k, 0])
-    dist = float(np.sqrt(dist2[k]))
-    lateral = dist if cross > 0.0 else -dist
-    return s, dist, lateral
+        hi = len(table.seg2)
+    ax, ay, dx, dy, seg2 = table.ax, table.ay, table.dx, table.dy, table.seg2
+    best = None
+    for i in range(lo, hi):
+        x, y, ux, uy = ax[i], ay[i], dx[i], dy[i]
+        t = ((qx - x) * ux + (qy - y) * uy) / seg2[i]
+        if t < 0.0:
+            t = 0.0
+        elif t > 1.0:
+            t = 1.0
+        ex = qx - (x + t * ux)
+        ey = qy - (y + t * uy)
+        e2 = ex * ex + ey * ey
+        if best is None or e2 < best:
+            best, k, tk = e2, i, t
+    s = table.cum[k] + tk * math.sqrt(seg2[k])
+    cross = dx[k] * (qy - ay[k]) - dy[k] * (qx - ax[k])
+    dist = math.sqrt(best)
+    return s, dist, (dist if cross > 0.0 else -dist)
 
 
 def polyline_distances(q, a, d, seg2, starts):
@@ -87,11 +127,10 @@ def polyline_distances(q, a, d, seg2, starts):
 
     The polylines' segments are concatenated in the table ``a`` (starts),
     ``d`` (directions) and ``seg2`` (squared lengths, zeros replaced by 1,
-    as in :func:`project_point`); polyline ``k`` begins at segment row
+    as in :class:`SegmentTable`); polyline ``k`` begins at segment row
     ``starts[k]``. Returns a (P, E) array whose every entry is, bit for
     bit, the distance :func:`project_point` finds for that point and that
-    whole polyline: the same float operations in the same order, with
-    each two-term dot product written out as ``x0*y0 + x1*y1``.
+    whole polyline: the same float operations in the same order.
     """
     qx, qy = q[:, 0, None], q[:, 1, None]
     ax, ay, dx, dy = a[:, 0], a[:, 1], d[:, 0], d[:, 1]

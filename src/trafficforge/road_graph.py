@@ -11,6 +11,7 @@ merged into shared nodes.
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain
 
 import numpy as np
@@ -51,6 +52,10 @@ class LaneEdge:
         self.centerline_id = centerline_id
         self.left_neighbor = None   # edge id of the same-direction lane to the left
         self.right_neighbor = None
+
+    @cached_property
+    def table(self):
+        return geometry.SegmentTable(self.polyline, self.cum)
 
     def point_at(self, s):
         return geometry.point_at(self.polyline, self.cum, s)
@@ -141,49 +146,80 @@ class _SegmentTable:
 
 
 class Route:
-    """An ordered edge path with its concatenated centerline geometry."""
+    """An ordered edge path with its concatenated centerline geometry.
+
+    The edge spans are set up front; the geometry (``polyline``, ``cum``,
+    ``total_length``, ``maneuver``, the segment ``table``) is built on
+    first use, so a route that is only searched for leaders never builds
+    it. A route with no drivable length raises ``ValueError`` then.
+    """
 
     def __init__(self, graph, edge_ids, start, first_edge_partial):
         self.edge_ids = list(edge_ids)
         self.start = start
-        pieces = []
+        self._graph = graph
         self.edge_spans = []  # (edge_id, route_s_start, arc_on_edge_at_start)
         # edge_id -> [(route_s_start, arc_on_edge_at_start)] in route order
         self.spans_by_edge = {}
         s_acc = 0.0
         for k, eid in enumerate(self.edge_ids):
-            edge = graph.edges[eid]
             arc0 = start.arc_s if (k == 0 and first_edge_partial) else 0.0
-            pts = _slice_from(edge.polyline, edge.cum, arc0)
             self.edge_spans.append((eid, s_acc, arc0))
             self.spans_by_edge.setdefault(eid, []).append((s_acc, arc0))
-            s_acc += edge.length - arc0
+            s_acc += graph.edges[eid].length - arc0
+
+    @cached_property
+    def _tables(self):
+        pieces = []
+        for eid, _, arc0 in self.edge_spans:
+            edge = self._graph.edges[eid]
+            pts = _slice_from(edge.polyline, edge.cum, arc0)
             pieces.append(pts if not pieces else pts[1:])
-        poly, self.cum, self.cumulative_heading_change = \
-            geometry.polyline_tables(np.vstack(pieces))
+        poly, cum, dpsi = geometry.polyline_tables(np.vstack(pieces))
         if len(poly) < 2:
             raise ValueError("route has no drivable length")
-        self.polyline = poly
-        self.total_length = float(self.cum[-1])
-        self.maneuver = _maneuver_of(self.cumulative_heading_change)
+        return poly, cum, dpsi
+
+    @property
+    def polyline(self):
+        return self._tables[0]
+
+    @property
+    def cum(self):
+        return self._tables[1]
+
+    @property
+    def cumulative_heading_change(self):
+        return self._tables[2]
+
+    @cached_property
+    def total_length(self):
+        return float(self.cum[-1])
+
+    @cached_property
+    def maneuver(self):
+        return _maneuver_of(self.cumulative_heading_change)
+
+    @cached_property
+    def table(self):
+        return geometry.SegmentTable(self.polyline, self.cum)
 
     def point_at(self, s):
         return geometry.point_at(self.polyline, self.cum, s)
 
     def heading_at(self, s):
-        s = min(max(s, 0.0), self.total_length)
-        return self.point_at(s)[1]
+        return self.table.heading_at(s)
 
     def project_near(self, point, s_hint, back=5.0, fwd=10.0):
         """Windowed projection around ``s_hint``; returns (s, dist, lateral)."""
+        tab = self.table
         lo_s = max(s_hint - back, 0.0)
         hi_s = min(s_hint + fwd, self.total_length)
-        lo = max(bisect_right(self.cum, lo_s) - 1, 0)
-        hi = min(bisect_left(self.cum, hi_s) + 1, len(self.polyline) - 1)
+        lo = max(bisect_right(tab.cum, lo_s) - 1, 0)
+        hi = min(bisect_left(tab.cum, hi_s) + 1, len(tab.seg2))
         if hi <= lo:
             hi = lo + 1
-        return geometry.project_point(self.polyline, self.cum,
-                                      np.asarray(point, float), lo, hi)
+        return geometry.project_point(tab, point, lo, hi)
 
     def route_s_of(self, edge_id, arc_on_edge):
         """Arc position along the route of a point on one of its edges.
@@ -331,7 +367,7 @@ def project_to_lane(graph, point, heading_hint=None,
     hits = []
     for eid in candidates:
         edge = graph.edges[eid]
-        s, dist, lateral = geometry.project_point(edge.polyline, edge.cum, q)
+        s, dist, lateral = geometry.project_point(edge.table, q)
         hits.append((dist, eid, s, lateral))
     dmin = min(h[0] for h in hits)
     if dmin > max_snap_distance:

@@ -66,12 +66,14 @@ class SimLog:
     def write_csv(self, fh):
         fh.write(",".join(_CSV_HEADER) + "\n")
         for ag in self.agents:
-            for i in range(len(ag.t)):
-                vals = ",".join(repr(float(v)) for v in
-                                (ag.x[i], ag.y[i], ag.v[i], ag.psi[i],
-                                 ag.a[i], ag.phi[i]))
-                fh.write(f"{self.scene_id},{self.variant_index},"
-                         f"{ag.agent_id},{ag.t[i]:.3f},{vals},{ag.label}\n")
+            head = f"{self.scene_id},{self.variant_index},{ag.agent_id},"
+            tail = f",{ag.label}\n"
+            fh.write("".join(
+                f"{head}{t:.3f},{x!r},{y!r},{v!r},{psi!r},{a!r},{phi!r}{tail}"
+                for t, x, y, v, psi, a, phi in zip(
+                    ag.t.tolist(), ag.x.tolist(), ag.y.tolist(),
+                    ag.v.tolist(), ag.psi.tolist(), ag.a.tolist(),
+                    ag.phi.tolist())))
 
     def to_csv(self):
         buf = io.StringIO()
@@ -361,16 +363,19 @@ def _consider_lane_change(graph, run, snapshot, by_id, ac_old, config, step):
 def _retarget_route(graph, run, neighbor_eid, config):
     """Route continuing from the neighbor lane abeam the agent."""
     nb = graph.edges[neighbor_eid]
-    s_nb, dist, lat = geometry.project_point(nb.polyline, nb.cum,
-                                             run.state.position)
+    s_nb, dist, lat = geometry.project_point(nb.table, run.state.position)
     if s_nb >= nb.length - 1e-6:
         return None
     coord = road_graph.LaneCoordinate(neighbor_eid, s_nb, lat,
-                                      nb.point_at(s_nb)[1])
+                                      nb.table.heading_at(s_nb))
     routes = road_graph.enumerate_routes(graph, coord, config.horizon_dist,
                                          config.max_routes)
     if not routes:
         return None
+    if len(routes) == 1:
+        # the only candidate either way: its maneuver decides nothing, so
+        # its geometry is not built unless the change is accepted
+        return routes[0], 0.0
     same = [r for r in routes if r.maneuver == run.label]
     return (same[0] if same else routes[0]), 0.0
 

@@ -406,6 +406,28 @@ def test_pool_dt_must_match_sim_dt(sim_logs, tmp_path, capsys):
     assert simulate(pool, "--set", "sim.dt=0.2") == 0
 
 
+@pytest.mark.parametrize("doc, message", [
+    ({}, "missing key 'dt'"),
+    ({"dt": 0.1, "profiles": [{"label": "straight", "feature": 5.0}]},
+     "profile 0: missing key 'samples'"),
+    ({"dt": 0.1, "profiles": [{"label": "straight", "feature": "fast",
+                               "samples": [5.0, 5.0]}]},
+     "profile 0: could not convert string to float: 'fast'"),
+    ({"dt": 0.1, "profiles": {"label": "straight"}},
+     "'profiles' must be a list, got dict"),
+], ids=["empty", "no-samples", "non-numeric-feature", "profiles-not-list"])
+def test_malformed_pool_exits_1(sim_logs, tmp_path, capsys, doc, message):
+    pool = tmp_path / "pool.json"
+    pool.write_text(json.dumps(doc))
+    out = tmp_path / "logs"
+    rc = dispatch(["simulate", "--map", str(sim_logs / "map.json"),
+                   "--tracklets", str(sim_logs / "tracklets"),
+                   "--pool", str(pool), "--seed", "1", "--out", str(out)])
+    assert rc == 1
+    assert f"error: pool file {pool}: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_render_accepts_integer_valued_floats(sim_logs, tmp_path):
     # validation lets 16.0 pass as an integer, so the header must get 16
     out = tmp_path / "grids"

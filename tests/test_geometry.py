@@ -1,4 +1,4 @@
-"""Vectorized polyline tables against their scalar-loop references."""
+"""Polyline tables and projection against their reference implementations."""
 
 import math
 
@@ -25,6 +25,27 @@ def _heading_change_ref(pts):
     if len(h) < 2:
         return 0.0
     return float(sum(wrap_angle(h[i + 1] - h[i]) for i in range(len(h) - 1)))
+
+
+def _project_point_ref(pts, cum, q, lo=0, hi=None):
+    """The whole-array numpy projection that the scalar loop replaced."""
+    if hi is None:
+        hi = len(pts) - 1
+    a = pts[lo:hi]
+    b = pts[lo + 1:hi + 1]
+    d = b - a
+    seg2 = np.einsum("ij,ij->i", d, d)
+    seg2[seg2 == 0.0] = 1.0
+    t = np.clip(np.einsum("ij,ij->i", q - a, d) / seg2, 0.0, 1.0)
+    foot = a + t[:, None] * d
+    diff = q - foot
+    dist2 = np.einsum("ij,ij->i", diff, diff)
+    k = int(np.argmin(dist2))
+    s = float(cum[lo + k] + t[k] * np.sqrt(seg2[k]))
+    cross = d[k, 0] * (q[1] - a[k, 1]) - d[k, 1] * (q[0] - a[k, 0])
+    dist = float(np.sqrt(dist2[k]))
+    lateral = dist if cross > 0.0 else -dist
+    return s, dist, lateral
 
 
 def _cum_ref(pts):
@@ -113,5 +134,69 @@ def test_polyline_distances_match_project_point(polys, points, data):
     assert out.shape == (len(q), len(polys))
     for k, p in enumerate(polys):
         cum = geometry.cumulative_lengths(p)
-        assert out[:, k].tolist() == [geometry.project_point(p, cum, x)[1]
+        table = geometry.SegmentTable(p, cum)
+        assert out[:, k].tolist() == [geometry.project_point(table, x)[1]
                                       for x in q]
+
+
+@st.composite
+def projection_cases(draw):
+    """A polyline, a segment window lo..hi and a query point.
+
+    Polylines may retrace themselves, so whole segments coincide; query
+    points include vertices (distance 0 on both segments that meet
+    there, an exact tie) and points 400 m away.
+    """
+    pts = draw(polylines())
+    if draw(st.booleans()):
+        pts = np.vstack([pts, pts[-2::-1]])
+    n = len(pts) - 1
+    lo = draw(st.integers(0, n - 1))
+    hi = draw(st.integers(lo + 1, n))
+    kind = draw(st.sampled_from(["free", "vertex", "far"]))
+    if kind == "free":
+        q = (draw(st.floats(-300.0, 300.0)), draw(st.floats(-300.0, 300.0)))
+    else:
+        x, y = pts[draw(st.integers(0, n))]
+        if kind == "far":
+            heading = draw(_HEADINGS)
+            x, y = x + 400.0 * math.cos(heading), y + 400.0 * math.sin(heading)
+        q = (x, y)
+    return pts, lo, hi, np.array(q, dtype=np.float64)
+
+
+@settings(max_examples=500, deadline=None)
+@given(projection_cases())
+def test_project_point_matches_numpy_reference(case):
+    pts, lo, hi, q = case
+    cum = geometry.cumulative_lengths(pts)
+    table = geometry.SegmentTable(pts, cum)
+    assert geometry.project_point(table, q, lo, hi) == \
+        _project_point_ref(pts, cum, q, lo, hi)
+    assert geometry.project_point(table, q) == _project_point_ref(pts, cum, q)
+
+
+def test_project_point_ties_go_to_the_lower_segment():
+    # a lane that doubles back: the turning point (10, 0) is the nearest
+    # point of both segments, with the query left of the first and right
+    # of the second
+    pts = np.array([[0.0, 0.0], [10.0, 0.0], [0.0, 0.0]])
+    cum = geometry.cumulative_lengths(pts)
+    table = geometry.SegmentTable(pts, cum)
+    q = np.array([12.0, 3.0])
+    d = math.sqrt(13.0)
+    assert geometry.project_point(table, q) == (10.0, d, d)
+    assert geometry.project_point(table, q, 1, 2) == (10.0, d, -d)
+    assert geometry.project_point(table, q) == _project_point_ref(pts, cum, q)
+
+
+@settings(max_examples=200, deadline=None)
+@given(polylines())
+def test_segment_table_headings_match_point_at(pts):
+    # point_at takes np.arctan2 of one segment at a time; the table of
+    # the whole array at once
+    cum = geometry.cumulative_lengths(pts)
+    table = geometry.SegmentTable(pts, cum)
+    assert table.cum == cum.tolist()
+    assert table.heading == [float(np.arctan2(d[1], d[0]))
+                             for d in pts[1:] - pts[:-1]]

@@ -2,6 +2,7 @@
 
 import math
 import pickle
+import types
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ import pytest
 from helpers import (approach_point, four_way_intersection, ring_map,
                      straight_map)
 
-from trafficforge import geometry, road_graph
+from trafficforge import behavior, geometry, road_graph
 from trafficforge.errors import MapFormatError, OffMapError
 from trafficforge.road_graph import (build_graph, classify_maneuver,
                                      enumerate_routes, project_to_lane,
@@ -320,10 +321,60 @@ def test_segment_table_distances_match_project_point(rng):
         for col, eid in enumerate(table.edge_ids[k]):
             edge = g.edges[eid]
             assert out[:, col].tolist() == [
-                geometry.project_point(edge.polyline, edge.cum, p)[1]
-                for p in q]
+                geometry.project_point(edge.table, p)[1] for p in q]
         assert (table.half_width[k] == [g.edges[e].lane_width / 2.0
                                         for e in table.edge_ids[k]]).all()
+
+
+def test_route_heading_at_matches_point_at(rng):
+    g = build_graph(four_way_intersection())
+    routes = []
+    for deg in (0, 90):
+        x, y, psi = approach_point(deg, 12.5)
+        routes += enumerate_routes(g, project_to_lane(g, (x, y), psi))
+    ring = build_graph(ring_map())
+    routes += enumerate_routes(ring, project_to_lane(ring, (20.0, 0.5)),
+                               horizon_dist=120.0)
+    assert {r.maneuver for r in routes} == {"left", "right", "straight"}
+    edges = g.edges.values()
+    for path, heading_at in [((r.polyline, r.cum), r.heading_at)
+                             for r in routes] + \
+            [((e.polyline, e.cum), e.table.heading_at) for e in edges]:
+        total = float(path[1][-1])
+        s_values = path[1].tolist() + [0.0, total, -3.0, total + 3.0,
+                                       *rng.uniform(0.0, total, 50)]
+        for s in s_values:
+            want = geometry.point_at(*path, min(max(s, 0.0), total))[1]
+            assert heading_at(s) == want
+
+
+def test_route_geometry_is_built_on_first_use():
+    g = build_graph(four_way_intersection())
+    x, y, psi = approach_point(0, 12.5)
+    routes = enumerate_routes(g, project_to_lane(g, (x, y), psi))
+    assert all("_tables" not in vars(r) for r in routes)
+    # the edge spans are there without the geometry
+    assert routes[0].route_s_of(routes[0].edge_ids[1], 0.0) is not None
+    assert "_tables" not in vars(routes[0])
+    assert routes[0].total_length > 0.0
+    assert "_tables" in vars(routes[0]) and "table" not in vars(routes[0])
+
+
+def test_route_without_drivable_length_raises_on_geometry_use():
+    # 5e-9 m short of the end of a lane at x = 1e8, where a coordinate
+    # step is 1.5e-8 m: the route's start and end points coincide
+    g = build_graph({"centerlines": [{"id": 0, "points": [[1e8, 0.0],
+                                                          [1e8 + 10.0, 0.0]]}]})
+    start = road_graph.LaneCoordinate(0, 10.0 - 5e-9, 0.0, 0.0)
+    (route,) = enumerate_routes(g, start)
+    for read in (lambda r: r.maneuver, lambda r: r.total_length,
+                 lambda r: r.project_near((1e8 + 10.0, 0.0), 0.0)):
+        with pytest.raises(ValueError, match="route has no drivable length"):
+            read(route)
+    agent = types.SimpleNamespace(agent_id=1, lane=start)
+    with pytest.raises(ValueError, match="route has no drivable length"):
+        behavior.sample_behaviors(types.SimpleNamespace(agents=[agent]), g,
+                                  behavior.ProfilePool([]), 0)
 
 
 def test_graph_pickles_without_its_index():

@@ -10,7 +10,8 @@ import pytest
 from helpers import (approach_point, four_way_intersection, straight_map,
                      tracklets_doc)
 
-from trafficforge import behavior, road_graph, scene_ingest, sim_engine
+from trafficforge import (behavior, dynamics, geometry, road_graph,
+                          scene_ingest, sim_engine)
 from trafficforge.behavior import BehaviorAssignment, VelocityProfile
 from trafficforge.config import SimConfig
 from trafficforge.errors import ConfigError
@@ -256,7 +257,7 @@ def test_replay_non_finite_position_raises():
         simulate_scene(scene, asg, SimConfig(master_seed=6, ego_mode="replay"))
 
 
-def _three_lane_mobil_log():
+def _three_lane_mobil_inputs():
     # 4 agents per lane of a straight 3-lane one-way road; the head of the
     # right lane wants 6 m/s, so its followers and the faster lanes give
     # MOBIL both incentives to change and lanes worth keeping.
@@ -270,13 +271,12 @@ def _three_lane_mobil_log():
             speeds[aid] = 6.0 if (lane, k) == (0, 3) else v_want
     g, scene = _scene_on_straight(agents, length=600.0, lanes=3)
     asg = _assign_straight(g, scene, speeds)
-    return simulate_scene(scene, asg, SimConfig(master_seed=21,
-                                                max_variants=1))
+    return scene, asg, SimConfig(master_seed=21, max_variants=1)
 
 
 def test_mobil_lane_changes_pinned():
     """MOBIL-path output is pinned, not only compared run against run."""
-    log = _three_lane_mobil_log()
+    log = simulate_scene(*_three_lane_mobil_inputs())
     changes = [c for ag in log.agents for c in ag.lane_changes]
     assert len(changes) >= 1
     csv_sha = hashlib.sha256(log.to_csv().encode()).hexdigest()
@@ -286,3 +286,66 @@ def test_mobil_lane_changes_pinned():
         "9249ab3037210b055c3f81200085c470b985c10813100266de0896762b7625b2"
     assert side_sha == \
         "882028e60885075c06fb9899c5d00b6ef803a8243043e813b0b27a9a1466002e"
+
+
+def test_rejected_lane_changes_build_no_route_geometry(monkeypatch):
+    """Only an accepted lane change builds its new route's polyline."""
+    scene, asg, cfg = _three_lane_mobil_inputs()
+    counts = {"builds": 0, "decisions": 0}
+
+    def counting(fn, key):
+        def wrapper(*args, **kwargs):
+            counts[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(geometry, "polyline_tables",
+                        counting(geometry.polyline_tables, "builds"))
+    monkeypatch.setattr(dynamics, "mobil_decide",
+                        counting(dynamics.mobil_decide, "decisions"))
+    log = simulate_scene(scene, asg, cfg)
+    changes = sum(len(ag.lane_changes) for ag in log.agents)
+    assert changes >= 1
+    assert counts["decisions"] > changes
+    assert counts["builds"] == changes
+
+
+def _turning_log():
+    # a leader and a queued, faster follower on three arms of the
+    # junction, turning left, right and going straight
+    g = road_graph.build_graph(four_way_intersection())
+    agents, wanted, speeds = [], {}, {}
+    for arm, (deg, label) in enumerate(((0, "left"), (90, "right"),
+                                        (180, "straight"))):
+        for k, (dist, v_now, v_want) in enumerate(((20.0, 6.0, 6.0),
+                                                   (32.0, 9.0, 10.0))):
+            aid = 2 * arm + k + 1
+            x, y, psi = approach_point(deg, dist)
+            agents.append((aid, x, y, psi, v_now))
+            wanted[aid], speeds[aid] = label, v_want
+    sid, tracks = scene_ingest.load_tracklets(tracklets_doc("turns", agents))
+    scene = scene_ingest.instantiate_agents(g, tracks, 0.0, sid)
+    asg = {}
+    for agent in scene.agents:
+        aid, label = agent.agent_id, wanted[agent.agent_id]
+        route = next(r for r in road_graph.enumerate_routes(g, agent.lane)
+                     if r.maneuver == label)
+        asg[aid] = BehaviorAssignment(
+            aid, route, label,
+            VelocityProfile(0.1, np.full(120, speeds[aid]), speeds[aid],
+                            label))
+    return simulate_scene(scene, asg, SimConfig(master_seed=5))
+
+
+def test_turning_simulation_pinned():
+    """Junction turns with queued followers are pinned byte for byte."""
+    log = _turning_log()
+    assert sorted(ag.label for ag in log.agents) == \
+        ["left", "left", "right", "right", "straight", "straight"]
+    csv_sha = hashlib.sha256(log.to_csv().encode()).hexdigest()
+    side_sha = hashlib.sha256(
+        json.dumps(log.sidecar(), sort_keys=True).encode()).hexdigest()
+    assert csv_sha == \
+        "69de6ad4fc64eb23ece5137b745f07f52720b843038f72accade99fa1f6d8f5d"
+    assert side_sha == \
+        "3be650ca77507a22c3eb733b63d7fa4f88552a17c46e914ddba1f07fe57eca54"
