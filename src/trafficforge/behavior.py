@@ -25,7 +25,6 @@ TURN_RATE_SUSTAIN = default("behavior.turn_rate_sustain")
 TURN_CURVATURE_THRESHOLD = 0.05  # rad/m, onset on pure route geometry
 TURN_CURVATURE_SUSTAIN = 1.0     # m of sustained curvature
 PROFILE_NOISE_STD = default("behavior.noise_std")  # m/s, per-sample
-MANEUVER_LABELS = ("left", "right", "straight")
 
 
 @dataclass
@@ -102,14 +101,12 @@ class ProfilePool:
 
 @dataclass
 class BehaviorAssignment:
+    """One agent's route, label and profile; no route parks the agent."""
+
     agent_id: int
     route: Optional[road_graph.Route]
     label: str
     profile: Optional[VelocityProfile]
-
-    @property
-    def static(self):
-        return self.route is None
 
 
 def distance_before_turn(traj, rate_threshold=TURN_RATE_THRESHOLD,

@@ -174,7 +174,10 @@ def cmd_simulate(args):
             json.dump(simlog.sidecar(), fh, sort_keys=True)
             fh.write("\n")
     summary = {"n_logs": len(logs),
-               "failures": [{"scene_id": s, "error": e} for s, e in failures]}
+               "failures": [{"scene_id": s, "error": e} for s, e in failures],
+               "dropped": [{"scene_id": scene.scene_id,
+                            "agent_id": d.agent_id, "reason": d.reason}
+                           for scene in scenes for d in scene.dropped]}
     with open(os.path.join(args.out, "run.json"), "w") as fh:
         json.dump(summary, fh, sort_keys=True)
         fh.write("\n")

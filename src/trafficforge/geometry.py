@@ -167,11 +167,6 @@ def _wrap_angles(theta):
     return t - np.pi
 
 
-def cumulative_heading_change(pts):
-    """Signed total heading change over the polyline, unwrapped per segment."""
-    return _total_turn(np.diff(pts, axis=0))
-
-
 def _total_turn(d):
     """Sum of the wrapped turns between the segment vectors ``d``.
 
@@ -187,9 +182,10 @@ def _total_turn(d):
 def polyline_tables(pts, tol=1e-9):
     """(deduped points, arc-length table, total heading change) of ``pts``.
 
-    Bit for bit what :func:`dedupe_points`, :func:`cumulative_lengths`
-    and :func:`cumulative_heading_change` return, from one difference
-    pass when no two consecutive points lie within ``2 * tol``.
+    Bit for bit what :func:`dedupe_points` and :func:`cumulative_lengths`
+    return, and the turn of the deduped points (0.0 below two segments),
+    from one difference pass when no two consecutive points lie within
+    ``2 * tol``.
     """
     d = pts[1:] - pts[:-1]
     seg = np.linalg.norm(d, axis=1)

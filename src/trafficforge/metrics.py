@@ -22,7 +22,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import logsumexp
-from scipy.stats import gaussian_kde
 
 from trafficforge.errors import InsufficientDataError
 from trafficforge import road_graph
@@ -238,6 +237,10 @@ def pca_kde_realism(real, sim, n_components=2, n_eval=1000, rng_seed=0,
     fit on the transformed real set only. Returns
     (loglik_real, loglik_sim) in nats.
     """
+    # scipy.stats takes about as long to import as the rest of the
+    # package, and only this function needs it
+    from scipy.stats import gaussian_kde
+
     if len(real) < max(n_components + 1, 2):
         raise InsufficientDataError(
             f"need at least {n_components + 1} real trajectories")

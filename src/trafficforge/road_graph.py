@@ -221,6 +221,18 @@ class Route:
             hi = lo + 1
         return geometry.project_point(tab, point, lo, hi)
 
+    def edge_at(self, s):
+        """(edge_id, arc_on_edge) of the route arc position ``s``.
+
+        The inverse of :meth:`route_s_of`: the last span starting at or
+        before ``s`` (within 1e-9) answers, the first span's start below.
+        """
+        for eid, s_start, arc0 in reversed(self.edge_spans):
+            if s >= s_start - 1e-9:
+                return eid, arc0 + (s - s_start)
+        eid, _, arc0 = self.edge_spans[0]
+        return eid, arc0
+
     def route_s_of(self, edge_id, arc_on_edge):
         """Arc position along the route of a point on one of its edges.
 
@@ -246,13 +258,11 @@ def classify_maneuver(route_polyline, straight_threshold=STRAIGHT_THRESHOLD):
     """Label a path left/right/straight by its cumulative heading change.
 
     Counterclockwise (positive) change at or above the threshold is a left
-    turn, the mirror case a right turn, anything smaller straight.
+    turn, the mirror case a right turn, anything smaller straight; the
+    change comes from :func:`geometry.polyline_tables`, as for routes.
     """
-    pts = geometry.dedupe_points(geometry.as_polyline(route_polyline))
-    if len(pts) < 2:
-        return "straight"
-    return _maneuver_of(geometry.cumulative_heading_change(pts),
-                        straight_threshold)
+    _, _, dpsi = geometry.polyline_tables(geometry.as_polyline(route_polyline))
+    return _maneuver_of(dpsi, straight_threshold)
 
 
 def _maneuver_of(dpsi, straight_threshold=STRAIGHT_THRESHOLD):

@@ -23,6 +23,7 @@ from trafficforge.config import default
 from trafficforge.controller import (longitudinal_command, steer_to_lane,
                                      step_kinematics)
 from trafficforge.errors import ConfigError, OffMapError, TrafficForgeError
+from trafficforge.scene_ingest import interpolate_pose
 from trafficforge.util import derive_seed, digest
 
 V0_FLOOR = 0.1          # reference speed floor for the free-flow term
@@ -106,20 +107,24 @@ class SimLog:
 
 
 class _AgentRun:
-    """Mutable per-agent bookkeeping inside one scene simulation."""
+    """Mutable per-agent bookkeeping inside one scene simulation.
 
-    def __init__(self, init, assignment, idm, ctrl, replay=False):
+    An agent drives its ``route``. Without one it is the replayed ego
+    (``replay``, given no assignment) or parked.
+    """
+
+    def __init__(self, init, assignment, idm, ctrl):
         self.agent_id = init.agent_id
         self.geom = init.geometry
         self.state = init.state.copy()
         self.lane = init.lane
         self.tracklet = getattr(init, "tracklet", None)
-        self.assignment = assignment
         self.route = assignment.route if assignment else None
+        self.route_edges = ([] if self.route is None
+                            else list(self.route.edge_ids))
         self.label = assignment.label if assignment else "replay"
         self.profile = assignment.profile if assignment else None
-        self.static = assignment.static if assignment else False
-        self.replay = replay
+        self.replay = assignment is None
         self.idm = idm
         self.ctrl = ctrl
         self.s = 0.0
@@ -127,7 +132,7 @@ class _AgentRun:
         self.exit_step = None
         self.lane_changes = []
         self.rows = []       # (x, y, v, psi, a, phi, x_lat)
-        if self.static:
+        if self.route is None and not self.replay:
             self.state.v = 0.0
 
     @property
@@ -142,20 +147,9 @@ class _AgentRun:
     def coords(self):
         """(edge_id, arc_on_edge, v, length) for the interaction snapshot."""
         if self.route is not None:
-            eid, arc = _edge_at(self.route, self.s)
+            eid, arc = self.route.edge_at(self.s)
             return (eid, arc, self.state.v, self.geom.L)
         return (self.lane.edge_id, self.lane.arc_s, self.state.v, self.geom.L)
-
-
-def _edge_at(route, s):
-    """Map a route arc position to (edge_id, arc_on_edge)."""
-    spans = route.edge_spans
-    for i in range(len(spans) - 1, -1, -1):
-        eid, s_start, arc0 = spans[i]
-        if s >= s_start - 1e-9:
-            return eid, arc0 + (s - s_start)
-    eid, s_start, arc0 = spans[0]
-    return eid, arc0
 
 
 def simulate_scene(scene, assignment, config, variant_index=0):
@@ -181,13 +175,15 @@ def simulate_scene(scene, assignment, config, variant_index=0):
         ctrl = dataclasses.replace(
             config.controller,
             epsilon=float(eps_rng.normal(0.0, config.epsilon_std)))
-        runs.append(_AgentRun(init, None if replay else asg, idm, ctrl,
-                              replay=replay))
+        runs.append(_AgentRun(init, None if replay else asg, idm, ctrl))
 
     graph = scene.graph
     dt = config.dt
     n_steps = config.n_steps
     cfg_digest = digest(config.to_dict())
+    # MOBIL toward the right lane, then the left one with the bias mirrored
+    mobil_sides = (config.mobil, dataclasses.replace(
+        config.mobil, da_bias=-config.mobil.da_bias))
 
     for run in runs:
         if run.route is not None:
@@ -200,7 +196,7 @@ def simulate_scene(scene, assignment, config, variant_index=0):
         # refresh route projections and detect exits on the frozen state
         still = []
         for run in active:
-            if run.route is not None and not run.static:
+            if run.route is not None:
                 back = 5.0
                 fwd = run.state.v * dt + 10.0
                 s, _, lat = run.route.project_near(run.state.position,
@@ -226,10 +222,7 @@ def simulate_scene(scene, assignment, config, variant_index=0):
         commands = {}
         retargets = {}
         for run in active:
-            if run.replay:
-                continue
-            if run.static or run.route is None:
-                commands[run.agent_id] = (0.0, 0.0)
+            if run.route is None:
                 continue
             v = run.state.v
             v_ref = run.profile.value_at(k) if run.profile is not None else 0.0
@@ -240,7 +233,7 @@ def simulate_scene(scene, assignment, config, variant_index=0):
                                        config.controller.a_max_decel)
             if config.lane_change_enabled and abs(run.x_lat) <= MOBIL_EVAL_MAX_OFFSET:
                 target = _consider_lane_change(graph, run, snapshot, by_id,
-                                               a_idm, config, k)
+                                               a_idm, config, mobil_sides)
                 if target is not None:
                     retargets[run.agent_id] = target
 
@@ -258,18 +251,15 @@ def simulate_scene(scene, assignment, config, variant_index=0):
 
         # apply all updates simultaneously
         for run in active:
-            if run.replay:
-                _replay_step(run, (k + 1) * dt, dt)
-            elif run.static:
-                pass
-            else:
+            if run.route is not None:
                 a_cmd, phi = commands[run.agent_id]
                 run.state = step_kinematics(run.state, a_cmd, phi,
                                             run.geom, dt)
+            elif run.replay:
+                _replay_step(run, (k + 1) * dt, dt)
             if run.agent_id in retargets:
-                new_route, s_new, old_edge, new_edge = retargets[run.agent_id]
-                run.route = new_route
-                run.s = s_new
+                run.route, old_edge, new_edge = retargets[run.agent_id]
+                run.s = 0.0
                 run.lane_changes.append((k, old_edge, new_edge))
             run.log_state()
 
@@ -281,8 +271,7 @@ def simulate_scene(scene, assignment, config, variant_index=0):
         agents.append(AgentLog(
             agent_id=run.agent_id,
             label=run.label,
-            route_edges=(list(run.assignment.route.edge_ids)
-                         if run.assignment and run.assignment.route else []),
+            route_edges=run.route_edges,
             idm={"T": run.idm.T, "s0": run.idm.s0, "a": run.idm.a,
                  "b": run.idm.b, "delta": run.idm.delta},
             epsilon=run.ctrl.epsilon,
@@ -297,7 +286,6 @@ def simulate_scene(scene, assignment, config, variant_index=0):
 
 
 def _replay_step(run, rel_t, dt):
-    from trafficforge.scene_ingest import interpolate_pose
     tr = run.tracklet
     t = tr.poses[0].t + rel_t
     t = min(max(t, tr.poses[0].t), tr.poses[-1].t)
@@ -316,23 +304,25 @@ def _replay_step(run, rel_t, dt):
     run.state.v = max(float(v), 0.0)
 
 
-def _consider_lane_change(graph, run, snapshot, by_id, ac_old, config, step):
+def _consider_lane_change(graph, run, snapshot, by_id, ac_old, config,
+                          mobil_sides):
     """Evaluate MOBIL toward the right then the left neighbor lane.
 
-    Returns (new_route, s_on_new_route, old_edge, new_edge) or None. All
-    candidate accelerations are evaluated on the frozen snapshot.
+    ``mobil_sides`` holds the right and the left side's MOBIL parameters.
+    Returns (new_route, old_edge, new_edge) or None; the agent starts the
+    new route at its arc 0. All candidate accelerations are evaluated on
+    the frozen snapshot.
     """
-    eid, arc = _edge_at(run.route, run.s)
+    eid, arc = run.route.edge_at(run.s)
     edge = graph.edges[eid]
-    for side in ("right", "left"):
-        nb = edge.right_neighbor if side == "right" else edge.left_neighbor
+    for nb, mobil in zip((edge.right_neighbor, edge.left_neighbor),
+                         mobil_sides):
         if nb is None:
             continue
-        target = _retarget_route(graph, run, nb, config)
-        if target is None:
+        new_route = _retarget_route(graph, run, nb, config)
+        if new_route is None:
             continue
-        new_route, s_new = target
-        nb_edge, nb_arc = _edge_at(new_route, s_new)
+        nb_edge, nb_arc = new_route.edge_at(0.0)
 
         # subject's acceleration if it were on the target lane
         moved = snapshot.replaced(run.agent_id, (nb_edge, nb_arc, run.state.v,
@@ -350,18 +340,14 @@ def _consider_lane_change(graph, run, snapshot, by_id, ac_old, config, step):
             dynamics.nearest_behind(snapshot, eid, arc, run.agent_id),
             snapshot, snapshot.replaced(run.agent_id), by_id, config)
 
-        mobil = dataclasses.replace(
-            config.mobil,
-            da_bias=config.mobil.da_bias if side == "right"
-            else -config.mobil.da_bias)
         if dynamics.mobil_decide(mobil, ac_old, ac_new, an_old, an_new,
                                  ao_old, ao_new) == "change":
-            return new_route, s_new, eid, nb
+            return new_route, eid, nb
     return None
 
 
 def _retarget_route(graph, run, neighbor_eid, config):
-    """Route continuing from the neighbor lane abeam the agent."""
+    """Route continuing from the neighbor lane abeam the agent, or None."""
     nb = graph.edges[neighbor_eid]
     s_nb, dist, lat = geometry.project_point(nb.table, run.state.position)
     if s_nb >= nb.length - 1e-6:
@@ -375,14 +361,14 @@ def _retarget_route(graph, run, neighbor_eid, config):
     if len(routes) == 1:
         # the only candidate either way: its maneuver decides nothing, so
         # its geometry is not built unless the change is accepted
-        return routes[0], 0.0
+        return routes[0]
     same = [r for r in routes if r.maneuver == run.label]
-    return (same[0] if same else routes[0]), 0.0
+    return same[0] if same else routes[0]
 
 
 def _follower_accels(follower, before, after, by_id, config):
     """IDM accelerations of ``follower`` in two snapshots, before and after."""
-    if follower is None or follower not in by_id:
+    if follower is None:
         return 0.0, 0.0
     f = by_id[follower]
     if f.route is None:

@@ -191,7 +191,7 @@ def test_static_assignment_for_routeless_agent(profile_pool):
     sid, tracks = scene_ingest.load_tracklets(doc)
     scene = scene_ingest.instantiate_agents(g, tracks, 0.0, sid)
     variants = sample_behaviors(scene, g, profile_pool, 3, 3)
-    assert variants[0][1].static
+    assert variants[0][1].route is None
     assert variants[0][1].label == "static"
 
 

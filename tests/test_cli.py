@@ -490,3 +490,40 @@ def test_metrics_report_digest_pinned(sim_logs, tmp_path):
     assert json.loads(out.read_bytes())["validity_ratio"] == 0.5
     assert hashlib.sha256(out.read_bytes()).hexdigest() == \
         "574fcc48bc2f66b0acea3e897e0631f4221c0c260cac6ea88c00301c84578a1b"
+
+
+def test_run_json_lists_dropped_agents(sim_logs, tmp_path):
+    # agent 2 is far off the map; agent 3 spawns 2 m behind agent 1 on
+    # the same lane, inside the spawn gap, so the higher id is thinned
+    x, y, psi = approach_point(0, 30.0)
+    doc = tracklets_doc("drops", [(1, x, y, psi, 9.0),
+                                  (2, 500.0, 500.0, 0.0, 5.0),
+                                  (3, x - 2.0, y, psi, 9.0)])
+    tracklets = tmp_path / "tracklets"
+    tracklets.mkdir()
+    (tracklets / "drops.json").write_text(json.dumps(doc))
+    shutil.copy(sim_logs / "tracklets" / "scene00.json", tracklets)
+    out = tmp_path / "logs"
+    assert dispatch(["simulate", "--map", str(sim_logs / "map.json"),
+                     "--tracklets", str(tracklets),
+                     "--pool", str(sim_logs / "pool.json"), "--seed", "1",
+                     "--out", str(out)]) == 0
+    run = json.loads((out / "run.json").read_text())
+    assert run["failures"] == []
+    assert run["dropped"] == [
+        {"scene_id": "drops", "agent_id": 2, "reason": "off-map"},
+        {"scene_id": "drops", "agent_id": 3, "reason": "spawn-gap"}]
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    # scipy.stats roughly doubles the import time, and only the realism
+    # check, which no command calls, needs it; run in a fresh interpreter
+    src = os.path.dirname(os.path.dirname(trafficforge.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, trafficforge.cli; "
+         "print('scipy.stats' in sys.modules)"],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

@@ -6,7 +6,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from trafficforge import geometry
+from trafficforge import geometry, road_graph
 from trafficforge.geometry import wrap_angle
 
 TOL = 1e-9
@@ -91,7 +91,9 @@ def test_dedupe_points_matches_loop(pts):
 @settings(max_examples=200, deadline=None)
 @given(polylines())
 def test_heading_change_matches_loop(pts):
-    assert geometry.cumulative_heading_change(pts) == _heading_change_ref(pts)
+    # the deduped polyline's turn, 0.0 when fewer than two segments remain
+    _, _, dpsi = geometry.polyline_tables(pts, TOL)
+    assert dpsi == _heading_change_ref(_dedupe_ref(pts))
 
 
 @settings(max_examples=200, deadline=None)
@@ -103,6 +105,26 @@ def test_polyline_tables_match_separate_passes(pts):
     if len(ref) >= 2:
         assert np.array_equal(cum, _cum_ref(ref))
         assert dpsi == _heading_change_ref(ref)
+
+
+def _classify_ref(pts, threshold):
+    """The maneuver labeller before it read ``polyline_tables``."""
+    pts = _dedupe_ref(pts)
+    if len(pts) < 2:
+        return "straight"
+    dpsi = _heading_change_ref(pts)
+    if dpsi >= threshold:
+        return "left"
+    return "right" if dpsi <= -threshold else "straight"
+
+
+@settings(max_examples=300, deadline=None)
+@given(polylines(), st.sampled_from([1e-12, math.radians(1.0),
+                                     math.radians(30.0),
+                                     math.radians(179.0)]))
+def test_classify_maneuver_matches_reference(pts, threshold):
+    assert road_graph.classify_maneuver(pts, threshold) == \
+        _classify_ref(pts, threshold)
 
 
 @settings(max_examples=200, deadline=None)

@@ -237,7 +237,7 @@ def test_route_maneuver_matches_classify(intersection_graph):
         for route in enumerate_routes(intersection_graph, start):
             assert route.maneuver == classify_maneuver(route.polyline)
             assert route.cumulative_heading_change == \
-                geometry.cumulative_heading_change(route.polyline)
+                geometry.polyline_tables(route.polyline)[2]
 
 
 def test_classify_collinear():

@@ -349,3 +349,48 @@ def test_turning_simulation_pinned():
         "69de6ad4fc64eb23ece5137b745f07f52720b843038f72accade99fa1f6d8f5d"
     assert side_sha == \
         "3be650ca77507a22c3eb733b63d7fa4f88552a17c46e914ddba1f07fe57eca54"
+
+
+def _routeless_log():
+    # a replayed ego, two parked agents (no route; agent 3 was moving in
+    # its tracklet) and three drivers on a straight 2-lane road: one
+    # starts behind the ego, one queues behind a parked agent, and one
+    # drives off ahead of both parked ones
+    g = road_graph.build_graph(straight_map(400.0, lanes=2))
+    agents = [(1, 40.0, -1.75, 0.0, 6.0), (2, 10.0, -1.75, 0.0, 8.0),
+              (3, 150.0, 1.75, 0.0, 4.0), (4, 100.0, 1.75, 0.0, 10.0),
+              (5, 156.0, -1.75, 0.0, 0.0), (6, 175.0, -1.75, 0.0, 10.0)]
+    sid, tracks = scene_ingest.load_tracklets(
+        tracklets_doc("routeless", agents, n_poses=80))
+    scene = scene_ingest.instantiate_agents(g, tracks, 0.0, sid)
+    asg = {aid: BehaviorAssignment(aid, None, "static", None)
+           for aid in (3, 5)}
+    for agent in scene.agents:
+        aid = agent.agent_id
+        if aid in (2, 4, 6):
+            route = next(r for r in road_graph.enumerate_routes(
+                g, agent.lane, horizon_dist=500.0)
+                if r.maneuver == "straight")
+            asg[aid] = BehaviorAssignment(aid, route, "straight",
+                                          _const_profile(12.0))
+    return simulate_scene(scene, asg,
+                          SimConfig(master_seed=8, ego_mode="replay"))
+
+
+def test_routeless_agents_pinned():
+    """Replayed and parked agents, and drivers around them, byte for byte."""
+    log = _routeless_log()
+    by_id = {ag.agent_id: ag for ag in log.agents}
+    assert by_id[1].label == "replay" and by_id[1].route_edges == []
+    for aid in (3, 5):
+        assert np.all(by_id[aid].x == by_id[aid].x[0])
+        assert np.all(by_id[aid].v == 0.0)
+    # the driver that ends up behind parked agent 5 stops short of it
+    assert by_id[4].x[-1] < by_id[5].x[0] - 4.5
+    csv_sha = hashlib.sha256(log.to_csv().encode()).hexdigest()
+    side_sha = hashlib.sha256(
+        json.dumps(log.sidecar(), sort_keys=True).encode()).hexdigest()
+    assert csv_sha == \
+        "58bd744decc975e46b762a7322131de19a7b8b1e9b4211314de205c97272f605"
+    assert side_sha == \
+        "a6707432786d82c9ff520e27ba3a59a146619ee6258816a7c1ad1d0eb63874b4"
