@@ -271,12 +271,24 @@ def _prediction_sets(path):
     return psets
 
 
+def _horizons(text):
+    """The comma-separated ``--horizons``, each a finite number > 0."""
+    try:
+        horizons = [float(h) for h in text.split(",")]
+        if all(math.isfinite(h) and h > 0 for h in horizons):
+            return horizons
+    except ValueError:
+        pass
+    raise ConfigError([f"--horizons {text!r}: every horizon must be a "
+                       f"finite number of seconds > 0"])
+
+
 def cmd_metrics(args):
     cfg = _resolve_config(args)
     report = {}
     if args.preds:
+        horizons = _horizons(args.horizons)
         psets = _prediction_sets(args.preds)
-        horizons = [float(h) for h in args.horizons.split(",")]
         per_h = {}
         for h in horizons:
             ades, fdes, nlls = [], [], []

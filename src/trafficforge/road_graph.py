@@ -76,56 +76,38 @@ class RoadGraph:
         self.nodes = nodes
         self.edges = edges
         self.adjacency = adjacency
-        self._kd = None
-        self._seed_edges = None
-        self._segments = None
 
     def outgoing(self, node_id):
         return self.adjacency.get(node_id, ())
 
-    def _ensure_index(self):
-        if self._kd is None:
-            seeds = []
-            owners = []
-            for eid in sorted(self.edges):
-                pts = geometry.resample_polyline(self.edges[eid].polyline,
-                                                 _SEED_SPACING)
-                seeds.append(pts)
-                owners.extend([eid] * len(pts))
-            self._kd = cKDTree(np.vstack(seeds))
-            self._seed_edges = np.asarray(owners)
-            self._segments = _SegmentTable(
-                [self.edges[eid] for eid in sorted(self.edges)])
+    @cached_property
+    def lane_index(self):
+        return _LaneIndex([self.edges[eid] for eid in sorted(self.edges)])
 
     def __getstate__(self):
         state = self.__dict__.copy()
-        state["_kd"] = None
-        state["_seed_edges"] = None
-        state["_segments"] = None
+        state.pop("lane_index", None)
         return state
 
-    def candidate_edges(self, point, radius):
-        """Edge ids with a sampled seed point within ``radius`` of ``point``."""
-        self._ensure_index()
-        idx = self._kd.query_ball_point(np.asarray(point, float), radius)
-        return sorted({int(self._seed_edges[i]) for i in idx})
 
-    def nearest_seed_distance(self, point):
-        self._ensure_index()
-        d, _ = self._kd.query(np.asarray(point, float))
-        return float(d)
+class _LaneIndex:
+    """Every edge's seeds and segments in flat tables, edges in id order.
 
-
-class _SegmentTable:
-    """Every segment of every edge in one flat table, edges in id order.
-
-    ``a``, ``d`` and ``seg2`` are the start points, directions and squared
-    lengths (zeros replaced by 1) that :func:`geometry.project_point`
-    computes for a whole edge; the segments of the ``k``-th edge, id
-    ``edge_ids[k]``, are rows ``offsets[k]:offsets[k + 1]``.
+    The seeds, points at most one seed spacing apart along every edge
+    (ends included), are in the KD-tree ``kd``; ``seed_pos[i]`` is the
+    table position of seed ``i``'s edge. ``a``, ``d`` and ``seg2`` are
+    the start points, directions and squared lengths (zeros replaced by
+    1) that :func:`geometry.project_point` computes for a whole edge; the
+    segments of the ``k``-th edge, id ``edge_ids[k]``, are rows
+    ``offsets[k]:offsets[k + 1]``.
     """
 
     def __init__(self, edges):
+        seeds = [geometry.resample_polyline(e.polyline, _SEED_SPACING)
+                 for e in edges]
+        self.kd = cKDTree(np.vstack(seeds))
+        self.seed_pos = np.repeat(np.arange(len(edges)),
+                                  [len(s) for s in seeds])
         self.edge_ids = np.asarray([e.id for e in edges])
         self.a = np.vstack([e.polyline[:-1] for e in edges])
         self.d = np.vstack([e.polyline[1:] - e.polyline[:-1] for e in edges])
@@ -143,6 +125,36 @@ class _SegmentTable:
         rows = np.arange(n.sum()) + np.repeat(lo - starts, n)
         return geometry.polyline_distances(q, self.a[rows], self.d[rows],
                                            self.seg2[rows], starts)
+
+    def search(self, q, max_snap_distance):
+        """The snap candidates of the (P, 2) points ``q``.
+
+        Returns ``(d0, near, k, dist)``: each point's distance ``d0`` to
+        its nearest seed; the indices ``near`` of the points that pass
+        the first off-map test, ``d0 - seed spacing <= max_snap_distance``;
+        the table positions ``k``, ascending, of the edges with a seed
+        within ``d0 + seed spacing`` of any of those points; and the
+        (len(near), len(k)) distances from those points to those edges.
+
+        A point snaps to the edge of smallest distance ``dmin``, off-map
+        if ``dmin > max_snap_distance``, among the edges within
+        ``dmin + 1e-6`` of it. Its own candidates are the edges with a
+        seed within its ``d0 + seed spacing``, but any superset of them,
+        such as the union ``k``, gives the same ``dmin`` and the same
+        tied edges: every point of an edge lies within half a seed
+        spacing of one of its seeds, and ``dmin <= d0`` (the nearest seed
+        lies on a candidate). An edge within ``dmin + 1e-6`` of the point
+        therefore has a seed within ``d0 + 0.5 spacing + 1e-6``, so it is
+        already one of the point's own candidates.
+        """
+        d0, _ = self.kd.query(q)
+        near = np.flatnonzero(d0 - _SEED_SPACING <= max_snap_distance)
+        if not len(near):
+            return d0, near, near, np.empty((0, 0))
+        hits = self.kd.query_ball_point(q[near], d0[near] + _SEED_SPACING)
+        seeds = np.fromiter(chain.from_iterable(hits), dtype=np.intp)
+        k = np.unique(self.seed_pos[seeds])
+        return d0, near, k, self.distances(q[near], k)
 
 
 class Route:
@@ -369,33 +381,24 @@ def project_to_lane(graph, point, heading_hint=None,
     q = np.asarray(point, dtype=np.float64)
     if not np.all(np.isfinite(q)):
         raise ValueError("query point must be finite")
-    d0 = graph.nearest_seed_distance(q)
-    if d0 - _SEED_SPACING > max_snap_distance:
-        raise OffMapError(d0, max_snap_distance)
-    candidates = graph.candidate_edges(q, d0 + _SEED_SPACING)
-
-    hits = []
-    for eid in candidates:
-        edge = graph.edges[eid]
-        s, dist, lateral = geometry.project_point(edge.table, q)
-        hits.append((dist, eid, s, lateral))
-    dmin = min(h[0] for h in hits)
+    index = graph.lane_index
+    d0, near, k, dist = index.search(q[None, :], max_snap_distance)
+    if not len(near):
+        raise OffMapError(float(d0[0]), max_snap_distance)
+    dmin = float(dist.min())
     if dmin > max_snap_distance:
         raise OffMapError(dmin, max_snap_distance)
-    ties = [h for h in hits if h[0] <= dmin + _TIE_EPS]
+    ties = index.edge_ids[k[dist[0] <= dmin + _TIE_EPS]].tolist()
+    if heading_hint is None:
+        return _lane_coordinate(graph.edges[ties[0]], q)
+    return min((_lane_coordinate(graph.edges[eid], q) for eid in ties),
+               key=lambda c: (abs(wrap_angle(c.lane_heading - heading_hint)),
+                              c.edge_id))
 
-    def heading_of(hit):
-        edge = graph.edges[hit[1]]
-        return edge.point_at(hit[2])[1]
 
-    if heading_hint is not None and len(ties) > 1:
-        winner = min(ties, key=lambda h: (abs(wrap_angle(heading_of(h)
-                                                         - heading_hint)),
-                                          h[1]))
-    else:
-        winner = min(ties, key=lambda h: h[1])
-    _, eid, s, lateral = winner
-    return LaneCoordinate(eid, s, lateral, heading_of(winner))
+def _lane_coordinate(edge, q):
+    s, _, lateral = geometry.project_point(edge.table, q)
+    return LaneCoordinate(edge.id, s, lateral, edge.table.heading_at(s))
 
 
 def within_lanes(graph, points, margin,
@@ -405,42 +408,22 @@ def within_lanes(graph, points, margin,
     A point is within its lane when :func:`project_to_lane` without a
     heading hint snaps it within ``max_snap_distance``, and the absolute
     lateral offset to the edge it picks is at most half that edge's lane
-    width plus ``margin``. Per point, with ``d0`` its distance to the
-    nearest seed, that is: off-map if
-    ``d0 - seed spacing > max_snap_distance``; otherwise the edges with
-    a seed within ``d0 + seed spacing`` are the candidates, ``dmin`` is
-    their smallest distance, off-map if ``dmin > max_snap_distance``, and
-    the winner is the lowest edge id within ``dmin + 1e-6``.
-
-    The candidates of all the points are merged into one union, so one
-    ball query and one distance array serve the whole batch. Any superset
-    of a point's candidates gives the same ``dmin``, ties and winner:
-    seeds lie at most one seed spacing apart along every edge, so every
-    point of an edge lies within half a spacing of one of its seeds, and
-    ``dmin <= d0`` (the nearest seed lies on a candidate). An edge within
-    ``dmin + 1e-6`` of the point therefore has a seed within
-    ``d0 + 0.5 spacing + 1e-6``, so it is already one of the point's own
-    candidates.
+    width plus ``margin``. One :meth:`_LaneIndex.search` serves the
+    whole batch.
     """
     q = np.asarray(points, dtype=np.float64)
     if not np.all(np.isfinite(q)):
         raise ValueError("query points must be finite")
-    graph._ensure_index()
-    table = graph._segments
+    index = graph.lane_index
+    _, near, k, dist = index.search(q, max_snap_distance)
     ok = np.zeros(len(q), dtype=bool)
-    d0, _ = graph._kd.query(q)
-    near = np.flatnonzero(d0 - _SEED_SPACING <= max_snap_distance)
     if not len(near):
         return ok
-    hits = graph._kd.query_ball_point(q[near], d0[near] + _SEED_SPACING)
-    seeds = np.fromiter(chain.from_iterable(hits), dtype=np.intp)
-    k = np.searchsorted(table.edge_ids, np.unique(graph._seed_edges[seeds]))
-    dist = table.distances(q[near], k)
     dmin = dist.min(axis=1)
     winner = np.argmax(dist <= (dmin + _TIE_EPS)[:, None], axis=1)
     lateral = dist[np.arange(len(near)), winner]
     ok[near] = (dmin <= max_snap_distance) \
-        & (lateral <= table.half_width[k[winner]] + margin)
+        & (lateral <= index.half_width[k[winner]] + margin)
     return ok
 
 
@@ -477,10 +460,3 @@ def enumerate_routes(graph, start, horizon_dist=HORIZON_DIST,
             stack.append((path + (eid,), dist + edge.length, edge.to_node))
     return routes
 
-
-def sample_centerline(route, s):
-    """Point and heading at arc length ``s`` of a route (bounds-checked)."""
-    if s < 0 or s > route.total_length + 1e-9:
-        raise ValueError(
-            f"arc length {s} outside [0, {route.total_length:.3f}]")
-    return route.point_at(min(s, route.total_length))

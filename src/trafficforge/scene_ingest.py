@@ -8,6 +8,7 @@ the map or spawn on top of another agent are dropped with a report entry.
 import json
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -33,9 +34,15 @@ class Tracklet:
     poses: list
     geometry: VehicleGeometry = field(default_factory=VehicleGeometry)
 
-    @property
+    @cached_property
     def times(self):
         return [p.t for p in self.poses]
+
+    def segment(self, t):
+        """Index ``i`` of the pose pair ``i, i + 1`` whose times hold
+        ``t``, clamped to the first and last pair (0 for a single pose)."""
+        return min(max(bisect_right(self.times, t) - 1, 0),
+                   max(len(self.poses) - 2, 0))
 
 
 @dataclass
@@ -107,9 +114,7 @@ def interpolate_pose(tracklet, t):
     if t < poses[0].t - 1e-9 or t > poses[-1].t + 1e-9:
         raise ValueError(
             f"t={t} outside tracklet range [{poses[0].t}, {poses[-1].t}]")
-    times = tracklet.times
-    i = min(max(bisect_right(times, t) - 1, 0), len(poses) - 2) \
-        if len(poses) > 1 else 0
+    i = tracklet.segment(t)
     p0 = poses[i]
     if len(poses) == 1 or t <= p0.t:
         return TrackletPose(t, p0.position.copy(), p0.heading, p0.speed)
@@ -129,8 +134,7 @@ def _finite_difference_heading(tracklet, t):
     poses = tracklet.poses
     if len(poses) < 2:
         return None
-    times = tracklet.times
-    i = min(max(bisect_right(times, t) - 1, 0), len(poses) - 2)
+    i = tracklet.segment(t)
     d = poses[i + 1].position - poses[i].position
     if np.linalg.norm(d) < 1e-9:
         return None
@@ -141,8 +145,7 @@ def _finite_difference_speed(tracklet, t):
     poses = tracklet.poses
     if len(poses) < 2:
         return 0.0
-    times = tracklet.times
-    i = min(max(bisect_right(times, t) - 1, 0), len(poses) - 2)
+    i = tracklet.segment(t)
     lo, hi = max(i - 1, 0), min(i + 1, len(poses) - 1)
     dt = poses[hi].t - poses[lo].t
     if dt <= 0:

@@ -417,6 +417,8 @@ def read_simlog_csv(csv_path, sidecar=None):
                 raise ConfigError([f"simulation log {csv_path} line "
                                    f"{line_no}: {type(exc).__name__}: {exc}"]
                                   ) from exc
+    if not per_agent:
+        raise ConfigError([f"simulation log {csv_path}: no data rows"])
     side_agents = {}
     dt = default("sim.dt")
     master_seed, cfg_digest = default("sim.master_seed"), ""

@@ -228,6 +228,20 @@ def test_metrics_malformed_predictions_exit_1(tmp_path, capsys, bad_line,
     assert not (tmp_path / "report.json").exists()
 
 
+@pytest.mark.parametrize("horizons", ["1,x", "0", "2,-1", "nan", "inf"])
+def test_metrics_bad_horizons_exit_1(tmp_path, capsys, horizons):
+    preds = tmp_path / "preds.jsonl"
+    preds.write_text(json.dumps({"agent_id": 1, "dt": 0.1,
+                                 "gt": [[0, 0], [1, 1], [2, 2]],
+                                 "samples": [[[0, 0], [1, 1], [2, 2]]]}))
+    rc = dispatch(["metrics", "--preds", str(preds), "--horizons", horizons,
+                   "--out", str(tmp_path / "report.json")])
+    assert rc == 1
+    assert f"error: --horizons {horizons!r}: every horizon must be a finite " \
+        "number of seconds > 0" in capsys.readouterr().err
+    assert not (tmp_path / "report.json").exists()
+
+
 def test_metrics_requires_input(capsys):
     assert dispatch(["metrics"]) == 1
 
@@ -457,10 +471,12 @@ def test_render_accepts_integer_valued_floats(sim_logs, tmp_path):
      "[0.0, 1.0, nan,"),
     (".csv", lambda text: text.replace(",psi,", ",yaw,", 1),
      "simulation log {path} line 1: missing column(s) psi"),
+    (".csv", lambda text: text.splitlines(True)[0],
+     "simulation log {path}: no data rows"),
     (".json", lambda text: text[:len(text) // 2],
      "sidecar file {path}: invalid JSON"),
 ], ids=["missing-field", "non-numeric", "non-finite", "missing-column",
-        "bad-sidecar"])
+        "no-rows", "bad-sidecar"])
 def test_malformed_log_exits_1(sim_logs, tmp_path, capsys, command, suffix,
                                corrupt, detail):
     logs = tmp_path / "logs"

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from helpers import four_way_intersection, ring_map, straight_map
 
-from trafficforge import metrics, road_graph
+from trafficforge import geometry, metrics, road_graph
 from trafficforge.bev_render import UNKNOWN, ContextMap, GridSpec
 from trafficforge.errors import InsufficientDataError, OffMapError
 from trafficforge.metrics import (PredictionSet, Trajectory2D, ade,
@@ -144,11 +144,42 @@ def test_validity_ratio_graph_mode():
     assert validity_ratio([on, on, on, off, off, off], g) == 0.5
 
 
+def _snap_ref(graph, point, heading_hint=None,
+              limit=road_graph.MAX_SNAP_DISTANCE):
+    """Brute-force reference for project_to_lane: the nearest seed over
+    every edge's seeds, then a scalar projection onto every edge, which
+    by the superset argument of the candidate search picks the same
+    edge as the candidates alone. Returns the LaneCoordinate or raises
+    OffMapError."""
+    q = np.asarray(point, dtype=np.float64)
+    d0 = math.inf
+    for edge in graph.edges.values():
+        e = geometry.resample_polyline(edge.polyline, 1.0) - q
+        d0 = min(d0, float(np.sqrt(e[:, 0] * e[:, 0]
+                                   + e[:, 1] * e[:, 1]).min()))
+    if d0 - 1.0 > limit:
+        raise OffMapError(d0, limit)
+    hits = []
+    for eid in sorted(graph.edges):
+        edge = graph.edges[eid]
+        s, dist, lateral = geometry.project_point(edge.table, q)
+        heading = geometry.point_at(edge.polyline, edge.cum, s)[1]
+        hits.append((dist, eid, road_graph.LaneCoordinate(eid, s, lateral,
+                                                          heading)))
+    dmin = min(h[0] for h in hits)
+    if dmin > limit:
+        raise OffMapError(dmin, limit)
+    ties = [h for h in hits if h[0] <= dmin + 1e-6]
+    if heading_hint is None:
+        return ties[0][2]
+    return min(ties, key=lambda h: (abs(geometry.wrap_angle(
+        h[2].lane_heading - heading_hint)), h[1]))[2]
+
+
 def _on_graph(graph, point, margin, limit=road_graph.MAX_SNAP_DISTANCE):
-    """Per-point reference for graph validity: one project_to_lane snap."""
+    """Per-point reference for graph validity: one brute-force snap."""
     try:
-        coord = road_graph.project_to_lane(graph, point,
-                                           max_snap_distance=limit)
+        coord = _snap_ref(graph, point, limit=limit)
     except OffMapError:
         return False
     half = graph.edges[coord.edge_id].lane_width / 2.0
@@ -258,6 +289,42 @@ def test_graph_validity_limits():
     got = road_graph.within_lanes(graph, pts, 0.5).tolist()
     assert got == [_on_graph(graph, p, 0.5) for p in pts]
     assert got == [False, False, True]
+
+
+def _snap_outcome(snap, *args):
+    """The snap's LaneCoordinate fields or OffMapError distance, as bits."""
+    try:
+        c = snap(*args)
+    except OffMapError as err:
+        return ("off", float(err.distance).hex())
+    return (c.edge_id, float(c.arc_s).hex(), float(c.lateral_offset).hex(),
+            float(c.lane_heading).hex())
+
+
+@st.composite
+def snap_queries(draw):
+    """(graph, point, heading hint or None, snap limit): points about a
+    lane, far off it, and at node positions."""
+    graph = _GRAPHS[draw(st.sampled_from(sorted(_GRAPHS)))]
+    edge = graph.edges[draw(st.sampled_from(sorted(graph.edges)))]
+    p, heading = edge.point_at(draw(st.floats(0.0, edge.length)))
+    off = draw(st.one_of(st.floats(-3.0, 3.0), st.floats(-15.0, 15.0),
+                         st.just(0.0)))
+    p = p + off * np.array([-math.sin(heading), math.cos(heading)])
+    if draw(st.booleans()):
+        p = graph.nodes[draw(st.sampled_from(sorted(graph.nodes)))].position
+    # a hint square to the reversed twins leaves them tied on heading too
+    hint = draw(st.one_of(st.none(), st.floats(-math.pi, math.pi),
+                          st.sampled_from([heading, heading + math.pi,
+                                           heading + math.pi / 2])))
+    return graph, p, hint, draw(st.floats(0.01, 10.0))
+
+
+@settings(max_examples=500, deadline=None)
+@given(snap_queries())
+def test_project_to_lane_matches_brute_force_reference(case):
+    assert _snap_outcome(road_graph.project_to_lane, *case) \
+        == _snap_outcome(_snap_ref, *case)
 
 
 @st.composite

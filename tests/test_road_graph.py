@@ -1,5 +1,6 @@
 """Graph construction, projection, routing and maneuver classification."""
 
+import hashlib
 import math
 import pickle
 import types
@@ -13,8 +14,7 @@ from helpers import (approach_point, four_way_intersection, ring_map,
 from trafficforge import behavior, geometry, road_graph
 from trafficforge.errors import MapFormatError, OffMapError
 from trafficforge.road_graph import (build_graph, classify_maneuver,
-                                     enumerate_routes, project_to_lane,
-                                     sample_centerline)
+                                     enumerate_routes, project_to_lane)
 
 
 def test_single_oneway_lane():
@@ -279,15 +279,15 @@ def test_sample_centerline():
     g = build_graph(straight_map(100.0))
     start = project_to_lane(g, (0.0, 0.0))
     route = enumerate_routes(g, start, horizon_dist=500.0)[0]
-    p, h = sample_centerline(route, 0.0)
+    p, h = route.point_at(0.0)
     np.testing.assert_allclose(p, [0.0, 0.0], atol=1e-12)
-    p, h = sample_centerline(route, 37.5)
+    p, h = route.point_at(37.5)
     np.testing.assert_allclose(p, [37.5, 0.0], atol=1e-12)
     assert h == pytest.approx(0.0)
     with pytest.raises(ValueError):
-        sample_centerline(route, 101.0)
+        route.point_at(101.0)
     with pytest.raises(ValueError):
-        sample_centerline(route, -1.0)
+        route.point_at(-1.0)
 
 
 def test_sample_centerline_vertex_tie_rule():
@@ -296,7 +296,7 @@ def test_sample_centerline_vertex_tie_rule():
     g = build_graph(spec)
     start = project_to_lane(g, (0.0, 0.0))
     route = enumerate_routes(g, start, horizon_dist=500.0)[0]
-    p, h = sample_centerline(route, 10.0)  # interior vertex
+    p, h = route.point_at(10.0)  # interior vertex
     np.testing.assert_allclose(p, [10.0, 0.0], atol=1e-12)
     assert h == pytest.approx(math.pi / 2)  # heading of the following segment
 
@@ -311,8 +311,7 @@ def test_u_turn_flag(intersection_graph):
 
 def test_segment_table_distances_match_project_point(rng):
     g = build_graph(four_way_intersection())
-    g._ensure_index()
-    table = g._segments
+    table = g.lane_index
     q = rng.uniform(-100.0, 100.0, size=(40, 2))
     for _ in range(20):
         size = int(rng.integers(1, 8))
@@ -382,6 +381,67 @@ def test_graph_pickles_without_its_index():
     pts = np.array([[10.0, 1.0], [25.0, -3.0], [50.0, 30.0], [25.0, 25.0]])
     want = road_graph.within_lanes(g, pts, 0.5)
     back = pickle.loads(pickle.dumps(g))
-    assert (back._kd, back._seed_edges, back._segments) == (None, None, None)
+    assert "lane_index" not in vars(back)
     assert road_graph.within_lanes(back, pts, 0.5).tolist() == want.tolist()
     assert want.tolist() == [True, False, True, False]
+
+
+# a curved 3-lane bidirectional road feeding a 2-lane one-way road, and a
+# single-lane bidirectional road whose reversed twin edges tie exactly
+_MULTI_LANE = {"centerlines": [
+    {"id": 0, "points": [[0.0, 0.0], [60.0, 0.0], [100.0, 30.0]],
+     "lanes": 3, "oneway": False, "lane_width": 3.5},
+    {"id": 1, "points": [[100.0, 30.0], [100.0, 90.0]], "lanes": 2,
+     "oneway": True, "lane_width": 3.0},
+    {"id": 2, "points": [[-20.0, -10.0], [-20.0, -60.0]], "lanes": 1,
+     "oneway": False}]}
+
+
+def _snap_digest():
+    """SHA-256 of every snap and verdict over a fixed set of queries:
+    points near lanes, far off the map and at node positions, with no
+    heading hint, the source lane's heading and a random one, at snap
+    limits 1, 3 and 10 m."""
+    rng = np.random.default_rng(9)
+    h = hashlib.sha256()
+    for doc in (four_way_intersection(), ring_map(), _MULTI_LANE):
+        g = build_graph(doc)
+        pts, lane_h = [], []
+        for node in g.nodes.values():
+            pts.append(node.position)
+            lane_h.append(0.0)
+        for edge in g.edges.values():
+            for s in rng.uniform(0.0, edge.length, 12):
+                p, psi = edge.point_at(s)
+                off = rng.normal(0.0, 2.5)
+                pts.append(p + off * np.array([-math.sin(psi), math.cos(psi)]))
+                lane_h.append(psi)
+        allp = np.vstack([e.polyline for e in g.edges.values()])
+        lo, hi = allp.min(axis=0) - 25.0, allp.max(axis=0) + 25.0
+        for p in rng.uniform(lo, hi, size=(60, 2)):
+            pts.append(p)
+            lane_h.append(float(rng.uniform(-math.pi, math.pi)))
+        pts = np.array(pts)
+        hints = rng.uniform(-math.pi, math.pi, len(pts))
+        for limit in (1.0, 3.0, 10.0):
+            for p, psi, other in zip(pts, lane_h, hints):
+                for hint in (None, psi, float(other)):
+                    try:
+                        c = project_to_lane(g, p, hint, limit)
+                        line = (f"{c.edge_id} {float(c.arc_s).hex()} "
+                                f"{float(c.lateral_offset).hex()} "
+                                f"{float(c.lane_heading).hex()}")
+                    except OffMapError as err:
+                        line = f"off {float(err.distance).hex()}"
+                    h.update(line.encode() + b"\n")
+            for margin in (0.0, 0.5, 9.0):
+                ok = road_graph.within_lanes(g, pts, margin, limit)
+                h.update(np.packbits(ok).tobytes())
+    return h.hexdigest()
+
+
+def test_snap_digest_pinned():
+    # pinned on the two-implementation snap (a per-point candidate loop
+    # beside the batched within_lanes) before they shared one search
+    assert _snap_digest() == \
+        "4173513da1924458c1beaadff8f0793341a2b5ba6db72567f3d366323817ab3d"

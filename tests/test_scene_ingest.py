@@ -7,7 +7,7 @@ import pytest
 
 from helpers import straight_map
 
-from trafficforge import road_graph
+from trafficforge import road_graph, scene_ingest
 from trafficforge.errors import EmptySceneError
 from trafficforge.scene_ingest import (Tracklet, TrackletPose,
                                        instantiate_agents, interpolate_pose,
@@ -48,6 +48,18 @@ def test_interpolate_bounds():
         interpolate_pose(tr, 2.0)
     with pytest.raises(ValueError):
         interpolate_pose(tr, -0.5)
+
+
+def test_tracklet_segment_clamps_to_first_and_last_pair():
+    tr = _tracklet(1, [(t, 2.0 * t, 0.0, None, None)
+                       for t in (0.0, 1.0, 1.0, 2.0, 3.0)])
+    got = [tr.segment(t) for t in (-1.0, 0.0, 0.5, 1.0, 1.5, 2.0, 3.0, 5.0)]
+    assert got == [0, 0, 0, 2, 2, 3, 3, 3]
+    # the last pose's time falls in the last pair, so the finite
+    # differences there read poses 3 and 4
+    assert scene_ingest._finite_difference_heading(tr, 3.0) == 0.0
+    assert scene_ingest._finite_difference_speed(tr, 3.0) == 2.0
+    assert _tracklet(1, [(0.0, 0.0, 0.0, None, None)]).segment(4.0) == 0
 
 
 @pytest.fixture
