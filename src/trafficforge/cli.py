@@ -272,15 +272,27 @@ def _prediction_sets(path):
 
 
 def _horizons(text):
-    """The comma-separated ``--horizons``, each a finite number > 0."""
+    """The comma-separated ``--horizons`` by report key, in order.
+
+    Each must be a finite number > 0 with a key of its own: two horizons
+    that round to one key would overwrite each other in the report.
+    """
     try:
         horizons = [float(h) for h in text.split(",")]
-        if all(math.isfinite(h) and h > 0 for h in horizons):
-            return horizons
+        valid = all(math.isfinite(h) and h > 0 for h in horizons)
     except ValueError:
-        pass
-    raise ConfigError([f"--horizons {text!r}: every horizon must be a "
-                       f"finite number of seconds > 0"])
+        valid = False
+    if not valid:
+        raise ConfigError([f"--horizons {text!r}: every horizon must be a "
+                           f"finite number of seconds > 0"])
+    by_key = {}
+    for h in horizons:
+        by_key.setdefault(f"{h:.1f}", []).append(h)
+    clashes = [f"{' and '.join(map(str, hs))} share the report key {key!r}"
+               for key, hs in by_key.items() if len(hs) > 1]
+    if clashes:
+        raise ConfigError([f"--horizons {text!r}: {'; '.join(clashes)}"])
+    return {key: hs[0] for key, hs in by_key.items()}
 
 
 def cmd_metrics(args):
@@ -290,7 +302,7 @@ def cmd_metrics(args):
         horizons = _horizons(args.horizons)
         psets = _prediction_sets(args.preds)
         per_h = {}
-        for h in horizons:
+        for key, h in horizons.items():
             ades, fdes, nlls = [], [], []
             for ps in psets:
                 steps = int(round(h / ps.ground_truth.dt))
@@ -301,7 +313,7 @@ def cmd_metrics(args):
                 if len(ps.samples) >= 2:
                     nlls.append(metrics.nll(ps, steps))
             if ades:
-                per_h[f"{h:.1f}"] = {
+                per_h[key] = {
                     "ade": float(np.mean(ades)),
                     "fde": float(np.mean(fdes)),
                     "nll": float(np.mean(nlls)) if nlls else None,

@@ -3,8 +3,12 @@
 Every step freezes the previous state, computes leader gaps, car-following
 accelerations, lane-change decisions and controller commands for every
 agent from that frozen snapshot, then integrates all agents
-simultaneously. The synchronous update makes results independent of agent
-order and allows scene-level parallelism with byte-identical output.
+simultaneously. The synchronous update allows scene-level parallelism
+with byte-identical output, and makes results independent of agent order
+with one exception: each agent's desired speed ``idm.v0`` is set just
+before its own decision, so when MOBIL evaluates a follower later in the
+step's agent order, it reads that follower's previous ``v0`` (at step 0,
+the 1.0 its parameters were sampled with).
 """
 
 import dataclasses
@@ -217,6 +221,8 @@ def simulate_scene(scene, assignment, config, variant_index=0):
         active = still
         snapshot = dynamics.Snapshot({r.agent_id: r.coords() for r in active})
         by_id = {r.agent_id: r for r in active}
+        # (agent_id, v0) -> IDM acceleration in this step's snapshot
+        base_accels = {}
 
         # decisions from the frozen snapshot
         commands = {}
@@ -227,13 +233,12 @@ def simulate_scene(scene, assignment, config, variant_index=0):
             v = run.state.v
             v_ref = run.profile.value_at(k) if run.profile is not None else 0.0
             run.idm.v0 = max(v_ref, V0_FLOOR)
-            leader = dynamics.find_leader(snapshot, run.agent_id, run.route,
-                                          config.sensing_range)
-            a_idm = dynamics.idm_accel(run.idm, leader, v,
-                                       config.controller.a_max_decel)
+            a_idm = base_accels[run.agent_id, run.idm.v0] = _idm_accel_in(
+                snapshot, run, run.route, config)
             if config.lane_change_enabled and abs(run.x_lat) <= MOBIL_EVAL_MAX_OFFSET:
                 target = _consider_lane_change(graph, run, snapshot, by_id,
-                                               a_idm, config, mobil_sides)
+                                               a_idm, config, mobil_sides,
+                                               base_accels)
                 if target is not None:
                     retargets[run.agent_id] = target
 
@@ -305,16 +310,18 @@ def _replay_step(run, rel_t, dt):
 
 
 def _consider_lane_change(graph, run, snapshot, by_id, ac_old, config,
-                          mobil_sides):
+                          mobil_sides, base_accels):
     """Evaluate MOBIL toward the right then the left neighbor lane.
 
     ``mobil_sides`` holds the right and the left side's MOBIL parameters.
     Returns (new_route, old_edge, new_edge) or None; the agent starts the
     new route at its arc 0. All candidate accelerations are evaluated on
-    the frozen snapshot.
+    the frozen snapshot; ``base_accels`` is the step's memo of
+    :func:`_snapshot_accel`.
     """
     eid, arc = run.route.edge_at(run.s)
     edge = graph.edges[eid]
+    old_lane = None     # the old follower's pair, shared by both sides
     for nb, mobil in zip((edge.right_neighbor, edge.left_neighbor),
                          mobil_sides):
         if nb is None:
@@ -327,18 +334,18 @@ def _consider_lane_change(graph, run, snapshot, by_id, ac_old, config,
         # subject's acceleration if it were on the target lane
         moved = snapshot.replaced(run.agent_id, (nb_edge, nb_arc, run.state.v,
                                                  run.geom.L))
-        new_leader = dynamics.find_leader(moved, run.agent_id,
-                                          new_route, config.sensing_range)
-        ac_new = dynamics.idm_accel(run.idm, new_leader, run.state.v,
-                                    config.controller.a_max_decel)
+        ac_new = _idm_accel_in(moved, run, new_route, config)
 
         # the would-be new follower, then the follower left behind
         an_old, an_new = _follower_accels(
             dynamics.nearest_behind(snapshot, nb, nb_arc, run.agent_id),
-            snapshot, moved, by_id, config)
-        ao_old, ao_new = _follower_accels(
-            dynamics.nearest_behind(snapshot, eid, arc, run.agent_id),
-            snapshot, snapshot.replaced(run.agent_id), by_id, config)
+            snapshot, moved, by_id, config, base_accels)
+        if old_lane is None:
+            old_lane = _follower_accels(
+                dynamics.nearest_behind(snapshot, eid, arc, run.agent_id),
+                snapshot, snapshot.replaced(run.agent_id), by_id, config,
+                base_accels)
+        ao_old, ao_new = old_lane
 
         if dynamics.mobil_decide(mobil, ac_old, ac_new, an_old, an_new,
                                  ao_old, ao_new) == "change":
@@ -366,20 +373,43 @@ def _retarget_route(graph, run, neighbor_eid, config):
     return same[0] if same else routes[0]
 
 
-def _follower_accels(follower, before, after, by_id, config):
-    """IDM accelerations of ``follower`` in two snapshots, before and after."""
+def _follower_accels(follower, before, after, by_id, config, base_accels):
+    """IDM accelerations of ``follower`` in two snapshots, before and after.
+
+    ``before`` is the step's snapshot, read through its memo
+    ``base_accels``.
+    """
     if follower is None:
         return 0.0, 0.0
     f = by_id[follower]
     if f.route is None:
         return 0.0, 0.0
-    accels = []
-    for snapshot in (before, after):
-        lead = dynamics.find_leader(snapshot, follower, f.route,
-                                    config.sensing_range)
-        accels.append(dynamics.idm_accel(f.idm, lead, f.state.v,
-                                         config.controller.a_max_decel))
-    return tuple(accels)
+    return (_snapshot_accel(f, before, config, base_accels),
+            _idm_accel_in(after, f, f.route, config))
+
+
+def _snapshot_accel(run, snapshot, config, base_accels):
+    """The agent's acceleration on its route in the step's snapshot.
+
+    Memoized in ``base_accels`` by (agent id, desired speed ``v0``),
+    where each agent's own decision also stores it: an agent later in
+    the step's order still holds the previous step's ``v0`` when an
+    earlier subject's MOBIL check reads it.
+    """
+    key = (run.agent_id, run.idm.v0)
+    acc = base_accels.get(key)
+    if acc is None:
+        acc = base_accels[key] = _idm_accel_in(snapshot, run, run.route,
+                                               config)
+    return acc
+
+
+def _idm_accel_in(snapshot, run, route, config):
+    """IDM acceleration of ``run`` behind its leader along ``route``."""
+    lead = dynamics.find_leader(snapshot, run.agent_id, route,
+                                config.sensing_range)
+    return dynamics.idm_accel(run.idm, lead, run.state.v,
+                              config.controller.a_max_decel)
 
 
 def read_simlog_csv(csv_path, sidecar=None):

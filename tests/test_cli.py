@@ -242,6 +242,27 @@ def test_metrics_bad_horizons_exit_1(tmp_path, capsys, horizons):
     assert not (tmp_path / "report.json").exists()
 
 
+@pytest.mark.parametrize("horizons, clash", [
+    ("1.0,1.04", "1.0 and 1.04 share the report key '1.0'"),
+    ("2,1,2.0", "2.0 and 2.0 share the report key '2.0'"),
+    ("0.96,1,3,2.99", "0.96 and 1.0 share the report key '1.0'; "
+                      "3.0 and 2.99 share the report key '3.0'"),
+])
+def test_metrics_colliding_horizons_exit_1(tmp_path, capsys, horizons,
+                                           clash):
+    # the report keys horizons by f"{h:.1f}"; a clash would keep one
+    preds = tmp_path / "preds.jsonl"
+    preds.write_text(json.dumps({"agent_id": 1, "dt": 0.04,
+                                 "gt": [[i, i] for i in range(80)],
+                                 "samples": [[[i, i] for i in range(80)]]}))
+    rc = dispatch(["metrics", "--preds", str(preds), "--horizons", horizons,
+                   "--out", str(tmp_path / "report.json")])
+    assert rc == 1
+    assert f"error: --horizons {horizons!r}: {clash}" in \
+        capsys.readouterr().err
+    assert not (tmp_path / "report.json").exists()
+
+
 def test_metrics_requires_input(capsys):
     assert dispatch(["metrics"]) == 1
 

@@ -207,10 +207,28 @@ def test_equal_arc_ties_go_to_lower_id():
     assert nearest_behind(snap.replaced(3), 0, 40.0, 1) == 7
 
 
-# edges 0..3 form the loop the route revisits; 9 is on no route
-_RING_ROUTE = road_graph.enumerate_routes(
-    road_graph.build_graph(ring_map(50.0)),
-    road_graph.LaneCoordinate(0, 20.0, 0.0, 0.0), horizon_dist=230.0)[0]
+# edges 0..3 form the loop; 9 is on no route
+_RING = road_graph.build_graph(ring_map(50.0))
+
+
+def _ring_route(edge_id, arc, horizon):
+    return road_graph.enumerate_routes(
+        _RING, road_graph.LaneCoordinate(edge_id, arc, 0.0, 0.0),
+        horizon_dist=horizon)[0]
+
+
+_ROUTES = {
+    # from arc 20 of edge 0 round to edge 0 again: two spans on edge 0,
+    # the first one partial
+    "revisit": _ring_route(0, 20.0, 230.0),
+    # two laps and a bit: three spans on edge 0, two on the others
+    "laps": _ring_route(0, 0.0, 410.0),
+    # edges 2 (from arc 35) and 3: several edges, none revisited
+    "multi": _ring_route(2, 35.0, 40.0),
+    # from the end of edge 3: edges 0, 1 and 2, none partial
+    "whole": _ring_route(3, 50.0, 120.0),
+    "single": _ring_route(1, 10.0, 20.0),
+}
 # a 5 m grid of arcs makes equal arcs and exact sensing-range hits common
 _COORDS = st.tuples(st.sampled_from([0, 1, 2, 3, 9]),
                     st.one_of(st.sampled_from([5.0 * i for i in range(11)]),
@@ -218,11 +236,23 @@ _COORDS = st.tuples(st.sampled_from([0, 1, 2, 3, 9]),
                     st.floats(0.0, 30.0), st.sampled_from([4.0, 4.5, 12.0]))
 
 
-@settings(max_examples=300, deadline=None)
+def test_ring_routes_cover_their_cases():
+    spans = {name: [eid for eid, _, _ in r.edge_spans]
+             for name, r in _ROUTES.items()}
+    assert spans == {"revisit": [0, 1, 2, 3, 0],
+                     "laps": [0, 1, 2, 3] * 2 + [0],
+                     "multi": [2, 3], "whole": [0, 1, 2], "single": [1]}
+    assert _ROUTES["revisit"].spans_by_edge[0] == [(0.0, 20.0), (180.0, 0.0)]
+    assert _ROUTES["whole"].edge_spans[0] == (0, 0.0, 0.0)
+
+
+@settings(max_examples=400, deadline=None)
 @given(st.dictionaries(st.integers(1, 40), _COORDS, min_size=1, max_size=14),
-       st.data(), st.sampled_from([25.0, 45.0, 100.0, 1000.0]))
-def test_indexed_search_matches_brute_force(coords, data, sensing_range):
-    route = _RING_ROUTE
+       st.data(), st.sampled_from([25.0, 45.0, 100.0, 1000.0]),
+       st.sampled_from(sorted(_ROUTES)))
+def test_indexed_search_matches_brute_force(coords, data, sensing_range,
+                                            route_name):
+    route = _ROUTES[route_name]
     ids = sorted(coords)
     subject = data.draw(st.sampled_from(ids))
     snap = Snapshot(coords)

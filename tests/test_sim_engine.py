@@ -288,6 +288,41 @@ def test_mobil_lane_changes_pinned():
         "882028e60885075c06fb9899c5d00b6ef803a8243043e813b0b27a9a1466002e"
 
 
+def test_step_memo_matches_fresh_accelerations(monkeypatch):
+    """The step's memo feeds MOBIL the accelerations computed afresh."""
+    scene, asg, cfg = _three_lane_mobil_inputs()
+    # desired speeds that change every step, so an agent's v0 when an
+    # earlier subject reads it differs from its own decision's
+    t = np.arange(120) * 0.1
+    for aid, a in asg.items():
+        v = a.profile.feature
+        asg[aid] = BehaviorAssignment(
+            aid, a.route, a.label,
+            VelocityProfile(0.1, v + 2.0 * np.sin(t + aid), v, a.label))
+    decide = dynamics.mobil_decide
+
+    def run(snapshot_accel):
+        inputs = []
+
+        def recording(params, *accels):
+            inputs.append(accels)
+            return decide(params, *accels)
+
+        monkeypatch.setattr(dynamics, "mobil_decide", recording)
+        monkeypatch.setattr(sim_engine, "_snapshot_accel", snapshot_accel)
+        csv = simulate_scene(scene, asg, cfg).to_csv()
+        return inputs, hashlib.sha256(csv.encode()).hexdigest()
+
+    def fresh(run, snapshot, config, base_accels):
+        return sim_engine._idm_accel_in(snapshot, run, run.route, config)
+
+    memo_inputs, memo_csv = run(sim_engine._snapshot_accel)
+    fresh_inputs, fresh_csv = run(fresh)
+    assert len(memo_inputs) > 100
+    assert memo_inputs == fresh_inputs
+    assert memo_csv == fresh_csv
+
+
 def test_rejected_lane_changes_build_no_route_geometry(monkeypatch):
     """Only an accepted lane change builds its new route's polyline."""
     scene, asg, cfg = _three_lane_mobil_inputs()
