@@ -24,6 +24,7 @@ TURN_RATE_THRESHOLD = default("behavior.turn_rate_threshold")
 TURN_RATE_SUSTAIN = default("behavior.turn_rate_sustain")
 TURN_CURVATURE_THRESHOLD = 0.05  # rad/m, onset on pure route geometry
 TURN_CURVATURE_SUSTAIN = 1.0     # m of sustained curvature
+TURN_ARC_STEP = 0.5              # m, resampling step of that onset scan
 PROFILE_NOISE_STD = default("behavior.noise_std")  # m/s, per-sample
 
 
@@ -109,6 +110,20 @@ class BehaviorAssignment:
     profile: Optional[VelocityProfile]
 
 
+def _sustained_onset(flags, stamps, sustain):
+    """Start ``i`` of the first run of true ``flags`` ``i..j`` that lasts
+    ``stamps[j + 1] - stamps[i] >= sustain``, or None; stops there."""
+    start = None
+    for j, flag in enumerate(flags):
+        if not flag:
+            start = None
+        elif start is None:
+            start = j
+        if start is not None and stamps[j + 1] - stamps[start] >= sustain:
+            return start
+    return None
+
+
 def distance_before_turn(traj, rate_threshold=TURN_RATE_THRESHOLD,
                          sustain=TURN_RATE_SUSTAIN):
     """Arc length traveled before the first sustained turn onset.
@@ -120,37 +135,21 @@ def distance_before_turn(traj, rate_threshold=TURN_RATE_THRESHOLD,
     traj = np.asarray(traj, dtype=float)
     if traj.ndim != 2 or traj.shape[1] != 3 or len(traj) < 3:
         raise ValueError("need an (N>=3, 3) array of (t, x, y)")
-    t = traj[:, 0]
     pts = traj[:, 1:]
-    seg = np.diff(pts, axis=0)
-    seg_len = np.linalg.norm(seg, axis=1)
-    arc = np.concatenate([[0.0], np.cumsum(seg_len)])
+    arc = geometry.cumulative_lengths(pts)
 
     # headings per segment, carrying the previous one over standstill gaps
-    headings = np.arctan2(seg[:, 1], seg[:, 0])
-    for i in range(1, len(headings)):
+    h = geometry.segment_headings(pts).tolist()
+    seg_len = geometry.segment_lengths(pts)
+    for i in range(1, len(h)):
         if seg_len[i] < 1e-9:
-            headings[i] = headings[i - 1]
+            h[i] = h[i - 1]
 
-    n_rate = len(headings) - 1
-    onset = None
-    for i in range(n_rate):
-        # sustained window starting at rate sample i
-        t_start = t[i + 1]
-        j = i
-        while j < n_rate:
-            dt_j = t[j + 2] - t[j + 1]
-            if dt_j <= 0:
-                break
-            rate = wrap_angle(headings[j + 1] - headings[j]) / dt_j
-            if abs(rate) <= rate_threshold:
-                break
-            if t[j + 2] - t_start >= sustain:
-                onset = i
-                break
-            j += 1
-        if onset is not None:
-            break
+    # rate sample j turns headings j to j + 1 from t[j + 1] to t[j + 2]
+    stamps = traj[1:, 0].tolist()
+    flags = (t1 > t0 and abs(wrap_angle(h1 - h0) / (t1 - t0)) > rate_threshold
+             for t0, t1, h0, h1 in zip(stamps, stamps[1:], h, h[1:]))
+    onset = _sustained_onset(flags, stamps, sustain)
     if onset is None:
         return float(arc[-1])
     return float(arc[onset + 1])
@@ -228,10 +227,7 @@ def match_profile(pool, label, feature_query, rng_seed,
     return VelocityProfile(src.dt, samples, src.feature, src.maneuver)
 
 
-def feature_for_behavior(agent_init, route,
-                         curvature_threshold=TURN_CURVATURE_THRESHOLD,
-                         sustain_arc=TURN_CURVATURE_SUSTAIN,
-                         arc_step=0.5):
+def feature_for_behavior(agent_init, route):
     """Profile-matching feature for one agent/route pair.
 
     Straight routes use the agent's current speed; turning routes use the
@@ -240,20 +236,15 @@ def feature_for_behavior(agent_init, route,
     """
     if route.maneuver == "straight":
         return float(agent_init.state.v)
-    pts = geometry.resample_polyline(route.polyline, arc_step)
-    headings = geometry.segment_headings(pts)
-    n_rate = len(headings) - 1
-    run_start = None
-    for i in range(n_rate):
-        curv = abs(wrap_angle(headings[i + 1] - headings[i])) / arc_step
-        if curv > curvature_threshold:
-            if run_start is None:
-                run_start = i
-            if (i - run_start + 1) * arc_step >= sustain_arc:
-                return float((run_start + 1) * arc_step)
-        else:
-            run_start = None
-    return float(route.total_length)
+    pts = geometry.resample_polyline(route.polyline, TURN_ARC_STEP)
+    h = geometry.segment_headings(pts).tolist()
+    stamps = [k * TURN_ARC_STEP for k in range(len(h))]
+    flags = (abs(wrap_angle(h1 - h0)) / TURN_ARC_STEP
+             > TURN_CURVATURE_THRESHOLD for h0, h1 in zip(h, h[1:]))
+    onset = _sustained_onset(flags, stamps, TURN_CURVATURE_SUSTAIN)
+    if onset is None:
+        return float(route.total_length)
+    return float(stamps[onset + 1])
 
 
 def sample_behaviors(scene, graph, pool, rng_seed, max_variants=3,

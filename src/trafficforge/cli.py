@@ -97,11 +97,16 @@ def _emit(doc, out, pretty):
         sys.stdout.write(text + "\n")
 
 
+def _load_graph(args, cfg):
+    """The lane graph of ``--map``, built with the configured road keys."""
+    return road_graph.build_graph(_load_json(args.map, "map"),
+                                  cfg["road.join_tolerance"],
+                                  cfg["road.default_lane_width"])
+
+
 def cmd_build_graph(args):
     cfg = _resolve_config(args)
-    spec = _load_json(args.map, "map")
-    graph = road_graph.build_graph(
-        spec, cfg["road.join_tolerance"], cfg["road.default_lane_width"])
+    graph = _load_graph(args, cfg)
     doc = {
         "nodes": [{"id": n.id, "x": float(n.position[0]),
                    "y": float(n.position[1])}
@@ -123,7 +128,8 @@ def cmd_profile_pool(args):
     trajs = []
     for path in args.tracklets:
         doc = _load_json(path, "tracklets")
-        _, tracks = scene_ingest.load_tracklets(doc)
+        _, tracks = scene_ingest.load_tracklets(doc,
+                                                f"tracklets file {path}")
         for tr in tracks:
             trajs.append(np.array([[p.t, p.position[0], p.position[1]]
                                    for p in tr.poses]))
@@ -143,13 +149,12 @@ def cmd_profile_pool(args):
 
 
 def _load_scenes(args, cfg):
-    map_doc = _load_json(args.map, "map")
-    graph = road_graph.build_graph(
-        map_doc, cfg["road.join_tolerance"], cfg["road.default_lane_width"])
+    graph = _load_graph(args, cfg)
     scenes = []
     for path in _tracklet_paths(args.tracklets):
         doc = _load_json(path, "tracklets")
-        scene_id, tracks = scene_ingest.load_tracklets(doc)
+        scene_id, tracks = scene_ingest.load_tracklets(
+            doc, f"tracklets file {path}")
         scenes.append(scene_ingest.instantiate_agents(
             graph, tracks, args.t0, scene_id,
             cfg["behavior.min_spawn_gap"], cfg["road.max_snap_distance"]))
@@ -181,6 +186,9 @@ def cmd_simulate(args):
     with open(os.path.join(args.out, "run.json"), "w") as fh:
         json.dump(summary, fh, sort_keys=True)
         fh.write("\n")
+    if not logs:
+        raise ConfigError(["no log written: every scene failed"]
+                          + [f"scene {s}: {e}" for s, e in failures])
     if failures:
         log.warning("%d scene(s) failed", len(failures))
     return 0
@@ -220,10 +228,8 @@ def cmd_render(args):
     cfg = _resolve_config(args)
     grid = cfg.raw["grid"]
     t_obs, stride = int(grid["t_obs"]), int(grid["stride"])
-    map_doc = _load_json(args.map, "map")
+    graph = _load_graph(args, cfg)
     logs = _load_logs(args.logs)
-    graph = road_graph.build_graph(map_doc, cfg["road.join_tolerance"],
-                                   cfg["road.default_lane_width"])
 
     # variants of a scene share an ego start, hence a grid and a context
     contexts = {}
@@ -331,12 +337,8 @@ def cmd_metrics(args):
         div = metrics.diversity_report(trajs)
         report["diversity"] = div.to_dict()
         if args.map:
-            map_doc = _load_json(args.map, "map")
-            graph = road_graph.build_graph(
-                map_doc, cfg["road.join_tolerance"],
-                cfg["road.default_lane_width"])
             report["validity_ratio"] = metrics.validity_ratio(
-                trajs, graph,
+                trajs, _load_graph(args, cfg),
                 max_snap_distance=cfg["road.max_snap_distance"])
     if not report:
         raise ConfigError(["metrics needs --preds and/or --logs"])

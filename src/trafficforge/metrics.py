@@ -13,8 +13,8 @@ normalization:
   i.e. mean(|d2x/dt2|).
 
 The realism check performs PCA on pooled real and simulated trajectories,
-fits a Gaussian KDE (Scott bandwidth) on the transformed real set only,
-and compares mean log-likelihoods of both sets under that density.
+fits the same Gaussian KDE on the transformed real set only, and compares
+mean log-likelihoods of both sets under that density.
 """
 
 import math
@@ -26,8 +26,9 @@ from scipy.special import logsumexp
 from trafficforge.errors import InsufficientDataError
 from trafficforge import road_graph
 
-KDE_COV_REG = 1e-4          # m^2, added to per-step sample covariance
+KDE_COV_REG = 1e-4          # added to every KDE's sample covariance
 RESAMPLE_POINTS = 35        # common length for the realism check
+PCA_COMPONENTS = 2          # dimensions of the realism check's KDE
 
 
 @dataclass
@@ -109,22 +110,28 @@ def min_over_samples(pset, metric, horizon_steps):
     return min(fn(s, pset.ground_truth, horizon_steps) for s in pset.samples)
 
 
-def _gauss_kde_logpdf(samples, query, cov_reg=KDE_COV_REG):
-    """Log density of a 2D Gaussian KDE (Scott bandwidth) at one point."""
-    n = len(samples)
-    cov = np.cov(samples.T) if n > 1 else np.zeros((2, 2))
-    cov = np.atleast_2d(cov) + cov_reg * np.eye(2)
-    h2 = n ** (-1.0 / 3.0)          # Scott factor squared for d=2
-    kernel_cov = cov * h2
+def _gauss_kde_logpdf(samples, queries):
+    """Gaussian KDE on (n, d) ``samples``: log densities at (q, d) ``queries``.
+
+    Kernel covariance: the sample covariance plus ``KDE_COV_REG``, which
+    keeps it invertible, times Scott's factor squared (Scott 1992).
+    """
+    n, d = samples.shape
+    cov = np.cov(samples.T) if n > 1 else np.zeros((d, d))
+    cov = np.atleast_2d(cov) + KDE_COV_REG * np.eye(d)
+    kernel_cov = cov * n ** (-2.0 / (d + 4))
     inv = np.linalg.inv(kernel_cov)
     _, logdet = np.linalg.slogdet(kernel_cov)
-    diff = query - samples
-    quad = np.einsum("ij,jk,ik->i", diff, inv, diff)
-    logs = -0.5 * quad - 0.5 * logdet - math.log(2.0 * math.pi)
-    return float(logsumexp(logs) - math.log(n))
+    norm = 0.5 * d * math.log(2.0 * math.pi)
+    out = np.empty(len(queries))
+    for i, query in enumerate(queries):
+        diff = query - samples
+        quad = np.einsum("ij,jk,ik->i", diff, inv, diff)
+        out[i] = logsumexp(-0.5 * quad - 0.5 * logdet - norm) - math.log(n)
+    return out
 
 
-def nll(pset, horizon_steps, cov_reg=KDE_COV_REG):
+def nll(pset, horizon_steps):
     """Mean negative log density of the ground truth under per-step KDEs."""
     if len(pset.samples) < 2:
         raise InsufficientDataError("likelihood needs at least 2 samples")
@@ -132,8 +139,8 @@ def nll(pset, horizon_steps, cov_reg=KDE_COV_REG):
     vals = []
     for step in range(1, horizon_steps + 1):
         pts = np.stack([s.points[step] for s in pset.samples])
-        vals.append(-_gauss_kde_logpdf(pts, pset.ground_truth.points[step],
-                                       cov_reg))
+        gt = pset.ground_truth.points[step:step + 1]
+        vals.append(-float(_gauss_kde_logpdf(pts, gt)[0]))
     return float(np.mean(vals))
 
 
@@ -218,53 +225,41 @@ def diversity_report(trajs):
         y_vals, xdd_vals, degenerate)
 
 
-def resample_trajectory(traj, n_points=RESAMPLE_POINTS):
-    """Linear time-resampling to a fixed number of points."""
+def resample_trajectory(traj):
+    """Linear time-resampling to ``RESAMPLE_POINTS`` points."""
     n = len(traj.points)
     src_t = np.arange(n) * traj.dt
-    tgt_t = np.linspace(0.0, src_t[-1], n_points)
-    out = np.column_stack([np.interp(tgt_t, src_t, traj.points[:, 0]),
-                           np.interp(tgt_t, src_t, traj.points[:, 1])])
-    return out
+    tgt_t = np.linspace(0.0, src_t[-1], RESAMPLE_POINTS)
+    return np.column_stack([np.interp(tgt_t, src_t, traj.points[:, 0]),
+                            np.interp(tgt_t, src_t, traj.points[:, 1])])
 
 
-def pca_kde_realism(real, sim, n_components=2, n_eval=1000, rng_seed=0,
-                    n_points=RESAMPLE_POINTS):
+def pca_kde_realism(real, sim, n_eval=1000, rng_seed=0):
     """Mean log-likelihood of real and simulated sets under a real-data KDE.
 
     Trajectories are resampled to a common length, flattened, and reduced
-    with a PCA basis fit on the pooled sets. The KDE (Scott bandwidth) is
-    fit on the transformed real set only. Returns
-    (loglik_real, loglik_sim) in nats.
+    to ``PCA_COMPONENTS`` with a PCA basis fit on the pooled sets. The
+    KDE (:func:`_gauss_kde_logpdf`) is fit on the transformed real set
+    only. Returns (loglik_real, loglik_sim) in nats.
     """
-    # scipy.stats takes about as long to import as the rest of the
-    # package, and only this function needs it
-    from scipy.stats import gaussian_kde
-
-    if len(real) < max(n_components + 1, 2):
+    if len(real) < PCA_COMPONENTS + 1:
         raise InsufficientDataError(
-            f"need at least {n_components + 1} real trajectories")
+            f"need at least {PCA_COMPONENTS + 1} real trajectories")
     if not sim:
         raise InsufficientDataError("need at least 1 simulated trajectory")
-    real_v = np.stack([resample_trajectory(t, n_points).ravel() for t in real])
-    sim_v = np.stack([resample_trajectory(t, n_points).ravel() for t in sim])
+    real_v = np.stack([resample_trajectory(t).ravel() for t in real])
+    sim_v = np.stack([resample_trajectory(t).ravel() for t in sim])
 
     pooled = np.vstack([real_v, sim_v])
     mean = pooled.mean(axis=0)
     _, _, vt = np.linalg.svd(pooled - mean, full_matrices=False)
-    basis = vt[:n_components]
+    basis = vt[:PCA_COMPONENTS]
     real_p = (real_v - mean) @ basis.T
     sim_p = (sim_v - mean) @ basis.T
-
-    try:
-        kde = gaussian_kde(real_p.T)
-    except np.linalg.LinAlgError as exc:
-        raise InsufficientDataError(
-            f"real set is degenerate under PCA: {exc}") from exc
 
     rng = np.random.default_rng(rng_seed)
     idx_r = rng.integers(len(real_p), size=n_eval)
     idx_s = rng.integers(len(sim_p), size=n_eval)
-    ll_real = float(np.mean(kde.logpdf(real_p[idx_r].T)))
-    ll_sim = float(np.mean(kde.logpdf(sim_p[idx_s].T)))
+    ll_real = float(np.mean(_gauss_kde_logpdf(real_p, real_p[idx_r])))
+    ll_sim = float(np.mean(_gauss_kde_logpdf(real_p, sim_p[idx_s])))
     return ll_real, ll_sim

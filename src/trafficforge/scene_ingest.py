@@ -16,7 +16,7 @@ import numpy as np
 from trafficforge import road_graph
 from trafficforge.config import default
 from trafficforge.controller import VehicleGeometry, VehicleState
-from trafficforge.errors import EmptySceneError, OffMapError
+from trafficforge.errors import ConfigError, EmptySceneError, OffMapError
 from trafficforge.geometry import wrap_angle
 
 
@@ -92,19 +92,29 @@ class Scene:
         return json.dumps(doc, sort_keys=True)
 
 
-def load_tracklets(doc):
-    """Parse the tracklet JSON schema into (scene_id, [Tracklet])."""
-    tracks = []
-    for tr in doc["tracks"]:
-        poses = [TrackletPose(float(p["t"]),
-                              np.array([p["x"], p["y"]], dtype=float),
-                              p.get("heading"), p.get("speed"))
-                 for p in tr["poses"]]
-        if any(poses[i + 1].t < poses[i].t for i in range(len(poses) - 1)):
-            raise ValueError(f"track {tr['agent_id']}: times not sorted")
-        geom = VehicleGeometry(L=float(tr.get("length", 4.5)),
-                               width=float(tr.get("width", 1.8)))
-        tracks.append(Tracklet(int(tr["agent_id"]), poses, geom))
+def load_tracklets(doc, source="tracklets"):
+    """Parse the tracklet JSON schema into (scene_id, [Tracklet]); a
+    malformed document raises :class:`ConfigError` naming ``source``."""
+    where = source
+    try:
+        tracks = []
+        for i, tr in enumerate(doc["tracks"]):
+            where = f"{source}: track {i}"
+            poses = [TrackletPose(float(p["t"]),
+                                  np.array([p["x"], p["y"]], dtype=float),
+                                  p.get("heading"), p.get("speed"))
+                     for p in tr["poses"]]
+            for k in range(1, len(poses)):
+                if poses[k].t < poses[k - 1].t:
+                    raise ValueError(f"times not sorted at pose {k} "
+                                     f"(t {poses[k].t})")
+            geom = VehicleGeometry(L=float(tr.get("length", 4.5)),
+                                   width=float(tr.get("width", 1.8)))
+            tracks.append(Tracklet(int(tr["agent_id"]), poses, geom))
+    except KeyError as exc:
+        raise ConfigError([f"{where}: missing key {exc}"]) from exc
+    except (TypeError, ValueError) as exc:
+        raise ConfigError([f"{where}: {exc}"]) from exc
     return str(doc.get("scene_id", "scene")), tracks
 
 

@@ -1,16 +1,22 @@
 """Velocity-profile mining, matching and behavior sampling."""
 
+import functools
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import (approach_point, four_way_intersection, straight_map,
                      straight_source_traj, tracklets_doc, turning_source_traj)
 
-from trafficforge import behavior, road_graph, scene_ingest
+from trafficforge import behavior, geometry, road_graph, scene_ingest
 from trafficforge.behavior import (build_profile_pool, distance_before_turn,
                                    feature_for_behavior, match_profile,
                                    sample_behaviors)
 from trafficforge.errors import MissingProfileError
+from trafficforge.geometry import wrap_angle
 
 
 def test_distance_before_turn_straight():
@@ -27,6 +33,96 @@ def test_distance_before_turn_after_approach():
 def test_distance_before_turn_immediate():
     traj = turning_source_traj(5.0, 5.0, approach_dist=0.5, radius=8.0)
     assert distance_before_turn(traj) < 2.0
+
+
+def _distance_before_turn_reference(traj, rate_threshold, sustain):
+    """The nested-loop onset search that the run scan replaced."""
+    traj = np.asarray(traj, dtype=float)
+    t = traj[:, 0]
+    pts = traj[:, 1:]
+    seg = np.diff(pts, axis=0)
+    seg_len = np.linalg.norm(seg, axis=1)
+    arc = np.concatenate([[0.0], np.cumsum(seg_len)])
+    headings = np.arctan2(seg[:, 1], seg[:, 0])
+    for i in range(1, len(headings)):
+        if seg_len[i] < 1e-9:
+            headings[i] = headings[i - 1]
+    n_rate = len(headings) - 1
+    onset = None
+    for i in range(n_rate):
+        t_start = t[i + 1]
+        j = i
+        while j < n_rate:
+            dt_j = t[j + 2] - t[j + 1]
+            if dt_j <= 0:
+                break
+            rate = wrap_angle(headings[j + 1] - headings[j]) / dt_j
+            if abs(rate) <= rate_threshold:
+                break
+            if t[j + 2] - t_start >= sustain:
+                onset = i
+                break
+            j += 1
+        if onset is not None:
+            break
+    if onset is None:
+        return float(arc[-1])
+    return float(arc[onset + 1])
+
+
+@st.composite
+def _timed_tracks(draw):
+    """(t, x, y) rows with repeated or reversed times and standstills.
+
+    Steps of 0.25 s and 0.5 s are exact in binary, so a run can last
+    exactly ``sustain``.
+    """
+    n = draw(st.integers(3, 25))
+    dts = draw(st.lists(st.sampled_from([0.25, 0.5, 0.1, 0.0, -0.25]),
+                        min_size=n - 1, max_size=n - 1))
+    turns = draw(st.lists(st.one_of(st.just(0.0), st.floats(-0.6, 0.6)),
+                          min_size=n - 1, max_size=n - 1))
+    steps = draw(st.lists(st.sampled_from([0.0, 0.5, 1.5]),
+                          min_size=n - 1, max_size=n - 1))
+    psi = np.cumsum(turns)
+    xy = np.zeros((n, 2))
+    xy[1:] = np.cumsum(np.column_stack([steps * np.cos(psi),
+                                        steps * np.sin(psi)]), axis=0)
+    t = np.concatenate([[0.0], np.cumsum(dts)])
+    return np.column_stack([t, xy])
+
+
+def _track(times, turns, step=1.0):
+    psi = np.cumsum(turns)
+    xy = np.zeros((len(times), 2))
+    xy[1:] = np.cumsum(step * np.column_stack([np.cos(psi), np.sin(psi)]),
+                       axis=0)
+    return np.column_stack([times, xy])
+
+
+# only the first rate sample turns in _FIRST, only the last in _LAST
+_FIRST = _track([0.0, 0.5, 1.0, 1.5, 2.0], [0.0, 0.5, 0.0, 0.0])
+_LAST = _track([0.0, 0.5, 1.0, 1.5, 2.0], [0.0, 0.0, 0.0, 0.5])
+
+
+@settings(max_examples=400, deadline=None)
+@given(_timed_tracks(), st.floats(0.05, 0.3),
+       st.one_of(st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0]),
+                 st.floats(0.0, 1.0)))
+def test_distance_before_turn_matches_nested_loop(traj, threshold, sustain):
+    assert distance_before_turn(traj, threshold, sustain) \
+        == _distance_before_turn_reference(traj, threshold, sustain)
+
+
+@pytest.mark.parametrize("traj, sustain, onset", [
+    (_FIRST, 0.0, 0), (_FIRST, 0.5, 0), (_FIRST, 0.75, None),
+    (_LAST, 0.0, 2), (_LAST, 0.5, 2), (_LAST, 0.75, None)])
+def test_distance_before_turn_onset_at_first_and_last_rate(traj, sustain,
+                                                           onset):
+    arc = np.concatenate([[0.0], np.cumsum(np.linalg.norm(
+        np.diff(traj[:, 1:], axis=0), axis=1))])
+    want = arc[-1] if onset is None else arc[onset + 1]
+    assert distance_before_turn(traj, 0.1, sustain) == want
 
 
 def test_build_pool_constant_straight():
@@ -129,6 +225,50 @@ def test_feature_turn_onset_at_start(profile_pool):
     routes = road_graph.enumerate_routes(g, agent.lane)
     left = next(r for r in routes if r.maneuver == "left")
     assert feature_for_behavior(agent, left) <= 3.0
+
+
+def _curvature_onset_reference(route, threshold, sustain_arc, arc_step=0.5):
+    """The loop that found a route's turn onset before the run scan."""
+    pts = geometry.resample_polyline(route.polyline, arc_step)
+    headings = geometry.segment_headings(pts)
+    run_start = None
+    for i in range(len(headings) - 1):
+        curv = abs(wrap_angle(headings[i + 1] - headings[i])) / arc_step
+        if curv > threshold:
+            if run_start is None:
+                run_start = i
+            if (i - run_start + 1) * arc_step >= sustain_arc:
+                return float((run_start + 1) * arc_step)
+        else:
+            run_start = None
+    return float(route.total_length)
+
+
+@functools.lru_cache(maxsize=None)
+def _four_way_graph(junction, half_lane):
+    return road_graph.build_graph(
+        four_way_intersection(junction=junction, half_lane=half_lane))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([6.0, 8.0, 10.0, 13.0, 16.0]),
+       st.sampled_from([1.5, 1.75, 2.0]),
+       st.sampled_from([0, 90, 180, 270]), st.floats(0.5, 40.0),
+       st.floats(0.02, 0.3),
+       st.one_of(st.sampled_from([0.0, 0.5, 1.0, 1.5, 2.5]),
+                 st.floats(0.0, 3.0)))
+def test_feature_matches_curvature_loop(junction, half_lane, deg, dist,
+                                        threshold, sustain):
+    g = _four_way_graph(junction, half_lane)
+    x, y, _ = approach_point(deg, dist, junction=junction,
+                             half_lane=half_lane)
+    lane = road_graph.project_to_lane(g, np.array([x, y]))
+    with mock.patch.object(behavior, "TURN_CURVATURE_THRESHOLD", threshold), \
+            mock.patch.object(behavior, "TURN_CURVATURE_SUSTAIN", sustain):
+        for route in road_graph.enumerate_routes(g, lane):
+            if route.maneuver != "straight":
+                assert feature_for_behavior(None, route) \
+                    == _curvature_onset_reference(route, threshold, sustain)
 
 
 def test_sample_behaviors_covers_labels(profile_pool):

@@ -463,6 +463,58 @@ def test_malformed_pool_exits_1(sim_logs, tmp_path, capsys, doc, message):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("doc, message", [
+    ({"scene_id": "a"}, "missing key 'tracks'"),
+    ({"tracks": [{"agent_id": 1, "poses": [{"t": 0.0, "x": 1.0}]}]},
+     "track 0: missing key 'y'"),
+    ({"tracks": [{"agent_id": 1, "poses": [{"t": 0.5, "x": 0.0, "y": 0.0},
+                                           {"t": 0.2, "x": 1.0, "y": 0.0}]}]},
+     "track 0: times not sorted at pose 1 (t 0.2)"),
+], ids=["no-tracks", "no-y", "unsorted-times"])
+@pytest.mark.parametrize("command", ["profile-pool", "simulate"])
+def test_malformed_tracklets_exit_1(sim_logs, tmp_path, capsys, command, doc,
+                                    message):
+    path = tmp_path / "tracks.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    argv = [command, "--tracklets", str(path), "--out", str(out)]
+    if command == "simulate":
+        argv += ["--map", str(sim_logs / "map.json"),
+                 "--pool", str(sim_logs / "pool.json"), "--seed", "1"]
+    assert dispatch(argv) == 1
+    assert f"error: tracklets file {path}: {message}" \
+        in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_simulate_exits_1_without_a_log(tmp_path, capsys):
+    _write_inputs(tmp_path, n_scenes=1)
+    # straight profiles only, while scene00's agents approach a junction
+    # and must draw turns as well
+    (tmp_path / "pool.json").write_text(json.dumps({"dt": 0.1, "profiles": [
+        {"label": "straight", "feature": 9.0, "samples": [9.0] * 71}]}))
+
+    def simulate(out):
+        return dispatch(["simulate", "--map", str(tmp_path / "map.json"),
+                         "--tracklets", str(tmp_path / "tracklets"),
+                         "--pool", str(tmp_path / "pool.json"),
+                         "--seed", "1", "--out", str(out)])
+
+    assert simulate(tmp_path / "none") == 1
+    err = capsys.readouterr().err
+    assert "error: no log written: every scene failed\n" \
+        "error: scene scene00: MissingProfileError" in err
+    run = json.loads((tmp_path / "none" / "run.json").read_text())
+    assert run["n_logs"] == 0 and len(run["failures"]) == 1
+    # an agent on an outbound arm can only go straight
+    (tmp_path / "tracklets" / "leaving.json").write_text(json.dumps(
+        tracklets_doc("leaving", [(1, 40.0, -1.75, 0.0, 9.0)])))
+    assert simulate(tmp_path / "some") == 0
+    run = json.loads((tmp_path / "some" / "run.json").read_text())
+    assert run["n_logs"] == 1
+    assert [f["scene_id"] for f in run["failures"]] == ["scene00"]
+
+
 def test_render_accepts_integer_valued_floats(sim_logs, tmp_path):
     # validation lets 16.0 pass as an integer, so the header must get 16
     out = tmp_path / "grids"
@@ -553,13 +605,18 @@ def test_run_json_lists_dropped_agents(sim_logs, tmp_path):
 
 
 def test_cli_import_leaves_scipy_stats_unloaded():
-    # scipy.stats roughly doubles the import time, and only the realism
-    # check, which no command calls, needs it; run in a fresh interpreter
+    # scipy.stats roughly doubles the import time, and no module needs it,
+    # the realism check included; run in a fresh interpreter
     src = os.path.dirname(os.path.dirname(trafficforge.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     proc = subprocess.run(
         [sys.executable, "-c",
-         "import sys, trafficforge.cli; "
+         "import sys, numpy as np, trafficforge.cli\n"
+         "from trafficforge import metrics\n"
+         "trajs = [metrics.Trajectory2D(0.1, np.column_stack(\n"
+         "    [np.arange(6.0), np.sin(np.arange(6.0) + k)]))\n"
+         "    for k in range(5)]\n"
+         "metrics.pca_kde_realism(trajs[:4], trajs[1:], n_eval=8)\n"
          "print('scipy.stats' in sys.modules)"],
         env=env, capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr

@@ -129,6 +129,57 @@ def test_nll_translation_invariance(rng):
     assert nll(ps2, 7) == pytest.approx(nll(ps, 7), abs=1e-9)
 
 
+def _nll_pin_sets():
+    rng = np.random.default_rng(2024)
+    sets = []
+    for k in range(12):
+        n_steps = int(rng.integers(3, 12))
+        n = int(rng.integers(2, 30))
+        gt = np.cumsum(rng.normal(size=(n_steps, 2)), axis=0)
+        if k % 4 == 0:      # collapsed: every sample is the ground truth
+            samples = [gt.copy() for _ in range(n)]
+        elif k % 4 == 1:    # collinear: samples spread along x only
+            samples = [gt + [rng.normal(scale=0.5), 0.0] for _ in range(n)]
+        else:
+            samples = [gt + rng.normal(scale=0.6, size=gt.shape)
+                       for _ in range(n)]
+        sets.append((PredictionSet(k, _traj(gt), [_traj(s) for s in samples]),
+                     n_steps - 1))
+    return sets
+
+
+def test_nll_pinned():
+    # exact floats, so a rewrite of the KDE must keep the float operations
+    # and their order
+    got = [nll(ps, h).hex() for ps, h in _nll_pin_sets()]
+    assert got == [
+        "-0x1.0bdf90cf2658cp+3", "-0x1.ccb7fe0dd1b75p+1",
+        "0x1.03d9e24cafd58p+0", "0x1.fa0925b423693p-1",
+        "-0x1.0ce3d37433864p+3", "-0x1.72574c3ba39eep+1",
+        "0x1.42a03d21e99d5p+0", "0x1.33b9301951a84p+0",
+        "-0x1.0b53803292181p+3", "-0x1.b2af39150b74ap+1",
+        "0x1.257db01d390cap+0", "0x1.fc39948ace62bp-1"]
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("n", [1, 2, 7, 40])
+def test_kde_matches_summed_normal_densities(d, n):
+    from scipy.stats import multivariate_normal
+    rng = np.random.default_rng(100 * d + n)
+    samples = rng.normal(size=(n, d)) * rng.uniform(0.5, 3.0, size=d)
+    centered = samples - samples.mean(axis=0)
+    cov = centered.T @ centered / (n - 1) if n > 1 else np.zeros((d, d))
+    scott = n ** (-1.0 / (d + 4))
+    kernel_cov = (cov + metrics.KDE_COV_REG * np.eye(d)) * scott ** 2
+    # within a few kernel widths of a sample, where no density underflows
+    queries = samples[rng.integers(n, size=6)] \
+        + 2.0 * rng.normal(size=(6, d)) @ np.linalg.cholesky(kernel_cov).T
+    want = [math.log(sum(multivariate_normal(s, kernel_cov).pdf(q)
+                         for s in samples) / n) for q in queries]
+    got = metrics._gauss_kde_logpdf(samples, queries)
+    np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-9)
+
+
 def test_nll_needs_two_samples():
     gt = _traj(np.zeros((5, 2)) + np.arange(5)[:, None])
     with pytest.raises(InsufficientDataError):
@@ -496,3 +547,11 @@ def test_pca_kde_shifted_distribution_separates(rng):
 def test_pca_kde_insufficient_data():
     with pytest.raises(InsufficientDataError):
         pca_kde_realism([], [], n_eval=10, rng_seed=0)
+
+
+def test_pca_kde_degenerate_real_set_is_regularised():
+    # identical trajectories collapse under PCA; the KDE's covariance
+    # regulariser still gives a finite density
+    t = _traj(np.column_stack([np.arange(6.0), np.zeros(6)]))
+    ll_real, ll_sim = pca_kde_realism([t] * 4, [t] * 3, n_eval=5)
+    assert math.isfinite(ll_real) and ll_real == ll_sim
