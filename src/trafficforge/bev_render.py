@@ -15,6 +15,7 @@ state (2 x f32), mask (1 x f32), label (3 x f32) and id (1 x i32) planes.
 The id plane stores agent_id + 1 so 0 always means empty.
 """
 
+import functools
 import math
 import struct
 from dataclasses import dataclass
@@ -28,6 +29,7 @@ LABEL_CLASSES = ("straight", "left", "right")
 _MAGIC = b"BEVG"
 _VERSION = 1
 _HEADER = struct.Struct("<4sIIIdIIddII")  # 56 bytes, padded to 64
+_FRAME_PLANES = 4 + len(LABEL_CLASSES)    # state x2, mask, labels, id
 
 
 @dataclass
@@ -49,6 +51,17 @@ class GridSpec:
 
     def contains(self, row, col):
         return 0 <= row < self.H and 0 <= col < self.W
+
+    def cells(self, x, y):
+        """Flat index ``row * W + col`` of the cell holding each point of
+        the arrays ``x``, ``y`` (the rule of :meth:`cell_of`), -1 for a
+        point off the grid."""
+        cols = np.floor((x - self.origin[0]) / self.resolution)
+        rows = np.floor((y - self.origin[1]) / self.resolution)
+        inside = (rows >= 0) & (rows < self.H) & (cols >= 0) & (cols < self.W)
+        out = np.full(len(x), -1, dtype=np.int64)
+        out[inside] = rows[inside] * self.W + cols[inside]
+        return out
 
     def cell_centers(self):
         xs = self.origin[0] + (np.arange(self.W) + 0.5) * self.resolution
@@ -76,17 +89,20 @@ class ContextMap:
         out[rows, cols, self.classes] = 1
         return out
 
+    @functools.cached_property
+    def planes(self):
+        """The one-hot as the file's float32 (3, H, W) context planes,
+        encoded once per map."""
+        return np.ascontiguousarray(self.onehot.transpose(2, 0, 1),
+                                    dtype=np.float32)
+
     def on_road(self, points):
         """Per point of ``points`` (P, 2): does it land on a road or lane
-        cell? Off-raster points do not. Cells are found as in
-        :meth:`GridSpec.cell_of`."""
-        spec = self.spec
-        cols = np.floor((points[:, 0] - spec.origin[0]) / spec.resolution)
-        rows = np.floor((points[:, 1] - spec.origin[1]) / spec.resolution)
-        inside = (rows >= 0) & (rows < spec.H) & (cols >= 0) & (cols < spec.W)
+        cell? Off-raster points do not."""
+        cells = self.spec.cells(points[:, 0], points[:, 1])
+        inside = cells >= 0
         out = np.zeros(len(points), dtype=bool)
-        out[inside] = self.classes[rows[inside].astype(np.intp),
-                                   cols[inside].astype(np.intp)] != UNKNOWN
+        out[inside] = self.classes.ravel()[cells[inside]] != UNKNOWN
         return out
 
 
@@ -103,7 +119,7 @@ class AgentMaps:
 class GridSample:
     spec: GridSpec
     context: ContextMap
-    frames: list          # AgentMaps for t = 0..T-1
+    frames: list          # AgentMaps for t = 0..T-1 (any sequence)
     t_obs: int
     scene_id: str
     variant: int
@@ -191,48 +207,123 @@ def _dist2_to_segment(points, a, b):
     return np.einsum("ij,ij->i", diff, diff)
 
 
-def rasterize_states(log, t, spec):
-    """Agent maps at step ``t`` of a SimLog.
+class _CellTable:
+    """Where each agent of a log sits on ``spec``, at every step: the one
+    home of the cell, collision and label rules.
 
-    Each in-grid active agent marks the cell containing its position with
-    its displacement since its own start, its id and its label one-hot.
-    When two agents fall into one cell the lower id wins and the clash is
-    counted in ``collisions``.
+    An agent marks the cell containing its position, while it has not
+    exited (step ``t`` < its number of steps), with its displacement since
+    its own start, its id plus one and its label one-hot (a label outside
+    ``LABEL_CLASSES`` counts as the first class). Agents off the grid mark
+    nothing. When two agents fall into one cell the lower id keeps it and
+    the clash is counted as a collision.
+
+    The table keeps the kept marks of all steps in step order, ids
+    ascending within a step: step ``t`` owns ``[offsets[t], offsets[t+1])``.
     """
-    state = np.zeros((spec.H, spec.W, 2), dtype=np.float32)
-    mask = np.zeros((spec.H, spec.W), dtype=np.uint8)
-    ids = np.zeros((spec.H, spec.W), dtype=np.int32)
-    labels = np.zeros((spec.H, spec.W, 3), dtype=np.uint8)
-    collisions = 0
-    for ag in sorted(log.agents, key=lambda a: a.agent_id):
-        if t >= len(ag.t):
-            continue  # exited before t
-        pos = (float(ag.x[t]), float(ag.y[t]))
-        row, col = spec.cell_of(pos)
-        if not spec.contains(row, col):
-            continue
-        if mask[row, col]:
-            collisions += 1
-            continue  # lower id already owns the cell
-        mask[row, col] = 1
-        ids[row, col] = ag.agent_id + 1
-        state[row, col, 0] = pos[0] - float(ag.x[0])
-        state[row, col, 1] = pos[1] - float(ag.y[0])
-        cls = LABEL_CLASSES.index(ag.label) if ag.label in LABEL_CLASSES else 0
-        labels[row, col, cls] = 1
-    return AgentMaps(state, mask, ids, labels, collisions)
+
+    def __init__(self, log, spec):
+        self.spec = spec
+        agents = sorted(log.agents, key=lambda a: a.agent_id)
+        self.n_steps = max((len(ag.t) for ag in agents), default=0)
+        n_steps, hw = self.n_steps, spec.H * spec.W
+        cells = np.full((n_steps, len(agents)), -1, dtype=np.int64)
+        dx = np.zeros((n_steps, len(agents)), dtype=np.float32)
+        dy = np.zeros((n_steps, len(agents)), dtype=np.float32)
+        for i, ag in enumerate(agents):
+            k = len(ag.t)
+            if k == 0:
+                continue
+            x = np.asarray(ag.x[:k], dtype=np.float64)
+            y = np.asarray(ag.y[:k], dtype=np.float64)
+            cells[:k, i] = spec.cells(x, y)
+            dx[:k, i] = (x - x[0]).astype(np.float32)
+            dy[:k, i] = (y - y[0]).astype(np.float32)
+        step, agent = np.nonzero(cells >= 0)
+        # the first mark of a (step, cell) pair comes from the lowest id
+        _, first = np.unique(step * hw + cells[step, agent],
+                             return_index=True)
+        first.sort()
+        kept_step, kept = step[first], agent[first]
+        counts = np.bincount(kept_step, minlength=n_steps)
+        self.offsets = np.r_[0, np.cumsum(counts)].tolist()
+        self.collisions = (np.bincount(step, minlength=n_steps)
+                           - counts).tolist()
+        self.cell = cells[kept_step, kept]
+        self.dx, self.dy = dx[kept_step, kept], dy[kept_step, kept]
+        label = np.array([LABEL_CLASSES.index(ag.label)
+                          if ag.label in LABEL_CLASSES else 0
+                          for ag in agents], dtype=np.int64)
+        self.label_plane = 3 + label[kept]
+        self.ids = np.array([ag.agent_id + 1 for ag in agents],
+                            dtype=np.int32)[kept]
+
+    def fill(self, planes, t):
+        """Write step ``t`` into the zeroed float32 (7, H*W) frame
+        ``planes``; returns the cells it set. A step outside the log sets
+        none."""
+        if not 0 <= t < self.n_steps:
+            return self.cell[:0]
+        lo, hi = self.offsets[t], self.offsets[t + 1]
+        cells = self.cell[lo:hi]
+        planes[0, cells] = self.dx[lo:hi]
+        planes[1, cells] = self.dy[lo:hi]
+        planes[2, cells] = 1.0
+        planes[self.label_plane[lo:hi], cells] = 1.0
+        planes.view(np.int32)[-1, cells] = self.ids[lo:hi]
+        return cells
+
+    def maps(self, t):
+        planes = np.zeros((_FRAME_PLANES, self.spec.H * self.spec.W),
+                          dtype=np.float32)
+        self.fill(planes, t)
+        collisions = self.collisions[t] if 0 <= t < self.n_steps else 0
+        return _maps_from_planes(planes, self.spec.H, self.spec.W,
+                                 collisions)
+
+
+class _TableFrames:
+    """The AgentMaps of steps [start, stop) of a cell table, made on
+    access; :func:`write_grid_sample` streams them from the table."""
+
+    def __init__(self, table, start, stop):
+        self.table, self.steps = table, range(start, stop)
+
+    def __len__(self):
+        return len(self.steps)
+
+    def __getitem__(self, k):
+        return self.table.maps(self.steps[k])
+
+
+def _maps_from_planes(planes, H, W, collisions=0):
+    """AgentMaps of one frame's float32 (4 + n_labels, H*W) planes."""
+    return AgentMaps(
+        planes[0:2].reshape(2, H, W).transpose(1, 2, 0).copy(),
+        planes[2].reshape(H, W).astype(np.uint8),
+        planes[-1].view(np.int32).reshape(H, W).copy(),
+        planes[3:-1].reshape(-1, H, W).transpose(1, 2, 0).astype(np.uint8),
+        collisions)
+
+
+def rasterize_states(log, t, spec):
+    """Agent maps at step ``t`` of a SimLog, by the rules of
+    :class:`_CellTable`."""
+    return _CellTable(log, spec).maps(t)
 
 
 def build_grid_sample(log, spec, t_obs, t_start=0, t_end=None):
     """GridSample covering log steps [t_start, t_end)."""
-    n_steps = max(len(ag.t) for ag in log.agents)
+    return _window(_CellTable(log, spec), log, t_obs, t_start, t_end)
+
+
+def _window(table, log, t_obs, t_start, t_end=None):
     if t_end is None:
-        t_end = n_steps
+        t_end = table.n_steps
     if not 0 < t_obs < t_end - t_start:
         raise ValueError("t_obs must lie strictly inside the window")
-    frames = [rasterize_states(log, t, spec) for t in range(t_start, t_end)]
-    return GridSample(spec, None, frames, t_obs, log.scene_id,
-                      log.variant_index)
+    return GridSample(table.spec, None, _TableFrames(table, t_start, t_end),
+                      t_obs, log.scene_id, log.variant_index)
 
 
 def export_sequence(log, context, spec, t_obs, stride, out_dir):
@@ -242,11 +333,11 @@ def export_sequence(log, context, spec, t_obs, stride, out_dir):
     t_obs + 1 steps are not emitted.
     """
     import os
-    n_steps = max(len(ag.t) for ag in log.agents)
+    table = _CellTable(log, spec)
     paths = []
     offset = 0
-    while n_steps - offset >= t_obs + 1:
-        sample = build_grid_sample(log, spec, t_obs, offset, n_steps)
+    while table.n_steps - offset >= t_obs + 1:
+        sample = _window(table, log, t_obs, offset)
         sample.context = context
         name = f"{log.scene_id}_v{log.variant_index}_o{offset:04d}.bevg"
         path = os.path.join(out_dir, name)
@@ -257,22 +348,34 @@ def export_sequence(log, context, spec, t_obs, stride, out_dir):
 
 
 def write_grid_sample(sample, path):
+    """Write ``sample`` frame by frame from one reused planes buffer.
+
+    Frames of :func:`build_grid_sample` are filled from its cell table;
+    any other AgentMaps are copied plane by plane.
+    """
     spec = sample.spec
+    frames = sample.frames
     header = _HEADER.pack(_MAGIC, _VERSION, spec.H, spec.W, spec.resolution,
-                          len(sample.frames), sample.t_obs,
+                          len(frames), sample.t_obs,
                           spec.origin[0], spec.origin[1],
                           sample.variant, len(LABEL_CLASSES))
+    planes = np.zeros((_FRAME_PLANES, spec.H * spec.W), dtype=np.float32)
     with open(path, "wb") as fh:
         fh.write(header.ljust(64, b"\x00"))
-        fh.write(np.ascontiguousarray(
-            sample.context.onehot.transpose(2, 0, 1), dtype=np.float32).tobytes())
-        for frame in sample.frames:
-            fh.write(np.ascontiguousarray(
-                frame.state.transpose(2, 0, 1), dtype=np.float32).tobytes())
-            fh.write(frame.mask.astype(np.float32).tobytes())
-            fh.write(np.ascontiguousarray(
-                frame.labels.transpose(2, 0, 1), dtype=np.float32).tobytes())
-            fh.write(frame.ids.astype(np.int32).tobytes())
+        fh.write(memoryview(sample.context.planes))
+        if isinstance(frames, _TableFrames):
+            for t in frames.steps:
+                cells = frames.table.fill(planes, t)
+                fh.write(memoryview(planes))
+                planes[:, cells] = 0.0
+            return
+        grid = planes.reshape(_FRAME_PLANES, spec.H, spec.W)
+        for frame in frames:
+            grid[0:2] = frame.state.transpose(2, 0, 1)
+            grid[2] = frame.mask
+            grid[3:-1] = frame.labels.transpose(2, 0, 1)
+            grid[-1].view(np.int32)[:] = frame.ids
+            fh.write(memoryview(planes))
 
 
 def read_grid_sample(path, scene_id=""):
@@ -283,23 +386,9 @@ def read_grid_sample(path, scene_id=""):
     if magic != _MAGIC or version != _VERSION:
         raise ValueError(f"{path}: not a grid-sample file")
     spec = GridSpec(H, W, res, (ox, oy))
-    off = 64
-    hw = H * W
-
-    def planes(n, dtype):
-        nonlocal off
-        arr = np.frombuffer(raw, dtype=dtype, count=n * hw, offset=off)
-        off += arr.nbytes
-        return arr.reshape(n, H, W)
-
-    ctx = planes(3, np.float32).transpose(1, 2, 0)
-    classes = np.argmax(ctx, axis=2).astype(np.uint8)
-    context = ContextMap(spec, classes)
-    frames = []
-    for _ in range(T):
-        state = planes(2, np.float32).transpose(1, 2, 0)
-        mask = planes(1, np.float32)[0].astype(np.uint8)
-        labels = planes(n_cls, np.float32).transpose(1, 2, 0).astype(np.uint8)
-        ids = planes(1, np.int32)[0]
-        frames.append(AgentMaps(state.copy(), mask, ids.copy(), labels))
+    hw, n = H * W, 4 + n_cls
+    ctx = np.frombuffer(raw, np.float32, 3 * hw, 64).reshape(3, H, W)
+    context = ContextMap(spec, np.argmax(ctx, axis=0).astype(np.uint8))
+    planes = np.frombuffer(raw, np.float32, T * n * hw, 64 + ctx.nbytes)
+    frames = [_maps_from_planes(f, H, W) for f in planes.reshape(T, n, hw)]
     return GridSample(spec, context, frames, t_obs, scene_id, variant)

@@ -6,6 +6,7 @@ the map or spawn on top of another agent are dropped with a report entry.
 """
 
 import json
+import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -104,18 +105,31 @@ def load_tracklets(doc, source="tracklets"):
                                   np.array([p["x"], p["y"]], dtype=float),
                                   p.get("heading"), p.get("speed"))
                      for p in tr["poses"]]
+            for k, pose in enumerate(poses):
+                _check_finite(f"pose {k}", t=pose.t, x=pose.position[0],
+                              y=pose.position[1], heading=pose.heading,
+                              speed=pose.speed)
             for k in range(1, len(poses)):
                 if poses[k].t < poses[k - 1].t:
                     raise ValueError(f"times not sorted at pose {k} "
                                      f"(t {poses[k].t})")
             geom = VehicleGeometry(L=float(tr.get("length", 4.5)),
                                    width=float(tr.get("width", 1.8)))
+            _check_finite("vehicle", length=geom.L, width=geom.width)
             tracks.append(Tracklet(int(tr["agent_id"]), poses, geom))
     except KeyError as exc:
         raise ConfigError([f"{where}: missing key {exc}"]) from exc
     except (TypeError, ValueError) as exc:
         raise ConfigError([f"{where}: {exc}"]) from exc
     return str(doc.get("scene_id", "scene")), tracks
+
+
+def _check_finite(what, **values):
+    """Raise ValueError naming ``what`` and the first non-finite value;
+    None stands for an absent optional value."""
+    for name, value in values.items():
+        if value is not None and not math.isfinite(value):
+            raise ValueError(f"{what}: non-finite {name} ({value})")
 
 
 def interpolate_pose(tracklet, t):

@@ -14,6 +14,7 @@ the 1.0 its parameters were sampled with).
 import dataclasses
 import io
 import math
+import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from operator import itemgetter
@@ -57,6 +58,11 @@ class AgentLog:
 
 _CSV_VALUES = ("t", "x", "y", "v", "psi", "a", "phi")
 _CSV_HEADER = ("scene_id", "variant", "agent_id") + _CSV_VALUES + ("label",)
+# the numeric columns as read in one np.loadtxt pass
+_CSV_DTYPE = np.dtype([("variant", "i8"), ("agent_id", "i8")]
+                      + [(c, "f8") for c in _CSV_VALUES])
+# numpy's text parser strips these around a number; int() and float() do not
+_NUMPY_ONLY_SPACE = "\x1c\x1d\x1e\x1f"
 
 
 @dataclass
@@ -418,8 +424,6 @@ def read_simlog_csv(csv_path, sidecar=None):
     Raises :class:`ConfigError` naming the file and the line when a
     column is missing or a field is absent or not a finite number.
     """
-    per_agent = {}
-    scene_id, variant = "", 0
     with open(csv_path) as fh:
         header = fh.readline().strip().split(",")
         idx = {name: i for i, name in enumerate(header)}
@@ -427,28 +431,17 @@ def read_simlog_csv(csv_path, sidecar=None):
         if missing:
             raise ConfigError([f"simulation log {csv_path} line 1: "
                                f"missing column(s) {', '.join(missing)}"])
-        i_scene, i_variant, i_agent, i_label = (
-            idx["scene_id"], idx["variant"], idx["agent_id"], idx["label"])
-        values = itemgetter(*(idx[c] for c in _CSV_VALUES))
-        for line_no, line in enumerate(fh, 2):
-            f = line.rstrip("\n").split(",")
-            try:
-                scene_id = f[i_scene]
-                variant = int(f[i_variant])
-                aid = int(f[i_agent])
-                rec = per_agent.get(aid)
-                if rec is None:
-                    rec = per_agent[aid] = {"label": f[i_label], "rows": []}
-                row = list(map(float, values(f)))
-                if not all(map(math.isfinite, row)):
-                    raise ValueError(f"non-finite value in {row}")
-                rec["rows"].append(row)
-            except (IndexError, ValueError) as exc:
-                raise ConfigError([f"simulation log {csv_path} line "
-                                   f"{line_no}: {type(exc).__name__}: {exc}"]
-                                  ) from exc
-    if not per_agent:
-        raise ConfigError([f"simulation log {csv_path}: no data rows"])
+        text = fh.read()
+    numpy_reads_as_python = not any(c in text for c in _NUMPY_ONLY_SPACE)
+    lines = text.split("\n")
+    del text
+    if lines[-1] == "":
+        lines.pop()
+    parsed = None
+    if lines and numpy_reads_as_python:
+        parsed = _parse_rows_bulk(lines, idx)
+    scene_id, variant, per_agent = \
+        parsed or _parse_rows_one_by_one(lines, idx, csv_path)
     side_agents = {}
     dt = default("sim.dt")
     master_seed, cfg_digest = default("sim.master_seed"), ""
@@ -458,15 +451,14 @@ def read_simlog_csv(csv_path, sidecar=None):
         cfg_digest = sidecar.get("config_digest", "")
         side_agents = {a["agent_id"]: a for a in sidecar.get("agents", [])}
     agents = []
-    for aid in sorted(per_agent):
-        rows = np.asarray(per_agent[aid]["rows"])
+    for aid, (label, rows) in per_agent.items():
         if len(rows) > 1:
             dt_csv = float(rows[1, 0] - rows[0, 0])
             if not sidecar and dt_csv > 0:
                 dt = dt_csv
         meta = side_agents.get(aid, {})
         agents.append(AgentLog(
-            agent_id=aid, label=per_agent[aid]["label"],
+            agent_id=aid, label=label,
             route_edges=meta.get("route_edges", []),
             idm=meta.get("idm", {}), epsilon=meta.get("epsilon", 0.0),
             exit_step=meta.get("exit_step"),
@@ -477,6 +469,79 @@ def read_simlog_csv(csv_path, sidecar=None):
                           for c in meta.get("lane_changes", [])],
         ))
     return SimLog(scene_id, variant, dt, master_seed, cfg_digest, agents)
+
+
+def _parse_rows_bulk(lines, idx):
+    """The data ``lines`` in one ``np.loadtxt`` pass.
+
+    Returns what :func:`_parse_rows_one_by_one` returns, or None where
+    that row loop might read the lines differently or reject them; it
+    alone then parses them and names a bad line.
+    """
+    cols = [idx["variant"], idx["agent_id"]] + [idx[c] for c in _CSV_VALUES]
+    i_scene, i_label = idx["scene_id"], idx["label"]
+    if i_scene > max(cols):
+        return None  # loadtxt would not check that every row reaches it
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # e.g. "input contained no data"
+            data = np.loadtxt(lines, dtype=_CSV_DTYPE, delimiter=",",
+                              comments=None, usecols=cols, ndmin=1)
+    except (ValueError, Warning):
+        return None
+    # the value fields, as float (n, 7): they follow the two i8 fields
+    values = data.view(np.float64).reshape(len(data), -1)[:, 2:]
+    if len(data) != len(lines) or not np.isfinite(values).all():
+        return None  # a skipped blank line, or a bad value
+    order = np.argsort(data["agent_id"], kind="stable")
+    ids = data["agent_id"][order]
+    starts = np.flatnonzero(np.r_[True, ids[1:] != ids[:-1]])
+    bounds = np.r_[starts, len(ids)].tolist()
+    values = values[order]
+    per_agent = {}
+    for k, first in enumerate(order[starts].tolist()):
+        fields = lines[first].split(",")
+        if len(fields) <= i_label:
+            return None
+        per_agent[int(ids[bounds[k]])] = (
+            fields[i_label], values[bounds[k]:bounds[k + 1]])
+    return (lines[-1].split(",")[i_scene], int(data["variant"][-1]),
+            per_agent)
+
+
+def _parse_rows_one_by_one(lines, idx, csv_path):
+    """(scene_id, variant, {agent_id: (label, rows)}) from the data
+    ``lines``, ids ascending, each agent's label from its first row and
+    the scene and variant from the last row; ``rows`` is float (n, 7) in
+    ``_CSV_VALUES`` order. Raises a ``ConfigError`` naming the first bad
+    line."""
+    per_agent = {}
+    scene_id, variant = "", 0
+    i_scene, i_variant, i_agent, i_label = (
+        idx["scene_id"], idx["variant"], idx["agent_id"], idx["label"])
+    values = itemgetter(*(idx[c] for c in _CSV_VALUES))
+    for line_no, line in enumerate(lines, 2):
+        f = line.split(",")
+        try:
+            scene_id = f[i_scene]
+            variant = int(f[i_variant])
+            aid = int(f[i_agent])
+            rec = per_agent.get(aid)
+            if rec is None:
+                rec = per_agent[aid] = (f[i_label], [])
+            row = list(map(float, values(f)))
+            if not all(map(math.isfinite, row)):
+                raise ValueError(f"non-finite value in {row}")
+            rec[1].append(row)
+        except (IndexError, ValueError) as exc:
+            raise ConfigError([f"simulation log {csv_path} line "
+                               f"{line_no}: {type(exc).__name__}: {exc}"]
+                              ) from exc
+    if not per_agent:
+        raise ConfigError([f"simulation log {csv_path}: no data rows"])
+    return scene_id, variant, {aid: (per_agent[aid][0],
+                                     np.asarray(per_agent[aid][1]))
+                               for aid in sorted(per_agent)}
 
 
 def run_dataset(scenes, pool, config, jobs=1):

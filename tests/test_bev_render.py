@@ -313,3 +313,66 @@ def test_four_way_context_classes():
     assert counts[bev_render.LANE] > 0
     assert counts[bev_render.UNKNOWN] > 0
     assert sum(counts.values()) == 128 * 128
+
+
+def _export_log():
+    """Seven agents listed out of id order on a 30-step log: a pair that
+    shares cells (ids 2 and 3), agents entering and leaving the grid, one
+    exiting after 12 steps and one after a single step, positions exactly
+    on cell and grid borders, and a label outside ``LABEL_CLASSES``."""
+    rng = np.random.default_rng(12)
+    k = np.arange(30)
+
+    def agent(aid, label, x, y):
+        x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+        return SimpleNamespace(agent_id=aid, label=label,
+                               t=0.1 * np.arange(len(x)), x=x, y=y)
+
+    ring = 2.0 * k / 29.0 * math.pi
+    return SimpleNamespace(scene_id="pin", variant_index=3, agents=[
+        agent(7, "straight", -12.0 + 0.75 * k, np.full(30, -1.75)),
+        agent(3, "right", 3.0 * np.cos(ring) + 0.1, 2.0 * np.sin(ring) + 0.1),
+        agent(2, "left", 3.0 * np.cos(ring), 2.0 * np.sin(ring)),
+        agent(5, "u-turn", np.linspace(4.0, 9.0, 12),
+              np.linspace(-5.0, 7.0, 12)),
+        agent(9, "straight", -10.0 + 0.5 * k,
+              np.where(k % 2 == 0, -6.0, 6.0 - 0.5 * (k % 3))),
+        agent(0, "left", np.cumsum(rng.normal(0.0, 1.5, 30)),
+              np.cumsum(rng.normal(0.0, 1.0, 30)) - 6.0000001),
+        agent(4, "right", [10.0], [-6.0]),
+    ])
+
+
+def test_export_sequence_bytes_pinned(tmp_path):
+    log = _export_log()
+    spec = GridSpec.centered_on((0.0, 0.0), 24, 40, 0.5)  # H != W
+    ctx = render_context(road_graph.build_graph(four_way_intersection()),
+                         spec)
+    paths = export_sequence(log, ctx, spec, t_obs=5, stride=7,
+                            out_dir=str(tmp_path))
+    assert [p[-10:] for p in paths] == [f"o{o:04d}.bevg"
+                                        for o in (0, 7, 14, 21)]
+    h = hashlib.sha256()
+    for path in paths:
+        with open(path, "rb") as fh:
+            h.update(f"{path[len(str(tmp_path)):]}\0".encode())
+            h.update(hashlib.sha256(fh.read()).digest())
+    assert h.hexdigest() == \
+        "1beafb21ea59ce3ff4511e84c02f24d1b76a3a7fde804794a62edf298ce44626"
+
+    collisions = outside = 0
+    for offset, path in zip((0, 7, 14, 21), paths):
+        back = read_grid_sample(path, "pin")
+        built = build_grid_sample(log, spec, 5, offset)
+        built.context = ctx
+        assert built.equals(back) and back.variant == 3
+        for k, frame in enumerate(back.frames):
+            maps = rasterize_states(log, offset + k, spec)
+            for name in ("state", "mask", "ids", "labels"):
+                assert np.array_equal(getattr(maps, name),
+                                      getattr(frame, name))
+            active = sum(offset + k < len(ag.t) for ag in log.agents)
+            collisions += maps.collisions
+            outside += active - int(maps.mask.sum()) - maps.collisions
+    # the log reaches the collision rule and the off-grid rule
+    assert collisions > 0 and outside > 0

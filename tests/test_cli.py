@@ -487,6 +487,34 @@ def test_malformed_tracklets_exit_1(sim_logs, tmp_path, capsys, command, doc,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("key", ["t", "x", "y", "heading", "speed",
+                                 "length", "width"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+@pytest.mark.parametrize("command", ["profile-pool", "simulate"])
+def test_non_finite_tracklets_exit_1(sim_logs, tmp_path, capsys, command,
+                                     key, value):
+    doc = tracklets_doc("nf", [(1, -40.0, -1.75, 0.0, 9.0),
+                               (2, -70.0, -1.75, 0.0, 9.0)])
+    where = "track 1: "
+    if key in ("length", "width"):
+        doc["tracks"][1][key] = value
+        where += "vehicle"
+    else:
+        doc["tracks"][1]["poses"][2][key] = value
+        where += "pose 2"
+    path = tmp_path / "tracks.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    argv = [command, "--tracklets", str(path), "--out", str(out)]
+    if command == "simulate":
+        argv += ["--map", str(sim_logs / "map.json"),
+                 "--pool", str(sim_logs / "pool.json"), "--seed", "1"]
+    assert dispatch(argv) == 1
+    assert f"error: tracklets file {path}: {where}: non-finite {key} " \
+        f"({value})\n" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_simulate_exits_1_without_a_log(tmp_path, capsys):
     _write_inputs(tmp_path, n_scenes=1)
     # straight profiles only, while scene00's agents approach a junction

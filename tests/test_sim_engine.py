@@ -1,11 +1,18 @@
 """Scene simulation: kinematics, interactions, determinism, lifecycle."""
 
+import dataclasses
 import hashlib
 import json
 import math
+import os
+import tempfile
+import warnings
+from operator import itemgetter
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from helpers import (approach_point, four_way_intersection, straight_map,
                      tracklets_doc)
@@ -13,10 +20,10 @@ from helpers import (approach_point, four_way_intersection, straight_map,
 from trafficforge import (behavior, dynamics, geometry, road_graph,
                           scene_ingest, sim_engine)
 from trafficforge.behavior import BehaviorAssignment, VelocityProfile
-from trafficforge.config import SimConfig
+from trafficforge.config import SimConfig, default
 from trafficforge.errors import ConfigError
-from trafficforge.sim_engine import (read_simlog_csv, run_dataset,
-                                     simulate_scene)
+from trafficforge.sim_engine import (AgentLog, SimLog, read_simlog_csv,
+                                     run_dataset, simulate_scene)
 
 
 def _scene_on_straight(agents, length=400.0, lanes=1, oneway=True):
@@ -228,6 +235,191 @@ def test_csv_roundtrip(tmp_path):
         assert a.exit_step == b.exit_step
 
 
+_VALUES = ("t", "x", "y", "v", "psi", "a", "phi")
+_HEADER = ("scene_id", "variant", "agent_id") + _VALUES + ("label",)
+
+
+def _row_loop_read_simlog_csv(csv_path, sidecar=None):
+    """The row-by-row reader the bulk parse replaced, kept as its oracle."""
+    per_agent = {}
+    scene_id, variant = "", 0
+    with open(csv_path) as fh:
+        header = fh.readline().strip().split(",")
+        idx = {name: i for i, name in enumerate(header)}
+        missing = [c for c in _HEADER if c not in idx]
+        if missing:
+            raise ConfigError([f"simulation log {csv_path} line 1: "
+                               f"missing column(s) {', '.join(missing)}"])
+        i_scene, i_variant, i_agent, i_label = (
+            idx["scene_id"], idx["variant"], idx["agent_id"], idx["label"])
+        values = itemgetter(*(idx[c] for c in _VALUES))
+        for line_no, line in enumerate(fh, 2):
+            f = line.rstrip("\n").split(",")
+            try:
+                scene_id = f[i_scene]
+                variant = int(f[i_variant])
+                aid = int(f[i_agent])
+                rec = per_agent.get(aid)
+                if rec is None:
+                    rec = per_agent[aid] = {"label": f[i_label], "rows": []}
+                row = list(map(float, values(f)))
+                if not all(map(math.isfinite, row)):
+                    raise ValueError(f"non-finite value in {row}")
+                rec["rows"].append(row)
+            except (IndexError, ValueError) as exc:
+                raise ConfigError([f"simulation log {csv_path} line "
+                                   f"{line_no}: {type(exc).__name__}: {exc}"]
+                                  ) from exc
+    if not per_agent:
+        raise ConfigError([f"simulation log {csv_path}: no data rows"])
+    side_agents = {}
+    dt = default("sim.dt")
+    master_seed, cfg_digest = default("sim.master_seed"), ""
+    if sidecar:
+        dt = float(sidecar.get("dt", dt))
+        master_seed = sidecar.get("master_seed", master_seed)
+        cfg_digest = sidecar.get("config_digest", "")
+        side_agents = {a["agent_id"]: a for a in sidecar.get("agents", [])}
+    agents = []
+    for aid in sorted(per_agent):
+        rows = np.asarray(per_agent[aid]["rows"])
+        if len(rows) > 1:
+            dt_csv = float(rows[1, 0] - rows[0, 0])
+            if not sidecar and dt_csv > 0:
+                dt = dt_csv
+        meta = side_agents.get(aid, {})
+        agents.append(AgentLog(
+            agent_id=aid, label=per_agent[aid]["label"],
+            route_edges=meta.get("route_edges", []),
+            idm=meta.get("idm", {}), epsilon=meta.get("epsilon", 0.0),
+            exit_step=meta.get("exit_step"),
+            t=rows[:, 0], x=rows[:, 1], y=rows[:, 2], v=rows[:, 3],
+            psi=rows[:, 4], a=rows[:, 5], phi=rows[:, 6],
+            x_lat=np.zeros(len(rows)),
+            lane_changes=[(c["step"], c["from_edge"], c["to_edge"])
+                          for c in meta.get("lane_changes", [])],
+        ))
+    return SimLog(scene_id, variant, dt, master_seed, cfg_digest, agents)
+
+
+_number = st.one_of(st.floats(-1e6, 1e6), st.integers(-5, 5).map(float),
+                    st.just(-0.0))
+_label = st.sampled_from(["straight", "left", "right", " right", "", "a b"])
+# ways to write one number that int() or float() reads as written
+_SPELLINGS = ("{}", " {}", "{} ", "\t{}", "{}\x0b")
+# a field each reader may take differently: rejected by one or both,
+# non-finite, or read by int()/float() but not by numpy (underscores,
+# non-ASCII digits, huge integers)
+_ODD_FIELDS = ("nan", "inf", "-inf", "1e400", "-1e400", "x", "", " ",
+               "\x1c1", "1\x1f", "1_0", "3.0", "+3", "1e3", "0x10", ".5",
+               "99999999999999999999", "１")
+
+
+@st.composite
+def _log_text(draw):
+    """CSV text of a log: any column order with extra columns, agents with
+    interleaved or single rows, numbers written in several ways, and at
+    most one fault: an odd field, a short row, a blank line, a missing
+    column, or no rows at all. Lines end in LF or CRLF."""
+    header = list(_HEADER)
+    order = draw(st.sampled_from(["as written", "scene last", "shuffled"]))
+    if order == "scene last":
+        header = header[1:] + header[:1]
+    elif order == "shuffled":
+        header = draw(st.permutations(header))
+    for name in draw(st.lists(st.sampled_from(["extra", "note", "x"]),
+                              max_size=2)):
+        header.insert(draw(st.integers(0, len(header))), name)
+    fault = draw(st.sampled_from(["none", "field", "short", "blank",
+                                  "column", "no rows"]))
+    scene = draw(st.sampled_from(["s1", "scene 7", ""]))
+    n_rows = 0 if fault == "no rows" else draw(st.integers(1, 12))
+    rows = []
+    t = 0.0
+    for _ in range(n_rows):
+        cells = {"scene_id": scene, "label": draw(_label)}
+        for c in ("variant", "agent_id"):
+            cells[c] = draw(st.sampled_from(_SPELLINGS)).format(
+                draw(st.integers(-2, 4)))
+        t += draw(st.sampled_from([0.1, 0.0, -0.1, 0.25]))
+        for c in _VALUES:
+            value = f"{t:.3f}" if c == "t" else repr(draw(_number))
+            cells[c] = draw(st.sampled_from(_SPELLINGS)).format(value)
+        rows.append([cells.get(c, "e") for c in header])
+    if rows and fault in ("field", "short", "blank"):
+        k = draw(st.integers(0, len(rows) - 1))
+        if fault == "blank":
+            rows.insert(draw(st.integers(0, len(rows))), [""])
+        elif fault == "field":
+            rows[k][draw(st.integers(0, len(header) - 1))] = \
+                draw(st.sampled_from(_ODD_FIELDS))
+        elif fault == "short":
+            cut = draw(st.one_of(st.just(len(header) - 1),
+                                 st.integers(0, len(header) - 1)))
+            rows[k] = rows[k][:cut]
+    if fault == "column":
+        header.remove(draw(st.sampled_from(_HEADER)))
+    lines = [",".join(header)] + [",".join(row) for row in rows]
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    return end.join(lines) + draw(st.sampled_from([end, ""]))
+
+
+def _outcome(read, path, sidecar):
+    try:
+        return read(path, sidecar)
+    except ConfigError as exc:
+        return str(exc)
+
+
+def _assert_same_log(got, want):
+    for f in dataclasses.fields(SimLog):
+        if f.name != "agents":
+            a, b = getattr(got, f.name), getattr(want, f.name)
+            assert type(a) is type(b) and repr(a) == repr(b), f.name
+    assert len(got.agents) == len(want.agents)
+    for ga, wa in zip(got.agents, want.agents):
+        for f in dataclasses.fields(AgentLog):
+            a, b = getattr(ga, f.name), getattr(wa, f.name)
+            if isinstance(b, np.ndarray):
+                assert (a.dtype, a.shape, a.tobytes()) \
+                    == (b.dtype, b.shape, b.tobytes()), f.name
+            else:
+                assert type(a) is type(b) and a == b, f.name
+
+
+_ROW = "s1,0,1,0.000,1.0,2.0,3.0,0.0,0.0,0.0,straight"
+_SCENE_LAST = ",".join(_HEADER[1:] + _HEADER[:1])
+
+
+@settings(max_examples=600, deadline=None)
+@given(_log_text(), st.sampled_from([None, {}, {"dt": 0.2, "agents": [
+    {"agent_id": 1, "exit_step": 4, "lane_changes": [
+        {"step": 2, "from_edge": 0, "to_edge": 1}]}]}]))
+# each case below is one that numpy reads and the row loop rejects
+@example(",".join(_HEADER) + f"\n{_ROW}\n{_ROW.replace(',1,', ',2,')[:-9]}\n",
+         None)                                         # no label, agent 2
+@example(f"{_SCENE_LAST}\n{_ROW[3:]}\n", None)        # no scene column
+@example(",".join(_HEADER) + f"\n{_ROW.replace('1.0', chr(0x1c) + '1')}\n",
+         None)                                         # numpy-only space
+@example(",".join(_HEADER) + f"\n{_ROW.replace('1.0', 'nan')}\n", None)
+@example(",".join(_HEADER) + f"\n{_ROW}\n\n", None)   # blank last line
+@example(",".join(_HEADER) + "\n\n", None)             # only a blank line
+def test_bulk_csv_reader_matches_row_loop(text, sidecar):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "log.csv")
+        with open(path, "w", newline="") as fh:
+            fh.write(text)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            got = _outcome(read_simlog_csv, path, sidecar)
+        assert caught == []  # nothing from numpy, e.g. "no data"
+        want = _outcome(_row_loop_read_simlog_csv, path, sidecar)
+    if isinstance(want, str):
+        assert got == want
+    else:
+        _assert_same_log(got, want)
+
+
 def test_replay_mode_follows_tracklet():
     g = road_graph.build_graph(straight_map(400.0))
     doc = tracklets_doc("r1", [(1, 5.0, 0.0, 0.0, 6.0),
@@ -248,8 +440,12 @@ def test_replay_non_finite_position_raises():
     g = road_graph.build_graph(straight_map(400.0))
     doc = tracklets_doc("r2", [(1, 5.0, 0.0, 0.0, 6.0),
                                (2, 100.0, 0.0, 0.0, 10.0)], n_poses=80)
-    doc["tracks"][0]["poses"][30]["x"] = float("nan")
     sid, tracks = scene_ingest.load_tracklets(doc)
+    # load_tracklets rejects a non-finite pose, so corrupt the loaded one
+    doc["tracks"][0]["poses"][30]["x"] = float("nan")
+    with pytest.raises(ConfigError, match="pose 30: non-finite x"):
+        scene_ingest.load_tracklets(doc)
+    tracks[0].poses[30].position[0] = float("nan")
     scene = scene_ingest.instantiate_agents(g, tracks, 0.0, sid)
     asg = _assign_straight(g, scene, {1: 10.0, 2: 10.0})
     del asg[1]
