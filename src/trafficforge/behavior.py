@@ -42,10 +42,12 @@ class VelocityProfile:
 
 
 class ProfilePool:
-    """Velocity profiles partitioned by maneuver label."""
+    """Velocity profiles partitioned by maneuver label; ``skipped`` lists
+    the (index, reason) of each source trajectory left out."""
 
-    def __init__(self, profiles):
+    def __init__(self, profiles, skipped=()):
         self.profiles = list(profiles)
+        self.skipped = list(skipped)
         self.by_label = {}
         for i, p in enumerate(self.profiles):
             self.by_label.setdefault(p.maneuver, []).append(i)
@@ -201,9 +203,7 @@ def build_profile_pool(real_trajs, dt,
         else:
             feature = distance_before_turn(traj, rate_threshold, sustain)
         profiles.append(VelocityProfile(dt, samples, feature, label))
-    pool = ProfilePool(profiles)
-    pool.skipped = skipped
-    return pool
+    return ProfilePool(profiles, skipped)
 
 
 def match_profile(pool, label, feature_query, rng_seed,

@@ -12,7 +12,6 @@ import logging
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -20,6 +19,7 @@ from trafficforge import behavior, bev_render, metrics, road_graph
 from trafficforge import scene_ingest, sim_engine
 from trafficforge.config import apply_overrides, set_key, validate_config
 from trafficforge.errors import ConfigError, TrafficForgeError
+from trafficforge.util import map_tasks
 
 log = logging.getLogger("trafficforge")
 
@@ -242,11 +242,7 @@ def cmd_render(args):
         tasks.append((simlog, contexts[key], spec, t_obs, stride, args.out))
 
     os.makedirs(args.out, exist_ok=True)
-    if args.jobs > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as ex:
-            results = list(ex.map(_render_one, tasks, chunksize=1))
-    else:
-        results = [_render_one(t) for t in tasks]
+    results = map_tasks(_render_one, tasks, args.jobs)
     n_files = sum(len(r) for r in results)
     log.info("wrote %d grid samples", n_files)
     return 0
@@ -421,6 +417,9 @@ def dispatch(argv):
         sys.stderr.write("error: --out is required for this command\n")
         return 1
     try:
+        if getattr(args, "jobs", 1) < 1:
+            raise ConfigError([f"--jobs: expected an integer >= 1, "
+                               f"got {args.jobs}"])
         return args.fn(args)
     except ConfigError as exc:
         for v in exc.violations:

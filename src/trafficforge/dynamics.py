@@ -94,48 +94,34 @@ class Snapshot:
     ``by_edge`` maps edge_id -> the ids of the agents on that edge.
     """
 
-    def __init__(self, coords, by_edge=None):
+    def __init__(self, coords):
         self.coords = coords
-        if by_edge is None:
-            by_edge = {}
-            for aid, coord in coords.items():
-                by_edge.setdefault(coord[0], []).append(aid)
-        self.by_edge = by_edge
-
-    def replaced(self, agent_id, coord=None):
-        """This snapshot with one agent moved to ``coord``, or removed.
-
-        Buckets of edges the agent neither leaves nor enters are shared
-        with this snapshot, not copied.
-        """
-        coords = dict(self.coords)
-        by_edge = dict(self.by_edge)
-        old = coords.pop(agent_id, None)
-        if old is not None:
-            by_edge[old[0]] = [a for a in by_edge[old[0]] if a != agent_id]
-        if coord is not None:
-            coords[agent_id] = coord
-            by_edge[coord[0]] = by_edge.get(coord[0], []) + [agent_id]
-        return Snapshot(coords, by_edge)
+        self.by_edge = {}
+        for aid, coord in coords.items():
+            self.by_edge.setdefault(coord[0], []).append(aid)
 
 
 def find_leader(snapshot, subject_id, route,
-                sensing_range=default("sim.sensing_range")):
+                sensing_range=default("sim.sensing_range"), moved=None):
     """First agent ahead of the subject along its route.
 
     Only agents on the route's edges (``snapshot.by_edge``) are examined.
+    ``moved``, an ``(agent_id, coord)`` pair, reads the snapshot as if
+    that agent stood at ``coord``, or were absent when ``coord`` is None.
     Distances are arc lengths along the route; the returned gap is
     bumper-to-bumper, floored at 0.01 m. Ties go to the lower agent id.
     """
     coords = snapshot.coords
-    subj_edge, subj_arc, subj_v, subj_len = coords[subject_id]
+    moved_id, moved_coord = moved or (None, None)
+    subj_edge, subj_arc, subj_v, subj_len = (
+        moved_coord if subject_id == moved_id else coords[subject_id])
     subj_s = route.route_s_of(subj_edge, subj_arc)
     if subj_s is None:
         subj_s = 0.0
     best = None
     for route_edge in route.spans_by_edge:
         for aid in snapshot.by_edge.get(route_edge, ()):
-            if aid == subject_id:
+            if aid == subject_id or aid == moved_id:
                 continue
             edge_id, arc, v, length = coords[aid]
             s = route.route_s_of(edge_id, arc)
@@ -147,6 +133,12 @@ def find_leader(snapshot, subject_id, route,
             if best is None or dist < best[0] \
                     or (dist == best[0] and aid < best[1]):
                 best = (dist, aid, v, length)
+    if moved_coord is not None and moved_id != subject_id:
+        # the moved agent, where the what-if puts it
+        s = route.route_s_of(moved_coord[0], moved_coord[1])
+        if s is not None and 0.0 < s - subj_s <= sensing_range and (
+                best is None or (s - subj_s, moved_id) < best[:2]):
+            best = (s - subj_s, moved_id) + moved_coord[2:]
     if best is None:
         return None
     dist, aid, v, length = best

@@ -15,7 +15,6 @@ import dataclasses
 import io
 import math
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from operator import itemgetter
 from typing import Optional
@@ -29,7 +28,7 @@ from trafficforge.controller import (longitudinal_command, steer_to_lane,
                                      step_kinematics)
 from trafficforge.errors import ConfigError, OffMapError, TrafficForgeError
 from trafficforge.scene_ingest import interpolate_pose
-from trafficforge.util import derive_seed, digest
+from trafficforge.util import derive_seed, digest, map_tasks
 
 V0_FLOOR = 0.1          # reference speed floor for the free-flow term
 EXIT_EPS = 1e-6
@@ -239,8 +238,7 @@ def simulate_scene(scene, assignment, config, variant_index=0):
             v = run.state.v
             v_ref = run.profile.value_at(k) if run.profile is not None else 0.0
             run.idm.v0 = max(v_ref, V0_FLOOR)
-            a_idm = base_accels[run.agent_id, run.idm.v0] = _idm_accel_in(
-                snapshot, run, run.route, config)
+            a_idm = _snapshot_accel(run, snapshot, config, base_accels)
             if config.lane_change_enabled and abs(run.x_lat) <= MOBIL_EVAL_MAX_OFFSET:
                 target = _consider_lane_change(graph, run, snapshot, by_id,
                                                a_idm, config, mobil_sides,
@@ -321,8 +319,9 @@ def _consider_lane_change(graph, run, snapshot, by_id, ac_old, config,
 
     ``mobil_sides`` holds the right and the left side's MOBIL parameters.
     Returns (new_route, old_edge, new_edge) or None; the agent starts the
-    new route at its arc 0. All candidate accelerations are evaluated on
-    the frozen snapshot; ``base_accels`` is the step's memo of
+    new route at its arc 0. All candidate accelerations read the frozen
+    snapshot, the post-change ones with the subject moved or removed by
+    a ``moved`` override; ``base_accels`` is the step's memo of
     :func:`_snapshot_accel`.
     """
     eid, arc = run.route.edge_at(run.s)
@@ -338,9 +337,8 @@ def _consider_lane_change(graph, run, snapshot, by_id, ac_old, config,
         nb_edge, nb_arc = new_route.edge_at(0.0)
 
         # subject's acceleration if it were on the target lane
-        moved = snapshot.replaced(run.agent_id, (nb_edge, nb_arc, run.state.v,
-                                                 run.geom.L))
-        ac_new = _idm_accel_in(moved, run, new_route, config)
+        moved = (run.agent_id, (nb_edge, nb_arc, run.state.v, run.geom.L))
+        ac_new = _idm_accel_in(snapshot, run, new_route, config, moved)
 
         # the would-be new follower, then the follower left behind
         an_old, an_new = _follower_accels(
@@ -349,8 +347,7 @@ def _consider_lane_change(graph, run, snapshot, by_id, ac_old, config,
         if old_lane is None:
             old_lane = _follower_accels(
                 dynamics.nearest_behind(snapshot, eid, arc, run.agent_id),
-                snapshot, snapshot.replaced(run.agent_id), by_id, config,
-                base_accels)
+                snapshot, (run.agent_id, None), by_id, config, base_accels)
         ao_old, ao_new = old_lane
 
         if dynamics.mobil_decide(mobil, ac_old, ac_new, an_old, an_new,
@@ -379,28 +376,25 @@ def _retarget_route(graph, run, neighbor_eid, config):
     return same[0] if same else routes[0]
 
 
-def _follower_accels(follower, before, after, by_id, config, base_accels):
-    """IDM accelerations of ``follower`` in two snapshots, before and after.
-
-    ``before`` is the step's snapshot, read through its memo
-    ``base_accels``.
-    """
+def _follower_accels(follower, snapshot, moved, by_id, config, base_accels):
+    """IDM accelerations of ``follower`` in the step's ``snapshot``, read
+    through its memo ``base_accels``, and with the ``moved`` override."""
     if follower is None:
         return 0.0, 0.0
     f = by_id[follower]
     if f.route is None:
         return 0.0, 0.0
-    return (_snapshot_accel(f, before, config, base_accels),
-            _idm_accel_in(after, f, f.route, config))
+    return (_snapshot_accel(f, snapshot, config, base_accels),
+            _idm_accel_in(snapshot, f, f.route, config, moved))
 
 
 def _snapshot_accel(run, snapshot, config, base_accels):
     """The agent's acceleration on its route in the step's snapshot.
 
-    Memoized in ``base_accels`` by (agent id, desired speed ``v0``),
-    where each agent's own decision also stores it: an agent later in
-    the step's order still holds the previous step's ``v0`` when an
-    earlier subject's MOBIL check reads it.
+    Memoized in ``base_accels`` by (agent id, desired speed ``v0``) for
+    the agent's own decision and every MOBIL check that reads it: an
+    agent later in the step's order still holds the previous step's
+    ``v0`` when an earlier subject's check reads it.
     """
     key = (run.agent_id, run.idm.v0)
     acc = base_accels.get(key)
@@ -410,10 +404,10 @@ def _snapshot_accel(run, snapshot, config, base_accels):
     return acc
 
 
-def _idm_accel_in(snapshot, run, route, config):
+def _idm_accel_in(snapshot, run, route, config, moved=None):
     """IDM acceleration of ``run`` behind its leader along ``route``."""
     lead = dynamics.find_leader(snapshot, run.agent_id, route,
-                                config.sensing_range)
+                                config.sensing_range, moved)
     return dynamics.idm_accel(run.idm, lead, run.state.v,
                               config.controller.a_max_decel)
 
@@ -563,12 +557,8 @@ def run_dataset(scenes, pool, config, jobs=1):
                                f"profile-pool --dt {config.dt}"])
     if not scenes:
         raise ValueError("no scenes to simulate")
-    tasks = [(scene, pool, config) for scene in scenes]
-    if jobs > 1 and len(scenes) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as ex:
-            results = list(ex.map(_scene_worker, tasks, chunksize=1))
-    else:
-        results = [_scene_worker(t) for t in tasks]
+    results = map_tasks(_scene_worker,
+                        [(scene, pool, config) for scene in scenes], jobs)
     logs, failures = [], []
     for scene_logs, scene_failures in results:
         logs.extend(scene_logs)

@@ -1,7 +1,8 @@
-"""Shared helpers: stable seeding and canonical JSON."""
+"""Shared helpers: stable seeding, canonical JSON and the process pool."""
 
 import hashlib
 import json
+from concurrent.futures import ProcessPoolExecutor
 
 
 def derive_seed(*parts):
@@ -26,3 +27,12 @@ def canonical_json(doc):
 def digest(doc):
     """Short hex digest of a JSON-serializable document."""
     return hashlib.sha256(canonical_json(doc).encode()).hexdigest()[:16]
+
+
+def map_tasks(fn, tasks, jobs):
+    """``[fn(t) for t in tasks]``, in order; spread over ``jobs`` worker
+    processes when ``jobs`` > 1 and there is more than one task."""
+    if jobs > 1 and len(tasks) > 1:
+        with ProcessPoolExecutor(max_workers=jobs) as ex:
+            return list(ex.map(fn, tasks, chunksize=1))
+    return [fn(t) for t in tasks]

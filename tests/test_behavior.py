@@ -152,6 +152,13 @@ def test_build_pool_skips_bad_input():
     assert pool.skipped == [(1, "too-short")]
 
 
+def test_pool_from_json_has_no_skipped_trajectories():
+    good = straight_source_traj(8.0)
+    pool = build_profile_pool([good, good[:2]], 0.1)
+    assert pool.skipped == [(1, "too-short")]
+    assert behavior.ProfilePool.from_json(pool.to_json()).skipped == []
+
+
 def test_empty_pool_errors_at_sampling():
     pool = build_profile_pool([], 0.1)
     assert len(pool) == 0

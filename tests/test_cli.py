@@ -370,6 +370,22 @@ def test_render_builds_graph_and_context_once(sim_logs, tmp_path,
     assert calls == {"graph": 1, "context": len(starts)}
 
 
+@pytest.mark.parametrize("command, jobs", [("simulate", "0"),
+                                           ("render", "-3")])
+def test_jobs_below_one_exits_1(sim_logs, tmp_path, capsys, command, jobs):
+    inputs = {"simulate": ["--tracklets", str(sim_logs / "tracklets"),
+                           "--pool", str(sim_logs / "pool.json"),
+                           "--seed", "1"],
+              "render": ["--logs", str(sim_logs / "logs")]}[command]
+    out = tmp_path / "out"
+    rc = dispatch([command, "--map", str(sim_logs / "map.json"), *inputs,
+                   "--jobs", jobs, "--out", str(out)])
+    assert rc == 1
+    assert f"error: --jobs: expected an integer >= 1, got {jobs}" \
+        in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", [
     ["simulate", "--tracklets", "t", "--pool", "p", "--seed", "1"],
     ["render", "--logs", "l", "--spec", '{"H":32}'],

@@ -202,9 +202,14 @@ def test_equal_arc_ties_go_to_lower_id():
     coords = {1: (0, 0.0, 10.0, 4.0), 7: (0, 30.0, 5.0, 4.0),
               3: (0, 30.0, 6.0, 4.0), 5: (0, 10.0, 0.0, 4.0)}
     snap = Snapshot(coords)
-    assert find_leader(snap.replaced(5), 1, route).leader_id == 3
+    assert find_leader(snap, 1, route, moved=(5, None)).leader_id == 3
+    # a moved agent tied with the bucketed ones wins only by its id
+    tied = (0, 30.0, 0.0, 4.0)
+    assert find_leader(snap, 5, route, moved=(1, tied)).leader_id == 1
+    assert find_leader(snap, 1, route, moved=(5, tied)).leader_id == 3
     assert nearest_behind(snap, 0, 40.0, 1) == 3
-    assert nearest_behind(snap.replaced(3), 0, 40.0, 1) == 7
+    without_3 = {a: c for a, c in coords.items() if a != 3}
+    assert nearest_behind(Snapshot(without_3), 0, 40.0, 1) == 7
 
 
 # edges 0..3 form the loop; 9 is on no route
@@ -266,22 +271,22 @@ def test_indexed_search_matches_brute_force(coords, data, sensing_range,
     new_coord = data.draw(_COORDS)
     moved = dict(coords)
     moved[subject] = new_coord
-    snap_moved = snap.replaced(subject, new_coord)
     for aid in ids:
-        assert find_leader(snap_moved, aid, route, sensing_range) == \
+        assert find_leader(snap, aid, route, sensing_range,
+                           moved=(subject, new_coord)) == \
             _find_leader_ref(moved, aid, route, sensing_range)
-    assert nearest_behind(snap_moved, edge, arc, -1) == \
+    assert nearest_behind(Snapshot(moved), edge, arc, -1) == \
         _nearest_behind_ref(moved, edge, arc, -1)
 
     # the subject removed (the old follower's "after")
     without = {a: c for a, c in coords.items() if a != subject}
-    snap_wo = snap.replaced(subject)
     for aid in without:
-        assert find_leader(snap_wo, aid, route, sensing_range) == \
+        assert find_leader(snap, aid, route, sensing_range,
+                           moved=(subject, None)) == \
             _find_leader_ref(without, aid, route, sensing_range)
-    assert nearest_behind(snap_wo, edge, arc, -1) == \
+    assert nearest_behind(Snapshot(without), edge, arc, -1) == \
         _nearest_behind_ref(without, edge, arc, -1)
-    # overlays leave the base snapshot untouched
+    # what-ifs leave the snapshot untouched
     assert find_leader(snap, subject, route, sensing_range) == \
         _find_leader_ref(coords, subject, route, sensing_range)
 

@@ -519,6 +519,22 @@ def test_step_memo_matches_fresh_accelerations(monkeypatch):
     assert memo_csv == fresh_csv
 
 
+def test_one_snapshot_per_step(monkeypatch):
+    """MOBIL's what-ifs read the step's snapshot; none is built for them."""
+    scene, asg, cfg = _three_lane_mobil_inputs()
+    built = []
+
+    class Counted(dynamics.Snapshot):
+        def __init__(self, *args, **kwargs):
+            built.append(1)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(dynamics, "Snapshot", Counted)
+    log = simulate_scene(scene, asg, cfg)
+    assert sum(len(ag.lane_changes) for ag in log.agents) >= 1
+    assert len(built) == cfg.n_steps
+
+
 def test_rejected_lane_changes_build_no_route_geometry(monkeypatch):
     """Only an accepted lane change builds its new route's polyline."""
     scene, asg, cfg = _three_lane_mobil_inputs()
