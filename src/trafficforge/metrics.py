@@ -18,10 +18,10 @@ mean log-likelihoods of both sets under that density.
 """
 
 import math
+import statistics
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from trafficforge.errors import InsufficientDataError
 from trafficforge import road_graph
@@ -110,6 +110,28 @@ def min_over_samples(pset, metric, horizon_steps):
     return min(fn(s, pset.ground_truth, horizon_steps) for s in pset.samples)
 
 
+def _logsumexp(a):
+    """``log(sum(exp(a)))`` of a finite 1-D float array.
+
+    The same float operations, in the same order, as the real 1-D path
+    of SciPy 1.17's ``special.logsumexp``, so the result is the same bit
+    for bit: the ``m`` maxima are taken out of the shifted sum
+    ``s``, which is then scaled by ``1 / m``, and the direct form
+    answers when that result is not finite.
+    """
+    a_max = a.max()
+    mask = a == a_max
+    m = np.float64(np.count_nonzero(mask))
+    s = np.sum(np.exp(np.where(mask, -np.inf, a) - a_max))
+    if s != 0:
+        s = s / m
+    out = np.log1p(s) + np.log(m) + a_max
+    if not np.isfinite(out):
+        with np.errstate(over="ignore", divide="ignore"):
+            out = np.log(np.sum(np.exp(a)))
+    return out
+
+
 def _gauss_kde_logpdf(samples, queries):
     """Gaussian KDE on (n, d) ``samples``: log densities at (q, d) ``queries``.
 
@@ -127,7 +149,7 @@ def _gauss_kde_logpdf(samples, queries):
     for i, query in enumerate(queries):
         diff = query - samples
         quad = np.einsum("ij,jk,ik->i", diff, inv, diff)
-        out[i] = logsumexp(-0.5 * quad - 0.5 * logdet - norm) - math.log(n)
+        out[i] = _logsumexp(-0.5 * quad - 0.5 * logdet - norm) - math.log(n)
     return out
 
 
@@ -217,12 +239,13 @@ def diversity_report(trajs):
         xdd_vals.append(xdd_wasserstein(norm))
     if not y_vals:
         raise InsufficientDataError("no non-degenerate trajectories")
-    y_vals = np.asarray(y_vals)
-    xdd_vals = np.asarray(xdd_vals)
+    # statistics.median gives np.median's floats for finite values,
+    # without the numpy.ma import that np.median makes on first use
+    y_arr, xdd_arr = np.asarray(y_vals), np.asarray(xdd_vals)
     return DiversityReport(
-        float(y_vals.mean()), float(np.median(y_vals)),
-        float(xdd_vals.mean()), float(np.median(xdd_vals)),
-        y_vals, xdd_vals, degenerate)
+        float(y_arr.mean()), statistics.median(y_vals),
+        float(xdd_arr.mean()), statistics.median(xdd_vals),
+        y_arr, xdd_arr, degenerate)
 
 
 def resample_trajectory(traj):

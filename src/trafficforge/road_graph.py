@@ -12,10 +12,8 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from trafficforge import geometry
 from trafficforge.config import default
@@ -26,7 +24,6 @@ MAX_SNAP_DISTANCE = default("road.max_snap_distance")
 STRAIGHT_THRESHOLD = math.radians(default("road.straight_threshold_deg"))
 HORIZON_DIST = default("road.horizon_dist")
 MAX_ROUTES = default("road.max_routes")
-_SEED_SPACING = 1.0
 _TIE_EPS = 1e-6
 
 
@@ -91,23 +88,16 @@ class RoadGraph:
 
 
 class _LaneIndex:
-    """Every edge's seeds and segments in flat tables, edges in id order.
+    """Every edge's segments in flat tables, edges in id order.
 
-    The seeds, points at most one seed spacing apart along every edge
-    (ends included), are in the KD-tree ``kd``; ``seed_pos[i]`` is the
-    table position of seed ``i``'s edge. ``a``, ``d`` and ``seg2`` are
-    the start points, directions and squared lengths (zeros replaced by
-    1) that :func:`geometry.project_point` computes for a whole edge; the
+    ``a``, ``d`` and ``seg2`` are the start points, directions and
+    squared lengths (zeros replaced by 1) that
+    :func:`geometry.project_point` computes for a whole edge; the
     segments of the ``k``-th edge, id ``edge_ids[k]``, are rows
     ``offsets[k]:offsets[k + 1]``.
     """
 
     def __init__(self, edges):
-        seeds = [geometry.resample_polyline(e.polyline, _SEED_SPACING)
-                 for e in edges]
-        self.kd = cKDTree(np.vstack(seeds))
-        self.seed_pos = np.repeat(np.arange(len(edges)),
-                                  [len(s) for s in seeds])
         self.edge_ids = np.asarray([e.id for e in edges])
         self.a = np.vstack([e.polyline[:-1] for e in edges])
         self.d = np.vstack([e.polyline[1:] - e.polyline[:-1] for e in edges])
@@ -117,44 +107,11 @@ class _LaneIndex:
         np.cumsum([len(e.polyline) - 1 for e in edges], out=self.offsets[1:])
         self.half_width = np.asarray([e.lane_width for e in edges]) / 2.0
 
-    def distances(self, q, k):
-        """(P, len(k)) distances from the points ``q`` to the edges at
-        table positions ``k``."""
-        lo, n = self.offsets[k], np.diff(self.offsets)[k]
-        starts = np.cumsum(n) - n
-        rows = np.arange(n.sum()) + np.repeat(lo - starts, n)
-        return geometry.polyline_distances(q, self.a[rows], self.d[rows],
-                                           self.seg2[rows], starts)
-
-    def search(self, q, max_snap_distance):
-        """The snap candidates of the (P, 2) points ``q``.
-
-        Returns ``(d0, near, k, dist)``: each point's distance ``d0`` to
-        its nearest seed; the indices ``near`` of the points that pass
-        the first off-map test, ``d0 - seed spacing <= max_snap_distance``;
-        the table positions ``k``, ascending, of the edges with a seed
-        within ``d0 + seed spacing`` of any of those points; and the
-        (len(near), len(k)) distances from those points to those edges.
-
-        A point snaps to the edge of smallest distance ``dmin``, off-map
-        if ``dmin > max_snap_distance``, among the edges within
-        ``dmin + 1e-6`` of it. Its own candidates are the edges with a
-        seed within its ``d0 + seed spacing``, but any superset of them,
-        such as the union ``k``, gives the same ``dmin`` and the same
-        tied edges: every point of an edge lies within half a seed
-        spacing of one of its seeds, and ``dmin <= d0`` (the nearest seed
-        lies on a candidate). An edge within ``dmin + 1e-6`` of the point
-        therefore has a seed within ``d0 + 0.5 spacing + 1e-6``, so it is
-        already one of the point's own candidates.
-        """
-        d0, _ = self.kd.query(q)
-        near = np.flatnonzero(d0 - _SEED_SPACING <= max_snap_distance)
-        if not len(near):
-            return d0, near, near, np.empty((0, 0))
-        hits = self.kd.query_ball_point(q[near], d0[near] + _SEED_SPACING)
-        seeds = np.fromiter(chain.from_iterable(hits), dtype=np.intp)
-        k = np.unique(self.seed_pos[seeds])
-        return d0, near, k, self.distances(q[near], k)
+    def distances(self, q):
+        """(P, E) distances from the (P, 2) points ``q`` to every edge,
+        in table order: O(P x segments), with no spatial index."""
+        return geometry.polyline_distances(q, self.a, self.d, self.seg2,
+                                           self.offsets[:-1])
 
 
 class Route:
@@ -382,13 +339,11 @@ def project_to_lane(graph, point, heading_hint=None,
     if not np.all(np.isfinite(q)):
         raise ValueError("query point must be finite")
     index = graph.lane_index
-    d0, near, k, dist = index.search(q[None, :], max_snap_distance)
-    if not len(near):
-        raise OffMapError(float(d0[0]), max_snap_distance)
+    dist = index.distances(q[None, :])[0]
     dmin = float(dist.min())
     if dmin > max_snap_distance:
         raise OffMapError(dmin, max_snap_distance)
-    ties = index.edge_ids[k[dist[0] <= dmin + _TIE_EPS]].tolist()
+    ties = index.edge_ids[dist <= dmin + _TIE_EPS].tolist()
     if heading_hint is None:
         return _lane_coordinate(graph.edges[ties[0]], q)
     return min((_lane_coordinate(graph.edges[eid], q) for eid in ties),
@@ -408,23 +363,19 @@ def within_lanes(graph, points, margin,
     A point is within its lane when :func:`project_to_lane` without a
     heading hint snaps it within ``max_snap_distance``, and the absolute
     lateral offset to the edge it picks is at most half that edge's lane
-    width plus ``margin``. One :meth:`_LaneIndex.search` serves the
-    whole batch.
+    width plus ``margin``. One :meth:`_LaneIndex.distances` table
+    serves the whole batch.
     """
     q = np.asarray(points, dtype=np.float64)
     if not np.all(np.isfinite(q)):
         raise ValueError("query points must be finite")
     index = graph.lane_index
-    _, near, k, dist = index.search(q, max_snap_distance)
-    ok = np.zeros(len(q), dtype=bool)
-    if not len(near):
-        return ok
+    dist = index.distances(q)
     dmin = dist.min(axis=1)
     winner = np.argmax(dist <= (dmin + _TIE_EPS)[:, None], axis=1)
-    lateral = dist[np.arange(len(near)), winner]
-    ok[near] = (dmin <= max_snap_distance) \
-        & (lateral <= index.half_width[k[winner]] + margin)
-    return ok
+    lateral = dist[np.arange(len(q)), winner]
+    return (dmin <= max_snap_distance) \
+        & (lateral <= index.half_width[winner] + margin)
 
 
 def enumerate_routes(graph, start, horizon_dist=HORIZON_DIST,

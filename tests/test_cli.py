@@ -648,20 +648,30 @@ def test_run_json_lists_dropped_agents(sim_logs, tmp_path):
         {"scene_id": "drops", "agent_id": 3, "reason": "spawn-gap"}]
 
 
-def test_cli_import_leaves_scipy_stats_unloaded():
-    # scipy.stats roughly doubles the import time, and no module needs it,
-    # the realism check included; run in a fresh interpreter
+def test_runtime_imports_neither_scipy_nor_numpy_ma():
+    # the runtime is numpy-only: scipy (about half a second of import
+    # time) and numpy.ma (imported by np.median) stay unloaded through
+    # the snap, the validity check, the likelihood, the diversity report
+    # and the realism check; run in a fresh interpreter
     src = os.path.dirname(os.path.dirname(trafficforge.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     proc = subprocess.run(
         [sys.executable, "-c",
          "import sys, numpy as np, trafficforge.cli\n"
-         "from trafficforge import metrics\n"
+         "from trafficforge import metrics, road_graph\n"
+         "g = road_graph.build_graph({'centerlines': [\n"
+         "    {'id': 0, 'points': [[0, 0], [50, 0]], 'oneway': False}]})\n"
+         "road_graph.project_to_lane(g, (10.0, 1.0), 0.0)\n"
+         "road_graph.within_lanes(g, np.array([[5.0, 1.0], [5.0, 30.0]]), 0.5)\n"
          "trajs = [metrics.Trajectory2D(0.1, np.column_stack(\n"
          "    [np.arange(6.0), np.sin(np.arange(6.0) + k)]))\n"
          "    for k in range(5)]\n"
+         "metrics.nll(metrics.PredictionSet(1, trajs[0], trajs[1:]), 5)\n"
+         "metrics.diversity_report(trajs)\n"
          "metrics.pca_kde_realism(trajs[:4], trajs[1:], n_eval=8)\n"
-         "print('scipy.stats' in sys.modules)"],
+         "print(sorted(m for m in sys.modules\n"
+         "             if m.split('.')[0] == 'scipy'\n"
+         "             or m.split('.')[:2] == ['numpy', 'ma']))"],
         env=env, capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.strip() == "[]"

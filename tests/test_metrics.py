@@ -4,9 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import logsumexp
 from scipy.stats import wasserstein_distance
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import four_way_intersection, ring_map, straight_map
@@ -180,6 +181,39 @@ def test_kde_matches_summed_normal_densities(d, n):
     np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-9)
 
 
+@st.composite
+def logsumexp_inputs(draw):
+    """Finite 1-D vectors: single elements, repeated maxima, and spreads
+    up to 1e3, past where exp underflows to 0."""
+    spread = draw(st.sampled_from([1e-6, 1.0, 30.0, 745.0, 1e3]))
+    n = draw(st.integers(1, 40))
+    vals = draw(st.lists(st.floats(-spread, spread), min_size=n, max_size=n))
+    a = np.asarray(vals) + draw(st.floats(-1e3, 1e3))
+    if n > 1 and draw(st.booleans()):
+        a[draw(st.lists(st.integers(0, n - 1), min_size=2))] = a.max()
+    return a
+
+
+@settings(max_examples=1000, deadline=None)
+@given(logsumexp_inputs())
+@example(np.array([-1e3]))
+@example(np.array([5.0, 5.0, 5.0]))
+@example(np.array([0.0, -800.0]))
+@example(np.array([1e3, -1e3]))
+@example(np.array([-745.5, -745.5, -1e3]))
+def test_logsumexp_matches_scipy_bit_for_bit(a):
+    assert metrics._logsumexp(a).hex() == logsumexp(a).hex()
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 8, 31, 64])
+def test_diversity_medians_match_np_median(rng, n):
+    trajs = [_traj(np.cumsum(rng.normal(size=(12, 2)) + [1.0, 0.0], axis=0))
+             for _ in range(n)]
+    rep = diversity_report(trajs)
+    assert rep.y_median.hex() == float(np.median(rep.y_values)).hex()
+    assert rep.xdd_median.hex() == float(np.median(rep.xdd_values)).hex()
+
+
 def test_nll_needs_two_samples():
     gt = _traj(np.zeros((5, 2)) + np.arange(5)[:, None])
     with pytest.raises(InsufficientDataError):
@@ -197,19 +231,10 @@ def test_validity_ratio_graph_mode():
 
 def _snap_ref(graph, point, heading_hint=None,
               limit=road_graph.MAX_SNAP_DISTANCE):
-    """Brute-force reference for project_to_lane: the nearest seed over
-    every edge's seeds, then a scalar projection onto every edge, which
-    by the superset argument of the candidate search picks the same
-    edge as the candidates alone. Returns the LaneCoordinate or raises
-    OffMapError."""
+    """Brute-force reference for project_to_lane: a scalar projection
+    onto every edge. Returns the LaneCoordinate or raises OffMapError
+    with the nearest-lane distance."""
     q = np.asarray(point, dtype=np.float64)
-    d0 = math.inf
-    for edge in graph.edges.values():
-        e = geometry.resample_polyline(edge.polyline, 1.0) - q
-        d0 = min(d0, float(np.sqrt(e[:, 0] * e[:, 0]
-                                   + e[:, 1] * e[:, 1]).min()))
-    if d0 - 1.0 > limit:
-        raise OffMapError(d0, limit)
     hits = []
     for eid in sorted(graph.edges):
         edge = graph.edges[eid]

@@ -115,7 +115,8 @@ def test_project_off_map():
     g = build_graph(straight_map(100.0))
     with pytest.raises(OffMapError) as exc:
         project_to_lane(g, (50.0, 30.0))
-    assert exc.value.distance == pytest.approx(30.0, abs=0.1)
+    # the perpendicular distance to the lane, not to a sample point on it
+    assert exc.value.distance == 30.0
 
 
 def test_project_sample_roundtrip(intersection_graph, rng):
@@ -313,16 +314,15 @@ def test_segment_table_distances_match_project_point(rng):
     g = build_graph(four_way_intersection())
     table = g.lane_index
     q = rng.uniform(-100.0, 100.0, size=(40, 2))
-    for _ in range(20):
-        size = int(rng.integers(1, 8))
-        k = np.sort(rng.choice(len(table.edge_ids), size=size, replace=False))
-        out = table.distances(q, k)
-        for col, eid in enumerate(table.edge_ids[k]):
-            edge = g.edges[eid]
-            assert out[:, col].tolist() == [
-                geometry.project_point(edge.table, p)[1] for p in q]
-        assert (table.half_width[k] == [g.edges[e].lane_width / 2.0
-                                        for e in table.edge_ids[k]]).all()
+    out = table.distances(q)
+    assert out.shape == (len(q), len(g.edges))
+    assert table.edge_ids.tolist() == sorted(g.edges)
+    for col, eid in enumerate(table.edge_ids):
+        edge = g.edges[eid]
+        assert out[:, col].tolist() == [
+            geometry.project_point(edge.table, p)[1] for p in q]
+    assert (table.half_width == [g.edges[e].lane_width / 2.0
+                                 for e in table.edge_ids]).all()
 
 
 def test_route_heading_at_matches_point_at(rng):
@@ -441,7 +441,8 @@ def _snap_digest():
 
 
 def test_snap_digest_pinned():
-    # pinned on the two-implementation snap (a per-point candidate loop
-    # beside the batched within_lanes) before they shared one search
+    # re-pinned when OffMapError began to carry the nearest-lane distance
+    # instead of the nearest seed's: of the hashed lines only 1,227 "off"
+    # lines changed, every snap and every within_lanes mask stayed the same
     assert _snap_digest() == \
-        "4173513da1924458c1beaadff8f0793341a2b5ba6db72567f3d366323817ab3d"
+        "7360fe531f4626113298483c1c07df48b0637aed391cfe58a5aa15fd44d0b928"
