@@ -96,15 +96,6 @@ class ContextMap:
         return np.ascontiguousarray(self.onehot.transpose(2, 0, 1),
                                     dtype=np.float32)
 
-    def on_road(self, points):
-        """Per point of ``points`` (P, 2): does it land on a road or lane
-        cell? Off-raster points do not."""
-        cells = self.spec.cells(points[:, 0], points[:, 1])
-        inside = cells >= 0
-        out = np.zeros(len(points), dtype=bool)
-        out[inside] = self.classes.ravel()[cells[inside]] != UNKNOWN
-        return out
-
 
 @dataclass
 class AgentMaps:
@@ -312,17 +303,17 @@ def rasterize_states(log, t, spec):
     return _CellTable(log, spec).maps(t)
 
 
-def build_grid_sample(log, spec, t_obs, t_start=0, t_end=None):
-    """GridSample covering log steps [t_start, t_end)."""
-    return _window(_CellTable(log, spec), log, t_obs, t_start, t_end)
+def build_grid_sample(log, context, t_obs, t_start=0):
+    """GridSample of log steps [t_start, end) on ``context`` and its grid."""
+    return _window(_CellTable(log, context.spec), log, context, t_obs,
+                   t_start)
 
 
-def _window(table, log, t_obs, t_start, t_end=None):
-    if t_end is None:
-        t_end = table.n_steps
-    if not 0 < t_obs < t_end - t_start:
+def _window(table, log, context, t_obs, t_start):
+    if not 0 < t_obs < table.n_steps - t_start:
         raise ValueError("t_obs must lie strictly inside the window")
-    return GridSample(table.spec, None, _TableFrames(table, t_start, t_end),
+    return GridSample(table.spec, context,
+                      _TableFrames(table, t_start, table.n_steps),
                       t_obs, log.scene_id, log.variant_index)
 
 
@@ -337,8 +328,7 @@ def export_sequence(log, context, spec, t_obs, stride, out_dir):
     paths = []
     offset = 0
     while table.n_steps - offset >= t_obs + 1:
-        sample = _window(table, log, t_obs, offset)
-        sample.context = context
+        sample = _window(table, log, context, t_obs, offset)
         name = f"{log.scene_id}_v{log.variant_index}_o{offset:04d}.bevg"
         path = os.path.join(out_dir, name)
         write_grid_sample(sample, path)

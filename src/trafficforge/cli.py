@@ -99,9 +99,10 @@ def _emit(doc, out, pretty):
 
 def _load_graph(args, cfg):
     """The lane graph of ``--map``, built with the configured road keys."""
-    return road_graph.build_graph(_load_json(args.map, "map"),
-                                  cfg["road.join_tolerance"],
-                                  cfg["road.default_lane_width"])
+    return road_graph.build_graph(
+        _load_json(args.map, "map"), cfg["road.join_tolerance"],
+        cfg["road.default_lane_width"],
+        math.radians(cfg["road.straight_threshold_deg"]))
 
 
 def cmd_build_graph(args):
@@ -348,20 +349,21 @@ def build_parser():
         description="Deterministic multi-agent driving-scenario simulator")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, seed=False):
+    def common(p, out_help, seed=False, pretty=False):
         p.add_argument("--config", help="JSON config file")
         p.add_argument("--set", action="append", metavar="KEY=VALUE",
                        help="override a config field (dotted key)")
-        p.add_argument("--pretty", action="store_true",
-                       help="indent JSON output")
-        p.add_argument("--out", help="output path (default: stdout)")
+        p.add_argument("--out", help=out_help)
+        if pretty:  # only commands that print JSON through _emit
+            p.add_argument("--pretty", action="store_true",
+                           help="indent JSON output")
         if seed:
             p.add_argument("--seed", type=int, required=True,
                            help="master seed (required for reproducibility)")
 
     p = sub.add_parser("build-graph", help="build and dump the lane graph")
     p.add_argument("--map", required=True)
-    common(p)
+    common(p, "graph JSON file (default: stdout)", pretty=True)
     p.set_defaults(fn=cmd_build_graph)
 
     p = sub.add_parser("profile-pool",
@@ -369,7 +371,7 @@ def build_parser():
     p.add_argument("--tracklets", nargs="+", required=True)
     p.add_argument("--dt", type=float,
                    help="profile time step (default: sim.dt)")
-    common(p)
+    common(p, "profile pool JSON file (required)")
     p.set_defaults(fn=cmd_profile_pool)
     p.set_defaults(out_required=True)
 
@@ -381,7 +383,7 @@ def build_parser():
     p.add_argument("--t0", type=float, default=0.0)
     p.add_argument("--ego", choices=["replay", "simulate"])
     p.add_argument("--jobs", type=int, default=1)
-    common(p, seed=True)
+    common(p, "directory for the logs and run.json (required)", seed=True)
     p.set_defaults(fn=cmd_simulate, out_required=True)
 
     p = sub.add_parser("render", help="rasterize logs into grid samples")
@@ -391,7 +393,7 @@ def build_parser():
     p.add_argument("--t-obs", dest="t_obs", type=int)
     p.add_argument("--stride", type=int)
     p.add_argument("--jobs", type=int, default=1)
-    common(p)
+    common(p, "directory for the .bevg grid samples (required)")
     p.set_defaults(fn=cmd_render, out_required=True)
 
     p = sub.add_parser("metrics", help="evaluate predictions and logs")
@@ -399,7 +401,7 @@ def build_parser():
     p.add_argument("--logs", help="directory of simulation CSVs")
     p.add_argument("--map", help="map for validity checks")
     p.add_argument("--horizons", default="1,2,3,4,5")
-    common(p)
+    common(p, "report JSON file (default: stdout)", pretty=True)
     p.set_defaults(fn=cmd_metrics)
 
     return parser

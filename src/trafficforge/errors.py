@@ -45,7 +45,5 @@ class ConfigError(TrafficForgeError):
     """Invalid configuration; ``violations`` lists every failed field."""
 
     def __init__(self, violations):
-        if isinstance(violations, str):
-            violations = [violations]
         self.violations = list(violations)
         super().__init__("; ".join(self.violations))

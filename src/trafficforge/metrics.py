@@ -105,8 +105,9 @@ def fde(pred, gt, horizon_steps):
 
 
 def min_over_samples(pset, metric, horizon_steps):
-    """Best-of-N value of ``metric`` over the prediction samples."""
-    fn = {"ade": ade, "fde": fde}[metric] if isinstance(metric, str) else metric
+    """Best-of-N value of the ``metric`` named "ade" or "fde" over the
+    prediction samples."""
+    fn = {"ade": ade, "fde": fde}[metric]
     return min(fn(s, pset.ground_truth, horizon_steps) for s in pset.samples)
 
 
@@ -166,25 +167,19 @@ def nll(pset, horizon_steps):
     return float(np.mean(vals))
 
 
-def validity_ratio(trajs, context, margin=0.5,
+def validity_ratio(trajs, graph, margin=0.5,
                    max_snap_distance=road_graph.MAX_SNAP_DISTANCE):
     """Fraction of trajectories whose every point lies on the road.
 
-    ``context`` is either a RoadGraph (each point must snap to a lane
-    within ``max_snap_distance`` and lie within half its lane width plus
-    ``margin``, see :func:`road_graph.within_lanes`) or a ContextMap
-    raster (each point must land on a road or lane cell; off-raster is
-    invalid). Either test takes a whole trajectory at once.
+    Each point must snap to a lane of the RoadGraph ``graph`` within
+    ``max_snap_distance`` and lie within half its lane width plus
+    ``margin`` (:func:`road_graph.within_lanes`, one call per trajectory).
     """
     if not trajs:
         raise ValueError("no trajectories")
-    if isinstance(context, road_graph.RoadGraph):
-        def on_road(points):
-            return road_graph.within_lanes(context, points, margin,
-                                           max_snap_distance)
-    else:
-        on_road = context.on_road
-    return sum(bool(on_road(traj.points).all()) for traj in trajs) / len(trajs)
+    return sum(bool(road_graph.within_lanes(graph, traj.points, margin,
+                                            max_snap_distance).all())
+               for traj in trajs) / len(trajs)
 
 
 def normalize_trajectory(traj):

@@ -69,10 +69,12 @@ class LaneCoordinate:
 
 
 class RoadGraph:
-    def __init__(self, nodes, edges, adjacency):
+    def __init__(self, nodes, edges, adjacency, straight_threshold):
         self.nodes = nodes
         self.edges = edges
         self.adjacency = adjacency
+        # heading change (radians) from which a route is a turn
+        self.straight_threshold = straight_threshold
 
     def outgoing(self, node_id):
         return self.adjacency.get(node_id, ())
@@ -167,7 +169,8 @@ class Route:
 
     @cached_property
     def maneuver(self):
-        return _maneuver_of(self.cumulative_heading_change)
+        return _maneuver_of(self.cumulative_heading_change,
+                            self._graph.straight_threshold)
 
     @cached_property
     def table(self):
@@ -234,7 +237,7 @@ def classify_maneuver(route_polyline, straight_threshold=STRAIGHT_THRESHOLD):
     return _maneuver_of(dpsi, straight_threshold)
 
 
-def _maneuver_of(dpsi, straight_threshold=STRAIGHT_THRESHOLD):
+def _maneuver_of(dpsi, straight_threshold):
     if dpsi >= straight_threshold:
         return "left"
     if dpsi <= -straight_threshold:
@@ -243,14 +246,17 @@ def _maneuver_of(dpsi, straight_threshold=STRAIGHT_THRESHOLD):
 
 
 def build_graph(lane_spec, join_tolerance=default("road.join_tolerance"),
-                default_lane_width=default("road.default_lane_width")):
+                default_lane_width=default("road.default_lane_width"),
+                straight_threshold=STRAIGHT_THRESHOLD):
     """Build the directed lane graph from a parsed map description.
 
     Every centerline contributes one directed edge per lane. One-way
     centerlines keep their drawn direction for all lanes; bidirectional
     ones give the right-hand slots (negative lateral offset) the drawn
     direction and the remaining slots the reverse. Slot offsets are
-    ``(slot + 0.5 - lanes/2) * lane_width``.
+    ``(slot + 0.5 - lanes/2) * lane_width``. The graph's routes are
+    labelled turns from a heading change of ``straight_threshold``
+    radians (:attr:`Route.maneuver`).
     """
     centerlines = lane_spec.get("centerlines", [])
     if not centerlines:
@@ -324,7 +330,8 @@ def build_graph(lane_spec, join_tolerance=default("road.join_tolerance"),
         adjacency.setdefault(edges[eid].from_node, []).append(eid)
     adjacency = {nid: tuple(sorted(eids)) for nid, eids in adjacency.items()}
 
-    return RoadGraph({n.id: n for n in nodes}, edges, adjacency)
+    return RoadGraph({n.id: n for n in nodes}, edges, adjacency,
+                     straight_threshold)
 
 
 def project_to_lane(graph, point, heading_hint=None,

@@ -5,7 +5,6 @@ the lane graph, and turned into an initial vehicle state. Agents that miss
 the map or spawn on top of another agent are dropped with a report entry.
 """
 
-import json
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
@@ -67,30 +66,8 @@ class Scene:
     agents: list
     scene_id: str
     dropped: list = field(default_factory=list)
-
-    def to_json(self):
-        """Canonical serialization (agents only); byte-stable across runs."""
-        doc = {
-            "scene_id": self.scene_id,
-            "agents": [
-                {
-                    "agent_id": a.agent_id,
-                    "edge_id": int(a.lane.edge_id),
-                    "arc_s": a.lane.arc_s,
-                    "lateral_offset": a.lane.lateral_offset,
-                    "x": float(a.state.position[0]),
-                    "y": float(a.state.position[1]),
-                    "v": a.state.v,
-                    "psi": a.state.psi,
-                    "length": a.geometry.L,
-                    "width": a.geometry.width,
-                }
-                for a in self.agents
-            ],
-            "dropped": [{"agent_id": d.agent_id, "reason": d.reason}
-                        for d in self.dropped],
-        }
-        return json.dumps(doc, sort_keys=True)
+    # the snap limit its agents were placed with; a replayed ego keeps it
+    max_snap_distance: float = road_graph.MAX_SNAP_DISTANCE
 
 
 def load_tracklets(doc, source="tracklets"):
@@ -113,8 +90,9 @@ def load_tracklets(doc, source="tracklets"):
                 if poses[k].t < poses[k - 1].t:
                     raise ValueError(f"times not sorted at pose {k} "
                                      f"(t {poses[k].t})")
-            geom = VehicleGeometry(L=float(tr.get("length", 4.5)),
-                                   width=float(tr.get("width", 1.8)))
+            geom = VehicleGeometry(
+                L=float(tr.get("length", VehicleGeometry.L)),
+                width=float(tr.get("width", VehicleGeometry.width)))
             _check_finite("vehicle", length=geom.L, width=geom.width)
             tracks.append(Tracklet(int(tr["agent_id"]), poses, geom))
     except KeyError as exc:
@@ -239,4 +217,4 @@ def instantiate_agents(graph, tracklets, t0, scene_id="scene",
     agents = [a for a in agents if a.agent_id not in removed]
     if not agents:
         raise EmptySceneError(f"scene {scene_id}: every agent was dropped")
-    return Scene(graph, agents, scene_id, dropped)
+    return Scene(graph, agents, scene_id, dropped, max_snap_distance)

@@ -127,7 +127,7 @@ class _AgentRun:
         self.geom = init.geometry
         self.state = init.state.copy()
         self.lane = init.lane
-        self.tracklet = getattr(init, "tracklet", None)
+        self.tracklet = init.tracklet
         self.route = assignment.route if assignment else None
         self.route_edges = ([] if self.route is None
                             else list(self.route.edge_ids))
@@ -173,7 +173,7 @@ def simulate_scene(scene, assignment, config, variant_index=0):
     for init in scene.agents:
         aid = init.agent_id
         replay = (config.ego_mode == "replay" and aid == ego_id
-                  and getattr(init, "tracklet", None) is not None)
+                  and init.tracklet is not None)
         if not replay and aid not in assignment:
             raise ConfigError([f"agent {aid} has no behavior assignment"])
         asg = assignment.get(aid)
@@ -217,8 +217,9 @@ def simulate_scene(scene, assignment, config, variant_index=0):
             elif run.replay:
                 run.x_lat = 0.0
                 try:
-                    run.lane = road_graph.project_to_lane(graph,
-                                                          run.state.position)
+                    run.lane = road_graph.project_to_lane(
+                        graph, run.state.position,
+                        max_snap_distance=scene.max_snap_distance)
                 except OffMapError:
                     run.exit_step = k
                     continue

@@ -279,8 +279,7 @@ def test_grid_sample_roundtrip(tmp_path):
     g, log = _simulated_log()
     spec = GridSpec.centered_on((40.0, 0.0), 64, 64, 1.0)
     ctx = render_context(g, spec)
-    sample = build_grid_sample(log, spec, t_obs=20)
-    sample.context = ctx
+    sample = build_grid_sample(log, ctx, t_obs=20)
     path = tmp_path / "s.bevg"
     write_grid_sample(sample, str(path))
     back = read_grid_sample(str(path), "bev")
@@ -363,8 +362,7 @@ def test_export_sequence_bytes_pinned(tmp_path):
     collisions = outside = 0
     for offset, path in zip((0, 7, 14, 21), paths):
         back = read_grid_sample(path, "pin")
-        built = build_grid_sample(log, spec, 5, offset)
-        built.context = ctx
+        built = build_grid_sample(log, ctx, 5, offset)
         assert built.equals(back) and back.variant == 3
         for k, frame in enumerate(back.frames):
             maps = rasterize_states(log, offset + k, spec)

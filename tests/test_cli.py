@@ -15,7 +15,7 @@ from helpers import (approach_point, four_way_intersection,
                      turning_source_traj)
 
 import trafficforge
-from trafficforge import bev_render, road_graph
+from trafficforge import bev_render, road_graph, scene_ingest
 from trafficforge.cli import dispatch
 from trafficforge.config import apply_overrides, validate_config
 from trafficforge.errors import ConfigError
@@ -557,6 +557,49 @@ def test_simulate_exits_1_without_a_log(tmp_path, capsys):
     run = json.loads((tmp_path / "some" / "run.json").read_text())
     assert run["n_logs"] == 1
     assert [f["scene_id"] for f in run["failures"]] == ["scene00"]
+
+
+def test_straight_threshold_reaches_route_labels(tmp_path):
+    _write_inputs(tmp_path, n_scenes=1)
+    (tmp_path / "pool.json").write_text(json.dumps({"dt": 0.1, "profiles": [
+        {"label": "straight", "feature": 9.0, "samples": [9.0] * 71}]}))
+    # a 90 degree turn is below a 100 degree threshold, so every route
+    # the junction offers is labelled straight and the pool serves it
+    rc = dispatch(["simulate", "--map", str(tmp_path / "map.json"),
+                   "--tracklets", str(tmp_path / "tracklets"),
+                   "--pool", str(tmp_path / "pool.json"),
+                   "--set", "road.straight_threshold_deg=100",
+                   "--seed", "1", "--out", str(tmp_path / "out")])
+    assert rc == 0
+    agents = [ag for p in sorted((tmp_path / "out").glob("scene00_v*.json"))
+              for ag in json.loads(p.read_text())["agents"]]
+    assert agents and {ag["label"] for ag in agents} == {"straight"}
+    # at the default threshold some driven route is a turn
+    graph = road_graph.build_graph(four_way_intersection())
+    doc = json.loads((tmp_path / "tracklets" / "scene00.json").read_text())
+    scene = scene_ingest.instantiate_agents(
+        graph, scene_ingest.load_tracklets(doc)[1], 0.0)
+    turns = {tuple(r.edge_ids) for a in scene.agents
+             for r in road_graph.enumerate_routes(graph, a.lane)
+             if r.maneuver != "straight"}
+    assert turns & {tuple(ag["route_edges"]) for ag in agents}
+
+
+def test_pretty_only_where_json_is_printed(sim_logs, tmp_path, capsys):
+    root = str(sim_logs)
+    for argv in (["simulate", "--map", f"{root}/map.json", "--tracklets",
+                  f"{root}/tracklets", "--pool", f"{root}/pool.json",
+                  "--seed", "3"],
+                 ["render", "--logs", f"{root}/logs", "--map",
+                  f"{root}/map.json"],
+                 ["profile-pool", "--tracklets", f"{root}/pool_tracks.json"]):
+        out = tmp_path / argv[0]
+        assert dispatch(argv + ["--pretty", "--out", str(out)]) == 1
+        assert "unrecognized arguments: --pretty" in capsys.readouterr().err
+        assert not out.exists()
+    assert dispatch(["build-graph", "--map", f"{root}/map.json",
+                     "--pretty"]) == 0
+    assert capsys.readouterr().out.startswith("{\n  ")
 
 
 def test_render_accepts_integer_valued_floats(sim_logs, tmp_path):

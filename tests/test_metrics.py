@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 from helpers import four_way_intersection, ring_map, straight_map
 
 from trafficforge import geometry, metrics, road_graph
-from trafficforge.bev_render import UNKNOWN, ContextMap, GridSpec
 from trafficforge.errors import InsufficientDataError, OffMapError
 from trafficforge.metrics import (PredictionSet, Trajectory2D, ade,
                                   diversity_report, fde, min_over_samples,
@@ -262,14 +261,6 @@ def _on_graph(graph, point, margin, limit=road_graph.MAX_SNAP_DISTANCE):
     return abs(coord.lateral_offset) <= half + margin
 
 
-def _is_road(context, point):
-    """Per-point reference for raster validity."""
-    row, col = context.spec.cell_of(point)
-    if not context.spec.contains(row, col):
-        return False
-    return context.classes[row, col] != UNKNOWN
-
-
 def _mixed_width_four_way():
     doc = four_way_intersection()
     for i, cl in enumerate(doc["centerlines"]):
@@ -401,34 +392,6 @@ def snap_queries(draw):
 def test_project_to_lane_matches_brute_force_reference(case):
     assert _snap_outcome(road_graph.project_to_lane, *case) \
         == _snap_outcome(_snap_ref, *case)
-
-
-@st.composite
-def raster_trajectories(draw):
-    """(context, points) with points on cell edges, inside and off-raster."""
-    res = draw(st.sampled_from([0.25, 0.3, 0.5, 1.0, 2.0]))
-    H, W = draw(st.integers(1, 24)), draw(st.integers(1, 24))
-    origin = (draw(st.floats(-50.0, 50.0)), draw(st.floats(-50.0, 50.0)))
-    seed = draw(st.integers(0, 2**32 - 1))
-    classes = np.random.default_rng(seed).integers(0, 3, size=(H, W))
-    edge_x = st.integers(-2, W + 2).map(lambda k: origin[0] + k * res)
-    edge_y = st.integers(-2, H + 2).map(lambda k: origin[1] + k * res)
-    any_x = st.floats(origin[0] - 3 * res, origin[0] + (W + 3) * res)
-    any_y = st.floats(origin[1] - 3 * res, origin[1] + (H + 3) * res)
-    pts = draw(st.lists(st.tuples(st.one_of(edge_x, any_x),
-                                  st.one_of(edge_y, any_y)),
-                        min_size=2, max_size=60))
-    return ContextMap(GridSpec(H, W, res, origin), classes.astype(np.uint8)), \
-        np.array(pts)
-
-
-@settings(max_examples=300, deadline=None)
-@given(raster_trajectories())
-def test_raster_validity_matches_per_point_reference(case):
-    context, pts = case
-    ref = [bool(_is_road(context, p)) for p in pts]
-    assert context.on_road(pts).tolist() == ref
-    assert validity_ratio([_traj(pts)], context) == float(all(ref))
 
 
 def test_trajectory_rejects_non_finite_points():

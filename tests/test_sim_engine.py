@@ -453,6 +453,26 @@ def test_replay_non_finite_position_raises():
         simulate_scene(scene, asg, SimConfig(master_seed=6, ego_mode="replay"))
 
 
+def test_replay_snaps_with_the_scene_limit():
+    """A replayed ego drifting 2 m/s sideways off a straight lane leaves
+    the map once it is farther from the lane than the limit it was
+    placed with."""
+    g = road_graph.build_graph(straight_map(400.0))
+    psi = math.atan2(2.0, 8.0)
+    doc = tracklets_doc("drift", [(1, 20.0, 0.1, psi, math.hypot(8.0, 2.0))],
+                        n_poses=101)
+    sid, tracks = scene_ingest.load_tracklets(doc)
+    cfg = SimConfig(master_seed=6, ego_mode="replay", horizon=10.0)
+    exits = []
+    for limit in (10.0, 12.0, 14.0):
+        scene = scene_ingest.instantiate_agents(g, tracks, 0.0, sid,
+                                                max_snap_distance=limit)
+        (ego,) = simulate_scene(scene, {}, cfg).agents
+        exits.append(ego.exit_step)
+    # the ego is 0.1 + 0.2 k m off the lane at step k
+    assert exits == [50, 60, 70]
+
+
 def _three_lane_mobil_inputs():
     # 4 agents per lane of a straight 3-lane one-way road; the head of the
     # right lane wants 6 m/s, so its followers and the faster lanes give
