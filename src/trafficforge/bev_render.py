@@ -17,6 +17,7 @@ The id plane stores agent_id + 1 so 0 always means empty.
 
 import functools
 import math
+import os
 import struct
 from dataclasses import dataclass
 
@@ -32,7 +33,7 @@ _HEADER = struct.Struct("<4sIIIdIIddII")  # 56 bytes, padded to 64
 _FRAME_PLANES = 4 + len(LABEL_CLASSES)    # state x2, mask, labels, id
 
 
-@dataclass
+@dataclass(frozen=True)
 class GridSpec:
     H: int = default("grid.H")
     W: int = default("grid.W")
@@ -42,7 +43,8 @@ class GridSpec:
     def __post_init__(self):
         if self.H <= 0 or self.W <= 0 or self.resolution <= 0:
             raise ValueError("grid needs positive H, W and resolution")
-        self.origin = (float(self.origin[0]), float(self.origin[1]))
+        object.__setattr__(self, "origin",
+                           (float(self.origin[0]), float(self.origin[1])))
 
     def cell_of(self, point):
         col = int(np.floor((point[0] - self.origin[0]) / self.resolution))
@@ -108,26 +110,17 @@ class AgentMaps:
 
 @dataclass
 class GridSample:
-    spec: GridSpec
+    """A .bevg file as :func:`read_grid_sample` returns it."""
+
     context: ContextMap
-    frames: list          # AgentMaps for t = 0..T-1 (any sequence)
+    frames: list          # AgentMaps for t = 0..T-1
     t_obs: int
     scene_id: str
     variant: int
 
-    def equals(self, other):
-        if (self.t_obs != other.t_obs or len(self.frames) != len(other.frames)
-                or self.spec != other.spec):
-            return False
-        if not np.array_equal(self.context.classes, other.context.classes):
-            return False
-        for a, b in zip(self.frames, other.frames):
-            if not (np.array_equal(a.state, b.state)
-                    and np.array_equal(a.mask, b.mask)
-                    and np.array_equal(a.ids, b.ids)
-                    and np.array_equal(a.labels, b.labels)):
-                return False
-        return True
+    @property
+    def spec(self):
+        return self.context.spec
 
 
 def render_context(graph, spec):
@@ -273,20 +266,6 @@ class _CellTable:
                                  collisions)
 
 
-class _TableFrames:
-    """The AgentMaps of steps [start, stop) of a cell table, made on
-    access; :func:`write_grid_sample` streams them from the table."""
-
-    def __init__(self, table, start, stop):
-        self.table, self.steps = table, range(start, stop)
-
-    def __len__(self):
-        return len(self.steps)
-
-    def __getitem__(self, k):
-        return self.table.maps(self.steps[k])
-
-
 def _maps_from_planes(planes, H, W, collisions=0):
     """AgentMaps of one frame's float32 (4 + n_labels, H*W) planes."""
     return AgentMaps(
@@ -303,69 +282,43 @@ def rasterize_states(log, t, spec):
     return _CellTable(log, spec).maps(t)
 
 
-def build_grid_sample(log, context, t_obs, t_start=0):
-    """GridSample of log steps [t_start, end) on ``context`` and its grid."""
-    return _window(_CellTable(log, context.spec), log, context, t_obs,
-                   t_start)
-
-
-def _window(table, log, context, t_obs, t_start):
-    if not 0 < t_obs < table.n_steps - t_start:
-        raise ValueError("t_obs must lie strictly inside the window")
-    return GridSample(table.spec, context,
-                      _TableFrames(table, t_start, table.n_steps),
-                      t_obs, log.scene_id, log.variant_index)
-
-
-def export_sequence(log, context, spec, t_obs, stride, out_dir):
-    """Write one GridSample file per stride offset; returns the paths.
+def export_sequence(log, context, t_obs, stride, out_dir):
+    """Write one .bevg grid sample of ``log`` on ``context`` and its grid
+    per stride offset; returns the paths.
 
     Window ``i`` covers steps [i*stride, n_steps); windows shorter than
     t_obs + 1 steps are not emitted.
     """
-    import os
-    table = _CellTable(log, spec)
+    if t_obs < 1:
+        raise ValueError("t_obs must be >= 1")
+    table = _CellTable(log, context.spec)
     paths = []
-    offset = 0
-    while table.n_steps - offset >= t_obs + 1:
-        sample = _window(table, log, context, t_obs, offset)
+    for offset in range(0, table.n_steps - t_obs, stride):
         name = f"{log.scene_id}_v{log.variant_index}_o{offset:04d}.bevg"
         path = os.path.join(out_dir, name)
-        write_grid_sample(sample, path)
+        write_grid_sample(table, path, context, t_obs, offset,
+                          log.variant_index)
         paths.append(path)
-        offset += stride
     return paths
 
 
-def write_grid_sample(sample, path):
-    """Write ``sample`` frame by frame from one reused planes buffer.
-
-    Frames of :func:`build_grid_sample` are filled from its cell table;
-    any other AgentMaps are copied plane by plane.
-    """
-    spec = sample.spec
-    frames = sample.frames
+def write_grid_sample(table, path, context, t_obs, t_start, variant):
+    """Write steps [t_start, end) of the cell ``table``, built on
+    ``context.spec``, and ``context`` to ``path``, frame by frame through
+    one reused planes buffer."""
+    spec = context.spec
+    steps = range(t_start, table.n_steps)
     header = _HEADER.pack(_MAGIC, _VERSION, spec.H, spec.W, spec.resolution,
-                          len(frames), sample.t_obs,
-                          spec.origin[0], spec.origin[1],
-                          sample.variant, len(LABEL_CLASSES))
+                          len(steps), t_obs, spec.origin[0], spec.origin[1],
+                          variant, len(LABEL_CLASSES))
     planes = np.zeros((_FRAME_PLANES, spec.H * spec.W), dtype=np.float32)
     with open(path, "wb") as fh:
         fh.write(header.ljust(64, b"\x00"))
-        fh.write(memoryview(sample.context.planes))
-        if isinstance(frames, _TableFrames):
-            for t in frames.steps:
-                cells = frames.table.fill(planes, t)
-                fh.write(memoryview(planes))
-                planes[:, cells] = 0.0
-            return
-        grid = planes.reshape(_FRAME_PLANES, spec.H, spec.W)
-        for frame in frames:
-            grid[0:2] = frame.state.transpose(2, 0, 1)
-            grid[2] = frame.mask
-            grid[3:-1] = frame.labels.transpose(2, 0, 1)
-            grid[-1].view(np.int32)[:] = frame.ids
+        fh.write(memoryview(context.planes))
+        for t in steps:
+            cells = table.fill(planes, t)
             fh.write(memoryview(planes))
+            planes[:, cells] = 0.0
 
 
 def read_grid_sample(path, scene_id=""):
@@ -381,4 +334,4 @@ def read_grid_sample(path, scene_id=""):
     context = ContextMap(spec, np.argmax(ctx, axis=0).astype(np.uint8))
     planes = np.frombuffer(raw, np.float32, T * n * hw, 64 + ctx.nbytes)
     frames = [_maps_from_planes(f, H, W) for f in planes.reshape(T, n, hw)]
-    return GridSample(spec, context, frames, t_obs, scene_id, variant)
+    return GridSample(context, frames, t_obs, scene_id, variant)

@@ -217,18 +217,16 @@ def _render_one(task):
     return bev_render.export_sequence(*task)
 
 
-def _ego_grid(simlog, grid):
+def _ego_grid(simlog, cfg):
     """The grid centered on the start of the log's lowest-id agent."""
     ego = min(simlog.agents, key=lambda ag: ag.agent_id)
     return bev_render.GridSpec.centered_on(
-        (ego.x[0], ego.y[0]), int(grid["H"]), int(grid["W"]),
-        grid["resolution"])
+        (ego.x[0], ego.y[0]), cfg["grid.H"], cfg["grid.W"],
+        cfg["grid.resolution"])
 
 
 def cmd_render(args):
     cfg = _resolve_config(args)
-    grid = cfg.raw["grid"]
-    t_obs, stride = int(grid["t_obs"]), int(grid["stride"])
     graph = _load_graph(args, cfg)
     logs = _load_logs(args.logs)
 
@@ -236,11 +234,11 @@ def cmd_render(args):
     contexts = {}
     tasks = []
     for simlog in logs:
-        spec = _ego_grid(simlog, grid)
-        key = (spec.H, spec.W, spec.resolution, spec.origin)
-        if key not in contexts:
-            contexts[key] = bev_render.render_context(graph, spec)
-        tasks.append((simlog, contexts[key], spec, t_obs, stride, args.out))
+        spec = _ego_grid(simlog, cfg)
+        if spec not in contexts:
+            contexts[spec] = bev_render.render_context(graph, spec)
+        tasks.append((simlog, contexts[spec], cfg["grid.t_obs"],
+                      cfg["grid.stride"], args.out))
 
     os.makedirs(args.out, exist_ok=True)
     results = map_tasks(_render_one, tasks, args.jobs)

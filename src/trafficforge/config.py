@@ -25,11 +25,11 @@ class Key:
     """One config key: its default, its check and the field it feeds.
 
     ``kind`` is "number" (``low`` exclusive unless ``strict`` is false,
-    ``high`` inclusive, ``integer`` for whole numbers), "choice" (one of
-    ``choices``), "bool" or "range" (``[low, high]`` with
+    ``high`` inclusive, ``integer`` for whole numbers, stored as ``int``),
+    "choice" (one of ``choices``), "bool" or "range" (``[low, high]`` with
     ``0 <= low <= high``). ``field`` is the :class:`SimConfig` field the
     key sets, dotted for a parameter group, after ``convert``; None when
-    callers read the key by name, or nothing reads it yet.
+    callers read the key by name.
     """
 
     default: object
@@ -43,8 +43,8 @@ class Key:
     convert: Callable = lambda value: value
 
 
-# idm.delta and sim.max_lane_deviation are validated and stored but have
-# no effect on a simulation yet (see ROADMAP)
+# sim.max_lane_deviation is validated and stored but has no effect on a
+# simulation yet (see ROADMAP)
 SCHEMA = {
     "sim.dt": Key(0.1, low=0, field="dt"),
     "sim.horizon": Key(7.0, low=0, field="horizon"),
@@ -57,7 +57,6 @@ SCHEMA = {
     "sim.max_lane_deviation": Key(3.0, low=0, field="max_lane_deviation"),
     "sim.lane_change_enabled": Key(True, kind="bool",
                                    field="lane_change_enabled"),
-    "idm.delta": Key(4.0, low=0),
     "idm.T_range": Key((0.5, 2.5), kind="range", field="idm_ranges.T_range",
                        convert=tuple),
     "idm.s0_range": Key((0.5, 4.0), kind="range",
@@ -268,11 +267,13 @@ def validate_config(raw):
         body = raw.get(sec)
         value = body.get(name, key.default) if isinstance(body, dict) \
             else key.default
-        resolved[sec][name] = value
         problem = _violation(dotted, key, value)
         if problem:
             problems.append(problem)
             invalid.add(dotted)
+        elif key.integer:
+            value = int(value)  # 3.0 and 3 are one setting
+        resolved[sec][name] = value
     if not invalid & {"sim.dt", "sim.horizon"}:
         steps = resolved["sim"]["horizon"] / resolved["sim"]["dt"]
         if abs(steps - round(steps)) > 1e-9:

@@ -17,11 +17,13 @@ import numpy as np
 
 from trafficforge.config import default
 
+DELTA = 4.0   # IDM free-road acceleration exponent
+
 
 @dataclass
 class IdmParams:
     v0: float           # desired speed; the engine sets this per step
-    delta: float = default("idm.delta")
+    delta: float = DELTA
     T: float = 1.5
     s0: float = 2.0
     a: float = 1.5
@@ -73,7 +75,7 @@ def sample_idm_params(rng_seed, v0, T_range=default("idm.T_range"),
                       s0_range=default("idm.s0_range"),
                       a_range=default("idm.a_range"),
                       b_range=default("idm.b_range"),
-                      delta=default("idm.delta")):
+                      delta=DELTA):
     """Draw per-agent IDM parameters uniformly from (low, high) ranges;
     the defaults are the ``idm.*_range`` config keys."""
     rng = np.random.default_rng(rng_seed)

@@ -37,6 +37,10 @@ class MissingProfileError(TrafficForgeError):
         self.label = label
 
 
+class ZeroLengthRouteError(TrafficForgeError):
+    """A route's centerline collapses to one point: no drivable length."""
+
+
 class InsufficientDataError(TrafficForgeError):
     """Not enough samples or trajectories for the requested estimate."""
 

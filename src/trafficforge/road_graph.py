@@ -17,7 +17,8 @@ import numpy as np
 
 from trafficforge import geometry
 from trafficforge.config import default
-from trafficforge.errors import MapFormatError, OffMapError
+from trafficforge.errors import (MapFormatError, OffMapError,
+                                 ZeroLengthRouteError)
 from trafficforge.geometry import wrap_angle
 
 MAX_SNAP_DISTANCE = default("road.max_snap_distance")
@@ -122,7 +123,8 @@ class Route:
     The edge spans are set up front; the geometry (``polyline``, ``cum``,
     ``total_length``, ``maneuver``, the segment ``table``) is built on
     first use, so a route that is only searched for leaders never builds
-    it. A route with no drivable length raises ``ValueError`` then.
+    it. A route with no drivable length raises ``ZeroLengthRouteError``
+    then.
     """
 
     def __init__(self, graph, edge_ids, start, first_edge_partial):
@@ -148,7 +150,7 @@ class Route:
             pieces.append(pts if not pieces else pts[1:])
         poly, cum, dpsi = geometry.polyline_tables(np.vstack(pieces))
         if len(poly) < 2:
-            raise ValueError("route has no drivable length")
+            raise ZeroLengthRouteError("route has no drivable length")
         return poly, cum, dpsi
 
     @property

@@ -33,7 +33,6 @@ from trafficforge.util import derive_seed, digest, map_tasks
 V0_FLOOR = 0.1          # reference speed floor for the free-flow term
 EXIT_EPS = 1e-6
 MOBIL_EVAL_MAX_OFFSET = 0.5   # only consider lane changes near the centerline
-LANE_CHANGE_SETTLED = 0.3     # offset below which a transition counts as done
 
 
 @dataclass
@@ -543,9 +542,9 @@ def run_dataset(scenes, pool, config, jobs=1):
     """Simulate every scene's behavior variants.
 
     Returns (logs, failures); failures are (scene_id, message) pairs for
-    scenes that raised a TrafficForgeError or ValueError, which are
-    skipped without aborting the batch. Any other exception is a bug and
-    propagates. Results are byte-identical for any ``jobs`` value.
+    scenes that raised a TrafficForgeError, which are skipped without
+    aborting the batch. Any other exception, ``ValueError`` included, is a
+    bug and propagates. Results are byte-identical for any ``jobs`` value.
 
     Profiles are replayed one sample per simulation step, so a pool
     recorded at another time step than ``config.dt`` raises
@@ -578,6 +577,6 @@ def _scene_worker(task):
             config.profile_noise_std)
         for vi, assignment in enumerate(variants):
             logs.append(simulate_scene(scene, assignment, config, vi))
-    except (TrafficForgeError, ValueError) as exc:
+    except TrafficForgeError as exc:
         failures.append((scene.scene_id, f"{type(exc).__name__}: {exc}"))
     return logs, failures

@@ -150,3 +150,19 @@ def build_test_pool(seed=0, dt=0.1):
     from trafficforge import behavior
     rng = np.random.default_rng(seed)
     return behavior.build_profile_pool(synthetic_profile_sources(rng), dt)
+
+
+def assert_grid_sample(sample, log, context, t_obs, t_start=0):
+    """``sample``, read back from a .bevg file, holds ``context`` and its
+    grid, ``t_obs``, the log's variant and, frame by frame, steps
+    ``t_start``.. of ``log`` as ``rasterize_states`` makes them."""
+    from trafficforge.bev_render import rasterize_states
+    assert sample.spec == context.spec
+    assert np.array_equal(sample.context.classes, context.classes)
+    assert sample.t_obs == t_obs and sample.variant == log.variant_index
+    n_steps = max(len(ag.t) for ag in log.agents)
+    assert len(sample.frames) == n_steps - t_start
+    for k, frame in enumerate(sample.frames):
+        maps = rasterize_states(log, t_start + k, context.spec)
+        for name in ("state", "mask", "ids", "labels"):
+            assert np.array_equal(getattr(maps, name), getattr(frame, name))

@@ -12,7 +12,8 @@ import shutil
 
 import numpy as np
 
-from helpers import (approach_point, four_way_intersection, straight_map,
+from helpers import (approach_point, assert_grid_sample,
+                     four_way_intersection, straight_map,
                      synthetic_profile_sources, tracklets_doc)
 
 from trafficforge import behavior, bev_render, metrics, road_graph
@@ -346,10 +347,10 @@ def test_criterion_9_rasterizer_invariants(tmp_path):
         assert maps.mask.sum() + maps.collisions == in_grid
         assert ((maps.ids != 0) == (maps.mask == 1)).all()
 
-        sample = bev_render.GridSample(spec, ctx, [maps], 1, log.scene_id, 0)
-        path = str(tmp_path / "sample.bevg")
-        bev_render.write_grid_sample(sample, path)
-        assert bev_render.read_grid_sample(path, log.scene_id).equals(sample)
+        (path,) = bev_render.export_sequence(log, ctx, 1, 1, str(tmp_path))
+        assert_grid_sample(bev_render.read_grid_sample(path, log.scene_id),
+                           log, ctx, 1)
+        os.remove(path)
         checked += 1
     _line(9, checked == 1000,
           f"{checked}/1000 rasterizations satisfied one-hot, mask-count "

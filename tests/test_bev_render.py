@@ -9,15 +9,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import (four_way_intersection, ring_map, straight_map,
-                     tracklets_doc)
+from helpers import (assert_grid_sample, four_way_intersection, ring_map,
+                     straight_map, tracklets_doc)
 
 from trafficforge import bev_render, road_graph, scene_ingest
 from trafficforge.behavior import BehaviorAssignment, VelocityProfile
-from trafficforge.bev_render import (GridSpec, build_grid_sample,
-                                     export_sequence, rasterize_states,
-                                     read_grid_sample, render_context,
-                                     write_grid_sample)
+from trafficforge.bev_render import (GridSpec, export_sequence,
+                                     rasterize_states, read_grid_sample,
+                                     render_context)
 from trafficforge.config import SimConfig
 from trafficforge.sim_engine import simulate_scene
 
@@ -279,11 +278,10 @@ def test_grid_sample_roundtrip(tmp_path):
     g, log = _simulated_log()
     spec = GridSpec.centered_on((40.0, 0.0), 64, 64, 1.0)
     ctx = render_context(g, spec)
-    sample = build_grid_sample(log, ctx, t_obs=20)
-    path = tmp_path / "s.bevg"
-    write_grid_sample(sample, str(path))
-    back = read_grid_sample(str(path), "bev")
-    assert sample.equals(back)
+    (path,) = export_sequence(log, ctx, t_obs=20, stride=100000,
+                              out_dir=str(tmp_path))
+    back = read_grid_sample(path, "bev")
+    assert_grid_sample(back, log, ctx, 20)
     assert back.t_obs == 20
     assert back.spec == spec
 
@@ -293,11 +291,11 @@ def test_export_sequence_counts(tmp_path):
     spec = GridSpec.centered_on((40.0, 0.0), 32, 32, 1.0)
     ctx = render_context(g, spec)
     # 71-step log, huge stride: exactly one sample
-    paths = export_sequence(log, ctx, spec, t_obs=20, stride=100000,
+    paths = export_sequence(log, ctx, t_obs=20, stride=100000,
                             out_dir=str(tmp_path))
     assert len(paths) == 1
     # stride 25: offsets 0, 25, 50 all leave at least t_obs + 1 steps
-    paths = export_sequence(log, ctx, spec, t_obs=20, stride=25,
+    paths = export_sequence(log, ctx, t_obs=20, stride=25,
                             out_dir=str(tmp_path))
     assert len(paths) == 3
 
@@ -347,7 +345,7 @@ def test_export_sequence_bytes_pinned(tmp_path):
     spec = GridSpec.centered_on((0.0, 0.0), 24, 40, 0.5)  # H != W
     ctx = render_context(road_graph.build_graph(four_way_intersection()),
                          spec)
-    paths = export_sequence(log, ctx, spec, t_obs=5, stride=7,
+    paths = export_sequence(log, ctx, t_obs=5, stride=7,
                             out_dir=str(tmp_path))
     assert [p[-10:] for p in paths] == [f"o{o:04d}.bevg"
                                         for o in (0, 7, 14, 21)]
@@ -362,13 +360,10 @@ def test_export_sequence_bytes_pinned(tmp_path):
     collisions = outside = 0
     for offset, path in zip((0, 7, 14, 21), paths):
         back = read_grid_sample(path, "pin")
-        built = build_grid_sample(log, ctx, 5, offset)
-        assert built.equals(back) and back.variant == 3
-        for k, frame in enumerate(back.frames):
+        assert_grid_sample(back, log, ctx, 5, offset)
+        assert back.variant == 3
+        for k in range(len(back.frames)):
             maps = rasterize_states(log, offset + k, spec)
-            for name in ("state", "mask", "ids", "labels"):
-                assert np.array_equal(getattr(maps, name),
-                                      getattr(frame, name))
             active = sum(offset + k < len(ag.t) for ag in log.agents)
             collisions += maps.collisions
             outside += active - int(maps.mask.sum()) - maps.collisions

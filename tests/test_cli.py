@@ -15,7 +15,7 @@ from helpers import (approach_point, four_way_intersection,
                      turning_source_traj)
 
 import trafficforge
-from trafficforge import bev_render, road_graph, scene_ingest
+from trafficforge import bev_render, road_graph, scene_ingest, sim_engine
 from trafficforge.cli import dispatch
 from trafficforge.config import apply_overrides, validate_config
 from trafficforge.errors import ConfigError
@@ -122,7 +122,7 @@ def test_profile_pool_and_simulate_deterministic(tmp_path):
                    str(tmp_path / "pool_tracks.json"),
                    "--dt", "0.1", "--out", str(tmp_path / "pool.json")])
     assert rc == 0
-    pool_doc = json.load(open(tmp_path / "pool.json"))
+    pool_doc = json.loads((tmp_path / "pool.json").read_text())
     assert {p["label"] for p in pool_doc["profiles"]} \
         == {"left", "right", "straight"}
 
@@ -198,7 +198,7 @@ def test_metrics_prediction_report(tmp_path):
     out = tmp_path / "report.json"
     rc = dispatch(["metrics", "--preds", str(preds), "--out", str(out)])
     assert rc == 0
-    rep = json.load(open(out))
+    rep = json.loads(out.read_text())
     for h in ("1.0", "2.0", "3.0", "4.0", "5.0"):
         assert h in rep["prediction"]
         block = rep["prediction"][h]
@@ -614,6 +614,42 @@ def test_render_accepts_integer_valued_floats(sim_logs, tmp_path):
     assert len(names) == 6
     sample = bev_render.read_grid_sample(str(out / names[0]))
     assert (sample.spec.H, sample.spec.W, sample.t_obs) == (16, 16, 20)
+
+
+def _simulate_argv(root, out, *overrides):
+    return ["simulate", "--map", f"{root}/map.json", "--tracklets",
+            f"{root}/tracklets", "--pool", f"{root}/pool.json", "--seed", "3",
+            "--out", str(out)] + [a for o in overrides for a in ("--set", o)]
+
+
+@pytest.mark.parametrize("key, value", [("sim.max_variants", 3),
+                                        ("road.max_routes", 16)])
+def test_integer_keys_take_integer_valued_floats(sim_logs, tmp_path, key,
+                                                 value):
+    # 3.0 is the integer 3: the same logs and sidecars, config digest too
+    for spelling in (f"{value}", f"{value}.0"):
+        assert dispatch(_simulate_argv(sim_logs, tmp_path / spelling,
+                                       f"{key}={spelling}")) == 0
+    assert _tree_digest(tmp_path / f"{value}") \
+        == _tree_digest(tmp_path / f"{value}.0")
+
+
+def test_value_error_in_a_scene_exits_2(sim_logs, tmp_path, capsys,
+                                        monkeypatch):
+    # a ValueError is a bug, not a scene failure: it stops the run
+    real, calls = sim_engine.step_kinematics, []
+
+    def step_kinematics(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == 50:
+            np.zeros(3).reshape(2, 2)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(sim_engine, "step_kinematics", step_kinematics)
+    assert dispatch(_simulate_argv(sim_logs, tmp_path / "out")) == 2
+    assert "error: ValueError: cannot reshape array of size 3 into shape " \
+        "(2,2)\n" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("command", ["metrics", "render"])

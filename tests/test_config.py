@@ -7,10 +7,13 @@ the same.
 """
 
 import hashlib
+import os
+import re
 
 import pytest
 
-from trafficforge.config import SimConfig, validate_config
+from trafficforge import config
+from trafficforge.config import SCHEMA, SimConfig, validate_config
 from trafficforge.errors import ConfigError
 from trafficforge.util import canonical_json, digest
 
@@ -26,8 +29,8 @@ def _keys(raw):
 def test_defaults_pinned():
     cfg = validate_config({})
     assert _sha(cfg.raw) == \
-        "ebb36c26f85cbe0c53879c61c65b348595449b9401d4bd0b63088e8387e098ab"
-    assert len(_keys(cfg.raw)) == 42
+        "20e419fbaacff64a41abde109b50d73c4d3695a92bb7ef6af18ea79390816116"
+    assert len(_keys(cfg.raw)) == 41
     sim_sha = \
         "063224c191e0938b73936880e51a2e99fcf10d14839b1c7c6a6c44a7d79d1dae"
     assert _sha(SimConfig().to_dict()) == sim_sha
@@ -41,7 +44,7 @@ _BROKEN = {
     "sim": {"dt": 0, "horizon": -7.0, "max_variants": 0, "master_seed": 1.5,
             "ego": "other", "sensing_range": 0, "max_lane_deviation": -1,
             "lane_change_enabled": 1, "extra": 1},
-    "idm": {"delta": 0, "T_range": [2.5, 0.5], "s0_range": [-1, 4],
+    "idm": {"T_range": [2.5, 0.5], "s0_range": [-1, 4],
             "a_range": [1.0], "b_range": "wide"},
     "mobil": {"p": -0.1, "da_th": "x", "b_safe": 0, "da_bias": True},
     "controller": {"kp_lateral": 0, "kp_heading": -2, "kp_speed": "1",
@@ -81,7 +84,6 @@ _BROKEN_VIOLATIONS = [
     "idm.T_range: must be [low, high] with 0 <= low <= high",
     "idm.a_range: must be [low, high] with 0 <= low <= high",
     "idm.b_range: must be [low, high] with 0 <= low <= high",
-    "idm.delta: expected a number > 0, got 0",
     "idm.s0_range: must be [low, high] with 0 <= low <= high",
     "mobil.b_safe: expected a number > 0, got 0",
     "mobil.da_bias: expected a number, got True",
@@ -147,7 +149,7 @@ _CHANGED = {
     "sim": {"dt": 0.05, "horizon": 5.0, "max_variants": 2, "master_seed": 7,
             "ego": "replay", "sensing_range": 80.0,
             "max_lane_deviation": 2.5, "lane_change_enabled": False},
-    "idm": {"delta": 3.5, "T_range": [0.6, 2.4], "s0_range": [0.7, 3.9],
+    "idm": {"T_range": [0.6, 2.4], "s0_range": [0.7, 3.9],
             "a_range": [1.1, 1.9], "b_range": [1.6, 2.4]},
     "mobil": {"p": 0.4, "da_th": 0.2, "b_safe": 3.5, "da_bias": 0.25},
     "controller": {"kp_lateral": 1.1, "kp_heading": 2.1, "kp_speed": 1.2,
@@ -171,3 +173,18 @@ def test_every_key_reaches_its_field():
         assert cfg[key] != defaults[key]
     assert _sha(cfg.sim_config().to_dict()) == \
         "d8150f6af7345ba22d027bb40fa5b4fa1b57562162f7ea90daf884111a76f533"
+
+
+def test_every_key_without_a_field_is_read():
+    # a key that feeds no SimConfig field must be read by its dotted name
+    # outside config.py; default("...") only reads the default
+    src = os.path.dirname(config.__file__)
+    code = ""
+    for name in sorted(os.listdir(src)):
+        if name.endswith(".py") and name != "config.py":
+            with open(os.path.join(src, name)) as fh:
+                code += fh.read()
+    unread = [dotted for dotted, key in SCHEMA.items() if not key.field
+              and not re.search(r"(?<!default\()[\"']" + re.escape(dotted)
+                                + r"[\"']", code)]
+    assert unread == []

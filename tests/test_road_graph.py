@@ -12,7 +12,8 @@ from helpers import (approach_point, four_way_intersection, ring_map,
                      straight_map)
 
 from trafficforge import behavior, geometry, road_graph
-from trafficforge.errors import MapFormatError, OffMapError
+from trafficforge.errors import (MapFormatError, OffMapError,
+                               ZeroLengthRouteError)
 from trafficforge.road_graph import (build_graph, classify_maneuver,
                                      enumerate_routes, project_to_lane)
 
@@ -368,10 +369,12 @@ def test_route_without_drivable_length_raises_on_geometry_use():
     (route,) = enumerate_routes(g, start)
     for read in (lambda r: r.maneuver, lambda r: r.total_length,
                  lambda r: r.project_near((1e8 + 10.0, 0.0), 0.0)):
-        with pytest.raises(ValueError, match="route has no drivable length"):
+        with pytest.raises(ZeroLengthRouteError,
+                           match="route has no drivable length"):
             read(route)
     agent = types.SimpleNamespace(agent_id=1, lane=start)
-    with pytest.raises(ValueError, match="route has no drivable length"):
+    with pytest.raises(ZeroLengthRouteError,
+                       match="route has no drivable length"):
         behavior.sample_behaviors(types.SimpleNamespace(agents=[agent]), g,
                                   behavior.ProfilePool([]), 0)
 

@@ -213,9 +213,10 @@ def test_scene_worker_records_only_typed_failures(profile_pool,
     logs, failures = run_dataset([scene], profile_pool, cfg)
     assert logs == [] and failures == [("t1", "ConfigError: bad scene")]
     # a programmer error is not a scene failure: it propagates
-    fail_with(TypeError("bug"))
-    with pytest.raises(TypeError, match="bug"):
-        run_dataset([scene], profile_pool, cfg)
+    for bug in (TypeError("bug"), ValueError("bug")):
+        fail_with(bug)
+        with pytest.raises(type(bug), match="bug"):
+            run_dataset([scene], profile_pool, cfg)
 
 
 def test_csv_roundtrip(tmp_path):
