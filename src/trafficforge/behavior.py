@@ -69,13 +69,11 @@ class ProfilePool:
 
     @classmethod
     def from_json(cls, doc, source="profile pool"):
-        """Pool from its JSON document, as text or parsed.
+        """Pool from its parsed JSON document.
 
         Raises :class:`ConfigError` naming ``source`` when a key is
         missing or a value is not of its type.
         """
-        if isinstance(doc, str):
-            doc = json.loads(doc)
         where = source
         try:
             if not isinstance(doc, dict):
@@ -247,11 +245,11 @@ def feature_for_behavior(agent_init, route):
     return float(stamps[onset + 1])
 
 
-def sample_behaviors(scene, graph, pool, rng_seed, max_variants=3,
+def sample_behaviors(scene, pool, rng_seed, max_variants=3,
                      horizon_dist=road_graph.HORIZON_DIST,
                      max_routes=road_graph.MAX_ROUTES,
                      noise_std=PROFILE_NOISE_STD):
-    """Sample up to ``max_variants`` distinct behavior sets for a scene.
+    """Up to ``max_variants`` distinct behavior sets on ``scene.graph``.
 
     Per agent, maneuver labels are drawn without replacement across
     variants (cycling once exhausted) and a route is drawn uniformly
@@ -264,7 +262,7 @@ def sample_behaviors(scene, graph, pool, rng_seed, max_variants=3,
 
     per_agent = {}
     for agent in scene.agents:
-        routes = road_graph.enumerate_routes(graph, agent.lane,
+        routes = road_graph.enumerate_routes(scene.graph, agent.lane,
                                              horizon_dist, max_routes)
         by_label = {}
         for r in routes:

@@ -115,7 +115,6 @@ class GridSample:
     context: ContextMap
     frames: list          # AgentMaps for t = 0..T-1
     t_obs: int
-    scene_id: str
     variant: int
 
     @property
@@ -321,7 +320,7 @@ def write_grid_sample(table, path, context, t_obs, t_start, variant):
             planes[:, cells] = 0.0
 
 
-def read_grid_sample(path, scene_id=""):
+def read_grid_sample(path):
     with open(path, "rb") as fh:
         raw = fh.read()
     magic, version, H, W, res, T, t_obs, ox, oy, variant, n_cls = \
@@ -334,4 +333,4 @@ def read_grid_sample(path, scene_id=""):
     context = ContextMap(spec, np.argmax(ctx, axis=0).astype(np.uint8))
     planes = np.frombuffer(raw, np.float32, T * n * hw, 64 + ctx.nbytes)
     frames = [_maps_from_planes(f, H, W) for f in planes.reshape(T, n, hw)]
-    return GridSample(context, frames, t_obs, scene_id, variant)
+    return GridSample(context, frames, t_obs, variant)

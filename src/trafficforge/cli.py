@@ -61,30 +61,18 @@ def _resolve_config(args):
     raw = apply_overrides(raw, getattr(args, "set", None))
     if getattr(args, "seed", None) is not None:
         set_key(raw, "sim.master_seed", args.seed)
-    if getattr(args, "ego", None):
-        set_key(raw, "sim.ego", args.ego)
-    for key, value in _grid_overrides(args).items():
-        set_key(raw, f"grid.{key}", value)
-    return validate_config(raw)
-
-
-def _grid_overrides(args):
-    """``render``'s --spec, --t-obs and --stride as ``grid.*`` fields."""
-    grid = {}
-    if getattr(args, "spec", None):
+    if getattr(args, "spec", None):  # render's grid.* fields
         try:
-            user = json.loads(args.spec)
+            spec = json.loads(args.spec)
         except json.JSONDecodeError as exc:
             raise ConfigError([f"--spec: invalid JSON ({exc})"])
-        if not isinstance(user, dict):
+        if not isinstance(spec, dict):
             raise ConfigError(
-                [f"--spec: expected a JSON object, got {user!r}"])
-        alias = {"res": "resolution"}
-        grid.update((alias.get(k, k), v) for k, v in user.items())
-    for key in ("t_obs", "stride"):
-        if getattr(args, key, None) is not None:
-            grid[key] = getattr(args, key)
-    return grid
+                [f"--spec: expected a JSON object, got {spec!r}"])
+        for key, value in spec.items():
+            key = "resolution" if key == "res" else key
+            set_key(raw, f"grid.{key}", value)
+    return validate_config(raw)
 
 
 def _emit(doc, out, pretty):
@@ -135,7 +123,7 @@ def cmd_profile_pool(args):
             trajs.append(np.array([[p.t, p.position[0], p.position[1]]
                                    for p in tr.poses]))
     pool = behavior.build_profile_pool(
-        trajs, cfg["sim.dt"] if args.dt is None else args.dt,
+        trajs, cfg["sim.dt"],
         math.radians(cfg["road.straight_threshold_deg"]),
         cfg["behavior.turn_rate_threshold"],
         cfg["behavior.turn_rate_sustain"])
@@ -164,6 +152,9 @@ def _load_scenes(args, cfg):
 
 def cmd_simulate(args):
     cfg = _resolve_config(args)
+    if not math.isfinite(args.t0):
+        raise ConfigError([f"--t0: expected a finite number of seconds, "
+                           f"got {args.t0}"])
     sim_cfg = cfg.sim_config()
     pool = behavior.ProfilePool.from_json(_load_json(args.pool, "pool"),
                                           f"pool file {args.pool}")
@@ -206,6 +197,7 @@ def _load_logs(logs_dir):
         sidecar = None
         if os.path.exists(side_path):
             sidecar = _load_json(side_path, "sidecar")
+            sim_engine.check_sidecar(sidecar, f"sidecar file {side_path}")
         logs.append(sim_engine.read_simlog_csv(
             os.path.join(logs_dir, name), sidecar))
     if not logs:
@@ -367,8 +359,6 @@ def build_parser():
     p = sub.add_parser("profile-pool",
                        help="mine a velocity-profile pool from tracklets")
     p.add_argument("--tracklets", nargs="+", required=True)
-    p.add_argument("--dt", type=float,
-                   help="profile time step (default: sim.dt)")
     common(p, "profile pool JSON file (required)")
     p.set_defaults(fn=cmd_profile_pool)
     p.set_defaults(out_required=True)
@@ -379,7 +369,6 @@ def build_parser():
                    help="tracklet JSON file or directory of files")
     p.add_argument("--pool", required=True)
     p.add_argument("--t0", type=float, default=0.0)
-    p.add_argument("--ego", choices=["replay", "simulate"])
     p.add_argument("--jobs", type=int, default=1)
     common(p, "directory for the logs and run.json (required)", seed=True)
     p.set_defaults(fn=cmd_simulate, out_required=True)
@@ -388,8 +377,6 @@ def build_parser():
     p.add_argument("--logs", required=True)
     p.add_argument("--map", required=True)
     p.add_argument("--spec", help='grid geometry, e.g. {"H":256,"W":256,"res":0.5}')
-    p.add_argument("--t-obs", dest="t_obs", type=int)
-    p.add_argument("--stride", type=int)
     p.add_argument("--jobs", type=int, default=1)
     common(p, "directory for the .bevg grid samples (required)")
     p.set_defaults(fn=cmd_render, out_required=True)

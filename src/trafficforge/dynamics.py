@@ -23,7 +23,6 @@ DELTA = 4.0   # IDM free-road acceleration exponent
 @dataclass
 class IdmParams:
     v0: float           # desired speed; the engine sets this per step
-    delta: float = DELTA
     T: float = 1.5
     s0: float = 2.0
     a: float = 1.5
@@ -63,7 +62,7 @@ def idm_accel(params, leader, v,
         if gap <= 0.0:
             return -a_max_decel
     ratio = desired_gap(params, v, dv) / gap
-    acc = params.a * (1.0 - (v / params.v0) ** params.delta - ratio * ratio)
+    acc = params.a * (1.0 - (v / params.v0) ** DELTA - ratio * ratio)
     if acc < -a_max_decel:
         acc = -a_max_decel
     elif acc > params.a:
@@ -74,14 +73,12 @@ def idm_accel(params, leader, v,
 def sample_idm_params(rng_seed, v0, T_range=default("idm.T_range"),
                       s0_range=default("idm.s0_range"),
                       a_range=default("idm.a_range"),
-                      b_range=default("idm.b_range"),
-                      delta=DELTA):
+                      b_range=default("idm.b_range")):
     """Draw per-agent IDM parameters uniformly from (low, high) ranges;
     the defaults are the ``idm.*_range`` config keys."""
     rng = np.random.default_rng(rng_seed)
     return IdmParams(
         v0=v0,
-        delta=delta,
         T=float(rng.uniform(*T_range)),
         s0=float(rng.uniform(*s0_range)),
         a=float(rng.uniform(*a_range)),

@@ -10,6 +10,7 @@ from bisect import bisect_right
 import numpy as np
 
 _TWO_PI = 2.0 * math.pi
+DEDUPE_TOL = 1e-9   # m, consecutive points closer than this are one point
 
 
 def as_polyline(points):
@@ -199,18 +200,19 @@ def _total_turn(d):
     return float(_wrap_angles(h[1:] - h[:-1]).cumsum()[-1])
 
 
-def polyline_tables(pts, tol=1e-9):
+def polyline_tables(pts):
     """(deduped points, arc-length table, total heading change) of ``pts``.
 
     Bit for bit what :func:`dedupe_points` and :func:`cumulative_lengths`
-    return, and the turn of the deduped points (0.0 below two segments),
-    from one difference pass when no two consecutive points lie within
-    ``2 * tol``.
+    return, and the turn of the deduped points (0.0 below two segments).
+    One difference pass serves when every consecutive gap clears
+    ``2 * DEDUPE_TOL``, a margin for any rounding difference between the
+    vectorized and :func:`dedupe_points`' scalar norm.
     """
     d = pts[1:] - pts[:-1]
     seg = np.linalg.norm(d, axis=1)
-    if not (seg > 2.0 * tol).all():
-        pts = dedupe_points(pts, tol)
+    if not (seg > 2.0 * DEDUPE_TOL).all():
+        pts = dedupe_points(pts)
         d = pts[1:] - pts[:-1]
         seg = np.linalg.norm(d, axis=1)
     return pts, _running_total(seg), _total_turn(d)
@@ -240,17 +242,10 @@ def offset_polyline(pts, offset):
     return pts + offset * vertex_n
 
 
-def dedupe_points(pts, tol=1e-9):
-    """Drop consecutive duplicates (within tol) from a point sequence.
-
-    Returns ``pts`` itself when every consecutive gap clears ``2 * tol``,
-    the margin absorbing any rounding difference between the vectorized
-    and the scalar norm.
-    """
-    if (segment_lengths(pts) > 2.0 * tol).all():
-        return pts
+def dedupe_points(pts):
+    """Drop consecutive duplicates (within ``DEDUPE_TOL``) from points."""
     keep = [0]
     for i in range(1, len(pts)):
-        if np.linalg.norm(pts[i] - pts[keep[-1]]) > tol:
+        if np.linalg.norm(pts[i] - pts[keep[-1]]) > DEDUPE_TOL:
             keep.append(i)
     return pts[keep]

@@ -26,6 +26,7 @@ STRAIGHT_THRESHOLD = math.radians(default("road.straight_threshold_deg"))
 HORIZON_DIST = default("road.horizon_dist")
 MAX_ROUTES = default("road.max_routes")
 _TIE_EPS = 1e-6
+PROJECT_BACK = 5.0   # m a route projection looks behind its hint
 
 
 @dataclass
@@ -184,10 +185,11 @@ class Route:
     def heading_at(self, s):
         return self.table.heading_at(s)
 
-    def project_near(self, point, s_hint, back=5.0, fwd=10.0):
-        """Windowed projection around ``s_hint``; returns (s, dist, lateral)."""
+    def project_near(self, point, s_hint, fwd=10.0):
+        """Projection onto the window from ``PROJECT_BACK`` m behind
+        ``s_hint`` to ``fwd`` m ahead; returns (s, dist, lateral)."""
         tab = self.table
-        lo_s = max(s_hint - back, 0.0)
+        lo_s = max(s_hint - PROJECT_BACK, 0.0)
         hi_s = min(s_hint + fwd, self.total_length)
         lo = max(bisect_right(tab.cum, lo_s) - 1, 0)
         hi = min(bisect_left(tab.cum, hi_s) + 1, len(tab.seg2))
@@ -354,13 +356,14 @@ def project_to_lane(graph, point, heading_hint=None,
         raise OffMapError(dmin, max_snap_distance)
     ties = index.edge_ids[dist <= dmin + _TIE_EPS].tolist()
     if heading_hint is None:
-        return _lane_coordinate(graph.edges[ties[0]], q)
-    return min((_lane_coordinate(graph.edges[eid], q) for eid in ties),
+        return lane_coordinate(graph.edges[ties[0]], q)
+    return min((lane_coordinate(graph.edges[eid], q) for eid in ties),
                key=lambda c: (abs(wrap_angle(c.lane_heading - heading_hint)),
                               c.edge_id))
 
 
-def _lane_coordinate(edge, q):
+def lane_coordinate(edge, q):
+    """The :class:`LaneCoordinate` of point ``q`` projected onto ``edge``."""
     s, _, lateral = geometry.project_point(edge.table, q)
     return LaneCoordinate(edge.id, s, lateral, edge.table.heading_at(s))
 

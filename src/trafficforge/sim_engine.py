@@ -22,7 +22,7 @@ from typing import Optional
 import numpy as np
 
 from trafficforge import behavior as behavior_mod
-from trafficforge import dynamics, geometry, road_graph
+from trafficforge import dynamics, road_graph
 from trafficforge.config import default
 from trafficforge.controller import (longitudinal_command, steer_to_lane,
                                      step_kinematics)
@@ -205,10 +205,9 @@ def simulate_scene(scene, assignment, config, variant_index=0):
         still = []
         for run in active:
             if run.route is not None:
-                back = 5.0
                 fwd = run.state.v * dt + 10.0
                 s, _, lat = run.route.project_near(run.state.position,
-                                                   run.s, back, fwd)
+                                                   run.s, fwd)
                 run.s, run.x_lat = s, lat
                 if s >= run.route.total_length - EXIT_EPS:
                     run.exit_step = k
@@ -282,7 +281,7 @@ def simulate_scene(scene, assignment, config, variant_index=0):
             label=run.label,
             route_edges=run.route_edges,
             idm={"T": run.idm.T, "s0": run.idm.s0, "a": run.idm.a,
-                 "b": run.idm.b, "delta": run.idm.delta},
+                 "b": run.idm.b, "delta": dynamics.DELTA},
             epsilon=run.ctrl.epsilon,
             exit_step=run.exit_step,
             t=t_axis[:n],
@@ -359,11 +358,9 @@ def _consider_lane_change(graph, run, snapshot, by_id, ac_old, config,
 def _retarget_route(graph, run, neighbor_eid, config):
     """Route continuing from the neighbor lane abeam the agent, or None."""
     nb = graph.edges[neighbor_eid]
-    s_nb, dist, lat = geometry.project_point(nb.table, run.state.position)
-    if s_nb >= nb.length - 1e-6:
+    coord = road_graph.lane_coordinate(nb, run.state.position)
+    if coord.arc_s >= nb.length - 1e-6:
         return None
-    coord = road_graph.LaneCoordinate(neighbor_eid, s_nb, lat,
-                                      nb.table.heading_at(s_nb))
     routes = road_graph.enumerate_routes(graph, coord, config.horizon_dist,
                                          config.max_routes)
     if not routes:
@@ -412,8 +409,30 @@ def _idm_accel_in(snapshot, run, route, config, moved=None):
                               config.controller.a_max_decel)
 
 
+def check_sidecar(sidecar, source):
+    """Raise :class:`ConfigError` naming ``source`` unless ``sidecar`` is
+    an object with a finite ``dt`` > 0 (not a bool), an integer
+    ``agent_id`` in each ``agents`` entry, and a ``step``, ``from_edge``
+    and ``to_edge`` in each of an agent's ``lane_changes``."""
+    try:
+        dt = sidecar["dt"]
+        if type(dt) not in (int, float) or not (math.isfinite(dt) and dt > 0):
+            raise ValueError(f"'dt' must be a finite number > 0, got {dt!r}")
+        for agent in sidecar.get("agents", []):
+            if type(agent["agent_id"]) is not int:
+                raise TypeError(f"'agent_id' must be an integer, got "
+                                f"{agent['agent_id']!r}")
+            for change in agent.get("lane_changes", []):
+                # a KeyError names the field a lane change lacks
+                change["step"], change["from_edge"], change["to_edge"]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError([f"{source}: {type(exc).__name__}: {exc}"]
+                          ) from exc
+
+
 def read_simlog_csv(csv_path, sidecar=None):
-    """Reconstruct a SimLog from its CSV (and optional sidecar dict).
+    """Reconstruct a SimLog from its CSV (and optional sidecar dict, as
+    :func:`check_sidecar` accepts it).
 
     Raises :class:`ConfigError` naming the file and the line when a
     column is missing or a field is absent or not a finite number.
@@ -554,7 +573,7 @@ def run_dataset(scenes, pool, config, jobs=1):
         if abs(profile.dt - config.dt) > 1e-9:
             raise ConfigError([f"profile pool dt {profile.dt} differs from "
                                f"sim.dt {config.dt}; rebuild the pool with "
-                               f"profile-pool --dt {config.dt}"])
+                               f"profile-pool --set sim.dt={config.dt}"])
     if not scenes:
         raise ValueError("no scenes to simulate")
     results = map_tasks(_scene_worker,
@@ -571,7 +590,7 @@ def _scene_worker(task):
     logs, failures = [], []
     try:
         variants = behavior_mod.sample_behaviors(
-            scene, scene.graph, pool,
+            scene, pool,
             derive_seed(config.master_seed, scene.scene_id),
             config.max_variants, config.horizon_dist, config.max_routes,
             config.profile_noise_std)

@@ -36,7 +36,7 @@ def _line(num, ok, detail):
 # -- 1. IDM unit fidelity ---------------------------------------------------
 
 def test_criterion_1_idm_unit_fidelity():
-    params = IdmParams(v0=15.0, delta=4.0, T=1.5, s0=2.0, a=1.5, b=2.0)
+    params = IdmParams(v0=15.0, T=1.5, s0=2.0, a=1.5, b=2.0)
     got = idm_accel(params, LeaderInfo(0, gap_s=20.0, dv=2.0), 10.0)
 
     # independently coded closed form
@@ -203,7 +203,7 @@ def test_criterion_6_diversity_direction(profile_pool):
     multi_logs, straight_logs = [], []
     for scene in scenes:
         variants = behavior.sample_behaviors(
-            scene, graph, profile_pool,
+            scene, profile_pool,
             behavior.derive_seed(6, scene.scene_id), max_variants=3)
         for vi, asg in enumerate(variants):
             multi_logs.append(simulate_scene(scene, asg, cfg, vi))
@@ -348,7 +348,7 @@ def test_criterion_9_rasterizer_invariants(tmp_path):
         assert ((maps.ids != 0) == (maps.mask == 1)).all()
 
         (path,) = bev_render.export_sequence(log, ctx, 1, 1, str(tmp_path))
-        assert_grid_sample(bev_render.read_grid_sample(path, log.scene_id),
+        assert_grid_sample(bev_render.read_grid_sample(path),
                            log, ctx, 1)
         os.remove(path)
         checked += 1
@@ -380,7 +380,7 @@ def _pipeline_inputs(root):
     with open(root / "pool_tracks.json", "w") as fh:
         json.dump({"scene_id": "pool", "tracks": tracks}, fh)
     assert dispatch(["profile-pool", "--tracklets",
-                     str(root / "pool_tracks.json"), "--dt", "0.1",
+                     str(root / "pool_tracks.json"),
                      "--out", str(root / "pool.json")]) == 0
 
 
@@ -392,8 +392,8 @@ def _run_pipeline(root, out, jobs):
                      "--jobs", str(jobs)]) == 0
     assert dispatch(["render", "--logs", str(out / "logs"),
                      "--map", str(root / "map.json"),
-                     "--spec", '{"H":32,"W":32,"res":1.0}',
-                     "--t-obs", "20", "--jobs", str(jobs),
+                     "--spec", '{"H":32,"W":32,"res":1.0,"t_obs":20}',
+                     "--jobs", str(jobs),
                      "--out", str(out / "grids")]) == 0
     assert dispatch(["metrics", "--logs", str(out / "logs"),
                      "--map", str(root / "map.json"),

@@ -1,6 +1,7 @@
 """Velocity-profile mining, matching and behavior sampling."""
 
 import functools
+import json
 from unittest import mock
 
 import numpy as np
@@ -156,7 +157,8 @@ def test_pool_from_json_has_no_skipped_trajectories():
     good = straight_source_traj(8.0)
     pool = build_profile_pool([good, good[:2]], 0.1)
     assert pool.skipped == [(1, "too-short")]
-    assert behavior.ProfilePool.from_json(pool.to_json()).skipped == []
+    doc = json.loads(pool.to_json())
+    assert behavior.ProfilePool.from_json(doc).skipped == []
 
 
 def test_empty_pool_errors_at_sampling():
@@ -280,7 +282,7 @@ def test_feature_matches_curvature_loop(junction, half_lane, deg, dist,
 
 def test_sample_behaviors_covers_labels(profile_pool):
     g, scene = _intersection_scene()
-    variants = sample_behaviors(scene, g, profile_pool, rng_seed=9,
+    variants = sample_behaviors(scene, profile_pool, rng_seed=9,
                                 max_variants=3)
     assert len(variants) == 3
     labels = {v[1].label for v in variants}
@@ -292,7 +294,7 @@ def test_sample_behaviors_forced_single_route(profile_pool):
     doc = tracklets_doc("f1", [(1, 10.0, 0.0, 0.0, 9.0)])
     sid, tracks = scene_ingest.load_tracklets(doc)
     scene = scene_ingest.instantiate_agents(g, tracks, 0.0, sid)
-    variants = sample_behaviors(scene, g, profile_pool, rng_seed=4,
+    variants = sample_behaviors(scene, profile_pool, rng_seed=4,
                                 max_variants=3)
     # one admissible behavior: duplicates collapse to a single variant set
     assert len(variants) == 1
@@ -301,8 +303,8 @@ def test_sample_behaviors_forced_single_route(profile_pool):
 
 def test_sample_behaviors_deterministic(profile_pool):
     g, scene = _intersection_scene()
-    a = sample_behaviors(scene, g, profile_pool, rng_seed=11, max_variants=3)
-    b = sample_behaviors(scene, g, profile_pool, rng_seed=11, max_variants=3)
+    a = sample_behaviors(scene, profile_pool, rng_seed=11, max_variants=3)
+    b = sample_behaviors(scene, profile_pool, rng_seed=11, max_variants=3)
     assert len(a) == len(b)
     for va, vb in zip(a, b):
         assert va.keys() == vb.keys()
@@ -317,14 +319,14 @@ def test_sample_behaviors_deterministic(profile_pool):
 def test_sample_behaviors_never_exceeds_max(profile_pool):
     g, scene = _intersection_scene()
     for mv in (1, 2, 3, 5):
-        variants = sample_behaviors(scene, g, profile_pool, rng_seed=2,
+        variants = sample_behaviors(scene, profile_pool, rng_seed=2,
                                     max_variants=mv)
         assert 1 <= len(variants) <= mv
 
 
 def test_assignment_label_matches_route_geometry(profile_pool):
     g, scene = _intersection_scene()
-    for variant in sample_behaviors(scene, g, profile_pool, 21, 3):
+    for variant in sample_behaviors(scene, profile_pool, 21, 3):
         for asg in variant.values():
             if asg.route is not None:
                 assert asg.label == road_graph.classify_maneuver(
@@ -337,13 +339,13 @@ def test_static_assignment_for_routeless_agent(profile_pool):
     doc = tracklets_doc("s1", [(1, 50.0, 0.0, 0.0, 0.0)], n_poses=1)
     sid, tracks = scene_ingest.load_tracklets(doc)
     scene = scene_ingest.instantiate_agents(g, tracks, 0.0, sid)
-    variants = sample_behaviors(scene, g, profile_pool, 3, 3)
+    variants = sample_behaviors(scene, profile_pool, 3, 3)
     assert variants[0][1].route is None
     assert variants[0][1].label == "static"
 
 
 def test_pool_json_roundtrip(profile_pool):
-    doc = profile_pool.to_json()
+    doc = json.loads(profile_pool.to_json())
     back = behavior.ProfilePool.from_json(doc)
     assert len(back) == len(profile_pool)
     for p, q in zip(profile_pool.profiles, back.profiles):

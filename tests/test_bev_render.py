@@ -280,7 +280,7 @@ def test_grid_sample_roundtrip(tmp_path):
     ctx = render_context(g, spec)
     (path,) = export_sequence(log, ctx, t_obs=20, stride=100000,
                               out_dir=str(tmp_path))
-    back = read_grid_sample(path, "bev")
+    back = read_grid_sample(path)
     assert_grid_sample(back, log, ctx, 20)
     assert back.t_obs == 20
     assert back.spec == spec
@@ -359,7 +359,7 @@ def test_export_sequence_bytes_pinned(tmp_path):
 
     collisions = outside = 0
     for offset, path in zip((0, 7, 14, 21), paths):
-        back = read_grid_sample(path, "pin")
+        back = read_grid_sample(path)
         assert_grid_sample(back, log, ctx, 5, offset)
         assert back.variant == 3
         for k in range(len(back.frames)):

@@ -1,7 +1,9 @@
 """Command-line behavior: validation, exit codes, end-to-end determinism."""
 
+import argparse
 import hashlib
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -16,8 +18,8 @@ from helpers import (approach_point, four_way_intersection,
 
 import trafficforge
 from trafficforge import bev_render, road_graph, scene_ingest, sim_engine
-from trafficforge.cli import dispatch
-from trafficforge.config import apply_overrides, validate_config
+from trafficforge.cli import build_parser, dispatch
+from trafficforge.config import SCHEMA, apply_overrides, validate_config
 from trafficforge.errors import ConfigError
 from trafficforge.sim_engine import read_simlog_csv
 
@@ -120,7 +122,7 @@ def test_profile_pool_and_simulate_deterministic(tmp_path):
     _write_inputs(tmp_path)
     rc = dispatch(["profile-pool", "--tracklets",
                    str(tmp_path / "pool_tracks.json"),
-                   "--dt", "0.1", "--out", str(tmp_path / "pool.json")])
+                   "--out", str(tmp_path / "pool.json")])
     assert rc == 0
     pool_doc = json.loads((tmp_path / "pool.json").read_text())
     assert {p["label"] for p in pool_doc["profiles"]} \
@@ -150,7 +152,7 @@ def test_profile_pool_turn_onset_keys_reach_the_pool(tmp_path):
     def pool_bytes(*overrides):
         out = tmp_path / "pool.json"
         argv = ["profile-pool", "--tracklets", str(tmp_path / "turn.json"),
-                "--dt", "0.1", "--out", str(out)]
+                "--out", str(out)]
         for kv in overrides:
             argv += ["--set", kv]
         assert dispatch(argv) == 0
@@ -270,15 +272,15 @@ def test_metrics_requires_input(capsys):
 def test_render_roundtrip_tree(tmp_path):
     _write_inputs(tmp_path, n_scenes=1)
     dispatch(["profile-pool", "--tracklets", str(tmp_path / "pool_tracks.json"),
-              "--dt", "0.1", "--out", str(tmp_path / "pool.json")])
+              "--out", str(tmp_path / "pool.json")])
     dispatch(["simulate", "--map", str(tmp_path / "map.json"),
               "--tracklets", str(tmp_path / "tracklets"),
               "--pool", str(tmp_path / "pool.json"),
               "--out", str(tmp_path / "logs"), "--seed", "3"])
     rc = dispatch(["render", "--logs", str(tmp_path / "logs"),
                    "--map", str(tmp_path / "map.json"),
-                   "--spec", '{"H":48,"W":48,"res":1.0}',
-                   "--t-obs", "20", "--out", str(tmp_path / "grids")])
+                   "--spec", '{"H":48,"W":48,"res":1.0,"t_obs":20}',
+                   "--out", str(tmp_path / "grids")])
     assert rc == 0
     files = sorted(os.listdir(tmp_path / "grids"))
     assert files and all(f.endswith(".bevg") for f in files)
@@ -294,7 +296,7 @@ def sim_logs(tmp_path_factory):
     root = tmp_path_factory.mktemp("render")
     _write_inputs(root, n_scenes=2)
     assert dispatch(["profile-pool", "--tracklets",
-                     str(root / "pool_tracks.json"), "--dt", "0.1",
+                     str(root / "pool_tracks.json"),
                      "--out", str(root / "pool.json")]) == 0
     assert dispatch(["simulate", "--map", str(root / "map.json"),
                      "--tracklets", str(root / "tracklets"),
@@ -309,7 +311,8 @@ def sim_logs(tmp_path_factory):
     (["--spec", '{"res":-1}'], "grid.resolution: expected a number > 0"),
     (["--spec", "[1]"], "--spec: expected a JSON object, got [1]"),
     (["--spec", '{"Hh":16}'], "unknown key 'grid.Hh'"),
-    (["--t-obs", "0"], "grid.t_obs: expected an integer > 0, got 0"),
+    (["--spec", '{"t_obs":0}'],
+     "grid.t_obs: expected an integer > 0, got 0"),
 ], ids=["H-zero", "H-fractional", "res-negative", "not-an-object",
         "unknown-key", "t-obs-zero"])
 def test_render_grid_validation_exit_1(sim_logs, tmp_path, capsys, flags,
@@ -332,7 +335,7 @@ def test_render_stride_zero_exits_1(sim_logs, tmp_path):
     proc = subprocess.run(
         [sys.executable, "-m", "trafficforge.cli", "render",
          "--logs", str(sim_logs / "logs"), "--map", str(sim_logs / "map.json"),
-         "--stride", "0", "--out", str(out)],
+         "--spec", '{"stride":0}', "--out", str(out)],
         env=env, capture_output=True, text=True, timeout=60)
     assert proc.returncode == 1
     assert "grid.stride: expected an integer > 0, got 0" in proc.stderr
@@ -416,9 +419,15 @@ def test_non_object_config_exits_1(tmp_path, capsys, command):
      "sim.horizon: expected a number > 0, got inf"),
     (None, ["--set", 'idm.T_range=["a", 1]'],
      "idm.T_range: must be [low, high] with 0 <= low <= high"),
+    (None, ["--t0", "nan"], "--t0: expected a finite number of seconds, "
+                            "got nan"),
+    (None, ["--t0", "inf"], "--t0: expected a finite number of seconds, "
+                            "got inf"),
+    (None, ["--t0=-inf"], "--t0: expected a finite number of seconds, "
+                          "got -inf"),
 ], ids=["empty-list", "zero", "empty-string", "null", "section-not-object",
         "key-not-object", "infinite-integer", "infinite-horizon",
-        "range-not-numbers"])
+        "range-not-numbers", "t0-nan", "t0-inf", "t0-minus-inf"])
 def test_malformed_config_input_exits_1(sim_logs, tmp_path, capsys, config,
                                         flags, message):
     path = tmp_path / "config.json"
@@ -444,16 +453,13 @@ def test_pool_dt_must_match_sim_dt(sim_logs, tmp_path, capsys):
 
     pool = tmp_path / "pool.json"
     assert dispatch(["profile-pool", "--tracklets",
-                     str(sim_logs / "pool_tracks.json"), "--dt", "0.2",
-                     "--out", str(pool)]) == 0
+                     str(sim_logs / "pool_tracks.json"),
+                     "--set", "sim.dt=0.2", "--out", str(pool)]) == 0
     assert simulate(pool) == 1
     assert "error: profile pool dt 0.2 differs from sim.dt 0.1" \
         in capsys.readouterr().err
     assert not (tmp_path / "logs").exists()
-    # without --dt the pool is built at sim.dt
-    assert dispatch(["profile-pool", "--tracklets",
-                     str(sim_logs / "pool_tracks.json"),
-                     "--set", "sim.dt=0.2", "--out", str(pool)]) == 0
+    # the pool was built at sim.dt 0.2, so a run at that dt takes it
     assert simulate(pool, "--set", "sim.dt=0.2") == 0
 
 
@@ -622,6 +628,43 @@ def _simulate_argv(root, out, *overrides):
             "--out", str(out)] + [a for o in overrides for a in ("--set", o)]
 
 
+def _subcommands():
+    """Each subcommand's name -> its parser."""
+    (sub,) = [a for a in build_parser()._actions
+              if isinstance(a, argparse._SubParsersAction)]
+    return sub.choices
+
+
+def test_no_flag_shadows_a_config_key():
+    # a setting has one way in: --config and --set (and --seed, --spec)
+    key_names = {key.rsplit(".", 1)[-1] for key in SCHEMA}
+    shadows = [f"{name} {action.option_strings}"
+               for name, parser in _subcommands().items()
+               for action in parser._actions if action.dest in key_names]
+    assert shadows == []
+
+
+def test_readme_synopsis_names_every_flag():
+    readme = os.path.join(os.path.dirname(__file__), "..", "README.md")
+    with open(readme) as fh:
+        block = fh.read().split("## Command line", 1)[1].split("```")[1]
+    synopsis = {}
+    for line in block.splitlines():
+        words = line.split()
+        if not words:
+            continue
+        if words[0] == "trafficforge":
+            command = words[1]
+        synopsis.setdefault(command, set()).update(
+            w.strip("[]|") for w in words if w.strip("[]").startswith("--"))
+    shared = {"--config", "--set", "--help"}
+    commands = _subcommands()
+    assert synopsis.keys() == commands.keys()
+    for name, parser in commands.items():
+        flags = set(parser._option_string_actions) - {"-h"}
+        assert synopsis[name] - shared == flags - shared, name
+
+
 @pytest.mark.parametrize("key, value", [("sim.max_variants", 3),
                                         ("road.max_routes", 16)])
 def test_integer_keys_take_integer_valued_floats(sim_logs, tmp_path, key,
@@ -652,6 +695,19 @@ def test_value_error_in_a_scene_exits_2(sim_logs, tmp_path, capsys,
     assert not (tmp_path / "out").exists()
 
 
+def _sidecar_edit(edit):
+    """A corruption that applies ``edit`` to the parsed sidecar."""
+    def corrupt(text):
+        doc = json.loads(text)
+        edit(doc)
+        return json.dumps(doc)
+    return corrupt
+
+
+_BAD_DT = "sidecar file {path}: ValueError: 'dt' must be a finite number " \
+    "> 0, got "
+
+
 @pytest.mark.parametrize("command", ["metrics", "render"])
 @pytest.mark.parametrize("suffix, corrupt, detail", [
     (".csv", lambda text: text + "scene00,0,1,0.000,1.0\n",
@@ -671,8 +727,26 @@ def test_value_error_in_a_scene_exits_2(sim_logs, tmp_path, capsys,
      "simulation log {path}: no data rows"),
     (".json", lambda text: text[:len(text) // 2],
      "sidecar file {path}: invalid JSON"),
+    (".json", _sidecar_edit(lambda d: d.update(dt="abc")), _BAD_DT + "'abc'"),
+    (".json", _sidecar_edit(lambda d: d.update(dt=None)), _BAD_DT + "None"),
+    (".json", _sidecar_edit(lambda d: d.update(dt=0)), _BAD_DT + "0"),
+    (".json", _sidecar_edit(lambda d: d.update(dt=math.nan)), _BAD_DT + "nan"),
+    (".json", _sidecar_edit(lambda d: d.update(dt=True)), _BAD_DT + "True"),
+    (".json", lambda text: "[1]\n",
+     "sidecar file {path}: TypeError: list indices must be integers"),
+    (".json", _sidecar_edit(lambda d: d["agents"][0].pop("agent_id")),
+     "sidecar file {path}: KeyError: 'agent_id'"),
+    (".json", _sidecar_edit(lambda d: d["agents"][0].update(agent_id="1")),
+     "sidecar file {path}: TypeError: 'agent_id' must be an integer, "
+     "got '1'"),
+    (".json", _sidecar_edit(lambda d: d["agents"][0].update(
+        lane_changes=[{"step": 3, "to_edge": 1}])),
+     "sidecar file {path}: KeyError: 'from_edge'"),
 ], ids=["missing-field", "non-numeric", "non-finite", "missing-column",
-        "no-rows", "bad-sidecar"])
+        "no-rows", "bad-sidecar", "sidecar-dt-text", "sidecar-dt-null",
+        "sidecar-dt-zero", "sidecar-dt-nan", "sidecar-dt-bool",
+        "sidecar-not-object", "sidecar-no-agent-id",
+        "sidecar-agent-id-text", "sidecar-lane-change-no-from-edge"])
 def test_malformed_log_exits_1(sim_logs, tmp_path, capsys, command, suffix,
                                corrupt, detail):
     logs = tmp_path / "logs"

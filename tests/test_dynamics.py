@@ -53,7 +53,7 @@ def test_accel_free_flow_equilibrium():
 
 
 def test_accel_matches_independent_oracle():
-    p = IdmParams(v0=15.0, delta=4.0, T=1.5, s0=2.0, a=1.5, b=2.0)
+    p = IdmParams(v0=15.0, T=1.5, s0=2.0, a=1.5, b=2.0)
     leader = LeaderInfo(2, gap_s=20.0, dv=2.0)
     got = idm_accel(p, leader, 10.0)
     want = _accel_oracle(1.5, 2.0, 15.0, 4.0, 1.5, 2.0, 10.0, 20.0, 2.0)
@@ -93,7 +93,6 @@ def test_accel_monotone_in_gap(g1, g2, v, dv):
 def test_sample_params_within_ranges():
     for seed in range(200):
         p = sample_idm_params(seed, v0=12.0)
-        assert p.delta == 4.0
         assert 0.5 <= p.T <= 2.5
         assert 0.5 <= p.s0 <= 4.0
         assert 1.0 <= p.a <= 2.0

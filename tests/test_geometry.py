@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from trafficforge import geometry, road_graph
 from trafficforge.geometry import wrap_angle
 
-TOL = 1e-9
+TOL = geometry.DEDUPE_TOL
 
 
 def _dedupe_ref(pts, tol=TOL):
@@ -82,7 +82,7 @@ def polylines(draw):
 @settings(max_examples=200, deadline=None)
 @given(polylines())
 def test_dedupe_points_matches_loop(pts):
-    out = geometry.dedupe_points(pts, TOL)
+    out = geometry.dedupe_points(pts)
     ref = _dedupe_ref(pts)
     assert out.shape == ref.shape
     assert np.array_equal(out, ref)
@@ -92,14 +92,14 @@ def test_dedupe_points_matches_loop(pts):
 @given(polylines())
 def test_heading_change_matches_loop(pts):
     # the deduped polyline's turn, 0.0 when fewer than two segments remain
-    _, _, dpsi = geometry.polyline_tables(pts, TOL)
+    _, _, dpsi = geometry.polyline_tables(pts)
     assert dpsi == _heading_change_ref(_dedupe_ref(pts))
 
 
 @settings(max_examples=200, deadline=None)
 @given(polylines())
 def test_polyline_tables_match_separate_passes(pts):
-    poly, cum, dpsi = geometry.polyline_tables(pts, TOL)
+    poly, cum, dpsi = geometry.polyline_tables(pts)
     ref = _dedupe_ref(pts)
     assert np.array_equal(poly, ref)
     if len(ref) >= 2:

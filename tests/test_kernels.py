@@ -50,14 +50,14 @@ def test_wrap_angle_boundaries():
        st.floats(1.5, 2.5), st.floats(0.0, 40.0), st.floats(-15.0, 15.0),
        st.floats(0.1, 40.0), st.floats(0.01, 200.0))
 def test_idm_bounds(s0, T, a, b, v, dv, v0, gap):
-    p = IdmParams(v0=v0, delta=4.0, T=T, s0=s0, a=a, b=b)
+    p = IdmParams(v0=v0, T=T, s0=s0, a=a, b=b)
     acc = idm_accel(p, LeaderInfo(1, gap, dv), v, 8.0)
     assert -8.0 <= acc <= a
     assert desired_gap(p, v, dv) >= s0
 
 
 def test_idm_emergency_gap():
-    p = IdmParams(v0=15.0, delta=4.0, T=1.5, s0=2.0, a=1.5, b=2.0)
+    p = IdmParams(v0=15.0, T=1.5, s0=2.0, a=1.5, b=2.0)
     assert idm_accel(p, LeaderInfo(1, 0.0, 0.0), 10.0, 8.0) == -8.0
 
 
@@ -72,7 +72,7 @@ def _step_math_reprs():
         th = float(rng.uniform(-60, 60))
         yield repr(wrap_angle(th))
 
-        p = IdmParams(v0=float(rng.uniform(0.1, 40)), delta=4.0,
+        p = IdmParams(v0=float(rng.uniform(0.1, 40)),
                       T=float(rng.uniform(0, 2.5)),
                       s0=float(rng.uniform(0.5, 4)),
                       a=float(rng.uniform(1, 2)),

@@ -375,8 +375,9 @@ def test_route_without_drivable_length_raises_on_geometry_use():
     agent = types.SimpleNamespace(agent_id=1, lane=start)
     with pytest.raises(ZeroLengthRouteError,
                        match="route has no drivable length"):
-        behavior.sample_behaviors(types.SimpleNamespace(agents=[agent]), g,
-                                  behavior.ProfilePool([]), 0)
+        behavior.sample_behaviors(
+            types.SimpleNamespace(agents=[agent], graph=g),
+            behavior.ProfilePool([]), 0)
 
 
 def test_graph_pickles_without_its_index():

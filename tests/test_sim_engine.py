@@ -154,7 +154,7 @@ def test_lane_deviation_bounded(intersection_graph, profile_pool):
                                             0.0, sid)
     cfg = SimConfig(master_seed=8, epsilon_std=0.0)
     for vi, asg in enumerate(behavior.sample_behaviors(
-            scene, intersection_graph, profile_pool, 31, 3, noise_std=0.0)):
+            scene, profile_pool, 31, 3, noise_std=0.0)):
         log = simulate_scene(scene, asg, cfg, vi)
         for ag in log.agents:
             if not ag.lane_changes:
