@@ -17,7 +17,7 @@ from trafficforge import geometry, road_graph
 from trafficforge.config import default
 from trafficforge.errors import ConfigError, MissingProfileError
 from trafficforge.geometry import wrap_angle
-from trafficforge.util import derive_seed
+from trafficforge.util import derive_seed, finite_positive
 
 # rad/s, onset of a turn in timestamped data, and the s it must last
 TURN_RATE_THRESHOLD = default("behavior.turn_rate_threshold")
@@ -30,8 +30,7 @@ PROFILE_NOISE_STD = default("behavior.noise_std")  # m/s, per-sample
 
 @dataclass
 class VelocityProfile:
-    dt: float
-    samples: np.ndarray
+    samples: np.ndarray   # m/s, one per step of the pool's dt
     feature: float
     maneuver: str
 
@@ -42,11 +41,12 @@ class VelocityProfile:
 
 
 class ProfilePool:
-    """Velocity profiles partitioned by maneuver label; ``skipped`` lists
-    the (index, reason) of each source trajectory left out."""
+    """Velocity profiles, one sample every ``dt`` s, by maneuver label;
+    ``skipped`` lists the (index, reason) of each source left out."""
 
-    def __init__(self, profiles, skipped=()):
+    def __init__(self, profiles, dt, skipped=()):
         self.profiles = list(profiles)
+        self.dt = dt
         self.skipped = list(skipped)
         self.by_label = {}
         for i, p in enumerate(self.profiles):
@@ -57,8 +57,7 @@ class ProfilePool:
 
     def to_json(self):
         doc = {
-            "dt": self.profiles[0].dt if self.profiles
-            else default("sim.dt"),
+            "dt": self.dt,
             "profiles": [
                 {"label": p.maneuver, "feature": p.feature,
                  "samples": [float(s) for s in p.samples]}
@@ -72,14 +71,15 @@ class ProfilePool:
         """Pool from its parsed JSON document.
 
         Raises :class:`ConfigError` naming ``source`` when a key is
-        missing or a value is not of its type.
+        missing, a value is not of its type, or ``dt`` is not a finite
+        number > 0.
         """
         where = source
         try:
             if not isinstance(doc, dict):
                 raise TypeError(f"expected a JSON object, got "
                                 f"{type(doc).__name__}")
-            dt = float(doc["dt"])
+            dt = finite_positive(doc["dt"], "dt")
             entries = doc["profiles"]
             if not isinstance(entries, list):
                 raise TypeError(f"'profiles' must be a list, got "
@@ -92,12 +92,12 @@ class ProfilePool:
                     raise ValueError("'samples' must be a non-empty list "
                                      "of numbers")
                 profiles.append(VelocityProfile(
-                    dt, samples, float(p["feature"]), p["label"]))
+                    samples, float(p["feature"]), p["label"]))
         except KeyError as exc:
             raise ConfigError([f"{where}: missing key {exc}"]) from exc
         except (TypeError, ValueError) as exc:
             raise ConfigError([f"{where}: {exc}"]) from exc
-        return cls(profiles)
+        return cls(profiles, dt)
 
 
 @dataclass
@@ -200,8 +200,8 @@ def build_profile_pool(real_trajs, dt,
             feature = float(samples.mean())
         else:
             feature = distance_before_turn(traj, rate_threshold, sustain)
-        profiles.append(VelocityProfile(dt, samples, feature, label))
-    return ProfilePool(profiles, skipped)
+        profiles.append(VelocityProfile(samples, feature, label))
+    return ProfilePool(profiles, dt, skipped)
 
 
 def match_profile(pool, label, feature_query, rng_seed,
@@ -222,7 +222,7 @@ def match_profile(pool, label, feature_query, rng_seed,
         rng = np.random.default_rng(rng_seed)
         samples = np.maximum(
             samples + rng.normal(0.0, noise_std, size=len(samples)), 0.0)
-    return VelocityProfile(src.dt, samples, src.feature, src.maneuver)
+    return VelocityProfile(samples, src.feature, src.maneuver)
 
 
 def feature_for_behavior(agent_init, route):

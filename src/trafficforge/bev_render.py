@@ -84,19 +84,12 @@ class ContextMap:
         self.spec = spec
         self.classes = classes  # (H, W) uint8 of class indices
 
-    @property
-    def onehot(self):
-        out = np.zeros((self.spec.H, self.spec.W, 3), dtype=np.uint8)
-        rows, cols = np.indices(self.classes.shape)
-        out[rows, cols, self.classes] = 1
-        return out
-
     @functools.cached_property
     def planes(self):
-        """The one-hot as the file's float32 (3, H, W) context planes,
-        encoded once per map."""
-        return np.ascontiguousarray(self.onehot.transpose(2, 0, 1),
-                                    dtype=np.float32)
+        """The classes one-hot as the file's float32 (3, H, W) context
+        planes, encoded once per map."""
+        return (self.classes == np.arange(3)[:, None, None]).astype(
+            np.float32)
 
 
 @dataclass

@@ -194,10 +194,8 @@ def _load_logs(logs_dir):
         if not name.endswith(".csv"):
             continue
         side_path = os.path.join(logs_dir, name[:-4] + ".json")
-        sidecar = None
-        if os.path.exists(side_path):
-            sidecar = _load_json(side_path, "sidecar")
-            sim_engine.check_sidecar(sidecar, f"sidecar file {side_path}")
+        sidecar = _load_json(side_path, "sidecar")
+        sim_engine.check_sidecar(sidecar, f"sidecar file {side_path}")
         logs.append(sim_engine.read_simlog_csv(
             os.path.join(logs_dir, name), sidecar))
     if not logs:

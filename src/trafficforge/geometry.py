@@ -11,6 +11,7 @@ import numpy as np
 
 _TWO_PI = 2.0 * math.pi
 DEDUPE_TOL = 1e-9   # m, consecutive points closer than this are one point
+DISTANCE_ROWS = 16  # points per block of a polyline_distances table
 
 
 def as_polyline(points):
@@ -152,13 +153,20 @@ def polyline_distances(q, a, d, seg2, starts):
     ``starts[k]``. Returns a (P, E) array whose every entry is, bit for
     bit, the distance :func:`project_point` finds for that point and that
     whole polyline: the same float operations in the same order.
+    The points go in blocks of ``DISTANCE_ROWS``: whole-batch temporaries
+    near glibc's 128 KB mmap and trim thresholds faulted in fresh pages,
+    or not, by the heap's state.
     """
-    qx, qy = q[:, 0, None], q[:, 1, None]
     ax, ay, dx, dy = a[:, 0], a[:, 1], d[:, 0], d[:, 1]
-    t = np.clip(((qx - ax) * dx + (qy - ay) * dy) / seg2, 0.0, 1.0)
-    ex = qx - (ax + t * dx)
-    ey = qy - (ay + t * dy)
-    return np.sqrt(np.minimum.reduceat(ex * ex + ey * ey, starts, axis=1))
+    out = np.empty((len(q), len(starts)))
+    for i in range(0, len(q), DISTANCE_ROWS):
+        qx, qy = q[i:i + DISTANCE_ROWS].T[..., None]
+        t = np.clip(((qx - ax) * dx + (qy - ay) * dy) / seg2, 0.0, 1.0)
+        ex = qx - (ax + t * dx)
+        ey = qy - (ay + t * dy)
+        out[i:i + DISTANCE_ROWS] = np.sqrt(
+            np.minimum.reduceat(ex * ex + ey * ey, starts, axis=1))
+    return out
 
 
 def resample_polyline(pts, step):

@@ -27,6 +27,7 @@ HORIZON_DIST = default("road.horizon_dist")
 MAX_ROUTES = default("road.max_routes")
 _TIE_EPS = 1e-6
 PROJECT_BACK = 5.0   # m a route projection looks behind its hint
+PROJECT_AHEAD = 10.0  # m it looks ahead (simulate adds a step's travel)
 
 
 @dataclass
@@ -130,7 +131,6 @@ class Route:
 
     def __init__(self, graph, edge_ids, start, first_edge_partial):
         self.edge_ids = list(edge_ids)
-        self.start = start
         self._graph = graph
         self.edge_spans = []  # (edge_id, route_s_start, arc_on_edge_at_start)
         # edge_id -> [(route_s_start, arc_on_edge_at_start)] in route order
@@ -185,7 +185,7 @@ class Route:
     def heading_at(self, s):
         return self.table.heading_at(s)
 
-    def project_near(self, point, s_hint, fwd=10.0):
+    def project_near(self, point, s_hint, fwd=PROJECT_AHEAD):
         """Projection onto the window from ``PROJECT_BACK`` m behind
         ``s_hint`` to ``fwd`` m ahead; returns (s, dist, lateral)."""
         tab = self.table

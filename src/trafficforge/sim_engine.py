@@ -12,7 +12,6 @@ the 1.0 its parameters were sampled with).
 """
 
 import dataclasses
-import io
 import math
 import warnings
 from dataclasses import dataclass
@@ -23,12 +22,11 @@ import numpy as np
 
 from trafficforge import behavior as behavior_mod
 from trafficforge import dynamics, road_graph
-from trafficforge.config import default
 from trafficforge.controller import (longitudinal_command, steer_to_lane,
                                      step_kinematics)
 from trafficforge.errors import ConfigError, OffMapError, TrafficForgeError
 from trafficforge.scene_ingest import interpolate_pose
-from trafficforge.util import derive_seed, digest, map_tasks
+from trafficforge.util import derive_seed, digest, finite_positive, map_tasks
 
 V0_FLOOR = 0.1          # reference speed floor for the free-flow term
 EXIT_EPS = 1e-6
@@ -83,11 +81,6 @@ class SimLog:
                     ag.t.tolist(), ag.x.tolist(), ag.y.tolist(),
                     ag.v.tolist(), ag.psi.tolist(), ag.a.tolist(),
                     ag.phi.tolist())))
-
-    def to_csv(self):
-        buf = io.StringIO()
-        self.write_csv(buf)
-        return buf.getvalue()
 
     def sidecar(self):
         return {
@@ -205,7 +198,7 @@ def simulate_scene(scene, assignment, config, variant_index=0):
         still = []
         for run in active:
             if run.route is not None:
-                fwd = run.state.v * dt + 10.0
+                fwd = run.state.v * dt + road_graph.PROJECT_AHEAD
                 s, _, lat = run.route.project_near(run.state.position,
                                                    run.s, fwd)
                 run.s, run.x_lat = s, lat
@@ -412,16 +405,15 @@ def _idm_accel_in(snapshot, run, route, config, moved=None):
 def check_sidecar(sidecar, source):
     """Raise :class:`ConfigError` naming ``source`` unless ``sidecar`` is
     an object with a finite ``dt`` > 0 (not a bool), an integer
-    ``agent_id`` in each ``agents`` entry, and a ``step``, ``from_edge``
-    and ``to_edge`` in each of an agent's ``lane_changes``."""
+    ``master_seed``, a string ``config_digest``, an integer ``agent_id``
+    in each ``agents`` entry, and a ``step``, ``from_edge`` and
+    ``to_edge`` in each of an agent's ``lane_changes``."""
     try:
-        dt = sidecar["dt"]
-        if type(dt) not in (int, float) or not (math.isfinite(dt) and dt > 0):
-            raise ValueError(f"'dt' must be a finite number > 0, got {dt!r}")
+        finite_positive(sidecar["dt"], "dt")
+        _require_type(sidecar, "master_seed", int, "an integer")
+        _require_type(sidecar, "config_digest", str, "a string")
         for agent in sidecar.get("agents", []):
-            if type(agent["agent_id"]) is not int:
-                raise TypeError(f"'agent_id' must be an integer, got "
-                                f"{agent['agent_id']!r}")
+            _require_type(agent, "agent_id", int, "an integer")
             for change in agent.get("lane_changes", []):
                 # a KeyError names the field a lane change lacks
                 change["step"], change["from_edge"], change["to_edge"]
@@ -430,9 +422,15 @@ def check_sidecar(sidecar, source):
                           ) from exc
 
 
-def read_simlog_csv(csv_path, sidecar=None):
-    """Reconstruct a SimLog from its CSV (and optional sidecar dict, as
-    :func:`check_sidecar` accepts it).
+def _require_type(doc, key, kind, what):
+    if type(doc[key]) is not kind:
+        raise TypeError(f"{key!r} must be {what}, got {doc[key]!r}")
+
+
+def read_simlog_csv(csv_path, sidecar):
+    """Reconstruct a SimLog from its CSV and its sidecar dict, as
+    :func:`check_sidecar` accepts it: ``dt``, ``master_seed`` and
+    ``config_digest`` come from the sidecar alone.
 
     Raises :class:`ConfigError` naming the file and the line when a
     column is missing or a field is absent or not a finite number.
@@ -455,20 +453,9 @@ def read_simlog_csv(csv_path, sidecar=None):
         parsed = _parse_rows_bulk(lines, idx)
     scene_id, variant, per_agent = \
         parsed or _parse_rows_one_by_one(lines, idx, csv_path)
-    side_agents = {}
-    dt = default("sim.dt")
-    master_seed, cfg_digest = default("sim.master_seed"), ""
-    if sidecar:
-        dt = float(sidecar.get("dt", dt))
-        master_seed = sidecar.get("master_seed", master_seed)
-        cfg_digest = sidecar.get("config_digest", "")
-        side_agents = {a["agent_id"]: a for a in sidecar.get("agents", [])}
+    side_agents = {a["agent_id"]: a for a in sidecar.get("agents", [])}
     agents = []
     for aid, (label, rows) in per_agent.items():
-        if len(rows) > 1:
-            dt_csv = float(rows[1, 0] - rows[0, 0])
-            if not sidecar and dt_csv > 0:
-                dt = dt_csv
         meta = side_agents.get(aid, {})
         agents.append(AgentLog(
             agent_id=aid, label=label,
@@ -481,7 +468,8 @@ def read_simlog_csv(csv_path, sidecar=None):
             lane_changes=[(c["step"], c["from_edge"], c["to_edge"])
                           for c in meta.get("lane_changes", [])],
         ))
-    return SimLog(scene_id, variant, dt, master_seed, cfg_digest, agents)
+    return SimLog(scene_id, variant, float(sidecar["dt"]),
+                  sidecar["master_seed"], sidecar["config_digest"], agents)
 
 
 def _parse_rows_bulk(lines, idx):
@@ -569,11 +557,10 @@ def run_dataset(scenes, pool, config, jobs=1):
     recorded at another time step than ``config.dt`` raises
     :class:`ConfigError` before any scene runs.
     """
-    for profile in pool.profiles:
-        if abs(profile.dt - config.dt) > 1e-9:
-            raise ConfigError([f"profile pool dt {profile.dt} differs from "
-                               f"sim.dt {config.dt}; rebuild the pool with "
-                               f"profile-pool --set sim.dt={config.dt}"])
+    if not abs(pool.dt - config.dt) <= 1e-9:
+        raise ConfigError([f"profile pool dt {pool.dt} differs from "
+                           f"sim.dt {config.dt}; rebuild the pool with "
+                           f"profile-pool --set sim.dt={config.dt}"])
     if not scenes:
         raise ValueError("no scenes to simulate")
     results = map_tasks(_scene_worker,

@@ -1,7 +1,8 @@
-"""Shared helpers: stable seeding, canonical JSON and the process pool."""
+"""Shared helpers: seeding, number checks, canonical JSON, the process pool."""
 
 import hashlib
 import json
+import math
 from concurrent.futures import ProcessPoolExecutor
 
 
@@ -17,6 +18,16 @@ def derive_seed(*parts):
         h.update(repr(p).encode())
         h.update(b"\x1f")
     return int.from_bytes(h.digest(), "little")
+
+
+def finite_positive(value, name):
+    """``value`` as a float; a ValueError naming ``name`` unless it is a
+    finite number > 0 (a bool or a numeric string is not a number)."""
+    if type(value) not in (int, float) \
+            or not (math.isfinite(value) and value > 0):
+        raise ValueError(f"{name!r} must be a finite number > 0, got "
+                         f"{value!r}")
+    return float(value)
 
 
 def canonical_json(doc):

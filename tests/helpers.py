@@ -1,5 +1,6 @@
 """Synthetic maps, tracklets and velocity-profile sources shared by tests."""
 
+import io
 import math
 
 import numpy as np
@@ -166,3 +167,10 @@ def assert_grid_sample(sample, log, context, t_obs, t_start=0):
         maps = rasterize_states(log, t_start + k, context.spec)
         for name in ("state", "mask", "ids", "labels"):
             assert np.array_equal(getattr(maps, name), getattr(frame, name))
+
+
+def csv_text(log):
+    """The CSV that ``log.write_csv`` writes, as a string."""
+    buf = io.StringIO()
+    log.write_csv(buf)
+    return buf.getvalue()

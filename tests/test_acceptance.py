@@ -97,10 +97,10 @@ def _two_agent_scene(graph, rng, idx):
     foll_profile = np.full(120, float(rng.uniform(8.0, 20.0)))
     asg = {
         1: BehaviorAssignment(1, route[1], "straight",
-                              VelocityProfile(0.1, lead_profile, 0.0,
+                              VelocityProfile(lead_profile, 0.0,
                                               "straight")),
         2: BehaviorAssignment(2, route[2], "straight",
-                              VelocityProfile(0.1, foll_profile, 0.0,
+                              VelocityProfile(foll_profile, 0.0,
                                               "straight")),
     }
     return scene, asg
@@ -320,7 +320,7 @@ def test_criterion_9_rasterizer_invariants(tmp_path):
                                     float(rng.uniform(-20, -5))))
         graph = graphs[i % len(graphs)]
         ctx = bev_render.render_context(graph, spec)
-        assert (ctx.onehot.sum(axis=2) == 1).all()
+        assert (ctx.planes.sum(axis=0) == 1).all()
 
         n_agents = int(rng.integers(1, 6))
         positions = rng.uniform(-25, 25, size=(n_agents, 2))

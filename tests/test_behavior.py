@@ -176,8 +176,8 @@ def test_match_profile_exact_noise_free(profile_pool):
 
 
 def test_match_profile_nearest_neighbor():
-    mk = lambda f: behavior.VelocityProfile(0.1, np.full(10, f), f, "straight")
-    pool = behavior.ProfilePool([mk(10.0), mk(15.0)])
+    mk = lambda f: behavior.VelocityProfile(np.full(10, f), f, "straight")
+    pool = behavior.ProfilePool([mk(10.0), mk(15.0)], 0.1)
     got = match_profile(pool, "straight", 12.0, 0, noise_std=0.0)
     assert got.feature == 10.0  # distance 2 < 3
 

@@ -138,7 +138,7 @@ def test_empty_graph_all_unknown():
     spec = GridSpec(32, 32, 1.0, (0.0, 0.0))
     ctx = render_context(_EmptyGraph(), spec)
     assert (ctx.classes == bev_render.UNKNOWN).all()
-    assert (ctx.onehot.sum(axis=2) == 1).all()
+    assert (ctx.planes.sum(axis=0) == 1).all()
 
 
 def test_context_band_area_oracle():
@@ -153,7 +153,7 @@ def test_context_band_area_oracle():
     assert np.all(np.abs(road_cols - expected_rows) <= 1)
     lane_rows = (ctx.classes == bev_render.LANE).sum(axis=0)
     assert np.all(lane_rows == 1)  # one-pixel lane line
-    assert (ctx.onehot.sum(axis=2) == 1).all()
+    assert (ctx.planes.sum(axis=0) == 1).all()
 
 
 def test_context_one_hot_random_maps(rng):
@@ -170,7 +170,7 @@ def test_context_one_hot_random_maps(rng):
         g = road_graph.build_graph({"centerlines": cls})
         spec = GridSpec(48, 48, 1.0, (-24.0, -24.0))
         ctx = render_context(g, spec)
-        assert (ctx.onehot.sum(axis=2) == 1).all()
+        assert (ctx.planes.sum(axis=0) == 1).all()
 
 
 def _tiny_log(positions, labels=None):
@@ -243,7 +243,7 @@ def _simulated_log():
         a.agent_id,
         road_graph.enumerate_routes(g, a.lane, horizon_dist=400.0)[0],
         "straight",
-        VelocityProfile(0.1, np.full(100, 9.0), 9.0, "straight"))
+        VelocityProfile(np.full(100, 9.0), 9.0, "straight"))
         for a in scene.agents}
     return g, simulate_scene(scene, asg, SimConfig(master_seed=9))
 

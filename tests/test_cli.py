@@ -360,7 +360,9 @@ def test_render_builds_graph_and_context_once(sim_logs, tmp_path,
     starts = set()
     for name in os.listdir(sim_logs / "logs"):
         if name.endswith(".csv"):
-            simlog = read_simlog_csv(str(sim_logs / "logs" / name))
+            sidecar = json.loads((sim_logs / "logs" / name).with_suffix(
+                ".json").read_text())
+            simlog = read_simlog_csv(str(sim_logs / "logs" / name), sidecar)
             ego = min(simlog.agents, key=lambda ag: ag.agent_id)
             starts.add((ego.x[0], ego.y[0]))
     assert len(starts) == 2  # two scenes, three variants each
@@ -461,6 +463,23 @@ def test_pool_dt_must_match_sim_dt(sim_logs, tmp_path, capsys):
     assert not (tmp_path / "logs").exists()
     # the pool was built at sim.dt 0.2, so a run at that dt takes it
     assert simulate(pool, "--set", "sim.dt=0.2") == 0
+
+
+@pytest.mark.parametrize("dt", [math.nan, 0, True, "0.1"],
+                         ids=["nan", "zero", "bool", "text"])
+def test_pool_dt_must_be_a_finite_number_above_0(sim_logs, tmp_path, capsys,
+                                                 dt):
+    pool = tmp_path / "pool.json"
+    doc = json.loads((sim_logs / "pool.json").read_text())
+    pool.write_text(json.dumps(dict(doc, dt=dt)))
+    out = tmp_path / "logs"
+    rc = dispatch(["simulate", "--map", str(sim_logs / "map.json"),
+                   "--tracklets", str(sim_logs / "tracklets"),
+                   "--pool", str(pool), "--seed", "1", "--out", str(out)])
+    assert rc == 1
+    assert f"error: pool file {pool}: 'dt' must be a finite number > 0, " \
+        f"got {dt!r}\n" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("doc, message", [
@@ -742,11 +761,23 @@ _BAD_DT = "sidecar file {path}: ValueError: 'dt' must be a finite number " \
     (".json", _sidecar_edit(lambda d: d["agents"][0].update(
         lane_changes=[{"step": 3, "to_edge": 1}])),
      "sidecar file {path}: KeyError: 'from_edge'"),
+    (".json", _sidecar_edit(lambda d: d.pop("master_seed")),
+     "sidecar file {path}: KeyError: 'master_seed'"),
+    (".json", _sidecar_edit(lambda d: d.update(master_seed=3.0)),
+     "sidecar file {path}: TypeError: 'master_seed' must be an integer, "
+     "got 3.0"),
+    (".json", _sidecar_edit(lambda d: d.pop("config_digest")),
+     "sidecar file {path}: KeyError: 'config_digest'"),
+    (".json", _sidecar_edit(lambda d: d.update(config_digest=5)),
+     "sidecar file {path}: TypeError: 'config_digest' must be a string, "
+     "got 5"),
 ], ids=["missing-field", "non-numeric", "non-finite", "missing-column",
         "no-rows", "bad-sidecar", "sidecar-dt-text", "sidecar-dt-null",
         "sidecar-dt-zero", "sidecar-dt-nan", "sidecar-dt-bool",
         "sidecar-not-object", "sidecar-no-agent-id",
-        "sidecar-agent-id-text", "sidecar-lane-change-no-from-edge"])
+        "sidecar-agent-id-text", "sidecar-lane-change-no-from-edge",
+        "sidecar-no-master-seed", "sidecar-master-seed-float",
+        "sidecar-no-config-digest", "sidecar-config-digest-number"])
 def test_malformed_log_exits_1(sim_logs, tmp_path, capsys, command, suffix,
                                corrupt, detail):
     logs = tmp_path / "logs"
@@ -759,6 +790,20 @@ def test_malformed_log_exits_1(sim_logs, tmp_path, capsys, command, suffix,
                    "--map", str(sim_logs / "map.json"), "--out", str(out)])
     assert rc == 1
     assert "error: " + detail.format(path=path, last=last) \
+        in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["metrics", "render"])
+def test_log_without_sidecar_exits_1(sim_logs, tmp_path, capsys, command):
+    logs = tmp_path / "logs"
+    shutil.copytree(sim_logs / "logs", logs)
+    (logs / "scene00_v1.json").unlink()
+    out = tmp_path / "out"
+    rc = dispatch([command, "--logs", str(logs),
+                   "--map", str(sim_logs / "map.json"), "--out", str(out)])
+    assert rc == 1
+    assert f"error: sidecar file not found: {logs / 'scene00_v1.json'}" \
         in capsys.readouterr().err
     assert not out.exists()
 

@@ -3,6 +3,7 @@
 import hashlib
 import math
 import pickle
+import tracemalloc
 import types
 
 import numpy as np
@@ -377,7 +378,7 @@ def test_route_without_drivable_length_raises_on_geometry_use():
                        match="route has no drivable length"):
         behavior.sample_behaviors(
             types.SimpleNamespace(agents=[agent], graph=g),
-            behavior.ProfilePool([]), 0)
+            behavior.ProfilePool([], 0.1), 0)
 
 
 def test_graph_pickles_without_its_index():
@@ -450,3 +451,21 @@ def test_snap_digest_pinned():
     # lines changed, every snap and every within_lanes mask stayed the same
     assert _snap_digest() == \
         "7360fe531f4626113298483c1c07df48b0637aed391cfe58a5aa15fd44d0b928"
+
+
+def test_within_lanes_peak_memory_is_bounded():
+    # 71 points on a curved 3-lane road of 70 segments per lane: one
+    # (points, segments) float64 temporary would be 119 KB
+    pts = [[10.0 * i, 20.0 * math.sin(2.0 * math.pi * i / 80.0)]
+           for i in range(71)]
+    g = build_graph({"centerlines": [{"id": 0, "points": pts, "lanes": 3,
+                                      "lane_width": 3.5}]})
+    assert len(g.lane_index.seg2) == 210
+    q = np.array(pts)
+    tracemalloc.start()
+    try:
+        assert road_graph.within_lanes(g, q, 0.5).all()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 256 * 1024

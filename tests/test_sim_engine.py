@@ -6,6 +6,7 @@ import json
 import math
 import os
 import tempfile
+import types
 import warnings
 from operator import itemgetter
 
@@ -14,13 +15,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import (approach_point, four_way_intersection, straight_map,
-                     tracklets_doc)
+from helpers import (approach_point, csv_text, four_way_intersection,
+                     straight_map, tracklets_doc)
 
 from trafficforge import (behavior, dynamics, geometry, road_graph,
                           scene_ingest, sim_engine)
 from trafficforge.behavior import BehaviorAssignment, VelocityProfile
-from trafficforge.config import SimConfig, default
+from trafficforge.config import SimConfig
 from trafficforge.errors import ConfigError
 from trafficforge.sim_engine import (AgentLog, SimLog, read_simlog_csv,
                                      run_dataset, simulate_scene)
@@ -33,8 +34,8 @@ def _scene_on_straight(agents, length=400.0, lanes=1, oneway=True):
     return g, scene_ingest.instantiate_agents(g, tracks, 0.0, sid)
 
 
-def _const_profile(speed, n=120, dt=0.1):
-    return VelocityProfile(dt, np.full(n, float(speed)), speed, "straight")
+def _const_profile(speed, n=120):
+    return VelocityProfile(np.full(n, float(speed)), speed, "straight")
 
 
 def _assign_straight(graph, scene, speeds):
@@ -85,7 +86,7 @@ def test_same_seed_bit_identical():
     cfg = SimConfig(master_seed=11)
     a = simulate_scene(scene, asg, cfg)
     b = simulate_scene(scene, asg, cfg)
-    assert a.to_csv() == b.to_csv()
+    assert csv_text(a) == csv_text(b)
     assert json.dumps(a.sidecar(), sort_keys=True) \
         == json.dumps(b.sidecar(), sort_keys=True)
 
@@ -174,7 +175,8 @@ def test_run_dataset_counts_and_parallel_determinism(profile_pool):
     par_logs, par_fail = run_dataset(scenes, profile_pool, cfg, jobs=4)
     assert not seq_fail and not par_fail
     assert len(seq_logs) == 6  # both scenes admit all three maneuvers
-    assert [l.to_csv() for l in seq_logs] == [l.to_csv() for l in par_logs]
+    assert [csv_text(l) for l in seq_logs] == \
+        [csv_text(l) for l in par_logs]
 
 
 def test_run_dataset_dedupes_forced_variants(profile_pool):
@@ -190,7 +192,7 @@ def test_run_dataset_records_failures_and_continues(profile_pool):
     g, good = _scene_on_straight([(1, 5.0, 0.0, 0.0, 10.0)])
     bad = _scene_on_straight([(1, 5.0, 0.0, 0.0, 10.0)])[1]
     bad.scene_id = "bad"
-    empty_pool = ProfilePool([])  # profile lookup fails for every label
+    empty_pool = ProfilePool([], 0.1)  # lookup fails for every label
     logs, failures = run_dataset([bad, good], empty_pool,
                                  SimConfig(master_seed=1))
     assert len(logs) == 0 and len(failures) == 2
@@ -240,7 +242,7 @@ _VALUES = ("t", "x", "y", "v", "psi", "a", "phi")
 _HEADER = ("scene_id", "variant", "agent_id") + _VALUES + ("label",)
 
 
-def _row_loop_read_simlog_csv(csv_path, sidecar=None):
+def _row_loop_read_simlog_csv(csv_path, sidecar):
     """The row-by-row reader the bulk parse replaced, kept as its oracle."""
     per_agent = {}
     scene_id, variant = "", 0
@@ -273,21 +275,10 @@ def _row_loop_read_simlog_csv(csv_path, sidecar=None):
                                   ) from exc
     if not per_agent:
         raise ConfigError([f"simulation log {csv_path}: no data rows"])
-    side_agents = {}
-    dt = default("sim.dt")
-    master_seed, cfg_digest = default("sim.master_seed"), ""
-    if sidecar:
-        dt = float(sidecar.get("dt", dt))
-        master_seed = sidecar.get("master_seed", master_seed)
-        cfg_digest = sidecar.get("config_digest", "")
-        side_agents = {a["agent_id"]: a for a in sidecar.get("agents", [])}
+    side_agents = {a["agent_id"]: a for a in sidecar.get("agents", [])}
     agents = []
     for aid in sorted(per_agent):
         rows = np.asarray(per_agent[aid]["rows"])
-        if len(rows) > 1:
-            dt_csv = float(rows[1, 0] - rows[0, 0])
-            if not sidecar and dt_csv > 0:
-                dt = dt_csv
         meta = side_agents.get(aid, {})
         agents.append(AgentLog(
             agent_id=aid, label=per_agent[aid]["label"],
@@ -300,7 +291,8 @@ def _row_loop_read_simlog_csv(csv_path, sidecar=None):
             lane_changes=[(c["step"], c["from_edge"], c["to_edge"])
                           for c in meta.get("lane_changes", [])],
         ))
-    return SimLog(scene_id, variant, dt, master_seed, cfg_digest, agents)
+    return SimLog(scene_id, variant, float(sidecar["dt"]),
+                  sidecar["master_seed"], sidecar["config_digest"], agents)
 
 
 _number = st.one_of(st.floats(-1e6, 1e6), st.integers(-5, 5).map(float),
@@ -390,21 +382,23 @@ def _assert_same_log(got, want):
 
 _ROW = "s1,0,1,0.000,1.0,2.0,3.0,0.0,0.0,0.0,straight"
 _SCENE_LAST = ",".join(_HEADER[1:] + _HEADER[:1])
+_SIDECAR = {"dt": 0.1, "master_seed": 0, "config_digest": ""}
 
 
 @settings(max_examples=600, deadline=None)
-@given(_log_text(), st.sampled_from([None, {}, {"dt": 0.2, "agents": [
-    {"agent_id": 1, "exit_step": 4, "lane_changes": [
-        {"step": 2, "from_edge": 0, "to_edge": 1}]}]}]))
+@given(_log_text(), st.sampled_from([_SIDECAR, {
+    "dt": 0.2, "master_seed": 5, "config_digest": "0123abcd", "agents": [
+        {"agent_id": 1, "exit_step": 4, "lane_changes": [
+            {"step": 2, "from_edge": 0, "to_edge": 1}]}]}]))
 # each case below is one that numpy reads and the row loop rejects
 @example(",".join(_HEADER) + f"\n{_ROW}\n{_ROW.replace(',1,', ',2,')[:-9]}\n",
-         None)                                         # no label, agent 2
-@example(f"{_SCENE_LAST}\n{_ROW[3:]}\n", None)        # no scene column
+         _SIDECAR)                                     # no label, agent 2
+@example(f"{_SCENE_LAST}\n{_ROW[3:]}\n", _SIDECAR)    # no scene column
 @example(",".join(_HEADER) + f"\n{_ROW.replace('1.0', chr(0x1c) + '1')}\n",
-         None)                                         # numpy-only space
-@example(",".join(_HEADER) + f"\n{_ROW.replace('1.0', 'nan')}\n", None)
-@example(",".join(_HEADER) + f"\n{_ROW}\n\n", None)   # blank last line
-@example(",".join(_HEADER) + "\n\n", None)             # only a blank line
+         _SIDECAR)                                     # numpy-only space
+@example(",".join(_HEADER) + f"\n{_ROW.replace('1.0', 'nan')}\n", _SIDECAR)
+@example(",".join(_HEADER) + f"\n{_ROW}\n\n", _SIDECAR)  # blank last line
+@example(",".join(_HEADER) + "\n\n", _SIDECAR)        # only a blank line
 def test_bulk_csv_reader_matches_row_loop(text, sidecar):
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "log.csv")
@@ -496,7 +490,7 @@ def test_mobil_lane_changes_pinned():
     log = simulate_scene(*_three_lane_mobil_inputs())
     changes = [c for ag in log.agents for c in ag.lane_changes]
     assert len(changes) >= 1
-    csv_sha = hashlib.sha256(log.to_csv().encode()).hexdigest()
+    csv_sha = hashlib.sha256(csv_text(log).encode()).hexdigest()
     side_sha = hashlib.sha256(
         json.dumps(log.sidecar(), sort_keys=True).encode()).hexdigest()
     assert csv_sha == \
@@ -515,7 +509,7 @@ def test_step_memo_matches_fresh_accelerations(monkeypatch):
         v = a.profile.feature
         asg[aid] = BehaviorAssignment(
             aid, a.route, a.label,
-            VelocityProfile(0.1, v + 2.0 * np.sin(t + aid), v, a.label))
+            VelocityProfile(v + 2.0 * np.sin(t + aid), v, a.label))
     decide = dynamics.mobil_decide
 
     def run(snapshot_accel):
@@ -527,7 +521,7 @@ def test_step_memo_matches_fresh_accelerations(monkeypatch):
 
         monkeypatch.setattr(dynamics, "mobil_decide", recording)
         monkeypatch.setattr(sim_engine, "_snapshot_accel", snapshot_accel)
-        csv = simulate_scene(scene, asg, cfg).to_csv()
+        csv = csv_text(simulate_scene(scene, asg, cfg))
         return inputs, hashlib.sha256(csv.encode()).hexdigest()
 
     def fresh(run, snapshot, config, base_accels):
@@ -600,8 +594,7 @@ def _turning_log():
                      if r.maneuver == label)
         asg[aid] = BehaviorAssignment(
             aid, route, label,
-            VelocityProfile(0.1, np.full(120, speeds[aid]), speeds[aid],
-                            label))
+            VelocityProfile(np.full(120, speeds[aid]), speeds[aid], label))
     return simulate_scene(scene, asg, SimConfig(master_seed=5))
 
 
@@ -610,7 +603,7 @@ def test_turning_simulation_pinned():
     log = _turning_log()
     assert sorted(ag.label for ag in log.agents) == \
         ["left", "left", "right", "right", "straight", "straight"]
-    csv_sha = hashlib.sha256(log.to_csv().encode()).hexdigest()
+    csv_sha = hashlib.sha256(csv_text(log).encode()).hexdigest()
     side_sha = hashlib.sha256(
         json.dumps(log.sidecar(), sort_keys=True).encode()).hexdigest()
     assert csv_sha == \
@@ -655,10 +648,59 @@ def test_routeless_agents_pinned():
         assert np.all(by_id[aid].v == 0.0)
     # the driver that ends up behind parked agent 5 stops short of it
     assert by_id[4].x[-1] < by_id[5].x[0] - 4.5
-    csv_sha = hashlib.sha256(log.to_csv().encode()).hexdigest()
+    csv_sha = hashlib.sha256(csv_text(log).encode()).hexdigest()
     side_sha = hashlib.sha256(
         json.dumps(log.sidecar(), sort_keys=True).encode()).hexdigest()
     assert csv_sha == \
         "58bd744decc975e46b762a7322131de19a7b8b1e9b4211314de205c97272f605"
     assert side_sha == \
         "a6707432786d82c9ff520e27ba3a59a146619ee6258816a7c1ad1d0eb63874b4"
+
+
+def _forked_two_lane_graph():
+    """A 100 m two-lane road (edge 0 right, edge 1 left) whose right lane
+    ends there and whose left lane forks into a left turn (edge 2) and a
+    straight continuation (edge 3)."""
+    turn = [[100.0 + 20.0 * math.sin(a), 21.75 - 20.0 * math.cos(a)]
+            for a in np.linspace(0.0, math.pi / 2, 10)]
+    return road_graph.build_graph({"centerlines": [
+        {"id": 0, "points": [[0.0, 0.0], [100.0, 0.0]], "lanes": 2},
+        {"id": 1, "points": turn + [[120.0, 60.0]]},
+        {"id": 2, "points": [[100.0, 1.75], [200.0, 1.75]]}]})
+
+
+def test_retarget_route_keeps_the_label_where_it_can():
+    g = _forked_two_lane_graph()
+    assert (g.edges[0].left_neighbor, g.edges[1].right_neighbor) == (1, 0)
+    cfg = SimConfig()
+    coord = road_graph.lane_coordinate(g.edges[1], np.array([40.0, 1.75]))
+    routes = road_graph.enumerate_routes(g, coord, cfg.horizon_dist,
+                                         cfg.max_routes)
+    assert [(r.edge_ids, r.maneuver) for r in routes] == \
+        [([1, 2], "left"), ([1, 3], "straight")]
+
+    def change(x, y, label, neighbor):
+        run = types.SimpleNamespace(
+            state=types.SimpleNamespace(position=np.array([x, y])),
+            label=label)
+        return sim_engine._retarget_route(g, run, neighbor, cfg)
+
+    # from the right lane onto the forked one: the agent's own maneuver
+    # when a route has it, the first route when none does
+    assert change(40.0, -1.75, "straight", 1).edge_ids == [1, 3]
+    assert change(40.0, -1.75, "left", 1).edge_ids == [1, 2]
+    assert change(40.0, -1.75, "right", 1).edge_ids == routes[0].edge_ids
+    # the right lane has one route: taken without building its geometry
+    only = change(40.0, 1.75, "left", 0)
+    assert only.edge_ids == [0]
+    assert "_tables" not in only.__dict__
+    assert only.maneuver == "straight"  # built on first use
+
+
+def test_run_dataset_rejects_a_pool_dt_that_is_not_sim_dt(profile_pool):
+    g, scene = _scene_on_straight([(1, 5.0, 0.0, 0.0, 10.0)])
+    for dt in (0.2, math.nan):
+        pool = behavior.ProfilePool(profile_pool.profiles, dt)
+        with pytest.raises(ConfigError, match=f"profile pool dt {dt} "
+                                              f"differs from sim.dt 0.1"):
+            run_dataset([scene], pool, SimConfig(master_seed=1))
