@@ -11,7 +11,6 @@ import numpy as np
 
 _TWO_PI = 2.0 * math.pi
 DEDUPE_TOL = 1e-9   # m, consecutive points closer than this are one point
-DISTANCE_ROWS = 16  # points per block of a polyline_distances table
 
 
 def as_polyline(points):
@@ -144,6 +143,18 @@ def project_point(table, q, lo=0, hi=None):
     return s, dist, (dist if cross > 0.0 else -dist)
 
 
+def segment_dist2(qx, qy, ax, ay, dx, dy, seg2):
+    """Squared distance from the points ``(qx, qy)`` to the segments that
+    start at ``(ax, ay)`` with directions ``(dx, dy)`` and squared lengths
+    ``seg2`` (zeros replaced by 1), elementwise with numpy broadcasting:
+    :func:`project_point`'s float operations in its order, so each value
+    is bit for bit the ``e2`` it computes for that point and segment."""
+    t = np.clip(((qx - ax) * dx + (qy - ay) * dy) / seg2, 0.0, 1.0)
+    ex = qx - (ax + t * dx)
+    ey = qy - (ay + t * dy)
+    return ex * ex + ey * ey
+
+
 def polyline_distances(q, a, d, seg2, starts):
     """Distance from each of the (P, 2) points ``q`` to each of E polylines.
 
@@ -152,21 +163,11 @@ def polyline_distances(q, a, d, seg2, starts):
     as in :class:`SegmentTable`); polyline ``k`` begins at segment row
     ``starts[k]``. Returns a (P, E) array whose every entry is, bit for
     bit, the distance :func:`project_point` finds for that point and that
-    whole polyline: the same float operations in the same order.
-    The points go in blocks of ``DISTANCE_ROWS``: whole-batch temporaries
-    near glibc's 128 KB mmap and trim thresholds faulted in fresh pages,
-    or not, by the heap's state.
+    whole polyline (:func:`segment_dist2`).
     """
-    ax, ay, dx, dy = a[:, 0], a[:, 1], d[:, 0], d[:, 1]
-    out = np.empty((len(q), len(starts)))
-    for i in range(0, len(q), DISTANCE_ROWS):
-        qx, qy = q[i:i + DISTANCE_ROWS].T[..., None]
-        t = np.clip(((qx - ax) * dx + (qy - ay) * dy) / seg2, 0.0, 1.0)
-        ex = qx - (ax + t * dx)
-        ey = qy - (ay + t * dy)
-        out[i:i + DISTANCE_ROWS] = np.sqrt(
-            np.minimum.reduceat(ex * ex + ey * ey, starts, axis=1))
-    return out
+    qx, qy = q.T[..., None]
+    e2 = segment_dist2(qx, qy, a[:, 0], a[:, 1], d[:, 0], d[:, 1], seg2)
+    return np.sqrt(np.minimum.reduceat(e2, starts, axis=1))
 
 
 def resample_polyline(pts, step):

@@ -173,7 +173,9 @@ def validity_ratio(trajs, graph, margin=0.5,
 
     Each point must snap to a lane of the RoadGraph ``graph`` within
     ``max_snap_distance`` and lie within half its lane width plus
-    ``margin`` (:func:`road_graph.within_lanes`, one call per trajectory).
+    ``margin`` (:func:`road_graph.within_lanes`, one call per trajectory:
+    each point is measured against the segments of its cell of the
+    graph's uniform segment grid, O(points x nearby segments)).
     """
     if not trajs:
         raise ValueError("no trajectories")

@@ -26,6 +26,8 @@ STRAIGHT_THRESHOLD = math.radians(default("road.straight_threshold_deg"))
 HORIZON_DIST = default("road.horizon_dist")
 MAX_ROUTES = default("road.max_routes")
 _TIE_EPS = 1e-6
+_GRID_CELLS = 1 << 14   # cells of a _SegmentGrid before its cells widen
+_GRID_SLACK = 1e-9      # its rounding slack, relative to coordinates
 PROJECT_BACK = 5.0   # m a route projection looks behind its hint
 PROJECT_AHEAD = 10.0  # m it looks ahead (simulate adds a step's travel)
 
@@ -99,7 +101,9 @@ class _LaneIndex:
     squared lengths (zeros replaced by 1) that
     :func:`geometry.project_point` computes for a whole edge; the
     segments of the ``k``-th edge, id ``edge_ids[k]``, are rows
-    ``offsets[k]:offsets[k + 1]``.
+    ``offsets[k]:offsets[k + 1]``, and ``seg_edge`` holds each row's
+    ``k``. ``grid(reach)`` builds a :class:`_SegmentGrid` on first use
+    and keeps it, one per reach.
     """
 
     def __init__(self, edges):
@@ -108,15 +112,96 @@ class _LaneIndex:
         self.d = np.vstack([e.polyline[1:] - e.polyline[:-1] for e in edges])
         self.seg2 = np.einsum("ij,ij->i", self.d, self.d)
         self.seg2[self.seg2 == 0.0] = 1.0
+        n_segs = [len(e.polyline) - 1 for e in edges]
         self.offsets = np.zeros(len(edges) + 1, dtype=np.intp)
-        np.cumsum([len(e.polyline) - 1 for e in edges], out=self.offsets[1:])
+        np.cumsum(n_segs, out=self.offsets[1:])
+        self.seg_edge = np.repeat(np.arange(len(edges)), n_segs)
         self.half_width = np.asarray([e.lane_width for e in edges]) / 2.0
+        self.max_half_width = float(self.half_width.max())
+        # per segment row, contiguous: geometry.segment_dist2's arguments
+        self.columns = [c.copy() for c in (*self.a.T, *self.d.T, self.seg2)]
+        self._grids = {}
 
     def distances(self, q):
         """(P, E) distances from the (P, 2) points ``q`` to every edge,
         in table order: O(P x segments), with no spatial index."""
         return geometry.polyline_distances(q, self.a, self.d, self.seg2,
                                            self.offsets[:-1])
+
+    def grid(self, reach):
+        grid = self._grids.get(reach)
+        if grid is None:
+            grid = self._grids[reach] = _SegmentGrid(self.a, self.d, reach)
+        return grid
+
+
+class _SegmentGrid:
+    """A uniform grid over a segment table: every segment within
+    ``reach`` of a point is listed in the point's cell.
+
+    Each cell lists, in ascending row order, the segments whose bounding
+    box, grown by ``reach``, the tie tolerance and a rounding slack
+    relative to the map's coordinates, overlaps it. Cells are at least
+    that grown reach wide, and wider where more than ``_GRID_CELLS``
+    would be needed. The ``counts[c]`` segments of cell ``c`` start at
+    ``segs[starts[c]]``. A reach as long as the map's diagonal puts every
+    segment in one cell.
+    """
+
+    def __init__(self, a, d, reach):
+        lo = np.minimum(a, a + d)
+        hi = np.maximum(a, a + d)
+        scale = max(float(np.abs(lo).max()), float(np.abs(hi).max()))
+        grow = reach + _TIE_EPS + _GRID_SLACK * (1.0 + reach + scale)
+        if grow < math.dist(lo.min(axis=0), hi.max(axis=0)):
+            lo -= grow
+            hi += grow
+            self.origin = lo.min(axis=0)
+            sx, sy = (hi.max(axis=0) - self.origin).tolist()
+            self.cell = max(grow, math.sqrt(sx * sy / _GRID_CELLS),
+                            max(sx, sy) / _GRID_CELLS)
+            first = np.floor((lo - self.origin) / self.cell).astype(np.int32)
+            last = np.floor((hi - self.origin) / self.cell).astype(np.int32)
+            self.shape = (int(last[:, 0].max()) + 1, int(last[:, 1].max()) + 1)
+        else:   # every segment is within reach of the whole map: one cell
+            self.origin, self.cell, self.shape = np.zeros(2), math.inf, (1, 1)
+            first = last = np.zeros(a.shape, dtype=np.int32)
+        # one (cell, segment) entry per cell a grown box covers, in
+        # segment order; a stable sort by cell keeps segments ascending.
+        # The cells are computed in place in one int32 array: the build's
+        # peak memory is a few copies of it.
+        wide = last - first + 1
+        count = wide[:, 0] * wide[:, 1]
+        seg = np.repeat(np.arange(len(a), dtype=np.int32), count)
+        cell = np.arange(len(seg), dtype=np.int32)   # k-th cell of its box
+        cell -= np.repeat((np.cumsum(count) - count).astype(np.int32), count)
+        col = cell % wide[seg, 1]
+        cell //= wide[seg, 1]
+        cell += first[seg, 0]
+        cell *= self.shape[1]
+        cell += first[seg, 1]
+        cell += col
+        del col
+        self.segs = seg[np.argsort(cell, kind="stable")]
+        del seg
+        self.counts = np.zeros(self.shape[0] * self.shape[1], dtype=np.int32)
+        np.add.at(self.counts, cell, 1)
+        self.starts = np.cumsum(self.counts, dtype=np.int32) - self.counts
+        self.top = np.array(self.shape, dtype=np.float64) - 1.0
+        self.stride = np.array([self.shape[1], 1.0])
+
+    def pairs(self, q):
+        """(point, segment) row pairs of the (P, 2) points ``q``: each
+        point with every segment of its cell, by point then segment. A
+        point outside the grid takes the nearest border cell's."""
+        ij = np.floor((q - self.origin) / self.cell)
+        np.clip(ij, 0.0, self.top, out=ij)
+        cell = (ij @ self.stride).astype(np.intp)
+        lo, n = self.starts[cell], self.counts[cell]
+        point = np.repeat(np.arange(len(q)), n)
+        k = np.arange(len(point))
+        k += np.repeat(lo - (np.cumsum(n) - n), n)
+        return point, self.segs[k]
 
 
 class Route:
@@ -375,19 +460,52 @@ def within_lanes(graph, points, margin,
     A point is within its lane when :func:`project_to_lane` without a
     heading hint snaps it within ``max_snap_distance``, and the absolute
     lateral offset to the edge it picks is at most half that edge's lane
-    width plus ``margin``. One :meth:`_LaneIndex.distances` table
-    serves the whole batch.
+    width plus ``margin``.
+
+    Only a point whose nearest edge lies within ``reach``, the smaller of
+    the snap limit and the widest half lane plus ``margin``, can pass,
+    and then its nearest edge and every edge tied with it lie within
+    ``reach`` plus the tie tolerance. So each point is measured against
+    the segments of its :class:`_SegmentGrid` cell only, which hold all
+    of those, with :func:`geometry.segment_dist2`'s floats: the same
+    verdicts as the all-edges table, in O(points x nearby segments).
     """
     q = np.asarray(points, dtype=np.float64)
     if not np.all(np.isfinite(q)):
         raise ValueError("query points must be finite")
     index = graph.lane_index
-    dist = index.distances(q)
-    dmin = dist.min(axis=1)
-    winner = np.argmax(dist <= (dmin + _TIE_EPS)[:, None], axis=1)
-    lateral = dist[np.arange(len(q)), winner]
-    return (dmin <= max_snap_distance) \
-        & (lateral <= index.half_width[winner] + margin)
+    ok = np.zeros(len(q), dtype=bool)
+    reach = min(max_snap_distance, index.max_half_width + margin)
+    if not reach >= 0.0:   # negative or NaN: no point passes
+        return ok
+    point, seg = index.grid(reach).pairs(q)
+    if not len(point):
+        return ok
+    qx, qy = q.T
+    e2 = geometry.segment_dist2(qx[point], qy[point],
+                                *(c[seg] for c in index.columns))
+    # one group per (point, edge), edges ascending within each point
+    edge = index.seg_edge[seg]
+    group = _run_starts(point * len(index.edge_ids) + edge)
+    dist = np.sqrt(np.minimum.reduceat(e2, group))
+    point, edge = point[group], edge[group]
+    first = _run_starts(point)
+    dmin = np.zeros(len(q))
+    dmin[point[first]] = np.minimum.reduceat(dist, first)
+    tied = (dist <= (dmin + _TIE_EPS)[point]).nonzero()[0]
+    winner = tied[_run_starts(point[tied])]
+    point = point[winner]
+    ok[point] = (dmin[point] <= max_snap_distance) \
+        & (dist[winner] <= index.half_width[edge[winner]] + margin)
+    return ok
+
+
+def _run_starts(keys):
+    """Indices where a run of equal values in the 1-D ``keys`` begins."""
+    new = np.empty(len(keys), dtype=bool)
+    new[0] = True
+    np.not_equal(keys[1:], keys[:-1], out=new[1:])
+    return new.nonzero()[0]
 
 
 def enumerate_routes(graph, start, horizon_dist=HORIZON_DIST,

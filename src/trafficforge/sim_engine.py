@@ -48,7 +48,9 @@ class AgentLog:
     psi: np.ndarray
     a: np.ndarray
     phi: np.ndarray
-    x_lat: np.ndarray
+    # the lateral offset to the route, as simulated; None for a log read
+    # back by read_simlog_csv, since the CSV has no such column
+    x_lat: Optional[np.ndarray]
     lane_changes: list
 
 
@@ -433,7 +435,10 @@ def read_simlog_csv(csv_path, sidecar):
     ``config_digest`` come from the sidecar alone.
 
     Raises :class:`ConfigError` naming the file and the line when a
-    column is missing or a field is absent or not a finite number.
+    column is missing or a field is absent or not a finite number, and
+    naming the file and the agent when an agent of the CSV has no entry
+    in the sidecar's ``agents``. The logs' ``x_lat`` is None: the CSV
+    does not hold it.
     """
     with open(csv_path) as fh:
         header = fh.readline().strip().split(",")
@@ -456,7 +461,10 @@ def read_simlog_csv(csv_path, sidecar):
     side_agents = {a["agent_id"]: a for a in sidecar.get("agents", [])}
     agents = []
     for aid, (label, rows) in per_agent.items():
-        meta = side_agents.get(aid, {})
+        meta = side_agents.get(aid)
+        if meta is None:
+            raise ConfigError([f"simulation log {csv_path}: agent {aid} has "
+                               f"no entry in the sidecar's agents"])
         agents.append(AgentLog(
             agent_id=aid, label=label,
             route_edges=meta.get("route_edges", []),
@@ -464,7 +472,7 @@ def read_simlog_csv(csv_path, sidecar):
             exit_step=meta.get("exit_step"),
             t=rows[:, 0], x=rows[:, 1], y=rows[:, 2], v=rows[:, 3],
             psi=rows[:, 4], a=rows[:, 5], phi=rows[:, 6],
-            x_lat=np.zeros(len(rows)),
+            x_lat=None,
             lane_changes=[(c["step"], c["from_edge"], c["to_edge"])
                           for c in meta.get("lane_changes", [])],
         ))

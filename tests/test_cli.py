@@ -808,6 +808,26 @@ def test_log_without_sidecar_exits_1(sim_logs, tmp_path, capsys, command):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["metrics", "render"])
+def test_log_agent_without_sidecar_entry_exits_1(sim_logs, tmp_path, capsys,
+                                                 command):
+    logs = tmp_path / "logs"
+    shutil.copytree(sim_logs / "logs", logs)
+    path = logs / "scene00_v1.json"
+    doc = json.loads(path.read_text())
+    first = min(ag["agent_id"] for ag in doc["agents"])
+    doc["agents"] = []
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    rc = dispatch([command, "--logs", str(logs),
+                   "--map", str(sim_logs / "map.json"), "--out", str(out)])
+    assert rc == 1
+    assert (f"error: simulation log {logs / 'scene00_v1.csv'}: agent "
+            f"{first} has no entry in the sidecar's agents"
+            ) in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_metrics_report_digest_pinned(sim_logs, tmp_path):
     # a map with 40 m arms leaves the far ends of half the trajectories
     # off the lanes, so the report covers valid and invalid verdicts

@@ -332,26 +332,3 @@ def test_segment_table_headings_match_point_at(pts):
     assert table.cum == cum.tolist()
     assert table.heading == [float(np.arctan2(d[1], d[0]))
                              for d in pts[1:] - pts[:-1]]
-
-
-def test_polyline_distances_blocks_match_one_pass():
-    # the table the one-pass code computed, for point counts on both
-    # sides of the block size and for no points at all
-    rng = np.random.default_rng(7)
-    polys = [np.cumsum(rng.uniform(-5.0, 5.0, (n, 2)), axis=0)
-             for n in (2, 9, 30)]
-    a = np.vstack([p[:-1] for p in polys])
-    d = np.vstack([p[1:] - p[:-1] for p in polys])
-    seg2 = np.einsum("ij,ij->i", d, d)
-    starts = np.cumsum([0] + [len(p) - 1 for p in polys[:-1]])
-    rows = geometry.DISTANCE_ROWS
-    for n in (0, 1, rows - 1, rows, rows + 1, 71):
-        q = rng.uniform(-40.0, 40.0, (n, 2))
-        qx, qy = q[:, 0, None], q[:, 1, None]
-        t = np.clip(((qx - a[:, 0]) * d[:, 0] + (qy - a[:, 1]) * d[:, 1])
-                    / seg2, 0.0, 1.0)
-        ex, ey = qx - (a[:, 0] + t * d[:, 0]), qy - (a[:, 1] + t * d[:, 1])
-        want = np.sqrt(np.minimum.reduceat(ex * ex + ey * ey, starts,
-                                           axis=1)) if n else np.empty((0, 3))
-        got = geometry.polyline_distances(q, a, d, seg2, starts)
-        assert (got.shape, got.tobytes()) == (want.shape, want.tobytes())

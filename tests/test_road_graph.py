@@ -8,6 +8,8 @@ import types
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import (approach_point, four_way_intersection, ring_map,
                      straight_map)
@@ -469,3 +471,106 @@ def test_within_lanes_peak_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 256 * 1024
+
+
+def _dense_within_lanes(graph, pts, margin, snap):
+    """The all-edges rule: every point against every segment."""
+    index = graph.lane_index
+    dist = index.distances(pts)
+    dmin = dist.min(axis=1)
+    winner = np.argmax(dist <= (dmin + 1e-6)[:, None], axis=1)
+    lateral = dist[np.arange(len(pts)), winner]
+    return (dmin <= snap) & (lateral <= index.half_width[winner] + margin)
+
+
+@st.composite
+def _multi_lane_cases(draw):
+    """(graph, margin, snap limit, points) on a random map of one to three
+    centerlines with one to three lanes each. The points sit sideways of
+    a lane at random offsets, at the validity reach and one float either
+    side of it, at the reach plus the tie tolerance, at the lane's own
+    limit, on nodes, and beyond the grid's extent."""
+    centerlines = []
+    for cid in range(draw(st.integers(1, 3))):
+        pts = [(draw(st.floats(-60.0, 60.0)), draw(st.floats(-60.0, 60.0)))]
+        for _ in range(draw(st.integers(1, 4))):
+            ang = draw(st.floats(-math.pi, math.pi))
+            step = draw(st.floats(1.0, 40.0))
+            pts.append((pts[-1][0] + step * math.cos(ang),
+                        pts[-1][1] + step * math.sin(ang)))
+        centerlines.append({"id": cid, "points": pts,
+                            "lanes": draw(st.integers(1, 3)),
+                            "oneway": draw(st.booleans()),
+                            "lane_width": draw(st.sampled_from(
+                                [2.5, 3.0, 3.5, 4.25]))})
+    graph = build_graph({"centerlines": centerlines})
+    margin = draw(st.sampled_from([0.0, 0.5, 9.0]))
+    snap = draw(st.sampled_from([1.0, 3.0, 10.0]))
+    reach = min(snap, graph.lane_index.max_half_width + margin)
+    edges = sorted(graph.edges)
+    pts = [n.position for n in graph.nodes.values()]
+    for _ in range(draw(st.integers(1, 40))):
+        edge = graph.edges[draw(st.sampled_from(edges))]
+        p, psi = edge.point_at(draw(st.floats(0.0, edge.length)))
+        limit = edge.lane_width / 2.0 + margin
+        off = draw(st.one_of(
+            st.floats(-reach - 2.0, reach + 2.0),
+            st.sampled_from([
+                reach, np.nextafter(reach, np.inf), np.nextafter(reach, 0.0),
+                reach + 1e-6, np.nextafter(reach + 1e-6, np.inf),
+                limit, np.nextafter(limit, np.inf)])))
+        sign = draw(st.sampled_from([-1.0, 1.0]))
+        pts.append(p + sign * off * np.array([-math.sin(psi), math.cos(psi)]))
+    allp = np.vstack([e.polyline for e in graph.edges.values()])
+    lo, hi = allp.min(axis=0), allp.max(axis=0)
+    for _ in range(draw(st.integers(0, 6))):
+        far = draw(st.sampled_from([reach + 1e-3, 30.0, 1e4]))
+        corner = draw(st.sampled_from([lo - far, hi + far,
+                                       np.array([lo[0] - far, hi[1]]),
+                                       np.array([hi[0] + far, lo[1]])]))
+        pts.append(corner)
+    return graph, margin, snap, np.array(pts)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_multi_lane_cases())
+def test_grid_within_lanes_matches_all_edges_rule(case):
+    graph, margin, snap, pts = case
+    got = road_graph.within_lanes(graph, pts, margin, snap)
+    assert got.tolist() == _dense_within_lanes(graph, pts, margin,
+                                               snap).tolist()
+
+
+@pytest.mark.parametrize("margin,snap", [
+    (-5.0, 10.0), (0.5, 0.0), (math.inf, math.inf), (0.5, math.inf),
+    (1e300, 1e300), (150.0, 1e3), (math.nan, 10.0), (0.5, math.nan)])
+def test_grid_within_lanes_extreme_limits(margin, snap):
+    g = build_graph(_MULTI_LANE)
+    rng = np.random.default_rng(3)
+    pts = np.vstack([rng.uniform(-80.0, 160.0, size=(200, 2)),
+                     [[1e9, -1e9], [30.0, -1.75]],
+                     [n.position for n in g.nodes.values()]])
+    assert road_graph.within_lanes(g, pts, margin, snap).tolist() \
+        == _dense_within_lanes(g, pts, margin, snap).tolist()
+
+
+def test_segment_grid_is_built_once_per_reach():
+    g = build_graph(ring_map())
+    pts = np.array([[10.0, 1.0], [25.0, -3.0], [50.0, 30.0], [25.0, 25.0]])
+    index = g.lane_index
+    assert vars(index)["_grids"] == {}
+    road_graph.within_lanes(g, pts, 0.5)
+    ((reach, grid),) = index._grids.items()
+    assert reach == min(road_graph.MAX_SNAP_DISTANCE, 1.75 + 0.5)
+    road_graph.within_lanes(g, pts[::-1], 0.5)
+    road_graph.within_lanes(g, pts, 0.5, 5.0)
+    assert list(index._grids.items()) == [(reach, grid)]
+    road_graph.within_lanes(g, pts, 0.0)
+    assert list(index._grids) == [reach, 1.75]
+    assert index._grids[reach] is grid
+    back = pickle.loads(pickle.dumps(g))
+    assert "lane_index" not in vars(back)
+    assert road_graph.within_lanes(back, pts, 0.5).tolist() \
+        == [True, False, True, False]
+    assert list(back.lane_index._grids) == [reach]
+    assert back.lane_index._grids[reach] is not grid

@@ -279,7 +279,10 @@ def _row_loop_read_simlog_csv(csv_path, sidecar):
     agents = []
     for aid in sorted(per_agent):
         rows = np.asarray(per_agent[aid]["rows"])
-        meta = side_agents.get(aid, {})
+        meta = side_agents.get(aid)
+        if meta is None:
+            raise ConfigError([f"simulation log {csv_path}: agent {aid} has "
+                               f"no entry in the sidecar's agents"])
         agents.append(AgentLog(
             agent_id=aid, label=per_agent[aid]["label"],
             route_edges=meta.get("route_edges", []),
@@ -287,7 +290,7 @@ def _row_loop_read_simlog_csv(csv_path, sidecar):
             exit_step=meta.get("exit_step"),
             t=rows[:, 0], x=rows[:, 1], y=rows[:, 2], v=rows[:, 3],
             psi=rows[:, 4], a=rows[:, 5], phi=rows[:, 6],
-            x_lat=np.zeros(len(rows)),
+            x_lat=None,
             lane_changes=[(c["step"], c["from_edge"], c["to_edge"])
                           for c in meta.get("lane_changes", [])],
         ))
@@ -382,7 +385,9 @@ def _assert_same_log(got, want):
 
 _ROW = "s1,0,1,0.000,1.0,2.0,3.0,0.0,0.0,0.0,straight"
 _SCENE_LAST = ",".join(_HEADER[1:] + _HEADER[:1])
-_SIDECAR = {"dt": 0.1, "master_seed": 0, "config_digest": ""}
+# an entry for every agent id _log_text writes
+_SIDECAR = {"dt": 0.1, "master_seed": 0, "config_digest": "",
+            "agents": [{"agent_id": aid} for aid in range(-2, 5)]}
 
 
 @settings(max_examples=600, deadline=None)
@@ -390,6 +395,9 @@ _SIDECAR = {"dt": 0.1, "master_seed": 0, "config_digest": ""}
     "dt": 0.2, "master_seed": 5, "config_digest": "0123abcd", "agents": [
         {"agent_id": 1, "exit_step": 4, "lane_changes": [
             {"step": 2, "from_edge": 0, "to_edge": 1}]}]}]))
+# one agent without a sidecar entry
+@example(",".join(_HEADER) + f"\n{_ROW}\n{_ROW.replace(',1,', ',2,')}\n",
+         {**_SIDECAR, "agents": [{"agent_id": 1}]})
 # each case below is one that numpy reads and the row loop rejects
 @example(",".join(_HEADER) + f"\n{_ROW}\n{_ROW.replace(',1,', ',2,')[:-9]}\n",
          _SIDECAR)                                     # no label, agent 2
@@ -413,6 +421,25 @@ def test_bulk_csv_reader_matches_row_loop(text, sidecar):
         assert got == want
     else:
         _assert_same_log(got, want)
+
+
+def test_read_log_has_no_lateral_offsets(tmp_path):
+    # two agents off their lane centres on a two-lane road: the simulated
+    # log has lateral offsets, the CSV does not, so the read log has none
+    g, scene = _scene_on_straight([(1, 5.0, -1.0, 0.0, 10.0),
+                                   (2, 60.0, 1.2, 0.0, 8.0)], lanes=2)
+    asg = _assign_straight(g, scene, {1: 10.0, 2: 8.0})
+    log = simulate_scene(scene, asg, SimConfig(master_seed=4))
+    assert [ag.agent_id for ag in log.agents] == [1, 2]
+    assert all(np.abs(ag.x_lat).max() > 0.5 for ag in log.agents)
+    path = tmp_path / "log.csv"
+    with open(path, "w") as fh:
+        log.write_csv(fh)
+    back = read_simlog_csv(path, log.sidecar())
+    assert [ag.x_lat for ag in back.agents] == [None, None]
+    for a, b in zip(log.agents, back.agents):
+        assert (a.agent_id, a.route_edges, a.epsilon) \
+            == (b.agent_id, b.route_edges, b.epsilon)
 
 
 def test_replay_mode_follows_tracklet():
