@@ -12,6 +12,7 @@ new follower would brake harder than the safe limit.
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -100,49 +101,106 @@ class Snapshot:
             self.by_edge.setdefault(coord[0], []).append(aid)
 
 
-def find_leader(snapshot, subject_id, route,
-                sensing_range=default("sim.sensing_range"), moved=None):
-    """First agent ahead of the subject along its route.
+class LeaderSearch(NamedTuple):
+    """One ranked leader search of a subject along ``route``.
 
-    Only agents on the route's edges (``snapshot.by_edge``) are examined.
-    ``moved``, an ``(agent_id, coord)`` pair, reads the snapshot as if
-    that agent stood at ``coord``, or were absent when ``coord`` is None.
-    Distances are arc lengths along the route; the returned gap is
-    bumper-to-bumper, floored at 0.01 m. Ties go to the lower agent id.
+    ``subj_s`` is the subject's arc along the route, ``subj_v`` and
+    ``subj_len`` its speed and length; ``first`` and ``second`` are its
+    two nearest agents ahead within ``sensing_range``, as
+    ``(dist, agent_id, v, length)`` ranked by ``(dist, agent_id)``, or
+    None.
+    """
+    route: object
+    sensing_range: float
+    subj_s: float
+    subj_v: float
+    subj_len: float
+    first: Optional[tuple]
+    second: Optional[tuple]
+
+
+def rank_leaders(snapshot, subject_id, route,
+                 sensing_range=default("sim.sensing_range"), coord=None):
+    """The subject's two nearest agents ahead along its route.
+
+    Only agents on the route's edges (``snapshot.by_edge``) are examined;
+    distances are arc lengths along the route. ``coord`` puts the subject
+    there instead of at its snapshot coord. :func:`leader_after` turns
+    the result into the leader, also with one agent moved or removed.
     """
     coords = snapshot.coords
-    moved_id, moved_coord = moved or (None, None)
-    subj_edge, subj_arc, subj_v, subj_len = (
-        moved_coord if subject_id == moved_id else coords[subject_id])
+    by_edge = snapshot.by_edge
+    subj_edge, subj_arc, subj_v, subj_len = coord or coords[subject_id]
     subj_s = route.route_s_of(subj_edge, subj_arc)
     if subj_s is None:
         subj_s = 0.0
-    best = None
-    for route_edge in route.spans_by_edge:
-        for aid in snapshot.by_edge.get(route_edge, ()):
-            if aid == subject_id or aid == moved_id:
+    first = second = None
+    for edge_id, spans in route.spans_by_edge.items():
+        for aid in by_edge.get(edge_id, ()):
+            if aid == subject_id:
                 continue
-            edge_id, arc, v, length = coords[aid]
-            s = route.route_s_of(edge_id, arc)
-            if s is None:
+            _, arc, v, length = coords[aid]
+            # Route.route_s_of, inline: the first visit reaching ``arc``
+            for s_start, arc0 in spans:
+                if arc >= arc0 - 1e-9:
+                    break
+            else:
                 continue
-            dist = s - subj_s
+            dist = s_start + (arc - arc0) - subj_s
             if dist <= 0.0 or dist > sensing_range:
                 continue
-            if best is None or dist < best[0] \
-                    or (dist == best[0] and aid < best[1]):
-                best = (dist, aid, v, length)
-    if moved_coord is not None and moved_id != subject_id:
-        # the moved agent, where the what-if puts it
-        s = route.route_s_of(moved_coord[0], moved_coord[1])
-        if s is not None and 0.0 < s - subj_s <= sensing_range and (
-                best is None or (s - subj_s, moved_id) < best[:2]):
-            best = (s - subj_s, moved_id) + moved_coord[2:]
+            if first is None or dist < first[0] \
+                    or (dist == first[0] and aid < first[1]):
+                first, second = (dist, aid, v, length), first
+            elif second is None or dist < second[0] \
+                    or (dist == second[0] and aid < second[1]):
+                second = (dist, aid, v, length)
+    return LeaderSearch(route, sensing_range, subj_s, subj_v, subj_len,
+                        first, second)
+
+
+def leader_after(search, moved=None):
+    """The leader a :class:`LeaderSearch` finds, as a :class:`LeaderInfo`.
+
+    ``moved``, an ``(agent_id, coord)`` pair of an agent other than the
+    subject, reads the search as if that agent stood at ``coord``, or
+    were absent when ``coord`` is None. The gap is bumper-to-bumper,
+    floored at 0.01 m; ties go to the lower agent id.
+    """
+    best = search.first
+    if moved is not None:
+        moved_id, moved_coord = moved
+        if best is not None and best[1] == moved_id:
+            best = search.second
+        if moved_coord is not None:
+            # the moved agent, where the what-if puts it
+            s = search.route.route_s_of(moved_coord[0], moved_coord[1])
+            if s is not None:
+                dist = s - search.subj_s
+                if 0.0 < dist <= search.sensing_range and (
+                        best is None or (dist, moved_id) < best[:2]):
+                    best = (dist, moved_id) + moved_coord[2:]
     if best is None:
         return None
     dist, aid, v, length = best
-    gap = max(dist - (subj_len + length) / 2.0, 0.01)
-    return LeaderInfo(aid, gap, subj_v - v)
+    gap = max(dist - (search.subj_len + length) / 2.0, 0.01)
+    return LeaderInfo(aid, gap, search.subj_v - v)
+
+
+def find_leader(snapshot, subject_id, route,
+                sensing_range=default("sim.sensing_range"), moved=None):
+    """First agent ahead of the subject along its route: one
+    :func:`rank_leaders` search read by :func:`leader_after`.
+
+    ``moved``, an ``(agent_id, coord)`` pair, reads the snapshot as if
+    that agent stood at ``coord``, or were absent when ``coord`` is None;
+    a moved subject is searched for from ``coord``.
+    """
+    if moved is not None and moved[0] == subject_id:
+        return leader_after(rank_leaders(snapshot, subject_id, route,
+                                         sensing_range, moved[1]))
+    return leader_after(rank_leaders(snapshot, subject_id, route,
+                                     sensing_range), moved)
 
 
 def nearest_behind(snapshot, edge_id, arc, subject_id):
@@ -163,6 +221,12 @@ def nearest_behind(snapshot, edge_id, arc, subject_id):
     return best[1] if best else None
 
 
+def mobil_safe(params, a_old, a_new):
+    """MOBIL's safety inequality for one vehicle: the change must not
+    make it brake by ``params.b_safe`` or more."""
+    return not a_new - a_old <= -params.b_safe
+
+
 def mobil_decide(params, ac_old, ac_new, an_old, an_new, ao_old, ao_new):
     """Lane-change decision from the six involved accelerations.
 
@@ -170,9 +234,8 @@ def mobil_decide(params, ac_old, ac_new, an_old, an_new, ao_old, ao_new):
     follower; ``*_new`` are the post-change values. Returns "change" when
     the incentive inequality and both safety inequalities hold.
     """
-    if an_new - an_old <= -params.b_safe:
-        return "keep"
-    if ac_new - ac_old <= -params.b_safe:
+    if not (mobil_safe(params, an_old, an_new)
+            and mobil_safe(params, ac_old, ac_new)):
         return "keep"
     gain = (ac_new - ac_old) \
         + params.p * ((an_new - an_old) + (ao_new - ao_old))

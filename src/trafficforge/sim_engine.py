@@ -9,6 +9,13 @@ with one exception: each agent's desired speed ``idm.v0`` is set just
 before its own decision, so when MOBIL evaluates a follower later in the
 step's agent order, it reads that follower's previous ``v0`` (at step 0,
 the 1.0 its parameters were sampled with).
+
+Each routed agent's leader search runs once per step: one ranked search
+(``dynamics.rank_leaders``) kept under the agent's id, from which its own
+acceleration and every MOBIL what-if that moves or removes another agent
+are read (``dynamics.leader_after``). MOBIL tests each side lazily, and
+stops at the first inequality that rejects it; a side's target route is
+only built once the new follower's safety test has passed.
 """
 
 import dataclasses
@@ -220,8 +227,8 @@ def simulate_scene(scene, assignment, config, variant_index=0):
         active = still
         snapshot = dynamics.Snapshot({r.agent_id: r.coords() for r in active})
         by_id = {r.agent_id: r for r in active}
-        # (agent_id, v0) -> IDM acceleration in this step's snapshot
-        base_accels = {}
+        # agent_id -> the agent's one ranked leader search of this step
+        searches = {}
 
         # decisions from the frozen snapshot
         commands = {}
@@ -232,11 +239,11 @@ def simulate_scene(scene, assignment, config, variant_index=0):
             v = run.state.v
             v_ref = run.profile.value_at(k) if run.profile is not None else 0.0
             run.idm.v0 = max(v_ref, V0_FLOOR)
-            a_idm = _snapshot_accel(run, snapshot, config, base_accels)
+            a_idm = _accel(run, snapshot, config, searches)
             if config.lane_change_enabled and abs(run.x_lat) <= MOBIL_EVAL_MAX_OFFSET:
                 target = _consider_lane_change(graph, run, snapshot, by_id,
                                                a_idm, config, mobil_sides,
-                                               base_accels)
+                                               searches)
                 if target is not None:
                     retargets[run.agent_id] = target
 
@@ -308,15 +315,21 @@ def _replay_step(run, rel_t, dt):
 
 
 def _consider_lane_change(graph, run, snapshot, by_id, ac_old, config,
-                          mobil_sides, base_accels):
+                          mobil_sides, searches):
     """Evaluate MOBIL toward the right then the left neighbor lane.
 
     ``mobil_sides`` holds the right and the left side's MOBIL parameters.
     Returns (new_route, old_edge, new_edge) or None; the agent starts the
     new route at its arc 0. All candidate accelerations read the frozen
     snapshot, the post-change ones with the subject moved or removed by
-    a ``moved`` override; ``base_accels`` is the step's memo of
-    :func:`_snapshot_accel`.
+    a ``moved`` override; the followers' read the step's ranked leader
+    searches, ``searches``, through :func:`_accel`.
+
+    Each side stops at the first test that rejects it, in this order:
+    the neighbor lane must go on past the subject; the new follower's
+    safety test; a route on the neighbor lane and the subject's safety
+    test; then the incentive (with the old follower's pair, made at most
+    once per subject), through ``dynamics.mobil_decide``.
     """
     eid, arc = run.route.edge_at(run.s)
     edge = graph.edges[eid]
@@ -325,23 +338,33 @@ def _consider_lane_change(graph, run, snapshot, by_id, ac_old, config,
                          mobil_sides):
         if nb is None:
             continue
-        new_route = _retarget_route(graph, run, nb, config)
+        nb_lane = graph.edges[nb]
+        coord = road_graph.lane_coordinate(nb_lane, run.state.position)
+        if coord.arc_s >= nb_lane.length - 1e-6:
+            continue
+        moved = (run.agent_id, (nb, coord.arc_s, run.state.v, run.geom.L))
+
+        # the would-be new follower
+        an_old, an_new = _follower_accels(
+            dynamics.nearest_behind(snapshot, nb, coord.arc_s, run.agent_id),
+            graph, snapshot, moved, by_id, config, searches)
+        if not dynamics.mobil_safe(mobil, an_old, an_new):
+            continue
+
+        # the subject's acceleration if it were on the target lane
+        new_route = _retarget_route(graph, coord, run.label, config)
         if new_route is None:
             continue
-        nb_edge, nb_arc = new_route.edge_at(0.0)
-
-        # subject's acceleration if it were on the target lane
-        moved = (run.agent_id, (nb_edge, nb_arc, run.state.v, run.geom.L))
         ac_new = _idm_accel_in(snapshot, run, new_route, config, moved)
+        if not dynamics.mobil_safe(mobil, ac_old, ac_new):
+            continue
 
-        # the would-be new follower, then the follower left behind
-        an_old, an_new = _follower_accels(
-            dynamics.nearest_behind(snapshot, nb, nb_arc, run.agent_id),
-            snapshot, moved, by_id, config, base_accels)
+        # the follower left behind
         if old_lane is None:
             old_lane = _follower_accels(
                 dynamics.nearest_behind(snapshot, eid, arc, run.agent_id),
-                snapshot, (run.agent_id, None), by_id, config, base_accels)
+                graph, snapshot, (run.agent_id, None), by_id, config,
+                searches)
         ao_old, ao_new = old_lane
 
         if dynamics.mobil_decide(mobil, ac_old, ac_new, an_old, an_new,
@@ -350,12 +373,9 @@ def _consider_lane_change(graph, run, snapshot, by_id, ac_old, config,
     return None
 
 
-def _retarget_route(graph, run, neighbor_eid, config):
-    """Route continuing from the neighbor lane abeam the agent, or None."""
-    nb = graph.edges[neighbor_eid]
-    coord = road_graph.lane_coordinate(nb, run.state.position)
-    if coord.arc_s >= nb.length - 1e-6:
-        return None
+def _retarget_route(graph, coord, label, config):
+    """Route continuing from the lane coordinate ``coord``, the one with
+    the agent's maneuver ``label`` where there is one, or None."""
     routes = road_graph.enumerate_routes(graph, coord, config.horizon_dist,
                                          config.max_routes)
     if not routes:
@@ -364,36 +384,53 @@ def _retarget_route(graph, run, neighbor_eid, config):
         # the only candidate either way: its maneuver decides nothing, so
         # its geometry is not built unless the change is accepted
         return routes[0]
-    same = [r for r in routes if r.maneuver == run.label]
+    same = [r for r in routes if r.maneuver == label]
     return same[0] if same else routes[0]
 
 
-def _follower_accels(follower, snapshot, moved, by_id, config, base_accels):
-    """IDM accelerations of ``follower`` in the step's ``snapshot``, read
-    through its memo ``base_accels``, and with the ``moved`` override."""
+def _follower_accels(follower, graph, snapshot, moved, by_id, config,
+                     searches):
+    """IDM accelerations of ``follower`` in the step's ``snapshot``,
+    without and with the ``moved`` override; (0, 0) without a follower.
+
+    A routed follower reads its ranked search in ``searches``. The
+    replayed ego is weighed along its snapshot edge with ``v0`` at its
+    speed, as MOBIL's input only (it still cannot brake); a parked agent
+    gives (0, 0).
+    """
     if follower is None:
         return 0.0, 0.0
     f = by_id[follower]
-    if f.route is None:
+    if f.route is not None:
+        return (_accel(f, snapshot, config, searches),
+                _accel(f, snapshot, config, searches, moved))
+    if not f.replay:
         return 0.0, 0.0
-    return (_snapshot_accel(f, snapshot, config, base_accels),
-            _idm_accel_in(snapshot, f, f.route, config, moved))
+    route = road_graph.Route(graph, [f.lane.edge_id], f.lane, True)
+    params = dataclasses.replace(f.idm, v0=max(f.state.v, V0_FLOOR))
+    return tuple(
+        dynamics.idm_accel(params, dynamics.find_leader(
+            snapshot, f.agent_id, route, config.sensing_range, what_if),
+            f.state.v, config.controller.a_max_decel)
+        for what_if in (None, moved))
 
 
-def _snapshot_accel(run, snapshot, config, base_accels):
-    """The agent's acceleration on its route in the step's snapshot.
+def _accel(run, snapshot, config, searches, moved=None):
+    """The agent's IDM acceleration on its route in the step's snapshot,
+    with the ``moved`` override.
 
-    Memoized in ``base_accels`` by (agent id, desired speed ``v0``) for
-    the agent's own decision and every MOBIL check that reads it: an
+    The agent's ranked leader search is made once per step and kept in
+    ``searches`` under its id: it does not read ``v0``. The acceleration
+    is taken at call time with the agent's current ``idm.v0``, so an
     agent later in the step's order still holds the previous step's
     ``v0`` when an earlier subject's check reads it.
     """
-    key = (run.agent_id, run.idm.v0)
-    acc = base_accels.get(key)
-    if acc is None:
-        acc = base_accels[key] = _idm_accel_in(snapshot, run, run.route,
-                                               config)
-    return acc
+    search = searches.get(run.agent_id)
+    if search is None:
+        search = searches[run.agent_id] = dynamics.rank_leaders(
+            snapshot, run.agent_id, run.route, config.sensing_range)
+    return dynamics.idm_accel(run.idm, dynamics.leader_after(search, moved),
+                              run.state.v, config.controller.a_max_decel)
 
 
 def _idm_accel_in(snapshot, run, route, config, moved=None):

@@ -3,7 +3,6 @@
 import hashlib
 import json
 import math
-from concurrent.futures import ProcessPoolExecutor
 
 
 def derive_seed(*parts):
@@ -44,6 +43,8 @@ def map_tasks(fn, tasks, jobs):
     """``[fn(t) for t in tasks]``, in order; spread over ``jobs`` worker
     processes when ``jobs`` > 1 and there is more than one task."""
     if jobs > 1 and len(tasks) > 1:
+        # imported here: it loads multiprocessing, which --jobs 1 never uses
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=jobs) as ex:
             return list(ex.map(fn, tasks, chunksize=1))
     return [fn(t) for t in tasks]

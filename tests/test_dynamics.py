@@ -13,7 +13,8 @@ from trafficforge import road_graph
 from trafficforge.config import MobilParams
 from trafficforge.dynamics import (IdmParams, LeaderInfo, Snapshot,
                                    desired_gap, find_leader, idm_accel,
-                                   mobil_decide, nearest_behind,
+                                   leader_after, mobil_decide, mobil_safe,
+                                   nearest_behind, rank_leaders,
                                    sample_idm_params)
 
 
@@ -290,6 +291,72 @@ def test_indexed_search_matches_brute_force(coords, data, sensing_range,
         _find_leader_ref(coords, subject, route, sensing_range)
 
 
+# few agents make empty, one-agent and two-agent buckets common
+_AGENTS = st.one_of(
+    st.dictionaries(st.integers(1, 6), _COORDS, min_size=1, max_size=3),
+    st.dictionaries(st.integers(1, 40), _COORDS, min_size=1, max_size=14))
+
+
+@settings(max_examples=400, deadline=None)
+@given(_AGENTS, st.data(), st.sampled_from([25.0, 45.0, 100.0, 1000.0]),
+       st.sampled_from(sorted(_ROUTES)))
+def test_ranked_search_resolves_every_what_if(coords, data, sensing_range,
+                                              route_name):
+    """One ranked search answers every one-agent what-if of the subject
+    as the brute-force scan over the changed agents does."""
+    route = _ROUTES[route_name]
+    snap = Snapshot(coords)
+    subject = data.draw(st.sampled_from(sorted(coords)))
+    search = rank_leaders(snap, subject, route, sensing_range)
+    assert leader_after(search) == \
+        _find_leader_ref(coords, subject, route, sensing_range)
+    # where a moved agent lands: tied on arc with the best and with the
+    # runner-up (the lower id then wins), and anywhere
+    ranked = [r for r in (search.first, search.second) if r is not None]
+    places = [coords[aid] for _, aid, _, _ in ranked]
+    places.append(data.draw(_COORDS))
+    for aid in coords:
+        if aid == subject:
+            continue
+        without = {a: c for a, c in coords.items() if a != aid}
+        assert leader_after(search, (aid, None)) == \
+            _find_leader_ref(without, subject, route, sensing_range)
+        for place in places:
+            moved = dict(coords)
+            moved[aid] = place
+            assert leader_after(search, (aid, place)) == \
+                _find_leader_ref(moved, subject, route, sensing_range)
+    # the subject itself moved: a search from its new coord
+    for place in places:
+        moved = dict(coords)
+        moved[subject] = place
+        want = _find_leader_ref(moved, subject, route, sensing_range)
+        assert leader_after(rank_leaders(snap, subject, route,
+                                         sensing_range, place)) == want
+        assert find_leader(snap, subject, route, sensing_range,
+                           moved=(subject, place)) == want
+
+
+def test_ranked_search_keeps_the_runner_up():
+    route = _two_agent_route()
+    # tied on arc for the best place, then for the runner-up's
+    for coords, ranked in (
+            ({1: (0, 0.0, 10.0, 4.0), 4: (0, 30.0, 5.0, 4.0),
+              2: (0, 30.0, 6.0, 4.0), 3: (0, 60.0, 7.0, 4.0)}, [2, 4]),
+            ({1: (0, 0.0, 10.0, 4.0), 2: (0, 10.0, 5.0, 4.0),
+              5: (0, 30.0, 6.0, 4.0), 3: (0, 30.0, 7.0, 4.0)}, [2, 3])):
+        search = rank_leaders(Snapshot(coords), 1, route)
+        assert [r[1] for r in (search.first, search.second)] == ranked
+        assert search.subj_s == 0.0
+        best, runner_up = ranked
+        # the best moved away or removed: the runner-up leads
+        assert leader_after(search, (best, (0, 90.0, 0.0, 4.0))) \
+            .leader_id == runner_up
+        assert leader_after(search, (best, None)).leader_id == runner_up
+        # the runner-up removed: the best still leads
+        assert leader_after(search, (runner_up, None)).leader_id == best
+
+
 def test_mobil_selfish_change():
     p = MobilParams(p=0.0, da_th=0.1, b_safe=4.0, da_bias=0.0)
     assert mobil_decide(p, 0.0, 0.5, 0.0, 0.0, 0.0, 0.0) == "change"
@@ -307,6 +374,13 @@ def test_mobil_politeness_balance():
     p = MobilParams(p=1.0, da_th=0.1, b_safe=4.0, da_bias=0.0)
     # gain 0.2, others lose 0.3 -> total -0.1 < 0.1 -> keep
     assert mobil_decide(p, 0.0, 0.2, 0.0, -0.2, 0.0, -0.1) == "keep"
+
+
+def test_mobil_safe_is_the_safety_inequality():
+    p = MobilParams(p=0.0, da_th=0.1, b_safe=4.0, da_bias=0.0)
+    assert mobil_safe(p, 0.0, -3.9)
+    assert not mobil_safe(p, 0.0, -4.0)
+    assert not mobil_safe(p, 1.0, -3.5)
 
 
 def test_mobil_p_zero_reduces_to_selfish(rng):

@@ -6,7 +6,6 @@ import json
 import math
 import os
 import tempfile
-import types
 import warnings
 from operator import itemgetter
 
@@ -527,7 +526,8 @@ def test_mobil_lane_changes_pinned():
 
 
 def test_step_memo_matches_fresh_accelerations(monkeypatch):
-    """The step's memo feeds MOBIL the accelerations computed afresh."""
+    """The step's memo of ranked searches feeds MOBIL the accelerations
+    computed afresh."""
     scene, asg, cfg = _three_lane_mobil_inputs()
     # desired speeds that change every step, so an agent's v0 when an
     # earlier subject reads it differs from its own decision's
@@ -539,26 +539,233 @@ def test_step_memo_matches_fresh_accelerations(monkeypatch):
             VelocityProfile(v + 2.0 * np.sin(t + aid), v, a.label))
     decide = dynamics.mobil_decide
 
-    def run(snapshot_accel):
-        inputs = []
+    def run(accel):
+        inputs, accels = [], []
 
-        def recording(params, *accels):
-            inputs.append(accels)
-            return decide(params, *accels)
+        def recording(params, *args):
+            inputs.append(args)
+            return decide(params, *args)
+
+        def recorded_accel(run, snapshot, config, searches, moved=None):
+            acc = accel(run, snapshot, config, searches, moved)
+            accels.append((run.agent_id, moved, acc))
+            return acc
 
         monkeypatch.setattr(dynamics, "mobil_decide", recording)
-        monkeypatch.setattr(sim_engine, "_snapshot_accel", snapshot_accel)
+        monkeypatch.setattr(sim_engine, "_accel", recorded_accel)
         csv = csv_text(simulate_scene(scene, asg, cfg))
-        return inputs, hashlib.sha256(csv.encode()).hexdigest()
+        return inputs, accels, hashlib.sha256(csv.encode()).hexdigest()
 
-    def fresh(run, snapshot, config, base_accels):
-        return sim_engine._idm_accel_in(snapshot, run, run.route, config)
+    def fresh(run, snapshot, config, searches, moved=None):
+        # every base and what-if acceleration through find_leader
+        return sim_engine._idm_accel_in(snapshot, run, run.route, config,
+                                        moved)
 
-    memo_inputs, memo_csv = run(sim_engine._snapshot_accel)
-    fresh_inputs, fresh_csv = run(fresh)
+    memo_inputs, memo_accels, memo_csv = run(sim_engine._accel)
+    fresh_inputs, fresh_accels, fresh_csv = run(fresh)
     assert len(memo_inputs) > 100
+    assert sum(moved is not None for _, moved, _ in memo_accels) > 500
     assert memo_inputs == fresh_inputs
+    assert memo_accels == fresh_accels
     assert memo_csv == fresh_csv
+
+
+def _eager_mobil(graph, run, snapshot, by_id, ac_old, config, sides, seen):
+    """Every side's six MOBIL terms, all computed before any test.
+
+    Returns the subject's ``ac_old`` and, per side, ``(neighbor, route,
+    stage, decision)``: ``decision`` is ``mobil_decide``'s ("keep"
+    without a route), and ``stage`` how far a lazy pass gets: 0 if the
+    lane ends abeam or the new follower's safety test fails, 1 if it
+    builds routes, 2 if it also passes the subject's safety test.
+    """
+    def accel(agent, params, route, moved=None):
+        lead = dynamics.find_leader(snapshot, agent.agent_id, route,
+                                    config.sensing_range, moved)
+        return dynamics.idm_accel(params, lead, agent.state.v,
+                                  config.controller.a_max_decel)
+
+    def follower(aid, moved):
+        if aid is None:
+            return 0.0, 0.0
+        f = by_id[aid]
+        if f.route is not None:
+            return accel(f, f.idm, f.route), accel(f, f.idm, f.route, moved)
+        if not f.replay:
+            return 0.0, 0.0    # parked
+        # the replayed ego, along its own edge at its own speed
+        seen["ego_follower"] += 1
+        route = road_graph.Route(graph, [f.lane.edge_id], f.lane, True)
+        params = dataclasses.replace(
+            f.idm, v0=max(f.state.v, sim_engine.V0_FLOOR))
+        return accel(f, params, route), accel(f, params, route, moved)
+
+    eid, arc = run.route.edge_at(run.s)
+    edge = graph.edges[eid]
+    ao_old, ao_new = follower(
+        dynamics.nearest_behind(snapshot, eid, arc, run.agent_id),
+        (run.agent_id, None))
+    out = []
+    for nb, mobil in zip((edge.right_neighbor, edge.left_neighbor), sides):
+        if nb is None:
+            continue
+        lane = graph.edges[nb]
+        coord = road_graph.lane_coordinate(lane, run.state.position)
+        moved = (run.agent_id, (nb, coord.arc_s, run.state.v, run.geom.L))
+        an_old, an_new = follower(
+            dynamics.nearest_behind(snapshot, nb, coord.arc_s, run.agent_id),
+            moved)
+        on_lane = coord.arc_s < lane.length - 1e-6
+        stage = int(on_lane and an_new - an_old > -mobil.b_safe)
+        routes = (_ENUMERATE(graph, coord, config.horizon_dist,
+                             config.max_routes) if on_lane else [])
+        same = [r for r in routes if r.maneuver == run.label]
+        route = (same or routes or [None])[0]
+        decision = "keep"
+        if route is not None:
+            ac_new = accel(run, run.idm, route, moved)
+            stage += stage and ac_new - ac_old > -mobil.b_safe
+            decision = _DECIDE(mobil, ac_old, ac_new, an_old, an_new,
+                               ao_old, ao_new)
+        out.append((nb, route, stage, decision))
+    return accel(run, run.idm, run.route), out
+
+
+_ENUMERATE = road_graph.enumerate_routes
+_DECIDE = dynamics.mobil_decide
+
+
+def _random_three_lane_inputs(seed):
+    """A randomized 3-lane scene: 2-5 drivers a lane at random gaps and
+    speeds, and a replayed ego (agent 1) among the drivers of one lane."""
+    rng = np.random.default_rng(seed)
+    ego_lane = int(rng.integers(3))
+    agents, speeds = [], {}
+    for lane, y in enumerate((-3.5, 0.0, 3.5)):
+        n = int(rng.integers(2, 6))
+        ego_slot = int(rng.integers(n + 1)) if lane == ego_lane else -1
+        x = float(rng.uniform(0.0, 20.0))
+        for k in range(n + (lane == ego_lane)):
+            aid = 1 if k == ego_slot else len(speeds) + 2
+            agents.append((aid, x, y, 0.0, float(rng.uniform(4.0, 20.0))))
+            if aid != 1:
+                speeds[aid] = float(rng.uniform(3.0, 22.0))
+            x += float(rng.uniform(9.0, 40.0))
+    g, scene = _scene_on_straight(agents, length=600.0, lanes=3)
+    asg = _assign_straight(g, scene, {**speeds, 1: 0.0})
+    del asg[1]
+    return scene, asg, SimConfig(master_seed=seed, max_variants=1,
+                                 ego_mode="replay")
+
+
+_MOBIL_SCENES = [_three_lane_mobil_inputs] + [
+    (lambda seed=seed: _random_three_lane_inputs(seed)) for seed in range(4)]
+
+
+@pytest.mark.parametrize("inputs", _MOBIL_SCENES,
+                         ids=["three_lane"] + [f"random{k}" for k in range(4)])
+def test_lazy_mobil_matches_eager_oracle(monkeypatch, inputs):
+    """Per subject and side, the lazy MOBIL decides as ``mobil_decide``
+    over all six terms, and builds a route only for the sides that pass
+    the new follower's safety test."""
+    counts = {"routes": 0, "decisions": 0}
+    seen = {"follower_vetoes": 0, "subject_vetoes": 0, "changes": 0,
+            "ego_follower": 0}
+
+    def counting(fn, key):
+        def wrapper(*args, **kwargs):
+            counts[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    lazy = sim_engine._consider_lane_change
+
+    def checked(graph, run, snapshot, by_id, ac_old, config, sides,
+                searches):
+        base, eager = _eager_mobil(graph, run, snapshot, by_id, ac_old,
+                                   config, sides, seen)
+        assert base == ac_old
+        counts.update(routes=0, decisions=0)
+        got = lazy(graph, run, snapshot, by_id, ac_old, config, sides,
+                   searches)
+        # the lazy pass stops at the first side that changes
+        accepted = next((k for k, side in enumerate(eager)
+                         if side[3] == "change"), None)
+        evaluated = eager if accepted is None else eager[:accepted + 1]
+        if accepted is None:
+            assert got is None
+        else:
+            nb, route = eager[accepted][:2]
+            eid = run.route.edge_at(run.s)[0]
+            assert (got[0].edge_ids, got[1], got[2]) == \
+                (route.edge_ids, eid, nb)
+        stages = [side[2] for side in evaluated]
+        assert counts["routes"] == sum(stage >= 1 for stage in stages)
+        assert counts["decisions"] == stages.count(2)
+        seen["follower_vetoes"] += stages.count(0)
+        seen["subject_vetoes"] += stages.count(1)
+        seen["changes"] += got is not None
+        return got
+
+    monkeypatch.setattr(road_graph, "enumerate_routes",
+                        counting(_ENUMERATE, "routes"))
+    monkeypatch.setattr(dynamics, "mobil_decide",
+                        counting(_DECIDE, "decisions"))
+    monkeypatch.setattr(sim_engine, "_consider_lane_change", checked)
+    simulate_scene(*inputs())
+    assert seen["follower_vetoes"] and seen["subject_vetoes"] \
+        and seen["changes"]
+    # the random scenes put their replayed ego behind target gaps
+    assert seen["ego_follower"] or inputs is _three_lane_mobil_inputs
+
+
+def test_one_ranked_search_per_agent_per_step(monkeypatch):
+    """Each routed agent's leader search from its own place runs once a
+    step, whichever MOBIL checks read it."""
+    scene, asg, cfg = _three_lane_mobil_inputs()
+    rank = dynamics.rank_leaders
+    searches = []
+
+    def counted(snapshot, subject_id, route, sensing_range, coord=None):
+        if coord is None:
+            searches.append(subject_id)
+        return rank(snapshot, subject_id, route, sensing_range, coord)
+
+    monkeypatch.setattr(dynamics, "rank_leaders", counted)
+    log = simulate_scene(scene, asg, cfg)
+    assert sum(len(ag.lane_changes) for ag in log.agents) >= 1
+    # an agent logs its initial state, then one row per step it drives
+    assert len(searches) == sum(len(ag.t) - 1 for ag in log.agents)
+
+
+def _cut_in_log():
+    # a straight 2-lane road (edge 0 right, edge 1 left): the ego replayed
+    # at 12 m/s at x=40 in the right lane; in the left lane drivers at
+    # x=47 and x=70 holding 12 and 3 m/s, each with a reason to move right
+    g = road_graph.build_graph(straight_map(400.0, lanes=2))
+    agents = [(1, 40.0, -1.75, 0.0, 12.0), (2, 47.0, 1.75, 0.0, 12.0),
+              (3, 70.0, 1.75, 0.0, 3.0)]
+    sid, tracks = scene_ingest.load_tracklets(
+        tracklets_doc("cut_in", agents, n_poses=80))
+    scene = scene_ingest.instantiate_agents(g, tracks, 0.0, sid)
+    asg = _assign_straight(g, scene, {1: 0.0, 2: 12.0, 3: 3.0})
+    del asg[1]
+    return simulate_scene(scene, asg,
+                          SimConfig(master_seed=8, ego_mode="replay"))
+
+
+def test_no_cut_in_just_ahead_of_the_replayed_ego():
+    """MOBIL's safety test weighs the replayed ego as the new follower."""
+    by_id = {ag.agent_id: ag for ag in _cut_in_log().agents}
+    ego = by_id[1]
+    assert ego.label == "replay"
+    # the x=47 driver does not change in 7 m ahead of the ego at step 0
+    assert (0, 1, 0) not in by_id[2].lane_changes
+    for aid in (2, 3):
+        ag = by_id[aid]
+        n = min(len(ag.x), len(ego.x))
+        beside = np.abs(ag.y[:n] - ego.y[:n]) < 1.8
+        assert np.all(np.abs(ag.x[:n] - ego.x[:n])[beside] >= 4.5), aid
 
 
 def test_one_snapshot_per_step(monkeypatch):
@@ -707,10 +914,9 @@ def test_retarget_route_keeps_the_label_where_it_can():
         [([1, 2], "left"), ([1, 3], "straight")]
 
     def change(x, y, label, neighbor):
-        run = types.SimpleNamespace(
-            state=types.SimpleNamespace(position=np.array([x, y])),
-            label=label)
-        return sim_engine._retarget_route(g, run, neighbor, cfg)
+        coord = road_graph.lane_coordinate(g.edges[neighbor],
+                                           np.array([x, y]))
+        return sim_engine._retarget_route(g, coord, label, cfg)
 
     # from the right lane onto the forked one: the agent's own maneuver
     # when a route has it, the first route when none does
