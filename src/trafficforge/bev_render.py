@@ -46,18 +46,12 @@ class GridSpec:
         object.__setattr__(self, "origin",
                            (float(self.origin[0]), float(self.origin[1])))
 
-    def cell_of(self, point):
-        col = int(np.floor((point[0] - self.origin[0]) / self.resolution))
-        row = int(np.floor((point[1] - self.origin[1]) / self.resolution))
-        return row, col
-
-    def contains(self, row, col):
-        return 0 <= row < self.H and 0 <= col < self.W
-
     def cells(self, x, y):
         """Flat index ``row * W + col`` of the cell holding each point of
-        the arrays ``x``, ``y`` (the rule of :meth:`cell_of`), -1 for a
-        point off the grid."""
+        the arrays ``x``, ``y``, -1 for a point off the grid. A point's
+        column is ``floor((x - origin[0]) / resolution)`` and its row
+        ``floor((y - origin[1]) / resolution)``; it is on the grid when
+        ``0 <= row < H`` and ``0 <= col < W``."""
         cols = np.floor((x - self.origin[0]) / self.resolution)
         rows = np.floor((y - self.origin[1]) / self.resolution)
         inside = (rows >= 0) & (rows < self.H) & (cols >= 0) & (cols < self.W)

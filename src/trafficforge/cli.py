@@ -19,7 +19,7 @@ from trafficforge import behavior, bev_render, metrics, road_graph
 from trafficforge import scene_ingest, sim_engine
 from trafficforge.config import apply_overrides, set_key, validate_config
 from trafficforge.errors import ConfigError, TrafficForgeError
-from trafficforge.util import map_tasks
+from trafficforge.util import finite_positive, map_tasks
 
 log = logging.getLogger("trafficforge")
 
@@ -248,7 +248,7 @@ def _prediction_sets(path):
                 continue
             try:
                 doc = json.loads(line)
-                dt = float(doc["dt"])
+                dt = finite_positive(doc["dt"], "dt")
                 gt = metrics.Trajectory2D(dt, doc["gt"])
                 samples = [metrics.Trajectory2D(dt, s)
                            for s in doc["samples"]]

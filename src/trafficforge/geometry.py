@@ -155,21 +155,6 @@ def segment_dist2(qx, qy, ax, ay, dx, dy, seg2):
     return ex * ex + ey * ey
 
 
-def polyline_distances(q, a, d, seg2, starts):
-    """Distance from each of the (P, 2) points ``q`` to each of E polylines.
-
-    The polylines' segments are concatenated in the table ``a`` (starts),
-    ``d`` (directions) and ``seg2`` (squared lengths, zeros replaced by 1,
-    as in :class:`SegmentTable`); polyline ``k`` begins at segment row
-    ``starts[k]``. Returns a (P, E) array whose every entry is, bit for
-    bit, the distance :func:`project_point` finds for that point and that
-    whole polyline (:func:`segment_dist2`).
-    """
-    qx, qy = q.T[..., None]
-    e2 = segment_dist2(qx, qy, a[:, 0], a[:, 1], d[:, 0], d[:, 1], seg2)
-    return np.sqrt(np.minimum.reduceat(e2, starts, axis=1))
-
-
 def resample_polyline(pts, step):
     """Evenly spaced points every ``step`` meters (endpoints included)."""
     cum = cumulative_lengths(pts)

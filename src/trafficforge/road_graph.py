@@ -95,44 +95,69 @@ class RoadGraph:
 
 
 class _LaneIndex:
-    """Every edge's segments in flat tables, edges in id order.
+    """Every edge's segments in one flat table, edges in id order.
 
-    ``a``, ``d`` and ``seg2`` are the start points, directions and
-    squared lengths (zeros replaced by 1) that
-    :func:`geometry.project_point` computes for a whole edge; the
-    segments of the ``k``-th edge, id ``edge_ids[k]``, are rows
-    ``offsets[k]:offsets[k + 1]``, and ``seg_edge`` holds each row's
+    ``columns`` holds, per segment row and contiguous,
+    :func:`geometry.segment_dist2`'s arguments: the start points ``ax``,
+    ``ay``, the directions ``dx``, ``dy`` and the squared lengths
+    ``seg2`` (zeros replaced by 1) that :func:`geometry.project_point`
+    computes for a whole edge. The rows of the ``k``-th edge, id
+    ``edge_ids[k]``, are consecutive, and ``seg_edge`` holds each row's
     ``k``. ``grid(reach)`` builds a :class:`_SegmentGrid` on first use
     and keeps it, one per reach.
     """
 
     def __init__(self, edges):
         self.edge_ids = np.asarray([e.id for e in edges])
-        self.a = np.vstack([e.polyline[:-1] for e in edges])
-        self.d = np.vstack([e.polyline[1:] - e.polyline[:-1] for e in edges])
-        self.seg2 = np.einsum("ij,ij->i", self.d, self.d)
-        self.seg2[self.seg2 == 0.0] = 1.0
-        n_segs = [len(e.polyline) - 1 for e in edges]
-        self.offsets = np.zeros(len(edges) + 1, dtype=np.intp)
-        np.cumsum(n_segs, out=self.offsets[1:])
-        self.seg_edge = np.repeat(np.arange(len(edges)), n_segs)
+        a = np.vstack([e.polyline[:-1] for e in edges])
+        d = np.vstack([e.polyline[1:] - e.polyline[:-1] for e in edges])
+        seg2 = np.einsum("ij,ij->i", d, d)
+        seg2[seg2 == 0.0] = 1.0
+        self.columns = [c.copy() for c in (*a.T, *d.T)] + [seg2]
+        self.seg_edge = np.repeat(np.arange(len(edges)),
+                                  [len(e.polyline) - 1 for e in edges])
         self.half_width = np.asarray([e.lane_width for e in edges]) / 2.0
         self.max_half_width = float(self.half_width.max())
-        # per segment row, contiguous: geometry.segment_dist2's arguments
-        self.columns = [c.copy() for c in (*self.a.T, *self.d.T, self.seg2)]
         self._grids = {}
-
-    def distances(self, q):
-        """(P, E) distances from the (P, 2) points ``q`` to every edge,
-        in table order: O(P x segments), with no spatial index."""
-        return geometry.polyline_distances(q, self.a, self.d, self.seg2,
-                                           self.offsets[:-1])
 
     def grid(self, reach):
         grid = self._grids.get(reach)
         if grid is None:
-            grid = self._grids[reach] = _SegmentGrid(self.a, self.d, reach)
+            ax, ay, dx, dy, _ = self.columns
+            grid = self._grids[reach] = _SegmentGrid(
+                np.column_stack([ax, ay]), np.column_stack([dx, dy]), reach)
         return grid
+
+    def nearest(self, q, reach):
+        """The edges near each of the (P, 2) points ``q``: one entry per
+        (point, edge) pair with a segment in the point's cell of
+        ``grid(reach)``, by point, then edge. Returns the entries'
+        ``point`` (row in ``q``), ``edge`` (index in ``edge_ids``) and
+        ``dist`` (smallest distance to the edge's segments there), and
+        each point's smallest ``dist``, ``dmin`` (inf for none).
+
+        The cell holds the near segments of every edge within ``reach``
+        plus the tie tolerance, so such an edge's ``dist`` is, bit for
+        bit, :func:`geometry.project_point`'s distance to the whole edge;
+        any other ``dist`` exceeds that bound. So ``dmin`` is exact where
+        it is at most ``reach``.
+        """
+        dmin = np.full(len(q), np.inf)
+        if not reach >= 0.0:   # negative or NaN: no edge is within reach
+            none = np.zeros(0, dtype=np.intp)
+            return none, none, np.zeros(0), dmin
+        point, seg = self.grid(reach).pairs(q)
+        qx, qy = q.T
+        e2 = geometry.segment_dist2(qx[point], qy[point],
+                                    *(c[seg] for c in self.columns))
+        # one group per (point, edge), edges ascending within each point
+        edge = self.seg_edge[seg]
+        group = _run_starts(point * len(self.edge_ids) + edge)
+        dist = np.sqrt(np.minimum.reduceat(e2, group))
+        point, edge = point[group], edge[group]
+        first = _run_starts(point)
+        dmin[point[first]] = np.minimum.reduceat(dist, first)
+        return point, edge, dist, dmin
 
 
 class _SegmentGrid:
@@ -429,17 +454,18 @@ def project_to_lane(graph, point, heading_hint=None,
 
     Ties (equal perpendicular distance within 1e-6 m) are broken by the
     smaller heading difference to ``heading_hint`` when given, else by the
-    lower edge id. Raises :class:`OffMapError` past ``max_snap_distance``.
+    lower edge id. Past ``max_snap_distance`` it raises
+    :class:`OffMapError` with the distance to the nearest edge.
     """
     q = np.asarray(point, dtype=np.float64)
     if not np.all(np.isfinite(q)):
         raise ValueError("query point must be finite")
     index = graph.lane_index
-    dist = index.distances(q[None, :])[0]
-    dmin = float(dist.min())
-    if dmin > max_snap_distance:
-        raise OffMapError(dmin, max_snap_distance)
-    ties = index.edge_ids[dist <= dmin + _TIE_EPS].tolist()
+    _, edge, dist, (dmin,) = index.nearest(q[None, :], max_snap_distance)
+    if not dmin <= max_snap_distance:
+        e2 = geometry.segment_dist2(q[0], q[1], *index.columns)
+        raise OffMapError(math.sqrt(e2.min()), max_snap_distance)
+    ties = index.edge_ids[edge[dist <= dmin + _TIE_EPS]].tolist()
     if heading_hint is None:
         return lane_coordinate(graph.edges[ties[0]], q)
     return min((lane_coordinate(graph.edges[eid], q) for eid in ties),
@@ -464,37 +490,21 @@ def within_lanes(graph, points, margin,
 
     Only a point whose nearest edge lies within ``reach``, the smaller of
     the snap limit and the widest half lane plus ``margin``, can pass,
-    and then its nearest edge and every edge tied with it lie within
-    ``reach`` plus the tie tolerance. So each point is measured against
-    the segments of its :class:`_SegmentGrid` cell only, which hold all
-    of those, with :func:`geometry.segment_dist2`'s floats: the same
-    verdicts as the all-edges table, in O(points x nearby segments).
+    and :meth:`_LaneIndex.nearest` finds such a point's nearest edge and
+    every edge tied with it from the segments near the point alone: the
+    same verdicts as measuring every edge, in O(points x nearby
+    segments).
     """
     q = np.asarray(points, dtype=np.float64)
     if not np.all(np.isfinite(q)):
         raise ValueError("query points must be finite")
     index = graph.lane_index
-    ok = np.zeros(len(q), dtype=bool)
     reach = min(max_snap_distance, index.max_half_width + margin)
-    if not reach >= 0.0:   # negative or NaN: no point passes
-        return ok
-    point, seg = index.grid(reach).pairs(q)
-    if not len(point):
-        return ok
-    qx, qy = q.T
-    e2 = geometry.segment_dist2(qx[point], qy[point],
-                                *(c[seg] for c in index.columns))
-    # one group per (point, edge), edges ascending within each point
-    edge = index.seg_edge[seg]
-    group = _run_starts(point * len(index.edge_ids) + edge)
-    dist = np.sqrt(np.minimum.reduceat(e2, group))
-    point, edge = point[group], edge[group]
-    first = _run_starts(point)
-    dmin = np.zeros(len(q))
-    dmin[point[first]] = np.minimum.reduceat(dist, first)
+    point, edge, dist, dmin = index.nearest(q, reach)
     tied = (dist <= (dmin + _TIE_EPS)[point]).nonzero()[0]
     winner = tied[_run_starts(point[tied])]
     point = point[winner]
+    ok = np.zeros(len(q), dtype=bool)
     ok[point] = (dmin[point] <= max_snap_distance) \
         & (dist[winner] <= index.half_width[edge[winner]] + margin)
     return ok
@@ -503,7 +513,7 @@ def within_lanes(graph, points, margin,
 def _run_starts(keys):
     """Indices where a run of equal values in the 1-D ``keys`` begins."""
     new = np.empty(len(keys), dtype=bool)
-    new[0] = True
+    new[:1] = True
     np.not_equal(keys[1:], keys[:-1], out=new[1:])
     return new.nonzero()[0]
 

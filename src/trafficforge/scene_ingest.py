@@ -72,12 +72,19 @@ class Scene:
 
 def load_tracklets(doc, source="tracklets"):
     """Parse the tracklet JSON schema into (scene_id, [Tracklet]); a
-    malformed document raises :class:`ConfigError` naming ``source``."""
+    malformed document, or one that gives two tracks one ``agent_id``,
+    raises :class:`ConfigError` naming ``source``."""
     where = source
     try:
         tracks = []
+        track_of = {}   # agent_id -> index of the track that has it
         for i, tr in enumerate(doc["tracks"]):
             where = f"{source}: track {i}"
+            agent_id = int(tr["agent_id"])
+            if agent_id in track_of:
+                raise ValueError(f"agent_id {agent_id} is already track "
+                                 f"{track_of[agent_id]}'s")
+            track_of[agent_id] = i
             poses = [TrackletPose(float(p["t"]),
                                   np.array([p["x"], p["y"]], dtype=float),
                                   p.get("heading"), p.get("speed"))
@@ -94,7 +101,7 @@ def load_tracklets(doc, source="tracklets"):
                 L=float(tr.get("length", VehicleGeometry.L)),
                 width=float(tr.get("width", VehicleGeometry.width)))
             _check_finite("vehicle", length=geom.L, width=geom.width)
-            tracks.append(Tracklet(int(tr["agent_id"]), poses, geom))
+            tracks.append(Tracklet(agent_id, poses, geom))
     except KeyError as exc:
         raise ConfigError([f"{where}: missing key {exc}"]) from exc
     except (TypeError, ValueError) as exc:

@@ -342,8 +342,8 @@ def test_criterion_9_rasterizer_invariants(tmp_path):
             ag.y = np.array([py, py])
             log.agents.append(ag)
         maps = bev_render.rasterize_states(log, 1, spec)
-        in_grid = sum(1 for px, py in positions
-                      if spec.contains(*spec.cell_of((px + 0.5, py))))
+        in_grid = int((spec.cells(positions[:, 0] + 0.5,
+                                  positions[:, 1]) >= 0).sum())
         assert maps.mask.sum() + maps.collisions == in_grid
         assert ((maps.ids != 0) == (maps.mask == 1)).all()
 

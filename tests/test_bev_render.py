@@ -254,8 +254,8 @@ def test_mask_count_matches_active_agents():
     for t in (0, 10, 35, 70):
         maps = rasterize_states(log, t, spec)
         active = sum(1 for ag in log.agents
-                     if t < len(ag.t) and spec.contains(
-                         *spec.cell_of((ag.x[t], ag.y[t]))))
+                     if t < len(ag.t) and spec.cells(ag.x[t:t + 1],
+                                                     ag.y[t:t + 1])[0] >= 0)
         assert maps.mask.sum() + maps.collisions == active
 
 
@@ -265,8 +265,9 @@ def test_state_recovers_relative_displacement():
     t = 30
     maps = rasterize_states(log, t, spec)
     for ag in log.agents:
-        r, c = spec.cell_of((ag.x[t], ag.y[t]))
-        if not spec.contains(r, c) or maps.ids[r, c] != ag.agent_id + 1:
+        (cell,) = spec.cells(ag.x[t:t + 1], ag.y[t:t + 1])
+        r, c = divmod(int(cell), spec.W)
+        if cell < 0 or maps.ids[r, c] != ag.agent_id + 1:
             continue
         dx = ag.x[t] - ag.x[0]
         dy = ag.y[t] - ag.y[0]

@@ -214,7 +214,14 @@ def test_metrics_prediction_report(tmp_path):
     ('{"agent_id": 2, "dt": 0.1, "gt": [[0, 0], [1, 1]]', "JSONDecodeError"),
     ('{"agent_id": 2, "dt": 0.1, "samples": [[[0, 0], [1, 1]]]}',
      "KeyError: 'gt'"),
-], ids=["bad-json", "missing-key"])
+    ('{"agent_id": 2, "dt": NaN, "gt": [[0, 0], [1, 1]], "samples": []}',
+     "ValueError: 'dt' must be a finite number > 0, got nan"),
+    ('{"agent_id": 2, "dt": Infinity, "gt": [[0, 0], [1, 1]], '
+     '"samples": []}',
+     "ValueError: 'dt' must be a finite number > 0, got inf"),
+    ('{"agent_id": 2, "dt": true, "gt": [[0, 0], [1, 1]], "samples": []}',
+     "ValueError: 'dt' must be a finite number > 0, got True"),
+], ids=["bad-json", "missing-key", "nan-dt", "inf-dt", "bool-dt"])
 def test_metrics_malformed_predictions_exit_1(tmp_path, capsys, bad_line,
                                               detail):
     preds = tmp_path / "preds.jsonl"
@@ -511,7 +518,10 @@ def test_malformed_pool_exits_1(sim_logs, tmp_path, capsys, doc, message):
     ({"tracks": [{"agent_id": 1, "poses": [{"t": 0.5, "x": 0.0, "y": 0.0},
                                            {"t": 0.2, "x": 1.0, "y": 0.0}]}]},
      "track 0: times not sorted at pose 1 (t 0.2)"),
-], ids=["no-tracks", "no-y", "unsorted-times"])
+    (tracklets_doc("dup", [(1, -40.0, -1.75, 0.0, 9.0),
+                           (1, -70.0, -1.75, 0.0, 9.0)]),
+     "track 1: agent_id 1 is already track 0's"),
+], ids=["no-tracks", "no-y", "unsorted-times", "repeated-id"])
 @pytest.mark.parametrize("command", ["profile-pool", "simulate"])
 def test_malformed_tracklets_exit_1(sim_logs, tmp_path, capsys, command, doc,
                                     message):

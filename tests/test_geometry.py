@@ -143,22 +143,19 @@ def test_wrap_angles_matches_scalar(thetas):
        st.lists(st.tuples(st.floats(-300.0, 300.0), st.floats(-300.0, 300.0)),
                 min_size=1, max_size=20),
        st.data())
-def test_polyline_distances_match_project_point(polys, points, data):
-    # the table's points include polyline vertices and zero-length segments
+def test_segment_dist2_matches_project_point(polys, points, data):
+    # polylines may hold zero-length segments; the points include vertices
     q = np.array(points + [tuple(data.draw(st.sampled_from(list(p))))
                            for p in polys])
-    d = np.vstack([p[1:] - p[:-1] for p in polys])
-    seg2 = np.einsum("ij,ij->i", d, d)
-    seg2[seg2 == 0.0] = 1.0
-    starts = np.cumsum([0] + [len(p) - 1 for p in polys[:-1]])
-    out = geometry.polyline_distances(
-        q, np.vstack([p[:-1] for p in polys]), d, seg2, starts)
-    assert out.shape == (len(q), len(polys))
-    for k, p in enumerate(polys):
-        cum = geometry.cumulative_lengths(p)
-        table = geometry.SegmentTable(p, cum)
-        assert out[:, k].tolist() == [geometry.project_point(table, x)[1]
-                                      for x in q]
+    qx, qy = q.T[..., None]
+    for p in polys:
+        d = p[1:] - p[:-1]
+        seg2 = np.einsum("ij,ij->i", d, d)
+        seg2[seg2 == 0.0] = 1.0
+        e2 = geometry.segment_dist2(qx, qy, *p[:-1].T, *d.T, seg2)
+        table = geometry.SegmentTable(p, geometry.cumulative_lengths(p))
+        assert np.sqrt(e2.min(axis=1)).tolist() == [
+            geometry.project_point(table, x)[1] for x in q]
 
 
 @st.composite

@@ -8,7 +8,7 @@ import types
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (approach_point, four_way_intersection, ring_map,
@@ -314,21 +314,6 @@ def test_u_turn_flag(intersection_graph):
                for r in routes)
 
 
-def test_segment_table_distances_match_project_point(rng):
-    g = build_graph(four_way_intersection())
-    table = g.lane_index
-    q = rng.uniform(-100.0, 100.0, size=(40, 2))
-    out = table.distances(q)
-    assert out.shape == (len(q), len(g.edges))
-    assert table.edge_ids.tolist() == sorted(g.edges)
-    for col, eid in enumerate(table.edge_ids):
-        edge = g.edges[eid]
-        assert out[:, col].tolist() == [
-            geometry.project_point(edge.table, p)[1] for p in q]
-    assert (table.half_width == [g.edges[e].lane_width / 2.0
-                                 for e in table.edge_ids]).all()
-
-
 def test_route_heading_at_matches_point_at(rng):
     g = build_graph(four_way_intersection())
     routes = []
@@ -462,7 +447,7 @@ def test_within_lanes_peak_memory_is_bounded():
            for i in range(71)]
     g = build_graph({"centerlines": [{"id": 0, "points": pts, "lanes": 3,
                                       "lane_width": 3.5}]})
-    assert len(g.lane_index.seg2) == 210
+    assert len(g.lane_index.seg_edge) == 210
     q = np.array(pts)
     tracemalloc.start()
     try:
@@ -476,7 +461,10 @@ def test_within_lanes_peak_memory_is_bounded():
 def _dense_within_lanes(graph, pts, margin, snap):
     """The all-edges rule: every point against every segment."""
     index = graph.lane_index
-    dist = index.distances(pts)
+    qx, qy = pts.T[..., None]
+    e2 = geometry.segment_dist2(qx, qy, *index.columns)
+    starts = np.searchsorted(index.seg_edge, np.arange(len(index.edge_ids)))
+    dist = np.sqrt(np.minimum.reduceat(e2, starts, axis=1))
     dmin = dist.min(axis=1)
     winner = np.argmax(dist <= (dmin + 1e-6)[:, None], axis=1)
     lateral = dist[np.arange(len(pts)), winner]
@@ -532,13 +520,58 @@ def _multi_lane_cases(draw):
     return graph, margin, snap, np.array(pts)
 
 
+# From (50, 0), lane 1 lies at the snap limit of 1 m and lane 0, narrower
+# and with the lower id, 5e-7 m farther: a tie past the reach. A cell
+# boundary falls between the point and lane 0's box grown by the reach
+# alone, so only the tie tolerance lists lane 0 in the point's cell.
+_TIE_PAST_REACH = (build_graph({"centerlines": [
+    {"id": 0, "points": [[0.0, 1.0000005], [100.0, 1.0000005]],
+     "lane_width": 2.0},
+    {"id": 1, "points": [[0.0, -1.0], [100.0, -1.0]]}]}),
+    0.0, 1.0, np.array([[50.0, 0.0]]))
+
+
 @settings(max_examples=300, deadline=None)
 @given(_multi_lane_cases())
+@example(_TIE_PAST_REACH)
 def test_grid_within_lanes_matches_all_edges_rule(case):
     graph, margin, snap, pts = case
     got = road_graph.within_lanes(graph, pts, margin, snap)
     assert got.tolist() == _dense_within_lanes(graph, pts, margin,
                                                snap).tolist()
+
+
+@settings(max_examples=200, deadline=None)
+@given(_multi_lane_cases())
+@example(_TIE_PAST_REACH)
+def test_nearest_matches_project_point(case):
+    graph, margin, snap, pts = case
+    index = graph.lane_index
+    assert index.edge_ids.tolist() == sorted(graph.edges)
+    assert index.half_width.tolist() == [graph.edges[e].lane_width / 2.0
+                                         for e in index.edge_ids]
+    want = np.array([[geometry.project_point(graph.edges[e].table, p)[1]
+                      for e in index.edge_ids] for p in pts])
+    for reach in (snap, min(snap, index.max_half_width + margin)):
+        point, edge, dist, dmin = index.nearest(pts, reach)
+        assert (np.diff(point * len(index.edge_ids) + edge) > 0).all()
+        for i, row in enumerate(want):
+            if row.min() > reach:
+                assert dmin[i] > reach
+                continue
+            assert dmin[i] == row.min()
+            near = (point == i) & (dist <= dmin[i] + 1e-6)
+            tied = (row <= row.min() + 1e-6).nonzero()[0]
+            assert edge[near].tolist() == tied.tolist()
+            assert dist[near].tolist() == row[tied].tolist()
+    # past the snap limit, the error carries the distance to the nearest edge
+    for p, row in zip(pts, want):
+        try:
+            project_to_lane(graph, p, None, snap)
+        except OffMapError as err:
+            assert err.distance == row.min() > snap
+        else:
+            assert row.min() <= snap
 
 
 @pytest.mark.parametrize("margin,snap", [
