@@ -155,24 +155,13 @@ def distance_before_turn(traj, rate_threshold=TURN_RATE_THRESHOLD,
     return float(arc[onset + 1])
 
 
-def _speeds_from_positions(t, pts):
-    """Central-difference speed magnitudes at every sample."""
-    n = len(t)
-    v = np.empty(n)
-    for i in range(n):
-        lo, hi = max(i - 1, 0), min(i + 1, n - 1)
-        dt = t[hi] - t[lo]
-        v[i] = np.linalg.norm(pts[hi] - pts[lo]) / dt if dt > 0 else 0.0
-    return v
-
-
 def build_profile_pool(real_trajs, dt,
                        straight_threshold=road_graph.STRAIGHT_THRESHOLD,
                        rate_threshold=TURN_RATE_THRESHOLD,
                        sustain=TURN_RATE_SUSTAIN):
     """Mine a labeled profile pool from timestamped (t, x, y) trajectories.
 
-    Speeds come from finite differences and are resampled to ``dt``.
+    Speeds come from central differences and are resampled to ``dt``.
     Turning profiles carry :func:`distance_before_turn` with the given
     turn-onset ``rate_threshold`` and ``sustain``. Trajectories with fewer
     than 3 points or non-increasing times are skipped and reported.
@@ -191,7 +180,7 @@ def build_profile_pool(real_trajs, dt,
             skipped.append((idx, "bad-times"))
             continue
         pts = traj[:, 1:]
-        speeds = _speeds_from_positions(t, pts)
+        speeds = [geometry.central_speed(t, pts, i) for i in range(len(t))]
         rel_t = t - t[0]
         grid = np.arange(0.0, rel_t[-1] + dt / 2, dt)
         samples = np.interp(grid, rel_t, speeds)
@@ -245,7 +234,8 @@ def feature_for_behavior(agent_init, route):
     return float(stamps[onset + 1])
 
 
-def sample_behaviors(scene, pool, rng_seed, max_variants=3,
+def sample_behaviors(scene, pool, rng_seed,
+                     max_variants=default("sim.max_variants"),
                      horizon_dist=road_graph.HORIZON_DIST,
                      max_routes=road_graph.MAX_ROUTES,
                      noise_std=PROFILE_NOISE_STD):

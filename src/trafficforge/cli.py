@@ -19,7 +19,7 @@ from trafficforge import behavior, bev_render, metrics, road_graph
 from trafficforge import scene_ingest, sim_engine
 from trafficforge.config import apply_overrides, set_key, validate_config
 from trafficforge.errors import ConfigError, TrafficForgeError
-from trafficforge.util import finite_positive, map_tasks
+from trafficforge.util import finite_positive, integer, map_tasks
 
 log = logging.getLogger("trafficforge")
 
@@ -252,8 +252,8 @@ def _prediction_sets(path):
                 gt = metrics.Trajectory2D(dt, doc["gt"])
                 samples = [metrics.Trajectory2D(dt, s)
                            for s in doc["samples"]]
-                psets.append(metrics.PredictionSet(int(doc["agent_id"]),
-                                                   gt, samples))
+                aid = integer(doc["agent_id"], "agent_id")
+                psets.append(metrics.PredictionSet(aid, gt, samples))
             except (ValueError, KeyError, TypeError) as exc:
                 raise ConfigError([f"predictions file {path} line {line_no}: "
                                    f"{type(exc).__name__}: {exc}"]) from exc

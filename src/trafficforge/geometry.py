@@ -155,6 +155,16 @@ def segment_dist2(qx, qy, ax, ay, dx, dy, seg2):
     return ex * ex + ey * ey
 
 
+def central_speed(t, pts, i):
+    """Speed at sample ``i`` of the points ``pts`` timed ``t``:
+    ``|pts[hi] - pts[lo]| / (t[hi] - t[lo])``, ``lo`` and ``hi`` the
+    neighbours ``i - 1`` and ``i + 1`` clamped to the ends; 0.0 where
+    time does not advance."""
+    lo, hi = max(i - 1, 0), min(i + 1, len(t) - 1)
+    dt = t[hi] - t[lo]
+    return float(np.linalg.norm(pts[hi] - pts[lo]) / dt) if dt > 0 else 0.0
+
+
 def resample_polyline(pts, step):
     """Evenly spaced points every ``step`` meters (endpoints included)."""
     cum = cumulative_lengths(pts)

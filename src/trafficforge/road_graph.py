@@ -42,7 +42,7 @@ class LaneEdge:
     """One directed lane with its centerline polyline and arc-length table."""
 
     def __init__(self, edge_id, from_node, to_node, polyline, lane_width,
-                 one_way, centerline_id):
+                 one_way):
         self.id = edge_id
         self.from_node = from_node
         self.to_node = to_node
@@ -51,7 +51,6 @@ class LaneEdge:
         self.length = float(self.cum[-1])
         self.lane_width = lane_width
         self.one_way = one_way
-        self.centerline_id = centerline_id
         self.left_neighbor = None   # edge id of the same-direction lane to the left
         self.right_neighbor = None
 
@@ -423,10 +422,10 @@ def build_graph(lane_spec, join_tolerance=default("road.join_tolerance"),
         nodes.append(LaneNode(len(nodes), pos.copy()))
         return nodes[-1].id
 
-    for eid, (poly, width, oneway, cid, _, _) in enumerate(protos):
+    for eid, (poly, width, oneway, _, _, _) in enumerate(protos):
         n_from = node_for(poly[0])
         n_to = node_for(poly[-1])
-        edges[eid] = LaneEdge(eid, n_from, n_to, poly, width, oneway, cid)
+        edges[eid] = LaneEdge(eid, n_from, n_to, poly, width, oneway)
 
     # same-direction neighbor links for lane changes, per source centerline
     by_source = {}

@@ -17,7 +17,8 @@ from trafficforge import road_graph
 from trafficforge.config import default
 from trafficforge.controller import VehicleGeometry, VehicleState
 from trafficforge.errors import ConfigError, EmptySceneError, OffMapError
-from trafficforge.geometry import wrap_angle
+from trafficforge.geometry import central_speed, wrap_angle
+from trafficforge.util import integer
 
 
 @dataclass
@@ -80,7 +81,7 @@ def load_tracklets(doc, source="tracklets"):
         track_of = {}   # agent_id -> index of the track that has it
         for i, tr in enumerate(doc["tracks"]):
             where = f"{source}: track {i}"
-            agent_id = int(tr["agent_id"])
+            agent_id = integer(tr["agent_id"], "agent_id")
             if agent_id in track_of:
                 raise ValueError(f"agent_id {agent_id} is already track "
                                  f"{track_of[agent_id]}'s")
@@ -150,18 +151,6 @@ def _finite_difference_heading(tracklet, t):
     return float(np.arctan2(d[1], d[0]))
 
 
-def _finite_difference_speed(tracklet, t):
-    poses = tracklet.poses
-    if len(poses) < 2:
-        return 0.0
-    i = tracklet.segment(t)
-    lo, hi = max(i - 1, 0), min(i + 1, len(poses) - 1)
-    dt = poses[hi].t - poses[lo].t
-    if dt <= 0:
-        return 0.0
-    return float(np.linalg.norm(poses[hi].position - poses[lo].position) / dt)
-
-
 def instantiate_agents(graph, tracklets, t0, scene_id="scene",
                        min_spawn_gap=default("behavior.min_spawn_gap"),
                        max_snap_distance=road_graph.MAX_SNAP_DISTANCE):
@@ -193,35 +182,34 @@ def instantiate_agents(graph, tracklets, t0, scene_id="scene",
             dropped.append(DropReport(tr.agent_id, "off-map"))
             continue
         speed = pose.speed if pose.speed is not None \
-            else _finite_difference_speed(tr, t0)
+            else central_speed(tr.times, [p.position for p in tr.poses],
+                               tr.segment(t0))
         state = VehicleState(position=pose.position.copy(),
                              v=max(float(speed), 0.0),
                              psi=lane.lane_heading, a=0.0, phi=0.0)
         agents.append(AgentInit(tr.agent_id, lane, state, tr.geometry, tr))
 
-    # spawn-gap thinning per edge, dropping the higher id of each conflict;
-    # checking s-adjacent pairs is sufficient for bumper distance
+    # spawn-gap thinning: one arc-ordered walk per edge with a stack of kept
+    # agents; of a pair closer than min_spawn_gap the higher id drops
+    agents.sort(key=lambda a: (a.lane.arc_s, a.agent_id))
     by_edge = {}
     for a in agents:
         by_edge.setdefault(a.lane.edge_id, []).append(a)
-    removed = set()
-    for eid, group in sorted(by_edge.items()):
-        while True:
-            group.sort(key=lambda a: (a.lane.arc_s, a.agent_id))
-            loser = None
-            for a, b in zip(group, group[1:]):
-                gap = abs(b.lane.arc_s - a.lane.arc_s) \
-                    - (a.geometry.L + b.geometry.L) / 2.0
-                if gap < min_spawn_gap:
-                    loser = a if a.agent_id > b.agent_id else b
+    agents = []
+    for eid in sorted(by_edge):
+        kept = []
+        for b in by_edge[eid]:
+            while kept and b.lane.arc_s - kept[-1].lane.arc_s \
+                    - (kept[-1].geometry.L + b.geometry.L) / 2.0 \
+                    < min_spawn_gap:
+                if kept[-1].agent_id <= b.agent_id:
+                    dropped.append(DropReport(b.agent_id, "spawn-gap"))
                     break
-            if loser is None:
-                break
-            group.remove(loser)
-            removed.add(loser.agent_id)
-            dropped.append(DropReport(loser.agent_id, "spawn-gap"))
-
-    agents = [a for a in agents if a.agent_id not in removed]
+                dropped.append(DropReport(kept.pop().agent_id, "spawn-gap"))
+            else:
+                kept.append(b)
+        agents += kept
+    agents.sort(key=lambda a: a.agent_id)
     if not agents:
         raise EmptySceneError(f"scene {scene_id}: every agent was dropped")
     return Scene(graph, agents, scene_id, dropped, max_snap_distance)

@@ -15,7 +15,8 @@ Each routed agent's leader search runs once per step: one ranked search
 acceleration and every MOBIL what-if that moves or removes another agent
 are read (``dynamics.leader_after``). MOBIL tests each side lazily, and
 stops at the first inequality that rejects it; a side's target route is
-only built once the new follower's safety test has passed.
+only built once the new follower's safety test has passed. MOBIL is only
+entered for an agent whose edge has a neighbor lane.
 """
 
 import dataclasses
@@ -33,7 +34,8 @@ from trafficforge.controller import (longitudinal_command, steer_to_lane,
                                      step_kinematics)
 from trafficforge.errors import ConfigError, OffMapError, TrafficForgeError
 from trafficforge.scene_ingest import interpolate_pose
-from trafficforge.util import derive_seed, digest, finite_positive, map_tasks
+from trafficforge.util import (derive_seed, digest, finite_positive, integer,
+                              map_tasks)
 
 V0_FLOOR = 0.1          # reference speed floor for the free-flow term
 EXIT_EPS = 1e-6
@@ -167,7 +169,7 @@ def simulate_scene(scene, assignment, config, variant_index=0):
     agent_ids = {a.agent_id for a in scene.agents}
     unknown = set(assignment) - agent_ids
     if unknown:
-        raise ConfigError([f"assignment references unknown agents {sorted(unknown)}"])
+        raise ValueError(f"assignment references unknown agents {sorted(unknown)}")
 
     ego_id = min(agent_ids) if agent_ids else None
     runs = []
@@ -176,7 +178,7 @@ def simulate_scene(scene, assignment, config, variant_index=0):
         replay = (config.ego_mode == "replay" and aid == ego_id
                   and init.tracklet is not None)
         if not replay and aid not in assignment:
-            raise ConfigError([f"agent {aid} has no behavior assignment"])
+            raise ValueError(f"agent {aid} has no behavior assignment")
         asg = assignment.get(aid)
         seed_parts = (config.master_seed, scene.scene_id, variant_index, aid)
         idm = dynamics.sample_idm_params(derive_seed(*seed_parts, "idm"),
@@ -194,6 +196,9 @@ def simulate_scene(scene, assignment, config, variant_index=0):
     # MOBIL toward the right lane, then the left one with the bias mirrored
     mobil_sides = (config.mobil, dataclasses.replace(
         config.mobil, da_bias=-config.mobil.da_bias))
+    # the edges with a neighbor lane, the only ones MOBIL can leave
+    beside = {eid for eid, e in graph.edges.items()
+              if e.left_neighbor is not None or e.right_neighbor is not None}
 
     for run in runs:
         if run.route is not None:
@@ -240,7 +245,8 @@ def simulate_scene(scene, assignment, config, variant_index=0):
             v_ref = run.profile.value_at(k) if run.profile is not None else 0.0
             run.idm.v0 = max(v_ref, V0_FLOOR)
             a_idm = _accel(run, snapshot, config, searches)
-            if config.lane_change_enabled and abs(run.x_lat) <= MOBIL_EVAL_MAX_OFFSET:
+            if config.lane_change_enabled and abs(run.x_lat) <= MOBIL_EVAL_MAX_OFFSET \
+                    and snapshot.coords[run.agent_id][0] in beside:
                 target = _consider_lane_change(graph, run, snapshot, by_id,
                                                a_idm, config, mobil_sides,
                                                searches)
@@ -331,7 +337,7 @@ def _consider_lane_change(graph, run, snapshot, by_id, ac_old, config,
     test; then the incentive (with the old follower's pair, made at most
     once per subject), through ``dynamics.mobil_decide``.
     """
-    eid, arc = run.route.edge_at(run.s)
+    eid, arc = snapshot.coords[run.agent_id][:2]
     edge = graph.edges[eid]
     old_lane = None     # the old follower's pair, shared by both sides
     for nb, mobil in zip((edge.right_neighbor, edge.left_neighbor),
@@ -449,21 +455,18 @@ def check_sidecar(sidecar, source):
     ``to_edge`` in each of an agent's ``lane_changes``."""
     try:
         finite_positive(sidecar["dt"], "dt")
-        _require_type(sidecar, "master_seed", int, "an integer")
-        _require_type(sidecar, "config_digest", str, "a string")
+        integer(sidecar["master_seed"], "master_seed")
+        if type(sidecar["config_digest"]) is not str:
+            raise TypeError(f"'config_digest' must be a string, got "
+                            f"{sidecar['config_digest']!r}")
         for agent in sidecar.get("agents", []):
-            _require_type(agent, "agent_id", int, "an integer")
+            integer(agent["agent_id"], "agent_id")
             for change in agent.get("lane_changes", []):
                 # a KeyError names the field a lane change lacks
                 change["step"], change["from_edge"], change["to_edge"]
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError([f"{source}: {type(exc).__name__}: {exc}"]
                           ) from exc
-
-
-def _require_type(doc, key, kind, what):
-    if type(doc[key]) is not kind:
-        raise TypeError(f"{key!r} must be {what}, got {doc[key]!r}")
 
 
 def read_simlog_csv(csv_path, sidecar):

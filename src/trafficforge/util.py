@@ -29,6 +29,14 @@ def finite_positive(value, name):
     return float(value)
 
 
+def integer(value, name):
+    """``value`` unchanged; a TypeError naming ``name`` unless it is an
+    int (a bool, a float or a numeric string is not an integer)."""
+    if type(value) is not int:
+        raise TypeError(f"{name!r} must be an integer, got {value!r}")
+    return value
+
+
 def canonical_json(doc):
     """Deterministic JSON serialization (sorted keys, stable floats)."""
     return json.dumps(doc, sort_keys=True, separators=(",", ":"))

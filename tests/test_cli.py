@@ -221,7 +221,17 @@ def test_metrics_prediction_report(tmp_path):
      "ValueError: 'dt' must be a finite number > 0, got inf"),
     ('{"agent_id": 2, "dt": true, "gt": [[0, 0], [1, 1]], "samples": []}',
      "ValueError: 'dt' must be a finite number > 0, got True"),
-], ids=["bad-json", "missing-key", "nan-dt", "inf-dt", "bool-dt"])
+    ('{"agent_id": 1.7, "dt": 0.1, "gt": [[0, 0], [1, 1]], '
+     '"samples": [[[0, 0], [1, 1]]]}',
+     "TypeError: 'agent_id' must be an integer, got 1.7"),
+    ('{"agent_id": true, "dt": 0.1, "gt": [[0, 0], [1, 1]], '
+     '"samples": [[[0, 0], [1, 1]]]}',
+     "TypeError: 'agent_id' must be an integer, got True"),
+    ('{"agent_id": "2", "dt": 0.1, "gt": [[0, 0], [1, 1]], '
+     '"samples": [[[0, 0], [1, 1]]]}',
+     "TypeError: 'agent_id' must be an integer, got '2'"),
+], ids=["bad-json", "missing-key", "nan-dt", "inf-dt", "bool-dt",
+        "float-id", "bool-id", "text-id"])
 def test_metrics_malformed_predictions_exit_1(tmp_path, capsys, bad_line,
                                               detail):
     preds = tmp_path / "preds.jsonl"
@@ -511,6 +521,15 @@ def test_malformed_pool_exits_1(sim_logs, tmp_path, capsys, doc, message):
     assert not out.exists()
 
 
+def _with_agent_ids(*ids):
+    """A two-track tracklet document whose tracks have the ``ids``."""
+    doc = tracklets_doc("ids", [(1, -40.0, -1.75, 0.0, 9.0),
+                                (2, -70.0, -1.75, 0.0, 9.0)])
+    for track, aid in zip(doc["tracks"], ids):
+        track["agent_id"] = aid
+    return doc
+
+
 @pytest.mark.parametrize("doc, message", [
     ({"scene_id": "a"}, "missing key 'tracks'"),
     ({"tracks": [{"agent_id": 1, "poses": [{"t": 0.0, "x": 1.0}]}]},
@@ -521,7 +540,10 @@ def test_malformed_pool_exits_1(sim_logs, tmp_path, capsys, doc, message):
     (tracklets_doc("dup", [(1, -40.0, -1.75, 0.0, 9.0),
                            (1, -70.0, -1.75, 0.0, 9.0)]),
      "track 1: agent_id 1 is already track 0's"),
-], ids=["no-tracks", "no-y", "unsorted-times", "repeated-id"])
+    *[(_with_agent_ids(1, bad), f"track 1: 'agent_id' must be an integer, "
+                                f"got {bad!r}") for bad in (1.7, True, "2")],
+], ids=["no-tracks", "no-y", "unsorted-times", "repeated-id", "float-id",
+        "bool-id", "text-id"])
 @pytest.mark.parametrize("command", ["profile-pool", "simulate"])
 def test_malformed_tracklets_exit_1(sim_logs, tmp_path, capsys, command, doc,
                                     message):

@@ -329,3 +329,20 @@ def test_segment_table_headings_match_point_at(pts):
     assert table.cum == cum.tolist()
     assert table.heading == [float(np.arctan2(d[1], d[0]))
                              for d in pts[1:] - pts[:-1]]
+
+
+def test_central_speed_clamps_at_both_ends():
+    t = [0.0, 1.0, 3.0]
+    pts = np.array([[0.0, 0.0], [3.0, 4.0], [3.0, 10.0]])
+    # first and last samples difference their one neighbor
+    assert geometry.central_speed(t, pts, 0) == 5.0
+    assert geometry.central_speed(t, pts, 2) == 3.0
+    assert geometry.central_speed(t, pts, 1) == math.sqrt(109.0) / 3.0
+    assert geometry.central_speed(t[:1], pts[:1], 0) == 0.0
+
+
+def test_central_speed_is_0_where_time_does_not_advance():
+    t = [1.0, 1.0]
+    pts = np.array([[0.0, 0.0], [1.0, 0.0]])
+    assert geometry.central_speed(t, pts, 0) == 0.0
+    assert geometry.central_speed(t, pts, 1) == 0.0

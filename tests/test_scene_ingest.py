@@ -4,11 +4,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from helpers import straight_map
 
 from trafficforge import road_graph, scene_ingest
+from trafficforge.controller import VehicleGeometry
 from trafficforge.errors import EmptySceneError
+from trafficforge.geometry import central_speed
 from trafficforge.scene_ingest import (Tracklet, TrackletPose,
                                        instantiate_agents, interpolate_pose,
                                        load_tracklets)
@@ -58,7 +62,8 @@ def test_tracklet_segment_clamps_to_first_and_last_pair():
     # the last pose's time falls in the last pair, so the finite
     # differences there read poses 3 and 4
     assert scene_ingest._finite_difference_heading(tr, 3.0) == 0.0
-    assert scene_ingest._finite_difference_speed(tr, 3.0) == 2.0
+    positions = [p.position for p in tr.poses]
+    assert central_speed(tr.times, positions, tr.segment(3.0)) == 2.0
     assert _tracklet(1, [(0.0, 0.0, 0.0, None, None)]).segment(4.0) == 0
 
 
@@ -99,6 +104,76 @@ def test_spawn_gap_drops_higher_id(straight_graph):
     scene = instantiate_agents(straight_graph, [a, b], 0.0)
     assert [x.agent_id for x in scene.agents] == [1]
     assert [(d.agent_id, d.reason) for d in scene.dropped] == [(2, "spawn-gap")]
+
+
+def _thin_oracle(agents, min_spawn_gap):
+    """Spawn-gap thinning as first written: per edge, re-sort by arc and
+    drop the higher id of the first adjacent pair closer than
+    ``min_spawn_gap``, until no such pair is left. Returns the kept ids
+    in the order of ``agents`` and the dropped (id, reason) in order."""
+    by_edge = {}
+    for a in agents:
+        by_edge.setdefault(a.lane.edge_id, []).append(a)
+    removed = set()
+    dropped = []
+    for eid, group in sorted(by_edge.items()):
+        while True:
+            group.sort(key=lambda a: (a.lane.arc_s, a.agent_id))
+            loser = None
+            for a, b in zip(group, group[1:]):
+                gap = abs(b.lane.arc_s - a.lane.arc_s) \
+                    - (a.geometry.L + b.geometry.L) / 2.0
+                if gap < min_spawn_gap:
+                    loser = a if a.agent_id > b.agent_id else b
+                    break
+            if loser is None:
+                break
+            group.remove(loser)
+            removed.add(loser.agent_id)
+            dropped.append((loser.agent_id, "spawn-gap"))
+    return [a.agent_id for a in agents if a.agent_id not in removed], dropped
+
+
+@st.composite
+def _spawn_rows(draw):
+    """(agent_id, y, x, length) rows on a two-lane road, ids distinct; x
+    on a 0.5 m lattice, so arcs repeat and gaps fall on round values."""
+    cells = draw(st.lists(st.tuples(st.sampled_from([-1.75, 1.75]),
+                                    st.integers(20, 80).map(lambda k: k / 2),
+                                    st.sampled_from([3.0, 4.5, 10.0])),
+                          min_size=1, max_size=9))
+    ids = draw(st.permutations(range(1, len(cells) + 1)))
+    return [(aid, *cell) for aid, cell in zip(ids, cells)]
+
+
+@settings(max_examples=400, deadline=None)
+@given(_spawn_rows(),
+       st.one_of(st.sampled_from([0.0, 2.0, 5.0]),
+                 st.tuples(st.integers(0, 8), st.integers(0, 8))))
+# equal arcs: the lower id stays, whichever comes first
+@example([(2, -1.75, 20.0, 4.5), (1, -1.75, 20.0, 4.5),
+          (3, 1.75, 20.0, 4.5)], 2.0)
+# a gap exactly at min_spawn_gap is kept
+@example([(2, -1.75, 20.0, 4.5), (1, -1.75, 26.5, 4.5)], 2.0)
+# a chain: each drop of the kept top exposes the next conflict
+@example([(3, -1.75, 10.0, 4.5), (2, -1.75, 16.6, 4.5),
+          (1, -1.75, 17.0, 10.0)], 2.0)
+def test_spawn_gap_walk_matches_restarting_oracle(rows, gap):
+    graph = road_graph.build_graph(straight_map(100.0, lanes=2))
+    tracklets = [Tracklet(aid, [TrackletPose(0.0, np.array([x, y]), 0.0,
+                                             5.0)], VehicleGeometry(L=length))
+                 for aid, y, x, length in rows]
+    placed = instantiate_agents(graph, tracklets, 0.0,
+                                min_spawn_gap=-math.inf).agents
+    if isinstance(gap, tuple):
+        # a gap some pair of agents has exactly
+        a, b = (placed[k % len(placed)] for k in gap)
+        gap = abs(b.lane.arc_s - a.lane.arc_s) \
+            - (a.geometry.L + b.geometry.L) / 2.0
+    scene = instantiate_agents(graph, tracklets, 0.0, min_spawn_gap=gap)
+    kept, dropped = _thin_oracle(placed, gap)
+    assert [a.agent_id for a in scene.agents] == kept
+    assert [(d.agent_id, d.reason) for d in scene.dropped] == dropped
 
 
 def test_retained_plus_dropped_is_total(straight_graph, rng):

@@ -94,7 +94,7 @@ def test_unknown_assignment_rejected():
     g, scene = _scene_on_straight([(1, 5.0, 0.0, 0.0, 10.0)])
     asg = _assign_straight(g, scene, {1: 10.0})
     asg[99] = asg[1]
-    with pytest.raises(ConfigError):
+    with pytest.raises(ValueError):
         simulate_scene(scene, asg, SimConfig())
 
 
@@ -103,7 +103,7 @@ def test_missing_assignment_rejected():
                                    (2, 60.0, 0.0, 0.0, 10.0)])
     asg = _assign_straight(g, scene, {1: 10.0, 2: 10.0})
     del asg[2]
-    with pytest.raises(ConfigError):
+    with pytest.raises(ValueError):
         simulate_scene(scene, asg, SimConfig())
 
 
@@ -218,6 +218,26 @@ def test_scene_worker_records_only_typed_failures(profile_pool,
         fail_with(bug)
         with pytest.raises(type(bug), match="bug"):
             run_dataset([scene], profile_pool, cfg)
+
+
+def test_run_dataset_propagates_an_assignment_bug(profile_pool,
+                                                  monkeypatch):
+    """An assignment that misses an agent is a bug in the sampler, not a
+    scene failure: run_dataset raises it."""
+    g, scene = _scene_on_straight([(1, 5.0, 0.0, 0.0, 10.0),
+                                   (2, 60.0, 0.0, 0.0, 10.0)])
+    sample = behavior.sample_behaviors
+
+    def dropping_agent_2(*args, **kwargs):
+        variants = sample(*args, **kwargs)
+        for assignment in variants:
+            del assignment[2]
+        return variants
+
+    monkeypatch.setattr(behavior, "sample_behaviors", dropping_agent_2)
+    with pytest.raises(ValueError,
+                       match="agent 2 has no behavior assignment"):
+        run_dataset([scene], profile_pool, SimConfig(master_seed=1))
 
 
 def test_csv_roundtrip(tmp_path):
@@ -717,6 +737,29 @@ def test_lazy_mobil_matches_eager_oracle(monkeypatch, inputs):
         and seen["changes"]
     # the random scenes put their replayed ego behind target gaps
     assert seen["ego_follower"] or inputs is _three_lane_mobil_inputs
+
+
+@pytest.mark.parametrize("lanes", [1, 3])
+def test_mobil_entered_only_beside_a_neighbor_lane(monkeypatch, lanes):
+    """The lane-change check runs only for agents on an edge with a
+    neighbor lane: never on a one-lane road."""
+    g, scene = _scene_on_straight([(1, 60.0, 0.0, 0.0, 5.0),
+                                   (2, 20.0, 0.0, 0.0, 12.0)], lanes=lanes)
+    asg = _assign_straight(g, scene, {1: 5.0, 2: 15.0})
+    entered = []
+    consider = sim_engine._consider_lane_change
+
+    def counted(graph, run, snapshot, *args):
+        edge = graph.edges[snapshot.coords[run.agent_id][0]]
+        entered.append((edge.left_neighbor, edge.right_neighbor))
+        return consider(graph, run, snapshot, *args)
+
+    monkeypatch.setattr(sim_engine, "_consider_lane_change", counted)
+    simulate_scene(scene, asg, SimConfig(master_seed=3))
+    if lanes == 1:
+        assert entered == []
+    else:
+        assert entered and all(nbs != (None, None) for nbs in entered)
 
 
 def test_one_ranked_search_per_agent_per_step(monkeypatch):
