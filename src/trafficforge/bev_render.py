@@ -214,13 +214,13 @@ class _CellTable:
         _, first = np.unique(step * hw + cells[step, agent],
                              return_index=True)
         first.sort()
-        kept_step, kept = step[first], agent[first]
-        counts = np.bincount(kept_step, minlength=n_steps)
+        self.step, kept = step[first], agent[first]
+        counts = np.bincount(self.step, minlength=n_steps)
         self.offsets = np.r_[0, np.cumsum(counts)].tolist()
         self.collisions = (np.bincount(step, minlength=n_steps)
                            - counts).tolist()
-        self.cell = cells[kept_step, kept]
-        self.dx, self.dy = dx[kept_step, kept], dy[kept_step, kept]
+        self.cell = cells[self.step, kept]
+        self.dx, self.dy = dx[self.step, kept], dy[self.step, kept]
         label = np.array([LABEL_CLASSES.index(ag.label)
                           if ag.label in LABEL_CLASSES else 0
                           for ag in agents], dtype=np.int64)
@@ -228,25 +228,33 @@ class _CellTable:
         self.ids = np.array([ag.agent_id + 1 for ag in agents],
                             dtype=np.int32)[kept]
 
-    def fill(self, planes, t):
-        """Write step ``t`` into the zeroed float32 (7, H*W) frame
-        ``planes``; returns the cells it set. A step outside the log sets
-        none."""
-        if not 0 <= t < self.n_steps:
-            return self.cell[:0]
-        lo, hi = self.offsets[t], self.offsets[t + 1]
-        cells = self.cell[lo:hi]
-        planes[0, cells] = self.dx[lo:hi]
-        planes[1, cells] = self.dy[lo:hi]
-        planes[2, cells] = 1.0
-        planes[self.label_plane[lo:hi], cells] = 1.0
-        planes.view(np.int32)[-1, cells] = self.ids[lo:hi]
-        return cells
+    def words(self, t_start):
+        """The words that the marks of steps ``t >= t_start`` set in the
+        frames ``t - t_start`` of zeroed float32 (frames, 7, H*W) planes,
+        as ascending flat indices and their float32 values: each kept
+        mark's state x and y, mask, own label and id (its int32 bits)."""
+        hw = self.spec.H * self.spec.W
+        lo = self.offsets[min(max(t_start, 0), self.n_steps)]
+        base = (self.step[lo:] - t_start) * (_FRAME_PLANES * hw) \
+            + self.cell[lo:]
+        one = np.ones(len(base), dtype=np.float32)
+        words = np.concatenate([base, base + hw, base + 2 * hw,
+                                base + self.label_plane[lo:] * hw,
+                                base + (_FRAME_PLANES - 1) * hw])
+        values = np.concatenate([self.dx[lo:], self.dy[lo:], one, one,
+                                 self.ids[lo:].view(np.float32)])
+        # the words are unique, so any sort kind gives this order; the
+        # stable one is the kernel np.unique above already runs, and a
+        # second kernel's code pages would add to the peak RSS
+        order = np.argsort(words, kind="stable")
+        return words[order], values[order]
 
     def maps(self, t):
         planes = np.zeros((_FRAME_PLANES, self.spec.H * self.spec.W),
                           dtype=np.float32)
-        self.fill(planes, t)
+        words, values = self.words(t)
+        first = words < planes.size
+        planes.reshape(-1)[words[first]] = values[first]
         collisions = self.collisions[t] if 0 <= t < self.n_steps else 0
         return _maps_from_planes(planes, self.spec.H, self.spec.W,
                                  collisions)
@@ -290,32 +298,87 @@ def export_sequence(log, context, t_obs, stride, out_dir):
 
 def write_grid_sample(table, path, context, t_obs, t_start, variant):
     """Write steps [t_start, end) of the cell ``table``, built on
-    ``context.spec``, and ``context`` to ``path``, frame by frame through
-    one reused planes buffer."""
+    ``context.spec``, and ``context`` to ``path``.
+
+    The header and context planes are written first. Each frame's marked
+    words are then set in one reused planes buffer, and only the runs of
+    the frame that hold them (:func:`_frame_runs`) are written, each at
+    its place in the file. The file is sized last: the unwritten gaps
+    are holes that read back as zeros, and a write cut short leaves a
+    file shorter than its header says."""
     spec = context.spec
     steps = range(t_start, table.n_steps)
     header = _HEADER.pack(_MAGIC, _VERSION, spec.H, spec.W, spec.resolution,
                           len(steps), t_obs, spec.origin[0], spec.origin[1],
                           variant, len(LABEL_CLASSES))
-    planes = np.zeros((_FRAME_PLANES, spec.H * spec.W), dtype=np.float32)
+    planes = np.zeros(_FRAME_PLANES * spec.H * spec.W, dtype=np.float32)
+    start = 64 + context.planes.nbytes
     with open(path, "wb") as fh:
         fh.write(header.ljust(64, b"\x00"))
         fh.write(memoryview(context.planes))
-        for t in steps:
-            cells = table.fill(planes, t)
-            fh.write(memoryview(planes))
-            planes[:, cells] = 0.0
+        fh.flush()
+        fd = fh.fileno()
+        words, values = table.words(t_start)
+        frames = [0] + np.cumsum(np.bincount(
+            words // planes.size, minlength=len(steps))).tolist()
+        runs = _frame_runs(words, planes.size, start,
+                           os.fstat(fd).st_blksize, len(steps))
+        marked = words % planes.size
+        buf = memoryview(planes).cast("B")
+        for k, (a, b) in enumerate(zip(frames[:-1], frames[1:])):
+            planes[marked[a:b]] = values[a:b]
+            at = start + k * planes.nbytes
+            for lo, hi in runs[k]:
+                _pwrite_all(fd, buf[lo:hi], at + lo)
+            planes[marked[a:b]] = 0.0
+        os.ftruncate(fd, start + len(steps) * planes.nbytes)
+
+
+def _frame_runs(words, frame_words, start, block, n_frames):
+    """Per frame, the ``(lo, hi)`` byte ranges within it that cover the
+    ascending flat ``words`` of frames stored from file offset ``start``
+    on. A run ends at a frame boundary, and before a zero gap that holds
+    a whole aligned ``block`` of the file: a shorter gap could not be a
+    hole, so it is written."""
+    at = start + 4 * words
+    frame = words // frame_words
+    new_run = np.ones(len(words), dtype=bool)
+    new_run[1:] = ((at[1:] // block > (at[:-1] + 3 + block) // block)
+                   | (frame[1:] != frame[:-1]))
+    last = np.ones(len(words), dtype=bool)
+    last[:-1] = new_run[1:]
+    runs = [[] for _ in range(n_frames)]
+    for k, first, end in zip(frame[new_run].tolist(),
+                             words[new_run].tolist(), words[last].tolist()):
+        lo = 4 * (first - k * frame_words)
+        runs[k].append((lo, lo + 4 * (end - first + 1)))
+    return runs
+
+
+def _pwrite_all(fd, data, offset):
+    """``os.pwrite`` all of ``data`` at ``offset``, resuming a short
+    write."""
+    while data:
+        n = os.pwrite(fd, data, offset)
+        data, offset = data[n:], offset + n
 
 
 def read_grid_sample(path):
     with open(path, "rb") as fh:
         raw = fh.read()
+    if len(raw) < 64:
+        raise ValueError(f"{path}: the file holds {len(raw)} bytes, less "
+                         "than a header")
     magic, version, H, W, res, T, t_obs, ox, oy, variant, n_cls = \
         _HEADER.unpack(raw[:_HEADER.size])
     if magic != _MAGIC or version != _VERSION:
         raise ValueError(f"{path}: not a grid-sample file")
-    spec = GridSpec(H, W, res, (ox, oy))
     hw, n = H * W, 4 + n_cls
+    size = 64 + (3 + n * T) * hw * 4
+    if len(raw) != size:
+        raise ValueError(f"{path}: the header needs {size} bytes, the file "
+                         f"holds {len(raw)}")
+    spec = GridSpec(H, W, res, (ox, oy))
     ctx = np.frombuffer(raw, np.float32, 3 * hw, 64).reshape(3, H, W)
     context = ContextMap(spec, np.argmax(ctx, axis=0).astype(np.uint8))
     planes = np.frombuffer(raw, np.float32, T * n * hw, 64 + ctx.nbytes)

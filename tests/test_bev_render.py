@@ -1,7 +1,10 @@
 """Context/state rasterization and the binary grid-sample format."""
 
+import errno
 import hashlib
 import math
+import os
+import tempfile
 from types import SimpleNamespace
 
 import numpy as np
@@ -370,3 +373,135 @@ def test_export_sequence_bytes_pinned(tmp_path):
             outside += active - int(maps.mask.sum()) - maps.collisions
     # the log reaches the collision rule and the off-grid rule
     assert collisions > 0 and outside > 0
+
+
+def _fill(table, planes, t):
+    """Write step ``t`` of ``table`` into the zeroed float32 (7, H*W) frame
+    ``planes`` mark field by mark field; returns the cells it set."""
+    if not 0 <= t < table.n_steps:
+        return table.cell[:0]
+    lo, hi = table.offsets[t], table.offsets[t + 1]
+    cells = table.cell[lo:hi]
+    planes[0, cells] = table.dx[lo:hi]
+    planes[1, cells] = table.dy[lo:hi]
+    planes[2, cells] = 1.0
+    planes[table.label_plane[lo:hi], cells] = 1.0
+    planes.view(np.int32)[-1, cells] = table.ids[lo:hi]
+    return cells
+
+
+def _dense_write(table, path, context, t_obs, t_start, variant):
+    """The reference writer: every word of every frame, in file order."""
+    spec = context.spec
+    steps = range(t_start, table.n_steps)
+    header = bev_render._HEADER.pack(
+        bev_render._MAGIC, bev_render._VERSION, spec.H, spec.W,
+        spec.resolution, len(steps), t_obs, spec.origin[0], spec.origin[1],
+        variant, len(bev_render.LABEL_CLASSES))
+    planes = np.zeros((bev_render._FRAME_PLANES, spec.H * spec.W),
+                      dtype=np.float32)
+    with open(path, "wb") as fh:
+        fh.write(header.ljust(64, b"\x00"))
+        fh.write(memoryview(context.planes))
+        for t in steps:
+            cells = _fill(table, planes, t)
+            fh.write(memoryview(planes))
+            planes[:, cells] = 0.0
+
+
+# planes smaller than, equal to and larger than a 4 KB block
+_SHAPES = [(8, 8), (32, 32), (24, 40), (128, 128)]
+
+
+@st.composite
+def _oracle_case(draw):
+    """A grid of ``_SHAPES`` and a log on it whose agents exit at their
+    own steps (none at all for some), wander off the grid and back, may
+    share a cell with a twin of higher id, and may carry a label outside
+    ``LABEL_CLASSES``; plus a window start up to the log's end."""
+    H, W = draw(st.sampled_from(_SHAPES))
+    ids = draw(st.lists(st.integers(0, 60), min_size=1, max_size=5,
+                        unique=True))
+    agents = []
+    for aid in ids:
+        n = draw(st.integers(0, 12))
+        cols = draw(st.lists(st.integers(-2, W + 1), min_size=n, max_size=n))
+        rows = draw(st.lists(st.integers(-2, H + 1), min_size=n, max_size=n))
+        label = draw(st.sampled_from(["straight", "left", "right", "u-turn"]))
+        x, y = np.array(cols, dtype=float) + 0.5, np.array(rows, dtype=float)
+        agents.append(SimpleNamespace(agent_id=aid, label=label,
+                                      t=0.1 * np.arange(n), x=x, y=y + 0.5))
+        if draw(st.booleans()):  # a twin a quarter cell away, same cell
+            agents.append(SimpleNamespace(agent_id=aid + 100, label="left",
+                                          t=0.1 * np.arange(n), x=x + 0.25,
+                                          y=y + 0.25))
+    log = SimpleNamespace(scene_id="o", variant_index=1, agents=agents)
+    n_steps = max(len(ag.t) for ag in agents)
+    return GridSpec(H, W, 1.0, (0.0, 0.0)), log, \
+        draw(st.integers(0, n_steps))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_oracle_case(), st.integers(1, 6))
+def test_sparse_write_matches_dense_reference(case, t_obs):
+    spec, log, t_start = case
+    ctx = render_context(_EmptyGraph(), spec)
+    table = bev_render._CellTable(log, spec)
+    with tempfile.TemporaryDirectory() as tmp:
+        sparse, dense = os.path.join(tmp, "s.bevg"), os.path.join(tmp, "d")
+        bev_render.write_grid_sample(table, sparse, ctx, t_obs, t_start, 1)
+        _dense_write(table, dense, ctx, t_obs, t_start, 1)
+        with open(sparse, "rb") as a, open(dense, "rb") as b:
+            assert a.read() == b.read()
+
+
+def _export_table():
+    spec = GridSpec.centered_on((0.0, 0.0), 24, 40, 0.5)
+    ctx = render_context(road_graph.build_graph(four_way_intersection()),
+                         spec)
+    return bev_render._CellTable(_export_log(), spec), ctx
+
+
+def test_read_rejects_a_file_of_the_wrong_length(tmp_path):
+    table, ctx = _export_table()
+    path = str(tmp_path / "s.bevg")
+    bev_render.write_grid_sample(table, path, ctx, 5, 20, 3)
+    size = os.path.getsize(path)
+    assert size == 64 + (3 + 7 * 10) * 24 * 40 * 4
+    read_grid_sample(path)
+    for length in (size - 1, size + 4):
+        with open(path, "r+b") as fh:
+            fh.truncate(length)
+        with pytest.raises(ValueError) as exc:
+            read_grid_sample(path)
+        assert str(exc.value) == (f"{path}: the header needs {size} "
+                                  f"bytes, the file holds {length}")
+    with open(path, "r+b") as fh:
+        fh.truncate(63)
+    with pytest.raises(ValueError, match="holds 63 bytes, less than a header"):
+        read_grid_sample(path)
+
+
+def test_interrupted_write_is_detectable(tmp_path, monkeypatch):
+    table, ctx = _export_table()
+    real_pwrite, calls, cut = os.pwrite, [], -1  # -1: no cut
+
+    def pwrite(fd, data, offset):
+        if len(calls) == cut:
+            raise OSError(errno.ENOSPC, "No space left on device")
+        calls.append(offset)
+        return real_pwrite(fd, data, offset)
+
+    monkeypatch.setattr(bev_render.os, "pwrite", pwrite)
+    whole = str(tmp_path / "whole.bevg")
+    bev_render.write_grid_sample(table, whole, ctx, 5, 0, 3)
+    n_calls, size = len(calls), os.path.getsize(whole)
+    assert len(read_grid_sample(whole).frames) == 30
+    for cut in (0, 1, n_calls // 2, n_calls - 1):
+        calls.clear()
+        path = str(tmp_path / f"cut{cut}.bevg")
+        with pytest.raises(OSError):
+            bev_render.write_grid_sample(table, path, ctx, 5, 0, 3)
+        assert os.path.getsize(path) < size
+        with pytest.raises(ValueError, match="the header needs"):
+            read_grid_sample(path)

@@ -898,6 +898,27 @@ def test_run_json_lists_dropped_agents(sim_logs, tmp_path):
         {"scene_id": "drops", "agent_id": 3, "reason": "spawn-gap"}]
 
 
+def test_render_does_not_import_numpy_ma(sim_logs, tmp_path):
+    # numpy.ma costs about 10 ms and 0.65 MB on first import, and some
+    # numpy calls import it lazily (np.unique without return_index); run
+    # render in a fresh interpreter
+    src = os.path.dirname(os.path.dirname(trafficforge.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    argv = ["render", "--logs", str(sim_logs / "logs"),
+            "--map", str(sim_logs / "map.json"),
+            "--spec", '{"H":32,"W":32,"res":1.0}',
+            "--out", str(tmp_path / "grids")]
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, trafficforge.cli\n"
+         f"assert trafficforge.cli.dispatch({argv!r}) == 0\n"
+         "print('numpy.ma' in sys.modules)"],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+    assert len(os.listdir(tmp_path / "grids")) == 6
+
+
 def test_runtime_imports_neither_scipy_nor_numpy_ma():
     # the runtime is numpy-only: scipy (about half a second of import
     # time) and numpy.ma (imported by np.median) stay unloaded through
