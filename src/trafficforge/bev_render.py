@@ -17,12 +17,14 @@ The id plane stores agent_id + 1 so 0 always means empty.
 
 import functools
 import math
+import numbers
 import os
 import struct
 from dataclasses import dataclass
 
 import numpy as np
 
+from trafficforge import geometry
 from trafficforge.config import default
 
 ROAD, LANE, UNKNOWN = 0, 1, 2
@@ -31,6 +33,7 @@ _MAGIC = b"BEVG"
 _VERSION = 1
 _HEADER = struct.Struct("<4sIIIdIIddII")  # 56 bytes, padded to 64
 _FRAME_PLANES = 4 + len(LABEL_CLASSES)    # state x2, mask, labels, id
+_PAIR_CHUNK = 4096   # (cell, segment) pairs a pass: 32 KB temporaries
 
 
 @dataclass(frozen=True)
@@ -41,10 +44,20 @@ class GridSpec:
     origin: tuple = (0.0, 0.0)
 
     def __post_init__(self):
-        if self.H <= 0 or self.W <= 0 or self.resolution <= 0:
-            raise ValueError("grid needs positive H, W and resolution")
-        object.__setattr__(self, "origin",
-                           (float(self.origin[0]), float(self.origin[1])))
+        for name in ("H", "W"):
+            n = getattr(self, name)
+            if (isinstance(n, bool) or not isinstance(n, numbers.Integral)
+                    or n < 1):
+                raise ValueError(f"grid {name}: expected an integer >= 1, "
+                                 f"got {n!r}")
+        if not (math.isfinite(self.resolution) and self.resolution > 0):
+            raise ValueError(f"grid resolution: expected a finite number "
+                             f"> 0, got {self.resolution!r}")
+        origin = (float(self.origin[0]), float(self.origin[1]))
+        if not all(map(math.isfinite, origin)):
+            raise ValueError(f"grid origin: expected finite coordinates, "
+                             f"got {origin!r}")
+        object.__setattr__(self, "origin", origin)
 
     def cells(self, x, y):
         """Flat index ``row * W + col`` of the cell holding each point of
@@ -118,50 +131,123 @@ def render_context(graph, spec):
 
     Each segment is tested only against the block of cells whose centers
     lie in its bounding box grown by ``max(lane_width, resolution) / 2``,
-    plus one cell of slack on every side. A cell outside that block is
-    farther from the segment than either threshold, so the segment cannot
-    set its road or lane bit; skipping it leaves the classes bit-identical
-    to testing every cell against every segment.
+    plus one cell of slack on every side (:func:`_cell_spans`). A cell
+    outside that block is farther from the segment than either threshold,
+    so the segment cannot set its road or lane bit; skipping it leaves
+    the classes bit-identical to testing every cell against every segment.
+
+    The (cell, segment) pairs of all blocks are classified in chunks of
+    ``_PAIR_CHUNK`` by :func:`geometry.segment_dist2`, whose squared
+    distance may differ in the last bits from that of the block pass
+    :func:`_dist2_to_segment`, which defines the classes. Both evaluate
+    ``|P - A - t D|^2``, ``t = clip((P - A).D / |D|^2, 0, 1)``, for the
+    cell center ``P`` and the segment ``A + [0, 1] D`` (``D = B - A``
+    computed once, the same float vector in both) with the same float
+    operations, up to the order and fusion of two 2-term dot products.
+    With ``M = |P| + |A| + |D|`` and the unit roundoff ``u = 2^-53``,
+    each step's error is at most a few ``u M`` (Higham 2002, section
+    3.1): the differences, the dot product, and ``t D`` (``|t| |D| <=
+    |P - A|`` before the clip, which only shrinks errors). So the
+    computed offset ``e`` is within ``10 u M`` of the exact one, ``|e| <=
+    M``, and each formula's ``|e|^2`` is within ``32 u M^2 <= 96 u (|P|^2
+    + |A|^2 + |D|^2)`` of the exact value: the two differ by less than
+    ``2.2e-14 (|P|^2 + |A|^2 + |D|^2)``. A zero or underflowing ``|D|^2``
+    moves either foot point by at most ``|D| < 1e-153``, which the 1
+    below covers. The band ``tau = 1e-9 (1 + |P|^2 + |A|^2 + |D|^2)``,
+    with ``|P|^2`` the largest over the grid and ``|A|^2 + |D|^2`` the
+    largest over the segments that reach it, is over 10^4 times the gap.
+
+    A pair whose distance lies farther than ``tau`` from a threshold is
+    classified as the block pass would. A pair within ``tau`` of either
+    threshold decides nothing: its segment is marked and then redone by
+    the block pass on its own ``A`` and ``B``, so every class that could
+    depend on a distance's last bits comes from the block pass's floats
+    (a cell center exactly half a pixel from a centerline is such a tie).
     """
-    road = np.zeros((spec.H, spec.W), dtype=bool)
-    lane = np.zeros((spec.H, spec.W), dtype=bool)
+    W = spec.W
+    road = np.zeros(spec.H * W, dtype=bool)
+    lane = np.zeros(spec.H * W, dtype=bool)
     xs, ys = spec.cell_centers()
-    centers = np.empty((spec.H, spec.W, 2))
-    centers[..., 0] = xs
-    centers[..., 1] = ys[:, None]
+    # the segment table: row k is segment a[k]-b[k], its polyline's own
+    # points, of the edges in id order
+    edges = [graph.edges[eid] for eid in sorted(graph.edges)]
+    a = np.concatenate([e.polyline[:-1] for e in edges] + [np.empty((0, 2))])
+    b = np.concatenate([e.polyline[1:] for e in edges] + [np.empty((0, 2))])
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        raise ValueError("lane centerline points must be finite")
+    half_w = np.repeat([e.lane_width / 2.0 for e in edges],
+                       [max(len(e.polyline) - 1, 0) for e in edges])
     half_px = spec.resolution / 2.0
-    for eid in sorted(graph.edges):
-        edge = graph.edges[eid]
-        half_w = edge.lane_width / 2.0
-        reach = max(half_w, half_px)
-        poly = edge.polyline
-        for a, b in zip(poly[:-1], poly[1:]):
-            rows = _cell_span(min(a[1], b[1]) - reach, max(a[1], b[1]) + reach,
-                              spec.origin[1], spec.resolution, spec.H)
-            cols = _cell_span(min(a[0], b[0]) - reach, max(a[0], b[0]) + reach,
-                              spec.origin[0], spec.resolution, spec.W)
-            if rows.start >= rows.stop or cols.start >= cols.stop:
-                continue
-            block = centers[rows, cols]
-            d2 = _dist2_to_segment(block.reshape(-1, 2), a, b)
-            d2 = d2.reshape(block.shape[:2])
-            road[rows, cols] |= d2 <= half_w * half_w
-            lane[rows, cols] |= d2 <= half_px * half_px
-    classes = np.full((spec.H, spec.W), UNKNOWN, dtype=np.uint8)
+    reach = np.maximum(half_w, half_px)
+    r0, r1 = _cell_spans(np.minimum(a[:, 1], b[:, 1]) - reach,
+                         np.maximum(a[:, 1], b[:, 1]) + reach,
+                         spec.origin[1], spec.resolution, spec.H)
+    c0, c1 = _cell_spans(np.minimum(a[:, 0], b[:, 0]) - reach,
+                         np.maximum(a[:, 0], b[:, 0]) + reach,
+                         spec.origin[0], spec.resolution, W)
+    n_cols = c1 - c0
+    n_pairs = (r1 - r0) * n_cols
+    stop = np.cumsum(n_pairs)
+    first = stop - n_pairs
+    ax, ay = a[:, 0], a[:, 1]
+    dx, dy = b[:, 0] - ax, b[:, 1] - ay
+    seg2 = dx * dx + dy * dy
+    reached = n_pairs > 0
+    tau = 1e-9 * (1.0 + max(xs[0] ** 2, xs[-1] ** 2)
+                  + max(ys[0] ** 2, ys[-1] ** 2)
+                  + (ax * ax + ay * ay + seg2)[reached].max(initial=0.0))
+    seg2[seg2 == 0.0] = 1.0
+    road2, lane2 = half_w * half_w, half_px * half_px
+    tie = np.zeros(len(a), dtype=bool)
+    total = int(n_pairs.sum())
+    for lo in range(0, total, _PAIR_CHUNK):
+        hi = min(lo + _PAIR_CHUNK, total)
+        # the segments whose pairs overlap [lo, hi), each repeated once
+        # for each of its pairs there
+        s0, s1 = np.searchsorted(stop, [lo, hi - 1], side="right").tolist()
+        overlap = (np.minimum(stop[s0:s1 + 1], hi)
+                   - np.maximum(first[s0:s1 + 1], lo))
+        s = np.repeat(np.arange(s0, s1 + 1), overlap)
+        row, col = np.divmod(np.arange(lo, hi) - first[s], n_cols[s])
+        row += r0[s]
+        col += c0[s]
+        d2 = geometry.segment_dist2(xs[col], ys[row], ax[s], ay[s], dx[s],
+                                    dy[s], seg2[s])
+        cell = row * W + col
+        off_w = d2 - road2[s]
+        off_px = d2 - lane2
+        tie[s[(np.abs(off_w) <= tau) | (np.abs(off_px) <= tau)]] = True
+        road[cell[off_w < -tau]] = True
+        lane[cell[off_px < -tau]] = True
+    road, lane = road.reshape(spec.H, W), lane.reshape(spec.H, W)
+    for k in np.flatnonzero(tie).tolist():
+        rows, cols = slice(r0[k], r1[k]), slice(c0[k], c1[k])
+        block = np.empty((rows.stop - rows.start, cols.stop - cols.start, 2))
+        block[..., 0] = xs[cols]
+        block[..., 1] = ys[rows, None]
+        d2 = _dist2_to_segment(block.reshape(-1, 2), a[k], b[k])
+        d2 = d2.reshape(block.shape[:2])
+        road[rows, cols] |= d2 <= road2[k]
+        lane[rows, cols] |= d2 <= lane2
+    classes = np.full((spec.H, W), UNKNOWN, dtype=np.uint8)
     classes[road] = ROAD
     classes[lane] = LANE
     return ContextMap(spec, classes)
 
 
-def _cell_span(lo, hi, origin, resolution, n):
-    """Cells along one axis whose centers may lie in [lo, hi].
+def _cell_spans(lo, hi, origin, resolution, n):
+    """Per entry of the arrays ``lo``, ``hi``: the cells ``[start, stop)``
+    along one axis whose centers may lie in ``[lo, hi]``.
 
     Covers every such cell with at least one cell to spare on each side,
-    so rounding in the floor cannot drop one; clipped to the grid.
+    so rounding in the floor cannot drop one; clipped to ``[0, n]``, so
+    an empty span has ``start == stop``.
     """
-    first = math.floor((lo - origin) / resolution) - 1
-    last = math.floor((hi - origin) / resolution) + 1
-    return slice(max(first, 0), min(last + 1, n))
+    first = np.floor((lo - origin) / resolution) - 1.0
+    last = np.floor((hi - origin) / resolution) + 1.0
+    start = np.clip(first, 0, n).astype(np.intp)
+    return start, np.maximum(np.clip(last + 1.0, 0, n).astype(np.intp),
+                             start)
 
 
 def _dist2_to_segment(points, a, b):
@@ -378,7 +464,10 @@ def read_grid_sample(path):
     if len(raw) != size:
         raise ValueError(f"{path}: the header needs {size} bytes, the file "
                          f"holds {len(raw)}")
-    spec = GridSpec(H, W, res, (ox, oy))
+    try:
+        spec = GridSpec(H, W, res, (ox, oy))
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
     ctx = np.frombuffer(raw, np.float32, 3 * hw, 64).reshape(3, H, W)
     context = ContextMap(spec, np.argmax(ctx, axis=0).astype(np.uint8))
     planes = np.frombuffer(raw, np.float32, T * n * hw, 64 + ctx.nbytes)

@@ -219,6 +219,12 @@ def cmd_render(args):
     cfg = _resolve_config(args)
     graph = _load_graph(args, cfg)
     logs = _load_logs(args.logs)
+    longest = max(max((len(ag.t) for ag in simlog.agents), default=0)
+                  for simlog in logs)
+    if longest <= cfg["grid.t_obs"]:
+        raise ConfigError([f"no grid sample to write: grid.t_obs is "
+                           f"{cfg['grid.t_obs']}, and the longest log has "
+                           f"{longest} steps; a sample needs t_obs + 1"])
 
     # variants of a scene share an ego start, hence a grid and a context
     contexts = {}

@@ -105,14 +105,24 @@ _MAPS = [four_way_intersection(), ring_map(30.0),
 _map_graph = st.sampled_from(range(len(_MAPS))).map(
     lambda i: road_graph.build_graph(_MAPS[i]))
 
-# dimensions down to one cell, centers from on the map to far off it
-_grid = st.builds(
-    GridSpec.centered_on,
-    st.tuples(st.one_of(_coord, st.floats(-400.0, 400.0)),
-              st.one_of(_coord, st.floats(-400.0, 400.0))),
-    st.integers(1, 48), st.integers(1, 48),
-    st.one_of(st.sampled_from([0.25, 0.5, 1.0, 2.0]),
-              st.floats(0.25, 2.0)))
+# dimensions down to one cell, centers from on the map to far off it; or
+# centered on a centerline point of the maps, as render centers a grid on
+# an agent on its lane, with integer or half-integer coordinates along
+# the line, so that cell centers lie exactly at a threshold from it
+_on_centerline = st.tuples(
+    st.integers(-80, 80).map(lambda k: k / 2.0),
+    st.sampled_from([0.0, 1.75, -1.75, 30.0])).flatmap(
+    lambda c: st.sampled_from([c, c[::-1]]))
+_grid = st.one_of(
+    st.builds(
+        GridSpec.centered_on,
+        st.tuples(st.one_of(_coord, st.floats(-400.0, 400.0)),
+                  st.one_of(_coord, st.floats(-400.0, 400.0))),
+        st.integers(1, 48), st.integers(1, 48),
+        st.one_of(st.sampled_from([0.25, 0.5, 1.0, 2.0]),
+                  st.floats(0.25, 2.0))),
+    st.builds(GridSpec.centered_on, _on_centerline, st.integers(1, 48),
+              st.integers(1, 48), st.sampled_from([0.5, 1.0, 2.0])))
 
 
 @settings(max_examples=300, deadline=None)
@@ -135,6 +145,88 @@ def test_four_way_context_digest_pinned(size, res, digest):
     classes = render_context(g, spec).classes
     assert classes.dtype == np.uint8 and classes.shape == (size, size)
     assert hashlib.sha256(classes.tobytes()).hexdigest() == digest
+
+
+# a raster-workload grid: 128x128 at 1 m, centered on a point of the west
+# approach lane's centerline, so rows of cell centers lie exactly half a
+# pixel from the lanes along the x axis
+_APPROACH_SPEC = GridSpec.centered_on((-30.0, -1.75), 128, 128, 1.0)
+
+
+def test_approach_context_digest_pinned():
+    g = road_graph.build_graph(four_way_intersection())
+    classes = render_context(g, _APPROACH_SPEC).classes
+    assert hashlib.sha256(classes.tobytes()).hexdigest() == (
+        "fdaeb77f52315b1d380c65f27c399bc1352cc63601e0a722d3bdf267c2d62ebb")
+
+
+def test_approach_context_takes_the_tie_path(monkeypatch):
+    # cell centers exactly half a pixel from a centerline are ties: their
+    # segments are redone by the block pass
+    calls = []
+    block_pass = bev_render._dist2_to_segment
+
+    def counted(points, a, b):
+        calls.append(len(points))
+        return block_pass(points, a, b)
+
+    monkeypatch.setattr(bev_render, "_dist2_to_segment", counted)
+    g = road_graph.build_graph(four_way_intersection())
+    render_context(g, _APPROACH_SPEC)
+    assert len(calls) >= 1
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_context_rejects_non_finite_centerlines(bad):
+    poly = np.array([[0.0, 0.0], [bad, 1.0], [10.0, 0.0]])
+    graph = SimpleNamespace(edges={0: SimpleNamespace(polyline=poly,
+                                                      lane_width=3.5)})
+    with pytest.raises(ValueError, match="must be finite"):
+        render_context(graph, GridSpec(8, 8, 1.0, (0.0, 0.0)))
+
+
+_BAD_GRIDS = [
+    ((4, 4, float("nan")), "resolution"),
+    ((4, 4, float("inf")), "resolution"),
+    ((4, 4, 0.0), "resolution"),
+    ((4, 4, -1.0), "resolution"),
+    ((4.5, 4, 1.0), "grid H"),
+    ((True, 4, 1.0), "grid H"),
+    ((4, 0, 1.0), "grid W"),
+    ((4, -2, 1.0), "grid W"),
+    ((4, 4, 1.0, (float("nan"), 0.0)), "origin"),
+    ((4, 4, 1.0, (0.0, float("-inf"))), "origin"),
+]
+
+
+@pytest.mark.parametrize("args, field", _BAD_GRIDS)
+def test_grid_spec_rejects(args, field):
+    with pytest.raises(ValueError, match=field):
+        GridSpec(*args)
+
+
+def test_grid_spec_rejects_non_finite_center():
+    with pytest.raises(ValueError, match="origin"):
+        GridSpec.centered_on((float("nan"), 0.0), 4, 4, 1.0)
+
+
+@pytest.mark.parametrize("H, W, res, ox, oy, field", [
+    (4, 4, float("nan"), 0.0, 0.0, "resolution"),
+    (4, 4, float("inf"), 0.0, 0.0, "resolution"),
+    (4, 4, 0.0, 0.0, 0.0, "resolution"),
+    (0, 4, 1.0, 0.0, 0.0, "grid H"),
+    (4, 4, 1.0, float("nan"), 0.0, "origin"),
+    (4, 4, 1.0, 0.0, float("-inf"), "origin"),
+])
+def test_read_rejects_a_header_grid_spec_rejects(tmp_path, H, W, res, ox,
+                                                 oy, field):
+    header = bev_render._HEADER.pack(bev_render._MAGIC, bev_render._VERSION,
+                                     H, W, res, 0, 1, ox, oy, 0, 3)
+    path = tmp_path / "bad.bevg"
+    path.write_bytes(header.ljust(64, b"\x00") + bytes(3 * H * W * 4))
+    with pytest.raises(ValueError, match=field) as exc:
+        read_grid_sample(str(path))
+    assert str(exc.value).startswith(f"{path}: ")
 
 
 def test_empty_graph_all_unknown():

@@ -5,6 +5,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -340,6 +341,19 @@ def test_render_grid_validation_exit_1(sim_logs, tmp_path, capsys, flags,
                    "--out", str(out)])
     assert rc == 1
     assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_render_that_writes_nothing_exits_1(sim_logs, tmp_path, capsys):
+    # no log has more than t_obs steps, so no window fits
+    out = tmp_path / "grids"
+    rc = dispatch(["render", "--logs", str(sim_logs / "logs"),
+                   "--map", str(sim_logs / "map.json"),
+                   "--spec", '{"t_obs": 1000}', "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert re.search(r"grid\.t_obs is 1000, and the longest log has "
+                     r"\d+ steps", err), err
     assert not out.exists()
 
 
