@@ -173,8 +173,6 @@ def render_context(graph, spec):
     edges = [graph.edges[eid] for eid in sorted(graph.edges)]
     a = np.concatenate([e.polyline[:-1] for e in edges] + [np.empty((0, 2))])
     b = np.concatenate([e.polyline[1:] for e in edges] + [np.empty((0, 2))])
-    if not (np.isfinite(a).all() and np.isfinite(b).all()):
-        raise ValueError("lane centerline points must be finite")
     half_w = np.repeat([e.lane_width / 2.0 for e in edges],
                        [max(len(e.polyline) - 1, 0) for e in edges])
     half_px = spec.resolution / 2.0

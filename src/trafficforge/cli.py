@@ -18,7 +18,8 @@ import numpy as np
 from trafficforge import behavior, bev_render, metrics, road_graph
 from trafficforge import scene_ingest, sim_engine
 from trafficforge.config import apply_overrides, set_key, validate_config
-from trafficforge.errors import ConfigError, TrafficForgeError
+from trafficforge.errors import (ConfigError, MapFormatError,
+                                 TrafficForgeError)
 from trafficforge.util import finite_positive, integer, map_tasks
 
 log = logging.getLogger("trafficforge")
@@ -87,10 +88,13 @@ def _emit(doc, out, pretty):
 
 def _load_graph(args, cfg):
     """The lane graph of ``--map``, built with the configured road keys."""
-    return road_graph.build_graph(
-        _load_json(args.map, "map"), cfg["road.join_tolerance"],
-        cfg["road.default_lane_width"],
-        math.radians(cfg["road.straight_threshold_deg"]))
+    doc = _load_json(args.map, "map")
+    try:
+        return road_graph.build_graph(
+            doc, cfg["road.join_tolerance"], cfg["road.default_lane_width"],
+            math.radians(cfg["road.straight_threshold_deg"]))
+    except MapFormatError as exc:
+        raise ConfigError([f"map file {args.map}: {exc}"]) from None
 
 
 def cmd_build_graph(args):

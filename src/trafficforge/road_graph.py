@@ -367,7 +367,8 @@ def build_graph(lane_spec, join_tolerance=default("road.join_tolerance"),
     centerlines keep their drawn direction for all lanes; bidirectional
     ones give the right-hand slots (negative lateral offset) the drawn
     direction and the remaining slots the reverse. Slot offsets are
-    ``(slot + 0.5 - lanes/2) * lane_width``. The graph's routes are
+    ``(slot + 0.5 - lanes/2) * lane_width``. A lane's neighbours are the
+    same-direction lanes of its own centerline. The graph's routes are
     labelled turns from a heading change of ``straight_threshold``
     radians (:attr:`Route.maneuver`).
     """
@@ -375,12 +376,29 @@ def build_graph(lane_spec, join_tolerance=default("road.join_tolerance"),
     if not centerlines:
         raise MapFormatError("map has no centerlines")
 
-    protos = []  # (polyline, lane_width, one_way, centerline_id, travel_offset)
+    nodes = []
+    edges = {}
+    adjacency = {}
+
+    def node_for(pos):
+        best, best_d = None, None
+        for n in nodes:  # id order, so exact ties keep the lowest id
+            d = float(np.linalg.norm(n.position - pos))
+            if d <= join_tolerance and (best is None or d < best_d):
+                best, best_d = n, d
+        if best is not None:
+            return best.id
+        nodes.append(LaneNode(len(nodes), pos.copy()))
+        return nodes[-1].id
+
     for cl in centerlines:
         cid = cl.get("id")
         pts = np.asarray(cl["points"], dtype=np.float64)
         if pts.ndim != 2 or pts.shape[1] != 2 or len(pts) < 2:
             raise MapFormatError(f"centerline {cid}: needs >=2 2D points", cid)
+        if not np.isfinite(pts).all():
+            raise MapFormatError(f"centerline {cid}: points must be finite",
+                                 cid)
         if np.any(geometry.segment_lengths(pts) <= 1e-9):
             raise MapFormatError(
                 f"centerline {cid}: duplicate consecutive points", cid)
@@ -400,50 +418,25 @@ def build_graph(lane_spec, join_tolerance=default("road.join_tolerance"),
         else:
             n_fwd = (lanes + 1) // 2
             directed = [(off, i < n_fwd) for i, off in enumerate(offsets)]
+        by_direction = {True: [], False: []}
         for off, forward in directed:
             poly = geometry.offset_polyline(pts, off) if off != 0.0 else pts.copy()
             if not forward:
                 poly = poly[::-1].copy()
-            # lateral offset expressed in the travel frame (+left)
-            travel_off = off if forward else -off
-            protos.append((poly, width, oneway, cid, travel_off, forward))
+            eid = len(edges)
+            edges[eid] = LaneEdge(eid, node_for(poly[0]), node_for(poly[-1]),
+                                  poly, width, oneway)
+            adjacency.setdefault(edges[eid].from_node, []).append(eid)
+            by_direction[forward].append(eid)
+        # right to left in the travel frame: the drawn direction's lanes in
+        # slot order, the reverse direction's against it
+        for group in (by_direction[True], by_direction[False][::-1]):
+            for right_eid, left_eid in zip(group, group[1:]):
+                edges[right_eid].left_neighbor = left_eid
+                edges[left_eid].right_neighbor = right_eid
 
-    nodes = []
-    edges = {}
-
-    def node_for(pos):
-        best, best_d = None, None
-        for n in nodes:  # id order, so exact ties keep the lowest id
-            d = float(np.linalg.norm(n.position - pos))
-            if d <= join_tolerance and (best is None or d < best_d):
-                best, best_d = n, d
-        if best is not None:
-            return best.id
-        nodes.append(LaneNode(len(nodes), pos.copy()))
-        return nodes[-1].id
-
-    for eid, (poly, width, oneway, _, _, _) in enumerate(protos):
-        n_from = node_for(poly[0])
-        n_to = node_for(poly[-1])
-        edges[eid] = LaneEdge(eid, n_from, n_to, poly, width, oneway)
-
-    # same-direction neighbor links for lane changes, per source centerline
-    by_source = {}
-    for eid, (_, _, _, cid, travel_off, forward) in enumerate(protos):
-        by_source.setdefault((cid, forward), []).append((travel_off, eid))
-    for group in by_source.values():
-        group.sort()  # right to left in the travel frame
-        for k in range(len(group) - 1):
-            right_eid, left_eid = group[k][1], group[k + 1][1]
-            edges[right_eid].left_neighbor = left_eid
-            edges[left_eid].right_neighbor = right_eid
-
-    adjacency = {}
-    for eid in sorted(edges):
-        adjacency.setdefault(edges[eid].from_node, []).append(eid)
-    adjacency = {nid: tuple(sorted(eids)) for nid, eids in adjacency.items()}
-
-    return RoadGraph({n.id: n for n in nodes}, edges, adjacency,
+    return RoadGraph({n.id: n for n in nodes}, edges,
+                     {nid: tuple(eids) for nid, eids in adjacency.items()},
                      straight_threshold)
 
 

@@ -176,15 +176,6 @@ def test_approach_context_takes_the_tie_path(monkeypatch):
     assert len(calls) >= 1
 
 
-@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
-def test_context_rejects_non_finite_centerlines(bad):
-    poly = np.array([[0.0, 0.0], [bad, 1.0], [10.0, 0.0]])
-    graph = SimpleNamespace(edges={0: SimpleNamespace(polyline=poly,
-                                                      lane_width=3.5)})
-    with pytest.raises(ValueError, match="must be finite"):
-        render_context(graph, GridSpec(8, 8, 1.0, (0.0, 0.0)))
-
-
 _BAD_GRIDS = [
     ((4, 4, float("nan")), "resolution"),
     ((4, 4, float("inf")), "resolution"),

@@ -107,6 +107,27 @@ def test_missing_map_exits_1(tmp_path, capsys):
     assert "nope.json" in capsys.readouterr().err
 
 
+_BAD_MAPS = {
+    "nan-point": ({"centerlines": [{"id": 0, "points": [
+        [0.0, 0.0], [math.nan, 1.0], [10.0, 0.0]]}]}, "centerline 0"),
+    "inf-point": ({"centerlines": [{"id": 0, "points": [
+        [0.0, 0.0], [math.inf, 1.0], [10.0, 0.0]]}]}, "centerline 0"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_MAPS))
+def test_build_graph_rejects_malformed_map(tmp_path, capsys, case):
+    doc, names = _BAD_MAPS[case]
+    path = tmp_path / "map.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "graph.json"
+    rc = dispatch(["build-graph", "--map", str(path), "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert f"error: map file {path}: {names}" in err
+    assert not out.exists()
+
+
 def test_unknown_subcommand_exits_1(capsys):
     assert dispatch(["frobnicate"]) == 1
 

@@ -15,6 +15,7 @@ from helpers import (approach_point, four_way_intersection, ring_map,
                      straight_map)
 
 from trafficforge import behavior, geometry, road_graph
+from trafficforge.config import default
 from trafficforge.errors import (MapFormatError, OffMapError,
                                ZeroLengthRouteError)
 from trafficforge.road_graph import (build_graph, classify_maneuver,
@@ -81,6 +82,144 @@ def test_degenerate_centerline_rejected():
     with pytest.raises(MapFormatError) as exc:
         build_graph(spec)
     assert exc.value.centerline_id == 7
+
+
+def _three_pass_build_graph(lane_spec,
+                            join_tolerance=default("road.join_tolerance"),
+                            default_lane_width=default(
+                                "road.default_lane_width"),
+                            straight_threshold=road_graph.STRAIGHT_THRESHOLD):
+    """The former build: lane prototypes, then edges, then neighbours
+    regrouped by ``(id, direction)``, then a sorted adjacency."""
+    centerlines = lane_spec.get("centerlines", [])
+    if not centerlines:
+        raise MapFormatError("map has no centerlines")
+
+    protos = []
+    for cl in centerlines:
+        cid = cl.get("id")
+        pts = np.asarray(cl["points"], dtype=np.float64)
+        if pts.ndim != 2 or pts.shape[1] != 2 or len(pts) < 2:
+            raise MapFormatError(f"centerline {cid}: needs >=2 2D points", cid)
+        if np.any(geometry.segment_lengths(pts) <= 1e-9):
+            raise MapFormatError(
+                f"centerline {cid}: duplicate consecutive points", cid)
+        lanes = int(cl.get("lanes", 1))
+        if lanes < 1:
+            raise MapFormatError(f"centerline {cid}: lane count < 1", cid)
+        oneway = bool(cl.get("oneway", True))
+        width = float(cl.get("lane_width", default_lane_width))
+        if width <= 0:
+            raise MapFormatError(f"centerline {cid}: lane_width <= 0", cid)
+
+        offsets = [(i + 0.5 - lanes / 2.0) * width for i in range(lanes)]
+        if oneway:
+            directed = [(off, True) for off in offsets]
+        elif lanes == 1:
+            directed = [(0.0, True), (0.0, False)]
+        else:
+            n_fwd = (lanes + 1) // 2
+            directed = [(off, i < n_fwd) for i, off in enumerate(offsets)]
+        for off, forward in directed:
+            poly = geometry.offset_polyline(pts, off) if off != 0.0 else pts.copy()
+            if not forward:
+                poly = poly[::-1].copy()
+            travel_off = off if forward else -off
+            protos.append((poly, width, oneway, cid, travel_off, forward))
+
+    nodes = []
+    edges = {}
+
+    def node_for(pos):
+        best, best_d = None, None
+        for n in nodes:
+            d = float(np.linalg.norm(n.position - pos))
+            if d <= join_tolerance and (best is None or d < best_d):
+                best, best_d = n, d
+        if best is not None:
+            return best.id
+        nodes.append(road_graph.LaneNode(len(nodes), pos.copy()))
+        return nodes[-1].id
+
+    for eid, (poly, width, oneway, _, _, _) in enumerate(protos):
+        n_from = node_for(poly[0])
+        n_to = node_for(poly[-1])
+        edges[eid] = road_graph.LaneEdge(eid, n_from, n_to, poly, width,
+                                         oneway)
+
+    by_source = {}
+    for eid, (_, _, _, cid, travel_off, forward) in enumerate(protos):
+        by_source.setdefault((cid, forward), []).append((travel_off, eid))
+    for group in by_source.values():
+        group.sort()
+        for k in range(len(group) - 1):
+            right_eid, left_eid = group[k][1], group[k + 1][1]
+            edges[right_eid].left_neighbor = left_eid
+            edges[left_eid].right_neighbor = right_eid
+
+    adjacency = {}
+    for eid in sorted(edges):
+        adjacency.setdefault(edges[eid].from_node, []).append(eid)
+    adjacency = {nid: tuple(sorted(eids)) for nid, eids in adjacency.items()}
+
+    return road_graph.RoadGraph({n.id: n for n in nodes}, edges, adjacency,
+                                straight_threshold)
+
+
+@st.composite
+def _map_specs(draw):
+    """A map of one to five centerlines with unique ids, one-way and
+    two-way, one to four lanes, each field present or left to its
+    default. A centerline may start or end on an earlier one's endpoint,
+    exactly or a little off it, so endpoint joins and their ties occur."""
+    coord = st.floats(-60.0, 60.0)
+    ends = []
+
+    def shared_end():
+        x, y = draw(st.sampled_from(ends))
+        return x + draw(st.sampled_from([0.0, 0.3, 0.6])), y
+
+    centerlines = []
+    for cid in range(draw(st.integers(1, 5))):
+        pts = [shared_end() if ends and draw(st.booleans())
+               else (draw(coord), draw(coord))]
+        for _ in range(draw(st.integers(1, 3))):
+            ang = draw(st.floats(-math.pi, math.pi))
+            step = draw(st.floats(1.0, 40.0))
+            pts.append((pts[-1][0] + step * math.cos(ang),
+                        pts[-1][1] + step * math.sin(ang)))
+        if ends and draw(st.booleans()):
+            end = shared_end()
+            if math.dist(end, pts[-1]) >= 1.0:
+                pts.append(end)
+        ends += [pts[0], pts[-1]]
+        entry = {"id": cid, "points": pts}
+        if draw(st.booleans()):
+            entry["lanes"] = draw(st.integers(1, 4))
+        if draw(st.booleans()):
+            entry["oneway"] = draw(st.booleans())
+        if draw(st.booleans()):
+            entry["lane_width"] = draw(st.sampled_from([2.5, 3.5, 4.25]))
+        centerlines.append(entry)
+    return {"centerlines": centerlines}
+
+
+def _graph_facts(g):
+    return ({i: (n.id, n.position.tobytes()) for i, n in g.nodes.items()},
+            [(i, e.id, e.from_node, e.to_node, e.polyline.tobytes(),
+              e.lane_width, e.one_way, e.left_neighbor, e.right_neighbor)
+             for i, e in g.edges.items()],
+            list(g.adjacency.items()), g.straight_threshold)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_map_specs())
+@example(straight_map(100.0, lanes=4, oneway=False))
+@example(four_way_intersection())
+@example(ring_map())
+def test_one_pass_build_matches_three_pass_oracle(spec):
+    assert _graph_facts(build_graph(spec)) \
+        == _graph_facts(_three_pass_build_graph(spec))
 
 
 def test_edge_length_matches_arc_length(intersection_graph):

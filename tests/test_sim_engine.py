@@ -514,6 +514,29 @@ def test_replay_snaps_with_the_scene_limit():
     assert exits == [50, 60, 70]
 
 
+@pytest.mark.parametrize("ids", [(None, None), (0, 0)])
+def test_parallel_roads_are_not_neighbor_lanes(ids):
+    """Lane-change neighbours are the lanes of one centerline entry: two
+    one-way roads 40 m apart are not, with no ids or with one shared id,
+    so a fast agent stuck behind a slow one stays on its road."""
+    spec = {"centerlines": [{"points": [[0.0, y], [400.0, y]]}
+                            for y in (0.0, 40.0)]}
+    for cl, cid in zip(spec["centerlines"], ids):
+        if cid is not None:
+            cl["id"] = cid
+    g = road_graph.build_graph(spec)
+    assert [(e.left_neighbor, e.right_neighbor) for e in g.edges.values()] \
+        == [(None, None), (None, None)]
+    sid, tracks = scene_ingest.load_tracklets(tracklets_doc(
+        "t1", [(1, 60.0, 0.0, 0.0, 5.0), (2, 20.0, 0.0, 0.0, 12.0)]))
+    scene = scene_ingest.instantiate_agents(g, tracks, 0.0, sid)
+    log = simulate_scene(scene, _assign_straight(g, scene, {1: 5.0, 2: 15.0}),
+                         SimConfig(master_seed=3))
+    for ag in log.agents:
+        assert ag.lane_changes == []
+        assert np.abs(ag.y).max() < 0.5
+
+
 def _three_lane_mobil_inputs():
     # 4 agents per lane of a straight 3-lane one-way road; the head of the
     # right lane wants 6 m/s, so its followers and the faster lanes give
