@@ -2,10 +2,14 @@
 
 Nodes are lane endpoints, edges are directed lane-center polylines. Input
 maps follow the JSON schema
-``{"centerlines": [{"id", "points", "lanes", "oneway", "lane_width"?}]}``.
-Bidirectional centerlines are split into per-lane directed edges, offset
-from the source centerline; endpoints closer than the join tolerance are
-merged into shared nodes.
+``{"centerlines": [{"id"?, "points", "lanes"?, "oneway"?, "lane_width"?}]}``.
+:func:`build_graph` walks the entries once: it checks each entry (a
+``MapFormatError`` names the bad one by its ``id``, or its position when
+it has none), splits it into per-lane directed edges offset from its
+centerline and links that entry's same-direction lanes as lane-change
+neighbours. Endpoints closer than the join tolerance are merged into
+shared nodes. Every map rule lives there, so a graph's polylines are
+finite and its edges well formed for every consumer.
 """
 
 import math
@@ -20,6 +24,7 @@ from trafficforge.config import default
 from trafficforge.errors import (MapFormatError, OffMapError,
                                  ZeroLengthRouteError)
 from trafficforge.geometry import wrap_angle
+from trafficforge.util import finite_positive, integer
 
 MAX_SNAP_DISTANCE = default("road.max_snap_distance")
 STRAIGHT_THRESHOLD = math.radians(default("road.straight_threshold_deg"))
@@ -358,6 +363,50 @@ def _maneuver_of(dpsi, straight_threshold):
     return "straight"
 
 
+def _centerline(cl, k, default_lane_width):
+    """The ``(points, lanes, oneway, lane_width)`` of the ``k``-th map
+    entry ``cl``, absent fields at their defaults. A MapFormatError names
+    the entry by its ``id``, or by ``k`` when it has none, unless the
+    points are at least two finite ``[x, y]`` number pairs with no two
+    consecutive ones equal, ``lanes`` is an integer >= 1, ``oneway`` a
+    bool and ``lane_width`` a finite number > 0."""
+    cid = cl.get("id") if isinstance(cl, dict) else None
+    name = f"centerline {cid}" if cid is not None \
+        else f"centerline at index {k}"
+
+    def bad(what):
+        return MapFormatError(f"{name}: {what}", cid)
+
+    if not isinstance(cl, dict):
+        raise bad(f"expected an object, got {cl!r}")
+    if "points" not in cl:
+        raise bad("missing 'points'")
+    try:
+        pts = np.asarray(cl["points"])
+    except ValueError:   # ragged
+        pts = np.zeros(0)
+    if pts.dtype.kind not in "iuf" or pts.ndim != 2 or pts.shape[1] != 2 \
+            or len(pts) < 2:
+        raise bad("'points' must be a list of >= 2 [x, y] number pairs")
+    pts = pts.astype(np.float64)
+    if not np.isfinite(pts).all():
+        raise bad("points must be finite")
+    if np.any(geometry.segment_lengths(pts) <= 1e-9):
+        raise bad("duplicate consecutive points")
+    lanes, oneway = cl.get("lanes", 1), cl.get("oneway", True)
+    try:
+        integer(lanes, "lanes")
+        width = finite_positive(cl.get("lane_width", default_lane_width),
+                                "lane_width")
+    except (TypeError, ValueError) as exc:
+        raise bad(exc) from None
+    if lanes < 1:
+        raise bad(f"'lanes' must be >= 1, got {lanes}")
+    if type(oneway) is not bool:
+        raise bad(f"'oneway' must be true or false, got {oneway!r}")
+    return pts, lanes, oneway, width
+
+
 def build_graph(lane_spec, join_tolerance=default("road.join_tolerance"),
                 default_lane_width=default("road.default_lane_width"),
                 straight_threshold=STRAIGHT_THRESHOLD):
@@ -372,9 +421,11 @@ def build_graph(lane_spec, join_tolerance=default("road.join_tolerance"),
     labelled turns from a heading change of ``straight_threshold``
     radians (:attr:`Route.maneuver`).
     """
-    centerlines = lane_spec.get("centerlines", [])
-    if not centerlines:
-        raise MapFormatError("map has no centerlines")
+    centerlines = lane_spec.get("centerlines") \
+        if isinstance(lane_spec, dict) else None
+    if not (isinstance(centerlines, list) and centerlines):
+        raise MapFormatError("map must be an object with a non-empty "
+                             "'centerlines' list")
 
     nodes = []
     edges = {}
@@ -391,25 +442,8 @@ def build_graph(lane_spec, join_tolerance=default("road.join_tolerance"),
         nodes.append(LaneNode(len(nodes), pos.copy()))
         return nodes[-1].id
 
-    for cl in centerlines:
-        cid = cl.get("id")
-        pts = np.asarray(cl["points"], dtype=np.float64)
-        if pts.ndim != 2 or pts.shape[1] != 2 or len(pts) < 2:
-            raise MapFormatError(f"centerline {cid}: needs >=2 2D points", cid)
-        if not np.isfinite(pts).all():
-            raise MapFormatError(f"centerline {cid}: points must be finite",
-                                 cid)
-        if np.any(geometry.segment_lengths(pts) <= 1e-9):
-            raise MapFormatError(
-                f"centerline {cid}: duplicate consecutive points", cid)
-        lanes = int(cl.get("lanes", 1))
-        if lanes < 1:
-            raise MapFormatError(f"centerline {cid}: lane count < 1", cid)
-        oneway = bool(cl.get("oneway", True))
-        width = float(cl.get("lane_width", default_lane_width))
-        if width <= 0:
-            raise MapFormatError(f"centerline {cid}: lane_width <= 0", cid)
-
+    for k, cl in enumerate(centerlines):
+        pts, lanes, oneway, width = _centerline(cl, k, default_lane_width)
         offsets = [(i + 0.5 - lanes / 2.0) * width for i in range(lanes)]
         if oneway:
             directed = [(off, True) for off in offsets]

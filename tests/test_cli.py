@@ -107,11 +107,42 @@ def test_missing_map_exits_1(tmp_path, capsys):
     assert "nope.json" in capsys.readouterr().err
 
 
+def _one_entry(**fields):
+    return {"centerlines": [{"id": 0, "points": [[0.0, 0.0], [10.0, 0.0]],
+                             **fields}]}
+
+
+# case -> (map document, how the error names the bad part)
 _BAD_MAPS = {
-    "nan-point": ({"centerlines": [{"id": 0, "points": [
-        [0.0, 0.0], [math.nan, 1.0], [10.0, 0.0]]}]}, "centerline 0"),
-    "inf-point": ({"centerlines": [{"id": 0, "points": [
-        [0.0, 0.0], [math.inf, 1.0], [10.0, 0.0]]}]}, "centerline 0"),
+    "not-an-object": ([], "map must be an object"),
+    "no-centerlines": ({}, "non-empty 'centerlines' list"),
+    "empty-centerlines": ({"centerlines": []}, "non-empty 'centerlines'"),
+    "entry-not-an-object": ({"centerlines": [[[0, 0], [10, 0]]]},
+                            "centerline at index 0: expected an object"),
+    "no-points": ({"centerlines": [{"id": 0}]}, "centerline 0: missing"),
+    "ragged-points": (_one_entry(points=[[0.0, 0.0], [10.0, 0.0, 1.0]]),
+                      "centerline 0: 'points' must be"),
+    "string-points": (_one_entry(points=[["0", "0"], ["10", "0"]]),
+                      "centerline 0: 'points' must be"),
+    "one-point": (_one_entry(points=[[0.0, 0.0]]),
+                  "centerline 0: 'points' must be"),
+    "nan-point": (_one_entry(points=[[0.0, 0.0], [math.nan, 1.0],
+                                     [10.0, 0.0]]),
+                  "centerline 0: points must be finite"),
+    "inf-point": (_one_entry(points=[[0.0, 0.0], [math.inf, 1.0],
+                                     [10.0, 0.0]]),
+                  "centerline 0: points must be finite"),
+    "duplicate-point": ({"centerlines": [
+        {"points": [[0.0, 0.0], [10.0, 0.0]]},
+        {"points": [[0.0, 5.0], [0.0, 5.0], [10.0, 5.0]]}]},
+        "centerline at index 1: duplicate consecutive points"),
+    "float-lanes": (_one_entry(lanes=1.7), "centerline 0: 'lanes'"),
+    "bool-lanes": (_one_entry(lanes=True), "centerline 0: 'lanes'"),
+    "zero-lanes": (_one_entry(lanes=0), "centerline 0: 'lanes' must be >= 1"),
+    "string-oneway": (_one_entry(oneway="false"), "centerline 0: 'oneway'"),
+    "nan-lane-width": (_one_entry(lane_width=math.nan),
+                       "centerline 0: 'lane_width'"),
+    "zero-lane-width": (_one_entry(lane_width=0), "centerline 0: 'lane_width'"),
 }
 
 
@@ -124,7 +155,8 @@ def test_build_graph_rejects_malformed_map(tmp_path, capsys, case):
     rc = dispatch(["build-graph", "--map", str(path), "--out", str(out)])
     assert rc == 1
     err = capsys.readouterr().err
-    assert f"error: map file {path}: {names}" in err
+    assert f"error: map file {path}: " in err and names in err
+    assert "None" not in err
     assert not out.exists()
 
 
@@ -342,6 +374,25 @@ def sim_logs(tmp_path_factory):
                      "--pool", str(root / "pool.json"),
                      "--out", str(root / "logs"), "--seed", "3"]) == 0
     return root
+
+
+def test_simulate_render_metrics_reject_a_malformed_map(sim_logs, capsys):
+    bad = sim_logs / "bad_map.json"
+    bad.write_text(json.dumps(_BAD_MAPS["nan-point"][0]))
+    runs = {
+        "simulate": ["--tracklets", str(sim_logs / "tracklets"), "--pool",
+                     str(sim_logs / "pool.json"), "--seed", "3",
+                     "--out", str(sim_logs / "bad_sim")],
+        "render": ["--logs", str(sim_logs / "logs"),
+                   "--out", str(sim_logs / "bad_grids")],
+        "metrics": ["--logs", str(sim_logs / "logs"),
+                    "--out", str(sim_logs / "bad_metrics.json")],
+    }
+    for command, argv in runs.items():
+        assert dispatch([command, "--map", str(bad), *argv]) == 1, command
+        assert f"error: map file {bad}: centerline 0: points must be " \
+            f"finite" in capsys.readouterr().err
+        assert not os.path.exists(argv[-1])
 
 
 @pytest.mark.parametrize("flags, message", [
