@@ -383,10 +383,12 @@ def _centerline(cl, k, default_lane_width):
         raise bad("missing 'points'")
     try:
         pts = np.asarray(cl["points"])
-    except ValueError:   # ragged
+    except ValueError:   # ragged: fails the shape test below
         pts = np.zeros(0)
+    # numpy reads a bool next to numbers as 0 or 1, so look for one
     if pts.dtype.kind not in "iuf" or pts.ndim != 2 or pts.shape[1] != 2 \
-            or len(pts) < 2:
+            or len(pts) < 2 \
+            or any(type(v) is bool for p in cl["points"] for v in p):
         raise bad("'points' must be a list of >= 2 [x, y] number pairs")
     pts = pts.astype(np.float64)
     if not np.isfinite(pts).all():

@@ -124,6 +124,8 @@ _BAD_MAPS = {
                       "centerline 0: 'points' must be"),
     "string-points": (_one_entry(points=[["0", "0"], ["10", "0"]]),
                       "centerline 0: 'points' must be"),
+    "bool-point": (_one_entry(points=[[True, 0.0], [10.0, 0.0]]),
+                   "centerline 0: 'points' must be"),
     "one-point": (_one_entry(points=[[0.0, 0.0]]),
                   "centerline 0: 'points' must be"),
     "nan-point": (_one_entry(points=[[0.0, 0.0], [math.nan, 1.0],
