@@ -17,7 +17,7 @@ from trafficforge import geometry, road_graph
 from trafficforge.config import default
 from trafficforge.errors import ConfigError, MissingProfileError
 from trafficforge.geometry import wrap_angle
-from trafficforge.util import derive_seed, finite_positive
+from trafficforge.util import derive_seed, number, numbers
 
 # rad/s, onset of a turn in timestamped data, and the s it must last
 TURN_RATE_THRESHOLD = default("behavior.turn_rate_threshold")
@@ -71,15 +71,14 @@ class ProfilePool:
         """Pool from its parsed JSON document.
 
         Raises :class:`ConfigError` naming ``source`` when a key is
-        missing, a value is not of its type, or ``dt`` is not a finite
-        number > 0.
+        missing or a value breaks its rule (``dt`` > 0, ``label`` text).
         """
         where = source
         try:
             if not isinstance(doc, dict):
                 raise TypeError(f"expected a JSON object, got "
                                 f"{type(doc).__name__}")
-            dt = finite_positive(doc["dt"], "dt")
+            dt = number(doc["dt"], "dt", 0, strict=True)
             entries = doc["profiles"]
             if not isinstance(entries, list):
                 raise TypeError(f"'profiles' must be a list, got "
@@ -87,12 +86,12 @@ class ProfilePool:
             profiles = []
             for i, p in enumerate(entries):
                 where = f"{source}: profile {i}"
-                samples = np.asarray(p["samples"], float)
-                if samples.ndim != 1 or not len(samples):
-                    raise ValueError("'samples' must be a non-empty list "
-                                     "of numbers")
+                if type(p["label"]) is not str:
+                    raise TypeError(f"'label' must be a string, got "
+                                    f"{p['label']!r}")
                 profiles.append(VelocityProfile(
-                    samples, float(p["feature"]), p["label"]))
+                    numbers(p["samples"], "samples", 1),
+                    number(p["feature"], "feature"), p["label"]))
         except KeyError as exc:
             raise ConfigError([f"{where}: missing key {exc}"]) from exc
         except (TypeError, ValueError) as exc:

@@ -20,7 +20,7 @@ from trafficforge import scene_ingest, sim_engine
 from trafficforge.config import apply_overrides, set_key, validate_config
 from trafficforge.errors import (ConfigError, MapFormatError,
                                  TrafficForgeError)
-from trafficforge.util import finite_positive, integer, map_tasks
+from trafficforge.util import integer, map_tasks, number, numbers
 
 log = logging.getLogger("trafficforge")
 
@@ -258,10 +258,10 @@ def _prediction_sets(path):
                 continue
             try:
                 doc = json.loads(line)
-                dt = finite_positive(doc["dt"], "dt")
-                gt = metrics.Trajectory2D(dt, doc["gt"])
-                samples = [metrics.Trajectory2D(dt, s)
-                           for s in doc["samples"]]
+                dt = number(doc["dt"], "dt", 0, strict=True)
+                gt = metrics.Trajectory2D(dt, numbers(doc["gt"], "gt", 2))
+                samples = [metrics.Trajectory2D(dt, s) for s in
+                           numbers(doc["samples"], "samples", 3)]
                 aid = integer(doc["agent_id"], "agent_id")
                 psets.append(metrics.PredictionSet(aid, gt, samples))
             except (ValueError, KeyError, TypeError) as exc:

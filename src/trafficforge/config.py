@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from trafficforge.errors import ConfigError
+from trafficforge.util import is_number
 
 
 @dataclass(frozen=True)
@@ -207,11 +208,6 @@ class RunConfig:
             controller=ControllerParams(**_group(fields, "controller")))
 
 
-def _is_number(value):
-    return (isinstance(value, int) and not isinstance(value, bool)) \
-        or (isinstance(value, float) and math.isfinite(value))
-
-
 def _violation(dotted, key, value):
     """The message for ``value`` breaking ``key``, or None."""
     if key.kind == "choice":
@@ -222,18 +218,12 @@ def _violation(dotted, key, value):
             return f"{dotted}: must be a boolean"
     elif key.kind == "range":
         if not (isinstance(value, (list, tuple)) and len(value) == 2
-                and all(map(_is_number, value))
+                and all(map(is_number, value))
                 and 0 <= value[0] <= value[1]):
             return f"{dotted}: must be [low, high] with 0 <= low <= high"
     else:
-        ok = _is_number(value)
-        if ok and key.integer:
-            ok = isinstance(value, int) or value.is_integer()
-        if ok and key.low is not None:
-            ok = value > key.low if key.strict else value >= key.low
-        if ok and key.high is not None:
-            ok = value <= key.high
-        if not ok:
+        if not is_number(value, key.low, key.high, key.strict) \
+                or (key.integer and value % 1):
             bound = "" if key.low is None else \
                 f" {'>' if key.strict else '>='} {key.low}"
             kind = "an integer" if key.integer else "a number"

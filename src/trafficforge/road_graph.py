@@ -24,7 +24,7 @@ from trafficforge.config import default
 from trafficforge.errors import (MapFormatError, OffMapError,
                                  ZeroLengthRouteError)
 from trafficforge.geometry import wrap_angle
-from trafficforge.util import finite_positive, integer
+from trafficforge.util import integer, number, numbers
 
 MAX_SNAP_DISTANCE = default("road.max_snap_distance")
 STRAIGHT_THRESHOLD = math.radians(default("road.straight_threshold_deg"))
@@ -367,7 +367,7 @@ def _centerline(cl, k, default_lane_width):
     """The ``(points, lanes, oneway, lane_width)`` of the ``k``-th map
     entry ``cl``, absent fields at their defaults. A MapFormatError names
     the entry by its ``id``, or by ``k`` when it has none, unless the
-    points are at least two finite ``[x, y]`` number pairs with no two
+    points are at least two ``[x, y]`` number pairs with no two
     consecutive ones equal, ``lanes`` is an integer >= 1, ``oneway`` a
     bool and ``lane_width`` a finite number > 0."""
     cid = cl.get("id") if isinstance(cl, dict) else None
@@ -381,27 +381,18 @@ def _centerline(cl, k, default_lane_width):
         raise bad(f"expected an object, got {cl!r}")
     if "points" not in cl:
         raise bad("missing 'points'")
-    try:
-        pts = np.asarray(cl["points"])
-    except ValueError:   # ragged: fails the shape test below
-        pts = np.zeros(0)
-    # numpy reads a bool next to numbers as 0 or 1, so look for one
-    if pts.dtype.kind not in "iuf" or pts.ndim != 2 or pts.shape[1] != 2 \
-            or len(pts) < 2 \
-            or any(type(v) is bool for p in cl["points"] for v in p):
-        raise bad("'points' must be a list of >= 2 [x, y] number pairs")
-    pts = pts.astype(np.float64)
-    if not np.isfinite(pts).all():
-        raise bad("points must be finite")
-    if np.any(geometry.segment_lengths(pts) <= 1e-9):
-        raise bad("duplicate consecutive points")
     lanes, oneway = cl.get("lanes", 1), cl.get("oneway", True)
     try:
+        pts = numbers(cl["points"], "points", 2)
         integer(lanes, "lanes")
-        width = finite_positive(cl.get("lane_width", default_lane_width),
-                                "lane_width")
+        width = number(cl.get("lane_width", default_lane_width),
+                       "lane_width", 0, strict=True)
     except (TypeError, ValueError) as exc:
         raise bad(exc) from None
+    if pts.shape[1] != 2 or len(pts) < 2:
+        raise bad("'points' must be a list of >= 2 [x, y] number pairs")
+    if np.any(geometry.segment_lengths(pts) <= 1e-9):
+        raise bad("duplicate consecutive points")
     if lanes < 1:
         raise bad(f"'lanes' must be >= 1, got {lanes}")
     if type(oneway) is not bool:

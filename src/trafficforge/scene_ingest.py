@@ -5,7 +5,6 @@ the lane graph, and turned into an initial vehicle state. Agents that miss
 the map or spawn on top of another agent are dropped with a report entry.
 """
 
-import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -18,7 +17,7 @@ from trafficforge.config import default
 from trafficforge.controller import VehicleGeometry, VehicleState
 from trafficforge.errors import ConfigError, EmptySceneError, OffMapError
 from trafficforge.geometry import central_speed, wrap_angle
-from trafficforge.util import integer
+from trafficforge.util import integer, number
 
 
 @dataclass
@@ -86,36 +85,28 @@ def load_tracklets(doc, source="tracklets"):
                 raise ValueError(f"agent_id {agent_id} is already track "
                                  f"{track_of[agent_id]}'s")
             track_of[agent_id] = i
-            poses = [TrackletPose(float(p["t"]),
-                                  np.array([p["x"], p["y"]], dtype=float),
-                                  p.get("heading"), p.get("speed"))
-                     for p in tr["poses"]]
-            for k, pose in enumerate(poses):
-                _check_finite(f"pose {k}", t=pose.t, x=pose.position[0],
-                              y=pose.position[1], heading=pose.heading,
-                              speed=pose.speed)
+            poses = []
+            for k, p in enumerate(tr["poses"]):
+                where = f"{source}: track {i}: pose {k}"
+                poses.append(TrackletPose(
+                    number(p["t"], "t"),
+                    np.array([number(p["x"], "x"), number(p["y"], "y")]),
+                    *(None if p.get(f) is None else number(p[f], f)
+                      for f in ("heading", "speed"))))
+            where = f"{source}: track {i}"
             for k in range(1, len(poses)):
                 if poses[k].t < poses[k - 1].t:
                     raise ValueError(f"times not sorted at pose {k} "
                                      f"(t {poses[k].t})")
             geom = VehicleGeometry(
-                L=float(tr.get("length", VehicleGeometry.L)),
-                width=float(tr.get("width", VehicleGeometry.width)))
-            _check_finite("vehicle", length=geom.L, width=geom.width)
+                L=number(tr.get("length", VehicleGeometry.L), "length"),
+                width=number(tr.get("width", VehicleGeometry.width), "width"))
             tracks.append(Tracklet(agent_id, poses, geom))
     except KeyError as exc:
         raise ConfigError([f"{where}: missing key {exc}"]) from exc
     except (TypeError, ValueError) as exc:
         raise ConfigError([f"{where}: {exc}"]) from exc
     return str(doc.get("scene_id", "scene")), tracks
-
-
-def _check_finite(what, **values):
-    """Raise ValueError naming ``what`` and the first non-finite value;
-    None stands for an absent optional value."""
-    for name, value in values.items():
-        if value is not None and not math.isfinite(value):
-            raise ValueError(f"{what}: non-finite {name} ({value})")
 
 
 def interpolate_pose(tracklet, t):

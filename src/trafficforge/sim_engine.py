@@ -34,8 +34,7 @@ from trafficforge.controller import (longitudinal_command, steer_to_lane,
                                      step_kinematics)
 from trafficforge.errors import ConfigError, OffMapError, TrafficForgeError
 from trafficforge.scene_ingest import interpolate_pose
-from trafficforge.util import (derive_seed, digest, finite_positive, integer,
-                              map_tasks)
+from trafficforge.util import derive_seed, digest, integer, map_tasks, number
 
 V0_FLOOR = 0.1          # reference speed floor for the free-flow term
 EXIT_EPS = 1e-6
@@ -454,7 +453,7 @@ def check_sidecar(sidecar, source):
     in each ``agents`` entry, and a ``step``, ``from_edge`` and
     ``to_edge`` in each of an agent's ``lane_changes``."""
     try:
-        finite_positive(sidecar["dt"], "dt")
+        number(sidecar["dt"], "dt", 0, strict=True)
         integer(sidecar["master_seed"], "master_seed")
         if type(sidecar["config_digest"]) is not str:
             raise TypeError(f"'config_digest' must be a string, got "
@@ -516,7 +515,7 @@ def read_simlog_csv(csv_path, sidecar):
             lane_changes=[(c["step"], c["from_edge"], c["to_edge"])
                           for c in meta.get("lane_changes", [])],
         ))
-    return SimLog(scene_id, variant, float(sidecar["dt"]),
+    return SimLog(scene_id, variant, number(sidecar["dt"], "dt"),
                   sidecar["master_seed"], sidecar["config_digest"], agents)
 
 

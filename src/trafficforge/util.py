@@ -2,7 +2,10 @@
 
 import hashlib
 import json
-import math
+import sys
+from numbers import Real
+
+import numpy as np
 
 
 def derive_seed(*parts):
@@ -19,14 +22,47 @@ def derive_seed(*parts):
     return int.from_bytes(h.digest(), "little")
 
 
-def finite_positive(value, name):
+def is_number(value, low=None, high=None, strict=False):
+    """Whether ``value`` is a real number (not a bool or a string), finite
+    as a float, >= ``low`` (> if ``strict``) and <= ``high``."""
+    return (type(value) in (int, float) or isinstance(value, Real)
+            and not isinstance(value, bool)) \
+        and abs(value) <= sys.float_info.max \
+        and (low is None or (value > low if strict else value >= low)) \
+        and (high is None or value <= high)
+
+
+def _rule(kind, low, high, strict):
+    bounds = ([] if low is None else [f"{'>' if strict else '>='} {low}"]) \
+        + ([] if high is None else [f"<= {high}"])
+    return f"{kind} {' and '.join(bounds)}".rstrip()
+
+
+def number(value, name, low=None, high=None, strict=False):
     """``value`` as a float; a ValueError naming ``name`` unless it is a
-    finite number > 0 (a bool or a numeric string is not a number)."""
-    if type(value) not in (int, float) \
-            or not (math.isfinite(value) and value > 0):
-        raise ValueError(f"{name!r} must be a finite number > 0, got "
-                         f"{value!r}")
+    number within the bounds (:func:`is_number`)."""
+    if not is_number(value, low, high, strict):
+        rule = _rule("a finite number", low, high, strict)
+        raise ValueError(f"{name!r} must be {rule}, got {value!r}")
     return float(value)
+
+
+def numbers(value, name, ndim, low=None, high=None, strict=False):
+    """``value``, lists nested ``ndim`` deep (each non-empty and as long
+    as the others at its depth) of numbers as :func:`number` takes them,
+    as a float array; a ValueError naming ``name`` and any bad number."""
+    arr = np.array(value, dtype=object)  # a ragged list leaves lists
+    bad = next((k for k, x in enumerate(arr.flat)
+                if not is_number(x, low, high, strict)), None) \
+        if arr.ndim == ndim and arr.size else -1
+    if bad is not None:
+        kind = "a non-empty list of " + "equal-length non-empty lists of " \
+            * (ndim - 1) + "finite numbers"
+        got = "" if bad < 0 else f", got {arr.flat[bad]!r} at " + "".join(
+            f"[{i}]" for i in np.unravel_index(bad, arr.shape))
+        raise ValueError(f"{name!r} must be "
+                         f"{_rule(kind, low, high, strict)}{got}")
+    return arr.astype(np.float64)
 
 
 def integer(value, name):

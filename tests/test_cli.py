@@ -130,10 +130,10 @@ _BAD_MAPS = {
                   "centerline 0: 'points' must be"),
     "nan-point": (_one_entry(points=[[0.0, 0.0], [math.nan, 1.0],
                                      [10.0, 0.0]]),
-                  "centerline 0: points must be finite"),
+                  "centerline 0: 'points' must be"),
     "inf-point": (_one_entry(points=[[0.0, 0.0], [math.inf, 1.0],
                                      [10.0, 0.0]]),
-                  "centerline 0: points must be finite"),
+                  "centerline 0: 'points' must be"),
     "duplicate-point": ({"centerlines": [
         {"points": [[0.0, 0.0], [10.0, 0.0]]},
         {"points": [[0.0, 5.0], [0.0, 5.0], [10.0, 5.0]]}]},
@@ -392,8 +392,8 @@ def test_simulate_render_metrics_reject_a_malformed_map(sim_logs, capsys):
     }
     for command, argv in runs.items():
         assert dispatch([command, "--map", str(bad), *argv]) == 1, command
-        assert f"error: map file {bad}: centerline 0: points must be " \
-            f"finite" in capsys.readouterr().err
+        assert f"error: map file {bad}: centerline 0: 'points' must be " \
+            in capsys.readouterr().err
         assert not os.path.exists(argv[-1])
 
 
@@ -593,7 +593,7 @@ def test_pool_dt_must_be_a_finite_number_above_0(sim_logs, tmp_path, capsys,
      "profile 0: missing key 'samples'"),
     ({"dt": 0.1, "profiles": [{"label": "straight", "feature": "fast",
                                "samples": [5.0, 5.0]}]},
-     "profile 0: could not convert string to float: 'fast'"),
+     "profile 0: 'feature' must be a finite number, got 'fast'"),
     ({"dt": 0.1, "profiles": {"label": "straight"}},
      "'profiles' must be a list, got dict"),
 ], ids=["empty", "no-samples", "non-numeric-feature", "profiles-not-list"])
@@ -621,7 +621,7 @@ def _with_agent_ids(*ids):
 @pytest.mark.parametrize("doc, message", [
     ({"scene_id": "a"}, "missing key 'tracks'"),
     ({"tracks": [{"agent_id": 1, "poses": [{"t": 0.0, "x": 1.0}]}]},
-     "track 0: missing key 'y'"),
+     "track 0: pose 0: missing key 'y'"),
     ({"tracks": [{"agent_id": 1, "poses": [{"t": 0.5, "x": 0.0, "y": 0.0},
                                            {"t": 0.2, "x": 1.0, "y": 0.0}]}]},
      "track 0: times not sorted at pose 1 (t 0.2)"),
@@ -656,13 +656,12 @@ def test_non_finite_tracklets_exit_1(sim_logs, tmp_path, capsys, command,
                                      key, value):
     doc = tracklets_doc("nf", [(1, -40.0, -1.75, 0.0, 9.0),
                                (2, -70.0, -1.75, 0.0, 9.0)])
-    where = "track 1: "
+    where = "track 1"
     if key in ("length", "width"):
         doc["tracks"][1][key] = value
-        where += "vehicle"
     else:
         doc["tracks"][1]["poses"][2][key] = value
-        where += "pose 2"
+        where += ": pose 2"
     path = tmp_path / "tracks.json"
     path.write_text(json.dumps(doc))
     out = tmp_path / "out"
@@ -671,8 +670,8 @@ def test_non_finite_tracklets_exit_1(sim_logs, tmp_path, capsys, command,
         argv += ["--map", str(sim_logs / "map.json"),
                  "--pool", str(sim_logs / "pool.json"), "--seed", "1"]
     assert dispatch(argv) == 1
-    assert f"error: tracklets file {path}: {where}: non-finite {key} " \
-        f"({value})\n" in capsys.readouterr().err
+    assert f"error: tracklets file {path}: {where}: {key!r} must be a " \
+        f"finite number, got {value!r}\n" in capsys.readouterr().err
     assert not out.exists()
 
 
