@@ -90,7 +90,7 @@ class ProfilePool:
                     raise TypeError(f"'label' must be a string, got "
                                     f"{p['label']!r}")
                 profiles.append(VelocityProfile(
-                    numbers(p["samples"], "samples", 1),
+                    numbers(p["samples"], "samples", 1, 0),
                     number(p["feature"], "feature"), p["label"]))
         except KeyError as exc:
             raise ConfigError([f"{where}: missing key {exc}"]) from exc

@@ -18,8 +18,8 @@ import numpy as np
 from trafficforge import behavior, bev_render, metrics, road_graph
 from trafficforge import scene_ingest, sim_engine
 from trafficforge.config import apply_overrides, set_key, validate_config
-from trafficforge.errors import (ConfigError, MapFormatError,
-                                 TrafficForgeError)
+from trafficforge.errors import (ConfigError, EmptySceneError,
+                                 MapFormatError, TrafficForgeError)
 from trafficforge.util import integer, map_tasks, number, numbers
 
 log = logging.getLogger("trafficforge")
@@ -148,9 +148,13 @@ def _load_scenes(args, cfg):
         doc = _load_json(path, "tracklets")
         scene_id, tracks = scene_ingest.load_tracklets(
             doc, f"tracklets file {path}")
-        scenes.append(scene_ingest.instantiate_agents(
-            graph, tracks, args.t0, scene_id,
-            cfg["behavior.min_spawn_gap"], cfg["road.max_snap_distance"]))
+        try:
+            scenes.append(scene_ingest.instantiate_agents(
+                graph, tracks, args.t0, scene_id,
+                cfg["behavior.min_spawn_gap"],
+                cfg["road.max_snap_distance"]))
+        except EmptySceneError as exc:
+            raise ConfigError([f"tracklets file {path}: {exc}"]) from None
     return scenes
 
 

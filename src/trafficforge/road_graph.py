@@ -28,6 +28,8 @@ from trafficforge.util import integer, number, numbers
 
 MAX_SNAP_DISTANCE = default("road.max_snap_distance")
 STRAIGHT_THRESHOLD = math.radians(default("road.straight_threshold_deg"))
+MAX_COORD = 1_000_000   # m; every lane of a map lies this close to 0
+MAX_LANES = 100         # per map entry
 HORIZON_DIST = default("road.horizon_dist")
 MAX_ROUTES = default("road.max_routes")
 _TIE_EPS = 1e-6
@@ -368,8 +370,10 @@ def _centerline(cl, k, default_lane_width):
     entry ``cl``, absent fields at their defaults. A MapFormatError names
     the entry by its ``id``, or by ``k`` when it has none, unless the
     points are at least two ``[x, y]`` number pairs with no two
-    consecutive ones equal, ``lanes`` is an integer >= 1, ``oneway`` a
-    bool and ``lane_width`` a finite number > 0."""
+    consecutive ones equal, ``lanes`` is an integer from 1 to
+    ``MAX_LANES``, ``oneway`` a bool, ``lane_width`` a finite number > 0,
+    and the points and the band of ``lanes x lane_width`` around them lie
+    within ``MAX_COORD`` m of the origin."""
     cid = cl.get("id") if isinstance(cl, dict) else None
     name = f"centerline {cid}" if cid is not None \
         else f"centerline at index {k}"
@@ -383,7 +387,7 @@ def _centerline(cl, k, default_lane_width):
         raise bad("missing 'points'")
     lanes, oneway = cl.get("lanes", 1), cl.get("oneway", True)
     try:
-        pts = numbers(cl["points"], "points", 2)
+        pts = numbers(cl["points"], "points", 2, -MAX_COORD, MAX_COORD)
         integer(lanes, "lanes")
         width = number(cl.get("lane_width", default_lane_width),
                        "lane_width", 0, strict=True)
@@ -393,8 +397,14 @@ def _centerline(cl, k, default_lane_width):
         raise bad("'points' must be a list of >= 2 [x, y] number pairs")
     if np.any(geometry.segment_lengths(pts) <= 1e-9):
         raise bad("duplicate consecutive points")
-    if lanes < 1:
-        raise bad(f"'lanes' must be >= 1, got {lanes}")
+    if not 1 <= lanes <= MAX_LANES:
+        raise bad(f"'lanes' must be >= 1 and <= {MAX_LANES}, got {lanes}")
+    # offset_polyline's miter moves a lane point by at most twice its
+    # offset, which is below lanes x lane_width / 2
+    if np.abs(pts).max() + lanes * width > MAX_COORD:
+        raise bad(f"'points' and the band of 'lanes' x 'lane_width' "
+                  f"({lanes} x {width} m) around them must lie within "
+                  f"{MAX_COORD} m of the origin")
     if type(oneway) is not bool:
         raise bad(f"'oneway' must be true or false, got {oneway!r}")
     return pts, lanes, oneway, width

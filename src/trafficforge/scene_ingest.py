@@ -19,6 +19,11 @@ from trafficforge.errors import ConfigError, EmptySceneError, OffMapError
 from trafficforge.geometry import central_speed, wrap_angle
 from trafficforge.util import integer, number
 
+MAX_SPEED = 1000               # m/s; IDM's squared terms stay finite
+MIN_SIZE = 0.01                # m; v / length must stay finite
+MAX_AGENT_ID = 2 ** 31 - 2     # .bevg id planes hold agent_id + 1 as int32
+_NOT_IN_SCENE_ID = "/\\,\0\r\n"  # it names files and fills a CSV field
+
 
 @dataclass
 class TrackletPose:
@@ -80,33 +85,46 @@ def load_tracklets(doc, source="tracklets"):
         track_of = {}   # agent_id -> index of the track that has it
         for i, tr in enumerate(doc["tracks"]):
             where = f"{source}: track {i}"
-            agent_id = integer(tr["agent_id"], "agent_id")
+            agent_id = integer(tr["agent_id"], "agent_id", 0, MAX_AGENT_ID)
             if agent_id in track_of:
                 raise ValueError(f"agent_id {agent_id} is already track "
                                  f"{track_of[agent_id]}'s")
             track_of[agent_id] = i
             poses = []
+            lim = road_graph.MAX_COORD
             for k, p in enumerate(tr["poses"]):
                 where = f"{source}: track {i}: pose {k}"
+                heading, speed = p.get("heading"), p.get("speed")
                 poses.append(TrackletPose(
                     number(p["t"], "t"),
-                    np.array([number(p["x"], "x"), number(p["y"], "y")]),
-                    *(None if p.get(f) is None else number(p[f], f)
-                      for f in ("heading", "speed"))))
+                    np.array([number(p["x"], "x", -lim, lim),
+                              number(p["y"], "y", -lim, lim)]),
+                    None if heading is None else number(heading, "heading"),
+                    None if speed is None
+                    else number(speed, "speed", 0, MAX_SPEED)))
             where = f"{source}: track {i}"
             for k in range(1, len(poses)):
                 if poses[k].t < poses[k - 1].t:
                     raise ValueError(f"times not sorted at pose {k} "
                                      f"(t {poses[k].t})")
             geom = VehicleGeometry(
-                L=number(tr.get("length", VehicleGeometry.L), "length"),
-                width=number(tr.get("width", VehicleGeometry.width), "width"))
+                L=number(tr.get("length", VehicleGeometry.L), "length",
+                         MIN_SIZE),
+                width=number(tr.get("width", VehicleGeometry.width),
+                             "width", MIN_SIZE))
             tracks.append(Tracklet(agent_id, poses, geom))
+        where = source
+        scene_id = doc.get("scene_id", "scene")
+        if type(scene_id) is not str or not scene_id \
+                or any(c in scene_id for c in _NOT_IN_SCENE_ID):
+            raise ValueError(f"'scene_id' must be a non-empty string "
+                             f"without /, \\, ',', NUL, CR or LF, got "
+                             f"{scene_id!r}")
     except KeyError as exc:
         raise ConfigError([f"{where}: missing key {exc}"]) from exc
     except (TypeError, ValueError) as exc:
         raise ConfigError([f"{where}: {exc}"]) from exc
-    return str(doc.get("scene_id", "scene")), tracks
+    return scene_id, tracks
 
 
 def interpolate_pose(tracklet, t):
@@ -175,8 +193,7 @@ def instantiate_agents(graph, tracklets, t0, scene_id="scene",
         speed = pose.speed if pose.speed is not None \
             else central_speed(tr.times, [p.position for p in tr.poses],
                                tr.segment(t0))
-        state = VehicleState(position=pose.position.copy(),
-                             v=max(float(speed), 0.0),
+        state = VehicleState(position=pose.position.copy(), v=speed,
                              psi=lane.lane_heading, a=0.0, phi=0.0)
         agents.append(AgentInit(tr.agent_id, lane, state, tr.geometry, tr))
 

@@ -33,10 +33,11 @@ from trafficforge import dynamics, road_graph
 from trafficforge.controller import (longitudinal_command, steer_to_lane,
                                      step_kinematics)
 from trafficforge.errors import ConfigError, OffMapError, TrafficForgeError
-from trafficforge.scene_ingest import interpolate_pose
+from trafficforge.scene_ingest import MAX_AGENT_ID, interpolate_pose
 from trafficforge.util import derive_seed, digest, integer, map_tasks, number
 
 V0_FLOOR = 0.1          # reference speed floor for the free-flow term
+MIN_LOG_DT = 1e-6       # s; metrics divides by a log's dt squared
 EXIT_EPS = 1e-6
 MOBIL_EVAL_MAX_OFFSET = 0.5   # only consider lane changes near the centerline
 
@@ -448,18 +449,20 @@ def _idm_accel_in(snapshot, run, route, config, moved=None):
 
 def check_sidecar(sidecar, source):
     """Raise :class:`ConfigError` naming ``source`` unless ``sidecar`` is
-    an object with a finite ``dt`` > 0 (not a bool), an integer
-    ``master_seed``, a string ``config_digest``, an integer ``agent_id``
-    in each ``agents`` entry, and a ``step``, ``from_edge`` and
-    ``to_edge`` in each of an agent's ``lane_changes``."""
+    an object with a finite ``dt`` >= ``MIN_LOG_DT`` (not a bool), an
+    integer ``master_seed``, a string ``config_digest``, an ``agent_id``
+    from 0 to ``MAX_AGENT_ID`` in each ``agents`` entry, and a ``step``,
+    ``from_edge`` and ``to_edge`` in each of an agent's
+    ``lane_changes``."""
     try:
-        number(sidecar["dt"], "dt", 0, strict=True)
+        dt = number(sidecar["dt"], "dt", 0, strict=True)
+        number(dt, "dt", MIN_LOG_DT)
         integer(sidecar["master_seed"], "master_seed")
         if type(sidecar["config_digest"]) is not str:
             raise TypeError(f"'config_digest' must be a string, got "
                             f"{sidecar['config_digest']!r}")
         for agent in sidecar.get("agents", []):
-            integer(agent["agent_id"], "agent_id")
+            integer(agent["agent_id"], "agent_id", 0, MAX_AGENT_ID)
             for change in agent.get("lane_changes", []):
                 # a KeyError names the field a lane change lacks
                 change["step"], change["from_edge"], change["to_edge"]

@@ -65,11 +65,16 @@ def numbers(value, name, ndim, low=None, high=None, strict=False):
     return arr.astype(np.float64)
 
 
-def integer(value, name):
+def integer(value, name, low=None, high=None):
     """``value`` unchanged; a TypeError naming ``name`` unless it is an
-    int (a bool, a float or a numeric string is not an integer)."""
+    int (a bool, a float or a numeric string is not an integer), and a
+    ValueError unless it is >= ``low`` and <= ``high``, each optional."""
     if type(value) is not int:
         raise TypeError(f"{name!r} must be an integer, got {value!r}")
+    if (low is not None and value < low) or (high is not None
+                                              and value > high):
+        rule = _rule("an integer", low, high, False)
+        raise ValueError(f"{name!r} must be {rule}, got {value!r}")
     return value
 
 

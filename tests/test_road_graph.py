@@ -488,14 +488,17 @@ def test_route_geometry_is_built_on_first_use():
 
 
 def test_route_without_drivable_length_raises_on_geometry_use():
-    # 5e-9 m short of the end of a lane at x = 1e8, where a coordinate
-    # step is 1.5e-8 m: the route's start and end points coincide
-    g = build_graph({"centerlines": [{"id": 0, "points": [[1e8, 0.0],
-                                                          [1e8 + 10.0, 0.0]]}]})
-    start = road_graph.LaneCoordinate(0, 10.0 - 5e-9, 0.0, 0.0)
+    # 1.02e-9 m short of the end of a diagonal lane near the map bound,
+    # where a coordinate step is 1.2e-10 m: the start rounds to 6 steps
+    # from the end in x and in y, 9.9e-10 m, so the route's start and end
+    # points are one point to the 1e-9 m dedupe tolerance
+    g = build_graph({"centerlines": [{"id": 0, "points": [
+        [999980.0, 999980.0], [999990.0, 999990.0]]}]})
+    start = road_graph.LaneCoordinate(0, g.edges[0].length - 1.02e-9, 0.0,
+                                      0.0)
     (route,) = enumerate_routes(g, start)
     for read in (lambda r: r.maneuver, lambda r: r.total_length,
-                 lambda r: r.project_near((1e8 + 10.0, 0.0), 0.0)):
+                 lambda r: r.project_near((999990.0, 999990.0), 0.0)):
         with pytest.raises(ZeroLengthRouteError,
                            match="route has no drivable length"):
             read(route)
