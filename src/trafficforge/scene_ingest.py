@@ -5,6 +5,7 @@ the lane graph, and turned into an initial vehicle state. Agents that miss
 the map or spawn on top of another agent are dropped with a report entry.
 """
 
+import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -107,6 +108,12 @@ def load_tracklets(doc, source="tracklets"):
                 if poses[k].t < poses[k - 1].t:
                     raise ValueError(f"times not sorted at pose {k} "
                                      f"(t {poses[k].t})")
+                # ingest and pool mining derive speeds from the poses
+                if math.dist(poses[k].position, poses[k - 1].position) \
+                        > MAX_SPEED * (poses[k].t - poses[k - 1].t):
+                    raise ValueError(f"'x', 'y' and 't' of pose {k} imply "
+                                     f"more than {MAX_SPEED} m/s since pose "
+                                     f"{k - 1}")
             geom = VehicleGeometry(
                 L=number(tr.get("length", VehicleGeometry.L), "length",
                          MIN_SIZE),

@@ -79,7 +79,9 @@ def _scene_id(v):
 
 
 _COORD = MAX_COORD - HALF_BAND
-# (file, path to the field, rule, values just inside and outside it)
+# (file, path to the field, rule, values just inside and outside it); a
+# pose's rule includes the speed it implies from its neighbours (the
+# fixture's poses are 0.8 m and 0.1 s apart), at most MAX_SPEED
 _FIELDS = [
     ("map.json", ("centerlines", 0, "points", 1, 0),
      _number(-_COORD, _COORD), [_COORD, _COORD + 0.1, -MAX_COORD - 1]),
@@ -89,9 +91,10 @@ _FIELDS = [
     ("map.json", ("centerlines", 0, "lane_width"),
      _number(0, MAX_COORD - ROAD, strict=True),
      [5e-324, MAX_COORD - ROAD, MAX_COORD - ROAD + 0.1]),
-    ("pool_tracks.json", ("tracks", 0, "poses", 3, "t"), _number(), []),
+    ("pool_tracks.json", ("tracks", 0, "poses", 1, "t"),
+     _number(0.001, 0.199), [0.05, 5e-324]),
     ("pool_tracks.json", ("tracks", 0, "poses", 3, "x"),
-     _number(-MAX_COORD, MAX_COORD), [MAX_COORD, MAX_COORD + 1]),
+     _number(-96, 101), [100, MAX_COORD, MAX_COORD + 1]),
     ("pool_tracks.json", ("tracks", 0, "agent_id"),
      _integer(0, MAX_AGENT_ID), [MAX_AGENT_ID, MAX_AGENT_ID + 1]),
     ("tracks.json", ("scene_id",), _scene_id,
@@ -102,11 +105,13 @@ _FIELDS = [
      [5e-324, MIN_SIZE, 0.0099]),
     ("tracks.json", ("tracks", 1, "width"), _number(MIN_SIZE),
      [MIN_SIZE, 0.0099]),
-    ("tracks.json", ("tracks", 1, "poses", 10, "t"), _number(), []),
+    ("tracks.json", ("tracks", 1, "poses", 1, "t"),
+     _number(0.001, 0.199), [0.05, 5e-324]),
+    ("tracks.json", ("tracks", 1, "poses", 10, "t"), _number(0.901), []),
     ("tracks.json", ("tracks", 1, "poses", 0, "x"),
-     _number(-MAX_COORD, MAX_COORD), [-MAX_COORD, -MAX_COORD - 1]),
+     _number(-79, 120), [-MAX_COORD, -MAX_COORD - 1]),
     ("tracks.json", ("tracks", 1, "poses", 0, "y"),
-     _number(-MAX_COORD, MAX_COORD), [MAX_COORD, MAX_COORD + 1]),
+     _number(-99, 99), [MAX_COORD, MAX_COORD + 1]),
     ("tracks.json", ("tracks", 1, "poses", 0, "heading"), _number(), []),
     ("tracks.json", ("tracks", 1, "poses", 0, "speed"),
      _number(0, MAX_SPEED), [MAX_SPEED, MAX_SPEED + 1e-9]),
