@@ -37,7 +37,7 @@ def _load_json(path, what):
     with open(path) as fh:
         try:
             return json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise ConfigError([f"{what} file {path}: invalid JSON ({exc})"])
 
 
@@ -268,7 +268,7 @@ def _prediction_sets(path):
                            numbers(doc["samples"], "samples", 3)]
                 aid = integer(doc["agent_id"], "agent_id")
                 psets.append(metrics.PredictionSet(aid, gt, samples))
-            except (ValueError, KeyError, TypeError) as exc:
+            except (ValueError, KeyError, TypeError, RecursionError) as exc:
                 raise ConfigError([f"predictions file {path} line {line_no}: "
                                    f"{type(exc).__name__}: {exc}"]) from exc
     if not psets:

@@ -177,6 +177,13 @@ def _set(doc, path, value):
     doc[path[-1]] = value
 
 
+def _outside(tmp):
+    """Every path under ``tmp`` but the run's ``--out`` and its files."""
+    out = os.path.join(tmp, "run", "out")
+    return {p for p in glob.glob(os.path.join(tmp, "**"), recursive=True)
+            if p != out and not p.startswith(out + os.sep)}
+
+
 def _forbid_constant(name):
     raise ValueError(f"non-finite {name} in an output")
 
@@ -219,14 +226,14 @@ def test_one_field_at_a_time(inputs, case):
             target = "logs/s_v0.json" if doc_name == "sidecar" else doc_name
             with open(os.path.join(root, target), "w") as fh:
                 fh.write(json.dumps(doc) + "\n")
-        before = set(os.listdir(root)) | set(os.listdir(tmp))
+        before = _outside(tmp)
         with contextlib.redirect_stderr(io.StringIO()) as stderr:
             rc = dispatch([command] + [
                 os.path.join(root, a[1:]) if a.startswith("@") else a
                 for a in _ARGV[command]])
         err = stderr.getvalue()
         assert rc in (0, 1), err
-        assert set(os.listdir(root)) | set(os.listdir(tmp)) == before, err
+        assert _outside(tmp) == before, err
         if not rule(value):
             file_name = "logs/s_v0.json" if name == "sidecar" else name
             field = [key for key in path if type(key) is str][-1]
@@ -235,3 +242,16 @@ def test_one_field_at_a_time(inputs, case):
             assert re.search(rf"\b{field}\b", err), err
         if rc == 0:
             _check_outputs(os.path.join(root, "out"))
+
+
+@pytest.mark.parametrize("command, flag", [("build-graph", "--map"),
+                                           ("metrics", "--preds")])
+def test_deeply_nested_json_exits_1(tmp_path, capsys, command, flag):
+    # json gives up on this nesting with a RecursionError, not a
+    # JSONDecodeError
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000 + "\n")
+    out = tmp_path / "out.json"
+    assert dispatch([command, flag, str(path), "--out", str(out)]) == 1
+    assert f"{path}" in capsys.readouterr().err
+    assert not out.exists()
