@@ -144,10 +144,16 @@ def cmd_profile_pool(args):
 def _load_scenes(args, cfg):
     graph = _load_graph(args, cfg)
     scenes = []
+    file_of = {}   # scene_id -> the file that has it; it names the logs
     for path in _tracklet_paths(args.tracklets):
         doc = _load_json(path, "tracklets")
         scene_id, tracks = scene_ingest.load_tracklets(
             doc, f"tracklets file {path}")
+        if scene_id in file_of:
+            raise ConfigError([f"tracklets file {path}: 'scene_id' "
+                               f"{scene_id!r} is already "
+                               f"{file_of[scene_id]}'s"])
+        file_of[scene_id] = path
         try:
             scenes.append(scene_ingest.instantiate_agents(
                 graph, tracks, args.t0, scene_id,

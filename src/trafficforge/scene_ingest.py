@@ -23,7 +23,9 @@ from trafficforge.util import integer, number
 MAX_SPEED = 1000               # m/s; IDM's squared terms stay finite
 MIN_SIZE = 0.01                # m; v / length must stay finite
 MAX_AGENT_ID = 2 ** 31 - 2     # .bevg id planes hold agent_id + 1 as int32
-_NOT_IN_SCENE_ID = "/\\,\0\r\n"  # it names files and fills a CSV field
+# a scene_id names files (at most 4 bytes a character, within a file
+# name's 255) and fills a CSV field
+MAX_SCENE_ID = 60
 
 
 @dataclass
@@ -122,11 +124,12 @@ def load_tracklets(doc, source="tracklets"):
             tracks.append(Tracklet(agent_id, poses, geom))
         where = source
         scene_id = doc.get("scene_id", "scene")
-        if type(scene_id) is not str or not scene_id \
-                or any(c in scene_id for c in _NOT_IN_SCENE_ID):
-            raise ValueError(f"'scene_id' must be a non-empty string "
-                             f"without /, \\, ',', NUL, CR or LF, got "
-                             f"{scene_id!r}")
+        if type(scene_id) is not str or not scene_id.isprintable() \
+                or not 0 < len(scene_id) <= MAX_SCENE_ID \
+                or any(c in scene_id for c in "/\\,"):
+            raise ValueError(f"'scene_id' must be 1 to {MAX_SCENE_ID} "
+                             f"printable characters, none of them /, \\ "
+                             f"or ',', got {scene_id!r}")
     except KeyError as exc:
         raise ConfigError([f"{where}: missing key {exc}"]) from exc
     except (TypeError, ValueError) as exc:

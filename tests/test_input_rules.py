@@ -74,8 +74,8 @@ def _integer(low, high):
 
 
 def _scene_id(v):
-    return type(v) is str and v != "" \
-        and not any(c in v for c in "/\\,\0\r\n")
+    return type(v) is str and 0 < len(v) <= 60 and v.isprintable() \
+        and not any(c in v for c in "/\\,")
 
 
 _COORD = MAX_COORD - HALF_BAND
@@ -98,7 +98,8 @@ _FIELDS = [
     ("pool_tracks.json", ("tracks", 0, "agent_id"),
      _integer(0, MAX_AGENT_ID), [MAX_AGENT_ID, MAX_AGENT_ID + 1]),
     ("tracks.json", ("scene_id",), _scene_id,
-     ["../escaped", "a/b", "x,y", "a\\b", "", "ok"]),
+     ["../escaped", "a/b", "x,y", "a\\b", "a\nb", "a\0b", "\ud800", "",
+      "ok", "s" * 60, "s" * 61, "\u00e9" * 60]),
     ("tracks.json", ("tracks", 1, "agent_id"),
      _integer(0, MAX_AGENT_ID), [MAX_AGENT_ID, MAX_AGENT_ID + 1]),
     ("tracks.json", ("tracks", 1, "length"), _number(MIN_SIZE),
@@ -254,4 +255,25 @@ def test_deeply_nested_json_exits_1(tmp_path, capsys, command, flag):
     out = tmp_path / "out.json"
     assert dispatch([command, flag, str(path), "--out", str(out)]) == 1
     assert f"{path}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_two_files_with_one_scene_id_exit_1(tmp_path, capsys):
+    # each scene's logs are named after its scene_id: the second file's
+    # would overwrite the first's
+    (tmp_path / "tracks").mkdir()
+    for name, x in (("a.json", 20.0), ("b.json", 60.0)):
+        (tmp_path / "tracks" / name).write_text(json.dumps(
+            tracklets_doc("same", [(1, x, 0.0, 0.0, 8.0)])))
+    (tmp_path / "map.json").write_text(json.dumps(straight_map(ROAD)))
+    (tmp_path / "pool.json").write_text(json.dumps({"dt": 0.1, "profiles": [
+        {"label": "straight", "feature": 8.0, "samples": [8.0] * 71}]}))
+    out = tmp_path / "out"
+    assert dispatch(["simulate", "--map", str(tmp_path / "map.json"),
+                     "--tracklets", str(tmp_path / "tracks"),
+                     "--pool", str(tmp_path / "pool.json"), "--seed", "1",
+                     "--out", str(out)]) == 1
+    assert f"tracklets file {tmp_path / 'tracks' / 'b.json'}: 'scene_id' " \
+        f"'same' is already {tmp_path / 'tracks' / 'a.json'}'s" \
+        in capsys.readouterr().err
     assert not out.exists()
