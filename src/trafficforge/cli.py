@@ -210,8 +210,12 @@ def _load_logs(logs_dir):
         side_path = os.path.join(logs_dir, name[:-4] + ".json")
         sidecar = _load_json(side_path, "sidecar")
         sim_engine.check_sidecar(sidecar, f"sidecar file {side_path}")
-        logs.append(sim_engine.read_simlog_csv(
-            os.path.join(logs_dir, name), sidecar))
+        csv_path = os.path.join(logs_dir, name)
+        logs.append(sim_engine.read_simlog_csv(csv_path, sidecar))
+        try:   # render names its files after it
+            scene_ingest.check_scene_id(logs[-1].scene_id)
+        except ValueError as exc:
+            raise ConfigError([f"simulation log {csv_path}: {exc}"]) from None
     if not logs:
         raise ConfigError([f"no simulation CSVs in {logs_dir}"])
     return logs

@@ -23,9 +23,7 @@ from trafficforge.util import integer, number
 MAX_SPEED = 1000               # m/s; IDM's squared terms stay finite
 MIN_SIZE = 0.01                # m; v / length must stay finite
 MAX_AGENT_ID = 2 ** 31 - 2     # .bevg id planes hold agent_id + 1 as int32
-# a scene_id names files (at most 4 bytes a character, within a file
-# name's 255) and fills a CSV field
-MAX_SCENE_ID = 60
+MAX_SCENE_ID = 60   # characters of UTF-8, within a file name's 255 bytes
 
 
 @dataclass
@@ -123,18 +121,25 @@ def load_tracklets(doc, source="tracklets"):
                              "width", MIN_SIZE))
             tracks.append(Tracklet(agent_id, poses, geom))
         where = source
-        scene_id = doc.get("scene_id", "scene")
-        if type(scene_id) is not str or not scene_id.isprintable() \
-                or not 0 < len(scene_id) <= MAX_SCENE_ID \
-                or any(c in scene_id for c in "/\\,"):
-            raise ValueError(f"'scene_id' must be 1 to {MAX_SCENE_ID} "
-                             f"printable characters, none of them /, \\ "
-                             f"or ',', got {scene_id!r}")
+        scene_id = check_scene_id(doc.get("scene_id", "scene"))
     except KeyError as exc:
         raise ConfigError([f"{where}: missing key {exc}"]) from exc
     except (TypeError, ValueError) as exc:
         raise ConfigError([f"{where}: {exc}"]) from exc
     return scene_id, tracks
+
+
+def check_scene_id(scene_id):
+    """``scene_id`` unchanged; a ValueError unless it is 1 to
+    ``MAX_SCENE_ID`` printable characters, none of them /, \\ or ',':
+    it names a scene's log and grid files and fills a CSV field."""
+    if type(scene_id) is not str or not scene_id.isprintable() \
+            or not 0 < len(scene_id) <= MAX_SCENE_ID \
+            or any(c in scene_id for c in "/\\,"):
+        raise ValueError(f"'scene_id' must be 1 to {MAX_SCENE_ID} printable "
+                         f"characters, none of them /, \\ or ',', got "
+                         f"{scene_id!r}")
+    return scene_id
 
 
 def interpolate_pose(tracklet, t):

@@ -277,3 +277,21 @@ def test_two_files_with_one_scene_id_exit_1(tmp_path, capsys):
         f"'same' is already {tmp_path / 'tracks' / 'a.json'}'s" \
         in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["render", "metrics"])
+def test_log_scene_id_that_is_a_path_exits_1(inputs, tmp_path, capsys,
+                                             command):
+    # render names its grid files after the scene id a log's CSV holds
+    docs, logs = inputs
+    (tmp_path / "logs").mkdir()
+    (tmp_path / "map.json").write_text(json.dumps(docs["map.json"]))
+    (tmp_path / "logs" / "s_v0.json").write_text(json.dumps(docs["sidecar"]))
+    csv = tmp_path / "logs" / "s_v0.csv"
+    csv.write_text(logs["s_v0.csv"].replace("\ns,", "\n../escaped,"))
+    out = tmp_path / "out"
+    assert dispatch([command, "--logs", str(tmp_path / "logs"), "--map",
+                     str(tmp_path / "map.json"), "--out", str(out)]) == 1
+    assert f"simulation log {csv}: 'scene_id' must be" \
+        in capsys.readouterr().err
+    assert sorted(os.listdir(tmp_path)) == ["logs", "map.json"]
