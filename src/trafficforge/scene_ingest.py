@@ -91,29 +91,29 @@ def load_tracklets(doc, source="tracklets"):
                 raise ValueError(f"agent_id {agent_id} is already track "
                                  f"{track_of[agent_id]}'s")
             track_of[agent_id] = i
-            poses = []
+            rows = []   # (t, x, y, heading, speed) of each pose
             lim = road_graph.MAX_COORD
             for k, p in enumerate(tr["poses"]):
                 where = f"{source}: track {i}: pose {k}"
                 heading, speed = p.get("heading"), p.get("speed")
-                poses.append(TrackletPose(
-                    number(p["t"], "t"),
-                    np.array([number(p["x"], "x", -lim, lim),
-                              number(p["y"], "y", -lim, lim)]),
+                rows.append((
+                    number(p["t"], "t"), number(p["x"], "x", -lim, lim),
+                    number(p["y"], "y", -lim, lim),
                     None if heading is None else number(heading, "heading"),
                     None if speed is None
                     else number(speed, "speed", 0, MAX_SPEED)))
             where = f"{source}: track {i}"
-            for k in range(1, len(poses)):
-                if poses[k].t < poses[k - 1].t:
-                    raise ValueError(f"times not sorted at pose {k} "
-                                     f"(t {poses[k].t})")
+            for k in range(1, len(rows)):
+                (t0, x0, y0, _, _), (t1, x1, y1, _, _) = rows[k - 1], rows[k]
+                if t1 < t0:
+                    raise ValueError(f"times not sorted at pose {k} (t {t1})")
                 # ingest and pool mining derive speeds from the poses
-                if math.dist(poses[k].position, poses[k - 1].position) \
-                        > MAX_SPEED * (poses[k].t - poses[k - 1].t):
+                if math.hypot(x1 - x0, y1 - y0) > MAX_SPEED * (t1 - t0):
                     raise ValueError(f"'x', 'y' and 't' of pose {k} imply "
                                      f"more than {MAX_SPEED} m/s since pose "
                                      f"{k - 1}")
+            poses = [TrackletPose(t, np.array([x, y]), heading, speed)
+                     for t, x, y, heading, speed in rows]
             geom = VehicleGeometry(
                 L=number(tr.get("length", VehicleGeometry.L), "length",
                          MIN_SIZE),
