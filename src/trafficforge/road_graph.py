@@ -515,7 +515,9 @@ def within_lanes(graph, points, margin,
     A point is within its lane when :func:`project_to_lane` without a
     heading hint snaps it within ``max_snap_distance``, and the absolute
     lateral offset to the edge it picks is at most half that edge's lane
-    width plus ``margin``.
+    width plus ``margin``. Each point's verdict depends on that point
+    alone, so the points of several trajectories can share one call
+    (:func:`metrics.validity_ratio` passes them in blocks).
 
     Only a point whose nearest edge lies within ``reach``, the smaller of
     the snap limit and the widest half lane plus ``margin``, can pass,

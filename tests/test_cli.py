@@ -1010,8 +1010,9 @@ def test_render_does_not_import_numpy_ma(sim_logs, tmp_path):
 def test_runtime_imports_neither_scipy_nor_numpy_ma():
     # the runtime is numpy-only: scipy (about half a second of import
     # time) and numpy.ma (imported by np.median) stay unloaded through
-    # the snap, the validity check, the likelihood, the diversity report
-    # and the realism check; run in a fresh interpreter
+    # the snap, the validity check (of one trajectory, and of several
+    # folded by reduceat), the likelihood, the diversity report and the
+    # realism check; run in a fresh interpreter
     src = os.path.dirname(os.path.dirname(trafficforge.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     proc = subprocess.run(
@@ -1025,6 +1026,7 @@ def test_runtime_imports_neither_scipy_nor_numpy_ma():
          "trajs = [metrics.Trajectory2D(0.1, np.column_stack(\n"
          "    [np.arange(6.0), np.sin(np.arange(6.0) + k)]))\n"
          "    for k in range(5)]\n"
+         "assert metrics.validity_ratio(trajs, g) == 1.0\n"
          "metrics.nll(metrics.PredictionSet(1, trajs[0], trajs[1:]), 5)\n"
          "metrics.diversity_report(trajs)\n"
          "metrics.pca_kde_realism(trajs[:4], trajs[1:], n_eval=8)\n"

@@ -1,6 +1,7 @@
 """Displacement, likelihood, validity, diversity and realism metrics."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -295,20 +296,15 @@ def _offsets(snap):
         st.sampled_from(["limit", "above", "below"]))
 
 
-@st.composite
-def graph_trajectories(draw):
-    """(graph, margin, snap limit, points): a walk along successive edges,
-    offset sideways. A 9 m margin puts the validity limit past the default
-    snap limit, and so do the smaller snap limits."""
-    graph = _GRAPHS[draw(st.sampled_from(sorted(_GRAPHS)))]
-    margin = draw(st.sampled_from([0.5, 9.0]))
-    snap = draw(st.sampled_from([0.01, 1.0, 2.0, 10.0]))
+def _walk(draw, graph, margin, steps):
+    """Points along a walk on successive edges of ``graph`` from a drawn
+    start, one per (step length, lateral offset) of ``steps``; an offset
+    "limit", "above" or "below" is the validity limit with ``margin``,
+    one float past it or one short of it."""
     eid = draw(st.sampled_from(sorted(graph.edges)))
     s = draw(st.floats(0.0, graph.edges[eid].length))
     pts = []
-    for step, off in draw(st.lists(st.tuples(st.floats(0.0, 6.0),
-                                             _offsets(snap)),
-                                   min_size=2, max_size=120)):
+    for step, off in steps:
         edge = graph.edges[eid]
         s += step
         while s > edge.length:
@@ -325,7 +321,20 @@ def graph_trajectories(draw):
             off = {"limit": limit, "above": np.nextafter(limit, np.inf),
                    "below": np.nextafter(limit, 0.0)}[off]
         pts.append(p + off * np.array([-math.sin(heading), math.cos(heading)]))
-    return graph, margin, snap, np.array(pts)
+    return np.array(pts)
+
+
+@st.composite
+def graph_trajectories(draw):
+    """(graph, margin, snap limit, points): a walk along successive edges,
+    offset sideways. A 9 m margin puts the validity limit past the default
+    snap limit, and so do the smaller snap limits."""
+    graph = _GRAPHS[draw(st.sampled_from(sorted(_GRAPHS)))]
+    margin = draw(st.sampled_from([0.5, 9.0]))
+    snap = draw(st.sampled_from([0.01, 1.0, 2.0, 10.0]))
+    steps = draw(st.lists(st.tuples(st.floats(0.0, 6.0), _offsets(snap)),
+                          min_size=2, max_size=120))
+    return graph, margin, snap, _walk(draw, graph, margin, steps)
 
 
 @settings(max_examples=300, deadline=None)
@@ -336,6 +345,50 @@ def test_graph_validity_matches_per_point_reference(case):
     assert road_graph.within_lanes(graph, pts, margin, snap).tolist() == ref
     assert validity_ratio([_traj(pts)], graph, margin, snap) \
         == float(all(ref))
+
+
+@st.composite
+def trajectory_sets(draw):
+    """(graph, margin, snap limit, block, trajectories): one to six walks
+    of 2 to 40 points on their lanes' centerlines, each with at most one
+    point offset as in :func:`_offsets` (on or off the road), and a
+    ``_VALIDITY_BLOCK`` from 1 point to more than all of them."""
+    graph = _GRAPHS[draw(st.sampled_from(sorted(_GRAPHS)))]
+    margin = draw(st.sampled_from([0.5, 9.0]))
+    snap = draw(st.sampled_from([0.01, 1.0, 2.0, 10.0]))
+    trajs = []
+    for n in draw(st.lists(st.integers(2, 40), min_size=1, max_size=6)):
+        steps = [(draw(st.floats(0.0, 6.0)), 0.0) for _ in range(n)]
+        if draw(st.booleans()):   # often at an end, where blocks split
+            at = draw(st.sampled_from([0, n - 1]) | st.integers(0, n - 1))
+            steps[at] = (0.0, draw(_offsets(snap)))
+        trajs.append(_traj(_walk(draw, graph, margin, steps)))
+    total = sum(len(t.points) for t in trajs)
+    return graph, margin, snap, draw(st.integers(1, total + 1)), trajs
+
+
+# blocks of 5 points: the first two trajectories share one, the third
+# has one of its own, and the fourth is longer than a whole block; the
+# second and the fourth leave the road
+_LONG_AFTER_SHORT = (
+    _GRAPHS["bidirectional"], 0.5, 10.0, 5,
+    [_traj([[x, y] for x in (10.0, 12.0)]) for y in (0.0, 30.0, 0.0)]
+    + [_traj([[20.0 + x, 0.0 if x != 6 else 30.0] for x in range(7)])])
+
+
+@settings(max_examples=300, deadline=None)
+@given(trajectory_sets())
+@example(_LONG_AFTER_SHORT)
+def test_blocked_validity_matches_per_trajectory_calls(case):
+    # every prefix of the list: each trajectory's verdict shows, and a
+    # block boundary falls everywhere some block size puts one
+    graph, margin, snap, block, trajs = case
+    ref = [bool(road_graph.within_lanes(graph, t.points, margin, snap).all())
+           for t in trajs]
+    with mock.patch.object(metrics, "_VALIDITY_BLOCK", block):
+        for k in range(1, len(trajs) + 1):
+            assert validity_ratio(trajs[:k], graph, margin, snap) \
+                == sum(ref[:k]) / k
 
 
 def test_graph_validity_limits():

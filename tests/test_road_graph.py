@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from helpers import (approach_point, four_way_intersection, ring_map,
                      straight_map)
 
-from trafficforge import behavior, geometry, road_graph
+from trafficforge import behavior, geometry, metrics, road_graph
 from trafficforge.config import default
 from trafficforge.errors import (MapFormatError, OffMapError,
                                ZeroLengthRouteError)
@@ -598,6 +598,47 @@ def test_within_lanes_peak_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 256 * 1024
+
+
+def _lane_walks(graph, n, length, rng):
+    """``n`` trajectories of ``length`` points 1.2 m apart on lane
+    centerlines, each from a random point of a random edge, taking a
+    random outgoing edge at each node and stopping at a dead end."""
+    eids = sorted(graph.edges)
+    trajs = []
+    for _ in range(n):
+        edge = graph.edges[eids[rng.integers(len(eids))]]
+        s = rng.uniform(0.0, edge.length)
+        pts = []
+        for _ in range(length):
+            s += 1.2
+            while s > edge.length:
+                nxt = graph.outgoing(edge.to_node)
+                if not nxt:
+                    s = edge.length
+                    break
+                s -= edge.length
+                edge = graph.edges[nxt[rng.integers(len(nxt))]]
+            pts.append(edge.point_at(s)[0])
+        trajs.append(metrics.Trajectory2D(0.1, np.array(pts)))
+    return trajs
+
+
+def test_validity_ratio_peak_memory_does_not_grow_with_trajectories():
+    # 200 trajectories of 71 points at the four-way junction, about 5.5
+    # segments a point: all points in one within_lanes call would peak at
+    # about 8 MB here, blocks of _VALIDITY_BLOCK points at about 0.26 MB
+    g = build_graph(four_way_intersection())
+    trajs = _lane_walks(g, 200, 71, np.random.default_rng(5))
+    assert metrics.validity_ratio(trajs, g) == 1.0
+    for n in (20, 200):
+        tracemalloc.start()
+        try:
+            metrics.validity_ratio(trajs[:n], g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 384 * 1024
 
 
 def _dense_within_lanes(graph, pts, margin, snap):
