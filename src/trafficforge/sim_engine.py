@@ -70,6 +70,9 @@ _CSV_DTYPE = np.dtype([("variant", "i8"), ("agent_id", "i8")]
                       + [(c, "f8") for c in _CSV_VALUES])
 # numpy's text parser strips these around a number; int() and float() do not
 _NUMPY_ONLY_SPACE = "\x1c\x1d\x1e\x1f"
+# m; a log's x and y lie this close to 0: every lane of a map lies within
+# road_graph.MAX_COORD, and the rest leaves room to drive off the map
+MAX_LOG_COORD = 2 * road_graph.MAX_COORD
 
 
 @dataclass
@@ -477,7 +480,8 @@ def read_simlog_csv(csv_path, sidecar):
     ``config_digest`` come from the sidecar alone.
 
     Raises :class:`ConfigError` naming the file and the line when a
-    column is missing or a field is absent or not a finite number, and
+    column is missing or a field is absent or not a finite number, or
+    an ``x`` or ``y`` lies farther than ``MAX_LOG_COORD`` from 0, and
     naming the file and the agent when an agent of the CSV has no entry
     in the sidecar's ``agents``. The logs' ``x_lat`` is None: the CSV
     does not hold it.
@@ -542,7 +546,8 @@ def _parse_rows_bulk(lines, idx):
         return None
     # the value fields, as float (n, 7): they follow the two i8 fields
     values = data.view(np.float64).reshape(len(data), -1)[:, 2:]
-    if len(data) != len(lines) or not np.isfinite(values).all():
+    if len(data) != len(lines) or not np.isfinite(values).all() \
+            or not (np.abs(values[:, 1:3]) <= MAX_LOG_COORD).all():
         return None  # a skipped blank line, or a bad value
     order = np.argsort(data["agent_id"], kind="stable")
     ids = data["agent_id"][order]
@@ -583,6 +588,8 @@ def _parse_rows_one_by_one(lines, idx, csv_path):
             row = list(map(float, values(f)))
             if not all(map(math.isfinite, row)):
                 raise ValueError(f"non-finite value in {row}")
+            number(row[1], "x", -MAX_LOG_COORD, MAX_LOG_COORD)
+            number(row[2], "y", -MAX_LOG_COORD, MAX_LOG_COORD)
             rec[1].append(row)
         except (IndexError, ValueError) as exc:
             raise ConfigError([f"simulation log {csv_path} line "

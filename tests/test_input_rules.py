@@ -295,3 +295,56 @@ def test_log_scene_id_that_is_a_path_exits_1(inputs, tmp_path, capsys,
     assert f"simulation log {csv}: 'scene_id' must be" \
         in capsys.readouterr().err
     assert sorted(os.listdir(tmp_path)) == ["logs", "map.json"]
+
+
+def _with_positions(csv_text, column, values, row=4):
+    """``csv_text`` with ``column`` of agent ``k + 1``'s ``row``-th row set
+    to ``values[k]``, and the file line numbers of those rows."""
+    lines = csv_text.split("\n")
+    header = lines[0].split(",")
+    i_agent, i_col = header.index("agent_id"), header.index(column)
+    seen, edited = {}, []
+    for n, line in enumerate(lines[1:], 2):
+        fields = line.split(",")
+        if len(fields) < len(header):
+            continue
+        k = int(fields[i_agent]) - 1
+        seen[k] = seen.get(k, -1) + 1
+        if k < len(values) and seen[k] == row:
+            fields[i_col] = values[k]
+            lines[n - 1] = ",".join(fields)
+            edited.append(n)
+    assert len(edited) == len(values)
+    return "\n".join(lines), edited
+
+
+@pytest.mark.parametrize("command", ["render", "metrics"])
+@pytest.mark.parametrize("column, values, bad", [
+    # numpy overflowed on these and both commands exited 0, metrics
+    # writing an "xdd_wasserstein" mean of Infinity
+    ("x", ("1e308", "-1e308"), 0),
+    ("y", ("2000000", "-2000000.0000005"), 1),
+    ("x", ("-2000000", "2000000.0"), None),
+])
+def test_log_positions_beyond_the_bound_exit_1(inputs, tmp_path, capsys,
+                                               command, column, values, bad):
+    # a log's x and y lie within 2 x 1e6 m, twice the map's bound
+    docs, logs = inputs
+    (tmp_path / "logs").mkdir()
+    (tmp_path / "map.json").write_text(json.dumps(docs["map.json"]))
+    (tmp_path / "logs" / "s_v0.json").write_text(json.dumps(docs["sidecar"]))
+    csv = tmp_path / "logs" / "s_v0.csv"
+    text, lines = _with_positions(logs["s_v0.csv"], column, values)
+    csv.write_text(text)
+    out = tmp_path / "out"
+    argv = [command, "--logs", str(tmp_path / "logs"), "--map",
+            str(tmp_path / "map.json"), "--out", str(out)]
+    if bad is None:
+        assert dispatch(argv) == 0
+        _check_outputs(str(tmp_path))
+        return
+    assert dispatch(argv) == 1
+    assert f"simulation log {csv} line {lines[bad]}: ValueError: " \
+        f"'{column}' must be a finite number >= -2000000 and <= 2000000, " \
+        f"got {float(values[bad])!r}" in capsys.readouterr().err
+    assert not out.exists()
