@@ -287,6 +287,11 @@ def _row_loop_read_simlog_csv(csv_path, sidecar):
                 row = list(map(float, values(f)))
                 if not all(map(math.isfinite, row)):
                     raise ValueError(f"non-finite value in {row}")
+                for name, value in (("x", row[1]), ("y", row[2])):
+                    if abs(value) > 2_000_000:   # twice the map bound
+                        raise ValueError(
+                            f"{name!r} must be a finite number >= -2000000 "
+                            f"and <= 2000000, got {value!r}")
                 rec["rows"].append(row)
             except (IndexError, ValueError) as exc:
                 raise ConfigError([f"simulation log {csv_path} line "
@@ -324,10 +329,10 @@ _label = st.sampled_from(["straight", "left", "right", " right", "", "a b"])
 _SPELLINGS = ("{}", " {}", "{} ", "\t{}", "{}\x0b")
 # a field each reader may take differently: rejected by one or both,
 # non-finite, or read by int()/float() but not by numpy (underscores,
-# non-ASCII digits, huge integers)
+# non-ASCII digits, huge integers), or an x or y on or past its bound
 _ODD_FIELDS = ("nan", "inf", "-inf", "1e400", "-1e400", "x", "", " ",
                "\x1c1", "1\x1f", "1_0", "3.0", "+3", "1e3", "0x10", ".5",
-               "99999999999999999999", "１")
+               "99999999999999999999", "１", "2e6", "-2000000.5")
 
 
 @st.composite
