@@ -127,7 +127,8 @@ def render_context(graph, spec):
 
     A cell is road when its center lies within half a lane width of any
     centerline, lane when within half a pixel of one (lane wins), else
-    unknown. Pure cell-center point tests keep the result deterministic.
+    unknown; a center exactly at either distance is inside. Pure
+    cell-center point tests keep the result deterministic.
 
     Each segment is tested only against the block of cells whose centers
     lie in its bounding box grown by ``max(lane_width, resolution) / 2``,
@@ -137,32 +138,9 @@ def render_context(graph, spec):
     the classes bit-identical to testing every cell against every segment.
 
     The (cell, segment) pairs of all blocks are classified in chunks of
-    ``_PAIR_CHUNK`` by :func:`geometry.segment_dist2`, whose squared
-    distance may differ in the last bits from that of the block pass
-    :func:`_dist2_to_segment`, which defines the classes. Both evaluate
-    ``|P - A - t D|^2``, ``t = clip((P - A).D / |D|^2, 0, 1)``, for the
-    cell center ``P`` and the segment ``A + [0, 1] D`` (``D = B - A``
-    computed once, the same float vector in both) with the same float
-    operations, up to the order and fusion of two 2-term dot products.
-    With ``M = |P| + |A| + |D|`` and the unit roundoff ``u = 2^-53``,
-    each step's error is at most a few ``u M`` (Higham 2002, section
-    3.1): the differences, the dot product, and ``t D`` (``|t| |D| <=
-    |P - A|`` before the clip, which only shrinks errors). So the
-    computed offset ``e`` is within ``10 u M`` of the exact one, ``|e| <=
-    M``, and each formula's ``|e|^2`` is within ``32 u M^2 <= 96 u (|P|^2
-    + |A|^2 + |D|^2)`` of the exact value: the two differ by less than
-    ``2.2e-14 (|P|^2 + |A|^2 + |D|^2)``. A zero or underflowing ``|D|^2``
-    moves either foot point by at most ``|D| < 1e-153``, which the 1
-    below covers. The band ``tau = 1e-9 (1 + |P|^2 + |A|^2 + |D|^2)``,
-    with ``|P|^2`` the largest over the grid and ``|A|^2 + |D|^2`` the
-    largest over the segments that reach it, is over 10^4 times the gap.
-
-    A pair whose distance lies farther than ``tau`` from a threshold is
-    classified as the block pass would. A pair within ``tau`` of either
-    threshold decides nothing: its segment is marked and then redone by
-    the block pass on its own ``A`` and ``B``, so every class that could
-    depend on a distance's last bits comes from the block pass's floats
-    (a cell center exactly half a pixel from a centerline is such a tie).
+    ``_PAIR_CHUNK`` by :func:`geometry.segment_dist2`, the squared
+    distance that :func:`geometry.project_point` and
+    :func:`road_graph.within_lanes` compute too.
     """
     W = spec.W
     road = np.zeros(spec.H * W, dtype=bool)
@@ -190,13 +168,8 @@ def render_context(graph, spec):
     ax, ay = a[:, 0], a[:, 1]
     dx, dy = b[:, 0] - ax, b[:, 1] - ay
     seg2 = dx * dx + dy * dy
-    reached = n_pairs > 0
-    tau = 1e-9 * (1.0 + max(xs[0] ** 2, xs[-1] ** 2)
-                  + max(ys[0] ** 2, ys[-1] ** 2)
-                  + (ax * ax + ay * ay + seg2)[reached].max(initial=0.0))
     seg2[seg2 == 0.0] = 1.0
     road2, lane2 = half_w * half_w, half_px * half_px
-    tie = np.zeros(len(a), dtype=bool)
     total = int(n_pairs.sum())
     for lo in range(0, total, _PAIR_CHUNK):
         hi = min(lo + _PAIR_CHUNK, total)
@@ -212,25 +185,12 @@ def render_context(graph, spec):
         d2 = geometry.segment_dist2(xs[col], ys[row], ax[s], ay[s], dx[s],
                                     dy[s], seg2[s])
         cell = row * W + col
-        off_w = d2 - road2[s]
-        off_px = d2 - lane2
-        tie[s[(np.abs(off_w) <= tau) | (np.abs(off_px) <= tau)]] = True
-        road[cell[off_w < -tau]] = True
-        lane[cell[off_px < -tau]] = True
-    road, lane = road.reshape(spec.H, W), lane.reshape(spec.H, W)
-    for k in np.flatnonzero(tie).tolist():
-        rows, cols = slice(r0[k], r1[k]), slice(c0[k], c1[k])
-        block = np.empty((rows.stop - rows.start, cols.stop - cols.start, 2))
-        block[..., 0] = xs[cols]
-        block[..., 1] = ys[rows, None]
-        d2 = _dist2_to_segment(block.reshape(-1, 2), a[k], b[k])
-        d2 = d2.reshape(block.shape[:2])
-        road[rows, cols] |= d2 <= road2[k]
-        lane[rows, cols] |= d2 <= lane2
-    classes = np.full((spec.H, W), UNKNOWN, dtype=np.uint8)
+        road[cell[d2 <= road2[s]]] = True
+        lane[cell[d2 <= lane2]] = True
+    classes = np.full(spec.H * W, UNKNOWN, dtype=np.uint8)
     classes[road] = ROAD
     classes[lane] = LANE
-    return ContextMap(spec, classes)
+    return ContextMap(spec, classes.reshape(spec.H, W))
 
 
 def _cell_spans(lo, hi, origin, resolution, n):
@@ -246,19 +206,6 @@ def _cell_spans(lo, hi, origin, resolution, n):
     start = np.clip(first, 0, n).astype(np.intp)
     return start, np.maximum(np.clip(last + 1.0, 0, n).astype(np.intp),
                              start)
-
-
-def _dist2_to_segment(points, a, b):
-    """Squared distance from many points to the segment ``a``-``b``."""
-    d = b - a
-    seg2 = float(d @ d)
-    if seg2 <= 0.0:
-        diff = points - a
-        return np.einsum("ij,ij->i", diff, diff)
-    t = np.clip(((points - a) @ d) / seg2, 0.0, 1.0)
-    foot = a + t[:, None] * d[None, :]
-    diff = points - foot
-    return np.einsum("ij,ij->i", diff, diff)
 
 
 class _CellTable:

@@ -70,6 +70,9 @@ def _resolve_config(args):
         if not isinstance(spec, dict):
             raise ConfigError(
                 [f"--spec: expected a JSON object, got {spec!r}"])
+        if "res" in spec and "resolution" in spec:
+            raise ConfigError(["--spec: gives both 'res' and 'resolution', "
+                               "two spellings of grid.resolution; give one"])
         for key, value in spec.items():
             key = "resolution" if key == "res" else key
             set_key(raw, f"grid.{key}", value)
@@ -311,10 +314,13 @@ def _horizons(text):
 
 
 def cmd_metrics(args):
+    if args.map and not args.logs:
+        raise ConfigError(["--map needs --logs: the map checks the validity "
+                           "of the logs' trajectories"])
+    horizons = _horizons(args.horizons)
     cfg = _resolve_config(args)
     report = {}
     if args.preds:
-        horizons = _horizons(args.horizons)
         psets = _prediction_sets(args.preds)
         per_h = {}
         for key, h in horizons.items():

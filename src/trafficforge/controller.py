@@ -86,20 +86,17 @@ def steer_to_lane(x_lateral, epsilon, psi_future, psi_current, v,
 
 
 def longitudinal_command(v, v_ref, kp_speed, a_idm,
-                         a_max_decel=ControllerParams.a_max_decel,
-                         a_cap=math.inf):
+                         a_max_decel=ControllerParams.a_max_decel):
     """min(kp * (v_ref - v), a_idm); the safety ceiling is absolute.
 
-    ``a_cap`` is the comfort limit (the caller usually passes the agent's
-    comfortable acceleration; the IDM value already respects it).
+    The command is at most ``a_idm``, which :func:`dynamics.idm_accel`
+    clamps to the agent's comfortable ``a``, so it needs no upper clamp.
     """
     a_cmd = kp_speed * (v_ref - v)
     if a_idm < a_cmd:
         a_cmd = a_idm
     if a_cmd < -a_max_decel:
         a_cmd = -a_max_decel
-    elif a_cmd > a_cap:
-        a_cmd = a_cap
     return a_cmd
 
 

@@ -265,7 +265,7 @@ def simulate_scene(scene, assignment, config, variant_index=0):
                                 ctrl.kp_heading, ctrl.v_eps,
                                 ctrl.psi_req_max, run.geom.L, ctrl.phi_max)
             a_cmd = longitudinal_command(v, v_ref, ctrl.kp_speed, a_idm,
-                                         ctrl.a_max_decel, run.idm.a)
+                                         ctrl.a_max_decel)
             commands[run.agent_id] = (a_cmd, phi)
 
         # apply all updates simultaneously

@@ -160,22 +160,6 @@ def test_approach_context_digest_pinned():
         "fdaeb77f52315b1d380c65f27c399bc1352cc63601e0a722d3bdf267c2d62ebb")
 
 
-def test_approach_context_takes_the_tie_path(monkeypatch):
-    # cell centers exactly half a pixel from a centerline are ties: their
-    # segments are redone by the block pass
-    calls = []
-    block_pass = bev_render._dist2_to_segment
-
-    def counted(points, a, b):
-        calls.append(len(points))
-        return block_pass(points, a, b)
-
-    monkeypatch.setattr(bev_render, "_dist2_to_segment", counted)
-    g = road_graph.build_graph(four_way_intersection())
-    render_context(g, _APPROACH_SPEC)
-    assert len(calls) >= 1
-
-
 _BAD_GRIDS = [
     ((4, 4, float("nan")), "resolution"),
     ((4, 4, float("inf")), "resolution"),

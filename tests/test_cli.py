@@ -303,7 +303,10 @@ def test_metrics_malformed_predictions_exit_1(tmp_path, capsys, bad_line,
     assert not (tmp_path / "report.json").exists()
 
 
-@pytest.mark.parametrize("horizons", ["1,x", "0", "2,-1", "nan", "inf"])
+_BAD_HORIZONS = ["1,x", "0", "2,-1", "nan", "inf"]
+
+
+@pytest.mark.parametrize("horizons", _BAD_HORIZONS)
 def test_metrics_bad_horizons_exit_1(tmp_path, capsys, horizons):
     preds = tmp_path / "preds.jsonl"
     preds.write_text(json.dumps({"agent_id": 1, "dt": 0.1,
@@ -314,6 +317,37 @@ def test_metrics_bad_horizons_exit_1(tmp_path, capsys, horizons):
     assert rc == 1
     assert f"error: --horizons {horizons!r}: every horizon must be a finite " \
         "number of seconds > 0" in capsys.readouterr().err
+    assert not (tmp_path / "report.json").exists()
+
+
+@pytest.mark.parametrize("horizons", _BAD_HORIZONS)
+def test_metrics_bad_horizons_with_logs_only_exit_1(sim_logs, tmp_path,
+                                                    capsys, horizons):
+    rc = dispatch(["metrics", "--logs", str(sim_logs / "logs"),
+                   "--horizons", horizons,
+                   "--out", str(tmp_path / "report.json")])
+    assert rc == 1
+    assert f"error: --horizons {horizons!r}: every horizon must be a finite " \
+        "number of seconds > 0" in capsys.readouterr().err
+    assert not (tmp_path / "report.json").exists()
+
+
+@pytest.mark.parametrize("map_text", ["{not json", None],
+                         ids=["malformed", "missing"])
+def test_metrics_map_without_logs_exit_1(tmp_path, capsys, map_text):
+    # validity is scored on the logs' trajectories: a --map beside --preds
+    # alone would never be opened
+    preds = tmp_path / "preds.jsonl"
+    preds.write_text(json.dumps({"agent_id": 1, "dt": 0.1,
+                                 "gt": [[0, 0], [1, 1], [2, 2]],
+                                 "samples": [[[0, 0], [1, 1], [2, 2]]]}))
+    map_path = tmp_path / "map.json"
+    if map_text is not None:
+        map_path.write_text(map_text)
+    rc = dispatch(["metrics", "--preds", str(preds), "--map", str(map_path),
+                   "--out", str(tmp_path / "report.json")])
+    assert rc == 1
+    assert "error: --map needs --logs" in capsys.readouterr().err
     assert not (tmp_path / "report.json").exists()
 
 
@@ -405,8 +439,10 @@ def test_simulate_render_metrics_reject_a_malformed_map(sim_logs, capsys):
     (["--spec", '{"Hh":16}'], "unknown key 'grid.Hh'"),
     (["--spec", '{"t_obs":0}'],
      "grid.t_obs: expected an integer > 0, got 0"),
+    (["--spec", '{"H":16,"W":16,"res":1.0,"resolution":0.5}'],
+     "--spec: gives both 'res' and 'resolution'"),
 ], ids=["H-zero", "H-fractional", "res-negative", "not-an-object",
-        "unknown-key", "t-obs-zero"])
+        "unknown-key", "t-obs-zero", "res-and-resolution"])
 def test_render_grid_validation_exit_1(sim_logs, tmp_path, capsys, flags,
                                        message):
     out = tmp_path / "grids"

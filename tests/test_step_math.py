@@ -95,7 +95,7 @@ def _step_math_reprs():
             1.0, 2.0, 0.5, math.radians(45), 4.5, math.radians(35)))
         yield repr(longitudinal_command(
             v, float(rng.uniform(0, 20)), 1.0, float(rng.uniform(-8, 2)),
-            8.0, 2.0))
+            8.0))
 
         state = VehicleState(
             np.array([rng.uniform(-100, 100), rng.uniform(-100, 100)]),
