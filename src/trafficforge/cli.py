@@ -31,13 +31,27 @@ def _setup_logging():
                         format="%(levelname)s %(name)s: %(message)s")
 
 
+def _unique_keys(pairs):
+    """The ``object_pairs_hook`` of every JSON reader: an object that
+    repeats a key raises ``ValueError`` naming it, where ``json`` would
+    keep the last value."""
+    doc = dict(pairs)
+    if len(doc) < len(pairs):
+        seen = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise ValueError(f"repeated key {key!r}")
+            seen.add(key)
+    return doc
+
+
 def _load_json(path, what):
     if not os.path.exists(path):
         raise ConfigError([f"{what} file not found: {path}"])
     with open(path) as fh:
         try:
-            return json.load(fh)
-        except (json.JSONDecodeError, RecursionError) as exc:
+            return json.load(fh, object_pairs_hook=_unique_keys)
+        except (ValueError, RecursionError) as exc:
             raise ConfigError([f"{what} file {path}: invalid JSON ({exc})"])
 
 
@@ -64,8 +78,8 @@ def _resolve_config(args):
         set_key(raw, "sim.master_seed", args.seed)
     if getattr(args, "spec", None):  # render's grid.* fields
         try:
-            spec = json.loads(args.spec)
-        except json.JSONDecodeError as exc:
+            spec = json.loads(args.spec, object_pairs_hook=_unique_keys)
+        except ValueError as exc:
             raise ConfigError([f"--spec: invalid JSON ({exc})"])
         if not isinstance(spec, dict):
             raise ConfigError(
@@ -274,7 +288,7 @@ def _prediction_sets(path):
             if not line:
                 continue
             try:
-                doc = json.loads(line)
+                doc = json.loads(line, object_pairs_hook=_unique_keys)
                 dt = number(doc["dt"], "dt", 0, strict=True)
                 gt = metrics.Trajectory2D(dt, numbers(doc["gt"], "gt", 2))
                 samples = [metrics.Trajectory2D(dt, s) for s in

@@ -67,21 +67,16 @@ class SegmentTable:
     squared lengths (zeros replaced by 1) and ``heading`` the
     ``np.arctan2`` headings, the values :func:`point_at` returns.
     Per-step queries touch a handful of segments, where a scalar loop
-    beats numpy's per-call overhead. ``mx``/``my`` (the midpoints) and
-    ``half`` (half the lengths) are numpy arrays that bound a whole-table
-    :func:`project_point` from above and below.
+    beats numpy's per-call overhead.
     """
 
-    __slots__ = ("cum", "ax", "ay", "dx", "dy", "seg2", "heading",
-                 "mx", "my", "half")
+    __slots__ = ("cum", "ax", "ay", "dx", "dy", "seg2", "heading")
 
     def __init__(self, pts, cum):
         a = pts[:-1]
         d = pts[1:] - a
         dx, dy = d[:, 0], d[:, 1]
         seg2 = dx * dx + dy * dy
-        self.mx, self.my = a[:, 0] + 0.5 * dx, a[:, 1] + 0.5 * dy
-        self.half = 0.5 * np.sqrt(seg2)
         seg2[seg2 == 0.0] = 1.0
         self.cum = cum.tolist()
         self.ax, self.ay = a[:, 0].tolist(), a[:, 1].tolist()
@@ -97,35 +92,22 @@ class SegmentTable:
         return self.heading[min(max(i, 0), len(self.heading) - 1)]
 
 
-def project_point(table, q, lo=0, hi=None):
-    """Project ``q`` onto the polyline of ``table`` (segments lo..hi-1).
+def project_point(table, q, lo=0, hi=None, rows=None):
+    """Project ``q`` onto the polyline of ``table``: segments lo..hi-1
+    (``hi`` None: to the end), or the ascending segment indices ``rows``
+    when given.
 
     Returns (s, distance, signed_lateral) where the lateral offset is
     positive when ``q`` lies left of the local travel direction. The
     foot on each segment is clamped to it; the first segment with the
     strictly smallest squared distance wins.
-
-    Over the whole table (``lo`` 0, ``hi`` None) the loop skips far
-    segments: the distance ``m`` from ``q`` to a segment's midpoint
-    bounds the distance to the segment from above, and ``m`` minus half
-    its length from below. A segment whose lower bound exceeds the
-    smallest upper bound, plus a relative and an absolute margin of 1e-9
-    against rounding, can be neither the nearest nor tied with it, so
-    looping from the first to the last of the other segments returns the
-    same floats.
     """
     qx, qy = float(q[0]), float(q[1])
-    if hi is None:
-        hi = len(table.seg2)
-        if lo == 0:
-            m = np.hypot(table.mx - qx, table.my - qy)
-            cut = float(m.min())
-            near = (m - table.half <= cut + cut * 1e-9 + 1e-9).nonzero()[0]
-            if len(near):   # none for a NaN query: keep every segment
-                lo, hi = int(near[0]), int(near[-1]) + 1
+    if rows is None:
+        rows = range(lo, len(table.seg2) if hi is None else hi)
     ax, ay, dx, dy, seg2 = table.ax, table.ay, table.dx, table.dy, table.seg2
     best = None
-    for i in range(lo, hi):
+    for i in rows:
         x, y, ux, uy = ax[i], ay[i], dx[i], dy[i]
         t = ((qx - x) * ux + (qy - y) * uy) / seg2[i]
         if t < 0.0:

@@ -109,8 +109,9 @@ class _LaneIndex:
     ``seg2`` (zeros replaced by 1) that :func:`geometry.project_point`
     computes for a whole edge. The rows of the ``k``-th edge, id
     ``edge_ids[k]``, are consecutive, and ``seg_edge`` holds each row's
-    ``k``. ``grid(reach)`` builds a :class:`_SegmentGrid` on first use
-    and keeps it, one per reach.
+    ``k``, and ``first_row`` each edge id's first row. ``grid(reach)``
+    builds a :class:`_SegmentGrid` on first use and keeps it, one per
+    reach.
     """
 
     def __init__(self, edges):
@@ -120,8 +121,10 @@ class _LaneIndex:
         seg2 = np.einsum("ij,ij->i", d, d)
         seg2[seg2 == 0.0] = 1.0
         self.columns = [c.copy() for c in (*a.T, *d.T)] + [seg2]
-        self.seg_edge = np.repeat(np.arange(len(edges)),
-                                  [len(e.polyline) - 1 for e in edges])
+        n_segs = [len(e.polyline) - 1 for e in edges]
+        self.seg_edge = np.repeat(np.arange(len(edges)), n_segs)
+        self.first_row = dict(zip(self.edge_ids.tolist(),
+                                  np.cumsum([0] + n_segs[:-1]).tolist()))
         self.half_width = np.asarray([e.lane_width for e in edges]) / 2.0
         self.max_half_width = float(self.half_width.max())
         self._grids = {}
@@ -220,6 +223,9 @@ class _SegmentGrid:
         self.starts = np.cumsum(self.counts, dtype=np.int32) - self.counts
         self.top = np.array(self.shape, dtype=np.float64) - 1.0
         self.stride = np.array([self.shape[1], 1.0])
+        # for rows_near: the bounds as floats, and the rows it gave
+        self._bounds = (*self.origin.tolist(), *self.top.tolist())
+        self._near = {}
 
     def pairs(self, q):
         """(point, segment) row pairs of the (P, 2) points ``q``: each
@@ -233,6 +239,30 @@ class _SegmentGrid:
         k = np.arange(len(point))
         k += np.repeat(lo - (np.cumsum(n) - n), n)
         return point, self.segs[k]
+
+    def rows_near(self, x, y, first, stop):
+        """The rows ``first..stop-1`` listed in the cell of the finite
+        point ``(x, y)``, ascending, as a list of offsets from ``first``.
+
+        The cell is :meth:`pairs`' cell, from the same float operations
+        on scalars; clipping before the floor gives the floor's clip,
+        since the grid's bounds are whole numbers, and never floors an
+        infinite quotient. Each (cell, ``first``, ``stop``) is looked up
+        once.
+        """
+        ox, oy, ti, tj = self._bounds
+        i = (x - ox) / self.cell
+        j = (y - oy) / self.cell
+        c = int(0.0 if i < 0.0 else ti if i > ti else i) * self.shape[1] \
+            + int(0.0 if j < 0.0 else tj if j > tj else j)
+        key = c, first, stop
+        rows = self._near.get(key)
+        if rows is None:
+            lo = self.starts[c]
+            cell = self.segs[lo:lo + self.counts[c]]
+            rows = self._near[key] = \
+                (cell[(cell >= first) & (cell < stop)] - first).tolist()
+        return rows
 
 
 class Route:
@@ -496,16 +526,39 @@ def project_to_lane(graph, point, heading_hint=None,
         raise OffMapError(math.sqrt(e2.min()), max_snap_distance)
     ties = index.edge_ids[edge[dist <= dmin + _TIE_EPS]].tolist()
     if heading_hint is None:
-        return lane_coordinate(graph.edges[ties[0]], q)
-    return min((lane_coordinate(graph.edges[eid], q) for eid in ties),
+        return lane_coordinate(graph, ties[0], q, max_snap_distance)
+    return min((lane_coordinate(graph, eid, q, max_snap_distance)
+                for eid in ties),
                key=lambda c: (abs(wrap_angle(c.lane_heading - heading_hint)),
                               c.edge_id))
 
 
-def lane_coordinate(edge, q):
-    """The :class:`LaneCoordinate` of point ``q`` projected onto ``edge``."""
-    s, _, lateral = geometry.project_point(edge.table, q)
-    return LaneCoordinate(edge.id, s, lateral, edge.table.heading_at(s))
+def lane_coordinate(graph, edge_id, q, reach):
+    """The :class:`LaneCoordinate` of point ``q`` projected onto the edge
+    ``edge_id``.
+
+    The edge's rows in ``q``'s cell of ``graph.lane_index.grid(reach)``
+    answer when the nearest of them lies within ``reach``: the cell
+    lists every segment within ``reach`` of ``q`` plus the tie
+    tolerance, so the first strictly nearest of those rows, in
+    ascending order, is the whole edge's, bit for bit. Otherwise (no row
+    of the edge in the cell, the nearest beyond ``reach``, or ``q`` not
+    finite) every segment of the edge is measured.
+    """
+    table = graph.edges[edge_id].table
+    q = float(q[0]), float(q[1])
+    if math.isfinite(q[0]) and math.isfinite(q[1]):
+        index = graph.lane_index
+        first = index.first_row[edge_id]
+        rows = index.grid(reach).rows_near(*q, first,
+                                           first + len(table.seg2))
+        if rows:
+            s, dist, lateral = geometry.project_point(table, q, rows=rows)
+            if dist <= reach:
+                return LaneCoordinate(edge_id, s, lateral,
+                                      table.heading_at(s))
+    s, _, lateral = geometry.project_point(table, q)
+    return LaneCoordinate(edge_id, s, lateral, table.heading_at(s))
 
 
 def within_lanes(graph, points, margin,

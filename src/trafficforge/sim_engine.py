@@ -252,7 +252,8 @@ def simulate_scene(scene, assignment, config, variant_index=0):
                     and snapshot.coords[run.agent_id][0] in beside:
                 target = _consider_lane_change(graph, run, snapshot, by_id,
                                                a_idm, config, mobil_sides,
-                                               searches)
+                                               searches,
+                                               scene.max_snap_distance)
                 if target is not None:
                     retargets[run.agent_id] = target
 
@@ -324,10 +325,13 @@ def _replay_step(run, rel_t, dt):
 
 
 def _consider_lane_change(graph, run, snapshot, by_id, ac_old, config,
-                          mobil_sides, searches):
+                          mobil_sides, searches, reach):
     """Evaluate MOBIL toward the right then the left neighbor lane.
 
     ``mobil_sides`` holds the right and the left side's MOBIL parameters.
+    The subject is projected onto a neighbor lane through the segment
+    grid of ``reach``, the scene's snap limit
+    (:func:`road_graph.lane_coordinate`).
     Returns (new_route, old_edge, new_edge) or None; the agent starts the
     new route at its arc 0. All candidate accelerations read the frozen
     snapshot, the post-change ones with the subject moved or removed by
@@ -348,7 +352,8 @@ def _consider_lane_change(graph, run, snapshot, by_id, ac_old, config,
         if nb is None:
             continue
         nb_lane = graph.edges[nb]
-        coord = road_graph.lane_coordinate(nb_lane, run.state.position)
+        coord = road_graph.lane_coordinate(graph, nb, run.state.position,
+                                           reach)
         if coord.arc_s >= nb_lane.length - 1e-6:
             continue
         moved = (run.agent_id, (nb, coord.arc_s, run.state.v, run.geom.L))

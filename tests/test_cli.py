@@ -18,7 +18,8 @@ from helpers import (approach_point, four_way_intersection,
                      turning_source_traj)
 
 import trafficforge
-from trafficforge import bev_render, road_graph, scene_ingest, sim_engine
+from trafficforge import (bev_render, geometry, road_graph, scene_ingest,
+                          sim_engine)
 from trafficforge.cli import build_parser, dispatch
 from trafficforge.config import SCHEMA, apply_overrides, validate_config
 from trafficforge.errors import ConfigError
@@ -80,6 +81,10 @@ def _write_inputs(root, n_scenes=2):
              (2, x - 18 * np.cos(psi), y - 18 * np.sin(psi), psi, 8.0)])
         with open(root / "tracklets" / f"scene{i:02d}.json", "w") as fh:
             json.dump(doc, fh)
+    _write_pool_tracks(root)
+
+
+def _write_pool_tracks(root):
     rng = np.random.default_rng(5)
     tracks = [{"agent_id": i,
                "poses": [{"t": float(t), "x": float(x), "y": float(y)}
@@ -286,8 +291,11 @@ def test_metrics_prediction_report(tmp_path):
     ('{"agent_id": "2", "dt": 0.1, "gt": [[0, 0], [1, 1]], '
      '"samples": [[[0, 0], [1, 1]]]}',
      "TypeError: 'agent_id' must be an integer, got '2'"),
+    ('{"agent_id": 2, "dt": 0.1, "gt": [[0, 0], [1, 1]], '
+     '"samples": [[[0, 0], [1, 1]]], "dt": 0.2}',
+     "ValueError: repeated key 'dt'"),
 ], ids=["bad-json", "missing-key", "nan-dt", "inf-dt", "bool-dt",
-        "float-id", "bool-id", "text-id"])
+        "float-id", "bool-id", "text-id", "repeated-key"])
 def test_metrics_malformed_predictions_exit_1(tmp_path, capsys, bad_line,
                                               detail):
     preds = tmp_path / "preds.jsonl"
@@ -441,8 +449,10 @@ def test_simulate_render_metrics_reject_a_malformed_map(sim_logs, capsys):
      "grid.t_obs: expected an integer > 0, got 0"),
     (["--spec", '{"H":16,"W":16,"res":1.0,"resolution":0.5}'],
      "--spec: gives both 'res' and 'resolution'"),
+    (["--spec", '{"H":16,"W":16,"res":1.0,"res":0.5,"t_obs":5}'],
+     "--spec: invalid JSON (repeated key 'res')"),
 ], ids=["H-zero", "H-fractional", "res-negative", "not-an-object",
-        "unknown-key", "t-obs-zero", "res-and-resolution"])
+        "unknown-key", "t-obs-zero", "res-and-resolution", "repeated-res"])
 def test_render_grid_validation_exit_1(sim_logs, tmp_path, capsys, flags,
                                        message):
     out = tmp_path / "grids"
@@ -803,6 +813,56 @@ def _simulate_argv(root, out, *overrides):
             "--out", str(out)] + [a for o in overrides for a in ("--set", o)]
 
 
+def _arc_pose(s, offset, radius=300.0):
+    """(x, y, heading) at arc length ``s`` of a left bend from the
+    origin, ``offset`` m left of it."""
+    a = s / radius
+    return ((radius - offset) * math.sin(a),
+            radius - (radius - offset) * math.cos(a), a)
+
+
+@pytest.mark.parametrize("overrides", [[], ["road.max_snap_distance=1.0"]],
+                         ids=["grid-snap", "whole-lane-snap"])
+def test_mobil_snap_fallback_pinned(tmp_path, monkeypatch, overrides):
+    """A two-lane bend where MOBIL changes lanes: the same logs whether
+    the neighbor-lane snap reads the grid cell (the default snap limit)
+    or every segment of the lane (a limit below the 3.5 m lane spacing,
+    beyond which the cell answers nothing)."""
+    os.makedirs(tmp_path / "tracklets")
+    (tmp_path / "map.json").write_text(json.dumps({"centerlines": [
+        {"id": 0, "lanes": 2,
+         "points": [_arc_pose(s, 0.0)[:2] for s in range(0, 401, 20)]}]}))
+    agents = [(aid, *_arc_pose(s, off), v) for aid, s, off, v in
+              [(1, 60.0, -1.75, 6.0), (2, 35.0, -1.75, 12.0),
+               (3, 10.0, -1.75, 13.0), (4, 40.0, 1.75, 14.0)]]
+    (tmp_path / "tracklets" / "two_lane.json").write_text(
+        json.dumps(tracklets_doc("two_lane", agents)))
+    _write_pool_tracks(tmp_path)
+    assert dispatch(["profile-pool", "--tracklets",
+                     str(tmp_path / "pool_tracks.json"),
+                     "--out", str(tmp_path / "pool.json")]) == 0
+    project = geometry.project_point
+    whole = []
+
+    def counted(table, q, lo=0, hi=None, rows=None):
+        whole.append(rows is None and (lo, hi) == (0, None))
+        return project(table, q, lo, hi, rows)
+
+    monkeypatch.setattr(geometry, "project_point", counted)
+    out = tmp_path / "logs"
+    assert dispatch(_simulate_argv(tmp_path, out, *overrides)) == 0
+    assert any(whole) == bool(overrides)
+    sidecar = json.loads((out / "two_lane_v0.json").read_text())
+    assert sum(len(ag["lane_changes"]) for ag in sidecar["agents"]) == 5
+    digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+               for name in ("two_lane_v0.csv", "two_lane_v0.json")}
+    assert digests == {
+        "two_lane_v0.csv":
+        "a645d6fb61452e41c485c05587a3aadf6d498adc6db37e45751ea4933515b76d",
+        "two_lane_v0.json":
+        "a8af60e16773347e8730f08c7d02355a3c1a99ecae6616b185e919a497d7bbdd"}
+
+
 def _subcommands():
     """Each subcommand's name -> its parser."""
     (sub,) = [a for a in build_parser()._actions
@@ -946,6 +1006,41 @@ def test_malformed_log_exits_1(sim_logs, tmp_path, capsys, command, suffix,
                    "--map", str(sim_logs / "map.json"), "--out", str(out)])
     assert rc == 1
     assert "error: " + detail.format(path=path, last=last) \
+        in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("kind", ["map", "tracklets", "pool", "config",
+                                  "sidecar"])
+def test_repeated_key_in_a_json_file_exits_1(sim_logs, tmp_path, capsys,
+                                             kind):
+    # the repeated key holds the same value, or a second one for the
+    # config; either way the file is refused, not read last-value-wins
+    for name in ("map.json", "pool.json", "tracklets", "logs"):
+        copy = shutil.copytree if name in ("tracklets", "logs") \
+            else shutil.copy
+        copy(sim_logs / name, tmp_path / name)
+    path, key = {
+        "map": (tmp_path / "map.json", "centerlines"),
+        "tracklets": (tmp_path / "tracklets" / "scene00.json", "tracks"),
+        "pool": (tmp_path / "pool.json", "dt"),
+        "config": (tmp_path / "config.json", "resolution"),
+        "sidecar": (tmp_path / "logs" / "scene00_v1.json", "agents"),
+    }[kind]
+    if kind == "config":
+        path.write_text('{"grid": {"resolution": 1.0, "resolution": 0.5}}')
+    else:
+        doc = json.loads(path.read_text())
+        path.write_text(json.dumps(doc)[:-1]
+                        + f", {json.dumps(key)}: {json.dumps(doc[key])}}}")
+    out = tmp_path / "out"
+    if kind == "sidecar":
+        argv = ["metrics", "--logs", str(tmp_path / "logs"), "--out", str(out)]
+    else:
+        argv = _simulate_argv(tmp_path, out) + ["--config", str(path)] * (
+            kind == "config")
+    assert dispatch(argv) == 1
+    assert f"error: {kind} file {path}: invalid JSON (repeated key {key!r})" \
         in capsys.readouterr().err
     assert not out.exists()
 

@@ -757,6 +757,113 @@ def test_nearest_matches_project_point(case):
             assert row.min() <= snap
 
 
+_FOUR_WAY = build_graph(four_way_intersection())
+_AXES = [(1, 0), (0, 1), (-1, 0), (0, -1)]
+
+
+@st.composite
+def _snap_cases(draw):
+    """(graph, reach, points) for the grid snap of :func:`lane_coordinate`.
+
+    Maps: random centerlines of one to three lanes (parallel lanes), the
+    four-way junction, or single lanes along the axes with whole-number
+    vertices, where points on a corner's inner bisector lie exactly as
+    far from both of its segments (a tie). Points: sideways of a lane
+    within and beyond the reach, on vertices (shared ones included), on
+    the grid's cell borders, and outside the grid. A reach as long as
+    the map's diagonal makes a one-cell grid.
+    """
+    kind = draw(st.sampled_from(["random", "four_way", "axes"]))
+    ties = []
+    if kind == "four_way":
+        graph = _FOUR_WAY
+    elif kind == "axes":
+        centerlines = []
+        for cid in range(draw(st.integers(1, 3))):
+            pts = [(draw(st.integers(-40, 40)), draw(st.integers(-40, 40)))]
+            for _ in range(draw(st.integers(1, 5))):
+                ux, uy = draw(st.sampled_from(_AXES))
+                step = draw(st.integers(1, 20))
+                pts.append((pts[-1][0] + step * ux, pts[-1][1] + step * uy))
+            centerlines.append({"id": cid, "points": pts})
+            for a, b, c in zip(pts, pts[1:], pts[2:]):
+                ua = np.subtract(a, b) / math.dist(a, b)
+                uc = np.subtract(c, b) / math.dist(c, b)
+                ties.append(b + draw(st.integers(1, 4)) * (ua + uc))
+        graph = build_graph({"centerlines": centerlines})
+    else:
+        graph = draw(_multi_lane_cases())[0]
+    allp = np.vstack([e.polyline for e in graph.edges.values()])
+    lo, hi = allp.min(axis=0), allp.max(axis=0)
+    reach = draw(st.sampled_from([1.0, 3.0, 10.0,
+                                  math.dist(lo, hi) + 1.0, math.inf]))
+    grid = graph.lane_index.grid(reach)
+    pts = [n.position for n in graph.nodes.values()] + ties
+    edges = sorted(graph.edges)
+    for _ in range(draw(st.integers(1, 30))):
+        edge = graph.edges[draw(st.sampled_from(edges))]
+        if draw(st.booleans()):
+            pts.append(edge.polyline[draw(st.integers(0, len(edge.polyline)
+                                                      - 1))])
+            continue
+        p, psi = edge.point_at(draw(st.floats(0.0, edge.length)))
+        off = draw(st.floats(-15.0, 15.0))
+        p = p + off * np.array([-math.sin(psi), math.cos(psi)])
+        if draw(st.booleans()) and math.isfinite(grid.cell):
+            # onto the nearest cell border in x, y or both
+            k = np.round((p - grid.origin) / grid.cell)
+            snap_to = draw(st.sampled_from([(0,), (1,), (0, 1)]))
+            for axis in snap_to:
+                p[axis] = grid.origin[axis] + k[axis] * grid.cell
+        pts.append(p)
+    for _ in range(draw(st.integers(0, 4))):
+        far = draw(st.sampled_from([1e-3, 30.0, 1e4]))
+        pts.append(draw(st.sampled_from([lo - far, hi + far,
+                                         np.array([lo[0] - far, hi[1]])])))
+    return graph, reach, np.array(pts, dtype=np.float64)
+
+
+def _hex(*values):
+    return [float(v).hex() for v in values]
+
+
+@settings(max_examples=150, deadline=None)
+@given(_snap_cases())
+def test_grid_lane_coordinate_matches_whole_edge(case):
+    graph, reach, pts = case
+    grid = graph.lane_index.grid(reach)
+    project = geometry.project_point
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(kwargs.get("rows"))
+        return project(*args, **kwargs)
+
+    for q in pts:
+        # the scalar cell lookup is the vectorised one's
+        assert grid.rows_near(*q.tolist(), 0, len(grid.segs)) == \
+            grid.pairs(q[None])[1].tolist()
+        for eid in sorted(graph.edges):
+            table = graph.edges[eid].table
+            s, dist, lateral = project(table, q)
+            # the first segment with the smallest segment_dist2, alone
+            e2 = geometry.segment_dist2(q[0], q[1], *map(np.asarray, (
+                table.ax, table.ay, table.dx, table.dy, table.seg2)))
+            first = project(table, q, rows=[int(np.argmin(e2))])
+            assert _hex(*first) == _hex(s, dist, lateral)
+            calls.clear()
+            geometry.project_point = spy
+            try:
+                got = road_graph.lane_coordinate(graph, eid, q, reach)
+            finally:
+                geometry.project_point = project
+            assert got.edge_id == eid
+            assert _hex(got.arc_s, got.lateral_offset, got.lane_heading) == \
+                _hex(s, lateral, table.heading_at(s))
+            if dist <= reach:   # the cell answered, with no second pass
+                assert len(calls) == 1 and calls[0] is not None
+
+
 @pytest.mark.parametrize("margin,snap", [
     (-5.0, 10.0), (0.5, 0.0), (math.inf, math.inf), (0.5, math.inf),
     (1e300, 1e300), (150.0, 1e3), (math.nan, 10.0), (0.5, math.nan)])

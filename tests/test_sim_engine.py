@@ -619,7 +619,8 @@ def test_step_memo_matches_fresh_accelerations(monkeypatch):
     assert memo_csv == fresh_csv
 
 
-def _eager_mobil(graph, run, snapshot, by_id, ac_old, config, sides, seen):
+def _eager_mobil(graph, run, snapshot, by_id, ac_old, config, sides, seen,
+                 reach):
     """Every side's six MOBIL terms, all computed before any test.
 
     Returns the subject's ``ac_old`` and, per side, ``(neighbor, route,
@@ -659,7 +660,8 @@ def _eager_mobil(graph, run, snapshot, by_id, ac_old, config, sides, seen):
         if nb is None:
             continue
         lane = graph.edges[nb]
-        coord = road_graph.lane_coordinate(lane, run.state.position)
+        coord = road_graph.lane_coordinate(graph, nb, run.state.position,
+                                           reach)
         moved = (run.agent_id, (nb, coord.arc_s, run.state.v, run.geom.L))
         an_old, an_new = follower(
             dynamics.nearest_behind(snapshot, nb, coord.arc_s, run.agent_id),
@@ -730,13 +732,13 @@ def test_lazy_mobil_matches_eager_oracle(monkeypatch, inputs):
     lazy = sim_engine._consider_lane_change
 
     def checked(graph, run, snapshot, by_id, ac_old, config, sides,
-                searches):
+                searches, reach):
         base, eager = _eager_mobil(graph, run, snapshot, by_id, ac_old,
-                                   config, sides, seen)
+                                   config, sides, seen, reach)
         assert base == ac_old
         counts.update(routes=0, decisions=0)
         got = lazy(graph, run, snapshot, by_id, ac_old, config, sides,
-                   searches)
+                   searches, reach)
         # the lazy pass stops at the first side that changes
         accepted = next((k for k, side in enumerate(eager)
                          if side[3] == "change"), None)
@@ -979,15 +981,16 @@ def test_retarget_route_keeps_the_label_where_it_can():
     g = _forked_two_lane_graph()
     assert (g.edges[0].left_neighbor, g.edges[1].right_neighbor) == (1, 0)
     cfg = SimConfig()
-    coord = road_graph.lane_coordinate(g.edges[1], np.array([40.0, 1.75]))
+    coord = road_graph.lane_coordinate(g, 1, np.array([40.0, 1.75]),
+                                       road_graph.MAX_SNAP_DISTANCE)
     routes = road_graph.enumerate_routes(g, coord, cfg.horizon_dist,
                                          cfg.max_routes)
     assert [(r.edge_ids, r.maneuver) for r in routes] == \
         [([1, 2], "left"), ([1, 3], "straight")]
 
     def change(x, y, label, neighbor):
-        coord = road_graph.lane_coordinate(g.edges[neighbor],
-                                           np.array([x, y]))
+        coord = road_graph.lane_coordinate(g, neighbor, np.array([x, y]),
+                                           road_graph.MAX_SNAP_DISTANCE)
         return sim_engine._retarget_route(g, coord, label, cfg)
 
     # from the right lane onto the forked one: the agent's own maneuver
