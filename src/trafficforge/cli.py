@@ -19,7 +19,8 @@ from trafficforge import behavior, bev_render, metrics, road_graph
 from trafficforge import scene_ingest, sim_engine
 from trafficforge.config import apply_overrides, set_key, validate_config
 from trafficforge.errors import (ConfigError, EmptySceneError,
-                                 MapFormatError, TrafficForgeError)
+                                 InsufficientDataError, MapFormatError,
+                                 TrafficForgeError)
 from trafficforge.util import integer, map_tasks, number, numbers
 
 log = logging.getLogger("trafficforge")
@@ -363,7 +364,14 @@ def cmd_metrics(args):
                 pts = np.column_stack([ag.x, ag.y])
                 if len(pts) >= 3:
                     trajs.append(metrics.Trajectory2D(simlog.dt, pts))
-        div = metrics.diversity_report(trajs)
+        try:
+            div = metrics.diversity_report(trajs)
+        except InsufficientDataError:
+            raise ConfigError([
+                f"--logs {args.logs}: no agent to score; diversity needs an "
+                f"agent with 3 or more rows and a net displacement of at "
+                f"least 1e-9 m"
+            ]) from None
         report["diversity"] = div.to_dict()
         if args.map:
             report["validity_ratio"] = metrics.validity_ratio(

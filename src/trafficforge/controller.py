@@ -10,25 +10,23 @@ acceleration.
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from trafficforge.config import ControllerParams
 from trafficforge.geometry import wrap_angle
 
 
 @dataclass
 class VehicleState:
-    """Kinematic state: position, speed, heading, acceleration, steering."""
+    """Kinematic state: position, speed, heading, acceleration, steering.
 
-    position: np.ndarray
+    The simulation keeps ``position`` as an ``(x, y)`` tuple of Python
+    floats, so a step allocates and indexes no numpy array.
+    """
+
+    position: tuple
     v: float = 0.0
     psi: float = 0.0
     a: float = 0.0
     phi: float = 0.0
-
-    def copy(self):
-        return VehicleState(self.position.copy(), self.v, self.psi,
-                            self.a, self.phi)
 
 
 @dataclass
@@ -105,7 +103,8 @@ def step_kinematics(state, a_cmd, phi, geom, dt):
 
     Position advances along the pre-update heading with the pre-update
     speed, speed is floored at zero (no reverse), and the applied
-    (a, phi) are stored on the new state.
+    (a, phi) are stored on the new state. ``state.position`` may be any
+    (x, y) pair; the new one is a tuple of Python floats.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
@@ -117,4 +116,4 @@ def step_kinematics(state, a_cmd, phi, geom, dt):
     psi_new = wrap_angle(psi + (v / geom.L) * math.tan(phi) * dt)
     x_new = x + v * dt * math.cos(psi)
     y_new = y + v * dt * math.sin(psi)
-    return VehicleState(np.array([x_new, y_new]), v_new, psi_new, a_cmd, phi)
+    return VehicleState((x_new, y_new), v_new, psi_new, a_cmd, phi)

@@ -325,12 +325,6 @@ class Route:
     def table(self):
         return geometry.SegmentTable(self.polyline, self.cum)
 
-    def point_at(self, s):
-        return geometry.point_at(self.polyline, self.cum, s)
-
-    def heading_at(self, s):
-        return self.table.heading_at(s)
-
     def project_near(self, point, s_hint, fwd=PROJECT_AHEAD):
         """Projection onto the window from ``PROJECT_BACK`` m behind
         ``s_hint`` to ``fwd`` m ahead; returns (s, dist, lateral)."""
@@ -461,18 +455,27 @@ def build_graph(lane_spec, join_tolerance=default("road.join_tolerance"),
                              "'centerlines' list")
 
     nodes = []
+    node_xy = []     # each node's (x, y) as Python floats
     edges = {}
     adjacency = {}
+    # a node farther than this along x or y is farther than join_tolerance:
+    # the margins cover the norm's rounding and the underflow of its squares
+    reach = max(join_tolerance * (1.0 + 1e-9), 1e-150)
 
     def node_for(pos):
+        px, py = pos.tolist()
         best, best_d = None, None
-        for n in nodes:  # id order, so exact ties keep the lowest id
+        # id order, so exact ties keep the lowest id
+        for n, (x, y) in zip(nodes, node_xy):
+            if abs(x - px) > reach or abs(y - py) > reach:
+                continue
             d = float(np.linalg.norm(n.position - pos))
             if d <= join_tolerance and (best is None or d < best_d):
                 best, best_d = n, d
         if best is not None:
             return best.id
         nodes.append(LaneNode(len(nodes), pos.copy()))
+        node_xy.append((px, py))
         return nodes[-1].id
 
     for k, cl in enumerate(centerlines):

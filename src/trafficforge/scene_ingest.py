@@ -208,8 +208,8 @@ def instantiate_agents(graph, tracklets, t0, scene_id="scene",
         speed = pose.speed if pose.speed is not None \
             else central_speed(tr.times, [p.position for p in tr.poses],
                                tr.segment(t0))
-        state = VehicleState(position=pose.position.copy(), v=speed,
-                             psi=lane.lane_heading, a=0.0, phi=0.0)
+        state = VehicleState(position=tuple(pose.position.tolist()),
+                             v=speed, psi=lane.lane_heading, a=0.0, phi=0.0)
         agents.append(AgentInit(tr.agent_id, lane, state, tr.geometry, tr))
 
     # spawn-gap thinning: one arc-ordered walk per edge with a stack of kept

@@ -131,7 +131,7 @@ class _AgentRun:
     def __init__(self, init, assignment, idm, ctrl):
         self.agent_id = init.agent_id
         self.geom = init.geometry
-        self.state = init.state.copy()
+        self.state = dataclasses.replace(init.state)
         self.lane = init.lane
         self.tracklet = init.tracklet
         self.route = assignment.route if assignment else None
@@ -259,8 +259,7 @@ def simulate_scene(scene, assignment, config, variant_index=0):
 
             ctrl = run.ctrl
             look = max(v * ctrl.lookahead_time, ctrl.lookahead_min)
-            psi_future = run.route.heading_at(min(run.s + look,
-                                                  run.route.total_length))
+            psi_future = run.route.table.heading_at(run.s + look)
             phi = steer_to_lane(run.x_lat, ctrl.epsilon, psi_future,
                                 run.state.psi, v, ctrl.kp_lateral,
                                 ctrl.kp_heading, ctrl.v_eps,
@@ -319,7 +318,7 @@ def _replay_step(run, rel_t, dt):
     v = pose.speed
     if v is None:
         v = float(np.linalg.norm(pose.position - prev) / dt)
-    run.state.position = pose.position.copy()
+    run.state.position = tuple(pose.position.tolist())
     run.state.psi = heading
     run.state.v = max(float(v), 0.0)
 

@@ -152,11 +152,11 @@ def test_criterion_5_kinematic_circle():
     L, R, v, dt = 4.0, 20.0, 5.0, 0.1
     phi = math.atan(L / R)
     geom = VehicleGeometry(L=L)
-    st = VehicleState(np.array([0.0, 0.0]), v=v, psi=0.0)
-    pts = [st.position.copy()]
+    st = VehicleState((0.0, 0.0), v=v, psi=0.0)
+    pts = [st.position]
     for _ in range(int(math.ceil(2 * math.pi * R / (v * dt)))):
         st = step_kinematics(st, 0.0, phi, geom, dt)
-        pts.append(st.position.copy())
+        pts.append(st.position)
     pts = np.asarray(pts)
     x, y = pts[:, 0], pts[:, 1]
     A = np.column_stack([2 * x, 2 * y, np.ones(len(pts))])

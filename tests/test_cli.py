@@ -380,6 +380,30 @@ def test_metrics_colliding_horizons_exit_1(tmp_path, capsys, horizons,
     assert not (tmp_path / "report.json").exists()
 
 
+@pytest.mark.parametrize("rows", [
+    [(0.0, 0.0), (1.0, 0.0)],
+    [(5.0, 2.0)] * 5,
+], ids=["two-rows", "parked"])
+def test_metrics_logs_with_nothing_to_score_exit_1(tmp_path, capsys, rows):
+    # diversity scores an agent with 3 or more rows that moves: a short log
+    # or a parked agent leaves it nothing, an input fault, not exit 2
+    logs = tmp_path / "logs"
+    logs.mkdir()
+    (logs / "s_v0.csv").write_text(
+        "scene_id,variant,agent_id,t,x,y,v,psi,a,phi,label\n" + "".join(
+            f"s,0,1,{0.1 * k:.3f},{x!r},{y!r},0.0,0.0,0.0,0.0,straight\n"
+            for k, (x, y) in enumerate(rows)))
+    (logs / "s_v0.json").write_text(json.dumps(
+        {"scene_id": "s", "variant": 0, "dt": 0.1, "master_seed": 0,
+         "config_digest": "0", "agents": [{"agent_id": 1}]}))
+    out = tmp_path / "report.json"
+    assert dispatch(["metrics", "--logs", str(logs), "--out", str(out)]) == 1
+    assert (f"error: --logs {logs}: no agent to score; diversity needs an "
+            f"agent with 3 or more rows and a net displacement of at least "
+            f"1e-9 m\n") in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_metrics_requires_input(capsys):
     assert dispatch(["metrics"]) == 1
 

@@ -110,12 +110,12 @@ def test_constant_steering_traces_circle():
     L, R, v, dt = 4.0, 20.0, 5.0, 0.1
     phi = math.atan(L / R)
     geom = VehicleGeometry(L=L)
-    st = VehicleState(np.array([0.0, 0.0]), v=v, psi=0.0)
+    st = VehicleState((0.0, 0.0), v=v, psi=0.0)
     n_steps = int(math.ceil(2 * math.pi * R / (v * dt)))  # one full loop
-    pts = [st.position.copy()]
+    pts = [st.position]
     for _ in range(n_steps):
         st = step_kinematics(st, 0.0, phi, geom, dt)
-        pts.append(st.position.copy())
+        pts.append(st.position)
     center, r_fit = _kasa_circle_fit(np.asarray(pts))
     assert abs(r_fit - R) / R < 0.02
     # every vertex stays near the fitted circle

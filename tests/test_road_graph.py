@@ -222,6 +222,67 @@ def test_one_pass_build_matches_three_pass_oracle(spec):
         == _graph_facts(_three_pass_build_graph(spec))
 
 
+@st.composite
+def _join_specs(draw):
+    """A join tolerance and a map of one-lane centerlines whose ends lie on
+    a grid of a quarter or a fifth of the tolerance, some nudged by one
+    ulp: ends at the tolerance from a node (four quarters, or a 3-4-5
+    triangle of fifths), just inside or beyond it, and at equal distances
+    from two nodes. A zero or subnormal-scale tolerance joins ends whose
+    squared distance underflows."""
+    tol = draw(st.sampled_from([0.0, 1e-160, 0.1, 0.3, 0.5, 1.0, 2.5]))
+    unit = tol / draw(st.sampled_from([4, 5])) if tol else 0.1
+    ox, oy = draw(st.sampled_from([(0.0, 0.0), (17.3, -4.1),
+                                   (-250.125, 999.7)]))
+    step = st.integers(-8, 8)
+
+    def coord(origin, k):
+        v = origin + k * unit
+        nudge = draw(st.sampled_from([None, None, math.inf, -math.inf]))
+        return v if nudge is None else math.nextafter(v, nudge)
+
+    centerlines = []
+    for cid in range(draw(st.integers(2, 8))):
+        i, j = draw(step), draw(step)
+        start = [coord(ox, i), coord(oy, j)]
+        if unit > 1e-3 and draw(st.booleans()):
+            k, m = draw(step.filter(lambda k: k != i)), draw(step)
+            end = [coord(ox, k), coord(oy, m)]
+        else:
+            end = [start[0] + 30.0, start[1] - 20.0]
+        centerlines.append({"id": cid, "points": [start, end],
+                            "oneway": draw(st.booleans())})
+    return {"centerlines": centerlines}, tol
+
+
+_AT_TOLERANCE = {"centerlines": [
+    {"id": 0, "points": [[0.0, 0.0], [0.0, -40.0]]},
+    {"id": 1, "points": [[0.5, 0.0], [40.0, 0.0]]},      # 0.5 m from node 0
+    {"id": 2, "points": [[0.75, 0.0], [0.75, -40.0]]},   # 0.75 m from it
+    {"id": 3, "points": [[0.375, 0.0], [0.375, 40.0]]},  # 0.375 m from 0, 3
+]}
+
+
+def test_endpoint_joins_at_the_tolerance_and_on_ties():
+    g = build_graph(_AT_TOLERANCE, join_tolerance=0.5)
+    assert [(e.from_node, e.to_node) for e in g.edges.values()] \
+        == [(0, 1), (0, 2), (3, 4), (0, 5)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_join_specs())
+@example((_AT_TOLERANCE, 0.5))
+@example(({"centerlines": [{"id": 0, "points": [[0.0, 0.0], [30.0, -20.0]]},
+                           {"id": 1, "points": [[0.0, 5e-324], [9.0, 9.0]]}]},
+          0.0))
+@example((four_way_intersection(), default("road.join_tolerance")))
+def test_endpoint_joins_match_the_full_scan(case):
+    # the three-pass oracle joins an end by measuring every node
+    spec, tol = case
+    assert _graph_facts(build_graph(spec, join_tolerance=tol)) \
+        == _graph_facts(_three_pass_build_graph(spec, join_tolerance=tol))
+
+
 def test_edge_length_matches_arc_length(intersection_graph):
     for e in intersection_graph.edges.values():
         arc = float(np.linalg.norm(np.diff(e.polyline, axis=0), axis=1).sum())
@@ -423,15 +484,16 @@ def test_sample_centerline():
     g = build_graph(straight_map(100.0))
     start = project_to_lane(g, (0.0, 0.0))
     route = enumerate_routes(g, start, horizon_dist=500.0)[0]
-    p, h = route.point_at(0.0)
+    path = route.polyline, route.cum
+    p, h = geometry.point_at(*path, 0.0)
     np.testing.assert_allclose(p, [0.0, 0.0], atol=1e-12)
-    p, h = route.point_at(37.5)
+    p, h = geometry.point_at(*path, 37.5)
     np.testing.assert_allclose(p, [37.5, 0.0], atol=1e-12)
     assert h == pytest.approx(0.0)
     with pytest.raises(ValueError):
-        route.point_at(101.0)
+        geometry.point_at(*path, 101.0)
     with pytest.raises(ValueError):
-        route.point_at(-1.0)
+        geometry.point_at(*path, -1.0)
 
 
 def test_sample_centerline_vertex_tie_rule():
@@ -440,7 +502,8 @@ def test_sample_centerline_vertex_tie_rule():
     g = build_graph(spec)
     start = project_to_lane(g, (0.0, 0.0))
     route = enumerate_routes(g, start, horizon_dist=500.0)[0]
-    p, h = route.point_at(10.0)  # interior vertex
+    # an interior vertex
+    p, h = geometry.point_at(route.polyline, route.cum, 10.0)
     np.testing.assert_allclose(p, [10.0, 0.0], atol=1e-12)
     assert h == pytest.approx(math.pi / 2)  # heading of the following segment
 
@@ -463,10 +526,8 @@ def test_route_heading_at_matches_point_at(rng):
     routes += enumerate_routes(ring, project_to_lane(ring, (20.0, 0.5)),
                                horizon_dist=120.0)
     assert {r.maneuver for r in routes} == {"left", "right", "straight"}
-    edges = g.edges.values()
-    for path, heading_at in [((r.polyline, r.cum), r.heading_at)
-                             for r in routes] + \
-            [((e.polyline, e.cum), e.table.heading_at) for e in edges]:
+    for line in [*routes, *g.edges.values()]:
+        path, heading_at = (line.polyline, line.cum), line.table.heading_at
         total = float(path[1][-1])
         s_values = path[1].tolist() + [0.0, total, -3.0, total + 3.0,
                                        *rng.uniform(0.0, total, 50)]

@@ -215,7 +215,7 @@ def test_instantiation_deterministic(straight_graph):
 
 def _placement(scene):
     """Every field instantiation sets: lanes, states, sizes and drops."""
-    return ([(a.agent_id, a.lane, a.state.position.tolist(), a.state.v,
+    return ([(a.agent_id, a.lane, a.state.position, a.state.v,
               a.state.psi, a.geometry) for a in scene.agents],
             scene.dropped)
 

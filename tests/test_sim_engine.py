@@ -965,6 +965,32 @@ def test_routeless_agents_pinned():
         "a6707432786d82c9ff520e27ba3a59a146619ee6258816a7c1ad1d0eb63874b4"
 
 
+@pytest.mark.parametrize("make_log", [
+    lambda: simulate_scene(*_three_lane_mobil_inputs()), _turning_log,
+    _routeless_log], ids=["mobil", "turns", "replay-and-parked"])
+def test_step_positions_are_float_pairs(monkeypatch, make_log):
+    """Every position simulate_scene passes to step_kinematics, and every
+    one the replayed ego is moved to, is an (x, y) tuple of Python
+    floats, so no agent-step allocates or indexes a numpy array."""
+    step, replay_step = sim_engine.step_kinematics, sim_engine._replay_step
+    seen = []
+
+    def stepping(state, *args):
+        seen.append(state.position)
+        return step(state, *args)
+
+    def replaying(run, *args):
+        replay_step(run, *args)
+        seen.append(run.state.position)
+
+    monkeypatch.setattr(sim_engine, "step_kinematics", stepping)
+    monkeypatch.setattr(sim_engine, "_replay_step", replaying)
+    make_log()
+    assert seen
+    assert {(type(p), len(p), type(p[0]), type(p[1])) for p in seen} \
+        == {(tuple, 2, float, float)}
+
+
 def _forked_two_lane_graph():
     """A 100 m two-lane road (edge 0 right, edge 1 left) whose right lane
     ends there and whose left lane forks into a left turn (edge 2) and a

@@ -61,6 +61,40 @@ def test_idm_emergency_gap():
     assert idm_accel(p, LeaderInfo(1, 0.0, 0.0), 10.0, 8.0) == -8.0
 
 
+def _array_step(state, a_cmd, phi, geom, dt):
+    """The bicycle step as it was when positions were numpy arrays: the
+    oracle for :func:`step_kinematics`."""
+    x, y = float(state.position[0]), float(state.position[1])
+    v, psi = state.v, state.psi
+    v_new = v + a_cmd * dt
+    if v_new < 0.0:
+        v_new = 0.0
+    psi_new = wrap_angle(psi + (v / geom.L) * math.tan(phi) * dt)
+    x_new = x + v * dt * math.cos(psi)
+    y_new = y + v * dt * math.sin(psi)
+    return VehicleState(np.array([x_new, y_new]), v_new, psi_new, a_cmd, phi)
+
+
+@settings(max_examples=300)
+@given(finite, finite, st.floats(0.0, 60.0), st.floats(-4.0, 4.0),
+       st.floats(-8.0, 3.0), st.floats(-0.6, 0.6),
+       st.sampled_from([0.05, 0.1, 0.25]), st.booleans())
+def test_step_kinematics_matches_array_step(x, y, v, psi, a_cmd, phi, dt,
+                                            as_array):
+    geom = VehicleGeometry(L=4.5)
+    position = np.array([x, y]) if as_array else (x, y)
+    new = step_kinematics(VehicleState(position, v, psi), a_cmd, phi, geom,
+                          dt)
+    want = _array_step(VehicleState(np.array([x, y]), v, psi), a_cmd, phi,
+                       geom, dt)
+    got = (*new.position, new.v, new.psi, new.a, new.phi)
+    assert type(new.position) is tuple and len(new.position) == 2
+    assert all(type(value) is float for value in got)
+    assert [value.hex() for value in got] == [
+        float(value).hex() for value in (*want.position, want.v, want.psi,
+                                         want.a, want.phi)]
+
+
 def _step_math_reprs():
     """reprs of every step-math function over a fixed seeded input grid."""
     rng = np.random.default_rng(20240611)
