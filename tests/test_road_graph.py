@@ -255,11 +255,13 @@ def _join_specs(draw):
     return {"centerlines": centerlines}, tol
 
 
+# at a 0.5 m tolerance: entry 1 starts 0.5 m from node 0, entry 2 0.75 m
+# from it (node 3), and entry 3 0.375 m from both nodes 0 and 3
 _AT_TOLERANCE = {"centerlines": [
     {"id": 0, "points": [[0.0, 0.0], [0.0, -40.0]]},
-    {"id": 1, "points": [[0.5, 0.0], [40.0, 0.0]]},      # 0.5 m from node 0
-    {"id": 2, "points": [[0.75, 0.0], [0.75, -40.0]]},   # 0.75 m from it
-    {"id": 3, "points": [[0.375, 0.0], [0.375, 40.0]]},  # 0.375 m from 0, 3
+    {"id": 1, "points": [[0.5, 0.0], [40.0, 0.0]]},
+    {"id": 2, "points": [[0.75, 0.0], [0.75, -40.0]]},
+    {"id": 3, "points": [[0.375, 0.0], [0.375, 40.0]]},
 ]}
 
 
