@@ -137,38 +137,32 @@ def render_context(graph, spec):
     so the segment cannot set its road or lane bit; skipping it leaves
     the classes bit-identical to testing every cell against every segment.
 
-    The (cell, segment) pairs of all blocks are classified in chunks of
-    ``_PAIR_CHUNK`` by :func:`geometry.segment_dist2`, the squared
-    distance that :func:`geometry.project_point` and
+    The segments are the rows of ``graph.lane_index``, built once per
+    graph; their (cell, segment) pairs of all blocks are classified in
+    chunks of ``_PAIR_CHUNK`` by :func:`geometry.segment_dist2`, the
+    squared distance that :func:`geometry.project_point` and
     :func:`road_graph.within_lanes` compute too.
     """
     W = spec.W
     road = np.zeros(spec.H * W, dtype=bool)
     lane = np.zeros(spec.H * W, dtype=bool)
     xs, ys = spec.cell_centers()
-    # the segment table: row k is segment a[k]-b[k], its polyline's own
-    # points, of the edges in id order
-    edges = [graph.edges[eid] for eid in sorted(graph.edges)]
-    a = np.concatenate([e.polyline[:-1] for e in edges] + [np.empty((0, 2))])
-    b = np.concatenate([e.polyline[1:] for e in edges] + [np.empty((0, 2))])
-    half_w = np.repeat([e.lane_width / 2.0 for e in edges],
-                       [max(len(e.polyline) - 1, 0) for e in edges])
+    index = graph.lane_index
+    ax, ay, dx, dy, seg2 = index.columns
+    bx, by = ax + dx, ay + dy   # end points up to rounding: slack covers it
+    half_w = index.half_width[index.seg_edge]
     half_px = spec.resolution / 2.0
     reach = np.maximum(half_w, half_px)
-    r0, r1 = _cell_spans(np.minimum(a[:, 1], b[:, 1]) - reach,
-                         np.maximum(a[:, 1], b[:, 1]) + reach,
+    r0, r1 = _cell_spans(np.minimum(ay, by) - reach,
+                         np.maximum(ay, by) + reach,
                          spec.origin[1], spec.resolution, spec.H)
-    c0, c1 = _cell_spans(np.minimum(a[:, 0], b[:, 0]) - reach,
-                         np.maximum(a[:, 0], b[:, 0]) + reach,
+    c0, c1 = _cell_spans(np.minimum(ax, bx) - reach,
+                         np.maximum(ax, bx) + reach,
                          spec.origin[0], spec.resolution, W)
     n_cols = c1 - c0
     n_pairs = (r1 - r0) * n_cols
     stop = np.cumsum(n_pairs)
     first = stop - n_pairs
-    ax, ay = a[:, 0], a[:, 1]
-    dx, dy = b[:, 0] - ax, b[:, 1] - ay
-    seg2 = dx * dx + dy * dy
-    seg2[seg2 == 0.0] = 1.0
     road2, lane2 = half_w * half_w, half_px * half_px
     total = int(n_pairs.sum())
     for lo in range(0, total, _PAIR_CHUNK):

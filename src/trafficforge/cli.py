@@ -21,7 +21,7 @@ from trafficforge.config import apply_overrides, set_key, validate_config
 from trafficforge.errors import (ConfigError, EmptySceneError,
                                  InsufficientDataError, MapFormatError,
                                  TrafficForgeError)
-from trafficforge.util import integer, map_tasks, number, numbers
+from trafficforge.util import integer, is_number, map_tasks, number, numbers
 
 log = logging.getLogger("trafficforge")
 
@@ -76,6 +76,13 @@ def _resolve_config(args):
                                f"must be a JSON object"])
     raw = apply_overrides(raw, getattr(args, "set", None))
     if getattr(args, "seed", None) is not None:
+        sim = raw.get("sim")
+        given = sim.get("master_seed", args.seed) \
+            if isinstance(sim, dict) else args.seed
+        if not (is_number(given) and given == args.seed):
+            raise ConfigError([f"--seed {args.seed} conflicts with "
+                               f"sim.master_seed {given!r} from --config or "
+                               f"--set; give one seed"])
         set_key(raw, "sim.master_seed", args.seed)
     if getattr(args, "spec", None):  # render's grid.* fields
         try:

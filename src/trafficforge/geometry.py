@@ -67,7 +67,8 @@ class SegmentTable:
     squared lengths (zeros replaced by 1) and ``heading`` the
     ``np.arctan2`` headings, the values :func:`point_at` returns.
     Per-step queries touch a handful of segments, where a scalar loop
-    beats numpy's per-call overhead.
+    beats numpy's per-call overhead. The one builder of segment columns:
+    a lane graph's index stacks its edges' tables.
     """
 
     __slots__ = ("cum", "ax", "ay", "dx", "dy", "seg2", "heading")
@@ -92,10 +93,9 @@ class SegmentTable:
         return self.heading[min(max(i, 0), len(self.heading) - 1)]
 
 
-def project_point(table, q, lo=0, hi=None, rows=None):
-    """Project ``q`` onto the polyline of ``table``: segments lo..hi-1
-    (``hi`` None: to the end), or the ascending segment indices ``rows``
-    when given.
+def project_point(table, q, rows=None):
+    """Project ``q`` onto the polyline of ``table``: the ascending
+    segment indices ``rows``, or every segment when None.
 
     Returns (s, distance, signed_lateral) where the lateral offset is
     positive when ``q`` lies left of the local travel direction. The
@@ -104,7 +104,7 @@ def project_point(table, q, lo=0, hi=None, rows=None):
     """
     qx, qy = float(q[0]), float(q[1])
     if rows is None:
-        rows = range(lo, len(table.seg2) if hi is None else hi)
+        rows = range(len(table.seg2))
     ax, ay, dx, dy, seg2 = table.ax, table.ay, table.dx, table.dy, table.seg2
     best = None
     for i in rows:

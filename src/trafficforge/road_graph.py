@@ -65,9 +65,6 @@ class LaneEdge:
     def table(self):
         return geometry.SegmentTable(self.polyline, self.cum)
 
-    def point_at(self, s):
-        return geometry.point_at(self.polyline, self.cum, s)
-
 
 @dataclass
 class LaneCoordinate:
@@ -106,22 +103,20 @@ class _LaneIndex:
     ``columns`` holds, per segment row and contiguous,
     :func:`geometry.segment_dist2`'s arguments: the start points ``ax``,
     ``ay``, the directions ``dx``, ``dy`` and the squared lengths
-    ``seg2`` (zeros replaced by 1) that :func:`geometry.project_point`
-    computes for a whole edge. The rows of the ``k``-th edge, id
-    ``edge_ids[k]``, are consecutive, and ``seg_edge`` holds each row's
-    ``k``, and ``first_row`` each edge id's first row. ``grid(reach)``
-    builds a :class:`_SegmentGrid` on first use and keeps it, one per
-    reach.
+    ``seg2`` (zeros replaced by 1): each edge's own
+    :class:`geometry.SegmentTable`, stacked. The rows of the ``k``-th
+    edge, id ``edge_ids[k]``, are consecutive, and ``seg_edge`` holds
+    each row's ``k``, and ``first_row`` each edge id's first row.
+    ``grid(reach)`` builds a :class:`_SegmentGrid` on first use and
+    keeps it, one per reach.
     """
 
     def __init__(self, edges):
         self.edge_ids = np.asarray([e.id for e in edges])
-        a = np.vstack([e.polyline[:-1] for e in edges])
-        d = np.vstack([e.polyline[1:] - e.polyline[:-1] for e in edges])
-        seg2 = np.einsum("ij,ij->i", d, d)
-        seg2[seg2 == 0.0] = 1.0
-        self.columns = [c.copy() for c in (*a.T, *d.T)] + [seg2]
-        n_segs = [len(e.polyline) - 1 for e in edges]
+        tables = [e.table for e in edges]
+        self.columns = [np.concatenate([getattr(t, c) for t in tables])
+                        for c in ("ax", "ay", "dx", "dy", "seg2")]
+        n_segs = [len(t.seg2) for t in tables]
         self.seg_edge = np.repeat(np.arange(len(edges)), n_segs)
         self.first_row = dict(zip(self.edge_ids.tolist(),
                                   np.cumsum([0] + n_segs[:-1]).tolist()))
@@ -335,7 +330,7 @@ class Route:
         hi = min(bisect_left(tab.cum, hi_s) + 1, len(tab.seg2))
         if hi <= lo:
             hi = lo + 1
-        return geometry.project_point(tab, point, lo, hi)
+        return geometry.project_point(tab, point, range(lo, hi))
 
     def edge_at(self, s):
         """(edge_id, arc_on_edge) of the route arc position ``s``.

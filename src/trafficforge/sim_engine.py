@@ -235,8 +235,10 @@ def simulate_scene(scene, assignment, config, variant_index=0):
         active = still
         snapshot = dynamics.Snapshot({r.agent_id: r.coords() for r in active})
         by_id = {r.agent_id: r for r in active}
-        # agent_id -> the agent's one ranked leader search of this step
-        searches = {}
+        # agent_id -> the routed agent's ranked leader search of this step
+        searches = {r.agent_id: dynamics.rank_leaders(
+            snapshot, r.agent_id, r.route, config.sensing_range)
+            for r in active if r.route is not None}
 
         # decisions from the frozen snapshot
         commands = {}
@@ -432,18 +434,15 @@ def _accel(run, snapshot, config, searches, moved=None):
     """The agent's IDM acceleration on its route in the step's snapshot,
     with the ``moved`` override.
 
-    The agent's ranked leader search is made once per step and kept in
-    ``searches`` under its id: it does not read ``v0``. The acceleration
-    is taken at call time with the agent's current ``idm.v0``, so an
-    agent later in the step's order still holds the previous step's
-    ``v0`` when an earlier subject's check reads it.
+    The agent's ranked leader search, made right after the snapshot, is
+    kept in ``searches`` under its id: it does not read ``v0``. The
+    acceleration is taken at call time with the agent's current
+    ``idm.v0``, so an agent later in the step's order still holds the
+    previous step's ``v0`` when an earlier subject's check reads it.
     """
-    search = searches.get(run.agent_id)
-    if search is None:
-        search = searches[run.agent_id] = dynamics.rank_leaders(
-            snapshot, run.agent_id, run.route, config.sensing_range)
-    return dynamics.idm_accel(run.idm, dynamics.leader_after(search, moved),
-                              run.state.v, config.controller.a_max_decel)
+    lead = dynamics.leader_after(searches[run.agent_id], moved)
+    return dynamics.idm_accel(run.idm, lead, run.state.v,
+                              config.controller.a_max_decel)
 
 
 def _idm_accel_in(snapshot, run, route, config, moved=None):

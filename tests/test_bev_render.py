@@ -24,10 +24,6 @@ from trafficforge.config import SimConfig
 from trafficforge.sim_engine import simulate_scene
 
 
-class _EmptyGraph:
-    edges = {}
-
-
 def _min_dist2_to_polyline(points, poly):
     """Squared distance from many points to one polyline (vectorized)."""
     best = np.full(len(points), np.inf)
@@ -91,9 +87,9 @@ _polyline = st.one_of(
 
 _raw_graph = st.lists(st.tuples(_polyline, _lane_width),
                       min_size=1, max_size=4).map(
-    lambda edges: SimpleNamespace(edges={
-        i: SimpleNamespace(polyline=poly, lane_width=w)
-        for i, (poly, w) in enumerate(edges)}))
+    lambda edges: road_graph.RoadGraph({}, {
+        i: road_graph.LaneEdge(i, 0, 0, poly, w, True)
+        for i, (poly, w) in enumerate(edges)}, {}, 0.5))
 
 _MAPS = [four_way_intersection(), ring_map(30.0),
          straight_map(60.0, lanes=3, oneway=False, lane_width=3.5),
@@ -204,9 +200,10 @@ def test_read_rejects_a_header_grid_spec_rejects(tmp_path, H, W, res, ox,
     assert str(exc.value).startswith(f"{path}: ")
 
 
-def test_empty_graph_all_unknown():
-    spec = GridSpec(32, 32, 1.0, (0.0, 0.0))
-    ctx = render_context(_EmptyGraph(), spec)
+def test_grid_no_lane_reaches_all_unknown():
+    g = road_graph.build_graph(straight_map(100.0, lane_width=3.5))
+    spec = GridSpec(32, 32, 1.0, (0.0, 500.0))
+    ctx = render_context(g, spec)
     assert (ctx.classes == bev_render.UNKNOWN).all()
     assert (ctx.planes.sum(axis=0) == 1).all()
 
@@ -512,7 +509,8 @@ def _oracle_case(draw):
 @given(_oracle_case(), st.integers(1, 6))
 def test_sparse_write_matches_dense_reference(case, t_obs):
     spec, log, t_start = case
-    ctx = render_context(_EmptyGraph(), spec)
+    ctx = bev_render.ContextMap(
+        spec, np.full((spec.H, spec.W), bev_render.UNKNOWN, dtype=np.uint8))
     table = bev_render._CellTable(log, spec)
     with tempfile.TemporaryDirectory() as tmp:
         sparse, dense = os.path.join(tmp, "s.bevg"), os.path.join(tmp, "d")

@@ -247,6 +247,33 @@ def test_simulate_validation_failure_writes_nothing(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_simulate_seed_must_agree_with_master_seed(sim_logs, tmp_path,
+                                                   capsys):
+    config = tmp_path / "seed.json"
+    config.write_text(json.dumps({"sim": {"master_seed": 7}}))
+
+    def run(out, seed, *extra):
+        return dispatch(["simulate", "--map", str(sim_logs / "map.json"),
+                         "--tracklets", str(sim_logs / "tracklets"),
+                         "--pool", str(sim_logs / "pool.json"),
+                         "--out", str(tmp_path / out), "--seed", seed,
+                         *extra])
+
+    for extra in (["--set", "sim.master_seed=7"], ["--config", str(config)]):
+        capsys.readouterr()
+        assert run("conflict", "1", *extra) == 1
+        err = capsys.readouterr().err
+        assert "--seed 1" in err and "sim.master_seed 7" in err
+        assert not (tmp_path / "conflict").exists()
+    assert run("plain", "7") == 0
+    for value in ("7", "7.0"):
+        assert run(value, "7", "--set", f"sim.master_seed={value}") == 0
+        assert _tree_digest(tmp_path / value) == \
+            _tree_digest(tmp_path / "plain")
+    sidecar = json.loads((tmp_path / "plain" / "scene00_v0.json").read_text())
+    assert sidecar["master_seed"] == 7
+
+
 def test_metrics_prediction_report(tmp_path):
     rng = np.random.default_rng(0)
     preds = tmp_path / "preds.jsonl"
@@ -868,9 +895,9 @@ def test_mobil_snap_fallback_pinned(tmp_path, monkeypatch, overrides):
     project = geometry.project_point
     whole = []
 
-    def counted(table, q, lo=0, hi=None, rows=None):
-        whole.append(rows is None and (lo, hi) == (0, None))
-        return project(table, q, lo, hi, rows)
+    def counted(table, q, rows=None):
+        whole.append(rows is None)
+        return project(table, q, rows)
 
     monkeypatch.setattr(geometry, "project_point", counted)
     out = tmp_path / "logs"

@@ -190,7 +190,7 @@ def test_project_point_matches_numpy_reference(case):
     pts, lo, hi, q = case
     cum = geometry.cumulative_lengths(pts)
     table = geometry.SegmentTable(pts, cum)
-    assert geometry.project_point(table, q, lo, hi) == \
+    assert geometry.project_point(table, q, range(lo, hi)) == \
         _project_point_ref(pts, cum, q, lo, hi)
     assert geometry.project_point(table, q) == _project_point_ref(pts, cum, q)
 
@@ -315,7 +315,7 @@ def test_project_point_ties_go_to_the_lower_segment():
     q = np.array([12.0, 3.0])
     d = math.sqrt(13.0)
     assert geometry.project_point(table, q) == (10.0, d, d)
-    assert geometry.project_point(table, q, 1, 2) == (10.0, d, -d)
+    assert geometry.project_point(table, q, [1]) == (10.0, d, -d)
     assert geometry.project_point(table, q) == _project_point_ref(pts, cum, q)
 
 

@@ -1,0 +1,115 @@
+"""Metamorphic properties of the simulator: relations between the outputs
+of two related inputs, which hold whatever the outputs' pinned digests."""
+
+import math
+
+import numpy as np
+import pytest
+from helpers import (approach_point, four_way_intersection, straight_map,
+                     synthetic_profile_sources, tracklets_doc)
+
+from trafficforge import behavior, road_graph, scene_ingest
+from trafficforge.behavior import BehaviorAssignment, VelocityProfile
+from trafficforge.config import SimConfig
+from trafficforge.geometry import wrap_angle
+from trafficforge.sim_engine import simulate_scene
+
+_SHIFT = (1000.0, -700.0)
+
+
+def _junction_inputs():
+    """Two agents queued on each arm of the four-way junction."""
+    agents = []
+    for arm, deg in enumerate((0, 90, 180, 270)):
+        for k, (dist, v) in enumerate(((12.0, 9.0), (30.0, 8.0))):
+            x, y, psi = approach_point(deg, dist + 2.0 * arm)
+            agents.append((2 * arm + k + 1, x, y, psi, v))
+    return four_way_intersection(), agents
+
+
+def _three_lane_inputs():
+    """Three agents per lane of a straight 3-lane one-way road, the right
+    lane's head slow, so that MOBIL changes lanes; the fast lane's head
+    reaches the road's end."""
+    agents = []
+    for lane, (y, v) in enumerate(((-3.5, 9.0), (0.0, 14.0), (3.5, 18.0))):
+        for k in range(3):
+            agents.append((3 * lane + k + 1, 10.0 + 25.0 * k + 7.0 * lane,
+                           y, 0.0, v))
+    return straight_map(200.0, lanes=3), agents
+
+
+def _move(deg):
+    """Rotation by ``deg`` about the origin, then the shift ``_SHIFT``:
+    the map (x, y) -> (x, y) function and its heading offset."""
+    a = math.radians(deg)
+    c, s = math.cos(a), math.sin(a)
+
+    def point(x, y):
+        return c * x - s * y + _SHIFT[0], s * x + c * y + _SHIFT[1]
+    return point, a
+
+
+def _logs(kind, deg=None):
+    """Every variant's log of the ``kind`` scene, its map and tracklets
+    moved by :func:`_move` when ``deg`` is given."""
+    lane_map, agents = (_junction_inputs if kind == "junction"
+                        else _three_lane_inputs)()
+    if deg is not None:
+        point, a = _move(deg)
+        lane_map = {"centerlines": [
+            dict(cl, points=[list(point(x, y)) for x, y in cl["points"]])
+            for cl in lane_map["centerlines"]]}
+        agents = [(aid, *point(x, y), wrap_angle(psi + a), v)
+                  for aid, x, y, psi, v in agents]
+    graph = road_graph.build_graph(lane_map)
+    sid, tracks = scene_ingest.load_tracklets(tracklets_doc(kind, agents))
+    scene = scene_ingest.instantiate_agents(graph, tracks, 0.0, sid)
+    cfg = SimConfig(master_seed=5)
+    if kind == "junction":
+        variants = behavior.sample_behaviors(
+            scene, behavior.build_profile_pool(
+                synthetic_profile_sources(np.random.default_rng(0)), 0.1),
+            5, max_variants=3)
+    else:
+        speeds = {aid: 6.0 if aid == 3 else v + 2.0
+                  for aid, _, _, _, v in agents}
+        variants = [{
+            ag.agent_id: BehaviorAssignment(
+                ag.agent_id, route, "straight",
+                VelocityProfile(np.full(120, speeds[ag.agent_id]),
+                                speeds[ag.agent_id], "straight"))
+            for ag in scene.agents
+            for route in road_graph.enumerate_routes(graph, ag.lane)[:1]}]
+    return [simulate_scene(scene, asg, cfg, vi)
+            for vi, asg in enumerate(variants)]
+
+
+@pytest.mark.parametrize("deg", [0, 90, 30])
+@pytest.mark.parametrize("kind", ["junction", "three_lane"])
+def test_rigid_motion_moves_every_position(kind, deg):
+    """Moving the map and the tracklets together moves every logged
+    position the same way, within 1e-9 m, and changes no route, lane
+    change, exit step or row count."""
+    base, moved = _logs(kind), _logs(kind, deg)
+    assert len(moved) == len(base)
+    a = math.radians(deg)
+    c, s = math.cos(a), math.sin(a)
+    worst = 0.0
+    for log, mlog in zip(base, moved):
+        assert len(mlog.agents) == len(log.agents)
+        for ag, mag in zip(log.agents, mlog.agents):
+            assert mag.agent_id == ag.agent_id
+            assert mag.route_edges == ag.route_edges
+            assert mag.lane_changes == ag.lane_changes
+            assert mag.exit_step == ag.exit_step
+            assert len(mag.t) == len(ag.t)
+            # the inverse move: shift back, then rotate by -deg
+            x, y = mag.x - _SHIFT[0], mag.y - _SHIFT[1]
+            back = np.column_stack([c * x + s * y, -s * x + c * y])
+            worst = max(worst, float(np.abs(
+                back - np.column_stack([ag.x, ag.y])).max()))
+    assert worst <= 1e-9
+    if kind == "three_lane":   # the scene exercises both
+        assert sum(len(ag.lane_changes) for ag in base[0].agents) >= 1
+        assert any(ag.exit_step is not None for ag in base[0].agents)

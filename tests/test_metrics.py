@@ -315,7 +315,7 @@ def _walk(draw, graph, margin, steps):
             s -= edge.length
             eid = draw(st.sampled_from(nxt))
             edge = graph.edges[eid]
-        p, heading = edge.point_at(s)
+        p, heading = geometry.point_at(edge.polyline, edge.cum, s)
         if isinstance(off, str):
             limit = edge.lane_width / 2.0 + margin
             off = {"limit": limit, "above": np.nextafter(limit, np.inf),
@@ -427,7 +427,8 @@ def snap_queries(draw):
     lane, far off it, and at node positions."""
     graph = _GRAPHS[draw(st.sampled_from(sorted(_GRAPHS)))]
     edge = graph.edges[draw(st.sampled_from(sorted(graph.edges)))]
-    p, heading = edge.point_at(draw(st.floats(0.0, edge.length)))
+    p, heading = geometry.point_at(
+        edge.polyline, edge.cum, draw(st.floats(0.0, edge.length)))
     off = draw(st.one_of(st.floats(-3.0, 3.0), st.floats(-15.0, 15.0),
                          st.just(0.0)))
     p = p + off * np.array([-math.sin(heading), math.cos(heading)])

@@ -330,12 +330,13 @@ def test_project_sample_roundtrip(intersection_graph, rng):
         eid = int(rng.choice(sorted(intersection_graph.edges)))
         edge = intersection_graph.edges[eid]
         s = float(rng.uniform(0, edge.length))
-        p, h = edge.point_at(s)
+        p, h = geometry.point_at(edge.polyline, edge.cum, s)
         lateral = float(rng.uniform(-1.2, 1.2))
         normal = np.array([-math.sin(h), math.cos(h)])
         q = p + lateral * normal
         coord = project_to_lane(intersection_graph, q)
-        foot, _ = intersection_graph.edges[coord.edge_id].point_at(coord.arc_s)
+        edge = intersection_graph.edges[coord.edge_id]
+        foot, _ = geometry.point_at(edge.polyline, edge.cum, coord.arc_s)
         assert np.linalg.norm(q - foot) == pytest.approx(
             abs(coord.lateral_offset), abs=1e-6)
 
@@ -609,7 +610,7 @@ def _snap_digest():
             lane_h.append(0.0)
         for edge in g.edges.values():
             for s in rng.uniform(0.0, edge.length, 12):
-                p, psi = edge.point_at(s)
+                p, psi = geometry.point_at(edge.polyline, edge.cum, s)
                 off = rng.normal(0.0, 2.5)
                 pts.append(p + off * np.array([-math.sin(psi), math.cos(psi)]))
                 lane_h.append(psi)
@@ -682,7 +683,7 @@ def _lane_walks(graph, n, length, rng):
                     break
                 s -= edge.length
                 edge = graph.edges[nxt[rng.integers(len(nxt))]]
-            pts.append(edge.point_at(s)[0])
+            pts.append(geometry.point_at(edge.polyline, edge.cum, s)[0])
         trajs.append(metrics.Trajectory2D(0.1, np.array(pts)))
     return trajs
 
@@ -745,7 +746,8 @@ def _multi_lane_cases(draw):
     pts = [n.position for n in graph.nodes.values()]
     for _ in range(draw(st.integers(1, 40))):
         edge = graph.edges[draw(st.sampled_from(edges))]
-        p, psi = edge.point_at(draw(st.floats(0.0, edge.length)))
+        p, psi = geometry.point_at(
+            edge.polyline, edge.cum, draw(st.floats(0.0, edge.length)))
         limit = edge.lane_width / 2.0 + margin
         off = draw(st.one_of(
             st.floats(-reach - 2.0, reach + 2.0),
@@ -869,7 +871,8 @@ def _snap_cases(draw):
             pts.append(edge.polyline[draw(st.integers(0, len(edge.polyline)
                                                       - 1))])
             continue
-        p, psi = edge.point_at(draw(st.floats(0.0, edge.length)))
+        p, psi = geometry.point_at(
+            edge.polyline, edge.cum, draw(st.floats(0.0, edge.length)))
         off = draw(st.floats(-15.0, 15.0))
         p = p + off * np.array([-math.sin(psi), math.cos(psi)])
         if draw(st.booleans()) and math.isfinite(grid.cell):
