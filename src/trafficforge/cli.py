@@ -21,7 +21,8 @@ from trafficforge.config import apply_overrides, set_key, validate_config
 from trafficforge.errors import (ConfigError, EmptySceneError,
                                  InsufficientDataError, MapFormatError,
                                  TrafficForgeError)
-from trafficforge.util import integer, is_number, map_tasks, number, numbers
+from trafficforge.util import (integer, is_number, map_tasks, number, numbers,
+                              open_input)
 
 log = logging.getLogger("trafficforge")
 
@@ -47,9 +48,7 @@ def _unique_keys(pairs):
 
 
 def _load_json(path, what):
-    if not os.path.exists(path):
-        raise ConfigError([f"{what} file not found: {path}"])
-    with open(path) as fh:
+    with open_input(path, f"{what} file") as fh:
         try:
             return json.load(fh, object_pairs_hook=_unique_keys)
         except (ValueError, RecursionError) as exc:
@@ -62,9 +61,7 @@ def _tracklet_paths(path):
         if not names:
             raise ConfigError([f"no .json tracklet files in {path}"])
         return [os.path.join(path, n) for n in names]
-    if not os.path.exists(path):
-        raise ConfigError([f"tracklets file not found: {path}"])
-    return [path]
+    return [path]  # _load_json refuses a file that is not there
 
 
 def _resolve_config(args):
@@ -287,10 +284,8 @@ def cmd_render(args):
 
 
 def _prediction_sets(path):
-    if not os.path.exists(path):
-        raise ConfigError([f"predictions file not found: {path}"])
     psets = []
-    with open(path) as fh:
+    with open_input(path, "predictions file") as fh:
         for line_no, line in enumerate(fh, 1):
             line = line.strip()
             if not line:

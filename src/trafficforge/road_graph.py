@@ -65,6 +65,11 @@ class LaneEdge:
     def table(self):
         return geometry.SegmentTable(self.polyline, self.cum)
 
+    def __getstate__(self):
+        state = self.__dict__.copy()
+        state.pop("table", None)
+        return state
+
 
 @dataclass
 class LaneCoordinate:

@@ -23,7 +23,6 @@ import dataclasses
 import math
 import warnings
 from dataclasses import dataclass
-from operator import itemgetter
 from typing import Optional
 
 import numpy as np
@@ -34,7 +33,8 @@ from trafficforge.controller import (longitudinal_command, steer_to_lane,
                                      step_kinematics)
 from trafficforge.errors import ConfigError, OffMapError, TrafficForgeError
 from trafficforge.scene_ingest import MAX_AGENT_ID, interpolate_pose
-from trafficforge.util import derive_seed, digest, integer, map_tasks, number
+from trafficforge.util import (derive_seed, digest, integer, map_tasks,
+                              number, open_input)
 
 V0_FLOOR = 0.1          # reference speed floor for the free-flow term
 MIN_LOG_DT = 1e-6       # s; metrics divides by a log's dt squared
@@ -64,12 +64,16 @@ class AgentLog:
 
 
 _CSV_VALUES = ("t", "x", "y", "v", "psi", "a", "phi")
-_CSV_HEADER = ("scene_id", "variant", "agent_id") + _CSV_VALUES + ("label",)
-# the numeric columns as read in one np.loadtxt pass
+# the one header of a log: the ids and the values, columns 1 to 9, are
+# read as numbers, and the label is column 10
+_CSV_HEADER = ",".join(("scene_id", "variant", "agent_id") + _CSV_VALUES
+                       + ("label",))
 _CSV_DTYPE = np.dtype([("variant", "i8"), ("agent_id", "i8")]
                       + [(c, "f8") for c in _CSV_VALUES])
-# numpy's text parser strips these around a number; int() and float() do not
+# numpy's text parser strips these around a number, as it does spaces, so
+# a number could hide them; no line of a log holds one
 _NUMPY_ONLY_SPACE = "\x1c\x1d\x1e\x1f"
+MAX_LOG_VARIANT = 2**32 - 1   # a .bevg header holds a log's variant as u32
 # m; a log's x and y lie this close to 0: every lane of a map lies within
 # road_graph.MAX_COORD, and the rest leaves room to drive off the map
 MAX_LOG_COORD = 2 * road_graph.MAX_COORD
@@ -85,7 +89,7 @@ class SimLog:
     agents: list
 
     def write_csv(self, fh):
-        fh.write(",".join(_CSV_HEADER) + "\n")
+        fh.write(_CSV_HEADER + "\n")
         for ag in self.agents:
             head = f"{self.scene_id},{self.variant_index},{ag.agent_id},"
             tail = f",{ag.label}\n"
@@ -480,33 +484,28 @@ def check_sidecar(sidecar, source):
 def read_simlog_csv(csv_path, sidecar):
     """Reconstruct a SimLog from its CSV and its sidecar dict, as
     :func:`check_sidecar` accepts it: ``dt``, ``master_seed`` and
-    ``config_digest`` come from the sidecar alone.
+    ``config_digest`` come from the sidecar alone. The logs' ``x_lat``
+    is None: the CSV does not hold it.
 
-    Raises :class:`ConfigError` naming the file and the line when a
-    column is missing or a field is absent or not a finite number, or
-    an ``x`` or ``y`` lies farther than ``MAX_LOG_COORD`` from 0, and
-    naming the file and the agent when an agent of the CSV has no entry
-    in the sidecar's ``agents``. The logs' ``x_lat`` is None: the CSV
-    does not hold it.
+    Raises :class:`ConfigError` naming the file and the line when line 1
+    is not ``_CSV_HEADER`` or a data line breaks a rule of
+    :func:`_first_bad_line`, and naming the file and the agent when an
+    agent of the CSV has no entry in the sidecar's ``agents``.
     """
-    with open(csv_path) as fh:
-        header = fh.readline().strip().split(",")
-        idx = {name: i for i, name in enumerate(header)}
-        missing = [c for c in _CSV_HEADER if c not in idx]
-        if missing:
-            raise ConfigError([f"simulation log {csv_path} line 1: "
-                               f"missing column(s) {', '.join(missing)}"])
+    with open_input(csv_path, "simulation log") as fh:
+        header = fh.readline().strip()
+        if header != _CSV_HEADER:
+            raise ConfigError([f"simulation log {csv_path} line 1: the "
+                               f"header must be {_CSV_HEADER!r}, got "
+                               f"{header!r}"])
         text = fh.read()
-    numpy_reads_as_python = not any(c in text for c in _NUMPY_ONLY_SPACE)
+    numpy_reads_as_written = not any(c in text for c in _NUMPY_ONLY_SPACE)
     lines = text.split("\n")
     del text
     if lines[-1] == "":
         lines.pop()
-    parsed = None
-    if lines and numpy_reads_as_python:
-        parsed = _parse_rows_bulk(lines, idx)
-    scene_id, variant, per_agent = \
-        parsed or _parse_rows_one_by_one(lines, idx, csv_path)
+    parsed = numpy_reads_as_written and _parse_rows(lines)
+    scene_id, variant, per_agent = parsed or _first_bad_line(lines, csv_path)
     side_agents = {a["agent_id"]: a for a in sidecar.get("agents", [])}
     agents = []
     for aid, (label, rows) in per_agent.items():
@@ -529,80 +528,87 @@ def read_simlog_csv(csv_path, sidecar):
                   sidecar["master_seed"], sidecar["config_digest"], agents)
 
 
-def _parse_rows_bulk(lines, idx):
-    """The data ``lines`` in one ``np.loadtxt`` pass.
-
-    Returns what :func:`_parse_rows_one_by_one` returns, or None where
-    that row loop might read the lines differently or reject them; it
-    alone then parses them and names a bad line.
-    """
-    cols = [idx["variant"], idx["agent_id"]] + [idx[c] for c in _CSV_VALUES]
-    i_scene, i_label = idx["scene_id"], idx["label"]
-    if i_scene > max(cols):
-        return None  # loadtxt would not check that every row reaches it
+def _loadtxt(lines, dtype, usecols=None):
+    """``np.loadtxt`` of the CSV ``lines`` as ``dtype``, or None where it
+    raises or warns (e.g. "input contained no data")."""
     try:
         with warnings.catch_warnings():
-            warnings.simplefilter("error")  # e.g. "input contained no data"
-            data = np.loadtxt(lines, dtype=_CSV_DTYPE, delimiter=",",
-                              comments=None, usecols=cols, ndmin=1)
+            warnings.simplefilter("error")
+            return np.loadtxt(lines, dtype=dtype, delimiter=",",
+                              comments=None, usecols=usecols, ndmin=1)
     except (ValueError, Warning):
+        return None
+
+
+def _parse_rows(lines):
+    """(scene_id, variant, {agent_id: (label, rows)}) from the data
+    ``lines`` in one :func:`_loadtxt` pass, or None where a line breaks a
+    rule of :func:`_first_bad_line`. Ids ascend, each agent's label is
+    from its first row, the scene and variant from the last row, and
+    ``rows`` is float (n, 7) in ``_CSV_VALUES`` order."""
+    data = _loadtxt(lines, _CSV_DTYPE, range(1, 10))
+    if data is None:
         return None
     # the value fields, as float (n, 7): they follow the two i8 fields
     values = data.view(np.float64).reshape(len(data), -1)[:, 2:]
+    variants = data["variant"]
     if len(data) != len(lines) or not np.isfinite(values).all() \
-            or not (np.abs(values[:, 1:3]) <= MAX_LOG_COORD).all():
+            or not (np.abs(values[:, 1:3]) <= MAX_LOG_COORD).all() \
+            or not ((variants >= 0) & (variants <= MAX_LOG_VARIANT)).all():
         return None  # a skipped blank line, or a bad value
     order = np.argsort(data["agent_id"], kind="stable")
-    ids = data["agent_id"][order]
-    starts = np.flatnonzero(np.r_[True, ids[1:] != ids[:-1]])
-    bounds = np.r_[starts, len(ids)].tolist()
-    values = values[order]
+    ids, starts = np.unique(data["agent_id"][order], return_index=True)
     per_agent = {}
-    for k, first in enumerate(order[starts].tolist()):
+    for aid, first, rows in zip(ids.tolist(), order[starts].tolist(),
+                                np.split(values[order], starts[1:])):
         fields = lines[first].split(",")
-        if len(fields) <= i_label:
+        if len(fields) <= 10:
             return None
-        per_agent[int(ids[bounds[k]])] = (
-            fields[i_label], values[bounds[k]:bounds[k + 1]])
-    return (lines[-1].split(",")[i_scene], int(data["variant"][-1]),
-            per_agent)
+        per_agent[aid] = fields[10], rows
+    return lines[-1].split(",", 1)[0], int(variants[-1]), per_agent
 
 
-def _parse_rows_one_by_one(lines, idx, csv_path):
-    """(scene_id, variant, {agent_id: (label, rows)}) from the data
-    ``lines``, ids ascending, each agent's label from its first row and
-    the scene and variant from the last row; ``rows`` is float (n, 7) in
-    ``_CSV_VALUES`` order. Raises a ``ConfigError`` naming the first bad
-    line."""
-    per_agent = {}
-    scene_id, variant = "", 0
-    i_scene, i_variant, i_agent, i_label = (
-        idx["scene_id"], idx["variant"], idx["agent_id"], idx["label"])
-    values = itemgetter(*(idx[c] for c in _CSV_VALUES))
+def _first_bad_line(lines, csv_path):
+    """Raise the ConfigError naming the first of the data ``lines`` that
+    breaks a rule, or saying that there are none. A line holds a
+    ``variant`` from 0 to ``MAX_LOG_VARIANT``, an ``agent_id``, the label
+    if it is the agent's first, finite values with ``x`` and ``y`` within
+    ``MAX_LOG_COORD`` of 0, each number as :func:`_field` reads it, and
+    none of ``_NUMPY_ONLY_SPACE``."""
+    labelled = set()
     for line_no, line in enumerate(lines, 2):
         f = line.split(",")
         try:
-            scene_id = f[i_scene]
-            variant = int(f[i_variant])
-            aid = int(f[i_agent])
-            rec = per_agent.get(aid)
-            if rec is None:
-                rec = per_agent[aid] = (f[i_label], [])
-            row = list(map(float, values(f)))
+            integer(_field(f[1], "i8"), "variant", 0, MAX_LOG_VARIANT)
+            aid = _field(f[2], "i8")
+            if aid not in labelled:
+                f[10]  # an IndexError names a first line without a label
+                labelled.add(aid)
+            row = [_field(f[k], "f8") for k in range(3, 10)]
             if not all(map(math.isfinite, row)):
                 raise ValueError(f"non-finite value in {row}")
             number(row[1], "x", -MAX_LOG_COORD, MAX_LOG_COORD)
             number(row[2], "y", -MAX_LOG_COORD, MAX_LOG_COORD)
-            rec[1].append(row)
+            if any(c in line for c in _NUMPY_ONLY_SPACE):
+                raise ValueError(f"control character in {line!r}")
         except (IndexError, ValueError) as exc:
             raise ConfigError([f"simulation log {csv_path} line "
                                f"{line_no}: {type(exc).__name__}: {exc}"]
                               ) from exc
-    if not per_agent:
-        raise ConfigError([f"simulation log {csv_path}: no data rows"])
-    return scene_id, variant, {aid: (per_agent[aid][0],
-                                     np.asarray(per_agent[aid][1]))
-                               for aid in sorted(per_agent)}
+    raise ConfigError([f"simulation log {csv_path}: no data rows"])
+
+
+def _field(text, dtype):
+    """``text`` as :func:`_loadtxt` reads it alone as ``dtype``, "i8" or
+    "f8", to an int or a float; a ValueError worded as int()'s or
+    float()'s if it does not, or if ``text`` holds a ``_NUMPY_ONLY_SPACE``."""
+    value = None if any(c in text for c in _NUMPY_ONLY_SPACE) \
+        else _loadtxt([text], dtype)
+    if value is None:
+        kind = ("invalid literal for int() with base 10" if dtype == "i8"
+                else "could not convert string to float")
+        raise ValueError(f"{kind}: {text!r}")
+    return value.item()
 
 
 def run_dataset(scenes, pool, config, jobs=1):

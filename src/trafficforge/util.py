@@ -1,4 +1,5 @@
-"""Shared helpers: seeding, number checks, canonical JSON, the process pool."""
+"""Shared helpers: seeding, number checks, opening inputs, canonical JSON,
+the process pool."""
 
 import hashlib
 import json
@@ -6,6 +7,8 @@ import sys
 from numbers import Real
 
 import numpy as np
+
+from trafficforge.errors import ConfigError
 
 
 def derive_seed(*parts):
@@ -76,6 +79,17 @@ def integer(value, name, low=None, high=None):
         rule = _rule("an integer", low, high, False)
         raise ValueError(f"{name!r} must be {rule}, got {value!r}")
     return value
+
+
+def open_input(path, name):
+    """``path`` open for reading as text; a ConfigError naming ``name``
+    and ``path`` if it is not found or does not open, e.g. a directory."""
+    try:
+        return open(path)
+    except FileNotFoundError:
+        raise ConfigError([f"{name} not found: {path}"]) from None
+    except OSError as exc:
+        raise ConfigError([f"{name} {path}: {exc.strerror}"]) from None
 
 
 def canonical_json(doc):

@@ -1,6 +1,7 @@
 """Command-line behavior: validation, exit codes, end-to-end determinism."""
 
 import argparse
+import errno
 import hashlib
 import json
 import math
@@ -1008,7 +1009,9 @@ _BAD_DT = "sidecar file {path}: ValueError: 'dt' must be a finite number " \
      "simulation log {path} line {last}: ValueError: non-finite value in "
      "[0.0, 1.0, nan,"),
     (".csv", lambda text: text.replace(",psi,", ",yaw,", 1),
-     "simulation log {path} line 1: missing column(s) psi"),
+     "simulation log {path} line 1: the header must be 'scene_id,variant,"
+     "agent_id,t,x,y,v,psi,a,phi,label', got 'scene_id,variant,agent_id,t,"
+     "x,y,v,yaw,a,phi,label'"),
     (".csv", lambda text: text.splitlines(True)[0],
      "simulation log {path}: no data rows"),
     (".json", lambda text: text[:len(text) // 2],
@@ -1059,6 +1062,59 @@ def test_malformed_log_exits_1(sim_logs, tmp_path, capsys, command, suffix,
     assert "error: " + detail.format(path=path, last=last) \
         in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["metrics", "render"])
+@pytest.mark.parametrize("variant", ["-1", "4294967296"])
+def test_log_variant_outside_u32_exits_1(sim_logs, tmp_path, capsys,
+                                         command, variant):
+    # a .bevg header holds the variant as a u32
+    logs = tmp_path / "logs"
+    shutil.copytree(sim_logs / "logs", logs)
+    path = logs / "scene00_v1.csv"
+    with open(path, "a") as fh:
+        fh.write(f"scene00,{variant},1,0.000,1.0,2.0,0.0,0.0,0.0,0.0,"
+                 f"straight\n")
+    last = len(path.read_text().splitlines())
+    out = tmp_path / "out"
+    assert dispatch([command, "--logs", str(logs),
+                     "--map", str(sim_logs / "map.json"),
+                     "--out", str(out)]) == 1
+    assert f"error: simulation log {path} line {last}: ValueError: " \
+        f"'variant' must be an integer >= 0 and <= 4294967295, got " \
+        f"{variant}\n" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag", ["--map", "--config", "--tracklets",
+                                  "--preds", "--logs"])
+def test_a_directory_for_an_input_file_exits_1(sim_logs, tmp_path, capsys,
+                                               flag):
+    # each flag names a directory where a file belongs; for --logs, a
+    # directory named like a log, beside its sidecar
+    here = tmp_path / "here.json"
+    here.mkdir()
+    logs = sim_logs / "logs"
+    argv, what = {
+        "--map": (["build-graph", "--map", str(here)], "map file"),
+        "--config": (["build-graph", "--map", str(sim_logs / "map.json"),
+                      "--config", str(here)], "config file"),
+        "--tracklets": (["profile-pool", "--tracklets", str(here),
+                         "--out", str(tmp_path / "pool.json")],
+                        "tracklets file"),
+        "--preds": (["metrics", "--preds", str(here)], "predictions file"),
+        "--logs": (["metrics", "--logs", str(tmp_path / "logs")],
+                   "simulation log"),
+    }[flag]
+    if flag == "--logs":
+        shutil.copytree(logs, tmp_path / "logs")
+        here = tmp_path / "logs" / "scene99_v0.csv"
+        here.mkdir()
+        shutil.copy(logs / "scene00_v0.json", tmp_path / "logs"
+                    / "scene99_v0.json")
+    assert dispatch(argv) == 1
+    assert capsys.readouterr().err \
+        == f"error: {what} {here}: {os.strerror(errno.EISDIR)}\n"
 
 
 @pytest.mark.parametrize("kind", ["map", "tracklets", "pool", "config",

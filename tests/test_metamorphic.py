@@ -1,14 +1,17 @@
 """Metamorphic properties of the simulator: relations between the outputs
 of two related inputs, which hold whatever the outputs' pinned digests."""
 
+import json
 import math
+import os
 
 import numpy as np
 import pytest
-from helpers import (approach_point, four_way_intersection, straight_map,
-                     synthetic_profile_sources, tracklets_doc)
+from helpers import (approach_point, build_test_pool, four_way_intersection,
+                     straight_map, synthetic_profile_sources, tracklets_doc)
 
 from trafficforge import behavior, road_graph, scene_ingest
+from trafficforge.cli import dispatch
 from trafficforge.behavior import BehaviorAssignment, VelocityProfile
 from trafficforge.config import SimConfig
 from trafficforge.geometry import wrap_angle
@@ -113,3 +116,36 @@ def test_rigid_motion_moves_every_position(kind, deg):
     if kind == "three_lane":   # the scene exercises both
         assert sum(len(ag.lane_changes) for ag in base[0].agents) >= 1
         assert any(ag.exit_step is not None for ag in base[0].agents)
+
+
+def test_each_scene_simulates_as_in_its_batch(tmp_path):
+    """Simulating one tracklet file alone writes the same CSV and sidecar
+    bytes as the batch of files it came from: a scene's output depends on
+    the master seed and its own inputs only."""
+    (tmp_path / "map.json").write_text(json.dumps(four_way_intersection()))
+    (tmp_path / "pool.json").write_text(build_test_pool(seed=0).to_json())
+    batch = tmp_path / "tracklets"
+    batch.mkdir()
+    for i, deg in enumerate((0, 90, 180)):
+        agents = [(1, *approach_point(deg, 25.0 + 4 * i), 9.0),
+                  (2, *approach_point(deg, 45.0 + 4 * i), 8.0),
+                  (3, *approach_point((deg + 90) % 360, 30.0), 7.0)]
+        (batch / f"s{i}.json").write_text(
+            json.dumps(tracklets_doc(f"s{i}", agents)))
+
+    def simulate(tracklets, out):
+        assert dispatch(["simulate", "--map", str(tmp_path / "map.json"),
+                         "--tracklets", str(tracklets),
+                         "--pool", str(tmp_path / "pool.json"),
+                         "--out", str(out), "--seed", "11"]) == 0
+        return {name: (out / name).read_bytes()
+                for name in os.listdir(out) if name != "run.json"}
+
+    whole = simulate(batch, tmp_path / "batch")
+    alone = {}
+    for i in range(3):
+        logs = simulate(batch / f"s{i}.json", tmp_path / f"alone{i}")
+        assert logs and all(name.startswith(f"s{i}_") for name in logs)
+        alone.update(logs)
+    assert sorted(alone) == sorted(whole)
+    assert alone == whole

@@ -584,6 +584,27 @@ def test_graph_pickles_without_its_index():
     assert want.tolist() == [True, False, True, False]
 
 
+def test_pickled_graph_leaves_out_every_segment_table():
+    # the lane index stacks each edge's cached table: both are rebuilt on
+    # use, so a used graph pickles as small as a fresh one, and projects
+    # as the original does, bit for bit
+    g = build_graph(four_way_intersection())
+    fresh = len(pickle.dumps(g))
+    pts = [approach_point(deg, dist) for deg in (0, 90, 180, 270)
+           for dist in (3.0, 25.0)]
+    want = [road_graph.project_to_lane(g, (x, y), psi) for x, y, psi in pts]
+    assert all("table" in vars(e) for e in g.edges.values())
+    blob = pickle.dumps(g)
+    assert len(blob) == fresh
+    back = pickle.loads(blob)
+    got = [road_graph.project_to_lane(back, (x, y), psi) for x, y, psi in pts]
+
+    def bits(c):
+        return (c.edge_id, c.arc_s.hex(), c.lateral_offset.hex(),
+                c.lane_heading.hex())
+    assert [bits(c) for c in got] == [bits(c) for c in want]
+
+
 # a curved 3-lane bidirectional road feeding a 2-lane one-way road, and a
 # single-lane bidirectional road whose reversed twin edges tie exactly
 _MULTI_LANE = {"centerlines": [

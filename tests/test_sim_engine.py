@@ -5,9 +5,9 @@ import hashlib
 import json
 import math
 import os
+import re
 import tempfile
 import warnings
-from operator import itemgetter
 
 import numpy as np
 import pytest
@@ -241,50 +241,81 @@ def test_run_dataset_propagates_an_assignment_bug(profile_pool,
 
 
 def test_csv_roundtrip(tmp_path):
-    g, scene = _scene_on_straight([(1, 5.0, 0.0, 0.0, 10.0),
-                                   (2, 60.0, 0.0, 0.0, 8.0)])
-    asg = _assign_straight(g, scene, {1: 10.0, 2: 8.0})
-    log = simulate_scene(scene, asg, SimConfig(master_seed=4))
+    """A log read back from its CSV and sidecar is the simulated log in
+    every field but ``x_lat``, which the CSV does not hold, and ``t``,
+    which it writes with 3 decimals. The scene, three agents per lane of
+    a short 3-lane road with a slow right-lane head, changes lanes and
+    drives agents off the road's end."""
+    agents, speeds = [], {}
+    for lane, (y, v) in enumerate(((-3.5, 9.0), (0.0, 14.0), (3.5, 18.0))):
+        for k in range(3):
+            aid = 3 * lane + k + 1
+            agents.append((aid, 10.0 + 25.0 * k + 7.0 * lane, y, 0.0, v))
+            speeds[aid] = 6.0 if aid == 3 else v + 2.0
+    g, scene = _scene_on_straight(agents, length=150.0, lanes=3)
+    log = simulate_scene(scene, _assign_straight(g, scene, speeds),
+                         SimConfig(master_seed=4))
+    assert any(ag.lane_changes for ag in log.agents)
+    assert any(ag.exit_step is not None for ag in log.agents)
     path = tmp_path / "log.csv"
     with open(path, "w") as fh:
         log.write_csv(fh)
     back = read_simlog_csv(path, log.sidecar())
-    assert back.scene_id == log.scene_id
-    for a, b in zip(log.agents, back.agents):
-        assert a.agent_id == b.agent_id and a.label == b.label
-        np.testing.assert_array_equal(a.x, b.x)
-        np.testing.assert_array_equal(a.psi, b.psi)
-        assert a.exit_step == b.exit_step
+    want = dataclasses.replace(log, agents=[dataclasses.replace(
+        ag, x_lat=None, t=np.array([float(f"{t:.3f}") for t in ag.t]))
+        for ag in log.agents])
+    _assert_same_log(back, want)
 
 
 _VALUES = ("t", "x", "y", "v", "psi", "a", "phi")
 _HEADER = ("scene_id", "variant", "agent_id") + _VALUES + ("label",)
+_CONTROL = "\x1c\x1d\x1e\x1f"   # numpy strips these around a number
+
+
+def _loadtxt_field(text, dtype, message):
+    """``text`` as ``np.loadtxt`` reads one field of ``dtype``, as a
+    Python number; ``ValueError(message)`` if it does not, or if the
+    field holds a control character that numpy would strip."""
+    try:
+        if any(c in text for c in _CONTROL):
+            raise ValueError
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            return np.loadtxt([text], dtype=dtype, delimiter=",",
+                              comments=None).item()
+    except (ValueError, Warning):
+        raise ValueError(f"{message}: {text!r}") from None
 
 
 def _row_loop_read_simlog_csv(csv_path, sidecar):
-    """The row-by-row reader the bulk parse replaced, kept as its oracle."""
+    """The row-by-row reader the bulk parse replaced, kept as its oracle,
+    with each number field read alone by ``np.loadtxt``."""
     per_agent = {}
     scene_id, variant = "", 0
+    header = ",".join(_HEADER)
     with open(csv_path) as fh:
-        header = fh.readline().strip().split(",")
-        idx = {name: i for i, name in enumerate(header)}
-        missing = [c for c in _HEADER if c not in idx]
-        if missing:
-            raise ConfigError([f"simulation log {csv_path} line 1: "
-                               f"missing column(s) {', '.join(missing)}"])
-        i_scene, i_variant, i_agent, i_label = (
-            idx["scene_id"], idx["variant"], idx["agent_id"], idx["label"])
-        values = itemgetter(*(idx[c] for c in _VALUES))
+        got = fh.readline().strip()
+        if got != header:
+            raise ConfigError([f"simulation log {csv_path} line 1: the "
+                               f"header must be {header!r}, got {got!r}"])
         for line_no, line in enumerate(fh, 2):
-            f = line.rstrip("\n").split(",")
+            line = line.rstrip("\n")
+            f = line.split(",")
             try:
-                scene_id = f[i_scene]
-                variant = int(f[i_variant])
-                aid = int(f[i_agent])
+                scene_id = f[0]
+                variant = _loadtxt_field(
+                    f[1], "i8", "invalid literal for int() with base 10")
+                if not 0 <= variant < 2**32:
+                    raise ValueError(f"'variant' must be an integer >= 0 "
+                                     f"and <= 4294967295, got {variant!r}")
+                aid = _loadtxt_field(
+                    f[2], "i8", "invalid literal for int() with base 10")
                 rec = per_agent.get(aid)
                 if rec is None:
-                    rec = per_agent[aid] = {"label": f[i_label], "rows": []}
-                row = list(map(float, values(f)))
+                    rec = per_agent[aid] = {"label": f[10], "rows": []}
+                row = [_loadtxt_field(f[k], "f8",
+                                      "could not convert string to float")
+                       for k in range(3, 10)]
                 if not all(map(math.isfinite, row)):
                     raise ValueError(f"non-finite value in {row}")
                 for name, value in (("x", row[1]), ("y", row[2])):
@@ -292,6 +323,8 @@ def _row_loop_read_simlog_csv(csv_path, sidecar):
                         raise ValueError(
                             f"{name!r} must be a finite number >= -2000000 "
                             f"and <= 2000000, got {value!r}")
+                if any(c in line for c in _CONTROL):
+                    raise ValueError(f"control character in {line!r}")
                 rec["rows"].append(row)
             except (IndexError, ValueError) as exc:
                 raise ConfigError([f"simulation log {csv_path} line "
@@ -325,42 +358,41 @@ def _row_loop_read_simlog_csv(csv_path, sidecar):
 _number = st.one_of(st.floats(-1e6, 1e6), st.integers(-5, 5).map(float),
                     st.just(-0.0))
 _label = st.sampled_from(["straight", "left", "right", " right", "", "a b"])
-# ways to write one number that int() or float() reads as written
+# ways to write one number that int(), float() and numpy read as written
 _SPELLINGS = ("{}", " {}", "{} ", "\t{}", "{}\x0b")
 # a field each reader may take differently: rejected by one or both,
 # non-finite, or read by int()/float() but not by numpy (underscores,
-# non-ASCII digits, huge integers), or an x or y on or past its bound
+# non-ASCII digits, huge integers), a control character numpy strips, a
+# variant past a u32, or an x or y on or past its bound
 _ODD_FIELDS = ("nan", "inf", "-inf", "1e400", "-1e400", "x", "", " ",
-               "\x1c1", "1\x1f", "1_0", "3.0", "+3", "1e3", "0x10", ".5",
-               "99999999999999999999", "１", "2e6", "-2000000.5")
+               "\x1c1", "1\x1f", "a\x1eb", "1_0", "3.0", "+3", "1e3",
+               "0x10", ".5", "99999999999999999999", "１", "-1",
+               "4294967295", "4294967296", "2e6", "-2000000.5")
 
 
 @st.composite
 def _log_text(draw):
-    """CSV text of a log: any column order with extra columns, agents with
-    interleaved or single rows, numbers written in several ways, and at
-    most one fault: an odd field, a short row, a blank line, a missing
-    column, or no rows at all. Lines end in LF or CRLF."""
+    """CSV text of a log: the header as written, agents with interleaved
+    or single rows, numbers written in several ways, and at most one
+    fault: an odd field, a short row, a blank line, a missing column, a
+    moved or extra one, or no rows at all. Lines end in LF or CRLF."""
     header = list(_HEADER)
-    order = draw(st.sampled_from(["as written", "scene last", "shuffled"]))
-    if order == "scene last":
-        header = header[1:] + header[:1]
-    elif order == "shuffled":
-        header = draw(st.permutations(header))
-    for name in draw(st.lists(st.sampled_from(["extra", "note", "x"]),
-                              max_size=2)):
-        header.insert(draw(st.integers(0, len(header))), name)
     fault = draw(st.sampled_from(["none", "field", "short", "blank",
-                                  "column", "no rows"]))
+                                  "column", "layout", "no rows"]))
+    if fault == "layout":
+        header = draw(st.sampled_from([
+            header[1:] + header[:1], draw(st.permutations(header)),
+            header + ["note"], ["extra"] + header]))
     scene = draw(st.sampled_from(["s1", "scene 7", ""]))
     n_rows = 0 if fault == "no rows" else draw(st.integers(1, 12))
     rows = []
     t = 0.0
     for _ in range(n_rows):
         cells = {"scene_id": scene, "label": draw(_label)}
-        for c in ("variant", "agent_id"):
-            cells[c] = draw(st.sampled_from(_SPELLINGS)).format(
-                draw(st.integers(-2, 4)))
+        cells["variant"] = draw(st.sampled_from(_SPELLINGS)).format(
+            draw(st.integers(0, 4)))
+        cells["agent_id"] = draw(st.sampled_from(_SPELLINGS)).format(
+            draw(st.integers(-2, 4)))
         t += draw(st.sampled_from([0.1, 0.0, -0.1, 0.25]))
         for c in _VALUES:
             value = f"{t:.3f}" if c == "t" else repr(draw(_number))
@@ -409,6 +441,21 @@ def _assert_same_log(got, want):
 
 _ROW = "s1,0,1,0.000,1.0,2.0,3.0,0.0,0.0,0.0,straight"
 _SCENE_LAST = ",".join(_HEADER[1:] + _HEADER[:1])
+# logs that an earlier, looser reader took, and the line that now fails
+_REFUSED = {
+    "scene-last": (f"{_SCENE_LAST}\n{_ROW[3:]},s1\n", 1),
+    "extra-column": (",".join(_HEADER) + f",note\n{_ROW},n\n", 1),
+    "underscore": (",".join(_HEADER) + f"\n{_ROW}\n"
+                   + _ROW.replace("2.0", "2_0") + "\n", 3),
+    "full-width-digit": (",".join(_HEADER) + "\n"
+                         + _ROW.replace("1.0", "\uff11") + "\n", 2),
+    "20-digit-variant": (",".join(_HEADER) + "\n"
+                         + _ROW.replace("s1,0,", "s1," + "9" * 20 + ",")
+                         + "\n", 2),
+    "control-in-label": (",".join(_HEADER) + f"\n{_ROW}\n{_ROW}\x1c\n", 3),
+    "variant-minus-1": (",".join(_HEADER) + f"\n{_ROW}\n"
+                        + _ROW.replace("s1,0,", "s1,-1,") + "\n", 3),
+}
 # an entry for every agent id _log_text writes
 _SIDECAR = {"dt": 0.1, "master_seed": 0, "config_digest": "",
             "agents": [{"agent_id": aid} for aid in range(-2, 5)]}
@@ -425,12 +472,20 @@ _SIDECAR = {"dt": 0.1, "master_seed": 0, "config_digest": "",
 # each case below is one that numpy reads and the row loop rejects
 @example(",".join(_HEADER) + f"\n{_ROW}\n{_ROW.replace(',1,', ',2,')[:-9]}\n",
          _SIDECAR)                                     # no label, agent 2
-@example(f"{_SCENE_LAST}\n{_ROW[3:]}\n", _SIDECAR)    # no scene column
+@example(f"{_SCENE_LAST}\n{_ROW[3:]}\n", _SIDECAR)    # scene column moved
 @example(",".join(_HEADER) + f"\n{_ROW.replace('1.0', chr(0x1c) + '1')}\n",
          _SIDECAR)                                     # numpy-only space
 @example(",".join(_HEADER) + f"\n{_ROW.replace('1.0', 'nan')}\n", _SIDECAR)
 @example(",".join(_HEADER) + f"\n{_ROW}\n\n", _SIDECAR)  # blank last line
 @example(",".join(_HEADER) + "\n\n", _SIDECAR)        # only a blank line
+# each case below is one that an earlier reader took: each is refused
+@example(_REFUSED["scene-last"][0], _SIDECAR)
+@example(_REFUSED["extra-column"][0], _SIDECAR)
+@example(_REFUSED["underscore"][0], _SIDECAR)
+@example(_REFUSED["full-width-digit"][0], _SIDECAR)
+@example(_REFUSED["20-digit-variant"][0], _SIDECAR)
+@example(_REFUSED["control-in-label"][0], _SIDECAR)
+@example(_REFUSED["variant-minus-1"][0], _SIDECAR)
 def test_bulk_csv_reader_matches_row_loop(text, sidecar):
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "log.csv")
@@ -445,6 +500,16 @@ def test_bulk_csv_reader_matches_row_loop(text, sidecar):
         assert got == want
     else:
         _assert_same_log(got, want)
+
+
+@pytest.mark.parametrize("case", sorted(_REFUSED))
+def test_reader_refuses_what_it_once_took(tmp_path, case):
+    text, line_no = _REFUSED[case]
+    path = tmp_path / "log.csv"
+    path.write_text(text)
+    with pytest.raises(ConfigError, match=re.escape(
+            f"simulation log {path} line {line_no}: ")):
+        read_simlog_csv(path, _SIDECAR)
 
 
 def test_read_log_has_no_lateral_offsets(tmp_path):
