@@ -22,7 +22,7 @@ from trafficforge.errors import (ConfigError, EmptySceneError,
                                  InsufficientDataError, MapFormatError,
                                  TrafficForgeError)
 from trafficforge.util import (integer, is_number, map_tasks, number, numbers,
-                              open_input)
+                              open_input, read_input)
 
 log = logging.getLogger("trafficforge")
 
@@ -226,6 +226,7 @@ def _load_logs(logs_dir):
     if not os.path.isdir(logs_dir):
         raise ConfigError([f"logs directory not found: {logs_dir}"])
     logs = []
+    paths = {}      # (scene_id, variant) -> the CSV that holds it
     for name in sorted(os.listdir(logs_dir)):
         if not name.endswith(".csv"):
             continue
@@ -238,6 +239,11 @@ def _load_logs(logs_dir):
             scene_ingest.check_scene_id(logs[-1].scene_id)
         except ValueError as exc:
             raise ConfigError([f"simulation log {csv_path}: {exc}"]) from None
+        key = (logs[-1].scene_id, logs[-1].variant_index)
+        if key in paths:
+            raise ConfigError([f"simulation logs {paths[key]} and {csv_path} "
+                               f"both hold scene {key[0]!r} variant {key[1]}"])
+        paths[key] = csv_path
     if not logs:
         raise ConfigError([f"no simulation CSVs in {logs_dir}"])
     return logs
@@ -285,22 +291,22 @@ def cmd_render(args):
 
 def _prediction_sets(path):
     psets = []
-    with open_input(path, "predictions file") as fh:
-        for line_no, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                doc = json.loads(line, object_pairs_hook=_unique_keys)
-                dt = number(doc["dt"], "dt", 0, strict=True)
-                gt = metrics.Trajectory2D(dt, numbers(doc["gt"], "gt", 2))
-                samples = [metrics.Trajectory2D(dt, s) for s in
-                           numbers(doc["samples"], "samples", 3)]
-                aid = integer(doc["agent_id"], "agent_id")
-                psets.append(metrics.PredictionSet(aid, gt, samples))
-            except (ValueError, KeyError, TypeError, RecursionError) as exc:
-                raise ConfigError([f"predictions file {path} line {line_no}: "
-                                   f"{type(exc).__name__}: {exc}"]) from exc
+    text = read_input(path, "predictions file")
+    for line_no, line in enumerate(text.split("\n"), 1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            doc = json.loads(line, object_pairs_hook=_unique_keys)
+            dt = number(doc["dt"], "dt", 0, strict=True)
+            gt = metrics.Trajectory2D(dt, numbers(doc["gt"], "gt", 2))
+            samples = [metrics.Trajectory2D(dt, s) for s in
+                       numbers(doc["samples"], "samples", 3)]
+            aid = integer(doc["agent_id"], "agent_id")
+            psets.append(metrics.PredictionSet(aid, gt, samples))
+        except (ValueError, KeyError, TypeError, RecursionError) as exc:
+            raise ConfigError([f"predictions file {path} line {line_no}: "
+                               f"{type(exc).__name__}: {exc}"]) from exc
     if not psets:
         raise ConfigError([f"no prediction records in {path}"])
     return psets

@@ -264,6 +264,12 @@ def validate_config(raw):
         elif key.integer:
             value = int(value)  # 3.0 and 3 are one setting
         resolved[sec][name] = value
+    if "sim.dt" not in invalid:
+        ms = resolved["sim"]["dt"] * 1000.0
+        if abs(ms - round(ms)) > 1e-9:
+            problems.append(f"sim.dt: must be a whole number of milliseconds, "
+                            f"since a log's t column has 3 decimals, got "
+                            f"{resolved['sim']['dt']!r}")
     if not invalid & {"sim.dt", "sim.horizon"}:
         steps = resolved["sim"]["horizon"] / resolved["sim"]["dt"]
         if abs(steps - round(steps)) > 1e-9:

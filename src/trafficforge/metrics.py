@@ -17,7 +17,6 @@ fits the same Gaussian KDE on the transformed real set only, and compares
 mean log-likelihoods of both sets under that density.
 """
 
-import itertools
 import math
 import statistics
 from dataclasses import dataclass
@@ -180,27 +179,33 @@ def validity_ratio(trajs, graph, margin=0.5,
     ``max_snap_distance`` and lie within half its lane width plus
     ``margin`` (:func:`road_graph.within_lanes`: each point is measured
     against the segments of its cell of the graph's uniform segment
-    grid, O(points x nearby segments)). Consecutive trajectories share
-    one call, up to ``_VALIDITY_BLOCK`` points in all (a longer
-    trajectory has a call of its own); every point is decided on its
-    own, so the verdicts are those of one call per trajectory.
+    grid, O(points x nearby segments)). The points of all trajectories
+    go to it in consecutive slices of ``_VALIDITY_BLOCK``; every point is
+    decided on its own, so the verdicts are those of one call per
+    trajectory.
     """
     if not trajs:
         raise ValueError("no trajectories")
-    valid = first = 0
-    while first < len(trajs):
-        last, size = first + 1, len(trajs[first].points)
-        while last < len(trajs) \
-                and size + len(trajs[last].points) <= _VALIDITY_BLOCK:
-            size += len(trajs[last].points)
-            last += 1
-        block = [traj.points for traj in trajs[first:last]]
-        ok = road_graph.within_lanes(graph, np.concatenate(block), margin,
-                                     max_snap_distance)
-        starts = list(itertools.accumulate(len(p) for p in block[:-1]))
-        valid += np.count_nonzero(np.logical_and.reduceat(ok, [0, *starts]))
-        first = last
-    return valid / len(trajs)
+    ok = np.concatenate([
+        road_graph.within_lanes(graph, points, margin, max_snap_distance)
+        for points in _slices((traj.points for traj in trajs),
+                              _VALIDITY_BLOCK)])
+    starts = np.cumsum([0] + [len(traj.points) for traj in trajs[:-1]])
+    return np.count_nonzero(np.logical_and.reduceat(ok, starts)) / len(trajs)
+
+
+def _slices(arrays, size):
+    """The rows of ``arrays``, end to end, in consecutive ``size``-row
+    slices, the last one shorter; one slice is copied at a time."""
+    pending, room = [], size
+    for rows in arrays:
+        while len(rows) >= room:
+            yield np.concatenate(pending + [rows[:room]])
+            rows, pending, room = rows[room:], [], size
+        pending.append(rows)
+        room -= len(rows)
+    if room < size:
+        yield np.concatenate(pending)
 
 
 def normalize_trajectory(traj):

@@ -10,7 +10,8 @@ before its own decision, so when MOBIL evaluates a follower later in the
 step's agent order, it reads that follower's previous ``v0`` (at step 0,
 the 1.0 its parameters were sampled with).
 
-Each routed agent's leader search runs once per step: one ranked search
+Each agent's leader search runs once per step, along its route or, for
+the replayed ego, along the lane it snaps to: one ranked search
 (``dynamics.rank_leaders``) kept under the agent's id, from which its own
 acceleration and every MOBIL what-if that moves or removes another agent
 are read (``dynamics.leader_after``). MOBIL tests each side lazily, and
@@ -20,6 +21,7 @@ entered for an agent whose edge has a neighbor lane.
 """
 
 import dataclasses
+import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -34,7 +36,7 @@ from trafficforge.controller import (longitudinal_command, steer_to_lane,
 from trafficforge.errors import ConfigError, OffMapError, TrafficForgeError
 from trafficforge.scene_ingest import MAX_AGENT_ID, interpolate_pose
 from trafficforge.util import (derive_seed, digest, integer, map_tasks,
-                              number, open_input)
+                              number, read_input)
 
 V0_FLOOR = 0.1          # reference speed floor for the free-flow term
 MIN_LOG_DT = 1e-6       # s; metrics divides by a log's dt squared
@@ -57,9 +59,6 @@ class AgentLog:
     psi: np.ndarray
     a: np.ndarray
     phi: np.ndarray
-    # the lateral offset to the route, as simulated; None for a log read
-    # back by read_simlog_csv, since the CSV has no such column
-    x_lat: Optional[np.ndarray]
     lane_changes: list
 
 
@@ -74,6 +73,7 @@ _CSV_DTYPE = np.dtype([("variant", "i8"), ("agent_id", "i8")]
 # a number could hide them; no line of a log holds one
 _NUMPY_ONLY_SPACE = "\x1c\x1d\x1e\x1f"
 MAX_LOG_VARIANT = 2**32 - 1   # a .bevg header holds a log's variant as u32
+_CHECK_CHUNK = 64    # lines that _first_bad_line reads in one _loadtxt call
 # m; a log's x and y lie this close to 0: every lane of a map lies within
 # road_graph.MAX_COORD, and the rest leaves room to drive off the map
 MAX_LOG_COORD = 2 * road_graph.MAX_COORD
@@ -150,7 +150,7 @@ class _AgentRun:
         self.x_lat = init.lane.lateral_offset
         self.exit_step = None
         self.lane_changes = []
-        self.rows = []       # (x, y, v, psi, a, phi, x_lat)
+        self.rows = []       # (x, y, v, psi, a, phi)
         if self.route is None and not self.replay:
             self.state.v = 0.0
 
@@ -161,7 +161,7 @@ class _AgentRun:
     def log_state(self):
         st = self.state
         self.rows.append((st.position[0], st.position[1], st.v, st.psi,
-                          st.a, st.phi, self.x_lat))
+                          st.a, st.phi))
 
     def coords(self):
         """(edge_id, arc_on_edge, v, length) for the interaction snapshot."""
@@ -209,14 +209,14 @@ def simulate_scene(scene, assignment, config, variant_index=0):
 
     for run in runs:
         if run.route is not None:
-            s, _, lat = run.route.project_near(run.state.position, 0.0)
-            run.s, run.x_lat = s, lat
+            run.s = run.route.project_near(run.state.position, 0.0)[0]
         run.log_state()
 
     for k in range(n_steps):
         active = [r for r in runs if not r.exited]
         # refresh route projections and detect exits on the frozen state
         still = []
+        along = {}      # agent_id -> the route its leaders are searched along
         for run in active:
             if run.route is not None:
                 fwd = run.state.v * dt + road_graph.PROJECT_AHEAD
@@ -226,8 +226,8 @@ def simulate_scene(scene, assignment, config, variant_index=0):
                 if s >= run.route.total_length - EXIT_EPS:
                     run.exit_step = k
                     continue
+                along[run.agent_id] = run.route
             elif run.replay:
-                run.x_lat = 0.0
                 try:
                     run.lane = road_graph.project_to_lane(
                         graph, run.state.position,
@@ -235,14 +235,20 @@ def simulate_scene(scene, assignment, config, variant_index=0):
                 except OffMapError:
                     run.exit_step = k
                     continue
+                # MOBIL weighs the ego along its lane at its own speed (it
+                # still cannot brake)
+                run.idm.v0 = max(run.state.v, V0_FLOOR)
+                along[run.agent_id] = road_graph.Route(
+                    graph, [run.lane.edge_id], run.lane, True)
             still.append(run)
         active = still
         snapshot = dynamics.Snapshot({r.agent_id: r.coords() for r in active})
         by_id = {r.agent_id: r for r in active}
-        # agent_id -> the routed agent's ranked leader search of this step
-        searches = {r.agent_id: dynamics.rank_leaders(
-            snapshot, r.agent_id, r.route, config.sensing_range)
-            for r in active if r.route is not None}
+        # agent_id -> the agent's ranked leader search of this step, along
+        # its route or the replayed ego's lane
+        searches = {aid: dynamics.rank_leaders(
+            snapshot, aid, route, config.sensing_range)
+            for aid, route in along.items()}
 
         # decisions from the frozen snapshot
         commands = {}
@@ -253,7 +259,7 @@ def simulate_scene(scene, assignment, config, variant_index=0):
             v = run.state.v
             v_ref = run.profile.value_at(k) if run.profile is not None else 0.0
             run.idm.v0 = max(v_ref, V0_FLOOR)
-            a_idm = _accel(run, snapshot, config, searches)
+            a_idm = _accel(run, config, searches)
             if config.lane_change_enabled and abs(run.x_lat) <= MOBIL_EVAL_MAX_OFFSET \
                     and snapshot.coords[run.agent_id][0] in beside:
                 target = _consider_lane_change(graph, run, snapshot, by_id,
@@ -303,7 +309,7 @@ def simulate_scene(scene, assignment, config, variant_index=0):
             exit_step=run.exit_step,
             t=t_axis[:n],
             x=rows[:, 0], y=rows[:, 1], v=rows[:, 2], psi=rows[:, 3],
-            a=rows[:, 4], phi=rows[:, 5], x_lat=rows[:, 6],
+            a=rows[:, 4], phi=rows[:, 5],
             lane_changes=run.lane_changes,
         ))
     return SimLog(scene.scene_id, variant_index, dt, config.master_seed,
@@ -366,7 +372,7 @@ def _consider_lane_change(graph, run, snapshot, by_id, ac_old, config,
         # the would-be new follower
         an_old, an_new = _follower_accels(
             dynamics.nearest_behind(snapshot, nb, coord.arc_s, run.agent_id),
-            graph, snapshot, moved, by_id, config, searches)
+            moved, by_id, config, searches)
         if not dynamics.mobil_safe(mobil, an_old, an_new):
             continue
 
@@ -382,8 +388,7 @@ def _consider_lane_change(graph, run, snapshot, by_id, ac_old, config,
         if old_lane is None:
             old_lane = _follower_accels(
                 dynamics.nearest_behind(snapshot, eid, arc, run.agent_id),
-                graph, snapshot, (run.agent_id, None), by_id, config,
-                searches)
+                (run.agent_id, None), by_id, config, searches)
         ao_old, ao_new = old_lane
 
         if dynamics.mobil_decide(mobil, ac_old, ac_new, an_old, an_new,
@@ -407,36 +412,22 @@ def _retarget_route(graph, coord, label, config):
     return same[0] if same else routes[0]
 
 
-def _follower_accels(follower, graph, snapshot, moved, by_id, config,
-                     searches):
-    """IDM accelerations of ``follower`` in the step's ``snapshot``,
-    without and with the ``moved`` override; (0, 0) without a follower.
-
-    A routed follower reads its ranked search in ``searches``. The
-    replayed ego is weighed along its snapshot edge with ``v0`` at its
-    speed, as MOBIL's input only (it still cannot brake); a parked agent
-    gives (0, 0).
+def _follower_accels(follower, moved, by_id, config, searches):
+    """IDM accelerations of ``follower`` in the step's snapshot, without
+    and with the ``moved`` override, read from its ranked search in
+    ``searches``; (0, 0) without a follower or for a parked one, which
+    has no search.
     """
-    if follower is None:
+    if follower not in searches:
         return 0.0, 0.0
     f = by_id[follower]
-    if f.route is not None:
-        return (_accel(f, snapshot, config, searches),
-                _accel(f, snapshot, config, searches, moved))
-    if not f.replay:
-        return 0.0, 0.0
-    route = road_graph.Route(graph, [f.lane.edge_id], f.lane, True)
-    params = dataclasses.replace(f.idm, v0=max(f.state.v, V0_FLOOR))
-    return tuple(
-        dynamics.idm_accel(params, dynamics.find_leader(
-            snapshot, f.agent_id, route, config.sensing_range, what_if),
-            f.state.v, config.controller.a_max_decel)
-        for what_if in (None, moved))
+    return (_accel(f, config, searches),
+            _accel(f, config, searches, moved))
 
 
-def _accel(run, snapshot, config, searches, moved=None):
-    """The agent's IDM acceleration on its route in the step's snapshot,
-    with the ``moved`` override.
+def _accel(run, config, searches, moved=None):
+    """The agent's IDM acceleration along its search route in the step's
+    snapshot, with the ``moved`` override.
 
     The agent's ranked leader search, made right after the snapshot, is
     kept in ``searches`` under its id: it does not read ``v0``. The
@@ -484,21 +475,19 @@ def check_sidecar(sidecar, source):
 def read_simlog_csv(csv_path, sidecar):
     """Reconstruct a SimLog from its CSV and its sidecar dict, as
     :func:`check_sidecar` accepts it: ``dt``, ``master_seed`` and
-    ``config_digest`` come from the sidecar alone. The logs' ``x_lat``
-    is None: the CSV does not hold it.
+    ``config_digest`` come from the sidecar alone.
 
     Raises :class:`ConfigError` naming the file and the line when line 1
     is not ``_CSV_HEADER`` or a data line breaks a rule of
     :func:`_first_bad_line`, and naming the file and the agent when an
     agent of the CSV has no entry in the sidecar's ``agents``.
     """
-    with open_input(csv_path, "simulation log") as fh:
-        header = fh.readline().strip()
-        if header != _CSV_HEADER:
-            raise ConfigError([f"simulation log {csv_path} line 1: the "
-                               f"header must be {_CSV_HEADER!r}, got "
-                               f"{header!r}"])
-        text = fh.read()
+    header, _, text = read_input(csv_path, "simulation log").partition("\n")
+    header = header.strip()
+    if header != _CSV_HEADER:
+        raise ConfigError([f"simulation log {csv_path} line 1: the "
+                           f"header must be {_CSV_HEADER!r}, got "
+                           f"{header!r}"])
     numpy_reads_as_written = not any(c in text for c in _NUMPY_ONLY_SPACE)
     lines = text.split("\n")
     del text
@@ -520,7 +509,6 @@ def read_simlog_csv(csv_path, sidecar):
             exit_step=meta.get("exit_step"),
             t=rows[:, 0], x=rows[:, 1], y=rows[:, 2], v=rows[:, 3],
             psi=rows[:, 4], a=rows[:, 5], phi=rows[:, 6],
-            x_lat=None,
             lane_changes=[(c["step"], c["from_edge"], c["to_edge"])
                           for c in meta.get("lane_changes", [])],
         ))
@@ -544,18 +532,22 @@ def _parse_rows(lines):
     """(scene_id, variant, {agent_id: (label, rows)}) from the data
     ``lines`` in one :func:`_loadtxt` pass, or None where a line breaks a
     rule of :func:`_first_bad_line`. Ids ascend, each agent's label is
-    from its first row, the scene and variant from the last row, and
-    ``rows`` is float (n, 7) in ``_CSV_VALUES`` order."""
+    from its first row, and ``rows`` is float (n, 7) in ``_CSV_VALUES``
+    order."""
     data = _loadtxt(lines, _CSV_DTYPE, range(1, 10))
     if data is None:
         return None
     # the value fields, as float (n, 7): they follow the two i8 fields
     values = data.view(np.float64).reshape(len(data), -1)[:, 2:]
     variants = data["variant"]
+    scene_id = lines[0].split(",", 1)[0]
     if len(data) != len(lines) or not np.isfinite(values).all() \
             or not (np.abs(values[:, 1:3]) <= MAX_LOG_COORD).all() \
-            or not ((variants >= 0) & (variants <= MAX_LOG_VARIANT)).all():
-        return None  # a skipped blank line, or a bad value
+            or not ((variants >= 0) & (variants <= MAX_LOG_VARIANT)).all() \
+            or not (variants == variants[0]).all() \
+            or not all(map(str.startswith, lines,
+                           itertools.repeat(scene_id + ","))):
+        return None  # a skipped blank line, a bad value, or a second scene
     order = np.argsort(data["agent_id"], kind="stable")
     ids, starts = np.unique(data["agent_id"][order], return_index=True)
     per_agent = {}
@@ -565,7 +557,7 @@ def _parse_rows(lines):
         if len(fields) <= 10:
             return None
         per_agent[aid] = fields[10], rows
-    return lines[-1].split(",", 1)[0], int(variants[-1]), per_agent
+    return scene_id, int(variants[0]), per_agent
 
 
 def _first_bad_line(lines, csv_path):
@@ -573,28 +565,51 @@ def _first_bad_line(lines, csv_path):
     breaks a rule, or saying that there are none. A line holds a
     ``variant`` from 0 to ``MAX_LOG_VARIANT``, an ``agent_id``, the label
     if it is the agent's first, finite values with ``x`` and ``y`` within
-    ``MAX_LOG_COORD`` of 0, each number as :func:`_field` reads it, and
-    none of ``_NUMPY_ONLY_SPACE``."""
+    ``MAX_LOG_COORD`` of 0, each number as :func:`_field` reads it, none
+    of ``_NUMPY_ONLY_SPACE``, and the scene and the variant of line 2.
+
+    The numbers of each ``_CHECK_CHUNK`` lines are read in one
+    :func:`_loadtxt` call; a line's fields are read one by one only in a
+    chunk that call refuses, or where the line holds a
+    ``_NUMPY_ONLY_SPACE``, which the call would strip.
+    """
     labelled = set()
-    for line_no, line in enumerate(lines, 2):
-        f = line.split(",")
-        try:
-            integer(_field(f[1], "i8"), "variant", 0, MAX_LOG_VARIANT)
-            aid = _field(f[2], "i8")
-            if aid not in labelled:
-                f[10]  # an IndexError names a first line without a label
-                labelled.add(aid)
-            row = [_field(f[k], "f8") for k in range(3, 10)]
-            if not all(map(math.isfinite, row)):
-                raise ValueError(f"non-finite value in {row}")
-            number(row[1], "x", -MAX_LOG_COORD, MAX_LOG_COORD)
-            number(row[2], "y", -MAX_LOG_COORD, MAX_LOG_COORD)
-            if any(c in line for c in _NUMPY_ONLY_SPACE):
-                raise ValueError(f"control character in {line!r}")
-        except (IndexError, ValueError) as exc:
-            raise ConfigError([f"simulation log {csv_path} line "
-                               f"{line_no}: {type(exc).__name__}: {exc}"]
-                              ) from exc
+    for start in range(0, len(lines), _CHECK_CHUNK):
+        chunk = lines[start:start + _CHECK_CHUNK]
+        data = _loadtxt(chunk, _CSV_DTYPE, range(1, 10))
+        numbers = data.tolist() if data is not None \
+            and len(data) == len(chunk) else [None] * len(chunk)
+        for line_no, line, nums in zip(itertools.count(start + 2), chunk,
+                                       numbers):
+            f = line.split(",")
+            hidden = any(c in line for c in _NUMPY_ONLY_SPACE)
+            if hidden:
+                nums = None
+            try:
+                variant = integer(_field(f[1], "i8") if nums is None
+                                  else nums[0], "variant", 0, MAX_LOG_VARIANT)
+                aid = _field(f[2], "i8") if nums is None else nums[1]
+                if aid not in labelled:
+                    f[10]  # an IndexError names a first line without a label
+                    labelled.add(aid)
+                row = ([_field(f[k], "f8") for k in range(3, 10)]
+                       if nums is None else list(nums[2:]))
+                if not all(map(math.isfinite, row)):
+                    raise ValueError(f"non-finite value in {row}")
+                number(row[1], "x", -MAX_LOG_COORD, MAX_LOG_COORD)
+                number(row[2], "y", -MAX_LOG_COORD, MAX_LOG_COORD)
+                if hidden:
+                    raise ValueError(f"control character in {line!r}")
+                if line_no == 2:
+                    scene, first = f[0], variant
+                if (f[0], variant) != (scene, first):
+                    raise ValueError(f"every line must name line 2's scene "
+                                     f"{scene!r} and variant {first}, got "
+                                     f"{f[0]!r} and {variant}")
+            except (IndexError, ValueError) as exc:
+                raise ConfigError([f"simulation log {csv_path} line "
+                                   f"{line_no}: {type(exc).__name__}: {exc}"]
+                                  ) from exc
     raise ConfigError([f"simulation log {csv_path}: no data rows"])
 
 

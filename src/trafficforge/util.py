@@ -92,6 +92,17 @@ def open_input(path, name):
         raise ConfigError([f"{name} {path}: {exc.strerror}"]) from None
 
 
+def read_input(path, name):
+    """The text of ``path``, as :func:`open_input` opens it; a ConfigError
+    naming ``name`` and ``path`` also if it is not UTF-8."""
+    with open_input(path, name) as fh:
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            raise ConfigError([f"{name} {path}: {type(exc).__name__}: "
+                               f"{exc}"]) from None
+
+
 def canonical_json(doc):
     """Deterministic JSON serialization (sorted keys, stable floats)."""
     return json.dumps(doc, sort_keys=True, separators=(",", ":"))

@@ -46,6 +46,18 @@ def test_validate_config_horizon_multiple():
     assert any("multiple" in v for v in exc.value.violations)
 
 
+@pytest.mark.parametrize("dt", [0.0004, 0.0125, 1e-9])
+def test_validate_config_dt_whole_milliseconds(dt):
+    # a log writes t with 3 decimals: a finer step would repeat its times
+    with pytest.raises(ConfigError) as exc:
+        validate_config({"sim": {"dt": dt, "horizon": dt * 10}})
+    assert exc.value.violations == [
+        f"sim.dt: must be a whole number of milliseconds, since a log's t "
+        f"column has 3 decimals, got {dt!r}"]
+    for ok in (0.001, 0.04, 0.05, 0.2, 1.5):
+        validate_config({"sim": {"dt": ok, "horizon": ok * 10}})
+
+
 def test_validate_config_unknown_key():
     with pytest.raises(ConfigError) as exc:
         validate_config({"sim": {"dtt": 0.1}})
@@ -1115,6 +1127,51 @@ def test_a_directory_for_an_input_file_exits_1(sim_logs, tmp_path, capsys,
     assert dispatch(argv) == 1
     assert capsys.readouterr().err \
         == f"error: {what} {here}: {os.strerror(errno.EISDIR)}\n"
+
+
+@pytest.mark.parametrize("command", ["metrics", "render"])
+def test_two_logs_of_one_scene_and_variant_exit_1(sim_logs, tmp_path, capsys,
+                                                  command):
+    # a copy of a log under another name: render would write its grid
+    # samples over the first's, and metrics would count its agents twice
+    logs = tmp_path / "logs"
+    shutil.copytree(sim_logs / "logs", logs)
+    for suffix in (".csv", ".json"):
+        shutil.copy(logs / f"scene00_v0{suffix}", logs / f"zz_v0{suffix}")
+    out = tmp_path / "out"
+    assert dispatch([command, "--logs", str(logs),
+                     "--map", str(sim_logs / "map.json"),
+                     "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: simulation logs {logs / 'scene00_v0.csv'} and "
+        f"{logs / 'zz_v0.csv'} both hold scene 'scene00' variant 0\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag", ["--logs", "--preds"])
+def test_an_input_that_is_not_utf8_exits_1(sim_logs, tmp_path, capsys, flag):
+    logs = tmp_path / "logs"
+    shutil.copytree(sim_logs / "logs", logs)
+    if flag == "--logs":
+        # byte 0xff at the end of the first row's label
+        path = logs / "scene00_v0.csv"
+        data = path.read_bytes()
+        end = data.index(b"\n", data.index(b"\n") + 1)
+        path.write_bytes(data[:end] + b"\xff" + data[end:])
+        what = "simulation log"
+    else:
+        path = tmp_path / "preds.jsonl"
+        path.write_bytes(json.dumps({
+            "agent_id": 1, "dt": 0.1, "gt": [[0.0, 0.0]] * 3,
+            "samples": [[[0.0, 0.0]] * 3] * 2}).encode() + b"\n\xff\n")
+        what = "predictions file"
+    out = tmp_path / "report.json"
+    assert dispatch(["metrics", flag, str(logs if flag == "--logs" else path),
+                     "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith(
+        f"error: {what} {path}: UnicodeDecodeError: 'utf-8' codec can't "
+        f"decode byte 0xff in position ")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("kind", ["map", "tracklets", "pool", "config",

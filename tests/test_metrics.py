@@ -391,6 +391,25 @@ def test_blocked_validity_matches_per_trajectory_calls(case):
                 == sum(ref[:k]) / k
 
 
+def test_validity_calls_hold_at_most_one_block():
+    # 300, 10 and 300 points on the road: 610 points in slices of 256,
+    # 256 and 98, each trajectory's verdict folded back across them
+    graph = _GRAPHS["bidirectional"]
+    trajs = [_traj([[0.1 + 0.4 * k, 0.0] for k in range(n)])
+             for n in (300, 10, 300)]
+    trajs[1] = _traj([[5.0, 30.0]] * 10)   # off the road
+    sizes = []
+    within = road_graph.within_lanes
+
+    def recording(graph, points, *args):
+        sizes.append(len(points))
+        return within(graph, points, *args)
+
+    with mock.patch.object(road_graph, "within_lanes", recording):
+        assert validity_ratio(trajs, graph) == 2 / 3
+    assert sizes == [256, 256, 98]
+
+
 def test_graph_validity_limits():
     graph = _GRAPHS["bidirectional"]
     x = np.arange(1.0, 128.0)

@@ -158,7 +158,10 @@ def test_lane_deviation_bounded(intersection_graph, profile_pool):
         log = simulate_scene(scene, asg, cfg, vi)
         for ag in log.agents:
             if not ag.lane_changes:
-                assert np.abs(ag.x_lat).max() <= cfg.max_lane_deviation
+                table = asg[ag.agent_id].route.table
+                assert max(geometry.project_point(table, q)[1]
+                           for q in zip(ag.x, ag.y)) \
+                    <= cfg.max_lane_deviation
 
 
 def test_run_dataset_counts_and_parallel_determinism(profile_pool):
@@ -242,10 +245,10 @@ def test_run_dataset_propagates_an_assignment_bug(profile_pool,
 
 def test_csv_roundtrip(tmp_path):
     """A log read back from its CSV and sidecar is the simulated log in
-    every field but ``x_lat``, which the CSV does not hold, and ``t``,
-    which it writes with 3 decimals. The scene, three agents per lane of
-    a short 3-lane road with a slow right-lane head, changes lanes and
-    drives agents off the road's end."""
+    every field but ``t``, which the CSV writes with 3 decimals. The
+    scene, three agents per lane of a short 3-lane road with a slow
+    right-lane head, changes lanes and drives agents off the road's
+    end."""
     agents, speeds = [], {}
     for lane, (y, v) in enumerate(((-3.5, 9.0), (0.0, 14.0), (3.5, 18.0))):
         for k in range(3):
@@ -262,7 +265,7 @@ def test_csv_roundtrip(tmp_path):
         log.write_csv(fh)
     back = read_simlog_csv(path, log.sidecar())
     want = dataclasses.replace(log, agents=[dataclasses.replace(
-        ag, x_lat=None, t=np.array([float(f"{t:.3f}") for t in ag.t]))
+        ag, t=np.array([float(f"{t:.3f}") for t in ag.t]))
         for ag in log.agents])
     _assert_same_log(back, want)
 
@@ -325,6 +328,13 @@ def _row_loop_read_simlog_csv(csv_path, sidecar):
                             f"and <= 2000000, got {value!r}")
                 if any(c in line for c in _CONTROL):
                     raise ValueError(f"control character in {line!r}")
+                if line_no == 2:
+                    first_scene, first_variant = scene_id, variant
+                if (scene_id, variant) != (first_scene, first_variant):
+                    raise ValueError(
+                        f"every line must name line 2's scene "
+                        f"{first_scene!r} and variant {first_variant}, got "
+                        f"{scene_id!r} and {variant}")
                 rec["rows"].append(row)
             except (IndexError, ValueError) as exc:
                 raise ConfigError([f"simulation log {csv_path} line "
@@ -347,7 +357,6 @@ def _row_loop_read_simlog_csv(csv_path, sidecar):
             exit_step=meta.get("exit_step"),
             t=rows[:, 0], x=rows[:, 1], y=rows[:, 2], v=rows[:, 3],
             psi=rows[:, 4], a=rows[:, 5], phi=rows[:, 6],
-            x_lat=None,
             lane_changes=[(c["step"], c["from_edge"], c["to_edge"])
                           for c in meta.get("lane_changes", [])],
         ))
@@ -375,22 +384,23 @@ def _log_text(draw):
     """CSV text of a log: the header as written, agents with interleaved
     or single rows, numbers written in several ways, and at most one
     fault: an odd field, a short row, a blank line, a missing column, a
-    moved or extra one, or no rows at all. Lines end in LF or CRLF."""
+    moved or extra one, a row of another scene or variant, or no rows at
+    all. Lines end in LF or CRLF."""
     header = list(_HEADER)
     fault = draw(st.sampled_from(["none", "field", "short", "blank",
-                                  "column", "layout", "no rows"]))
+                                  "column", "layout", "mixed", "no rows"]))
     if fault == "layout":
         header = draw(st.sampled_from([
             header[1:] + header[:1], draw(st.permutations(header)),
             header + ["note"], ["extra"] + header]))
     scene = draw(st.sampled_from(["s1", "scene 7", ""]))
+    variant = draw(st.integers(0, 4))
     n_rows = 0 if fault == "no rows" else draw(st.integers(1, 12))
     rows = []
     t = 0.0
     for _ in range(n_rows):
         cells = {"scene_id": scene, "label": draw(_label)}
-        cells["variant"] = draw(st.sampled_from(_SPELLINGS)).format(
-            draw(st.integers(0, 4)))
+        cells["variant"] = draw(st.sampled_from(_SPELLINGS)).format(variant)
         cells["agent_id"] = draw(st.sampled_from(_SPELLINGS)).format(
             draw(st.integers(-2, 4)))
         t += draw(st.sampled_from([0.1, 0.0, -0.1, 0.25]))
@@ -398,9 +408,14 @@ def _log_text(draw):
             value = f"{t:.3f}" if c == "t" else repr(draw(_number))
             cells[c] = draw(st.sampled_from(_SPELLINGS)).format(value)
         rows.append([cells.get(c, "e") for c in header])
-    if rows and fault in ("field", "short", "blank"):
+    if rows and fault in ("field", "short", "blank", "mixed"):
         k = draw(st.integers(0, len(rows) - 1))
-        if fault == "blank":
+        if fault == "mixed":
+            column, other = draw(st.sampled_from([
+                (0, scene + "x"), (0, "s1" if scene else ""),
+                (1, str(variant + 1)), (1, f" {variant}")]))
+            rows[k][column] = other
+        elif fault == "blank":
             rows.insert(draw(st.integers(0, len(rows))), [""])
         elif fault == "field":
             rows[k][draw(st.integers(0, len(header) - 1))] = \
@@ -455,6 +470,9 @@ _REFUSED = {
     "control-in-label": (",".join(_HEADER) + f"\n{_ROW}\n{_ROW}\x1c\n", 3),
     "variant-minus-1": (",".join(_HEADER) + f"\n{_ROW}\n"
                         + _ROW.replace("s1,0,", "s1,-1,") + "\n", 3),
+    "second-scene": (",".join(_HEADER) + f"\n{_ROW}\nzz{_ROW[2:]}\n", 3),
+    "second-variant": (",".join(_HEADER) + f"\n{_ROW}\n"
+                       + _ROW.replace("s1,0,", "s1,1,") + "\n", 3),
 }
 # an entry for every agent id _log_text writes
 _SIDECAR = {"dt": 0.1, "master_seed": 0, "config_digest": "",
@@ -486,6 +504,8 @@ _SIDECAR = {"dt": 0.1, "master_seed": 0, "config_digest": "",
 @example(_REFUSED["20-digit-variant"][0], _SIDECAR)
 @example(_REFUSED["control-in-label"][0], _SIDECAR)
 @example(_REFUSED["variant-minus-1"][0], _SIDECAR)
+@example(_REFUSED["second-scene"][0], _SIDECAR)
+@example(_REFUSED["second-variant"][0], _SIDECAR)
 def test_bulk_csv_reader_matches_row_loop(text, sidecar):
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "log.csv")
@@ -512,23 +532,33 @@ def test_reader_refuses_what_it_once_took(tmp_path, case):
         read_simlog_csv(path, _SIDECAR)
 
 
-def test_read_log_has_no_lateral_offsets(tmp_path):
-    # two agents off their lane centres on a two-lane road: the simulated
-    # log has lateral offsets, the CSV does not, so the read log has none
-    g, scene = _scene_on_straight([(1, 5.0, -1.0, 0.0, 10.0),
-                                   (2, 60.0, 1.2, 0.0, 8.0)], lanes=2)
-    asg = _assign_straight(g, scene, {1: 10.0, 2: 8.0})
-    log = simulate_scene(scene, asg, SimConfig(master_seed=4))
-    assert [ag.agent_id for ag in log.agents] == [1, 2]
-    assert all(np.abs(ag.x_lat).max() > 0.5 for ag in log.agents)
+@pytest.mark.parametrize("bad, message", [
+    ("nan", "ValueError: non-finite value in [255.6, nan, "),
+    ("2.0x", "ValueError: could not convert string to float: '2.0x'"),
+])
+def test_checker_reads_a_long_log_a_chunk_at_a_time(tmp_path, monkeypatch,
+                                                     bad, message):
+    # 2,557 good lines, then one that breaks a rule: the checker reads
+    # whole chunks of lines per np.loadtxt call, and single fields only in
+    # the chunk that holds the bad line, where a call per field of every
+    # line would make over 23,000 calls
+    rows = [f"s1,0,{k % 5},{k * 0.1:.3f},1.0,2.0,3.0,0.0,0.0,0.0,straight"
+            for k in range(2557)]
+    rows.append(rows[-1].replace(",1.0,2.0,", f",{bad},2.0,"))
     path = tmp_path / "log.csv"
-    with open(path, "w") as fh:
-        log.write_csv(fh)
-    back = read_simlog_csv(path, log.sidecar())
-    assert [ag.x_lat for ag in back.agents] == [None, None]
-    for a, b in zip(log.agents, back.agents):
-        assert (a.agent_id, a.route_edges, a.epsilon) \
-            == (b.agent_id, b.route_edges, b.epsilon)
+    path.write_text("\n".join([",".join(_HEADER)] + rows) + "\n")
+    calls = []
+    loadtxt = sim_engine._loadtxt
+
+    def counting(*args, **kwargs):
+        calls.append(len(args[0]))
+        return loadtxt(*args, **kwargs)
+
+    monkeypatch.setattr(sim_engine, "_loadtxt", counting)
+    with pytest.raises(ConfigError, match=re.escape(
+            f"simulation log {path} line 2559: {message}")):
+        read_simlog_csv(path, _SIDECAR)
+    assert len(calls) < 1000
 
 
 def test_replay_mode_follows_tracklet():
@@ -641,7 +671,8 @@ def test_mobil_lane_changes_pinned():
 
 def test_step_memo_matches_fresh_accelerations(monkeypatch):
     """The step's memo of ranked searches feeds MOBIL the accelerations
-    computed afresh."""
+    computed afresh, with every agent simulated and with the lowest id
+    replayed, which MOBIL then reads as a follower."""
     scene, asg, cfg = _three_lane_mobil_inputs()
     # desired speeds that change every step, so an agent's v0 when an
     # earlier subject reads it differs from its own decision's
@@ -652,36 +683,50 @@ def test_step_memo_matches_fresh_accelerations(monkeypatch):
             aid, a.route, a.label,
             VelocityProfile(v + 2.0 * np.sin(t + aid), v, a.label))
     decide = dynamics.mobil_decide
+    snapshot = dynamics.Snapshot
+    snapshots = []      # the step's snapshot is the last one made
 
-    def run(accel):
+    def recording_snapshot(coords):
+        snapshots.append(snapshot(coords))
+        return snapshots[-1]
+
+    def run(accel, cfg):
         inputs, accels = [], []
 
         def recording(params, *args):
             inputs.append(args)
             return decide(params, *args)
 
-        def recorded_accel(run, snapshot, config, searches, moved=None):
-            acc = accel(run, snapshot, config, searches, moved)
-            accels.append((run.agent_id, moved, acc))
+        def recorded_accel(run, config, searches, moved=None):
+            acc = accel(run, config, searches, moved)
+            accels.append((run.agent_id, run.replay, moved, acc))
             return acc
 
         monkeypatch.setattr(dynamics, "mobil_decide", recording)
+        monkeypatch.setattr(dynamics, "Snapshot", recording_snapshot)
         monkeypatch.setattr(sim_engine, "_accel", recorded_accel)
         csv = csv_text(simulate_scene(scene, asg, cfg))
         return inputs, accels, hashlib.sha256(csv.encode()).hexdigest()
 
-    def fresh(run, snapshot, config, searches, moved=None):
-        # every base and what-if acceleration through find_leader
-        return sim_engine._idm_accel_in(snapshot, run, run.route, config,
+    def fresh(run, config, searches, moved=None):
+        # every base and what-if acceleration through find_leader, the
+        # replayed ego's along the one-edge route of its lane
+        route = run.route if run.route is not None else road_graph.Route(
+            scene.graph, [run.lane.edge_id], run.lane, True)
+        return sim_engine._idm_accel_in(snapshots[-1], run, route, config,
                                         moved)
 
-    memo_inputs, memo_accels, memo_csv = run(sim_engine._accel)
-    fresh_inputs, fresh_accels, fresh_csv = run(fresh)
-    assert len(memo_inputs) > 100
-    assert sum(moved is not None for _, moved, _ in memo_accels) > 500
-    assert memo_inputs == fresh_inputs
-    assert memo_accels == fresh_accels
-    assert memo_csv == fresh_csv
+    for ego_mode in ("simulate", "replay"):
+        mode_cfg = dataclasses.replace(cfg, ego_mode=ego_mode)
+        memo_inputs, memo_accels, memo_csv = run(sim_engine._accel, mode_cfg)
+        fresh_inputs, fresh_accels, fresh_csv = run(fresh, mode_cfg)
+        assert len(memo_inputs) > 100
+        assert sum(moved is not None for *_, moved, _ in memo_accels) > 500
+        assert any(replay for _, replay, *_ in memo_accels) \
+            == (ego_mode == "replay")
+        assert memo_inputs == fresh_inputs
+        assert memo_accels == fresh_accels
+        assert memo_csv == fresh_csv
 
 
 def _eager_mobil(graph, run, snapshot, by_id, ac_old, config, sides, seen,
