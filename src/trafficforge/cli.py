@@ -235,10 +235,6 @@ def _load_logs(logs_dir):
         sim_engine.check_sidecar(sidecar, f"sidecar file {side_path}")
         csv_path = os.path.join(logs_dir, name)
         logs.append(sim_engine.read_simlog_csv(csv_path, sidecar))
-        try:   # render names its files after it
-            scene_ingest.check_scene_id(logs[-1].scene_id)
-        except ValueError as exc:
-            raise ConfigError([f"simulation log {csv_path}: {exc}"]) from None
         key = (logs[-1].scene_id, logs[-1].variant_index)
         if key in paths:
             raise ConfigError([f"simulation logs {paths[key]} and {csv_path} "

@@ -34,7 +34,8 @@ from trafficforge import dynamics, road_graph
 from trafficforge.controller import (longitudinal_command, steer_to_lane,
                                      step_kinematics)
 from trafficforge.errors import ConfigError, OffMapError, TrafficForgeError
-from trafficforge.scene_ingest import MAX_AGENT_ID, interpolate_pose
+from trafficforge.scene_ingest import (MAX_AGENT_ID, check_scene_id,
+                                       interpolate_pose)
 from trafficforge.util import (derive_seed, digest, integer, map_tasks,
                               number, read_input)
 
@@ -380,7 +381,10 @@ def _consider_lane_change(graph, run, snapshot, by_id, ac_old, config,
         new_route = _retarget_route(graph, coord, run.label, config)
         if new_route is None:
             continue
-        ac_new = _idm_accel_in(snapshot, run, new_route, config, moved)
+        lead = dynamics.find_leader(snapshot, run.agent_id, new_route,
+                                    config.sensing_range, moved)
+        ac_new = dynamics.idm_accel(run.idm, lead, run.state.v,
+                                    config.controller.a_max_decel)
         if not dynamics.mobil_safe(mobil, ac_old, ac_new):
             continue
 
@@ -440,22 +444,17 @@ def _accel(run, config, searches, moved=None):
                               config.controller.a_max_decel)
 
 
-def _idm_accel_in(snapshot, run, route, config, moved=None):
-    """IDM acceleration of ``run`` behind its leader along ``route``."""
-    lead = dynamics.find_leader(snapshot, run.agent_id, route,
-                                config.sensing_range, moved)
-    return dynamics.idm_accel(run.idm, lead, run.state.v,
-                              config.controller.a_max_decel)
-
-
 def check_sidecar(sidecar, source):
     """Raise :class:`ConfigError` naming ``source`` unless ``sidecar`` is
-    an object with a finite ``dt`` >= ``MIN_LOG_DT`` (not a bool), an
-    integer ``master_seed``, a string ``config_digest``, an ``agent_id``
-    from 0 to ``MAX_AGENT_ID`` in each ``agents`` entry, and a ``step``,
-    ``from_edge`` and ``to_edge`` in each of an agent's
-    ``lane_changes``."""
+    an object with a ``scene_id`` that :func:`check_scene_id` accepts, a
+    ``variant`` from 0 to ``MAX_LOG_VARIANT``, a finite ``dt`` >=
+    ``MIN_LOG_DT`` (not a bool), an integer ``master_seed``, a string
+    ``config_digest``, an ``agent_id`` from 0 to ``MAX_AGENT_ID`` in each
+    ``agents`` entry, and a ``step``, ``from_edge`` and ``to_edge`` in
+    each of an agent's ``lane_changes``."""
     try:
+        check_scene_id(sidecar["scene_id"])
+        integer(sidecar["variant"], "variant", 0, MAX_LOG_VARIANT)
         dt = number(sidecar["dt"], "dt", 0, strict=True)
         number(dt, "dt", MIN_LOG_DT)
         integer(sidecar["master_seed"], "master_seed")
@@ -474,8 +473,8 @@ def check_sidecar(sidecar, source):
 
 def read_simlog_csv(csv_path, sidecar):
     """Reconstruct a SimLog from its CSV and its sidecar dict, as
-    :func:`check_sidecar` accepts it: ``dt``, ``master_seed`` and
-    ``config_digest`` come from the sidecar alone.
+    :func:`check_sidecar` accepts it: the scene, the variant, ``dt``,
+    ``master_seed`` and ``config_digest`` come from the sidecar alone.
 
     Raises :class:`ConfigError` naming the file and the line when line 1
     is not ``_CSV_HEADER`` or a data line breaks a rule of
@@ -493,8 +492,9 @@ def read_simlog_csv(csv_path, sidecar):
     del text
     if lines[-1] == "":
         lines.pop()
-    parsed = numpy_reads_as_written and _parse_rows(lines)
-    scene_id, variant, per_agent = parsed or _first_bad_line(lines, csv_path)
+    identity = sidecar["scene_id"], sidecar["variant"]
+    parsed = numpy_reads_as_written and _parse_rows(lines, *identity)
+    per_agent = parsed or _first_bad_line(lines, csv_path, *identity)
     side_agents = {a["agent_id"]: a for a in sidecar.get("agents", [])}
     agents = []
     for aid, (label, rows) in per_agent.items():
@@ -512,7 +512,7 @@ def read_simlog_csv(csv_path, sidecar):
             lane_changes=[(c["step"], c["from_edge"], c["to_edge"])
                           for c in meta.get("lane_changes", [])],
         ))
-    return SimLog(scene_id, variant, number(sidecar["dt"], "dt"),
+    return SimLog(*identity, number(sidecar["dt"], "dt"),
                   sidecar["master_seed"], sidecar["config_digest"], agents)
 
 
@@ -528,26 +528,22 @@ def _loadtxt(lines, dtype, usecols=None):
         return None
 
 
-def _parse_rows(lines):
-    """(scene_id, variant, {agent_id: (label, rows)}) from the data
-    ``lines`` in one :func:`_loadtxt` pass, or None where a line breaks a
-    rule of :func:`_first_bad_line`. Ids ascend, each agent's label is
-    from its first row, and ``rows`` is float (n, 7) in ``_CSV_VALUES``
-    order."""
+def _parse_rows(lines, scene_id, variant):
+    """{agent_id: (label, rows)} from the data ``lines`` in one
+    :func:`_loadtxt` pass, or None where a line breaks a rule of
+    :func:`_first_bad_line`. Ids ascend, each agent's label is from its
+    first row, and ``rows`` is float (n, 7) in ``_CSV_VALUES`` order."""
     data = _loadtxt(lines, _CSV_DTYPE, range(1, 10))
     if data is None:
         return None
     # the value fields, as float (n, 7): they follow the two i8 fields
     values = data.view(np.float64).reshape(len(data), -1)[:, 2:]
-    variants = data["variant"]
-    scene_id = lines[0].split(",", 1)[0]
     if len(data) != len(lines) or not np.isfinite(values).all() \
             or not (np.abs(values[:, 1:3]) <= MAX_LOG_COORD).all() \
-            or not ((variants >= 0) & (variants <= MAX_LOG_VARIANT)).all() \
-            or not (variants == variants[0]).all() \
+            or not (data["variant"] == variant).all() \
             or not all(map(str.startswith, lines,
                            itertools.repeat(scene_id + ","))):
-        return None  # a skipped blank line, a bad value, or a second scene
+        return None  # a skipped blank line, a bad value, or another log
     order = np.argsort(data["agent_id"], kind="stable")
     ids, starts = np.unique(data["agent_id"][order], return_index=True)
     per_agent = {}
@@ -557,16 +553,16 @@ def _parse_rows(lines):
         if len(fields) <= 10:
             return None
         per_agent[aid] = fields[10], rows
-    return scene_id, int(variants[0]), per_agent
+    return per_agent
 
 
-def _first_bad_line(lines, csv_path):
+def _first_bad_line(lines, csv_path, scene_id, variant):
     """Raise the ConfigError naming the first of the data ``lines`` that
     breaks a rule, or saying that there are none. A line holds a
-    ``variant`` from 0 to ``MAX_LOG_VARIANT``, an ``agent_id``, the label
-    if it is the agent's first, finite values with ``x`` and ``y`` within
-    ``MAX_LOG_COORD`` of 0, each number as :func:`_field` reads it, none
-    of ``_NUMPY_ONLY_SPACE``, and the scene and the variant of line 2.
+    ``variant``, an ``agent_id``, the label if it is the agent's first,
+    finite values with ``x`` and ``y`` within ``MAX_LOG_COORD`` of 0, each
+    number as :func:`_field` reads it, none of ``_NUMPY_ONLY_SPACE``, and
+    the sidecar's ``scene_id`` and ``variant``.
 
     The numbers of each ``_CHECK_CHUNK`` lines are read in one
     :func:`_loadtxt` call; a line's fields are read one by one only in a
@@ -586,8 +582,7 @@ def _first_bad_line(lines, csv_path):
             if hidden:
                 nums = None
             try:
-                variant = integer(_field(f[1], "i8") if nums is None
-                                  else nums[0], "variant", 0, MAX_LOG_VARIANT)
+                named = _field(f[1], "i8") if nums is None else nums[0]
                 aid = _field(f[2], "i8") if nums is None else nums[1]
                 if aid not in labelled:
                     f[10]  # an IndexError names a first line without a label
@@ -600,12 +595,10 @@ def _first_bad_line(lines, csv_path):
                 number(row[2], "y", -MAX_LOG_COORD, MAX_LOG_COORD)
                 if hidden:
                     raise ValueError(f"control character in {line!r}")
-                if line_no == 2:
-                    scene, first = f[0], variant
-                if (f[0], variant) != (scene, first):
-                    raise ValueError(f"every line must name line 2's scene "
-                                     f"{scene!r} and variant {first}, got "
-                                     f"{f[0]!r} and {variant}")
+                if (f[0], named) != (scene_id, variant):
+                    raise ValueError(f"every line must name the sidecar's "
+                                     f"scene {scene_id!r} and variant "
+                                     f"{variant}, got {f[0]!r} and {named}")
             except (IndexError, ValueError) as exc:
                 raise ConfigError([f"simulation log {csv_path} line "
                                    f"{line_no}: {type(exc).__name__}: {exc}"]

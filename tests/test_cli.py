@@ -1077,24 +1077,53 @@ def test_malformed_log_exits_1(sim_logs, tmp_path, capsys, command, suffix,
 
 
 @pytest.mark.parametrize("command", ["metrics", "render"])
-@pytest.mark.parametrize("variant", ["-1", "4294967296"])
+@pytest.mark.parametrize("variant", [-1, 4294967296])
 def test_log_variant_outside_u32_exits_1(sim_logs, tmp_path, capsys,
                                          command, variant):
-    # a .bevg header holds the variant as a u32
+    # a .bevg header holds the variant as a u32; the sidecar names it, and
+    # a CSV line that names another is refused at its line
     logs = tmp_path / "logs"
     shutil.copytree(sim_logs / "logs", logs)
-    path = logs / "scene00_v1.csv"
-    with open(path, "a") as fh:
+    path = logs / "scene00_v1.json"
+    path.write_text(_sidecar_edit(lambda d: d.update(variant=variant))(
+        path.read_text()))
+    csv = logs / "scene00_v2.csv"
+    with open(csv, "a") as fh:
         fh.write(f"scene00,{variant},1,0.000,1.0,2.0,0.0,0.0,0.0,0.0,"
                  f"straight\n")
-    last = len(path.read_text().splitlines())
+    last = len(csv.read_text().splitlines())
+    out = tmp_path / "out"
+    argv = [command, "--logs", str(logs), "--map", str(sim_logs / "map.json"),
+            "--out", str(out)]
+    assert dispatch(argv) == 1
+    assert f"error: sidecar file {path}: ValueError: 'variant' must be an " \
+        f"integer >= 0 and <= 4294967295, got {variant}\n" \
+        in capsys.readouterr().err
+    shutil.copy(sim_logs / "logs" / "scene00_v1.json", path)
+    assert dispatch(argv) == 1
+    assert f"error: simulation log {csv} line {last}: ValueError: every " \
+        f"line must name the sidecar's scene 'scene00' and variant 2, got " \
+        f"'scene00' and {variant}\n" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["metrics", "render"])
+def test_swapped_sidecars_exit_1(sim_logs, tmp_path, capsys, command):
+    # a log's scene and variant come from its sidecar: a CSV beside
+    # another log's sidecar is refused at its first line, not read with
+    # that sidecar's dt and routes
+    logs = tmp_path / "logs"
+    shutil.copytree(sim_logs / "logs", logs)
+    shutil.copy(sim_logs / "logs" / "scene00_v0.json", logs / "scene01_v1.json")
+    shutil.copy(sim_logs / "logs" / "scene01_v1.json", logs / "scene00_v0.json")
     out = tmp_path / "out"
     assert dispatch([command, "--logs", str(logs),
                      "--map", str(sim_logs / "map.json"),
                      "--out", str(out)]) == 1
-    assert f"error: simulation log {path} line {last}: ValueError: " \
-        f"'variant' must be an integer >= 0 and <= 4294967295, got " \
-        f"{variant}\n" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        f"error: simulation log {logs / 'scene00_v0.csv'} line 2: "
+        f"ValueError: every line must name the sidecar's scene 'scene01' "
+        f"and variant 1, got 'scene00' and 0\n")
     assert not out.exists()
 
 

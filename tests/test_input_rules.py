@@ -34,6 +34,7 @@ MAX_SPEED = 1000
 MAX_AGENT_ID = 2 ** 31 - 2
 MIN_SIZE = 0.01
 MIN_LOG_DT = 1e-6
+MAX_LOG_VARIANT = 2 ** 32 - 1
 ROAD = 200.0         # the fixture road runs from x = 0 to x = ROAD
 HALF_BAND = 3.5      # its one lane's width: the band past its points
 
@@ -121,6 +122,10 @@ _FIELDS = [
     ("pool.json", ("profiles", 0, "samples", 5), _number(0), []),
     ("pool.json", ("profiles", 0, "label"), lambda v: type(v) is str,
      ["left"]),
+    ("sidecar", ("scene_id",), _scene_id,
+     ["../escaped", "a/b", "x,y", "a\nb", "", "s", "s" * 61]),
+    ("sidecar", ("variant",), _integer(0, MAX_LOG_VARIANT),
+     [MAX_LOG_VARIANT, MAX_LOG_VARIANT + 1]),
     ("sidecar", ("dt",), _number(MIN_LOG_DT), [MIN_LOG_DT, 9.9e-7]),
     ("sidecar", ("agents", 0, "agent_id"), _integer(0, MAX_AGENT_ID),
      [MAX_AGENT_ID + 1]),
@@ -282,17 +287,20 @@ def test_two_files_with_one_scene_id_exit_1(tmp_path, capsys):
 @pytest.mark.parametrize("command", ["render", "metrics"])
 def test_log_scene_id_that_is_a_path_exits_1(inputs, tmp_path, capsys,
                                              command):
-    # render names its grid files after the scene id a log's CSV holds
+    # render names its grid files after the scene id a log's sidecar
+    # holds, which every line of its CSV names too
     docs, logs = inputs
     (tmp_path / "logs").mkdir()
     (tmp_path / "map.json").write_text(json.dumps(docs["map.json"]))
-    (tmp_path / "logs" / "s_v0.json").write_text(json.dumps(docs["sidecar"]))
-    csv = tmp_path / "logs" / "s_v0.csv"
-    csv.write_text(logs["s_v0.csv"].replace("\ns,", "\n../escaped,"))
+    sidecar = tmp_path / "logs" / "s_v0.json"
+    sidecar.write_text(json.dumps({**docs["sidecar"],
+                                   "scene_id": "../escaped"}))
+    (tmp_path / "logs" / "s_v0.csv").write_text(
+        logs["s_v0.csv"].replace("\ns,", "\n../escaped,"))
     out = tmp_path / "out"
     assert dispatch([command, "--logs", str(tmp_path / "logs"), "--map",
                      str(tmp_path / "map.json"), "--out", str(out)]) == 1
-    assert f"simulation log {csv}: 'scene_id' must be" \
+    assert f"sidecar file {sidecar}: ValueError: 'scene_id' must be" \
         in capsys.readouterr().err
     assert sorted(os.listdir(tmp_path)) == ["logs", "map.json"]
 

@@ -292,9 +292,10 @@ def _loadtxt_field(text, dtype, message):
 
 def _row_loop_read_simlog_csv(csv_path, sidecar):
     """The row-by-row reader the bulk parse replaced, kept as its oracle,
-    with each number field read alone by ``np.loadtxt``."""
+    with each number field read alone by ``np.loadtxt``, and the scene
+    and the variant taken from the sidecar."""
     per_agent = {}
-    scene_id, variant = "", 0
+    scene_id, variant = sidecar["scene_id"], sidecar["variant"]
     header = ",".join(_HEADER)
     with open(csv_path) as fh:
         got = fh.readline().strip()
@@ -305,12 +306,8 @@ def _row_loop_read_simlog_csv(csv_path, sidecar):
             line = line.rstrip("\n")
             f = line.split(",")
             try:
-                scene_id = f[0]
-                variant = _loadtxt_field(
+                named = _loadtxt_field(
                     f[1], "i8", "invalid literal for int() with base 10")
-                if not 0 <= variant < 2**32:
-                    raise ValueError(f"'variant' must be an integer >= 0 "
-                                     f"and <= 4294967295, got {variant!r}")
                 aid = _loadtxt_field(
                     f[2], "i8", "invalid literal for int() with base 10")
                 rec = per_agent.get(aid)
@@ -328,13 +325,11 @@ def _row_loop_read_simlog_csv(csv_path, sidecar):
                             f"and <= 2000000, got {value!r}")
                 if any(c in line for c in _CONTROL):
                     raise ValueError(f"control character in {line!r}")
-                if line_no == 2:
-                    first_scene, first_variant = scene_id, variant
-                if (scene_id, variant) != (first_scene, first_variant):
+                if (f[0], named) != (scene_id, variant):
                     raise ValueError(
-                        f"every line must name line 2's scene "
-                        f"{first_scene!r} and variant {first_variant}, got "
-                        f"{scene_id!r} and {variant}")
+                        f"every line must name the sidecar's scene "
+                        f"{scene_id!r} and variant {variant}, got "
+                        f"{f[0]!r} and {named}")
                 rec["rows"].append(row)
             except (IndexError, ValueError) as exc:
                 raise ConfigError([f"simulation log {csv_path} line "
@@ -379,6 +374,12 @@ _ODD_FIELDS = ("nan", "inf", "-inf", "1e400", "-1e400", "x", "", " ",
                "4294967295", "4294967296", "2e6", "-2000000.5")
 
 
+# the scene and the variant of the drawn log, shared by its CSV text and
+# its sidecar
+_identity = st.shared(st.tuples(st.sampled_from(["s1", "scene 7"]),
+                                st.integers(0, 4)), key="log identity")
+
+
 @st.composite
 def _log_text(draw):
     """CSV text of a log: the header as written, agents with interleaved
@@ -393,8 +394,7 @@ def _log_text(draw):
         header = draw(st.sampled_from([
             header[1:] + header[:1], draw(st.permutations(header)),
             header + ["note"], ["extra"] + header]))
-    scene = draw(st.sampled_from(["s1", "scene 7", ""]))
-    variant = draw(st.integers(0, 4))
+    scene, variant = draw(_identity)
     n_rows = 0 if fault == "no rows" else draw(st.integers(1, 12))
     rows = []
     t = 0.0
@@ -412,7 +412,7 @@ def _log_text(draw):
         k = draw(st.integers(0, len(rows) - 1))
         if fault == "mixed":
             column, other = draw(st.sampled_from([
-                (0, scene + "x"), (0, "s1" if scene else ""),
+                (0, scene + "x"), (0, ""),
                 (1, str(variant + 1)), (1, f" {variant}")]))
             rows[k][column] = other
         elif fault == "blank":
@@ -474,16 +474,32 @@ _REFUSED = {
     "second-variant": (",".join(_HEADER) + f"\n{_ROW}\n"
                        + _ROW.replace("s1,0,", "s1,1,") + "\n", 3),
 }
-# an entry for every agent id _log_text writes
-_SIDECAR = {"dt": 0.1, "master_seed": 0, "config_digest": "",
+# _ROW's scene and variant, and an entry for every agent id _log_text
+# writes
+_SIDECAR = {"scene_id": "s1", "variant": 0, "dt": 0.1, "master_seed": 0,
+            "config_digest": "",
             "agents": [{"agent_id": aid} for aid in range(-2, 5)]}
 
 
+@st.composite
+def _sidecars(draw):
+    """One of two sidecars, naming the drawn log's scene and variant or,
+    two times in five, another scene or another variant."""
+    scene, variant = draw(_identity)
+    other = draw(st.sampled_from([None, None, None, "scene", "variant"]))
+    if other == "scene":
+        scene = "scene 7" if scene == "s1" else "s1"
+    elif other == "variant":
+        variant += 1
+    return {**draw(st.sampled_from([_SIDECAR, {
+        "dt": 0.2, "master_seed": 5, "config_digest": "0123abcd", "agents": [
+            {"agent_id": 1, "exit_step": 4, "lane_changes": [
+                {"step": 2, "from_edge": 0, "to_edge": 1}]}]}])),
+        "scene_id": scene, "variant": variant}
+
+
 @settings(max_examples=600, deadline=None)
-@given(_log_text(), st.sampled_from([_SIDECAR, {
-    "dt": 0.2, "master_seed": 5, "config_digest": "0123abcd", "agents": [
-        {"agent_id": 1, "exit_step": 4, "lane_changes": [
-            {"step": 2, "from_edge": 0, "to_edge": 1}]}]}]))
+@given(_log_text(), _sidecars())
 # one agent without a sidecar entry
 @example(",".join(_HEADER) + f"\n{_ROW}\n{_ROW.replace(',1,', ',2,')}\n",
          {**_SIDECAR, "agents": [{"agent_id": 1}]})
@@ -506,6 +522,9 @@ _SIDECAR = {"dt": 0.1, "master_seed": 0, "config_digest": "",
 @example(_REFUSED["variant-minus-1"][0], _SIDECAR)
 @example(_REFUSED["second-scene"][0], _SIDECAR)
 @example(_REFUSED["second-variant"][0], _SIDECAR)
+# a log read with another log's sidecar
+@example(",".join(_HEADER) + f"\n{_ROW}\n", {**_SIDECAR, "scene_id": "s2"})
+@example(",".join(_HEADER) + f"\n{_ROW}\n", {**_SIDECAR, "variant": 1})
 def test_bulk_csv_reader_matches_row_loop(text, sidecar):
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "log.csv")
@@ -713,8 +732,10 @@ def test_step_memo_matches_fresh_accelerations(monkeypatch):
         # replayed ego's along the one-edge route of its lane
         route = run.route if run.route is not None else road_graph.Route(
             scene.graph, [run.lane.edge_id], run.lane, True)
-        return sim_engine._idm_accel_in(snapshots[-1], run, route, config,
-                                        moved)
+        lead = dynamics.find_leader(snapshots[-1], run.agent_id, route,
+                                    config.sensing_range, moved)
+        return dynamics.idm_accel(run.idm, lead, run.state.v,
+                                  config.controller.a_max_decel)
 
     for ego_mode in ("simulate", "replay"):
         mode_cfg = dataclasses.replace(cfg, ego_mode=ego_mode)
