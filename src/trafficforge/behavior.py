@@ -233,26 +233,25 @@ def feature_for_behavior(agent_init, route):
     return float(stamps[onset + 1])
 
 
-def sample_behaviors(scene, pool, rng_seed,
-                     max_variants=default("sim.max_variants"),
-                     horizon_dist=road_graph.HORIZON_DIST,
-                     max_routes=road_graph.MAX_ROUTES,
-                     noise_std=PROFILE_NOISE_STD):
-    """Up to ``max_variants`` distinct behavior sets on ``scene.graph``.
+def sample_behaviors(scene, pool, rng_seed, config):
+    """Up to ``config.max_variants`` distinct behavior sets on
+    ``scene.graph``, with the routes, route horizon and profile noise of
+    the :class:`SimConfig` ``config``.
 
     Per agent, maneuver labels are drawn without replacement across
     variants (cycling once exhausted) and a route is drawn uniformly
     within the label. Variant sets that repeat an earlier multiset of
-    (agent, label) pairs are dropped, so fewer than ``max_variants`` sets
-    may return. Fully determined by ``rng_seed``.
+    (agent, label) pairs are dropped, so fewer sets may return. Fully
+    determined by ``rng_seed`` and ``config``.
     """
-    if max_variants < 1:
+    if config.max_variants < 1:
         raise ValueError("max_variants must be >= 1")
 
     per_agent = {}
     for agent in scene.agents:
         routes = road_graph.enumerate_routes(scene.graph, agent.lane,
-                                             horizon_dist, max_routes)
+                                             config.horizon_dist,
+                                             config.max_routes)
         by_label = {}
         for r in routes:
             by_label.setdefault(r.maneuver, []).append(r)
@@ -264,7 +263,7 @@ def sample_behaviors(scene, pool, rng_seed,
 
     variants = []
     seen = set()
-    for k in range(max_variants):
+    for k in range(config.max_variants):
         assignment = {}
         for aid in sorted(per_agent):
             agent, by_label, order, rng = per_agent[aid]
@@ -277,7 +276,8 @@ def sample_behaviors(scene, pool, rng_seed,
             feature = feature_for_behavior(agent, route)
             profile = match_profile(
                 pool, label, feature,
-                derive_seed(rng_seed, aid, k, "profile"), noise_std)
+                derive_seed(rng_seed, aid, k, "profile"),
+                config.profile_noise_std)
             assignment[aid] = BehaviorAssignment(aid, route, label, profile)
         key = tuple(sorted((aid, a.label) for aid, a in assignment.items()))
         if key in seen:

@@ -114,7 +114,8 @@ def _load_graph(args, cfg):
     try:
         return road_graph.build_graph(
             doc, cfg["road.join_tolerance"], cfg["road.default_lane_width"],
-            math.radians(cfg["road.straight_threshold_deg"]))
+            math.radians(cfg["road.straight_threshold_deg"]),
+            cfg["road.max_snap_distance"])
     except MapFormatError as exc:
         raise ConfigError([f"map file {args.map}: {exc}"]) from None
 
@@ -179,8 +180,7 @@ def _load_scenes(args, cfg):
         try:
             scenes.append(scene_ingest.instantiate_agents(
                 graph, tracks, args.t0, scene_id,
-                cfg["behavior.min_spawn_gap"],
-                cfg["road.max_snap_distance"]))
+                cfg["behavior.min_spawn_gap"]))
         except EmptySceneError as exc:
             raise ConfigError([f"tracklets file {path}: {exc}"]) from None
     return scenes
@@ -379,8 +379,7 @@ def cmd_metrics(args):
         report["diversity"] = div.to_dict()
         if args.map:
             report["validity_ratio"] = metrics.validity_ratio(
-                trajs, _load_graph(args, cfg),
-                max_snap_distance=cfg["road.max_snap_distance"])
+                trajs, _load_graph(args, cfg))
     if not report:
         raise ConfigError(["metrics needs --preds and/or --logs"])
     _emit(report, args.out, args.pretty)

@@ -39,6 +39,7 @@ PCA_COMPONENTS = 2          # dimensions of the realism check's KDE
 # peaks at 0.49 MB with 256 points (0.27 MB one trajectory at a time) and
 # peak RSS rises under 0.1%, while 384 and 512 raised it 0.3% and 0.9%.
 _VALIDITY_BLOCK = 256
+VALIDITY_MARGIN = 0.5   # m a valid point may lie past its half lane
 
 
 @dataclass
@@ -171,23 +172,22 @@ def nll(pset, horizon_steps):
     return float(np.mean(vals))
 
 
-def validity_ratio(trajs, graph, margin=0.5,
-                   max_snap_distance=road_graph.MAX_SNAP_DISTANCE):
+def validity_ratio(trajs, graph):
     """Fraction of trajectories whose every point lies on the road.
 
     Each point must snap to a lane of the RoadGraph ``graph`` within
-    ``max_snap_distance`` and lie within half its lane width plus
-    ``margin`` (:func:`road_graph.within_lanes`: each point is measured
-    against the segments of its cell of the graph's uniform segment
-    grid, O(points x nearby segments)). The points of all trajectories
-    go to it in consecutive slices of ``_VALIDITY_BLOCK``; every point is
-    decided on its own, so the verdicts are those of one call per
-    trajectory.
+    ``graph.max_snap_distance`` and lie within half its lane width plus
+    ``VALIDITY_MARGIN`` (:func:`road_graph.within_lanes`: each point is
+    measured against the segments of its cell of the graph's uniform
+    segment grid, O(points x nearby segments)). The points of all
+    trajectories go to it in consecutive slices of ``_VALIDITY_BLOCK``;
+    every point is decided on its own, so the verdicts are those of one
+    call per trajectory.
     """
     if not trajs:
         raise ValueError("no trajectories")
     ok = np.concatenate([
-        road_graph.within_lanes(graph, points, margin, max_snap_distance)
+        road_graph.within_lanes(graph, points, VALIDITY_MARGIN)
         for points in _slices((traj.points for traj in trajs),
                               _VALIDITY_BLOCK)])
     starts = np.cumsum([0] + [len(traj.points) for traj in trajs[:-1]])

@@ -26,7 +26,6 @@ from trafficforge.errors import (MapFormatError, OffMapError,
 from trafficforge.geometry import wrap_angle
 from trafficforge.util import integer, number, numbers
 
-MAX_SNAP_DISTANCE = default("road.max_snap_distance")
 STRAIGHT_THRESHOLD = math.radians(default("road.straight_threshold_deg"))
 MAX_COORD = 1_000_000   # m; every lane of a map lies this close to 0
 MAX_LANES = 100         # per map entry
@@ -82,12 +81,15 @@ class LaneCoordinate:
 
 
 class RoadGraph:
-    def __init__(self, nodes, edges, adjacency, straight_threshold):
+    def __init__(self, nodes, edges, adjacency, straight_threshold,
+                 max_snap_distance):
         self.nodes = nodes
         self.edges = edges
         self.adjacency = adjacency
         # heading change (radians) from which a route is a turn
         self.straight_threshold = straight_threshold
+        # m; every lane snap on this graph reaches this far, no farther
+        self.max_snap_distance = max_snap_distance
 
     def outgoing(self, node_id):
         return self.adjacency.get(node_id, ())
@@ -436,7 +438,8 @@ def _centerline(cl, k, default_lane_width):
 
 def build_graph(lane_spec, join_tolerance=default("road.join_tolerance"),
                 default_lane_width=default("road.default_lane_width"),
-                straight_threshold=STRAIGHT_THRESHOLD):
+                straight_threshold=STRAIGHT_THRESHOLD,
+                max_snap_distance=default("road.max_snap_distance")):
     """Build the directed lane graph from a parsed map description.
 
     Every centerline contributes one directed edge per lane. One-way
@@ -446,7 +449,8 @@ def build_graph(lane_spec, join_tolerance=default("road.join_tolerance"),
     ``(slot + 0.5 - lanes/2) * lane_width``. A lane's neighbours are the
     same-direction lanes of its own centerline. The graph's routes are
     labelled turns from a heading change of ``straight_threshold``
-    radians (:attr:`Route.maneuver`).
+    radians (:attr:`Route.maneuver`), and every lane snap on the graph
+    reaches ``max_snap_distance`` m.
     """
     centerlines = lane_spec.get("centerlines") \
         if isinstance(lane_spec, dict) else None
@@ -507,51 +511,51 @@ def build_graph(lane_spec, join_tolerance=default("road.join_tolerance"),
 
     return RoadGraph({n.id: n for n in nodes}, edges,
                      {nid: tuple(eids) for nid, eids in adjacency.items()},
-                     straight_threshold)
+                     straight_threshold, max_snap_distance)
 
 
-def project_to_lane(graph, point, heading_hint=None,
-                    max_snap_distance=MAX_SNAP_DISTANCE):
+def project_to_lane(graph, point, heading_hint=None):
     """Snap a point to the nearest lane edge.
 
     Ties (equal perpendicular distance within 1e-6 m) are broken by the
     smaller heading difference to ``heading_hint`` when given, else by the
-    lower edge id. Past ``max_snap_distance`` it raises
+    lower edge id. Past ``graph.max_snap_distance`` it raises
     :class:`OffMapError` with the distance to the nearest edge.
     """
     q = np.asarray(point, dtype=np.float64)
     if not np.all(np.isfinite(q)):
         raise ValueError("query point must be finite")
     index = graph.lane_index
-    _, edge, dist, (dmin,) = index.nearest(q[None, :], max_snap_distance)
-    if not dmin <= max_snap_distance:
+    limit = graph.max_snap_distance
+    _, edge, dist, (dmin,) = index.nearest(q[None, :], limit)
+    if not dmin <= limit:
         e2 = geometry.segment_dist2(q[0], q[1], *index.columns)
-        raise OffMapError(math.sqrt(e2.min()), max_snap_distance)
+        raise OffMapError(math.sqrt(e2.min()), limit)
     ties = index.edge_ids[edge[dist <= dmin + _TIE_EPS]].tolist()
     if heading_hint is None:
-        return lane_coordinate(graph, ties[0], q, max_snap_distance)
-    return min((lane_coordinate(graph, eid, q, max_snap_distance)
-                for eid in ties),
+        return lane_coordinate(graph, ties[0], q)
+    return min((lane_coordinate(graph, eid, q) for eid in ties),
                key=lambda c: (abs(wrap_angle(c.lane_heading - heading_hint)),
                               c.edge_id))
 
 
-def lane_coordinate(graph, edge_id, q, reach):
+def lane_coordinate(graph, edge_id, q):
     """The :class:`LaneCoordinate` of point ``q`` projected onto the edge
     ``edge_id``.
 
-    The edge's rows in ``q``'s cell of ``graph.lane_index.grid(reach)``
-    answer when the nearest of them lies within ``reach``: the cell
-    lists every segment within ``reach`` of ``q`` plus the tie
-    tolerance, so the first strictly nearest of those rows, in
-    ascending order, is the whole edge's, bit for bit. Otherwise (no row
-    of the edge in the cell, the nearest beyond ``reach``, or ``q`` not
-    finite) every segment of the edge is measured.
+    The edge's rows in ``q``'s cell of the grid of ``reach``, the
+    graph's snap limit, answer when the nearest of them lies within
+    ``reach``: the cell lists every segment within ``reach`` of ``q``
+    plus the tie tolerance, so the first strictly nearest of those rows,
+    in ascending order, is the whole edge's, bit for bit. Otherwise (no
+    row of the edge in the cell, the nearest beyond ``reach``, or ``q``
+    not finite) every segment of the edge is measured.
     """
     table = graph.edges[edge_id].table
     q = float(q[0]), float(q[1])
     if math.isfinite(q[0]) and math.isfinite(q[1]):
         index = graph.lane_index
+        reach = graph.max_snap_distance
         first = index.first_row[edge_id]
         rows = index.grid(reach).rows_near(*q, first,
                                            first + len(table.seg2))
@@ -564,16 +568,15 @@ def lane_coordinate(graph, edge_id, q, reach):
     return LaneCoordinate(edge_id, s, lateral, table.heading_at(s))
 
 
-def within_lanes(graph, points, margin,
-                 max_snap_distance=MAX_SNAP_DISTANCE):
+def within_lanes(graph, points, margin):
     """Which of the (P, 2) ``points`` lie on the lane they snap to.
 
     A point is within its lane when :func:`project_to_lane` without a
-    heading hint snaps it within ``max_snap_distance``, and the absolute
-    lateral offset to the edge it picks is at most half that edge's lane
-    width plus ``margin``. Each point's verdict depends on that point
-    alone, so the points of several trajectories can share one call
-    (:func:`metrics.validity_ratio` passes them in blocks).
+    heading hint snaps it within ``graph.max_snap_distance``, and the
+    absolute lateral offset to the edge it picks is at most half that
+    edge's lane width plus ``margin``. Each point's verdict depends on
+    that point alone, so the points of several trajectories can share
+    one call (:func:`metrics.validity_ratio` passes them in blocks).
 
     Only a point whose nearest edge lies within ``reach``, the smaller of
     the snap limit and the widest half lane plus ``margin``, can pass,
@@ -586,13 +589,14 @@ def within_lanes(graph, points, margin,
     if not np.all(np.isfinite(q)):
         raise ValueError("query points must be finite")
     index = graph.lane_index
-    reach = min(max_snap_distance, index.max_half_width + margin)
+    limit = graph.max_snap_distance
+    reach = min(limit, index.max_half_width + margin)
     point, edge, dist, dmin = index.nearest(q, reach)
     tied = (dist <= (dmin + _TIE_EPS)[point]).nonzero()[0]
     winner = tied[_run_starts(point[tied])]
     point = point[winner]
     ok = np.zeros(len(q), dtype=bool)
-    ok[point] = (dmin[point] <= max_snap_distance) \
+    ok[point] = (dmin[point] <= limit) \
         & (dist[winner] <= index.half_width[edge[winner]] + margin)
     return ok
 

@@ -44,6 +44,10 @@ class Tracklet:
     def times(self):
         return [p.t for p in self.poses]
 
+    def covers(self, t):
+        """Whether the poses' times hold ``t``, to within 1e-9 s."""
+        return self.poses[0].t - 1e-9 <= t <= self.poses[-1].t + 1e-9
+
     def segment(self, t):
         """Index ``i`` of the pose pair ``i, i + 1`` whose times hold
         ``t``, clamped to the first and last pair (0 for a single pose)."""
@@ -72,8 +76,7 @@ class Scene:
     agents: list
     scene_id: str
     dropped: list = field(default_factory=list)
-    # the snap limit its agents were placed with; a replayed ego keeps it
-    max_snap_distance: float = road_graph.MAX_SNAP_DISTANCE
+    t0: float = 0.0   # s; the tracklets' time at which the scene starts
 
 
 def load_tracklets(doc, source="tracklets"):
@@ -145,7 +148,7 @@ def check_scene_id(scene_id):
 def interpolate_pose(tracklet, t):
     """Pose at time ``t``: linear position/speed, shortest-arc heading."""
     poses = tracklet.poses
-    if t < poses[0].t - 1e-9 or t > poses[-1].t + 1e-9:
+    if not tracklet.covers(t):
         raise ValueError(
             f"t={t} outside tracklet range [{poses[0].t}, {poses[-1].t}]")
     i = tracklet.segment(t)
@@ -176,8 +179,7 @@ def _finite_difference_heading(tracklet, t):
 
 
 def instantiate_agents(graph, tracklets, t0, scene_id="scene",
-                       min_spawn_gap=default("behavior.min_spawn_gap"),
-                       max_snap_distance=road_graph.MAX_SNAP_DISTANCE):
+                       min_spawn_gap=default("behavior.min_spawn_gap")):
     """Project tracklets at ``t0`` onto the graph and build a Scene.
 
     The initial heading comes from the lane, not the recorded pose; the
@@ -199,9 +201,8 @@ def instantiate_agents(graph, tracklets, t0, scene_id="scene",
         hint = pose.heading if pose.heading is not None \
             else _finite_difference_heading(tr, t0)
         try:
-            lane = road_graph.project_to_lane(
-                graph, pose.position, heading_hint=hint,
-                max_snap_distance=max_snap_distance)
+            lane = road_graph.project_to_lane(graph, pose.position,
+                                              heading_hint=hint)
         except OffMapError:
             dropped.append(DropReport(tr.agent_id, "off-map"))
             continue
@@ -235,4 +236,4 @@ def instantiate_agents(graph, tracklets, t0, scene_id="scene",
     agents.sort(key=lambda a: a.agent_id)
     if not agents:
         raise EmptySceneError(f"scene {scene_id}: every agent was dropped")
-    return Scene(graph, agents, scene_id, dropped, max_snap_distance)
+    return Scene(graph, agents, scene_id, dropped, t0)

@@ -14,7 +14,10 @@ Each agent's leader search runs once per step, along its route or, for
 the replayed ego, along the lane it snaps to: one ranked search
 (``dynamics.rank_leaders``) kept under the agent's id, from which its own
 acceleration and every MOBIL what-if that moves or removes another agent
-are read (``dynamics.leader_after``). MOBIL tests each side lazily, and
+are read (``dynamics.leader_after``). The replayed ego takes its
+tracklet's pose at the scene's ``t0`` plus the elapsed time, and leaves
+the scene (an exit step) at the first step at which its tracklet has no
+next pose or it snaps to no lane. MOBIL tests each side lazily, and
 stops at the first inequality that rejects it; a side's target route is
 only built once the new follower's safety test has passed. MOBIL is only
 entered for an agent whose edge has a neighbor lane.
@@ -229,10 +232,12 @@ def simulate_scene(scene, assignment, config, variant_index=0):
                     continue
                 along[run.agent_id] = run.route
             elif run.replay:
+                if not run.tracklet.covers(scene.t0 + (k + 1) * dt):
+                    run.exit_step = k   # its tracklet has no next pose
+                    continue
                 try:
-                    run.lane = road_graph.project_to_lane(
-                        graph, run.state.position,
-                        max_snap_distance=scene.max_snap_distance)
+                    run.lane = road_graph.project_to_lane(graph,
+                                                          run.state.position)
                 except OffMapError:
                     run.exit_step = k
                     continue
@@ -265,8 +270,7 @@ def simulate_scene(scene, assignment, config, variant_index=0):
                     and snapshot.coords[run.agent_id][0] in beside:
                 target = _consider_lane_change(graph, run, snapshot, by_id,
                                                a_idm, config, mobil_sides,
-                                               searches,
-                                               scene.max_snap_distance)
+                                               searches)
                 if target is not None:
                     retargets[run.agent_id] = target
 
@@ -288,7 +292,7 @@ def simulate_scene(scene, assignment, config, variant_index=0):
                 run.state = step_kinematics(run.state, a_cmd, phi,
                                             run.geom, dt)
             elif run.replay:
-                _replay_step(run, (k + 1) * dt, dt)
+                _replay_step(run, scene.t0 + (k + 1) * dt, dt)
             if run.agent_id in retargets:
                 run.route, old_edge, new_edge = retargets[run.agent_id]
                 run.s = 0.0
@@ -317,9 +321,9 @@ def simulate_scene(scene, assignment, config, variant_index=0):
                   cfg_digest, agents)
 
 
-def _replay_step(run, rel_t, dt):
+def _replay_step(run, t, dt):
+    """Move the replayed ego to its tracklet's pose at time ``t``."""
     tr = run.tracklet
-    t = tr.poses[0].t + rel_t
     t = min(max(t, tr.poses[0].t), tr.poses[-1].t)
     pose = interpolate_pose(tr, t)
     prev = run.state.position
@@ -337,13 +341,12 @@ def _replay_step(run, rel_t, dt):
 
 
 def _consider_lane_change(graph, run, snapshot, by_id, ac_old, config,
-                          mobil_sides, searches, reach):
+                          mobil_sides, searches):
     """Evaluate MOBIL toward the right then the left neighbor lane.
 
     ``mobil_sides`` holds the right and the left side's MOBIL parameters.
     The subject is projected onto a neighbor lane through the segment
-    grid of ``reach``, the scene's snap limit
-    (:func:`road_graph.lane_coordinate`).
+    grid of the graph's snap limit (:func:`road_graph.lane_coordinate`).
     Returns (new_route, old_edge, new_edge) or None; the agent starts the
     new route at its arc 0. All candidate accelerations read the frozen
     snapshot, the post-change ones with the subject moved or removed by
@@ -364,8 +367,7 @@ def _consider_lane_change(graph, run, snapshot, by_id, ac_old, config,
         if nb is None:
             continue
         nb_lane = graph.edges[nb]
-        coord = road_graph.lane_coordinate(graph, nb, run.state.position,
-                                           reach)
+        coord = road_graph.lane_coordinate(graph, nb, run.state.position)
         if coord.arc_s >= nb_lane.length - 1e-6:
             continue
         moved = (run.agent_id, (nb, coord.arc_s, run.state.v, run.geom.L))
@@ -651,10 +653,8 @@ def _scene_worker(task):
     logs, failures = [], []
     try:
         variants = behavior_mod.sample_behaviors(
-            scene, pool,
-            derive_seed(config.master_seed, scene.scene_id),
-            config.max_variants, config.horizon_dist, config.max_routes,
-            config.profile_noise_std)
+            scene, pool, derive_seed(config.master_seed, scene.scene_id),
+            config)
         for vi, assignment in enumerate(variants):
             logs.append(simulate_scene(scene, assignment, config, vi))
     except TrafficForgeError as exc:

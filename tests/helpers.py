@@ -147,6 +147,17 @@ def synthetic_profile_sources(rng, n_straight=12, n_left=8, n_right=8):
     return out
 
 
+def profile_sources_doc(seed=0):
+    """A tracklet document of :func:`synthetic_profile_sources`: straight
+    drives and left and right turns, to mine a profile pool from with
+    ``profile-pool``."""
+    sources = synthetic_profile_sources(np.random.default_rng(seed))
+    return {"scene_id": "sources", "tracks": [
+        {"agent_id": i, "poses": [{"t": t, "x": x, "y": y}
+                                  for t, x, y in src.tolist()]}
+        for i, src in enumerate(sources)]}
+
+
 def build_test_pool(seed=0, dt=0.1):
     from trafficforge import behavior
     rng = np.random.default_rng(seed)

@@ -204,7 +204,8 @@ def test_criterion_6_diversity_direction(profile_pool):
     for scene in scenes:
         variants = behavior.sample_behaviors(
             scene, profile_pool,
-            behavior.derive_seed(6, scene.scene_id), max_variants=3)
+            behavior.derive_seed(6, scene.scene_id),
+            SimConfig(max_variants=3))
         for vi, asg in enumerate(variants):
             multi_logs.append(simulate_scene(scene, asg, cfg, vi))
         # straight-only baseline: force the straight route for every agent

@@ -16,6 +16,7 @@ from trafficforge import behavior, geometry, road_graph, scene_ingest
 from trafficforge.behavior import (build_profile_pool, distance_before_turn,
                                    feature_for_behavior, match_profile,
                                    sample_behaviors)
+from trafficforge.config import SimConfig
 from trafficforge.errors import MissingProfileError
 from trafficforge.geometry import wrap_angle
 
@@ -283,7 +284,7 @@ def test_feature_matches_curvature_loop(junction, half_lane, deg, dist,
 def test_sample_behaviors_covers_labels(profile_pool):
     g, scene = _intersection_scene()
     variants = sample_behaviors(scene, profile_pool, rng_seed=9,
-                                max_variants=3)
+                                config=SimConfig(max_variants=3))
     assert len(variants) == 3
     labels = {v[1].label for v in variants}
     assert labels == {"left", "right", "straight"}
@@ -295,7 +296,7 @@ def test_sample_behaviors_forced_single_route(profile_pool):
     sid, tracks = scene_ingest.load_tracklets(doc)
     scene = scene_ingest.instantiate_agents(g, tracks, 0.0, sid)
     variants = sample_behaviors(scene, profile_pool, rng_seed=4,
-                                max_variants=3)
+                                config=SimConfig(max_variants=3))
     # one admissible behavior: duplicates collapse to a single variant set
     assert len(variants) == 1
     assert all(v[1].label == "straight" for v in variants)
@@ -303,8 +304,8 @@ def test_sample_behaviors_forced_single_route(profile_pool):
 
 def test_sample_behaviors_deterministic(profile_pool):
     g, scene = _intersection_scene()
-    a = sample_behaviors(scene, profile_pool, rng_seed=11, max_variants=3)
-    b = sample_behaviors(scene, profile_pool, rng_seed=11, max_variants=3)
+    a = sample_behaviors(scene, profile_pool, 11, SimConfig(max_variants=3))
+    b = sample_behaviors(scene, profile_pool, 11, SimConfig(max_variants=3))
     assert len(a) == len(b)
     for va, vb in zip(a, b):
         assert va.keys() == vb.keys()
@@ -320,13 +321,14 @@ def test_sample_behaviors_never_exceeds_max(profile_pool):
     g, scene = _intersection_scene()
     for mv in (1, 2, 3, 5):
         variants = sample_behaviors(scene, profile_pool, rng_seed=2,
-                                    max_variants=mv)
+                                    config=SimConfig(max_variants=mv))
         assert 1 <= len(variants) <= mv
 
 
 def test_assignment_label_matches_route_geometry(profile_pool):
     g, scene = _intersection_scene()
-    for variant in sample_behaviors(scene, profile_pool, 21, 3):
+    for variant in sample_behaviors(scene, profile_pool, 21,
+                                    SimConfig(max_variants=3)):
         for asg in variant.values():
             if asg.route is not None:
                 assert asg.label == road_graph.classify_maneuver(
@@ -339,7 +341,8 @@ def test_static_assignment_for_routeless_agent(profile_pool):
     doc = tracklets_doc("s1", [(1, 50.0, 0.0, 0.0, 0.0)], n_poses=1)
     sid, tracks = scene_ingest.load_tracklets(doc)
     scene = scene_ingest.instantiate_agents(g, tracks, 0.0, sid)
-    variants = sample_behaviors(scene, profile_pool, 3, 3)
+    variants = sample_behaviors(scene, profile_pool, 3,
+                                SimConfig(max_variants=3))
     assert variants[0][1].route is None
     assert variants[0][1].label == "static"
 

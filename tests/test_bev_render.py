@@ -89,7 +89,7 @@ _raw_graph = st.lists(st.tuples(_polyline, _lane_width),
                       min_size=1, max_size=4).map(
     lambda edges: road_graph.RoadGraph({}, {
         i: road_graph.LaneEdge(i, 0, 0, poly, w, True)
-        for i, (poly, w) in enumerate(edges)}, {}, 0.5))
+        for i, (poly, w) in enumerate(edges)}, {}, 0.5, 10.0))
 
 _MAPS = [four_way_intersection(), ring_map(30.0),
          straight_map(60.0, lanes=3, oneway=False, lane_width=3.5),

@@ -73,7 +73,7 @@ def _logs(kind, deg=None):
         variants = behavior.sample_behaviors(
             scene, behavior.build_profile_pool(
                 synthetic_profile_sources(np.random.default_rng(0)), 0.1),
-            5, max_variants=3)
+            5, SimConfig(max_variants=3))
     else:
         speeds = {aid: 6.0 if aid == 3 else v + 2.0
                   for aid, _, _, _, v in agents}

@@ -1,5 +1,6 @@
 """Displacement, likelihood, validity, diversity and realism metrics."""
 
+import functools
 import math
 from unittest import mock
 
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 from helpers import four_way_intersection, ring_map, straight_map
 
 from trafficforge import geometry, metrics, road_graph
+from trafficforge.config import default
 from trafficforge.errors import InsufficientDataError, OffMapError
 from trafficforge.metrics import (PredictionSet, Trajectory2D, ade,
                                   diversity_report, fde, min_over_samples,
@@ -229,11 +231,11 @@ def test_validity_ratio_graph_mode():
     assert validity_ratio([on, on, on, off, off, off], g) == 0.5
 
 
-def _snap_ref(graph, point, heading_hint=None,
-              limit=road_graph.MAX_SNAP_DISTANCE):
+def _snap_ref(graph, point, heading_hint=None):
     """Brute-force reference for project_to_lane: a scalar projection
     onto every edge. Returns the LaneCoordinate or raises OffMapError
-    with the nearest-lane distance."""
+    with the nearest-lane distance past the graph's snap limit."""
+    limit = graph.max_snap_distance
     q = np.asarray(point, dtype=np.float64)
     hits = []
     for eid in sorted(graph.edges):
@@ -252,10 +254,10 @@ def _snap_ref(graph, point, heading_hint=None,
         h[2].lane_heading - heading_hint)), h[1]))[2]
 
 
-def _on_graph(graph, point, margin, limit=road_graph.MAX_SNAP_DISTANCE):
+def _on_graph(graph, point, margin):
     """Per-point reference for graph validity: one brute-force snap."""
     try:
-        coord = _snap_ref(graph, point, limit=limit)
+        coord = _snap_ref(graph, point)
     except OffMapError:
         return False
     half = graph.edges[coord.edge_id].lane_width / 2.0
@@ -278,13 +280,21 @@ _NEAR_TIE = {"centerlines": [
      "lane_width": 4.0}]}
 # reversed twin edges that tie exactly; edges of five lane widths; a loop
 # whose trajectories revisit its edges; a near tie
-_GRAPHS = {
-    "bidirectional": road_graph.build_graph(
-        straight_map(128.0, oneway=False)),
-    "four-way": road_graph.build_graph(_mixed_width_four_way()),
-    "ring": road_graph.build_graph(ring_map()),
-    "near-tie": road_graph.build_graph(_NEAR_TIE),
+_MAPS = {
+    "bidirectional": straight_map(128.0, oneway=False),
+    "four-way": _mixed_width_four_way(),
+    "ring": ring_map(),
+    "near-tie": _NEAR_TIE,
 }
+
+
+@functools.lru_cache(maxsize=64)
+def _graph(name, snap=default("road.max_snap_distance")):
+    """The graph of ``_MAPS[name]`` with the snap limit ``snap``."""
+    return road_graph.build_graph(_MAPS[name], max_snap_distance=snap)
+
+
+_GRAPHS = {name: _graph(name) for name in _MAPS}
 def _offsets(snap):
     """Lateral offsets: on the lane, about the validity limit, past the
     snap limit ``snap`` in either off-map test, and exactly at or next to
@@ -326,36 +336,40 @@ def _walk(draw, graph, margin, steps):
 
 @st.composite
 def graph_trajectories(draw):
-    """(graph, margin, snap limit, points): a walk along successive edges,
-    offset sideways. A 9 m margin puts the validity limit past the default
-    snap limit, and so do the smaller snap limits."""
-    graph = _GRAPHS[draw(st.sampled_from(sorted(_GRAPHS)))]
+    """(graph, margin, points): a walk along successive edges, offset
+    sideways, on a graph with a drawn snap limit. A 9 m margin puts the
+    validity limit past the default snap limit, and so do the smaller
+    snap limits."""
+    name = draw(st.sampled_from(sorted(_MAPS)))
     margin = draw(st.sampled_from([0.5, 9.0]))
     snap = draw(st.sampled_from([0.01, 1.0, 2.0, 10.0]))
+    graph = _graph(name, snap)
     steps = draw(st.lists(st.tuples(st.floats(0.0, 6.0), _offsets(snap)),
                           min_size=2, max_size=120))
-    return graph, margin, snap, _walk(draw, graph, margin, steps)
+    return graph, margin, _walk(draw, graph, margin, steps)
 
 
 @settings(max_examples=300, deadline=None)
 @given(graph_trajectories())
 def test_graph_validity_matches_per_point_reference(case):
-    graph, margin, snap, pts = case
-    ref = [_on_graph(graph, p, margin, snap) for p in pts]
-    assert road_graph.within_lanes(graph, pts, margin, snap).tolist() == ref
-    assert validity_ratio([_traj(pts)], graph, margin, snap) \
-        == float(all(ref))
+    graph, margin, pts = case
+    ref = [_on_graph(graph, p, margin) for p in pts]
+    assert road_graph.within_lanes(graph, pts, margin).tolist() == ref
+    with mock.patch.object(metrics, "VALIDITY_MARGIN", margin):
+        assert validity_ratio([_traj(pts)], graph) == float(all(ref))
 
 
 @st.composite
 def trajectory_sets(draw):
-    """(graph, margin, snap limit, block, trajectories): one to six walks
-    of 2 to 40 points on their lanes' centerlines, each with at most one
-    point offset as in :func:`_offsets` (on or off the road), and a
-    ``_VALIDITY_BLOCK`` from 1 point to more than all of them."""
-    graph = _GRAPHS[draw(st.sampled_from(sorted(_GRAPHS)))]
+    """(graph, margin, block, trajectories): one to six walks of 2 to 40
+    points on their lanes' centerlines, each with at most one point
+    offset as in :func:`_offsets` (on or off the road), on a graph with
+    a drawn snap limit, and a ``_VALIDITY_BLOCK`` from 1 point to more
+    than all of them."""
+    name = draw(st.sampled_from(sorted(_MAPS)))
     margin = draw(st.sampled_from([0.5, 9.0]))
     snap = draw(st.sampled_from([0.01, 1.0, 2.0, 10.0]))
+    graph = _graph(name, snap)
     trajs = []
     for n in draw(st.lists(st.integers(2, 40), min_size=1, max_size=6)):
         steps = [(draw(st.floats(0.0, 6.0)), 0.0) for _ in range(n)]
@@ -364,14 +378,14 @@ def trajectory_sets(draw):
             steps[at] = (0.0, draw(_offsets(snap)))
         trajs.append(_traj(_walk(draw, graph, margin, steps)))
     total = sum(len(t.points) for t in trajs)
-    return graph, margin, snap, draw(st.integers(1, total + 1)), trajs
+    return graph, margin, draw(st.integers(1, total + 1)), trajs
 
 
 # blocks of 5 points: the first two trajectories share one, the third
 # has one of its own, and the fourth is longer than a whole block; the
 # second and the fourth leave the road
 _LONG_AFTER_SHORT = (
-    _GRAPHS["bidirectional"], 0.5, 10.0, 5,
+    _GRAPHS["bidirectional"], 0.5, 5,
     [_traj([[x, y] for x in (10.0, 12.0)]) for y in (0.0, 30.0, 0.0)]
     + [_traj([[20.0 + x, 0.0 if x != 6 else 30.0] for x in range(7)])])
 
@@ -382,13 +396,13 @@ _LONG_AFTER_SHORT = (
 def test_blocked_validity_matches_per_trajectory_calls(case):
     # every prefix of the list: each trajectory's verdict shows, and a
     # block boundary falls everywhere some block size puts one
-    graph, margin, snap, block, trajs = case
-    ref = [bool(road_graph.within_lanes(graph, t.points, margin, snap).all())
+    graph, margin, block, trajs = case
+    ref = [bool(road_graph.within_lanes(graph, t.points, margin).all())
            for t in trajs]
-    with mock.patch.object(metrics, "_VALIDITY_BLOCK", block):
+    with mock.patch.object(metrics, "_VALIDITY_BLOCK", block), \
+            mock.patch.object(metrics, "VALIDITY_MARGIN", margin):
         for k in range(1, len(trajs) + 1):
-            assert validity_ratio(trajs[:k], graph, margin, snap) \
-                == sum(ref[:k]) / k
+            assert validity_ratio(trajs[:k], graph) == sum(ref[:k]) / k
 
 
 def test_validity_calls_hold_at_most_one_block():
@@ -442,9 +456,10 @@ def _snap_outcome(snap, *args):
 
 @st.composite
 def snap_queries(draw):
-    """(graph, point, heading hint or None, snap limit): points about a
-    lane, far off it, and at node positions."""
-    graph = _GRAPHS[draw(st.sampled_from(sorted(_GRAPHS)))]
+    """(graph, point, heading hint or None): points about a lane, far off
+    it, and at node positions, on a graph with a drawn snap limit."""
+    name = draw(st.sampled_from(sorted(_MAPS)))
+    graph = _GRAPHS[name]
     edge = graph.edges[draw(st.sampled_from(sorted(graph.edges)))]
     p, heading = geometry.point_at(
         edge.polyline, edge.cum, draw(st.floats(0.0, edge.length)))
@@ -457,7 +472,7 @@ def snap_queries(draw):
     hint = draw(st.one_of(st.none(), st.floats(-math.pi, math.pi),
                           st.sampled_from([heading, heading + math.pi,
                                            heading + math.pi / 2])))
-    return graph, p, hint, draw(st.floats(0.01, 10.0))
+    return _graph(name, draw(st.floats(0.01, 10.0))), p, hint
 
 
 @settings(max_examples=500, deadline=None)

@@ -15,7 +15,7 @@ from helpers import (approach_point, four_way_intersection, ring_map,
                      straight_map)
 
 from trafficforge import behavior, geometry, metrics, road_graph
-from trafficforge.config import default
+from trafficforge.config import SimConfig, default
 from trafficforge.errors import (MapFormatError, OffMapError,
                                ZeroLengthRouteError)
 from trafficforge.road_graph import (build_graph, classify_maneuver,
@@ -88,7 +88,9 @@ def _three_pass_build_graph(lane_spec,
                             join_tolerance=default("road.join_tolerance"),
                             default_lane_width=default(
                                 "road.default_lane_width"),
-                            straight_threshold=road_graph.STRAIGHT_THRESHOLD):
+                            straight_threshold=road_graph.STRAIGHT_THRESHOLD,
+                            max_snap_distance=default(
+                                "road.max_snap_distance")):
     """The former build: lane prototypes, then edges, then neighbours
     regrouped by ``(id, direction)``, then a sorted adjacency."""
     centerlines = lane_spec.get("centerlines", [])
@@ -163,7 +165,7 @@ def _three_pass_build_graph(lane_spec,
     adjacency = {nid: tuple(sorted(eids)) for nid, eids in adjacency.items()}
 
     return road_graph.RoadGraph({n.id: n for n in nodes}, edges, adjacency,
-                                straight_threshold)
+                                straight_threshold, max_snap_distance)
 
 
 @st.composite
@@ -209,7 +211,8 @@ def _graph_facts(g):
             [(i, e.id, e.from_node, e.to_node, e.polyline.tobytes(),
               e.lane_width, e.one_way, e.left_neighbor, e.right_neighbor)
              for i, e in g.edges.items()],
-            list(g.adjacency.items()), g.straight_threshold)
+            list(g.adjacency.items()), g.straight_threshold,
+            g.max_snap_distance)
 
 
 @settings(max_examples=300, deadline=None)
@@ -571,7 +574,7 @@ def test_route_without_drivable_length_raises_on_geometry_use():
                        match="route has no drivable length"):
         behavior.sample_behaviors(
             types.SimpleNamespace(agents=[agent], graph=g),
-            behavior.ProfilePool([], 0.1), 0)
+            behavior.ProfilePool([], 0.1), 0, SimConfig())
 
 
 def test_graph_pickles_without_its_index():
@@ -624,7 +627,7 @@ def _snap_digest():
     rng = np.random.default_rng(9)
     h = hashlib.sha256()
     for doc in (four_way_intersection(), ring_map(), _MULTI_LANE):
-        g = build_graph(doc)
+        g = build_graph(doc)   # the points; one graph per limit snaps them
         pts, lane_h = [], []
         for node in g.nodes.values():
             pts.append(node.position)
@@ -643,10 +646,11 @@ def _snap_digest():
         pts = np.array(pts)
         hints = rng.uniform(-math.pi, math.pi, len(pts))
         for limit in (1.0, 3.0, 10.0):
+            g = build_graph(doc, max_snap_distance=limit)
             for p, psi, other in zip(pts, lane_h, hints):
                 for hint in (None, psi, float(other)):
                     try:
-                        c = project_to_lane(g, p, hint, limit)
+                        c = project_to_lane(g, p, hint)
                         line = (f"{c.edge_id} {float(c.arc_s).hex()} "
                                 f"{float(c.lateral_offset).hex()} "
                                 f"{float(c.lane_heading).hex()}")
@@ -654,7 +658,7 @@ def _snap_digest():
                         line = f"off {float(err.distance).hex()}"
                     h.update(line.encode() + b"\n")
             for margin in (0.0, 0.5, 9.0):
-                ok = road_graph.within_lanes(g, pts, margin, limit)
+                ok = road_graph.within_lanes(g, pts, margin)
                 h.update(np.packbits(ok).tobytes())
     return h.hexdigest()
 
@@ -726,8 +730,9 @@ def test_validity_ratio_peak_memory_does_not_grow_with_trajectories():
         assert peak < 384 * 1024
 
 
-def _dense_within_lanes(graph, pts, margin, snap):
-    """The all-edges rule: every point against every segment."""
+def _dense_within_lanes(graph, pts, margin):
+    """The all-edges rule: every point against every segment, within the
+    graph's snap limit."""
     index = graph.lane_index
     qx, qy = pts.T[..., None]
     e2 = geometry.segment_dist2(qx, qy, *index.columns)
@@ -736,16 +741,14 @@ def _dense_within_lanes(graph, pts, margin, snap):
     dmin = dist.min(axis=1)
     winner = np.argmax(dist <= (dmin + 1e-6)[:, None], axis=1)
     lateral = dist[np.arange(len(pts)), winner]
-    return (dmin <= snap) & (lateral <= index.half_width[winner] + margin)
+    return (dmin <= graph.max_snap_distance) \
+        & (lateral <= index.half_width[winner] + margin)
 
 
 @st.composite
-def _multi_lane_cases(draw):
-    """(graph, margin, snap limit, points) on a random map of one to three
-    centerlines with one to three lanes each. The points sit sideways of
-    a lane at random offsets, at the validity reach and one float either
-    side of it, at the reach plus the tie tolerance, at the lane's own
-    limit, on nodes, and beyond the grid's extent."""
+def _multi_lane_maps(draw):
+    """A random map of one to three centerlines with one to three lanes
+    each."""
     centerlines = []
     for cid in range(draw(st.integers(1, 3))):
         pts = [(draw(st.floats(-60.0, 60.0)), draw(st.floats(-60.0, 60.0)))]
@@ -759,9 +762,20 @@ def _multi_lane_cases(draw):
                             "oneway": draw(st.booleans()),
                             "lane_width": draw(st.sampled_from(
                                 [2.5, 3.0, 3.5, 4.25]))})
-    graph = build_graph({"centerlines": centerlines})
+    return {"centerlines": centerlines}
+
+
+@st.composite
+def _multi_lane_cases(draw):
+    """(graph, margin, points) on a :func:`_multi_lane_maps` map, with a
+    drawn snap limit. The points sit sideways of a lane at random
+    offsets, at the validity reach and one float either side of it, at
+    the reach plus the tie tolerance, at the lane's own limit, on nodes,
+    and beyond the grid's extent."""
+    doc = draw(_multi_lane_maps())
     margin = draw(st.sampled_from([0.0, 0.5, 9.0]))
     snap = draw(st.sampled_from([1.0, 3.0, 10.0]))
+    graph = build_graph(doc, max_snap_distance=snap)
     reach = min(snap, graph.lane_index.max_half_width + margin)
     edges = sorted(graph.edges)
     pts = [n.position for n in graph.nodes.values()]
@@ -786,7 +800,7 @@ def _multi_lane_cases(draw):
                                        np.array([lo[0] - far, hi[1]]),
                                        np.array([hi[0] + far, lo[1]])]))
         pts.append(corner)
-    return graph, margin, snap, np.array(pts)
+    return graph, margin, np.array(pts)
 
 
 # From (50, 0), lane 1 lies at the snap limit of 1 m and lane 0, narrower
@@ -796,25 +810,25 @@ def _multi_lane_cases(draw):
 _TIE_PAST_REACH = (build_graph({"centerlines": [
     {"id": 0, "points": [[0.0, 1.0000005], [100.0, 1.0000005]],
      "lane_width": 2.0},
-    {"id": 1, "points": [[0.0, -1.0], [100.0, -1.0]]}]}),
-    0.0, 1.0, np.array([[50.0, 0.0]]))
+    {"id": 1, "points": [[0.0, -1.0], [100.0, -1.0]]}]},
+    max_snap_distance=1.0), 0.0, np.array([[50.0, 0.0]]))
 
 
 @settings(max_examples=300, deadline=None)
 @given(_multi_lane_cases())
 @example(_TIE_PAST_REACH)
 def test_grid_within_lanes_matches_all_edges_rule(case):
-    graph, margin, snap, pts = case
-    got = road_graph.within_lanes(graph, pts, margin, snap)
-    assert got.tolist() == _dense_within_lanes(graph, pts, margin,
-                                               snap).tolist()
+    graph, margin, pts = case
+    got = road_graph.within_lanes(graph, pts, margin)
+    assert got.tolist() == _dense_within_lanes(graph, pts, margin).tolist()
 
 
 @settings(max_examples=200, deadline=None)
 @given(_multi_lane_cases())
 @example(_TIE_PAST_REACH)
 def test_nearest_matches_project_point(case):
-    graph, margin, snap, pts = case
+    graph, margin, pts = case
+    snap = graph.max_snap_distance
     index = graph.lane_index
     assert index.edge_ids.tolist() == sorted(graph.edges)
     assert index.half_width.tolist() == [graph.edges[e].lane_width / 2.0
@@ -836,14 +850,13 @@ def test_nearest_matches_project_point(case):
     # past the snap limit, the error carries the distance to the nearest edge
     for p, row in zip(pts, want):
         try:
-            project_to_lane(graph, p, None, snap)
+            project_to_lane(graph, p)
         except OffMapError as err:
             assert err.distance == row.min() > snap
         else:
             assert row.min() <= snap
 
 
-_FOUR_WAY = build_graph(four_way_intersection())
 _AXES = [(1, 0), (0, 1), (-1, 0), (0, -1)]
 
 
@@ -862,7 +875,7 @@ def _snap_cases(draw):
     kind = draw(st.sampled_from(["random", "four_way", "axes"]))
     ties = []
     if kind == "four_way":
-        graph = _FOUR_WAY
+        doc = four_way_intersection()
     elif kind == "axes":
         centerlines = []
         for cid in range(draw(st.integers(1, 3))):
@@ -876,13 +889,15 @@ def _snap_cases(draw):
                 ua = np.subtract(a, b) / math.dist(a, b)
                 uc = np.subtract(c, b) / math.dist(c, b)
                 ties.append(b + draw(st.integers(1, 4)) * (ua + uc))
-        graph = build_graph({"centerlines": centerlines})
+        doc = {"centerlines": centerlines}
     else:
-        graph = draw(_multi_lane_cases())[0]
-    allp = np.vstack([e.polyline for e in graph.edges.values()])
+        doc = draw(_multi_lane_maps())
+    # the snap limit is the reach: a graph built with it
+    allp = np.vstack([e.polyline for e in build_graph(doc).edges.values()])
     lo, hi = allp.min(axis=0), allp.max(axis=0)
     reach = draw(st.sampled_from([1.0, 3.0, 10.0,
                                   math.dist(lo, hi) + 1.0, math.inf]))
+    graph = build_graph(doc, max_snap_distance=reach)
     grid = graph.lane_index.grid(reach)
     pts = [n.position for n in graph.nodes.values()] + ties
     edges = sorted(graph.edges)
@@ -941,7 +956,7 @@ def test_grid_lane_coordinate_matches_whole_edge(case):
             calls.clear()
             geometry.project_point = spy
             try:
-                got = road_graph.lane_coordinate(graph, eid, q, reach)
+                got = road_graph.lane_coordinate(graph, eid, q)
             finally:
                 geometry.project_point = project
             assert got.edge_id == eid
@@ -955,13 +970,13 @@ def test_grid_lane_coordinate_matches_whole_edge(case):
     (-5.0, 10.0), (0.5, 0.0), (math.inf, math.inf), (0.5, math.inf),
     (1e300, 1e300), (150.0, 1e3), (math.nan, 10.0), (0.5, math.nan)])
 def test_grid_within_lanes_extreme_limits(margin, snap):
-    g = build_graph(_MULTI_LANE)
+    g = build_graph(_MULTI_LANE, max_snap_distance=snap)
     rng = np.random.default_rng(3)
     pts = np.vstack([rng.uniform(-80.0, 160.0, size=(200, 2)),
                      [[1e9, -1e9], [30.0, -1.75]],
                      [n.position for n in g.nodes.values()]])
-    assert road_graph.within_lanes(g, pts, margin, snap).tolist() \
-        == _dense_within_lanes(g, pts, margin, snap).tolist()
+    assert road_graph.within_lanes(g, pts, margin).tolist() \
+        == _dense_within_lanes(g, pts, margin).tolist()
 
 
 def test_segment_grid_is_built_once_per_reach():
@@ -971,9 +986,8 @@ def test_segment_grid_is_built_once_per_reach():
     assert vars(index)["_grids"] == {}
     road_graph.within_lanes(g, pts, 0.5)
     ((reach, grid),) = index._grids.items()
-    assert reach == min(road_graph.MAX_SNAP_DISTANCE, 1.75 + 0.5)
+    assert reach == min(default("road.max_snap_distance"), 1.75 + 0.5)
     road_graph.within_lanes(g, pts[::-1], 0.5)
-    road_graph.within_lanes(g, pts, 0.5, 5.0)
     assert list(index._grids.items()) == [(reach, grid)]
     road_graph.within_lanes(g, pts, 0.0)
     assert list(index._grids) == [reach, 1.75]

@@ -26,9 +26,10 @@ from trafficforge.sim_engine import (AgentLog, SimLog, read_simlog_csv,
                                      run_dataset, simulate_scene)
 
 
-def _scene_on_straight(agents, length=400.0, lanes=1, oneway=True):
+def _scene_on_straight(agents, length=400.0, lanes=1, oneway=True,
+                       n_poses=11):
     g = road_graph.build_graph(straight_map(length, lanes, oneway))
-    doc = tracklets_doc("t1", agents)
+    doc = tracklets_doc("t1", agents, n_poses=n_poses)
     sid, tracks = scene_ingest.load_tracklets(doc)
     return g, scene_ingest.instantiate_agents(g, tracks, 0.0, sid)
 
@@ -154,7 +155,8 @@ def test_lane_deviation_bounded(intersection_graph, profile_pool):
                                             0.0, sid)
     cfg = SimConfig(master_seed=8, epsilon_std=0.0)
     for vi, asg in enumerate(behavior.sample_behaviors(
-            scene, profile_pool, 31, 3, noise_std=0.0)):
+            scene, profile_pool, 31,
+            SimConfig(max_variants=3, profile_noise_std=0.0))):
         log = simulate_scene(scene, asg, cfg, vi)
         for ag in log.agents:
             if not ag.lane_changes:
@@ -614,11 +616,54 @@ def test_replay_non_finite_position_raises():
         simulate_scene(scene, asg, SimConfig(master_seed=6, ego_mode="replay"))
 
 
+def test_replayed_ego_follows_t0():
+    """The replayed ego takes its tracklet's pose at ``t0`` plus the
+    elapsed time: from ``t0`` 2.0 it drives on from where ingest placed
+    it (x 17.0, then 17.6), as it does from ``t0`` 0.0 (x 5.0, then
+    5.6)."""
+    g = road_graph.build_graph(straight_map(400.0))
+    doc = tracklets_doc("r3", [(1, 5.0, 0.0, 0.0, 6.0),
+                               (2, 100.0, 0.0, 0.0, 10.0)], n_poses=100)
+    sid, tracks = scene_ingest.load_tracklets(doc)
+    cfg = SimConfig(master_seed=6, ego_mode="replay")
+    for t0 in (0.0, 2.0):
+        scene = scene_ingest.instantiate_agents(g, tracks, t0, sid)
+        asg = _assign_straight(g, scene, {1: 10.0, 2: 10.0})
+        del asg[1]
+        ego = simulate_scene(scene, asg, cfg).agents[0]
+        assert ego.exit_step is None and len(ego.t) == 71
+        np.testing.assert_allclose(ego.x, 5.0 + 6.0 * (t0 + ego.t),
+                                   atol=1e-9)
+        np.testing.assert_allclose(ego.v, 6.0, atol=1e-9)
+
+
+@pytest.mark.parametrize("t0,exit_step", [(0.0, 10), (0.5, 5)])
+def test_replayed_ego_leaves_when_its_tracklet_ends(t0, exit_step):
+    """A 1 s tracklet (11 poses) over a 7 s horizon: the replayed ego
+    logs its poses from ``t0`` to the last one, and leaves at the step
+    at which its tracklet has no next pose, as an ego that leaves the
+    map does; the car ahead drives the whole horizon."""
+    g = road_graph.build_graph(straight_map(400.0))
+    doc = tracklets_doc("r4", [(1, 5.0, 0.0, 0.0, 6.0)], n_poses=11)
+    doc["tracks"] += tracklets_doc("r4", [(2, 100.0, 0.0, 0.0, 10.0)],
+                                   n_poses=80)["tracks"]
+    sid, tracks = scene_ingest.load_tracklets(doc)
+    scene = scene_ingest.instantiate_agents(g, tracks, t0, sid)
+    asg = _assign_straight(g, scene, {1: 10.0, 2: 10.0})
+    del asg[1]
+    ego, ahead = simulate_scene(
+        scene, asg, SimConfig(master_seed=6, ego_mode="replay")).agents
+    assert ego.exit_step == exit_step
+    assert len(ego.t) == exit_step + 1
+    np.testing.assert_allclose(ego.x, 5.0 + 6.0 * (t0 + ego.t), atol=1e-9)
+    assert ego.x[-1] == pytest.approx(11.0)
+    assert ahead.exit_step is None and len(ahead.t) == 71
+
+
 def test_replay_snaps_with_the_scene_limit():
     """A replayed ego drifting 2 m/s sideways off a straight lane leaves
-    the map once it is farther from the lane than the limit it was
-    placed with."""
-    g = road_graph.build_graph(straight_map(400.0))
+    the map once it is farther from the lane than the snap limit of the
+    graph it was placed on."""
     psi = math.atan2(2.0, 8.0)
     doc = tracklets_doc("drift", [(1, 20.0, 0.1, psi, math.hypot(8.0, 2.0))],
                         n_poses=101)
@@ -626,8 +671,9 @@ def test_replay_snaps_with_the_scene_limit():
     cfg = SimConfig(master_seed=6, ego_mode="replay", horizon=10.0)
     exits = []
     for limit in (10.0, 12.0, 14.0):
-        scene = scene_ingest.instantiate_agents(g, tracks, 0.0, sid,
-                                                max_snap_distance=limit)
+        g = road_graph.build_graph(straight_map(400.0),
+                                   max_snap_distance=limit)
+        scene = scene_ingest.instantiate_agents(g, tracks, 0.0, sid)
         (ego,) = simulate_scene(scene, {}, cfg).agents
         exits.append(ego.exit_step)
     # the ego is 0.1 + 0.2 k m off the lane at step k
@@ -750,8 +796,7 @@ def test_step_memo_matches_fresh_accelerations(monkeypatch):
         assert memo_csv == fresh_csv
 
 
-def _eager_mobil(graph, run, snapshot, by_id, ac_old, config, sides, seen,
-                 reach):
+def _eager_mobil(graph, run, snapshot, by_id, ac_old, config, sides, seen):
     """Every side's six MOBIL terms, all computed before any test.
 
     Returns the subject's ``ac_old`` and, per side, ``(neighbor, route,
@@ -791,8 +836,7 @@ def _eager_mobil(graph, run, snapshot, by_id, ac_old, config, sides, seen,
         if nb is None:
             continue
         lane = graph.edges[nb]
-        coord = road_graph.lane_coordinate(graph, nb, run.state.position,
-                                           reach)
+        coord = road_graph.lane_coordinate(graph, nb, run.state.position)
         moved = (run.agent_id, (nb, coord.arc_s, run.state.v, run.geom.L))
         an_old, an_new = follower(
             dynamics.nearest_behind(snapshot, nb, coord.arc_s, run.agent_id),
@@ -819,7 +863,8 @@ _DECIDE = dynamics.mobil_decide
 
 def _random_three_lane_inputs(seed):
     """A randomized 3-lane scene: 2-5 drivers a lane at random gaps and
-    speeds, and a replayed ego (agent 1) among the drivers of one lane."""
+    speeds, and a replayed ego (agent 1) among the cars of one lane,
+    standing for the whole 7 s horizon, so that the others pass it."""
     rng = np.random.default_rng(seed)
     ego_lane = int(rng.integers(3))
     agents, speeds = [], {}
@@ -829,11 +874,12 @@ def _random_three_lane_inputs(seed):
         x = float(rng.uniform(0.0, 20.0))
         for k in range(n + (lane == ego_lane)):
             aid = 1 if k == ego_slot else len(speeds) + 2
-            agents.append((aid, x, y, 0.0, float(rng.uniform(4.0, 20.0))))
+            v = float(rng.uniform(4.0, 20.0))
+            agents.append((aid, x, y, 0.0, 0.0 if aid == 1 else v))
             if aid != 1:
                 speeds[aid] = float(rng.uniform(3.0, 22.0))
             x += float(rng.uniform(9.0, 40.0))
-    g, scene = _scene_on_straight(agents, length=600.0, lanes=3)
+    g, scene = _scene_on_straight(agents, length=600.0, lanes=3, n_poses=71)
     asg = _assign_straight(g, scene, {**speeds, 1: 0.0})
     del asg[1]
     return scene, asg, SimConfig(master_seed=seed, max_variants=1,
@@ -863,13 +909,13 @@ def test_lazy_mobil_matches_eager_oracle(monkeypatch, inputs):
     lazy = sim_engine._consider_lane_change
 
     def checked(graph, run, snapshot, by_id, ac_old, config, sides,
-                searches, reach):
+                searches):
         base, eager = _eager_mobil(graph, run, snapshot, by_id, ac_old,
-                                   config, sides, seen, reach)
+                                   config, sides, seen)
         assert base == ac_old
         counts.update(routes=0, decisions=0)
         got = lazy(graph, run, snapshot, by_id, ac_old, config, sides,
-                   searches, reach)
+                   searches)
         # the lazy pass stops at the first side that changes
         accepted = next((k for k, side in enumerate(eager)
                          if side[3] == "change"), None)
@@ -1138,16 +1184,14 @@ def test_retarget_route_keeps_the_label_where_it_can():
     g = _forked_two_lane_graph()
     assert (g.edges[0].left_neighbor, g.edges[1].right_neighbor) == (1, 0)
     cfg = SimConfig()
-    coord = road_graph.lane_coordinate(g, 1, np.array([40.0, 1.75]),
-                                       road_graph.MAX_SNAP_DISTANCE)
+    coord = road_graph.lane_coordinate(g, 1, np.array([40.0, 1.75]))
     routes = road_graph.enumerate_routes(g, coord, cfg.horizon_dist,
                                          cfg.max_routes)
     assert [(r.edge_ids, r.maneuver) for r in routes] == \
         [([1, 2], "left"), ([1, 3], "straight")]
 
     def change(x, y, label, neighbor):
-        coord = road_graph.lane_coordinate(g, neighbor, np.array([x, y]),
-                                           road_graph.MAX_SNAP_DISTANCE)
+        coord = road_graph.lane_coordinate(g, neighbor, np.array([x, y]))
         return sim_engine._retarget_route(g, coord, label, cfg)
 
     # from the right lane onto the forked one: the agent's own maneuver
