@@ -14,18 +14,13 @@ from typing import Optional
 import numpy as np
 
 from trafficforge import geometry, road_graph
-from trafficforge.config import default
 from trafficforge.errors import ConfigError, MissingProfileError
 from trafficforge.geometry import wrap_angle
 from trafficforge.util import derive_seed, number, numbers
 
-# rad/s, onset of a turn in timestamped data, and the s it must last
-TURN_RATE_THRESHOLD = default("behavior.turn_rate_threshold")
-TURN_RATE_SUSTAIN = default("behavior.turn_rate_sustain")
 TURN_CURVATURE_THRESHOLD = 0.05  # rad/m, onset on pure route geometry
 TURN_CURVATURE_SUSTAIN = 1.0     # m of sustained curvature
 TURN_ARC_STEP = 0.5              # m, resampling step of that onset scan
-PROFILE_NOISE_STD = default("behavior.noise_std")  # m/s, per-sample
 
 
 @dataclass
@@ -123,13 +118,13 @@ def _sustained_onset(flags, stamps, sustain):
     return None
 
 
-def distance_before_turn(traj, rate_threshold=TURN_RATE_THRESHOLD,
-                         sustain=TURN_RATE_SUSTAIN):
+def distance_before_turn(traj, rate_threshold, sustain):
     """Arc length traveled before the first sustained turn onset.
 
     ``traj`` is an (N, 3) array of (t, x, y). The onset is the first
-    timestep whose heading-rate magnitude exceeds the threshold for at
-    least ``sustain`` seconds; without one the full arc length returns.
+    timestep whose heading-rate magnitude exceeds ``rate_threshold``
+    rad/s for at least ``sustain`` seconds; without one the full arc
+    length returns.
     """
     traj = np.asarray(traj, dtype=float)
     if traj.ndim != 2 or traj.shape[1] != 3 or len(traj) < 3:
@@ -154,16 +149,16 @@ def distance_before_turn(traj, rate_threshold=TURN_RATE_THRESHOLD,
     return float(arc[onset + 1])
 
 
-def build_profile_pool(real_trajs, dt,
-                       straight_threshold=road_graph.STRAIGHT_THRESHOLD,
-                       rate_threshold=TURN_RATE_THRESHOLD,
-                       sustain=TURN_RATE_SUSTAIN):
+def build_profile_pool(real_trajs, dt, straight_threshold, rate_threshold,
+                       sustain):
     """Mine a labeled profile pool from timestamped (t, x, y) trajectories.
 
     Speeds come from central differences and are resampled to ``dt``.
-    Turning profiles carry :func:`distance_before_turn` with the given
-    turn-onset ``rate_threshold`` and ``sustain``. Trajectories with fewer
-    than 3 points or non-increasing times are skipped and reported.
+    Each trajectory is labelled by :func:`road_graph.classify_maneuver`
+    at ``straight_threshold`` radians, and turning profiles carry
+    :func:`distance_before_turn` with the given turn-onset
+    ``rate_threshold`` and ``sustain``. Trajectories with fewer than 3
+    points or non-increasing times are skipped and reported.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
@@ -192,8 +187,7 @@ def build_profile_pool(real_trajs, dt,
     return ProfilePool(profiles, dt, skipped)
 
 
-def match_profile(pool, label, feature_query, rng_seed,
-                  noise_std=PROFILE_NOISE_STD):
+def match_profile(pool, label, feature_query, rng_seed, noise_std):
     """Nearest profile by feature distance, returned with sampled noise.
 
     Noise is i.i.d. Gaussian per sample (std in m/s), clamped so speeds

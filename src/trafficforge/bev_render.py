@@ -25,7 +25,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from trafficforge import geometry
-from trafficforge.config import default
 
 ROAD, LANE, UNKNOWN = 0, 1, 2
 LABEL_CLASSES = ("straight", "left", "right")
@@ -38,9 +37,9 @@ _PAIR_CHUNK = 4096   # (cell, segment) pairs a pass: 32 KB temporaries
 
 @dataclass(frozen=True)
 class GridSpec:
-    H: int = default("grid.H")
-    W: int = default("grid.W")
-    resolution: float = default("grid.resolution")
+    H: int
+    W: int
+    resolution: float
     origin: tuple = (0.0, 0.0)
 
     def __post_init__(self):

@@ -345,8 +345,12 @@ def cmd_metrics(args):
         for key, h in horizons.items():
             ades, fdes, nlls = [], [], []
             for ps in psets:
-                steps = int(round(h / ps.ground_truth.dt))
-                if steps < 1 or steps >= len(ps.ground_truth.points):
+                n = len(ps.ground_truth.points)
+                ratio = h / ps.ground_truth.dt   # inf when it overflows
+                if not ratio < n:
+                    continue
+                steps = int(round(ratio))
+                if steps < 1 or steps >= n:
                     continue
                 ades.append(metrics.min_over_samples(ps, "ade", steps))
                 fdes.append(metrics.min_over_samples(ps, "fde", steps))

@@ -3,11 +3,11 @@
 One JSON document configures every stage; CLI flags of the form
 ``--set section.key=value`` override single fields. :data:`SCHEMA` is the
 only place a key's default, bounds and target field are written: it drives
-:func:`validate_config`, :meth:`RunConfig.sim_config`, the defaults of
-:class:`SimConfig` and its parameter groups, and the module defaults that
-other modules read through :func:`default`. Validation checks all fields
-and reports every violation at once; unknown keys are rejected to catch
-typos.
+:func:`validate_config`, :meth:`RunConfig.sim_config` and the defaults of
+:class:`SimConfig` and its parameter groups. The CLI is the one reader of
+this module: every library function takes each setting from its caller
+and keeps no default of its own. Validation checks all fields and reports
+every violation at once; unknown keys are rejected to catch typos.
 """
 
 import copy

@@ -10,7 +10,6 @@ acceleration.
 import math
 from dataclasses import dataclass
 
-from trafficforge.config import ControllerParams
 from trafficforge.geometry import wrap_angle
 
 
@@ -40,8 +39,7 @@ def lateral_velocity(kp_lateral, x_lateral, epsilon):
     return -kp_lateral * (x_lateral + epsilon)
 
 
-def required_heading(v, v_lateral, v_eps=ControllerParams.v_eps,
-                     psi_req_max=ControllerParams.psi_req_max):
+def required_heading(v, v_lateral, v_eps, psi_req_max):
     """arcsin(v_lateral / v) with a low-speed floor and saturation."""
     vv = v if v > v_eps else v_eps
     ratio = v_lateral / vv
@@ -62,8 +60,7 @@ def heading_rate(kp_heading, psi_future, psi_req, psi_current):
     return kp_heading * wrap_angle(psi_future + psi_req - psi_current)
 
 
-def steering_from_rate(L, v, psi_dot, v_eps=ControllerParams.v_eps,
-                       phi_max=ControllerParams.phi_max):
+def steering_from_rate(L, v, psi_dot, v_eps, phi_max):
     """phi = arctan(L * psi_dot / v), floored at v_eps, clamped at phi_max."""
     vv = v if v > v_eps else v_eps
     phi = math.atan(L * psi_dot / vv)
@@ -83,8 +80,7 @@ def steer_to_lane(x_lateral, epsilon, psi_future, psi_current, v,
     return steering_from_rate(L, v, psi_dot, v_eps, phi_max)
 
 
-def longitudinal_command(v, v_ref, kp_speed, a_idm,
-                         a_max_decel=ControllerParams.a_max_decel):
+def longitudinal_command(v, v_ref, kp_speed, a_idm, a_max_decel):
     """min(kp * (v_ref - v), a_idm); the safety ceiling is absolute.
 
     The command is at most ``a_idm``, which :func:`dynamics.idm_accel`

@@ -16,8 +16,6 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from trafficforge.config import default
-
 DELTA = 4.0   # IDM free-road acceleration exponent
 
 
@@ -49,8 +47,7 @@ def desired_gap(params, v, dv):
     return params.s0 + dyn
 
 
-def idm_accel(params, leader, v,
-              a_max_decel=default("controller.a_max_decel")):
+def idm_accel(params, leader, v, a_max_decel):
     """Safe longitudinal acceleration; free road when ``leader`` is None.
 
     Clamped to [-a_max_decel, params.a]. A non-positive gap (prevented
@@ -71,12 +68,8 @@ def idm_accel(params, leader, v,
     return acc
 
 
-def sample_idm_params(rng_seed, v0, T_range=default("idm.T_range"),
-                      s0_range=default("idm.s0_range"),
-                      a_range=default("idm.a_range"),
-                      b_range=default("idm.b_range")):
-    """Draw per-agent IDM parameters uniformly from (low, high) ranges;
-    the defaults are the ``idm.*_range`` config keys."""
+def sample_idm_params(rng_seed, v0, T_range, s0_range, a_range, b_range):
+    """Draw per-agent IDM parameters uniformly from (low, high) ranges."""
     rng = np.random.default_rng(rng_seed)
     return IdmParams(
         v0=v0,
@@ -119,8 +112,7 @@ class LeaderSearch(NamedTuple):
     second: Optional[tuple]
 
 
-def rank_leaders(snapshot, subject_id, route,
-                 sensing_range=default("sim.sensing_range"), coord=None):
+def rank_leaders(snapshot, subject_id, route, sensing_range, coord=None):
     """The subject's two nearest agents ahead along its route.
 
     Only agents on the route's edges (``snapshot.by_edge``) are examined;
@@ -187,8 +179,7 @@ def leader_after(search, moved=None):
     return LeaderInfo(aid, gap, search.subj_v - v)
 
 
-def find_leader(snapshot, subject_id, route,
-                sensing_range=default("sim.sensing_range"), moved=None):
+def find_leader(snapshot, subject_id, route, sensing_range, moved=None):
     """First agent ahead of the subject along its route: one
     :func:`rank_leaders` search read by :func:`leader_after`.
 

@@ -20,17 +20,13 @@ from functools import cached_property
 import numpy as np
 
 from trafficforge import geometry
-from trafficforge.config import default
 from trafficforge.errors import (MapFormatError, OffMapError,
                                  ZeroLengthRouteError)
 from trafficforge.geometry import wrap_angle
 from trafficforge.util import integer, number, numbers
 
-STRAIGHT_THRESHOLD = math.radians(default("road.straight_threshold_deg"))
 MAX_COORD = 1_000_000   # m; every lane of a map lies this close to 0
 MAX_LANES = 100         # per map entry
-HORIZON_DIST = default("road.horizon_dist")
-MAX_ROUTES = default("road.max_routes")
 _TIE_EPS = 1e-6
 _GRID_CELLS = 1 << 14   # cells of a _SegmentGrid before its cells widen
 _GRID_SLACK = 1e-9      # its rounding slack, relative to coordinates
@@ -372,7 +368,7 @@ def _slice_from(pts, cum, s):
     return np.vstack([p[None, :], pts[i:]]) if i < len(pts) else p[None, :].repeat(2, 0)
 
 
-def classify_maneuver(route_polyline, straight_threshold=STRAIGHT_THRESHOLD):
+def classify_maneuver(route_polyline, straight_threshold):
     """Label a path left/right/straight by its cumulative heading change.
 
     Counterclockwise (positive) change at or above the threshold is a left
@@ -436,10 +432,8 @@ def _centerline(cl, k, default_lane_width):
     return pts, lanes, oneway, width
 
 
-def build_graph(lane_spec, join_tolerance=default("road.join_tolerance"),
-                default_lane_width=default("road.default_lane_width"),
-                straight_threshold=STRAIGHT_THRESHOLD,
-                max_snap_distance=default("road.max_snap_distance")):
+def build_graph(lane_spec, join_tolerance, default_lane_width,
+                straight_threshold, max_snap_distance):
     """Build the directed lane graph from a parsed map description.
 
     Every centerline contributes one directed edge per lane. One-way
@@ -609,8 +603,7 @@ def _run_starts(keys):
     return new.nonzero()[0]
 
 
-def enumerate_routes(graph, start, horizon_dist=HORIZON_DIST,
-                     max_routes=MAX_ROUTES):
+def enumerate_routes(graph, start, horizon_dist, max_routes):
     """Depth-first route enumeration from a lane coordinate.
 
     A route ends once its drivable length reaches ``horizon_dist`` or a

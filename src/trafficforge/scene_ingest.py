@@ -14,7 +14,6 @@ from typing import Optional
 import numpy as np
 
 from trafficforge import road_graph
-from trafficforge.config import default
 from trafficforge.controller import VehicleGeometry, VehicleState
 from trafficforge.errors import ConfigError, EmptySceneError, OffMapError
 from trafficforge.geometry import central_speed, wrap_angle
@@ -178,8 +177,7 @@ def _finite_difference_heading(tracklet, t):
     return float(np.arctan2(d[1], d[0]))
 
 
-def instantiate_agents(graph, tracklets, t0, scene_id="scene",
-                       min_spawn_gap=default("behavior.min_spawn_gap")):
+def instantiate_agents(graph, tracklets, t0, scene_id, min_spawn_gap):
     """Project tracklets at ``t0`` onto the graph and build a Scene.
 
     The initial heading comes from the lane, not the recorded pose; the

@@ -114,11 +114,13 @@ def digest(doc):
 
 
 def map_tasks(fn, tasks, jobs):
-    """``[fn(t) for t in tasks]``, in order; spread over ``jobs`` worker
-    processes when ``jobs`` > 1 and there is more than one task."""
+    """``[fn(t) for t in tasks]``, in order; spread over at most ``jobs``
+    worker processes, and no more than there are tasks, when ``jobs`` > 1
+    and there is more than one task."""
     if jobs > 1 and len(tasks) > 1:
         # imported here: it loads multiprocessing, which --jobs 1 never uses
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=jobs) as ex:
+        # a fork start forks every worker at the first submit
+        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as ex:
             return list(ex.map(fn, tasks, chunksize=1))
     return [fn(t) for t in tasks]

@@ -5,6 +5,30 @@ import math
 
 import numpy as np
 
+from trafficforge.config import SimConfig, default
+
+# every setting at its config default, for the library calls of tests,
+# which take each setting from their caller as the CLI does; read only
+SIM = SimConfig()
+# build_graph(doc, **GRAPH_ARGS): the road.* keys
+GRAPH_ARGS = {
+    "join_tolerance": default("road.join_tolerance"),
+    "default_lane_width": default("road.default_lane_width"),
+    "straight_threshold": math.radians(
+        default("road.straight_threshold_deg")),
+    "max_snap_distance": default("road.max_snap_distance"),
+}
+# distance_before_turn(traj, **ONSET_ARGS): the turn onset in timed data
+ONSET_ARGS = {"rate_threshold": default("behavior.turn_rate_threshold"),
+              "sustain": default("behavior.turn_rate_sustain")}
+# build_profile_pool(trajs, dt, **POOL_ARGS)
+POOL_ARGS = {"straight_threshold": GRAPH_ARGS["straight_threshold"],
+             **ONSET_ARGS}
+# enumerate_routes(graph, start, **ROUTE_ARGS)
+ROUTE_ARGS = {"horizon_dist": SIM.horizon_dist,
+              "max_routes": SIM.max_routes}
+SPAWN_GAP = default("behavior.min_spawn_gap")   # of instantiate_agents
+
 
 def straight_map(length=300.0, lanes=1, oneway=True, lane_width=3.5):
     return {"centerlines": [{"id": 0,
@@ -161,7 +185,8 @@ def profile_sources_doc(seed=0):
 def build_test_pool(seed=0, dt=0.1):
     from trafficforge import behavior
     rng = np.random.default_rng(seed)
-    return behavior.build_profile_pool(synthetic_profile_sources(rng), dt)
+    return behavior.build_profile_pool(synthetic_profile_sources(rng), dt,
+                                       **POOL_ARGS)
 
 
 def assert_grid_sample(sample, log, context, t_obs, t_start=0):

@@ -12,17 +12,17 @@ import shutil
 
 import numpy as np
 
-from helpers import (approach_point, assert_grid_sample,
-                     four_way_intersection, straight_map,
+from helpers import (GRAPH_ARGS, ROUTE_ARGS, SIM, SPAWN_GAP, approach_point,
+                     assert_grid_sample, four_way_intersection, straight_map,
                      synthetic_profile_sources, tracklets_doc)
 
 from trafficforge import behavior, bev_render, metrics, road_graph
 from trafficforge import scene_ingest
 from trafficforge.behavior import BehaviorAssignment, VelocityProfile
 from trafficforge.cli import dispatch
-from trafficforge.config import SimConfig
-from trafficforge.controller import ControllerParams, VehicleGeometry, \
-    VehicleState, steer_to_lane, step_kinematics
+from trafficforge.config import ControllerParams, SimConfig
+from trafficforge.controller import VehicleGeometry, VehicleState, \
+    steer_to_lane, step_kinematics
 from trafficforge.dynamics import (IdmParams, LeaderInfo, desired_gap,
                                    idm_accel, sample_idm_params)
 from trafficforge.sim_engine import simulate_scene
@@ -37,7 +37,8 @@ def _line(num, ok, detail):
 
 def test_criterion_1_idm_unit_fidelity():
     params = IdmParams(v0=15.0, T=1.5, s0=2.0, a=1.5, b=2.0)
-    got = idm_accel(params, LeaderInfo(0, gap_s=20.0, dv=2.0), 10.0)
+    got = idm_accel(params, LeaderInfo(0, gap_s=20.0, dv=2.0), 10.0,
+                    SIM.controller.a_max_decel)
 
     # independently coded closed form
     sstar = 2.0 + max(0.0, 10.0 * 1.5 + 10.0 * 2.0
@@ -55,11 +56,13 @@ def test_criterion_2_idm_equilibrium():
     worst = 0.0
     rng = np.random.default_rng(2024)
     for k in range(100):
-        p = sample_idm_params(k, v0=40.0)  # wants to go much faster
+        # wants to go much faster
+        p = sample_idm_params(k, v0=40.0, **SIM.idm_ranges)
         gap0 = float(rng.uniform(10.0, 60.0))
         x_l, x_f, v_f = gap0, 0.0, 10.0
         for _ in range(600):  # 60 simulated seconds
-            acc = idm_accel(p, LeaderInfo(0, x_l - x_f, v_f - v_leader), v_f)
+            acc = idm_accel(p, LeaderInfo(0, x_l - x_f, v_f - v_leader), v_f,
+                            SIM.controller.a_max_decel)
             x_l += v_leader * dt
             x_f += v_f * dt
             v_f = max(v_f + acc * dt, 0.0)
@@ -85,10 +88,11 @@ def _two_agent_scene(graph, rng, idx):
                         [(1, x_l, 0.0, 0.0, lead_v),
                          (2, x_f, 0.0, 0.0, foll_v)])
     sid, tracks = scene_ingest.load_tracklets(doc)
-    scene = scene_ingest.instantiate_agents(graph, tracks, 0.0, sid)
+    scene = scene_ingest.instantiate_agents(graph, tracks, 0.0, sid, SPAWN_GAP)
 
     route = {a.agent_id: road_graph.enumerate_routes(
-        graph, a.lane, horizon_dist=900.0)[0] for a in scene.agents}
+        graph, a.lane, **dict(ROUTE_ARGS, horizon_dist=900.0))[0]
+        for a in scene.agents}
     # leader ramps toward a random target speed; follower wants to be fast
     lead_target = float(rng.uniform(0.0, lead_v)) if rng.random() < 0.5 \
         else lead_v
@@ -107,7 +111,7 @@ def _two_agent_scene(graph, rng, idx):
 
 
 def test_criterion_3_collision_free():
-    graph = road_graph.build_graph(straight_map(900.0))
+    graph = road_graph.build_graph(straight_map(900.0), **GRAPH_ARGS)
     rng = np.random.default_rng(99)
     min_gap = math.inf
     for idx in range(1000):
@@ -180,7 +184,7 @@ def _intersection_scenes(graph, n_scenes, rng):
         doc = tracklets_doc(f"div{i:03d}", [(1, x, y, psi, speed)])
         sid, tracks = scene_ingest.load_tracklets(doc)
         scenes.append(scene_ingest.instantiate_agents(graph, tracks, 0.0,
-                                                      sid))
+                                                      sid, SPAWN_GAP))
     return scenes
 
 
@@ -195,7 +199,7 @@ def _logs_to_trajs(logs):
 
 
 def test_criterion_6_diversity_direction(profile_pool):
-    graph = road_graph.build_graph(four_way_intersection())
+    graph = road_graph.build_graph(four_way_intersection(), **GRAPH_ARGS)
     rng = np.random.default_rng(61)
     scenes = _intersection_scenes(graph, 50, rng)
     cfg = SimConfig(master_seed=6)
@@ -211,11 +215,13 @@ def test_criterion_6_diversity_direction(profile_pool):
         # straight-only baseline: force the straight route for every agent
         base = {}
         for agent in scene.agents:
-            routes = road_graph.enumerate_routes(graph, agent.lane)
+            routes = road_graph.enumerate_routes(graph, agent.lane,
+                                                 **ROUTE_ARGS)
             straight = next(r for r in routes if r.maneuver == "straight")
             profile = behavior.match_profile(
                 profile_pool, "straight", agent.state.v,
-                behavior.derive_seed(6, scene.scene_id, "base"))
+                behavior.derive_seed(6, scene.scene_id, "base"),
+                cfg.profile_noise_std)
             base[agent.agent_id] = BehaviorAssignment(
                 agent.agent_id, straight, "straight", profile)
         straight_logs.append(simulate_scene(scene, base, cfg, 0))
@@ -310,7 +316,8 @@ def test_criterion_9_rasterizer_invariants(tmp_path):
         pts1 = pts0 + rng.uniform(10, 25, size=2)
         graphs.append(road_graph.build_graph({"centerlines": [
             {"id": 0, "points": [list(pts0), list(pts1)],
-             "lanes": int(rng.integers(1, 3)), "oneway": True}]}))
+             "lanes": int(rng.integers(1, 3)), "oneway": True}]},
+            **GRAPH_ARGS))
 
     checked = 0
     for i in range(1000):

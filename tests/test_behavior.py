@@ -9,8 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import (approach_point, four_way_intersection, straight_map,
-                     straight_source_traj, tracklets_doc, turning_source_traj)
+from helpers import (GRAPH_ARGS, ONSET_ARGS, POOL_ARGS, ROUTE_ARGS, SIM,
+                     SPAWN_GAP, approach_point, four_way_intersection,
+                     straight_map, straight_source_traj, tracklets_doc,
+                     turning_source_traj)
 
 from trafficforge import behavior, geometry, road_graph, scene_ingest
 from trafficforge.behavior import (build_profile_pool, distance_before_turn,
@@ -24,17 +26,19 @@ from trafficforge.geometry import wrap_angle
 def test_distance_before_turn_straight():
     traj = straight_source_traj(10.0, duration=5.0)
     # no onset: the full arc length (50 m) comes back
-    assert distance_before_turn(traj) == pytest.approx(50.0, abs=0.2)
+    assert distance_before_turn(traj, **ONSET_ARGS) \
+        == pytest.approx(50.0, abs=0.2)
 
 
 def test_distance_before_turn_after_approach():
     traj = turning_source_traj(8.0, 8.0, approach_dist=20.0, radius=10.0)
-    assert distance_before_turn(traj) == pytest.approx(20.0, abs=1.5)
+    assert distance_before_turn(traj, **ONSET_ARGS) \
+        == pytest.approx(20.0, abs=1.5)
 
 
 def test_distance_before_turn_immediate():
     traj = turning_source_traj(5.0, 5.0, approach_dist=0.5, radius=8.0)
-    assert distance_before_turn(traj) < 2.0
+    assert distance_before_turn(traj, **ONSET_ARGS) < 2.0
 
 
 def _distance_before_turn_reference(traj, rate_threshold, sustain):
@@ -129,7 +133,7 @@ def test_distance_before_turn_onset_at_first_and_last_rate(traj, sustain,
 
 def test_build_pool_constant_straight():
     traj = straight_source_traj(10.0, duration=7.0)
-    pool = build_profile_pool([traj], 0.1)
+    pool = build_profile_pool([traj], 0.1, **POOL_ARGS)
     assert len(pool) == 1
     p = pool.profiles[0]
     assert p.maneuver == "straight"
@@ -140,7 +144,7 @@ def test_build_pool_constant_straight():
 def test_build_pool_turn_feature_matches_construction():
     traj = turning_source_traj(10.0, 4.0, approach_dist=30.0, radius=9.0,
                                direction="left")
-    pool = build_profile_pool([traj], 0.1)
+    pool = build_profile_pool([traj], 0.1, **POOL_ARGS)
     p = pool.profiles[0]
     assert p.maneuver == "left"
     assert p.feature == pytest.approx(30.0, abs=2.0)
@@ -149,24 +153,24 @@ def test_build_pool_turn_feature_matches_construction():
 def test_build_pool_skips_bad_input():
     good = straight_source_traj(8.0)
     too_short = np.array([[0.0, 0.0, 0.0], [0.1, 1.0, 0.0]])
-    pool = build_profile_pool([good, too_short], 0.1)
+    pool = build_profile_pool([good, too_short], 0.1, **POOL_ARGS)
     assert len(pool) == 1
     assert pool.skipped == [(1, "too-short")]
 
 
 def test_pool_from_json_has_no_skipped_trajectories():
     good = straight_source_traj(8.0)
-    pool = build_profile_pool([good, good[:2]], 0.1)
+    pool = build_profile_pool([good, good[:2]], 0.1, **POOL_ARGS)
     assert pool.skipped == [(1, "too-short")]
     doc = json.loads(pool.to_json())
     assert behavior.ProfilePool.from_json(doc).skipped == []
 
 
 def test_empty_pool_errors_at_sampling():
-    pool = build_profile_pool([], 0.1)
+    pool = build_profile_pool([], 0.1, **POOL_ARGS)
     assert len(pool) == 0
     with pytest.raises(MissingProfileError):
-        match_profile(pool, "straight", 10.0, rng_seed=0)
+        match_profile(pool, "straight", 10.0, 0, SIM.profile_noise_std)
 
 
 def test_match_profile_exact_noise_free(profile_pool):
@@ -195,9 +199,10 @@ def test_match_profile_linear_scan_oracle(profile_pool, rng):
 
 
 def test_match_profile_noise_clamped_and_seeded(profile_pool):
-    a = match_profile(profile_pool, "left", 20.0, rng_seed=5)
-    b = match_profile(profile_pool, "left", 20.0, rng_seed=5)
-    c = match_profile(profile_pool, "left", 20.0, rng_seed=6)
+    noise = SIM.profile_noise_std
+    a = match_profile(profile_pool, "left", 20.0, 5, noise)
+    b = match_profile(profile_pool, "left", 20.0, 5, noise)
+    c = match_profile(profile_pool, "left", 20.0, 6, noise)
     np.testing.assert_array_equal(a.samples, b.samples)
     assert not np.array_equal(a.samples, c.samples)
     assert (a.samples >= 0).all()
@@ -205,17 +210,17 @@ def test_match_profile_noise_clamped_and_seeded(profile_pool):
 
 
 def _intersection_scene(dist=35.0, speed=8.0):
-    g = road_graph.build_graph(four_way_intersection())
+    g = road_graph.build_graph(four_way_intersection(), **GRAPH_ARGS)
     x, y, psi = approach_point(0, dist)
     doc = tracklets_doc("b1", [(1, x, y, psi, speed)])
     sid, tracks = scene_ingest.load_tracklets(doc)
-    return g, scene_ingest.instantiate_agents(g, tracks, 0.0, sid)
+    return g, scene_ingest.instantiate_agents(g, tracks, 0.0, sid, SPAWN_GAP)
 
 
 def test_feature_straight_is_initial_speed(profile_pool):
     g, scene = _intersection_scene(speed=8.0)
     agent = scene.agents[0]
-    routes = road_graph.enumerate_routes(g, agent.lane)
+    routes = road_graph.enumerate_routes(g, agent.lane, **ROUTE_ARGS)
     straight = next(r for r in routes if r.maneuver == "straight")
     assert feature_for_behavior(agent, straight) == pytest.approx(8.0)
 
@@ -223,7 +228,7 @@ def test_feature_straight_is_initial_speed(profile_pool):
 def test_feature_turn_distance_to_junction(profile_pool):
     g, scene = _intersection_scene(dist=35.0)
     agent = scene.agents[0]
-    routes = road_graph.enumerate_routes(g, agent.lane)
+    routes = road_graph.enumerate_routes(g, agent.lane, **ROUTE_ARGS)
     left = next(r for r in routes if r.maneuver == "left")
     # the arc starts right at the junction entrance, 35 m ahead
     assert feature_for_behavior(agent, left) == pytest.approx(35.0, abs=2.5)
@@ -232,7 +237,7 @@ def test_feature_turn_distance_to_junction(profile_pool):
 def test_feature_turn_onset_at_start(profile_pool):
     g, scene = _intersection_scene(dist=1.0)
     agent = scene.agents[0]
-    routes = road_graph.enumerate_routes(g, agent.lane)
+    routes = road_graph.enumerate_routes(g, agent.lane, **ROUTE_ARGS)
     left = next(r for r in routes if r.maneuver == "left")
     assert feature_for_behavior(agent, left) <= 3.0
 
@@ -257,7 +262,8 @@ def _curvature_onset_reference(route, threshold, sustain_arc, arc_step=0.5):
 @functools.lru_cache(maxsize=None)
 def _four_way_graph(junction, half_lane):
     return road_graph.build_graph(
-        four_way_intersection(junction=junction, half_lane=half_lane))
+        four_way_intersection(junction=junction, half_lane=half_lane),
+        **GRAPH_ARGS)
 
 
 @settings(max_examples=150, deadline=None)
@@ -275,7 +281,7 @@ def test_feature_matches_curvature_loop(junction, half_lane, deg, dist,
     lane = road_graph.project_to_lane(g, np.array([x, y]))
     with mock.patch.object(behavior, "TURN_CURVATURE_THRESHOLD", threshold), \
             mock.patch.object(behavior, "TURN_CURVATURE_SUSTAIN", sustain):
-        for route in road_graph.enumerate_routes(g, lane):
+        for route in road_graph.enumerate_routes(g, lane, **ROUTE_ARGS):
             if route.maneuver != "straight":
                 assert feature_for_behavior(None, route) \
                     == _curvature_onset_reference(route, threshold, sustain)
@@ -291,10 +297,10 @@ def test_sample_behaviors_covers_labels(profile_pool):
 
 
 def test_sample_behaviors_forced_single_route(profile_pool):
-    g = road_graph.build_graph(straight_map(400.0))
+    g = road_graph.build_graph(straight_map(400.0), **GRAPH_ARGS)
     doc = tracklets_doc("f1", [(1, 10.0, 0.0, 0.0, 9.0)])
     sid, tracks = scene_ingest.load_tracklets(doc)
-    scene = scene_ingest.instantiate_agents(g, tracks, 0.0, sid)
+    scene = scene_ingest.instantiate_agents(g, tracks, 0.0, sid, SPAWN_GAP)
     variants = sample_behaviors(scene, profile_pool, rng_seed=4,
                                 config=SimConfig(max_variants=3))
     # one admissible behavior: duplicates collapse to a single variant set
@@ -332,15 +338,15 @@ def test_assignment_label_matches_route_geometry(profile_pool):
         for asg in variant.values():
             if asg.route is not None:
                 assert asg.label == road_graph.classify_maneuver(
-                    asg.route.polyline)
+                    asg.route.polyline, GRAPH_ARGS["straight_threshold"])
 
 
 def test_static_assignment_for_routeless_agent(profile_pool):
     # agent sitting at the very end of a dead-end lane has no route
-    g = road_graph.build_graph(straight_map(50.0))
+    g = road_graph.build_graph(straight_map(50.0), **GRAPH_ARGS)
     doc = tracklets_doc("s1", [(1, 50.0, 0.0, 0.0, 0.0)], n_poses=1)
     sid, tracks = scene_ingest.load_tracklets(doc)
-    scene = scene_ingest.instantiate_agents(g, tracks, 0.0, sid)
+    scene = scene_ingest.instantiate_agents(g, tracks, 0.0, sid, SPAWN_GAP)
     variants = sample_behaviors(scene, profile_pool, 3,
                                 SimConfig(max_variants=3))
     assert variants[0][1].route is None

@@ -12,8 +12,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import (assert_grid_sample, four_way_intersection, ring_map,
-                     straight_map, tracklets_doc)
+from helpers import (GRAPH_ARGS, ROUTE_ARGS, SPAWN_GAP, assert_grid_sample,
+                     four_way_intersection, ring_map, straight_map,
+                     tracklets_doc)
 
 from trafficforge import bev_render, road_graph, scene_ingest
 from trafficforge.behavior import BehaviorAssignment, VelocityProfile
@@ -99,7 +100,7 @@ _MAPS = [four_way_intersection(), ring_map(30.0),
                            "points": _arc_points(0.0, 0.0, 12.0, 0.0,
                                                  math.pi, 16).tolist()}]}]
 _map_graph = st.sampled_from(range(len(_MAPS))).map(
-    lambda i: road_graph.build_graph(_MAPS[i]))
+    lambda i: road_graph.build_graph(_MAPS[i], **GRAPH_ARGS))
 
 # dimensions down to one cell, centers from on the map to far off it; or
 # centered on a centerline point of the maps, as render centers a grid on
@@ -136,7 +137,7 @@ def test_context_matches_full_grid_reference(graph, spec):
      "e94c6ab6887be2039ab1d04b800a411d126bf2e5858e2d4cbfddde445b4f2bf1"),
 ])
 def test_four_way_context_digest_pinned(size, res, digest):
-    g = road_graph.build_graph(four_way_intersection())
+    g = road_graph.build_graph(four_way_intersection(), **GRAPH_ARGS)
     spec = GridSpec.centered_on((0.0, 0.0), size, size, res)
     classes = render_context(g, spec).classes
     assert classes.dtype == np.uint8 and classes.shape == (size, size)
@@ -150,7 +151,7 @@ _APPROACH_SPEC = GridSpec.centered_on((-30.0, -1.75), 128, 128, 1.0)
 
 
 def test_approach_context_digest_pinned():
-    g = road_graph.build_graph(four_way_intersection())
+    g = road_graph.build_graph(four_way_intersection(), **GRAPH_ARGS)
     classes = render_context(g, _APPROACH_SPEC).classes
     assert hashlib.sha256(classes.tobytes()).hexdigest() == (
         "fdaeb77f52315b1d380c65f27c399bc1352cc63601e0a722d3bdf267c2d62ebb")
@@ -201,7 +202,8 @@ def test_read_rejects_a_header_grid_spec_rejects(tmp_path, H, W, res, ox,
 
 
 def test_grid_no_lane_reaches_all_unknown():
-    g = road_graph.build_graph(straight_map(100.0, lane_width=3.5))
+    g = road_graph.build_graph(straight_map(100.0, lane_width=3.5),
+                               **GRAPH_ARGS)
     spec = GridSpec(32, 32, 1.0, (0.0, 500.0))
     ctx = render_context(g, spec)
     assert (ctx.classes == bev_render.UNKNOWN).all()
@@ -209,7 +211,8 @@ def test_grid_no_lane_reaches_all_unknown():
 
 
 def test_context_band_area_oracle():
-    g = road_graph.build_graph(straight_map(100.0, lane_width=3.5))
+    g = road_graph.build_graph(straight_map(100.0, lane_width=3.5),
+                               **GRAPH_ARGS)
     res = 0.5
     # generic origin: the centerline is not equidistant between cell centers
     spec = GridSpec(40, 200, res, (0.0, -10.25))
@@ -234,7 +237,7 @@ def test_context_one_hot_random_maps(rng):
                 p1 = p0 + [10.0, 0.0]
             cls.append({"id": i, "points": [list(p0), list(p1)],
                         "lanes": int(rng.integers(1, 3)), "oneway": True})
-        g = road_graph.build_graph({"centerlines": cls})
+        g = road_graph.build_graph({"centerlines": cls}, **GRAPH_ARGS)
         spec = GridSpec(48, 48, 1.0, (-24.0, -24.0))
         ctx = render_context(g, spec)
         assert (ctx.planes.sum(axis=0) == 1).all()
@@ -301,14 +304,15 @@ def test_label_one_hot_channels():
 
 
 def _simulated_log():
-    g = road_graph.build_graph(straight_map(300.0))
+    g = road_graph.build_graph(straight_map(300.0), **GRAPH_ARGS)
     doc = tracklets_doc("bev", [(1, 5.0, 0.0, 0.0, 10.0),
                                 (2, 40.0, 0.0, 0.0, 9.0)])
     sid, tracks = scene_ingest.load_tracklets(doc)
-    scene = scene_ingest.instantiate_agents(g, tracks, 0.0, sid)
+    scene = scene_ingest.instantiate_agents(g, tracks, 0.0, sid, SPAWN_GAP)
     asg = {a.agent_id: BehaviorAssignment(
         a.agent_id,
-        road_graph.enumerate_routes(g, a.lane, horizon_dist=400.0)[0],
+        road_graph.enumerate_routes(
+            g, a.lane, **dict(ROUTE_ARGS, horizon_dist=400.0))[0],
         "straight",
         VelocityProfile(np.full(100, 9.0), 9.0, "straight"))
         for a in scene.agents}
@@ -369,7 +373,7 @@ def test_export_sequence_counts(tmp_path):
 
 
 def test_four_way_context_classes():
-    g = road_graph.build_graph(four_way_intersection())
+    g = road_graph.build_graph(four_way_intersection(), **GRAPH_ARGS)
     spec = GridSpec.centered_on((0.0, 0.0), 128, 128, 1.0)
     ctx = render_context(g, spec)
     counts = {c: int((ctx.classes == c).sum())
@@ -411,8 +415,8 @@ def _export_log():
 def test_export_sequence_bytes_pinned(tmp_path):
     log = _export_log()
     spec = GridSpec.centered_on((0.0, 0.0), 24, 40, 0.5)  # H != W
-    ctx = render_context(road_graph.build_graph(four_way_intersection()),
-                         spec)
+    ctx = render_context(
+        road_graph.build_graph(four_way_intersection(), **GRAPH_ARGS), spec)
     paths = export_sequence(log, ctx, t_obs=5, stride=7,
                             out_dir=str(tmp_path))
     assert [p[-10:] for p in paths] == [f"o{o:04d}.bevg"
@@ -522,8 +526,8 @@ def test_sparse_write_matches_dense_reference(case, t_obs):
 
 def _export_table():
     spec = GridSpec.centered_on((0.0, 0.0), 24, 40, 0.5)
-    ctx = render_context(road_graph.build_graph(four_way_intersection()),
-                         spec)
+    ctx = render_context(
+        road_graph.build_graph(four_way_intersection(), **GRAPH_ARGS), spec)
     return bev_render._CellTable(_export_log(), spec), ctx
 
 

@@ -14,9 +14,9 @@ import sys
 import numpy as np
 import pytest
 
-from helpers import (approach_point, four_way_intersection,
-                     synthetic_profile_sources, tracklets_doc,
-                     turning_source_traj)
+from helpers import (GRAPH_ARGS, ROUTE_ARGS, SPAWN_GAP, approach_point,
+                     four_way_intersection, synthetic_profile_sources,
+                     tracklets_doc, turning_source_traj)
 
 import trafficforge
 from trafficforge import (bev_render, geometry, road_graph, scene_ingest,
@@ -418,6 +418,29 @@ def test_metrics_colliding_horizons_exit_1(tmp_path, capsys, horizons,
     assert f"error: --horizons {horizons!r}: {clash}" in \
         capsys.readouterr().err
     assert not (tmp_path / "report.json").exists()
+
+
+@pytest.mark.parametrize("dts, horizons, reached", [
+    ([0.1], "0.1,1e308", ["0.1"]),
+    ([0.1, 1e-320], "0.1,0.2", ["0.1", "0.2"]),
+], ids=["horizon-past-the-floats", "dt-below-the-floats"])
+def test_metrics_horizon_whose_steps_overflow_is_skipped(tmp_path, dts,
+                                                         horizons, reached):
+    # h / dt overflows to inf: that record cannot reach the horizon, so it
+    # is skipped as any horizon past its ground truth is
+    preds = tmp_path / "preds.jsonl"
+    preds.write_text("".join(
+        json.dumps({"agent_id": aid, "dt": dt,
+                    "gt": [[i, i] for i in range(4)],
+                    "samples": [[[i, i] for i in range(4)]] * 2}) + "\n"
+        for aid, dt in enumerate(dts)))
+    out = tmp_path / "report.json"
+    rc = dispatch(["metrics", "--preds", str(preds), "--horizons", horizons,
+                   "--out", str(out)])
+    assert rc == 0
+    per_h = json.loads(out.read_text())["prediction"]
+    assert sorted(per_h) == reached
+    assert all(block["n_agents"] == 1 for block in per_h.values())
 
 
 @pytest.mark.parametrize("rows", [
@@ -830,12 +853,12 @@ def test_straight_threshold_reaches_route_labels(tmp_path):
               for ag in json.loads(p.read_text())["agents"]]
     assert agents and {ag["label"] for ag in agents} == {"straight"}
     # at the default threshold some driven route is a turn
-    graph = road_graph.build_graph(four_way_intersection())
+    graph = road_graph.build_graph(four_way_intersection(), **GRAPH_ARGS)
     doc = json.loads((tmp_path / "tracklets" / "scene00.json").read_text())
     scene = scene_ingest.instantiate_agents(
-        graph, scene_ingest.load_tracklets(doc)[1], 0.0)
+        graph, scene_ingest.load_tracklets(doc)[1], 0.0, "scene", SPAWN_GAP)
     turns = {tuple(r.edge_ids) for a in scene.agents
-             for r in road_graph.enumerate_routes(graph, a.lane)
+             for r in road_graph.enumerate_routes(graph, a.lane, **ROUTE_ARGS)
              if r.maneuver != "straight"}
     assert turns & {tuple(ag["route_edges"]) for ag in agents}
 
@@ -1338,13 +1361,16 @@ def test_runtime_imports_neither_scipy_nor_numpy_ma():
     # folded by reduceat), the likelihood, the diversity report and the
     # realism check; run in a fresh interpreter
     src = os.path.dirname(os.path.dirname(trafficforge.__file__))
-    env = dict(os.environ, PYTHONPATH=src)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, os.path.dirname(__file__)]))
     proc = subprocess.run(
         [sys.executable, "-c",
          "import sys, numpy as np, trafficforge.cli\n"
+         "from helpers import GRAPH_ARGS\n"
          "from trafficforge import metrics, road_graph\n"
          "g = road_graph.build_graph({'centerlines': [\n"
-         "    {'id': 0, 'points': [[0, 0], [50, 0]], 'oneway': False}]})\n"
+         "    {'id': 0, 'points': [[0, 0], [50, 0]], 'oneway': False}]},\n"
+         "    **GRAPH_ARGS)\n"
          "road_graph.project_to_lane(g, (10.0, 1.0), 0.0)\n"
          "road_graph.within_lanes(g, np.array([[5.0, 1.0], [5.0, 30.0]]), 0.5)\n"
          "trajs = [metrics.Trajectory2D(0.1, np.column_stack(\n"

@@ -6,6 +6,7 @@ key set, every default, every message and every field a key feeds stayed
 the same.
 """
 
+import ast
 import hashlib
 import os
 import re
@@ -188,3 +189,56 @@ def test_every_key_without_a_field_is_read():
               and not re.search(r"(?<!default\()[\"']" + re.escape(dotted)
                                 + r"[\"']", code)]
     assert unread == []
+
+
+def _reads_a_default(node):
+    """True when the expression ``node`` calls ``default(...)`` or names
+    ``ControllerParams``: it copies a config default."""
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Call):
+            func = sub.func
+            name = func.id if isinstance(func, ast.Name) else \
+                func.attr if isinstance(func, ast.Attribute) else None
+            if name == "default":
+                return True
+        if isinstance(sub, ast.Name) and sub.id == "ControllerParams" \
+                or isinstance(sub, ast.Attribute) \
+                and sub.attr == "ControllerParams":
+            return True
+    return False
+
+
+def test_settings_have_one_source():
+    # the CLI is the one reader of the config: every other module takes
+    # each setting from its caller, so no parameter default, field
+    # default or module constant can copy a key's default and outlive a
+    # caller that forgets to pass it
+    src = os.path.dirname(config.__file__)
+    faults = []
+    for name in sorted(os.listdir(src)):
+        if not name.endswith(".py") or name == "config.py":
+            continue
+        with open(os.path.join(src, name)) as fh:
+            tree = ast.parse(fh.read(), name)
+        for node in ast.walk(tree):
+            imported = (
+                [node.module] if isinstance(node, ast.ImportFrom) else
+                [a.name for a in node.names] if isinstance(node, ast.Import)
+                else [])
+            if isinstance(node, ast.ImportFrom) \
+                    and node.module == "trafficforge":
+                imported += [f"trafficforge.{a.name}" for a in node.names]
+            if "trafficforge.config" in imported and name != "cli.py":
+                faults.append(f"{name}:{node.lineno} imports the config")
+            defaults = []
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.Lambda)):
+                defaults = node.args.defaults + [
+                    d for d in node.args.kw_defaults if d is not None]
+            elif isinstance(node, (ast.Module, ast.ClassDef)):
+                defaults = [stmt.value for stmt in node.body
+                            if isinstance(stmt, (ast.Assign, ast.AnnAssign))
+                            and stmt.value is not None]
+            faults += [f"{name}:{d.lineno} copies a config default"
+                       for d in defaults if _reads_a_default(d)]
+    assert faults == []

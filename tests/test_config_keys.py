@@ -98,7 +98,7 @@ _ROWS = {
 
 # keys whose other value is refused (exit 1): --seed 7 gives another seed
 _REFUSED = {"sim.master_seed"}
-# accepted and stored, but no simulation reads it yet: ROADMAP item R1
+# accepted and stored, but no simulation reads it yet: ROADMAP item R0
 # deletes it, and this exemption with it
 _NO_EFFECT = "sim.max_lane_deviation"
 

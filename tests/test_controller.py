@@ -5,11 +5,14 @@ import math
 import numpy as np
 import pytest
 
-from trafficforge.controller import (ControllerParams, VehicleGeometry,
-                                     VehicleState, heading_rate,
-                                     lateral_velocity, longitudinal_command,
-                                     required_heading, steer_to_lane,
-                                     steering_from_rate, step_kinematics)
+from trafficforge.config import ControllerParams
+from trafficforge.controller import (VehicleGeometry, VehicleState,
+                                     heading_rate, lateral_velocity,
+                                     longitudinal_command, required_heading,
+                                     steer_to_lane, steering_from_rate,
+                                     step_kinematics)
+
+_P = ControllerParams()   # the controller.* keys at their defaults
 
 
 def test_lateral_velocity():
@@ -21,17 +24,19 @@ def test_lateral_velocity():
 
 
 def test_required_heading():
-    assert required_heading(10.0, 0.0) == 0.0
-    assert required_heading(10.0, 1.0) == pytest.approx(math.asin(0.1))
+    v_eps, psi_max = _P.v_eps, _P.psi_req_max
+    assert required_heading(10.0, 0.0, v_eps, psi_max) == 0.0
+    assert required_heading(10.0, 1.0, v_eps, psi_max) \
+        == pytest.approx(math.asin(0.1))
     # saturates at the configured bound when the ratio explodes
     cap = math.radians(45.0)
-    assert required_heading(10.0, 20.0, psi_req_max=cap) == pytest.approx(cap)
-    assert required_heading(10.0, -20.0, psi_req_max=cap) == pytest.approx(-cap)
+    assert required_heading(10.0, 20.0, v_eps, cap) == pytest.approx(cap)
+    assert required_heading(10.0, -20.0, v_eps, cap) == pytest.approx(-cap)
 
 
 def test_required_heading_low_speed_floor():
     # at v = 0 the floor keeps the quotient finite
-    got = required_heading(0.0, 0.25, v_eps=0.5)
+    got = required_heading(0.0, 0.25, 0.5, _P.psi_req_max)
     assert got == pytest.approx(math.asin(0.5))
 
 
@@ -44,30 +49,38 @@ def test_heading_rate():
 
 
 def test_steering_from_rate():
-    assert steering_from_rate(4.0, 10.0, 0.0) == 0.0
-    assert steering_from_rate(4.0, 10.0, 0.25) == pytest.approx(math.atan(0.1))
+    v_eps, phi_max = _P.v_eps, _P.phi_max
+    assert steering_from_rate(4.0, 10.0, 0.0, v_eps, phi_max) == 0.0
+    assert steering_from_rate(4.0, 10.0, 0.25, v_eps, phi_max) \
+        == pytest.approx(math.atan(0.1))
     # low-speed floor: 0.5 is used in the quotient
-    assert steering_from_rate(4.0, 0.0, 0.05, v_eps=0.5) \
+    assert steering_from_rate(4.0, 0.0, 0.05, 0.5, phi_max) \
         == pytest.approx(math.atan(4.0 * 0.05 / 0.5))
     cap = math.radians(35.0)
-    assert steering_from_rate(4.0, 0.5, 50.0, phi_max=cap) == pytest.approx(cap)
+    assert steering_from_rate(4.0, 0.5, 50.0, v_eps, cap) \
+        == pytest.approx(cap)
 
 
 def test_longitudinal_command():
-    assert longitudinal_command(10.0, 10.0, 1.0, 5.0) == 0.0
+    floor = _P.a_max_decel
+    assert longitudinal_command(10.0, 10.0, 1.0, 5.0, floor) == 0.0
     # IDM caps the tracking command
-    assert longitudinal_command(10.0, 15.0, 1.0, 1.5) == pytest.approx(1.5)
+    assert longitudinal_command(10.0, 15.0, 1.0, 1.5, floor) \
+        == pytest.approx(1.5)
     # a braking IDM value dominates even when the reference wants speed
-    assert longitudinal_command(10.0, 15.0, 1.0, -3.0) == pytest.approx(-3.0)
+    assert longitudinal_command(10.0, 15.0, 1.0, -3.0, floor) \
+        == pytest.approx(-3.0)
     # hard floor
-    assert longitudinal_command(10.0, 0.0, 5.0, 5.0) == pytest.approx(-8.0)
+    assert longitudinal_command(10.0, 0.0, 5.0, 5.0, floor) \
+        == pytest.approx(-floor)
 
 
 def test_longitudinal_never_exceeds_idm(rng):
     for _ in range(500):
         v, v_ref = rng.uniform(0, 20, size=2)
         a_idm = float(rng.uniform(-8, 2))
-        cmd = longitudinal_command(float(v), float(v_ref), 1.0, a_idm)
+        cmd = longitudinal_command(float(v), float(v_ref), 1.0, a_idm,
+                                   _P.a_max_decel)
         assert cmd <= a_idm + 1e-15
 
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import ring_map, straight_map
+from helpers import GRAPH_ARGS, ROUTE_ARGS, SIM, ring_map, straight_map
 
 from trafficforge import road_graph
 from trafficforge.config import MobilParams
@@ -16,6 +16,10 @@ from trafficforge.dynamics import (IdmParams, LeaderInfo, Snapshot,
                                    leader_after, mobil_decide, mobil_safe,
                                    nearest_behind, rank_leaders,
                                    sample_idm_params)
+
+_DECEL = SIM.controller.a_max_decel
+_RANGE = SIM.sensing_range
+_IDM = SIM.idm_ranges
 
 
 def _gap_oracle(s0, T, a, b, v, dv):
@@ -49,14 +53,14 @@ def test_desired_gap_floor():
 
 def test_accel_free_flow_equilibrium():
     p = IdmParams(v0=15.0)
-    assert idm_accel(p, None, 15.0) == 0.0
-    assert idm_accel(p, None, 0.0) == pytest.approx(p.a)
+    assert idm_accel(p, None, 15.0, _DECEL) == 0.0
+    assert idm_accel(p, None, 0.0, _DECEL) == pytest.approx(p.a)
 
 
 def test_accel_matches_independent_oracle():
     p = IdmParams(v0=15.0, T=1.5, s0=2.0, a=1.5, b=2.0)
     leader = LeaderInfo(2, gap_s=20.0, dv=2.0)
-    got = idm_accel(p, leader, 10.0)
+    got = idm_accel(p, leader, 10.0, _DECEL)
     want = _accel_oracle(1.5, 2.0, 15.0, 4.0, 1.5, 2.0, 10.0, 20.0, 2.0)
     assert got == pytest.approx(want, abs=1e-12)
     assert got == pytest.approx(-0.741, abs=1e-3)
@@ -66,7 +70,7 @@ def test_accel_emergency_clamp():
     p = IdmParams(v0=15.0)
     for gap in (0.5, 0.0, -1.0):
         leader = LeaderInfo(2, gap_s=gap, dv=10.0)
-        assert idm_accel(p, leader, 20.0) == -8.0
+        assert idm_accel(p, leader, 20.0, _DECEL) == -_DECEL
 
 
 @settings(max_examples=200)
@@ -75,8 +79,8 @@ def test_accel_emergency_clamp():
 def test_accel_monotone_in_speed(v1, v2, gap, dv):
     p = IdmParams(v0=14.0, T=1.2, s0=2.0, a=1.5, b=2.0)
     lo, hi = sorted((v1, v2))
-    a_lo = idm_accel(p, LeaderInfo(0, gap, dv), lo)
-    a_hi = idm_accel(p, LeaderInfo(0, gap, dv), hi)
+    a_lo = idm_accel(p, LeaderInfo(0, gap, dv), lo, _DECEL)
+    a_hi = idm_accel(p, LeaderInfo(0, gap, dv), hi, _DECEL)
     assert a_hi <= a_lo + 1e-12
 
 
@@ -86,24 +90,25 @@ def test_accel_monotone_in_speed(v1, v2, gap, dv):
 def test_accel_monotone_in_gap(g1, g2, v, dv):
     p = IdmParams(v0=14.0, T=1.2, s0=2.0, a=1.5, b=2.0)
     lo, hi = sorted((g1, g2))
-    a_lo = idm_accel(p, LeaderInfo(0, lo, dv), v)
-    a_hi = idm_accel(p, LeaderInfo(0, hi, dv), v)
+    a_lo = idm_accel(p, LeaderInfo(0, lo, dv), v, _DECEL)
+    a_hi = idm_accel(p, LeaderInfo(0, hi, dv), v, _DECEL)
     assert a_hi >= a_lo - 1e-12
 
 
 def test_sample_params_within_ranges():
     for seed in range(200):
-        p = sample_idm_params(seed, v0=12.0)
+        p = sample_idm_params(seed, v0=12.0, **_IDM)
         assert 0.5 <= p.T <= 2.5
         assert 0.5 <= p.s0 <= 4.0
         assert 1.0 <= p.a <= 2.0
         assert 1.5 <= p.b <= 2.5
-    assert sample_idm_params(7, 12.0) == sample_idm_params(7, 12.0)
+    assert sample_idm_params(7, 12.0, **_IDM) \
+        == sample_idm_params(7, 12.0, **_IDM)
 
 
 def test_sample_params_means():
     n = 10_000
-    draws = [sample_idm_params(seed, 12.0) for seed in range(n)]
+    draws = [sample_idm_params(seed, 12.0, **_IDM) for seed in range(n)]
     for attr, (lo, hi) in (("T", (0.5, 2.5)), ("s0", (0.5, 4.0)),
                            ("a", (1.0, 2.0)), ("b", (1.5, 2.5))):
         values = np.array([getattr(p, attr) for p in draws])
@@ -113,21 +118,22 @@ def test_sample_params_means():
 
 
 def _two_agent_route(length=300.0):
-    g = road_graph.build_graph(straight_map(length))
+    g = road_graph.build_graph(straight_map(length), **GRAPH_ARGS)
     start = road_graph.project_to_lane(g, (0.0, 0.0))
-    return road_graph.enumerate_routes(g, start, horizon_dist=length + 10)[0]
+    return road_graph.enumerate_routes(
+        g, start, **dict(ROUTE_ARGS, horizon_dist=length + 10))[0]
 
 
 def test_find_leader_empty_road():
     route = _two_agent_route()
     coords = {1: (0, 10.0, 10.0, 4.0)}
-    assert find_leader(Snapshot(coords), 1, route) is None
+    assert find_leader(Snapshot(coords), 1, route, _RANGE) is None
 
 
 def test_find_leader_gap_minus_half_lengths():
     route = _two_agent_route()
     coords = {1: (0, 10.0, 10.0, 4.0), 2: (0, 40.0, 5.0, 4.0)}
-    info = find_leader(Snapshot(coords), 1, route)
+    info = find_leader(Snapshot(coords), 1, route, _RANGE)
     assert info.leader_id == 2
     assert info.gap_s == pytest.approx(26.0)
     assert info.dv == pytest.approx(5.0)
@@ -138,7 +144,7 @@ def test_find_leader_nearest_wins():
     coords = {1: (0, 0.0, 10.0, 4.0),
               2: (0, 50.0, 5.0, 4.0),
               3: (0, 20.0, 5.0, 4.0)}
-    assert find_leader(Snapshot(coords), 1, route).leader_id == 3
+    assert find_leader(Snapshot(coords), 1, route, _RANGE).leader_id == 3
 
 
 def test_find_leader_sensing_range():
@@ -202,24 +208,25 @@ def test_equal_arc_ties_go_to_lower_id():
     coords = {1: (0, 0.0, 10.0, 4.0), 7: (0, 30.0, 5.0, 4.0),
               3: (0, 30.0, 6.0, 4.0), 5: (0, 10.0, 0.0, 4.0)}
     snap = Snapshot(coords)
-    assert find_leader(snap, 1, route, moved=(5, None)).leader_id == 3
+    assert find_leader(snap, 1, route, _RANGE,
+                       moved=(5, None)).leader_id == 3
     # a moved agent tied with the bucketed ones wins only by its id
     tied = (0, 30.0, 0.0, 4.0)
-    assert find_leader(snap, 5, route, moved=(1, tied)).leader_id == 1
-    assert find_leader(snap, 1, route, moved=(5, tied)).leader_id == 3
+    assert find_leader(snap, 5, route, _RANGE, moved=(1, tied)).leader_id == 1
+    assert find_leader(snap, 1, route, _RANGE, moved=(5, tied)).leader_id == 3
     assert nearest_behind(snap, 0, 40.0, 1) == 3
     without_3 = {a: c for a, c in coords.items() if a != 3}
     assert nearest_behind(Snapshot(without_3), 0, 40.0, 1) == 7
 
 
 # edges 0..3 form the loop; 9 is on no route
-_RING = road_graph.build_graph(ring_map(50.0))
+_RING = road_graph.build_graph(ring_map(50.0), **GRAPH_ARGS)
 
 
 def _ring_route(edge_id, arc, horizon):
     return road_graph.enumerate_routes(
         _RING, road_graph.LaneCoordinate(edge_id, arc, 0.0, 0.0),
-        horizon_dist=horizon)[0]
+        **dict(ROUTE_ARGS, horizon_dist=horizon))[0]
 
 
 _ROUTES = {
@@ -345,7 +352,7 @@ def test_ranked_search_keeps_the_runner_up():
               2: (0, 30.0, 6.0, 4.0), 3: (0, 60.0, 7.0, 4.0)}, [2, 4]),
             ({1: (0, 0.0, 10.0, 4.0), 2: (0, 10.0, 5.0, 4.0),
               5: (0, 30.0, 6.0, 4.0), 3: (0, 30.0, 7.0, 4.0)}, [2, 3])):
-        search = rank_leaders(Snapshot(coords), 1, route)
+        search = rank_leaders(Snapshot(coords), 1, route, _RANGE)
         assert [r[1] for r in (search.first, search.second)] == ranked
         assert search.subj_s == 0.0
         best, runner_up = ranked
@@ -405,12 +412,13 @@ def test_idm_closed_loop_settles():
     """Follower behind a constant-speed leader converges to the desired gap."""
     dt = 0.1
     for seed in range(10):
-        p = sample_idm_params(seed, v0=40.0)
+        p = sample_idm_params(seed, v0=40.0, **_IDM)
         v_leader = 10.0
         x_l, x_f, v_f = 60.0, 0.0, 10.0
         for _ in range(600):
             gap = x_l - x_f
-            acc = idm_accel(p, LeaderInfo(0, gap, v_f - v_leader), v_f)
+            acc = idm_accel(p, LeaderInfo(0, gap, v_f - v_leader), v_f,
+                            _DECEL)
             x_l += v_leader * dt
             x_f += v_f * dt
             v_f = max(v_f + acc * dt, 0.0)

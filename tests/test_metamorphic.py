@@ -7,7 +7,8 @@ import os
 
 import numpy as np
 import pytest
-from helpers import (approach_point, build_test_pool, four_way_intersection,
+from helpers import (GRAPH_ARGS, POOL_ARGS, ROUTE_ARGS, SPAWN_GAP,
+                     approach_point, build_test_pool, four_way_intersection,
                      straight_map, synthetic_profile_sources, tracklets_doc)
 
 from trafficforge import behavior, road_graph, scene_ingest
@@ -65,14 +66,15 @@ def _logs(kind, deg=None):
             for cl in lane_map["centerlines"]]}
         agents = [(aid, *point(x, y), wrap_angle(psi + a), v)
                   for aid, x, y, psi, v in agents]
-    graph = road_graph.build_graph(lane_map)
+    graph = road_graph.build_graph(lane_map, **GRAPH_ARGS)
     sid, tracks = scene_ingest.load_tracklets(tracklets_doc(kind, agents))
-    scene = scene_ingest.instantiate_agents(graph, tracks, 0.0, sid)
+    scene = scene_ingest.instantiate_agents(graph, tracks, 0.0, sid, SPAWN_GAP)
     cfg = SimConfig(master_seed=5)
     if kind == "junction":
         variants = behavior.sample_behaviors(
             scene, behavior.build_profile_pool(
-                synthetic_profile_sources(np.random.default_rng(0)), 0.1),
+                synthetic_profile_sources(np.random.default_rng(0)), 0.1,
+                **POOL_ARGS),
             5, SimConfig(max_variants=3))
     else:
         speeds = {aid: 6.0 if aid == 3 else v + 2.0
@@ -83,7 +85,8 @@ def _logs(kind, deg=None):
                 VelocityProfile(np.full(120, speeds[ag.agent_id]),
                                 speeds[ag.agent_id], "straight"))
             for ag in scene.agents
-            for route in road_graph.enumerate_routes(graph, ag.lane)[:1]}]
+            for route in road_graph.enumerate_routes(graph, ag.lane,
+                                                     **ROUTE_ARGS)[:1]}]
     return [simulate_scene(scene, asg, cfg, vi)
             for vi, asg in enumerate(variants)]
 

@@ -12,7 +12,7 @@ from scipy.stats import wasserstein_distance
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import four_way_intersection, ring_map, straight_map
+from helpers import GRAPH_ARGS, four_way_intersection, ring_map, straight_map
 
 from trafficforge import geometry, metrics, road_graph
 from trafficforge.config import default
@@ -223,7 +223,7 @@ def test_nll_needs_two_samples():
 
 
 def test_validity_ratio_graph_mode():
-    g = road_graph.build_graph(straight_map(100.0))
+    g = road_graph.build_graph(straight_map(100.0), **GRAPH_ARGS)
     on = _traj(np.column_stack([np.linspace(5, 60, 12), np.full(12, 0.5)]))
     off = _traj(np.column_stack([np.linspace(5, 60, 12), np.full(12, 15.0)]))
     assert validity_ratio([on, on, on], g) == 1.0
@@ -291,7 +291,8 @@ _MAPS = {
 @functools.lru_cache(maxsize=64)
 def _graph(name, snap=default("road.max_snap_distance")):
     """The graph of ``_MAPS[name]`` with the snap limit ``snap``."""
-    return road_graph.build_graph(_MAPS[name], max_snap_distance=snap)
+    return road_graph.build_graph(
+        _MAPS[name], **dict(GRAPH_ARGS, max_snap_distance=snap))
 
 
 _GRAPHS = {name: _graph(name) for name in _MAPS}
@@ -484,7 +485,7 @@ def test_project_to_lane_matches_brute_force_reference(case):
 
 def test_trajectory_rejects_non_finite_points():
     # every point is off the road, so no early exit hides the bad one
-    g = road_graph.build_graph(straight_map(100.0))
+    g = road_graph.build_graph(straight_map(100.0), **GRAPH_ARGS)
     for bad in (np.nan, np.inf, -np.inf):
         for i in (0, 5, 11):
             pts = np.column_stack([np.linspace(5, 60, 12), np.full(12, 15.0)])

@@ -11,8 +11,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import (approach_point, four_way_intersection, ring_map,
-                     straight_map)
+from helpers import (GRAPH_ARGS, ROUTE_ARGS, approach_point,
+                     four_way_intersection, ring_map, straight_map)
 
 from trafficforge import behavior, geometry, metrics, road_graph
 from trafficforge.config import SimConfig, default
@@ -23,14 +23,15 @@ from trafficforge.road_graph import (build_graph, classify_maneuver,
 
 
 def test_single_oneway_lane():
-    g = build_graph(straight_map(100.0))
+    g = build_graph(straight_map(100.0), **GRAPH_ARGS)
     assert len(g.nodes) == 2
     assert len(g.edges) == 1
     assert g.edges[0].length == pytest.approx(100.0)
 
 
 def test_bidirectional_two_lane_offsets():
-    g = build_graph(straight_map(100.0, lanes=2, oneway=False, lane_width=3.5))
+    g = build_graph(straight_map(100.0, lanes=2, oneway=False, lane_width=3.5),
+                    **GRAPH_ARGS)
     assert len(g.edges) == 2
     fwd, bwd = g.edges[0], g.edges[1]
     # forward keeps the drawn direction on the right-hand side
@@ -63,7 +64,7 @@ def test_t_junction_merging():
         {"id": 1, "points": [[50, 0], [100, 0]], "lanes": 1, "oneway": True},
         {"id": 2, "points": [[50, 0], [50, 60]], "lanes": 1, "oneway": True},
     ]}
-    g = build_graph(spec)
+    g = build_graph(spec, **GRAPH_ARGS)
     endpoints = []
     for cl in spec["centerlines"]:
         endpoints.append(cl["points"][0])
@@ -80,17 +81,12 @@ def test_degenerate_centerline_rejected():
     spec = {"centerlines": [{"id": 7, "points": [[0, 0], [0, 0], [10, 0]],
                              "lanes": 1, "oneway": True}]}
     with pytest.raises(MapFormatError) as exc:
-        build_graph(spec)
+        build_graph(spec, **GRAPH_ARGS)
     assert exc.value.centerline_id == 7
 
 
-def _three_pass_build_graph(lane_spec,
-                            join_tolerance=default("road.join_tolerance"),
-                            default_lane_width=default(
-                                "road.default_lane_width"),
-                            straight_threshold=road_graph.STRAIGHT_THRESHOLD,
-                            max_snap_distance=default(
-                                "road.max_snap_distance")):
+def _three_pass_build_graph(lane_spec, join_tolerance, default_lane_width,
+                            straight_threshold, max_snap_distance):
     """The former build: lane prototypes, then edges, then neighbours
     regrouped by ``(id, direction)``, then a sorted adjacency."""
     centerlines = lane_spec.get("centerlines", [])
@@ -221,8 +217,8 @@ def _graph_facts(g):
 @example(four_way_intersection())
 @example(ring_map())
 def test_one_pass_build_matches_three_pass_oracle(spec):
-    assert _graph_facts(build_graph(spec)) \
-        == _graph_facts(_three_pass_build_graph(spec))
+    assert _graph_facts(build_graph(spec, **GRAPH_ARGS)) \
+        == _graph_facts(_three_pass_build_graph(spec, **GRAPH_ARGS))
 
 
 @st.composite
@@ -269,7 +265,7 @@ _AT_TOLERANCE = {"centerlines": [
 
 
 def test_endpoint_joins_at_the_tolerance_and_on_ties():
-    g = build_graph(_AT_TOLERANCE, join_tolerance=0.5)
+    g = build_graph(_AT_TOLERANCE, **dict(GRAPH_ARGS, join_tolerance=0.5))
     assert [(e.from_node, e.to_node) for e in g.edges.values()] \
         == [(0, 1), (0, 2), (3, 4), (0, 5)]
 
@@ -284,8 +280,9 @@ def test_endpoint_joins_at_the_tolerance_and_on_ties():
 def test_endpoint_joins_match_the_full_scan(case):
     # the three-pass oracle joins an end by measuring every node
     spec, tol = case
-    assert _graph_facts(build_graph(spec, join_tolerance=tol)) \
-        == _graph_facts(_three_pass_build_graph(spec, join_tolerance=tol))
+    args = dict(GRAPH_ARGS, join_tolerance=tol)
+    assert _graph_facts(build_graph(spec, **args)) \
+        == _graph_facts(_three_pass_build_graph(spec, **args))
 
 
 def test_edge_length_matches_arc_length(intersection_graph):
@@ -296,14 +293,14 @@ def test_edge_length_matches_arc_length(intersection_graph):
 
 
 def test_project_on_centerline():
-    g = build_graph(straight_map(100.0))
+    g = build_graph(straight_map(100.0), **GRAPH_ARGS)
     c = project_to_lane(g, (30.0, 0.0))
     assert c.lateral_offset == pytest.approx(0.0, abs=1e-12)
     assert c.arc_s == pytest.approx(30.0)
 
 
 def test_project_left_offset_sign():
-    g = build_graph(straight_map(100.0))
+    g = build_graph(straight_map(100.0), **GRAPH_ARGS)
     c = project_to_lane(g, (30.0, 2.0))
     assert c.lateral_offset == pytest.approx(2.0)
     c = project_to_lane(g, (30.0, -1.5))
@@ -311,7 +308,7 @@ def test_project_left_offset_sign():
 
 
 def test_project_heading_tiebreak():
-    g = build_graph(straight_map(100.0, lanes=2, oneway=False))
+    g = build_graph(straight_map(100.0, lanes=2, oneway=False), **GRAPH_ARGS)
     east = project_to_lane(g, (50.0, 0.0), heading_hint=0.0)
     west = project_to_lane(g, (50.0, 0.0), heading_hint=math.pi)
     assert abs(east.lane_heading) < 1e-9
@@ -321,7 +318,7 @@ def test_project_heading_tiebreak():
 
 
 def test_project_off_map():
-    g = build_graph(straight_map(100.0))
+    g = build_graph(straight_map(100.0), **GRAPH_ARGS)
     with pytest.raises(OffMapError) as exc:
         project_to_lane(g, (50.0, 30.0))
     # the perpendicular distance to the lane, not to a sample point on it
@@ -373,9 +370,9 @@ def test_enumerate_single_chain():
         {"id": 0, "points": [[0, 0], [40, 0]], "lanes": 1, "oneway": True},
         {"id": 1, "points": [[40, 0], [70, 0]], "lanes": 1, "oneway": True},
     ]}
-    g = build_graph(spec)
+    g = build_graph(spec, **GRAPH_ARGS)
     start = project_to_lane(g, (5.0, 0.0))
-    routes = enumerate_routes(g, start, horizon_dist=500.0)
+    routes = enumerate_routes(g, start, **dict(ROUTE_ARGS, horizon_dist=500.0))
     assert len(routes) == 1
     assert routes[0].edge_ids == [0, 1]
 
@@ -383,7 +380,7 @@ def test_enumerate_single_chain():
 def test_enumerate_three_branches(intersection_graph):
     start = project_to_lane(intersection_graph, (-50.0, -1.75),
                             heading_hint=0.0)
-    routes = enumerate_routes(intersection_graph, start)
+    routes = enumerate_routes(intersection_graph, start, **ROUTE_ARGS)
     assert len(routes) == 3
     assert sorted(r.maneuver for r in routes) == ["left", "right", "straight"]
 
@@ -411,15 +408,15 @@ def test_enumerate_two_level_branching():
         {"id": 5, "points": [[40, -10], [60, 0]], "lanes": 1, "oneway": True},
         {"id": 6, "points": [[40, -10], [60, -20]], "lanes": 1, "oneway": True},
     ]}
-    g = build_graph(spec)
+    g = build_graph(spec, **GRAPH_ARGS)
     start = project_to_lane(g, (1.0, 0.0))
-    routes = enumerate_routes(g, start, horizon_dist=500.0)
+    routes = enumerate_routes(g, start, **dict(ROUTE_ARGS, horizon_dist=500.0))
     assert len(routes) == 4
     assert [list(r.edge_ids) for r in routes] == _dfs_oracle(g, 0, 1.0, 500.0)
 
 
 def test_enumerate_max_routes_cap():
-    g = build_graph(four_way_intersection())
+    g = build_graph(four_way_intersection(), **GRAPH_ARGS)
     start = project_to_lane(g, (-50.0, -1.75), heading_hint=0.0)
     routes = enumerate_routes(g, start, horizon_dist=1000.0, max_routes=2)
     assert len(routes) == 2
@@ -427,9 +424,10 @@ def test_enumerate_max_routes_cap():
 
 def test_route_s_of_revisited_edge():
     # the loop route starts 20 m into edge 0 and comes back onto all of it
-    g = build_graph(ring_map(50.0))
+    g = build_graph(ring_map(50.0), **GRAPH_ARGS)
     start = road_graph.LaneCoordinate(0, 20.0, 0.0, 0.0)
-    route = enumerate_routes(g, start, horizon_dist=230.0)[0]
+    route = enumerate_routes(g, start,
+                             **dict(ROUTE_ARGS, horizon_dist=230.0))[0]
     assert route.edge_ids == [0, 1, 2, 3, 0]
     assert route.route_s_of(0, 30.0) == 10.0     # first visit
     assert route.route_s_of(0, 10.0) == 190.0    # behind the start: second
@@ -445,20 +443,25 @@ def test_route_maneuver_matches_classify(intersection_graph):
     for deg in (0, 90, 180, 270):
         x, y, _ = approach_point(deg, 30.0)
         start = project_to_lane(intersection_graph, (x, y))
-        for route in enumerate_routes(intersection_graph, start):
-            assert route.maneuver == classify_maneuver(route.polyline)
+        for route in enumerate_routes(intersection_graph, start, **ROUTE_ARGS):
+            assert route.maneuver == classify_maneuver(
+                route.polyline, intersection_graph.straight_threshold)
             assert route.cumulative_heading_change == \
                 geometry.polyline_tables(route.polyline)[2]
 
 
+_STRAIGHT = GRAPH_ARGS["straight_threshold"]
+
+
 def test_classify_collinear():
-    assert classify_maneuver([[0, 0], [10, 0], [20, 0]]) == "straight"
+    assert classify_maneuver([[0, 0], [10, 0], [20, 0]], _STRAIGHT) \
+        == "straight"
 
 
 def test_classify_quarter_circle_left():
     ang = np.linspace(-math.pi / 2, 0.0, 30)
     pts = np.column_stack([20 * np.cos(ang), 20 + 20 * np.sin(ang)])
-    assert classify_maneuver(pts) == "left"
+    assert classify_maneuver(pts, _STRAIGHT) == "left"
 
 
 def test_classify_minus_40_degrees():
@@ -466,30 +469,31 @@ def test_classify_minus_40_degrees():
     pts = [[0, 0], [10, 0],
            [10 + 10 * math.cos(math.radians(-40)),
             10 * math.sin(math.radians(-40))]]
-    assert classify_maneuver(pts) == "right"
+    assert classify_maneuver(pts, _STRAIGHT) == "right"
     # and +20 degrees stays straight under the 30 degree default
     pts = [[0, 0], [10, 0],
            [10 + 10 * math.cos(math.radians(20)),
             10 * math.sin(math.radians(20))]]
-    assert classify_maneuver(pts) == "straight"
+    assert classify_maneuver(pts, _STRAIGHT) == "straight"
 
 
 def test_classify_rigid_motion_invariance(rng):
     base = np.column_stack([np.linspace(0, 40, 25),
                             np.sin(np.linspace(0, 2.5, 25)) * 8])
-    label = classify_maneuver(base)
+    label = classify_maneuver(base, _STRAIGHT)
     for _ in range(20):
         a = float(rng.uniform(-math.pi, math.pi))
         R = np.array([[math.cos(a), -math.sin(a)],
                       [math.sin(a), math.cos(a)]])
         moved = base @ R.T + rng.uniform(-100, 100, size=2)
-        assert classify_maneuver(moved) == label
+        assert classify_maneuver(moved, _STRAIGHT) == label
 
 
 def test_sample_centerline():
-    g = build_graph(straight_map(100.0))
+    g = build_graph(straight_map(100.0), **GRAPH_ARGS)
     start = project_to_lane(g, (0.0, 0.0))
-    route = enumerate_routes(g, start, horizon_dist=500.0)[0]
+    route = enumerate_routes(g, start,
+                             **dict(ROUTE_ARGS, horizon_dist=500.0))[0]
     path = route.polyline, route.cum
     p, h = geometry.point_at(*path, 0.0)
     np.testing.assert_allclose(p, [0.0, 0.0], atol=1e-12)
@@ -505,9 +509,10 @@ def test_sample_centerline():
 def test_sample_centerline_vertex_tie_rule():
     spec = {"centerlines": [{"id": 0, "points": [[0, 0], [10, 0], [10, 10]],
                              "lanes": 1, "oneway": True}]}
-    g = build_graph(spec)
+    g = build_graph(spec, **GRAPH_ARGS)
     start = project_to_lane(g, (0.0, 0.0))
-    route = enumerate_routes(g, start, horizon_dist=500.0)[0]
+    route = enumerate_routes(g, start,
+                             **dict(ROUTE_ARGS, horizon_dist=500.0))[0]
     # an interior vertex
     p, h = geometry.point_at(route.polyline, route.cum, 10.0)
     np.testing.assert_allclose(p, [10.0, 0.0], atol=1e-12)
@@ -517,20 +522,21 @@ def test_sample_centerline_vertex_tie_rule():
 def test_u_turn_flag(intersection_graph):
     start = project_to_lane(intersection_graph, (-50.0, -1.75),
                             heading_hint=0.0)
-    routes = enumerate_routes(intersection_graph, start)
+    routes = enumerate_routes(intersection_graph, start, **ROUTE_ARGS)
     assert all(abs(r.cumulative_heading_change) <= math.radians(150)
                for r in routes)
 
 
 def test_route_heading_at_matches_point_at(rng):
-    g = build_graph(four_way_intersection())
+    g = build_graph(four_way_intersection(), **GRAPH_ARGS)
     routes = []
     for deg in (0, 90):
         x, y, psi = approach_point(deg, 12.5)
-        routes += enumerate_routes(g, project_to_lane(g, (x, y), psi))
-    ring = build_graph(ring_map())
+        routes += enumerate_routes(g, project_to_lane(g, (x, y), psi),
+                                   **ROUTE_ARGS)
+    ring = build_graph(ring_map(), **GRAPH_ARGS)
     routes += enumerate_routes(ring, project_to_lane(ring, (20.0, 0.5)),
-                               horizon_dist=120.0)
+                               **dict(ROUTE_ARGS, horizon_dist=120.0))
     assert {r.maneuver for r in routes} == {"left", "right", "straight"}
     for line in [*routes, *g.edges.values()]:
         path, heading_at = (line.polyline, line.cum), line.table.heading_at
@@ -543,9 +549,9 @@ def test_route_heading_at_matches_point_at(rng):
 
 
 def test_route_geometry_is_built_on_first_use():
-    g = build_graph(four_way_intersection())
+    g = build_graph(four_way_intersection(), **GRAPH_ARGS)
     x, y, psi = approach_point(0, 12.5)
-    routes = enumerate_routes(g, project_to_lane(g, (x, y), psi))
+    routes = enumerate_routes(g, project_to_lane(g, (x, y), psi), **ROUTE_ARGS)
     assert all("_tables" not in vars(r) for r in routes)
     # the edge spans are there without the geometry
     assert routes[0].route_s_of(routes[0].edge_ids[1], 0.0) is not None
@@ -560,10 +566,10 @@ def test_route_without_drivable_length_raises_on_geometry_use():
     # from the end in x and in y, 9.9e-10 m, so the route's start and end
     # points are one point to the 1e-9 m dedupe tolerance
     g = build_graph({"centerlines": [{"id": 0, "points": [
-        [999980.0, 999980.0], [999990.0, 999990.0]]}]})
+        [999980.0, 999980.0], [999990.0, 999990.0]]}]}, **GRAPH_ARGS)
     start = road_graph.LaneCoordinate(0, g.edges[0].length - 1.02e-9, 0.0,
                                       0.0)
-    (route,) = enumerate_routes(g, start)
+    (route,) = enumerate_routes(g, start, **ROUTE_ARGS)
     for read in (lambda r: r.maneuver, lambda r: r.total_length,
                  lambda r: r.project_near((999990.0, 999990.0), 0.0)):
         with pytest.raises(ZeroLengthRouteError,
@@ -578,7 +584,7 @@ def test_route_without_drivable_length_raises_on_geometry_use():
 
 
 def test_graph_pickles_without_its_index():
-    g = build_graph(ring_map())
+    g = build_graph(ring_map(), **GRAPH_ARGS)
     pts = np.array([[10.0, 1.0], [25.0, -3.0], [50.0, 30.0], [25.0, 25.0]])
     want = road_graph.within_lanes(g, pts, 0.5)
     back = pickle.loads(pickle.dumps(g))
@@ -591,7 +597,7 @@ def test_pickled_graph_leaves_out_every_segment_table():
     # the lane index stacks each edge's cached table: both are rebuilt on
     # use, so a used graph pickles as small as a fresh one, and projects
     # as the original does, bit for bit
-    g = build_graph(four_way_intersection())
+    g = build_graph(four_way_intersection(), **GRAPH_ARGS)
     fresh = len(pickle.dumps(g))
     pts = [approach_point(deg, dist) for deg in (0, 90, 180, 270)
            for dist in (3.0, 25.0)]
@@ -627,7 +633,8 @@ def _snap_digest():
     rng = np.random.default_rng(9)
     h = hashlib.sha256()
     for doc in (four_way_intersection(), ring_map(), _MULTI_LANE):
-        g = build_graph(doc)   # the points; one graph per limit snaps them
+        # the points; one graph per limit snaps them
+        g = build_graph(doc, **GRAPH_ARGS)
         pts, lane_h = [], []
         for node in g.nodes.values():
             pts.append(node.position)
@@ -646,7 +653,7 @@ def _snap_digest():
         pts = np.array(pts)
         hints = rng.uniform(-math.pi, math.pi, len(pts))
         for limit in (1.0, 3.0, 10.0):
-            g = build_graph(doc, max_snap_distance=limit)
+            g = build_graph(doc, **dict(GRAPH_ARGS, max_snap_distance=limit))
             for p, psi, other in zip(pts, lane_h, hints):
                 for hint in (None, psi, float(other)):
                     try:
@@ -677,7 +684,7 @@ def test_within_lanes_peak_memory_is_bounded():
     pts = [[10.0 * i, 20.0 * math.sin(2.0 * math.pi * i / 80.0)]
            for i in range(71)]
     g = build_graph({"centerlines": [{"id": 0, "points": pts, "lanes": 3,
-                                      "lane_width": 3.5}]})
+                                      "lane_width": 3.5}]}, **GRAPH_ARGS)
     assert len(g.lane_index.seg_edge) == 210
     q = np.array(pts)
     tracemalloc.start()
@@ -717,7 +724,7 @@ def test_validity_ratio_peak_memory_does_not_grow_with_trajectories():
     # 200 trajectories of 71 points at the four-way junction, about 5.5
     # segments a point: all points in one within_lanes call would peak at
     # about 8 MB here, blocks of _VALIDITY_BLOCK points at about 0.26 MB
-    g = build_graph(four_way_intersection())
+    g = build_graph(four_way_intersection(), **GRAPH_ARGS)
     trajs = _lane_walks(g, 200, 71, np.random.default_rng(5))
     assert metrics.validity_ratio(trajs, g) == 1.0
     for n in (20, 200):
@@ -775,7 +782,7 @@ def _multi_lane_cases(draw):
     doc = draw(_multi_lane_maps())
     margin = draw(st.sampled_from([0.0, 0.5, 9.0]))
     snap = draw(st.sampled_from([1.0, 3.0, 10.0]))
-    graph = build_graph(doc, max_snap_distance=snap)
+    graph = build_graph(doc, **dict(GRAPH_ARGS, max_snap_distance=snap))
     reach = min(snap, graph.lane_index.max_half_width + margin)
     edges = sorted(graph.edges)
     pts = [n.position for n in graph.nodes.values()]
@@ -811,7 +818,7 @@ _TIE_PAST_REACH = (build_graph({"centerlines": [
     {"id": 0, "points": [[0.0, 1.0000005], [100.0, 1.0000005]],
      "lane_width": 2.0},
     {"id": 1, "points": [[0.0, -1.0], [100.0, -1.0]]}]},
-    max_snap_distance=1.0), 0.0, np.array([[50.0, 0.0]]))
+    **dict(GRAPH_ARGS, max_snap_distance=1.0)), 0.0, np.array([[50.0, 0.0]]))
 
 
 @settings(max_examples=300, deadline=None)
@@ -893,11 +900,12 @@ def _snap_cases(draw):
     else:
         doc = draw(_multi_lane_maps())
     # the snap limit is the reach: a graph built with it
-    allp = np.vstack([e.polyline for e in build_graph(doc).edges.values()])
+    allp = np.vstack([e.polyline
+                      for e in build_graph(doc, **GRAPH_ARGS).edges.values()])
     lo, hi = allp.min(axis=0), allp.max(axis=0)
     reach = draw(st.sampled_from([1.0, 3.0, 10.0,
                                   math.dist(lo, hi) + 1.0, math.inf]))
-    graph = build_graph(doc, max_snap_distance=reach)
+    graph = build_graph(doc, **dict(GRAPH_ARGS, max_snap_distance=reach))
     grid = graph.lane_index.grid(reach)
     pts = [n.position for n in graph.nodes.values()] + ties
     edges = sorted(graph.edges)
@@ -970,7 +978,7 @@ def test_grid_lane_coordinate_matches_whole_edge(case):
     (-5.0, 10.0), (0.5, 0.0), (math.inf, math.inf), (0.5, math.inf),
     (1e300, 1e300), (150.0, 1e3), (math.nan, 10.0), (0.5, math.nan)])
 def test_grid_within_lanes_extreme_limits(margin, snap):
-    g = build_graph(_MULTI_LANE, max_snap_distance=snap)
+    g = build_graph(_MULTI_LANE, **dict(GRAPH_ARGS, max_snap_distance=snap))
     rng = np.random.default_rng(3)
     pts = np.vstack([rng.uniform(-80.0, 160.0, size=(200, 2)),
                      [[1e9, -1e9], [30.0, -1.75]],
@@ -980,7 +988,7 @@ def test_grid_within_lanes_extreme_limits(margin, snap):
 
 
 def test_segment_grid_is_built_once_per_reach():
-    g = build_graph(ring_map())
+    g = build_graph(ring_map(), **GRAPH_ARGS)
     pts = np.array([[10.0, 1.0], [25.0, -3.0], [50.0, 30.0], [25.0, 25.0]])
     index = g.lane_index
     assert vars(index)["_grids"] == {}

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import straight_map
+from helpers import GRAPH_ARGS, SPAWN_GAP, straight_map
 
 from trafficforge import road_graph, scene_ingest
 from trafficforge.controller import VehicleGeometry
@@ -69,13 +69,13 @@ def test_tracklet_segment_clamps_to_first_and_last_pair():
 
 @pytest.fixture
 def straight_graph():
-    return road_graph.build_graph(straight_map(200.0))
+    return road_graph.build_graph(straight_map(200.0), **GRAPH_ARGS)
 
 
 def test_instantiate_on_lane(straight_graph):
     tr = _tracklet(1, [(0.0, 20.0, 0.0, 0.0, 10.0),
                        (1.0, 30.0, 0.0, 0.0, 10.0)])
-    scene = instantiate_agents(straight_graph, [tr], 0.0)
+    scene = instantiate_agents(straight_graph, [tr], 0.0, "scene", SPAWN_GAP)
     a = scene.agents[0]
     assert a.state.v == 10.0
     assert a.state.psi == pytest.approx(0.0)  # lane heading, not tracklet
@@ -86,7 +86,8 @@ def test_instantiate_on_lane(straight_graph):
 def test_instantiate_off_map_dropped(straight_graph):
     on = _tracklet(1, [(0.0, 20.0, 0.0, 0.0, 10.0)])
     off = _tracklet(2, [(0.0, 20.0, 30.0, 0.0, 10.0)])
-    scene = instantiate_agents(straight_graph, [on, off], 0.0)
+    scene = instantiate_agents(straight_graph, [on, off], 0.0, "scene",
+                               SPAWN_GAP)
     assert [a.agent_id for a in scene.agents] == [1]
     assert [(d.agent_id, d.reason) for d in scene.dropped] == [(2, "off-map")]
 
@@ -94,14 +95,14 @@ def test_instantiate_off_map_dropped(straight_graph):
 def test_instantiate_speed_fallback(straight_graph):
     tr = _tracklet(1, [(0.0, 20.0, 0.0, None, None),
                        (0.5, 25.0, 0.0, None, None)])
-    scene = instantiate_agents(straight_graph, [tr], 0.0)
+    scene = instantiate_agents(straight_graph, [tr], 0.0, "scene", SPAWN_GAP)
     assert scene.agents[0].state.v == pytest.approx(10.0)
 
 
 def test_spawn_gap_drops_higher_id(straight_graph):
     a = _tracklet(1, [(0.0, 20.0, 0.0, 0.0, 10.0)])
     b = _tracklet(2, [(0.0, 21.0, 0.0, 0.0, 10.0)])  # 1 m apart, bumpers overlap
-    scene = instantiate_agents(straight_graph, [a, b], 0.0)
+    scene = instantiate_agents(straight_graph, [a, b], 0.0, "scene", SPAWN_GAP)
     assert [x.agent_id for x in scene.agents] == [1]
     assert [(d.agent_id, d.reason) for d in scene.dropped] == [(2, "spawn-gap")]
 
@@ -159,18 +160,18 @@ def _spawn_rows(draw):
 @example([(3, -1.75, 10.0, 4.5), (2, -1.75, 16.6, 4.5),
           (1, -1.75, 17.0, 10.0)], 2.0)
 def test_spawn_gap_walk_matches_restarting_oracle(rows, gap):
-    graph = road_graph.build_graph(straight_map(100.0, lanes=2))
+    graph = road_graph.build_graph(straight_map(100.0, lanes=2), **GRAPH_ARGS)
     tracklets = [Tracklet(aid, [TrackletPose(0.0, np.array([x, y]), 0.0,
                                              5.0)], VehicleGeometry(L=length))
                  for aid, y, x, length in rows]
     placed = instantiate_agents(graph, tracklets, 0.0,
-                                min_spawn_gap=-math.inf).agents
+                                "scene", min_spawn_gap=-math.inf).agents
     if isinstance(gap, tuple):
         # a gap some pair of agents has exactly
         a, b = (placed[k % len(placed)] for k in gap)
         gap = abs(b.lane.arc_s - a.lane.arc_s) \
             - (a.geometry.L + b.geometry.L) / 2.0
-    scene = instantiate_agents(graph, tracklets, 0.0, min_spawn_gap=gap)
+    scene = instantiate_agents(graph, tracklets, 0.0, "scene", gap)
     kept, dropped = _thin_oracle(placed, gap)
     assert [a.agent_id for a in scene.agents] == kept
     assert [(d.agent_id, d.reason) for d in scene.dropped] == dropped
@@ -183,7 +184,8 @@ def test_retained_plus_dropped_is_total(straight_graph, rng):
         y = float(rng.uniform(-20, 20))
         tracklets.append(_tracklet(aid, [(0.0, x, y, 0.0, 5.0)]))
     try:
-        scene = instantiate_agents(straight_graph, tracklets, 0.0)
+        scene = instantiate_agents(straight_graph, tracklets, 0.0, "scene",
+                                   SPAWN_GAP)
     except EmptySceneError:
         return
     assert len(scene.agents) + len(scene.dropped) == 12
@@ -194,10 +196,10 @@ def test_retained_plus_dropped_is_total(straight_graph, rng):
 
 def test_empty_scene_errors(straight_graph):
     with pytest.raises(EmptySceneError):
-        instantiate_agents(straight_graph, [], 0.0)
+        instantiate_agents(straight_graph, [], 0.0, "scene", SPAWN_GAP)
     far = _tracklet(1, [(0.0, 0.0, 500.0, None, None)])
     with pytest.raises(EmptySceneError):
-        instantiate_agents(straight_graph, [far], 0.0)
+        instantiate_agents(straight_graph, [far], 0.0, "scene", SPAWN_GAP)
 
 
 def test_instantiation_deterministic(straight_graph):
@@ -208,8 +210,8 @@ def test_instantiation_deterministic(straight_graph):
                                    "speed": 9.0}]},
     ]}
     sid, tracks = load_tracklets(doc)
-    s1 = instantiate_agents(straight_graph, tracks, 0.0, sid)
-    s2 = instantiate_agents(straight_graph, tracks, 0.0, sid)
+    s1 = instantiate_agents(straight_graph, tracks, 0.0, sid, SPAWN_GAP)
+    s2 = instantiate_agents(straight_graph, tracks, 0.0, sid, SPAWN_GAP)
     assert _placement(s1) == _placement(s2)
 
 
@@ -221,10 +223,11 @@ def _placement(scene):
 
 
 def test_heading_hint_selects_direction():
-    g = road_graph.build_graph(straight_map(200.0, lanes=2, oneway=False))
+    g = road_graph.build_graph(straight_map(200.0, lanes=2, oneway=False),
+                               **GRAPH_ARGS)
     east = _tracklet(1, [(0.0, 100.0, 0.0, 0.0, 8.0)])
     west = _tracklet(2, [(0.0, 100.0, 0.0, math.pi, 8.0)])
-    scene = instantiate_agents(g, [east, west], 0.0)
+    scene = instantiate_agents(g, [east, west], 0.0, "scene", SPAWN_GAP)
     by_id = {a.agent_id: a for a in scene.agents}
     assert abs(by_id[1].state.psi) < 1e-9
     assert abs(abs(by_id[2].state.psi) - math.pi) < 1e-9

@@ -1,5 +1,6 @@
 """Scene simulation: kinematics, interactions, determinism, lifecycle."""
 
+import concurrent.futures
 import dataclasses
 import hashlib
 import json
@@ -14,11 +15,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import (approach_point, csv_text, four_way_intersection,
-                     straight_map, tracklets_doc)
+from helpers import (GRAPH_ARGS, ROUTE_ARGS, SPAWN_GAP, approach_point,
+                     csv_text, four_way_intersection, straight_map,
+                     tracklets_doc)
 
 from trafficforge import (behavior, dynamics, geometry, road_graph,
-                          scene_ingest, sim_engine)
+                          scene_ingest, sim_engine, util)
 from trafficforge.behavior import BehaviorAssignment, VelocityProfile
 from trafficforge.config import SimConfig
 from trafficforge.errors import ConfigError
@@ -28,10 +30,11 @@ from trafficforge.sim_engine import (AgentLog, SimLog, read_simlog_csv,
 
 def _scene_on_straight(agents, length=400.0, lanes=1, oneway=True,
                        n_poses=11):
-    g = road_graph.build_graph(straight_map(length, lanes, oneway))
+    g = road_graph.build_graph(straight_map(length, lanes, oneway),
+                               **GRAPH_ARGS)
     doc = tracklets_doc("t1", agents, n_poses=n_poses)
     sid, tracks = scene_ingest.load_tracklets(doc)
-    return g, scene_ingest.instantiate_agents(g, tracks, 0.0, sid)
+    return g, scene_ingest.instantiate_agents(g, tracks, 0.0, sid, SPAWN_GAP)
 
 
 def _const_profile(speed, n=120):
@@ -41,8 +44,8 @@ def _const_profile(speed, n=120):
 def _assign_straight(graph, scene, speeds):
     out = {}
     for agent in scene.agents:
-        routes = road_graph.enumerate_routes(graph, agent.lane,
-                                             horizon_dist=500.0)
+        routes = road_graph.enumerate_routes(
+            graph, agent.lane, **dict(ROUTE_ARGS, horizon_dist=500.0))
         route = next(r for r in routes if r.maneuver == "straight")
         out[agent.agent_id] = BehaviorAssignment(
             agent.agent_id, route, "straight",
@@ -125,10 +128,10 @@ def test_exit_removes_agent_from_interaction():
 
 
 def test_static_agent_holds_position():
-    g = road_graph.build_graph(straight_map(50.0))
+    g = road_graph.build_graph(straight_map(50.0), **GRAPH_ARGS)
     doc = tracklets_doc("s", [(1, 50.0, 0.0, 0.0, 0.0)], n_poses=1)
     sid, tracks = scene_ingest.load_tracklets(doc)
-    scene = scene_ingest.instantiate_agents(g, tracks, 0.0, sid)
+    scene = scene_ingest.instantiate_agents(g, tracks, 0.0, sid, SPAWN_GAP)
     asg = {1: BehaviorAssignment(1, None, "static", None)}
     log = simulate_scene(scene, asg, SimConfig(master_seed=2))
     ag = log.agents[0]
@@ -152,7 +155,7 @@ def test_lane_deviation_bounded(intersection_graph, profile_pool):
     doc = tracklets_doc("d1", [(1, x, y, psi, 9.0)])
     sid, tracks = scene_ingest.load_tracklets(doc)
     scene = scene_ingest.instantiate_agents(intersection_graph, tracks,
-                                            0.0, sid)
+                                            0.0, sid, SPAWN_GAP)
     cfg = SimConfig(master_seed=8, epsilon_std=0.0)
     for vi, asg in enumerate(behavior.sample_behaviors(
             scene, profile_pool, 31,
@@ -167,13 +170,14 @@ def test_lane_deviation_bounded(intersection_graph, profile_pool):
 
 
 def test_run_dataset_counts_and_parallel_determinism(profile_pool):
-    g = road_graph.build_graph(four_way_intersection())
+    g = road_graph.build_graph(four_way_intersection(), **GRAPH_ARGS)
     scenes = []
     for i, deg in enumerate((0, 90)):
         x, y, psi = approach_point(deg, 30.0 + 4 * i)
         doc = tracklets_doc(f"p{i}", [(1, x, y, psi, 9.0)])
         sid, tracks = scene_ingest.load_tracklets(doc)
-        scenes.append(scene_ingest.instantiate_agents(g, tracks, 0.0, sid))
+        scenes.append(scene_ingest.instantiate_agents(g, tracks, 0.0, sid,
+                                                      SPAWN_GAP))
     cfg = SimConfig(master_seed=17, max_variants=3)
     seq_logs, seq_fail = run_dataset(scenes, profile_pool, cfg, jobs=1)
     par_logs, par_fail = run_dataset(scenes, profile_pool, cfg, jobs=4)
@@ -181,6 +185,31 @@ def test_run_dataset_counts_and_parallel_determinism(profile_pool):
     assert len(seq_logs) == 6  # both scenes admit all three maneuvers
     assert [csv_text(l) for l in seq_logs] == \
         [csv_text(l) for l in par_logs]
+
+
+def test_map_tasks_starts_no_more_workers_than_tasks(monkeypatch):
+    # a fork start forks every worker at the first submit, so a pool of
+    # --jobs workers over 3 scenes would fork all of them; the recording
+    # pool below runs the tasks in this process and starts none
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks, chunksize):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        RecordingPool)
+    assert util.map_tasks(str, [1, 2, 3], 10 ** 6) == ["1", "2", "3"]
+    assert sizes == [3]
 
 
 def test_run_dataset_dedupes_forced_variants(profile_pool):
@@ -583,11 +612,11 @@ def test_checker_reads_a_long_log_a_chunk_at_a_time(tmp_path, monkeypatch,
 
 
 def test_replay_mode_follows_tracklet():
-    g = road_graph.build_graph(straight_map(400.0))
+    g = road_graph.build_graph(straight_map(400.0), **GRAPH_ARGS)
     doc = tracklets_doc("r1", [(1, 5.0, 0.0, 0.0, 6.0),
                                (2, 100.0, 0.0, 0.0, 10.0)], n_poses=80)
     sid, tracks = scene_ingest.load_tracklets(doc)
-    scene = scene_ingest.instantiate_agents(g, tracks, 0.0, sid)
+    scene = scene_ingest.instantiate_agents(g, tracks, 0.0, sid, SPAWN_GAP)
     asg = _assign_straight(g, scene, {1: 10.0, 2: 10.0})
     del asg[1]  # the ego (lowest id) is replayed
     cfg = SimConfig(master_seed=6, ego_mode="replay")
@@ -599,7 +628,7 @@ def test_replay_mode_follows_tracklet():
 
 def test_replay_non_finite_position_raises():
     # a corrupt replay pose is a data error, not the ego leaving the map
-    g = road_graph.build_graph(straight_map(400.0))
+    g = road_graph.build_graph(straight_map(400.0), **GRAPH_ARGS)
     doc = tracklets_doc("r2", [(1, 5.0, 0.0, 0.0, 6.0),
                                (2, 100.0, 0.0, 0.0, 10.0)], n_poses=80)
     sid, tracks = scene_ingest.load_tracklets(doc)
@@ -609,7 +638,7 @@ def test_replay_non_finite_position_raises():
                        match="pose 30: 'x' must be a finite number.*got nan"):
         scene_ingest.load_tracklets(doc)
     tracks[0].poses[30].position[0] = float("nan")
-    scene = scene_ingest.instantiate_agents(g, tracks, 0.0, sid)
+    scene = scene_ingest.instantiate_agents(g, tracks, 0.0, sid, SPAWN_GAP)
     asg = _assign_straight(g, scene, {1: 10.0, 2: 10.0})
     del asg[1]
     with pytest.raises(ValueError, match="finite"):
@@ -621,13 +650,13 @@ def test_replayed_ego_follows_t0():
     elapsed time: from ``t0`` 2.0 it drives on from where ingest placed
     it (x 17.0, then 17.6), as it does from ``t0`` 0.0 (x 5.0, then
     5.6)."""
-    g = road_graph.build_graph(straight_map(400.0))
+    g = road_graph.build_graph(straight_map(400.0), **GRAPH_ARGS)
     doc = tracklets_doc("r3", [(1, 5.0, 0.0, 0.0, 6.0),
                                (2, 100.0, 0.0, 0.0, 10.0)], n_poses=100)
     sid, tracks = scene_ingest.load_tracklets(doc)
     cfg = SimConfig(master_seed=6, ego_mode="replay")
     for t0 in (0.0, 2.0):
-        scene = scene_ingest.instantiate_agents(g, tracks, t0, sid)
+        scene = scene_ingest.instantiate_agents(g, tracks, t0, sid, SPAWN_GAP)
         asg = _assign_straight(g, scene, {1: 10.0, 2: 10.0})
         del asg[1]
         ego = simulate_scene(scene, asg, cfg).agents[0]
@@ -643,12 +672,12 @@ def test_replayed_ego_leaves_when_its_tracklet_ends(t0, exit_step):
     logs its poses from ``t0`` to the last one, and leaves at the step
     at which its tracklet has no next pose, as an ego that leaves the
     map does; the car ahead drives the whole horizon."""
-    g = road_graph.build_graph(straight_map(400.0))
+    g = road_graph.build_graph(straight_map(400.0), **GRAPH_ARGS)
     doc = tracklets_doc("r4", [(1, 5.0, 0.0, 0.0, 6.0)], n_poses=11)
     doc["tracks"] += tracklets_doc("r4", [(2, 100.0, 0.0, 0.0, 10.0)],
                                    n_poses=80)["tracks"]
     sid, tracks = scene_ingest.load_tracklets(doc)
-    scene = scene_ingest.instantiate_agents(g, tracks, t0, sid)
+    scene = scene_ingest.instantiate_agents(g, tracks, t0, sid, SPAWN_GAP)
     asg = _assign_straight(g, scene, {1: 10.0, 2: 10.0})
     del asg[1]
     ego, ahead = simulate_scene(
@@ -671,9 +700,9 @@ def test_replay_snaps_with_the_scene_limit():
     cfg = SimConfig(master_seed=6, ego_mode="replay", horizon=10.0)
     exits = []
     for limit in (10.0, 12.0, 14.0):
-        g = road_graph.build_graph(straight_map(400.0),
-                                   max_snap_distance=limit)
-        scene = scene_ingest.instantiate_agents(g, tracks, 0.0, sid)
+        g = road_graph.build_graph(
+            straight_map(400.0), **dict(GRAPH_ARGS, max_snap_distance=limit))
+        scene = scene_ingest.instantiate_agents(g, tracks, 0.0, sid, SPAWN_GAP)
         (ego,) = simulate_scene(scene, {}, cfg).agents
         exits.append(ego.exit_step)
     # the ego is 0.1 + 0.2 k m off the lane at step k
@@ -690,12 +719,12 @@ def test_parallel_roads_are_not_neighbor_lanes(ids):
     for cl, cid in zip(spec["centerlines"], ids):
         if cid is not None:
             cl["id"] = cid
-    g = road_graph.build_graph(spec)
+    g = road_graph.build_graph(spec, **GRAPH_ARGS)
     assert [(e.left_neighbor, e.right_neighbor) for e in g.edges.values()] \
         == [(None, None), (None, None)]
     sid, tracks = scene_ingest.load_tracklets(tracklets_doc(
         "t1", [(1, 60.0, 0.0, 0.0, 5.0), (2, 20.0, 0.0, 0.0, 12.0)]))
-    scene = scene_ingest.instantiate_agents(g, tracks, 0.0, sid)
+    scene = scene_ingest.instantiate_agents(g, tracks, 0.0, sid, SPAWN_GAP)
     log = simulate_scene(scene, _assign_straight(g, scene, {1: 5.0, 2: 15.0}),
                          SimConfig(master_seed=3))
     for ag in log.agents:
@@ -993,12 +1022,12 @@ def _cut_in_log():
     # a straight 2-lane road (edge 0 right, edge 1 left): the ego replayed
     # at 12 m/s at x=40 in the right lane; in the left lane drivers at
     # x=47 and x=70 holding 12 and 3 m/s, each with a reason to move right
-    g = road_graph.build_graph(straight_map(400.0, lanes=2))
+    g = road_graph.build_graph(straight_map(400.0, lanes=2), **GRAPH_ARGS)
     agents = [(1, 40.0, -1.75, 0.0, 12.0), (2, 47.0, 1.75, 0.0, 12.0),
               (3, 70.0, 1.75, 0.0, 3.0)]
     sid, tracks = scene_ingest.load_tracklets(
         tracklets_doc("cut_in", agents, n_poses=80))
-    scene = scene_ingest.instantiate_agents(g, tracks, 0.0, sid)
+    scene = scene_ingest.instantiate_agents(g, tracks, 0.0, sid, SPAWN_GAP)
     asg = _assign_straight(g, scene, {1: 0.0, 2: 12.0, 3: 3.0})
     del asg[1]
     return simulate_scene(scene, asg,
@@ -1060,7 +1089,7 @@ def test_rejected_lane_changes_build_no_route_geometry(monkeypatch):
 def _turning_log():
     # a leader and a queued, faster follower on three arms of the
     # junction, turning left, right and going straight
-    g = road_graph.build_graph(four_way_intersection())
+    g = road_graph.build_graph(four_way_intersection(), **GRAPH_ARGS)
     agents, wanted, speeds = [], {}, {}
     for arm, (deg, label) in enumerate(((0, "left"), (90, "right"),
                                         (180, "straight"))):
@@ -1071,11 +1100,12 @@ def _turning_log():
             agents.append((aid, x, y, psi, v_now))
             wanted[aid], speeds[aid] = label, v_want
     sid, tracks = scene_ingest.load_tracklets(tracklets_doc("turns", agents))
-    scene = scene_ingest.instantiate_agents(g, tracks, 0.0, sid)
+    scene = scene_ingest.instantiate_agents(g, tracks, 0.0, sid, SPAWN_GAP)
     asg = {}
     for agent in scene.agents:
         aid, label = agent.agent_id, wanted[agent.agent_id]
-        route = next(r for r in road_graph.enumerate_routes(g, agent.lane)
+        route = next(r for r in road_graph.enumerate_routes(g, agent.lane,
+                                                            **ROUTE_ARGS)
                      if r.maneuver == label)
         asg[aid] = BehaviorAssignment(
             aid, route, label,
@@ -1102,20 +1132,20 @@ def _routeless_log():
     # its tracklet) and three drivers on a straight 2-lane road: one
     # starts behind the ego, one queues behind a parked agent, and one
     # drives off ahead of both parked ones
-    g = road_graph.build_graph(straight_map(400.0, lanes=2))
+    g = road_graph.build_graph(straight_map(400.0, lanes=2), **GRAPH_ARGS)
     agents = [(1, 40.0, -1.75, 0.0, 6.0), (2, 10.0, -1.75, 0.0, 8.0),
               (3, 150.0, 1.75, 0.0, 4.0), (4, 100.0, 1.75, 0.0, 10.0),
               (5, 156.0, -1.75, 0.0, 0.0), (6, 175.0, -1.75, 0.0, 10.0)]
     sid, tracks = scene_ingest.load_tracklets(
         tracklets_doc("routeless", agents, n_poses=80))
-    scene = scene_ingest.instantiate_agents(g, tracks, 0.0, sid)
+    scene = scene_ingest.instantiate_agents(g, tracks, 0.0, sid, SPAWN_GAP)
     asg = {aid: BehaviorAssignment(aid, None, "static", None)
            for aid in (3, 5)}
     for agent in scene.agents:
         aid = agent.agent_id
         if aid in (2, 4, 6):
             route = next(r for r in road_graph.enumerate_routes(
-                g, agent.lane, horizon_dist=500.0)
+                g, agent.lane, **dict(ROUTE_ARGS, horizon_dist=500.0))
                 if r.maneuver == "straight")
             asg[aid] = BehaviorAssignment(aid, route, "straight",
                                           _const_profile(12.0))
@@ -1177,7 +1207,7 @@ def _forked_two_lane_graph():
     return road_graph.build_graph({"centerlines": [
         {"id": 0, "points": [[0.0, 0.0], [100.0, 0.0]], "lanes": 2},
         {"id": 1, "points": turn + [[120.0, 60.0]]},
-        {"id": 2, "points": [[100.0, 1.75], [200.0, 1.75]]}]})
+        {"id": 2, "points": [[100.0, 1.75], [200.0, 1.75]]}]}, **GRAPH_ARGS)
 
 
 def test_retarget_route_keeps_the_label_where_it_can():
