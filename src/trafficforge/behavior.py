@@ -234,9 +234,9 @@ def sample_behaviors(scene, pool, rng_seed, config):
 
     Per agent, maneuver labels are drawn without replacement across
     variants (cycling once exhausted) and a route is drawn uniformly
-    within the label. Variant sets that repeat an earlier multiset of
-    (agent, label) pairs are dropped, so fewer sets may return. Fully
-    determined by ``rng_seed`` and ``config``.
+    within the label. A variant set that repeats an earlier multiset of
+    (agent, label) pairs only draws its routes and is dropped, so fewer
+    sets may return. Fully determined by ``rng_seed`` and ``config``.
     """
     if config.max_variants < 1:
         raise ValueError("max_variants must be >= 1")
@@ -258,13 +258,23 @@ def sample_behaviors(scene, pool, rng_seed, config):
     variants = []
     seen = set()
     for k in range(config.max_variants):
+        labels = {aid: order[k % len(order)] if order else "static"
+                  for aid, (_, _, order, _) in per_agent.items()}
+        key = tuple(sorted(labels.items()))
+        if key in seen:
+            # a repeat draws only its route indices, keeping later draws
+            for aid, (_, by_label, order, rng) in per_agent.items():
+                if order:
+                    rng.integers(len(by_label[labels[aid]]))
+            continue
+        seen.add(key)
         assignment = {}
         for aid in sorted(per_agent):
             agent, by_label, order, rng = per_agent[aid]
             if not order:
                 assignment[aid] = BehaviorAssignment(aid, None, "static", None)
                 continue
-            label = order[k % len(order)]
+            label = labels[aid]
             candidates = by_label[label]
             route = candidates[int(rng.integers(len(candidates)))]
             feature = feature_for_behavior(agent, route)
@@ -273,9 +283,5 @@ def sample_behaviors(scene, pool, rng_seed, config):
                 derive_seed(rng_seed, aid, k, "profile"),
                 config.profile_noise_std)
             assignment[aid] = BehaviorAssignment(aid, route, label, profile)
-        key = tuple(sorted((aid, a.label) for aid, a in assignment.items()))
-        if key in seen:
-            continue
-        seen.add(key)
         variants.append(assignment)
     return variants

@@ -146,9 +146,7 @@ def cmd_profile_pool(args):
         doc = _load_json(path, "tracklets")
         _, tracks = scene_ingest.load_tracklets(doc,
                                                 f"tracklets file {path}")
-        for tr in tracks:
-            trajs.append(np.array([[p.t, p.position[0], p.position[1]]
-                                   for p in tr.poses]))
+        trajs += [np.column_stack([tr.t, tr.xy]) for tr in tracks]
     pool = behavior.build_profile_pool(
         trajs, cfg["sim.dt"],
         math.radians(cfg["road.straight_threshold_deg"]),

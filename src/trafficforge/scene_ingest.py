@@ -8,7 +8,6 @@ the map or spawn on top of another agent are dropped with a report entry.
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -26,32 +25,27 @@ MAX_SCENE_ID = 60   # characters of UTF-8, within a file name's 255 bytes
 
 
 @dataclass
-class TrackletPose:
-    t: float
-    position: np.ndarray
-    heading: Optional[float] = None
-    speed: Optional[float] = None
-
-
-@dataclass
 class Tracklet:
+    """One agent's poses as columns: sorted times ``t``, an (n, 2) float
+    array ``xy``, and ``heading`` and ``speed`` (None where a pose has
+    none)."""
     agent_id: int
-    poses: list
+    t: list
+    xy: np.ndarray
+    heading: list
+    speed: list
     geometry: VehicleGeometry = field(default_factory=VehicleGeometry)
 
-    @cached_property
-    def times(self):
-        return [p.t for p in self.poses]
-
     def covers(self, t):
-        """Whether the poses' times hold ``t``, to within 1e-9 s."""
-        return self.poses[0].t - 1e-9 <= t <= self.poses[-1].t + 1e-9
+        """Whether the poses' times hold ``t``, to within 1e-9 s; a
+        track without poses holds none."""
+        return bool(self.t) and self.t[0] - 1e-9 <= t <= self.t[-1] + 1e-9
 
     def segment(self, t):
         """Index ``i`` of the pose pair ``i, i + 1`` whose times hold
         ``t``, clamped to the first and last pair (0 for a single pose)."""
-        return min(max(bisect_right(self.times, t) - 1, 0),
-                   max(len(self.poses) - 2, 0))
+        return min(max(bisect_right(self.t, t) - 1, 0),
+                   max(len(self.t) - 2, 0))
 
 
 @dataclass
@@ -93,10 +87,16 @@ def load_tracklets(doc, source="tracklets"):
                 raise ValueError(f"agent_id {agent_id} is already track "
                                  f"{track_of[agent_id]}'s")
             track_of[agent_id] = i
+            poses = tr["poses"]
+            if not isinstance(poses, list):
+                raise TypeError(f"'poses' must be a list, got "
+                                f"{type(poses).__name__}")
             rows = []   # (t, x, y, heading, speed) of each pose
             lim = road_graph.MAX_COORD
-            for k, p in enumerate(tr["poses"]):
+            for k, p in enumerate(poses):
                 where = f"{source}: track {i}: pose {k}"
+                if not isinstance(p, dict):
+                    raise TypeError(f"expected an object, got {p!r}")
                 heading, speed = p.get("heading"), p.get("speed")
                 rows.append((
                     number(p["t"], "t"), number(p["x"], "x", -lim, lim),
@@ -114,14 +114,14 @@ def load_tracklets(doc, source="tracklets"):
                     raise ValueError(f"'x', 'y' and 't' of pose {k} imply "
                                      f"more than {MAX_SPEED} m/s since pose "
                                      f"{k - 1}")
-            poses = [TrackletPose(t, np.array([x, y]), heading, speed)
-                     for t, x, y, heading, speed in rows]
+            t, x, y, h, v = zip(*rows) if rows else [()] * 5
             geom = VehicleGeometry(
                 L=number(tr.get("length", VehicleGeometry.L), "length",
                          MIN_SIZE),
                 width=number(tr.get("width", VehicleGeometry.width),
                              "width", MIN_SIZE))
-            tracks.append(Tracklet(agent_id, poses, geom))
+            tracks.append(Tracklet(agent_id, list(t), np.column_stack([x, y]),
+                                   list(h), list(v), geom))
         where = source
         scene_id = check_scene_id(doc.get("scene_id", "scene"))
     except KeyError as exc:
@@ -145,33 +145,31 @@ def check_scene_id(scene_id):
 
 
 def interpolate_pose(tracklet, t):
-    """Pose at time ``t``: linear position/speed, shortest-arc heading."""
-    poses = tracklet.poses
+    """``(position, heading, speed)`` at time ``t``: linear position and
+    speed, shortest-arc heading; None where a pose of the pair has none."""
+    ts, xy, h, v = tracklet.t, tracklet.xy, tracklet.heading, tracklet.speed
     if not tracklet.covers(t):
-        raise ValueError(
-            f"t={t} outside tracklet range [{poses[0].t}, {poses[-1].t}]")
+        raise ValueError(f"t={t} outside tracklet range "
+                         f"{[ts[0], ts[-1]] if ts else []}")
     i = tracklet.segment(t)
-    p0 = poses[i]
-    if len(poses) == 1 or t <= p0.t:
-        return TrackletPose(t, p0.position.copy(), p0.heading, p0.speed)
-    p1 = poses[i + 1]
-    w = (t - p0.t) / (p1.t - p0.t) if p1.t > p0.t else 0.0
-    pos = p0.position + w * (p1.position - p0.position)
+    if len(ts) == 1 or t <= ts[i]:
+        return xy[i].copy(), h[i], v[i]
+    w = (t - ts[i]) / (ts[i + 1] - ts[i]) if ts[i + 1] > ts[i] else 0.0
+    pos = xy[i] + w * (xy[i + 1] - xy[i])
     heading = None
-    if p0.heading is not None and p1.heading is not None:
-        heading = wrap_angle(p0.heading + w * wrap_angle(p1.heading - p0.heading))
+    if h[i] is not None and h[i + 1] is not None:
+        heading = wrap_angle(h[i] + w * wrap_angle(h[i + 1] - h[i]))
     speed = None
-    if p0.speed is not None and p1.speed is not None:
-        speed = p0.speed + w * (p1.speed - p0.speed)
-    return TrackletPose(t, pos, heading, speed)
+    if v[i] is not None and v[i + 1] is not None:
+        speed = v[i] + w * (v[i + 1] - v[i])
+    return pos, heading, speed
 
 
 def _finite_difference_heading(tracklet, t):
-    poses = tracklet.poses
-    if len(poses) < 2:
+    if len(tracklet.t) < 2:
         return None
     i = tracklet.segment(t)
-    d = poses[i + 1].position - poses[i].position
+    d = tracklet.xy[i + 1] - tracklet.xy[i]
     if np.linalg.norm(d) < 1e-9:
         return None
     return float(np.arctan2(d[1], d[0]))
@@ -192,22 +190,21 @@ def instantiate_agents(graph, tracklets, t0, scene_id, min_spawn_gap):
     dropped = []
     for tr in sorted(tracklets, key=lambda t: t.agent_id):
         try:
-            pose = interpolate_pose(tr, t0)
+            position, heading, speed = interpolate_pose(tr, t0)
         except ValueError:
             dropped.append(DropReport(tr.agent_id, "no-pose-at-t0"))
             continue
-        hint = pose.heading if pose.heading is not None \
+        hint = heading if heading is not None \
             else _finite_difference_heading(tr, t0)
         try:
-            lane = road_graph.project_to_lane(graph, pose.position,
+            lane = road_graph.project_to_lane(graph, position,
                                               heading_hint=hint)
         except OffMapError:
             dropped.append(DropReport(tr.agent_id, "off-map"))
             continue
-        speed = pose.speed if pose.speed is not None \
-            else central_speed(tr.times, [p.position for p in tr.poses],
-                               tr.segment(t0))
-        state = VehicleState(position=tuple(pose.position.tolist()),
+        if speed is None:
+            speed = central_speed(tr.t, tr.xy, tr.segment(t0))
+        state = VehicleState(position=tuple(position.tolist()),
                              v=speed, psi=lane.lane_heading, a=0.0, phi=0.0)
         agents.append(AgentInit(tr.agent_id, lane, state, tr.geometry, tr))
 

@@ -324,18 +324,15 @@ def simulate_scene(scene, assignment, config, variant_index=0):
 def _replay_step(run, t, dt):
     """Move the replayed ego to its tracklet's pose at time ``t``."""
     tr = run.tracklet
-    t = min(max(t, tr.poses[0].t), tr.poses[-1].t)
-    pose = interpolate_pose(tr, t)
+    position, heading, v = interpolate_pose(tr, min(max(t, tr.t[0]), tr.t[-1]))
     prev = run.state.position
-    heading = pose.heading
     if heading is None:
-        d = pose.position - prev
+        d = position - prev
         heading = math.atan2(d[1], d[0]) if np.linalg.norm(d) > 1e-9 \
             else run.state.psi
-    v = pose.speed
     if v is None:
-        v = float(np.linalg.norm(pose.position - prev) / dt)
-    run.state.position = tuple(pose.position.tolist())
+        v = float(np.linalg.norm(position - prev) / dt)
+    run.state.position = tuple(position.tolist())
     run.state.psi = heading
     run.state.v = max(float(v), 0.0)
 

@@ -308,6 +308,25 @@ def test_sample_behaviors_forced_single_route(profile_pool):
     assert all(v[1].label == "straight" for v in variants)
 
 
+def test_sample_behaviors_matches_profiles_for_kept_variants_only(
+        profile_pool, monkeypatch):
+    """On a one-label road each variant after the first repeats it, so
+    one profile is matched per agent of the one kept variant."""
+    g = road_graph.build_graph(straight_map(400.0), **GRAPH_ARGS)
+    doc = tracklets_doc("f2", [(1, 10.0, 0.0, 0.0, 9.0),
+                               (2, 60.0, 0.0, 0.0, 9.0)])
+    sid, tracks = scene_ingest.load_tracklets(doc)
+    scene = scene_ingest.instantiate_agents(g, tracks, 0.0, sid, SPAWN_GAP)
+    calls = []
+    match = behavior.match_profile
+    monkeypatch.setattr(behavior, "match_profile",
+                        lambda *args: calls.append(args) or match(*args))
+    variants = sample_behaviors(scene, profile_pool, rng_seed=4,
+                                config=SimConfig(max_variants=3))
+    assert len(variants) == 1
+    assert len(calls) == len(scene.agents) * len(variants) == 2
+
+
 def test_sample_behaviors_deterministic(profile_pool):
     g, scene = _intersection_scene()
     a = sample_behaviors(scene, profile_pool, 11, SimConfig(max_variants=3))

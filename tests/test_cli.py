@@ -763,8 +763,14 @@ def _with_agent_ids(*ids):
      "track 1: agent_id 1 is already track 0's"),
     *[(_with_agent_ids(1, bad), f"track 1: 'agent_id' must be an integer, "
                                 f"got {bad!r}") for bad in (1.7, True, "2")],
+    ({"tracks": [{"agent_id": 1, "poses": [[0, 1, 2]]}]},
+     "track 0: pose 0: expected an object, got [0, 1, 2]"),
+    ({"tracks": [{"agent_id": 1, "poses": {"t": 0, "x": 1, "y": 0}}]},
+     "track 0: 'poses' must be a list, got dict"),
+    ({"tracks": [{"agent_id": 1, "poses": "abc"}]},
+     "track 0: 'poses' must be a list, got str"),
 ], ids=["no-tracks", "no-y", "unsorted-times", "repeated-id", "float-id",
-        "bool-id", "text-id"])
+        "bool-id", "text-id", "list-pose", "object-poses", "text-poses"])
 @pytest.mark.parametrize("command", ["profile-pool", "simulate"])
 def test_malformed_tracklets_exit_1(sim_logs, tmp_path, capsys, command, doc,
                                     message):
@@ -807,6 +813,41 @@ def test_non_finite_tracklets_exit_1(sim_logs, tmp_path, capsys, command,
     assert f"error: tracklets file {path}: {where}: {key!r} must be a " \
         f"finite number" in err and err.endswith(f", got {value!r}\n")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["profile-pool", "simulate"])
+def test_tracks_without_poses(sim_logs, tmp_path, capsys, command):
+    """A track whose ``poses`` is empty is dropped at ingest as
+    ``no-pose-at-t0`` and skipped by pool mining as ``too-short``; a
+    file with no other track exits 1."""
+    doc = _with_agent_ids(1, 2)
+    doc["tracks"][1]["poses"] = []
+    path = tmp_path / "tracks.json"
+    argv = [command, "--tracklets", str(path)]
+    if command == "simulate":
+        argv += ["--map", str(sim_logs / "map.json"),
+                 "--pool", str(sim_logs / "pool.json"), "--seed", "1"]
+
+    def run(out):
+        path.write_text(json.dumps(doc))
+        return dispatch(argv + ["--out", str(tmp_path / out)])
+
+    assert run("one") == 0
+    if command == "simulate":
+        summary = json.loads((tmp_path / "one" / "run.json").read_text())
+        assert summary["dropped"] == [{"scene_id": "ids", "agent_id": 2,
+                                       "reason": "no-pose-at-t0"}]
+    else:
+        pool = json.loads((tmp_path / "one").read_text())
+        assert len(pool["profiles"]) == 1
+    capsys.readouterr()
+    doc["tracks"][0]["poses"] = []
+    assert run("none") == 1
+    message = f"tracklets file {path}: scene ids: every agent was dropped" \
+        if command == "simulate" \
+        else "no usable trajectories for the profile pool"
+    assert f"error: {message}\n" in capsys.readouterr().err
+    assert not (tmp_path / "none").exists()
 
 
 def test_simulate_exits_1_without_a_log(tmp_path, capsys):

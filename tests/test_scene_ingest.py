@@ -1,6 +1,8 @@
 """Tracklet interpolation and scene instantiation."""
 
 import math
+from bisect import bisect_right
+from collections import namedtuple
 
 import numpy as np
 import pytest
@@ -12,37 +14,36 @@ from helpers import GRAPH_ARGS, SPAWN_GAP, straight_map
 from trafficforge import road_graph, scene_ingest
 from trafficforge.controller import VehicleGeometry
 from trafficforge.errors import EmptySceneError
-from trafficforge.geometry import central_speed
-from trafficforge.scene_ingest import (Tracklet, TrackletPose,
-                                       instantiate_agents, interpolate_pose,
-                                       load_tracklets)
+from trafficforge.geometry import central_speed, wrap_angle
+from trafficforge.scene_ingest import (Tracklet, instantiate_agents,
+                                       interpolate_pose, load_tracklets)
 
 
-def _tracklet(aid, rows):
-    poses = [TrackletPose(t, np.array([x, y], float), h, s)
-             for t, x, y, h, s in rows]
-    return Tracklet(aid, poses)
+def _tracklet(aid, rows, **fields):
+    t, x, y, h, s = zip(*rows)
+    return Tracklet(aid, list(t), np.column_stack([x, y]).astype(float),
+                    list(h), list(s), **fields)
 
 
 def test_interpolate_exact_sample():
     tr = _tracklet(1, [(0.0, 0.0, 0.0, 0.0, 5.0), (1.0, 10.0, 0.0, 0.0, 5.0)])
-    p = interpolate_pose(tr, 1.0)
-    np.testing.assert_allclose(p.position, [10.0, 0.0])
-    assert p.speed == 5.0
+    position, _, speed = interpolate_pose(tr, 1.0)
+    np.testing.assert_allclose(position, [10.0, 0.0])
+    assert speed == 5.0
 
 
 def test_interpolate_midpoint():
     tr = _tracklet(1, [(0.0, 0.0, 0.0, 0.0, 4.0), (1.0, 10.0, 0.0, 0.0, 6.0)])
-    p = interpolate_pose(tr, 0.5)
-    np.testing.assert_allclose(p.position, [5.0, 0.0])
-    assert p.speed == pytest.approx(5.0)
+    position, _, speed = interpolate_pose(tr, 0.5)
+    np.testing.assert_allclose(position, [5.0, 0.0])
+    assert speed == pytest.approx(5.0)
 
 
 def test_interpolate_heading_shortest_arc():
     tr = _tracklet(1, [(0.0, 0.0, 0.0, math.radians(170.0), None),
                        (1.0, 1.0, 0.0, math.radians(-170.0), None)])
-    p = interpolate_pose(tr, 0.5)
-    assert abs(p.heading) == pytest.approx(math.pi, abs=1e-12)
+    _, heading, _ = interpolate_pose(tr, 0.5)
+    assert abs(heading) == pytest.approx(math.pi, abs=1e-12)
 
 
 def test_interpolate_bounds():
@@ -54,6 +55,96 @@ def test_interpolate_bounds():
         interpolate_pose(tr, -0.5)
 
 
+_Pose = namedtuple("_Pose", "t position heading speed")
+
+
+def _interpolate_per_pose(poses, t):
+    """Interpolation over one object per pose, each with its own
+    position array: the reference for :func:`interpolate_pose`."""
+    if not poses[0].t - 1e-9 <= t <= poses[-1].t + 1e-9:
+        raise ValueError(
+            f"t={t} outside tracklet range [{poses[0].t}, {poses[-1].t}]")
+    i = min(max(bisect_right([p.t for p in poses], t) - 1, 0),
+            max(len(poses) - 2, 0))
+    p0 = poses[i]
+    if len(poses) == 1 or t <= p0.t:
+        return _Pose(t, p0.position.copy(), p0.heading, p0.speed)
+    p1 = poses[i + 1]
+    w = (t - p0.t) / (p1.t - p0.t) if p1.t > p0.t else 0.0
+    pos = p0.position + w * (p1.position - p0.position)
+    heading = None
+    if p0.heading is not None and p1.heading is not None:
+        heading = wrap_angle(p0.heading
+                             + w * wrap_angle(p1.heading - p0.heading))
+    speed = None
+    if p0.speed is not None and p1.speed is not None:
+        speed = p0.speed + w * (p1.speed - p0.speed)
+    return _Pose(t, pos, heading, speed)
+
+
+@st.composite
+def _rows_and_time(draw):
+    """1 to 6 (t, x, y, heading, speed) rows, times sorted and often
+    repeated, headings and speeds sometimes None; and a time at a pose,
+    within the range, or at most 1e-9 s (or 1e-6 s) outside it."""
+    n = draw(st.integers(1, 6))
+    ts = sorted(draw(st.lists(st.sampled_from([0.0, 0.1, 2.5])
+                              | st.floats(-50.0, 50.0),
+                              min_size=n, max_size=n)))
+    coord = st.floats(-1e3, 1e3)
+    rows = [(t, draw(coord), draw(coord),
+             draw(st.none() | st.floats(-10.0, 10.0)),
+             draw(st.none() | st.floats(0.0, 100.0))) for t in ts]
+    t = draw(st.sampled_from(ts) | st.floats(ts[0], ts[-1])
+             | st.sampled_from([1e-9, 1e-6]).flatmap(
+                 lambda d: st.sampled_from([ts[0] - d, ts[-1] + d])))
+    return rows, t
+
+
+def _bits(x):
+    return None if x is None else np.float64(x).tobytes()
+
+
+@settings(max_examples=500, deadline=None)
+@given(_rows_and_time())
+@example(([(0.0, 0.0, 0.0, None, None)], 1e-9))
+@example(([(1.0, 1.0, 2.0, 3.0, 4.0), (1.0, 5.0, 6.0, -3.0, None)], 1.0))
+def test_interpolate_columns_match_per_pose_oracle(rows_and_time):
+    rows, t = rows_and_time
+    poses = [_Pose(tk, np.array([x, y], float), h, s)
+             for tk, x, y, h, s in rows]
+    try:
+        want = _interpolate_per_pose(poses, t)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as got:
+            interpolate_pose(_tracklet(1, rows), t)
+        assert str(got.value) == str(exc)
+        return
+    position, heading, speed = interpolate_pose(_tracklet(1, rows), t)
+    assert position.dtype == np.float64 and position.shape == (2,)
+    assert position.tobytes() == want.position.tobytes()
+    assert _bits(heading) == _bits(want.heading)
+    assert _bits(speed) == _bits(want.speed)
+
+
+def test_track_without_poses_is_dropped_at_ingest(straight_graph):
+    """``"poses": []`` holds no time: ingest drops the track as
+    ``no-pose-at-t0``, and a scene of such tracks is empty."""
+    doc = {"tracks": [{"agent_id": 1, "poses": []},
+                      {"agent_id": 2, "poses": [{"t": 0.0, "x": 50.0,
+                                                 "y": 0.0, "speed": 9.0}]}]}
+    sid, tracks = load_tracklets(doc)
+    assert not tracks[0].covers(0.0) and tracks[0].xy.shape == (0, 2)
+    with pytest.raises(ValueError, match=r"outside tracklet range \[\]"):
+        interpolate_pose(tracks[0], 0.0)
+    scene = instantiate_agents(straight_graph, tracks, 0.0, sid, SPAWN_GAP)
+    assert [a.agent_id for a in scene.agents] == [2]
+    assert [(d.agent_id, d.reason) for d in scene.dropped] \
+        == [(1, "no-pose-at-t0")]
+    with pytest.raises(EmptySceneError, match="every agent was dropped"):
+        instantiate_agents(straight_graph, tracks[:1], 0.0, sid, SPAWN_GAP)
+
+
 def test_tracklet_segment_clamps_to_first_and_last_pair():
     tr = _tracklet(1, [(t, 2.0 * t, 0.0, None, None)
                        for t in (0.0, 1.0, 1.0, 2.0, 3.0)])
@@ -62,8 +153,7 @@ def test_tracklet_segment_clamps_to_first_and_last_pair():
     # the last pose's time falls in the last pair, so the finite
     # differences there read poses 3 and 4
     assert scene_ingest._finite_difference_heading(tr, 3.0) == 0.0
-    positions = [p.position for p in tr.poses]
-    assert central_speed(tr.times, positions, tr.segment(3.0)) == 2.0
+    assert central_speed(tr.t, tr.xy, tr.segment(3.0)) == 2.0
     assert _tracklet(1, [(0.0, 0.0, 0.0, None, None)]).segment(4.0) == 0
 
 
@@ -161,8 +251,8 @@ def _spawn_rows(draw):
           (1, -1.75, 17.0, 10.0)], 2.0)
 def test_spawn_gap_walk_matches_restarting_oracle(rows, gap):
     graph = road_graph.build_graph(straight_map(100.0, lanes=2), **GRAPH_ARGS)
-    tracklets = [Tracklet(aid, [TrackletPose(0.0, np.array([x, y]), 0.0,
-                                             5.0)], VehicleGeometry(L=length))
+    tracklets = [_tracklet(aid, [(0.0, x, y, 0.0, 5.0)],
+                           geometry=VehicleGeometry(L=length))
                  for aid, y, x, length in rows]
     placed = instantiate_agents(graph, tracklets, 0.0,
                                 "scene", min_spawn_gap=-math.inf).agents

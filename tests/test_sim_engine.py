@@ -637,7 +637,7 @@ def test_replay_non_finite_position_raises():
     with pytest.raises(ConfigError,
                        match="pose 30: 'x' must be a finite number.*got nan"):
         scene_ingest.load_tracklets(doc)
-    tracks[0].poses[30].position[0] = float("nan")
+    tracks[0].xy[30, 0] = float("nan")
     scene = scene_ingest.instantiate_agents(g, tracks, 0.0, sid, SPAWN_GAP)
     asg = _assign_straight(g, scene, {1: 10.0, 2: 10.0})
     del asg[1]
